@@ -20,8 +20,7 @@
 //!                [--peers host:port,..] [--batch-max N] [--model-slots N]
 //!                [--trace-out FILE] [--log-format text|json] [-v|--quiet]
 //! ancstr bench   [netlist.sp...] [-o report.json] [--epochs N] [--seed S]
-//!                [--threads N] [--stress-devices N] [--backend scalar|simd]
-//!                [--repeat N]
+//!                [--threads N] [--stress-devices N] [--repeat N]
 //! ```
 //!
 //! `extract` trains on the input itself unless `--model` supplies a
@@ -43,17 +42,15 @@
 //!
 //! `bench` times each pipeline stage (graph-build, train, embed,
 //! detect) on the ADC1–ADC5 suite — or on the given netlists — at 1, 2,
-//! and N threads, for both kernel backends (scalar and SIMD) unless
-//! `--backend` pins one, writes a JSON report (default
-//! `BENCH_PR10.json`) with per-kernel attribution
-//! (matmul/spmm/axpy/row_norms calls, element counts, and wall time per
-//! backend and thread count), and fails with exit code 1 if any thread
-//! count *or backend* changes the extraction output hash. A `stress`
+//! and N threads, writes a JSON report (default `BENCH_PR10.json`) with
+//! per-kernel attribution (matmul/spmm/row_norms calls, element counts,
+//! and wall time per thread count), and fails with exit code 1 if any
+//! thread count changes the extraction output hash. A `stress`
 //! stage additionally times inductive extraction (graph-build + embed +
 //! pruned detect) over a generated `--stress-devices` corpus (default
 //! 10000; 0 disables the stage's work but keeps its rows so report
 //! consumers see a stable stage set). `--repeat N` runs each
-//! (backend, thread-count) sweep N times and reports the per-stage
+//! thread-count sweep N times and reports the per-stage
 //! minimum wall time — the standard way to push scheduler noise below
 //! the effect being measured — while asserting the output hash is
 //! identical on every repetition.
@@ -120,14 +117,14 @@ use ancstr_core::{
 use ancstr_gnn::{matrix_from_text, matrix_to_text, EmbedError, HealthConfig, HealthReport};
 use ancstr_netlist::constraint::ConstraintSet;
 use ancstr_netlist::flat::FlatCircuit;
-use ancstr_nn::{BackendKind, Matrix};
+use ancstr_nn::Matrix;
 use ancstr_obs::{
     analyze, validate_exposition, validate_trace, LogFormat, Logger, TraceFile, Tracer,
     Verbosity,
 };
 
 fn usage() -> &'static str {
-    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr bench [netlist.sp...] [-o report.json] [--epochs N] [--seed S] [--threads N] [--stress-devices N] [--backend scalar|simd] [--repeat N]"
+    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr bench [netlist.sp...] [-o report.json] [--epochs N] [--seed S] [--threads N] [--stress-devices N] [--repeat N]"
 }
 
 /// Everything that can go wrong, sorted by exit code: failed
@@ -295,9 +292,6 @@ struct Args {
     model_slots: Option<usize>,
     // compute-layer thread cap (None = available parallelism)
     threads: Option<usize>,
-    // compute-kernel backend (None = ANCSTR_BACKEND env or the SIMD
-    // default; bench sweeps both backends when unset)
-    backend: Option<BackendKind>,
 }
 
 fn parse_args(raw: &[String]) -> Result<Args, String> {
@@ -337,7 +331,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         batch_max: None,
         model_slots: None,
         threads: None,
-        backend: None,
     };
     let mut it = raw.iter();
     while let Some(a) = it.next() {
@@ -495,13 +488,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     return Err("--threads must be at least 1".to_owned());
                 }
                 args.threads = Some(n);
-            }
-            "--backend" => {
-                let v = take("--backend")?;
-                args.backend = Some(
-                    BackendKind::parse(&v)
-                        .ok_or_else(|| format!("bad --backend `{v}` (want scalar or simd)"))?,
-                );
             }
             "--require-stages" => args.require_stages = Some(take("--require-stages")?),
             "--require-epoch-events" => args.require_epoch_events = true,
@@ -1039,19 +1025,16 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Time every pipeline stage on the ADC1–ADC5 suite (or the given
-/// netlists) at 1, 2, and N threads — for both kernel backends unless
-/// `--backend` pins one — write a JSON report, and fail if any thread
-/// count *or backend* changes the extraction output.
+/// netlists) at 1, 2, and N threads, write a JSON report, and fail if
+/// any thread count changes the extraction output.
 ///
 /// The report is the PR's performance artifact: one record per
-/// `(backend, stage, threads)` with the summed wall time over the suite
-/// and the speedup relative to that backend's single-thread run, plus
-/// the per-`(backend, threads)` output hash CI gates on. A `kernels`
-/// section attributes each sweep's time to the individual compute
-/// kernels (matmul, spmm, axpy, row_norms, parallel-region overhead) so
-/// a stage-level regression can be pinned on the kernel that caused it,
-/// and a `simd_speedup_t1` section reports the single-thread SIMD win
-/// per stage when both backends ran.
+/// `(stage, threads)` with the summed wall time over the suite and the
+/// speedup relative to the single-thread run, plus the per-thread-count
+/// output hash CI gates on. A `kernels` section attributes each sweep's
+/// time to the individual compute kernels (matmul, spmm, row_norms,
+/// parallel-region overhead) so a stage-level regression can be pinned
+/// on the kernel that caused it.
 fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     if args.run_dir.is_some() || args.resume {
         return Err(usage_err("bench does not support --run-dir/--resume"));
@@ -1076,12 +1059,6 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     let mut counts = vec![1usize, 2, max_threads];
     counts.sort_unstable();
     counts.dedup();
-    // Scalar first: it is the bit-exactness reference the SIMD sweep's
-    // hashes are compared against.
-    let backends: Vec<BackendKind> = match args.backend {
-        Some(k) => vec![k],
-        None => vec![BackendKind::Scalar, BackendKind::Simd],
-    };
     let repeat = args.repeat.unwrap_or(1);
 
     // The scale-sweep corpus: generated once (deterministic in devices
@@ -1101,14 +1078,14 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         None
     };
 
-    // wall[b][c][s] = summed milliseconds for backend `backends[b]`,
-    // thread count `counts[c]`, stage `BENCH_STAGES[s]`.
-    let mut wall = vec![vec![[0f64; BENCH_STAGES.len()]; counts.len()]; backends.len()];
-    let mut hashes = vec![vec![0u64; counts.len()]; backends.len()];
-    // kernels[b][c] = per-kernel counters accumulated over the whole
-    // suite for one (backend, thread count) sweep — the attribution
-    // that says *which* kernel a stage's wall time went to.
-    let mut kernels = vec![vec![Vec::new(); counts.len()]; backends.len()];
+    // wall[c][s] = summed milliseconds for thread count `counts[c]`,
+    // stage `BENCH_STAGES[s]`.
+    let mut wall = vec![[0f64; BENCH_STAGES.len()]; counts.len()];
+    let mut hashes = vec![0u64; counts.len()];
+    // kernels[c] = per-kernel counters accumulated over the whole suite
+    // for one thread-count sweep — the attribution that says *which*
+    // kernel a stage's wall time went to.
+    let mut kernels = vec![Vec::new(); counts.len()];
     ancstr_par::profile::set_enabled(true);
 
     // The repeat loop is OUTERMOST, not per-cell: on throttled shared
@@ -1121,267 +1098,208 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         if repeat > 1 {
             ctx.log.info(format!("bench: repetition {}/{repeat}", rep + 1));
         }
-        for (bi, &bk) in backends.iter().enumerate() {
-            ancstr_nn::set_backend(bk);
-            for (ci, &t) in counts.iter().enumerate() {
-                ancstr_par::set_threads(t);
+        for (ci, &t) in counts.iter().enumerate() {
+            ancstr_par::set_threads(t);
+            if rep == 0 {
+                ctx.log.info(format!(
+                    "bench: {} circuits at {t} thread(s){}",
+                    suite.len(),
+                    if repeat > 1 {
+                        format!(", min of {repeat} interleaved runs")
+                    } else {
+                        String::new()
+                    }
+                ));
+            }
+            ancstr_par::profile::reset();
+            let mut pass = [0f64; BENCH_STAGES.len()];
+            let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
+            for (name, flat) in &suite {
+                let pipeline =
+                    |err: ExtractError| CliError::Pipeline { path: name.clone(), err };
+                let total0 = Instant::now();
+
+                let t0 = Instant::now();
+                let mut extractor =
+                    SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
+                let tg = extractor.train_graph(flat);
+                pass[0] += t0.elapsed().as_secs_f64() * 1e3;
+
+                let t1 = Instant::now();
+                extractor
+                    .try_fit_observed(&[flat], &HealthConfig::default(), &ctx.obs)
+                    .map_err(pipeline)?;
+                pass[1] += t1.elapsed().as_secs_f64() * 1e3;
+
+                let t2 = Instant::now();
+                let z = extractor.model().embed(&tg.tensors, &tg.features);
+                pass[2] += t2.elapsed().as_secs_f64() * 1e3;
+
+                let t3 = Instant::now();
+                let detection =
+                    detect_constraints(flat, &z, &config.thresholds, &config.embed);
+                pass[3] += t3.elapsed().as_secs_f64() * 1e3;
+                pass[5] += total0.elapsed().as_secs_f64() * 1e3;
+
+                // Fingerprint everything detection produced, in
+                // order: exported constraints, every score bit
+                // pattern, warnings.
+                hash = fnv1a(
+                    hash,
+                    write_constraints(flat, &detection.constraints).as_bytes(),
+                );
+                for s in &detection.scored {
+                    hash = fnv1a(hash, &s.score.to_bits().to_le_bytes());
+                    hash = fnv1a(hash, &[u8::from(s.accepted)]);
+                    hash = fnv1a(hash, &s.threshold.to_bits().to_le_bytes());
+                }
+                for w in &detection.warnings {
+                    hash = fnv1a(hash, w.to_string().as_bytes());
+                }
+            }
+            // Stress stage: inductive extraction (no training — the
+            // seeded initial model is deterministic, which is all
+            // the identity check needs) over the generated corpus,
+            // through the pruned detection prepass (its constraints
+            // are proven identical to exact detection, so the hash
+            // still pins every thread count to one output).
+            if let Some(flat) = &stress_flat {
+                let pipeline = |err: ExtractError| CliError::Pipeline {
+                    path: "stress".to_owned(),
+                    err,
+                };
+                let t4 = Instant::now();
+                let extractor =
+                    SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
+                let tg = extractor.train_graph(flat);
+                let z = extractor.model().embed(&tg.tensors, &tg.features);
+                let detection =
+                    detect_constraints_pruned(flat, &z, &config.thresholds, &config.embed);
+                pass[4] += t4.elapsed().as_secs_f64() * 1e3;
+                hash = fnv1a(
+                    hash,
+                    write_constraints(flat, &detection.constraints).as_bytes(),
+                );
                 if rep == 0 {
                     ctx.log.info(format!(
-                        "bench: {} circuits at {t} thread(s), {bk} backend{}",
-                        suite.len(),
-                        if repeat > 1 {
-                            format!(", min of {repeat} interleaved runs")
-                        } else {
-                            String::new()
-                        }
+                        "bench: stress {} devices -> {} constraints at {t} thread(s)",
+                        flat.devices().len(),
+                        detection.constraints.len()
                     ));
                 }
-                ancstr_par::profile::reset();
-                let mut pass = [0f64; BENCH_STAGES.len()];
-                let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-                for (name, flat) in &suite {
-                    let pipeline =
-                        |err: ExtractError| CliError::Pipeline { path: name.clone(), err };
-                    let total0 = Instant::now();
-
-                    let t0 = Instant::now();
-                    let mut extractor =
-                        SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
-                    let tg = extractor.train_graph(flat);
-                    pass[0] += t0.elapsed().as_secs_f64() * 1e3;
-
-                    let t1 = Instant::now();
-                    extractor
-                        .try_fit_observed(&[flat], &HealthConfig::default(), &ctx.obs)
-                        .map_err(pipeline)?;
-                    pass[1] += t1.elapsed().as_secs_f64() * 1e3;
-
-                    let t2 = Instant::now();
-                    let z = extractor.model().embed(&tg.tensors, &tg.features);
-                    pass[2] += t2.elapsed().as_secs_f64() * 1e3;
-
-                    let t3 = Instant::now();
-                    let detection =
-                        detect_constraints(flat, &z, &config.thresholds, &config.embed);
-                    pass[3] += t3.elapsed().as_secs_f64() * 1e3;
-                    pass[5] += total0.elapsed().as_secs_f64() * 1e3;
-
-                    // Fingerprint everything detection produced, in
-                    // order: exported constraints, every score bit
-                    // pattern, warnings.
-                    hash = fnv1a(
-                        hash,
-                        write_constraints(flat, &detection.constraints).as_bytes(),
-                    );
-                    for s in &detection.scored {
-                        hash = fnv1a(hash, &s.score.to_bits().to_le_bytes());
-                        hash = fnv1a(hash, &[u8::from(s.accepted)]);
-                        hash = fnv1a(hash, &s.threshold.to_bits().to_le_bytes());
-                    }
-                    for w in &detection.warnings {
-                        hash = fnv1a(hash, w.to_string().as_bytes());
-                    }
-                }
-                // Stress stage: inductive extraction (no training — the
-                // seeded initial model is deterministic, which is all
-                // the identity check needs) over the generated corpus,
-                // through the pruned detection prepass (its constraints
-                // are proven identical to exact detection, so the hash
-                // still pins every backend and thread count to one
-                // output).
-                if let Some(flat) = &stress_flat {
-                    let pipeline = |err: ExtractError| CliError::Pipeline {
-                        path: "stress".to_owned(),
-                        err,
-                    };
-                    let t4 = Instant::now();
-                    let extractor =
-                        SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
-                    let tg = extractor.train_graph(flat);
-                    let z = extractor.model().embed(&tg.tensors, &tg.features);
-                    let detection =
-                        detect_constraints_pruned(flat, &z, &config.thresholds, &config.embed);
-                    pass[4] += t4.elapsed().as_secs_f64() * 1e3;
-                    hash = fnv1a(
-                        hash,
-                        write_constraints(flat, &detection.constraints).as_bytes(),
-                    );
-                    if rep == 0 {
-                        ctx.log.info(format!(
-                            "bench: stress {} devices -> {} constraints at {t} thread(s), \
-                             {bk} backend",
-                            flat.devices().len(),
-                            detection.constraints.len()
-                        ));
-                    }
-                }
-                // Min-of-N per stage: repetitions exist to shake off
-                // scheduler noise, and the minimum is the run the
-                // machine least interfered with. The output itself must
-                // not vary run to run — that would be nondeterminism,
-                // which is exactly what this tool exists to catch.
-                if rep == 0 {
-                    hashes[bi][ci] = hash;
-                    wall[bi][ci] = pass;
-                } else {
-                    if hashes[bi][ci] != hash {
-                        return Err(CliError::Validation(format!(
-                            "bench: output hash changed between repetitions at {t} \
-                             thread(s) on the {bk} backend ({:016x} then {hash:016x}) — \
-                             the pipeline is nondeterministic",
-                            hashes[bi][ci]
-                        )));
-                    }
-                    for (acc, &ms) in wall[bi][ci].iter_mut().zip(&pass) {
-                        *acc = acc.min(ms);
-                    }
-                }
-                kernels[bi][ci] = ancstr_par::profile::snapshot();
             }
+            // Min-of-N per stage: repetitions exist to shake off
+            // scheduler noise, and the minimum is the run the
+            // machine least interfered with. The output itself must
+            // not vary run to run — that would be nondeterminism,
+            // which is exactly what this tool exists to catch.
+            if rep == 0 {
+                hashes[ci] = hash;
+                wall[ci] = pass;
+            } else {
+                if hashes[ci] != hash {
+                    return Err(CliError::Validation(format!(
+                        "bench: output hash changed between repetitions at {t} \
+                         thread(s) ({:016x} then {hash:016x}) — \
+                         the pipeline is nondeterministic",
+                        hashes[ci]
+                    )));
+                }
+                for (acc, &ms) in wall[ci].iter_mut().zip(&pass) {
+                    *acc = acc.min(ms);
+                }
+            }
+            kernels[ci] = ancstr_par::profile::snapshot();
         }
     }
-    // Restore the CLI-wide thread cap and backend the sweep overrode.
+    // Restore the CLI-wide thread cap the sweep overrode.
     ancstr_par::set_threads(args.threads.unwrap_or(0));
-    ancstr_nn::set_backend(args.backend.unwrap_or(BackendKind::Simd));
     ancstr_par::profile::set_enabled(false);
 
-    let identical_threads = hashes.iter().all(|row| row.iter().all(|&h| h == row[0]));
-    let identical_backends = hashes.iter().all(|row| row[0] == hashes[0][0]);
-    let identical = identical_threads && identical_backends;
+    let identical = hashes.iter().all(|&h| h == hashes[0]);
     let names: Vec<String> = suite.iter().map(|(n, _)| format!("\"{n}\"")).collect();
-    let backend_names: Vec<String> =
-        backends.iter().map(|b| format!("\"{b}\"")).collect();
     let mut records = String::new();
-    for (bi, &bk) in backends.iter().enumerate() {
-        for (si, stage) in BENCH_STAGES.iter().enumerate() {
-            for (ci, &t) in counts.iter().enumerate() {
-                let ms = wall[bi][ci][si];
-                let speedup = if ms > 0.0 { wall[bi][0][si] / ms } else { 1.0 };
-                if !records.is_empty() {
-                    records.push_str(",\n");
-                }
-                records.push_str(&format!(
-                    "    {{\"backend\": \"{bk}\", \"stage\": \"{stage}\", \"threads\": {t}, \
-                     \"wall_ms\": {ms:.3}, \"speedup\": {speedup:.3}}}"
-                ));
+    for (si, stage) in BENCH_STAGES.iter().enumerate() {
+        for (ci, &t) in counts.iter().enumerate() {
+            let ms = wall[ci][si];
+            let speedup = if ms > 0.0 { wall[0][si] / ms } else { 1.0 };
+            if !records.is_empty() {
+                records.push_str(",\n");
             }
+            records.push_str(&format!(
+                "    {{\"stage\": \"{stage}\", \"threads\": {t}, \
+                 \"wall_ms\": {ms:.3}, \"speedup\": {speedup:.3}}}"
+            ));
         }
     }
-    let hash_entries: Vec<String> = backends
+    let hash_entries: Vec<String> = counts
         .iter()
-        .enumerate()
-        .flat_map(|(bi, &bk)| {
-            counts
-                .iter()
-                .zip(&hashes[bi])
-                .map(move |(t, h)| format!("\"{bk}-{t}\": \"{h:016x}\""))
-                .collect::<Vec<_>>()
-        })
+        .zip(&hashes)
+        .map(|(t, h)| format!("\"{t}\": \"{h:016x}\""))
         .collect();
     let mut kernel_records = String::new();
-    for (bi, &bk) in backends.iter().enumerate() {
-        for (ci, &t) in counts.iter().enumerate() {
-            for s in kernels[bi][ci].iter().filter(|s| s.calls > 0) {
-                if !kernel_records.is_empty() {
-                    kernel_records.push_str(",\n");
-                }
-                kernel_records.push_str(&format!(
-                    "    {{\"backend\": \"{bk}\", \"kernel\": \"{}\", \"threads\": {t}, \
-                     \"calls\": {}, \"elements\": {}, \"wall_ms\": {:.3}}}",
-                    s.name,
-                    s.calls,
-                    s.elems,
-                    s.wall_ns as f64 / 1e6,
-                ));
+    for (ci, &t) in counts.iter().enumerate() {
+        for s in kernels[ci].iter().filter(|s| s.calls > 0) {
+            if !kernel_records.is_empty() {
+                kernel_records.push_str(",\n");
             }
+            kernel_records.push_str(&format!(
+                "    {{\"kernel\": \"{}\", \"threads\": {t}, \
+                 \"calls\": {}, \"elements\": {}, \"wall_ms\": {:.3}}}",
+                s.name,
+                s.calls,
+                s.elems,
+                s.wall_ns as f64 / 1e6,
+            ));
         }
     }
-    // Single-thread SIMD-vs-scalar ratio per stage (>1 = SIMD faster),
-    // only meaningful when both backends ran.
-    let simd_speedup = if backends.len() == 2 {
-        let entries: Vec<String> = BENCH_STAGES
-            .iter()
-            .enumerate()
-            .map(|(si, stage)| {
-                let ratio =
-                    if wall[1][0][si] > 0.0 { wall[0][0][si] / wall[1][0][si] } else { 1.0 };
-                format!("\"{stage}\": {ratio:.3}")
-            })
-            .collect();
-        format!(",\n  \"simd_speedup_t1\": {{{}}}", entries.join(", "))
-    } else {
-        String::new()
-    };
     let report = format!(
-        "{{\n  \"schema\": \"ancstr-bench-v2\",\n  \"suite\": [{}],\n  \
+        "{{\n  \"schema\": \"ancstr-bench-v3\",\n  \"suite\": [{}],\n  \
          \"stress_devices\": {stress_devices},\n  \"repeat\": {repeat},\n  \
-         \"backends\": [{}],\n  \
          \"thread_counts\": {counts:?},\n  \"output_hashes\": {{{}}},\n  \
-         \"identical_across_threads\": {identical_threads},\n  \
-         \"identical_across_backends\": {identical_backends}{simd_speedup},\n  \
+         \"identical_across_threads\": {identical},\n  \
          \"records\": [\n{records}\n  ],\n  \
          \"kernels\": [\n{kernel_records}\n  ]\n}}\n",
         names.join(", "),
-        backend_names.join(", "),
         hash_entries.join(", "),
     );
     fs::write(&out_path, &report)
         .map_err(|e| CliError::Io { path: out_path.clone(), detail: e.to_string() })?;
     ctx.log.info(format!("wrote {out_path}"));
 
-    println!(
-        "{:<8} {:<12} {:>8} {:>12} {:>9}",
-        "backend", "stage", "threads", "wall_ms", "speedup"
-    );
-    for (bi, &bk) in backends.iter().enumerate() {
-        for (si, stage) in BENCH_STAGES.iter().enumerate() {
-            for (ci, &t) in counts.iter().enumerate() {
-                let ms = wall[bi][ci][si];
-                let speedup = if ms > 0.0 { wall[bi][0][si] / ms } else { 1.0 };
-                println!("{bk:<8} {stage:<12} {t:>8} {ms:>12.3} {speedup:>8.2}x");
-            }
+    println!("{:<12} {:>8} {:>12} {:>9}", "stage", "threads", "wall_ms", "speedup");
+    for (si, stage) in BENCH_STAGES.iter().enumerate() {
+        for (ci, &t) in counts.iter().enumerate() {
+            let ms = wall[ci][si];
+            let speedup = if ms > 0.0 { wall[0][si] / ms } else { 1.0 };
+            println!("{stage:<12} {t:>8} {ms:>12.3} {speedup:>8.2}x");
         }
     }
     println!();
     println!(
-        "{:<8} {:<12} {:>8} {:>10} {:>14} {:>12}",
-        "backend", "kernel", "threads", "calls", "elements", "wall_ms"
+        "{:<12} {:>8} {:>10} {:>14} {:>12}",
+        "kernel", "threads", "calls", "elements", "wall_ms"
     );
-    for (bi, &bk) in backends.iter().enumerate() {
-        for (ci, &t) in counts.iter().enumerate() {
-            for s in kernels[bi][ci].iter().filter(|s| s.calls > 0) {
-                println!(
-                    "{bk:<8} {:<12} {t:>8} {:>10} {:>14} {:>12.3}",
-                    s.name,
-                    s.calls,
-                    s.elems,
-                    s.wall_ns as f64 / 1e6,
-                );
-            }
+    for (ci, &t) in counts.iter().enumerate() {
+        for s in kernels[ci].iter().filter(|s| s.calls > 0) {
+            println!(
+                "{:<12} {t:>8} {:>10} {:>14} {:>12.3}",
+                s.name,
+                s.calls,
+                s.elems,
+                s.wall_ns as f64 / 1e6,
+            );
         }
     }
 
     if !identical {
-        let rendered: Vec<String> = backends
-            .iter()
-            .enumerate()
-            .flat_map(|(bi, &bk)| {
-                counts
-                    .iter()
-                    .zip(&hashes[bi])
-                    .map(move |(t, h)| format!("{bk}-{t}: {h:016x}"))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let rendered: Vec<String> =
+            counts.iter().zip(&hashes).map(|(t, h)| format!("{t}: {h:016x}")).collect();
         return Err(CliError::Validation(format!(
-            "extraction output diverged across {}: {rendered:?}",
-            if identical_threads { "backends" } else { "thread counts" },
+            "extraction output diverged across thread counts: {rendered:?}"
         )));
     }
-    println!(
-        "output identical across thread counts {counts:?} and backends {:?}",
-        backends.iter().map(|b| b.name()).collect::<Vec<_>>()
-    );
+    println!("output identical across thread counts {counts:?}");
     Ok(())
 }
 
@@ -1631,12 +1549,6 @@ fn main() -> ExitCode {
     // the count itself (sweeping 1, 2, N) and reads the cap as its N.
     if let Some(n) = args.threads {
         ancstr_par::set_threads(n);
-    }
-    // Pin the kernel backend before any pipeline work; without the flag
-    // the `ANCSTR_BACKEND` env var (or the SIMD default) applies, and
-    // `bench` sweeps both backends.
-    if let Some(k) = args.backend {
-        ancstr_nn::set_backend(k);
     }
 
     let ctx = match ObsCtx::for_command(cmd.as_str(), &args) {

@@ -231,7 +231,7 @@ fn detect_impl(
         }
     }
 
-    // Hoisted per-node stats. Device norms come from the backend's
+    // Hoisted per-node stats. Device norms come from the
     // row-norm kernel via `Matrix::row_norms`; block-embedding norms go
     // through the same free `row_norm` — one source of truth for the
     // denominator arithmetic.

@@ -7,12 +7,9 @@
 //! (feature dimension 18, two layers, graphs of ≤ a few thousand
 //! vertices):
 //!
-//! * [`Backend`] — runtime-dispatched kernel backends (cache-blocked
-//!   scalar reference vs. SIMD fixed-width lanes, byte-identical by
-//!   contract, selected via `ANCSTR_BACKEND`/[`set_backend`]);
 //! * [`Matrix`] — dense row-major `f64` linear algebra;
 //! * [`SparseMatrix`] — triplet sparse matrices for the per-edge-type
-//!   adjacency operators;
+//!   adjacency operators, multiplied through cached CSR views;
 //! * [`Tape`] — reverse-mode autograd over the op set the model needs
 //!   (verified against finite differences in the test suite);
 //! * [`GruCell`] — the Eq. 1 combiner;
@@ -20,6 +17,18 @@
 //! * [`init`] — Xavier initialization;
 //! * [`linalg`] — a Jacobi symmetric eigensolver (used by the S³DET
 //!   baseline's spectral analysis).
+//!
+//! # One kernel module
+//!
+//! Every dense and sparse product runs on a single set of kernels
+//! (the private `kernel` module) with no runtime dispatch: a
+//! register-resident row path at the model's width `D = 18`, a 4×4
+//! register tile for other widths, a transpose-free `Aᵀ·G` for weight
+//! gradients, and a flat CSR walk for spmm. Each produces every output
+//! element by the same sequence of IEEE-754 adds as the plain scalar
+//! loop, in the same order, so outputs are byte-identical to that loop
+//! and — because work splits only across output rows — at every
+//! thread count. The scalar loops survive as test-only oracles.
 //!
 //! # Example: one gradient step
 //!
@@ -40,21 +49,21 @@
 //! assert!(w.max_abs() < 1e-2);
 //! ```
 
-pub mod backend;
 pub mod error;
 pub mod gru;
 pub mod init;
+mod kernel;
 pub mod linalg;
 pub mod matrix;
 pub mod optim;
-pub mod simd;
+#[cfg(test)]
+mod oracle;
 pub mod sparse;
 pub mod tape;
 
-pub use backend::{set_backend, Backend, BackendKind};
 pub use error::NnError;
 pub use gru::{GruCell, GruLeaves};
-pub use matrix::{axpy, cosine_similarity, dot, row_norm, Matrix};
+pub use matrix::{cosine_similarity, dot, row_norm, Matrix};
 pub use optim::Adam;
 pub use sparse::SparseMatrix;
 pub use tape::{log_sigmoid, sigmoid, Gradients, NodeId, SparseId, Tape};

@@ -3,29 +3,24 @@
 //!
 //! # Kernel design
 //!
-//! The hot kernels ([`Matrix::matmul`], [`Matrix::matmul_transposed`],
+//! The hot kernels ([`Matrix::matmul`], [`Matrix::transpose_matmul`],
 //! [`Matrix::map_par`]) are written so that the parallel path is
 //! **bit-identical** to the sequential one at any thread count:
 //!
 //! * work is split across *output rows*, so every output element is
 //!   written by exactly one thread;
-//! * the per-element accumulation order (ascending `k`) is the same in
-//!   the scalar, cache-blocked, and parallel variants — tiles advance
-//!   in ascending `k`, and column-blocking only regroups independent
-//!   output elements;
-//! * the `a == 0.0` multiplicand skip is applied identically
-//!   everywhere (skipping is *not* the same as multiplying when the
-//!   other operand holds an `inf`/`NaN`, so every variant must agree).
+//! * the per-element accumulation order (ascending `k`) and the
+//!   `a == 0.0` multiplicand skip are fixed by the kernel, not by the
+//!   schedule.
 //!
-//! The kernel arithmetic itself lives behind the [`crate::backend`]
-//! dispatch point (scalar reference vs. SIMD lanes, byte-identical by
-//! contract); this module owns shapes, profiling, and the parallel
-//! row-chunk scheduling.
+//! The arithmetic lives in the crate's single kernel module (whose
+//! docs carry the bit-identity argument); this module owns shapes,
+//! profiling, and the parallel row-chunk scheduling.
 
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
-use crate::backend;
+use crate::kernel;
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -150,9 +145,8 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// Cache-blocked ikj kernel, row-parallel for large products; the
-    /// result is bit-identical at every thread count (see the module
-    /// docs).
+    /// Row-parallel for large products; the result is bit-identical at
+    /// every thread count (see the module docs).
     ///
     /// # Panics
     ///
@@ -171,14 +165,41 @@ impl Matrix {
             ancstr_par::profile::Kernel::Matmul,
             (self.rows * inner * n) as u64,
         );
-        let be = backend::active();
         par_row_chunks(
             self.rows,
             n,
             &mut out.data,
             min_rows_for(inner * n),
-            |rows, chunk| be.matmul_rows(&self.data, inner, rows, &other.data, n, chunk),
+            |rows, chunk| kernel::matmul_rows(&self.data, inner, rows, &other.data, n, chunk),
         );
+        out
+    }
+
+    /// Transposed-LHS matrix product `selfᵀ · other` — the backward
+    /// pass's weight gradient `Aᵀ · dC` without materialising `Aᵀ`.
+    ///
+    /// Bit-identical to `self.transpose().matmul(other)`: walking
+    /// `self`'s rows in ascending order gives every output element its
+    /// contributions in the same ascending-`k` order, with the same
+    /// zero skip.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self.rows() == other.rows()`.
+    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows,
+            other.rows,
+            "transpose_matmul shape mismatch: {:?}ᵀ · {:?}",
+            self.shape(),
+            other.shape()
+        );
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        let _prof = ancstr_par::profile::time(
+            ancstr_par::profile::Kernel::Matmul,
+            (self.rows * self.cols * other.cols) as u64,
+        );
+        kernel::transpose_matmul(&self.data, self.cols, &other.data, other.cols, &mut out.data);
         out
     }
 
@@ -186,7 +207,7 @@ impl Matrix {
     /// pass's `dC · Bᵀ` without asking every caller to transpose.
     ///
     /// Bit-identical to `self.matmul(&other.transpose())` by
-    /// construction: one transposed copy of `other` feeds the blocked
+    /// construction: one transposed copy of `other` feeds the matmul
     /// kernel. The copy costs `O(k·n)` but keeps the inner loop in the
     /// ikj orientation, whose independent per-`j` accumulators
     /// vectorize; a copy-free row-dot formulation pays a loop-carried
@@ -209,7 +230,13 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
+            }
+        }
+        out
     }
 
     /// Stack matrices vertically (row-wise concatenation).
@@ -264,7 +291,7 @@ impl Matrix {
     /// call.
     ///
     /// Bit-identical to `blocks.iter().map(|a| a.matmul(rhs))` because
-    /// the blocked ikj kernel computes every output row from exactly one
+    /// the matmul kernel computes every output row from exactly one
     /// LHS row (accumulating over `k` in ascending order, with the
     /// `a == 0.0` skip applied per LHS element) — stacking only changes
     /// how rows are grouped for dispatch, never what any single row
@@ -353,9 +380,8 @@ impl Matrix {
             ancstr_par::profile::Kernel::RowNorms,
             (self.rows * self.cols) as u64,
         );
-        let be = backend::active();
         ancstr_par::map_chunks(self.rows, min_rows_for(self.cols), |rows| {
-            rows.map(|r| be.row_norm(self.row(r))).collect::<Vec<f64>>()
+            rows.map(|r| row_norm(self.row(r))).collect::<Vec<f64>>()
         })
         .into_iter()
         .flatten()
@@ -387,9 +413,9 @@ impl Matrix {
     /// Column sums as a `1 × cols` matrix.
     pub fn column_sums(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self[(r, c)];
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
         out
@@ -493,28 +519,13 @@ pub(crate) fn par_row_chunks(
     });
 }
 
-/// Fused AXPY: `y += a · x`, the accumulation primitive the sparse
-/// kernels share. Dispatches to the active [`crate::backend`].
-///
-/// # Panics
-///
-/// Panics on a length mismatch.
-pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-    let _prof = ancstr_par::profile::time(
-        ancstr_par::profile::Kernel::Axpy,
-        y.len() as u64,
-    );
-    backend::active().axpy(y, a, x);
-}
-
 /// Dot product in ascending index order — the exact accumulation
 /// [`cosine_similarity`] uses for its numerator, so callers that cache
 /// [`Matrix::row_norms`] can reproduce its quotient bit-for-bit.
 ///
-/// Sequential on every backend: lane-splitting a loop-carried sum
-/// would reassociate it (see the [`crate::backend`] docs).
+/// Sequential: lane-splitting a loop-carried sum would reassociate it.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    backend::active().dot(a, b)
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// L2 norm of one vector, computed exactly as [`cosine_similarity`]
@@ -524,7 +535,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// detection scores O(n²) pairs over n vectors — get quotients
 /// bit-identical to calling [`cosine_similarity`] per pair.
 pub fn row_norm(x: &[f64]) -> f64 {
-    backend::active().row_norm(x)
+    x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 /// Cosine similarity between two equal-or-different-length vectors; the
@@ -542,9 +553,11 @@ pub fn row_norm(x: &[f64]) -> f64 {
 /// assert!((cosine_similarity(&[1.0, 1.0], &[1.0, 1.0, 0.0]) - 1.0).abs() < 1e-12);
 /// ```
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    let be = backend::active();
-    let (na, nb) = (be.row_norm(a), be.row_norm(b));
-    be.cosine_with_norms(a, b, na, nb)
+    let (na, nb) = (row_norm(a), row_norm(b));
+    if na == 0.0 || nb == 0.0 {
+        return 0.0;
+    }
+    dot(a, b) / (na * nb)
 }
 
 #[cfg(test)]
@@ -637,36 +650,27 @@ mod tests {
         })
     }
 
-    /// The historical reference: naive ijk with the `a == 0.0` skip.
+    /// The naive ijk oracle with the `a == 0.0` skip.
     fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                for k in 0..a.cols() {
-                    let av = a[(i, k)];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    out[(i, j)] += av * b[(k, j)];
-                }
-            }
-        }
-        out
+        let data = crate::oracle::matmul(a.as_slice(), a.rows(), a.cols(), b.as_slice(), b.cols());
+        Matrix::from_vec(a.rows(), b.cols(), data)
     }
 
     fn assert_same_bits(a: &Matrix, b: &Matrix) {
         assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "bit divergence: {x} vs {y}");
+        for (&x, &y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert!(crate::oracle::same_bits(x, y), "bit divergence: {x} vs {y}");
         }
     }
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive_across_block_boundaries() {
         let mut seed = 7;
-        // Shapes straddling J_BLOCK/K_BLOCK boundaries and the
-        // parallel-dispatch threshold.
-        for (m, k, n) in [(3, 5, 4), (17, 300, 9), (5, 260, 270), (600, 18, 18), (64, 257, 31)] {
+        // Shapes straddling the tile's block boundaries, the narrow
+        // width and the parallel-dispatch threshold.
+        for (m, k, n) in
+            [(3, 5, 4), (17, 300, 9), (5, 260, 270), (600, 18, 18), (2500, 18, 18), (64, 257, 31)]
+        {
             let mut a = lcg_matrix(m, k, &mut seed);
             // Exercise the zero-skip path too.
             if m > 1 && k > 2 {
@@ -711,6 +715,27 @@ mod tests {
         let b = Matrix::from_rows(&[&[f64::INFINITY], &[2.0]]);
         assert_eq!(a.matmul(&b)[(0, 0)], 2.0);
         assert_eq!(a.matmul_transposed(&b.transpose())[(0, 0)], 2.0);
+        assert_eq!(a.transpose().transpose_matmul(&b)[(0, 0)], 2.0);
+    }
+
+    #[test]
+    fn transpose_matmul_matches_explicit_transpose_bitwise() {
+        let mut seed = 23;
+        for (rows, p, q) in [(1, 1, 1), (7, 3, 5), (1233, 18, 18), (40, 19, 18)] {
+            let mut a = lcg_matrix(rows, p, &mut seed);
+            a[(0, 0)] = 0.0;
+            let g = lcg_matrix(rows, q, &mut seed);
+            let got = a.transpose_matmul(&g);
+            assert_same_bits(&got, &a.transpose().matmul(&g));
+            let want = crate::oracle::transpose_matmul(a.as_slice(), rows, p, g.as_slice(), q);
+            assert_same_bits(&got, &Matrix::from_vec(p, q, want));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose_matmul shape mismatch")]
+    fn transpose_matmul_checks_shapes() {
+        let _ = Matrix::zeros(2, 3).transpose_matmul(&Matrix::zeros(3, 3));
     }
 
     #[test]
@@ -807,10 +832,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_dot_basics() {
-        let mut y = vec![1.0, 2.0];
-        axpy(&mut y, 2.0, &[10.0, 20.0]);
-        assert_eq!(y, vec![21.0, 42.0]);
+    fn dot_and_row_norm_basics() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
+        assert_eq!(row_norm(&[3.0, 4.0]), 5.0);
     }
 }

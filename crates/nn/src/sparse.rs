@@ -2,19 +2,20 @@
 //! adjacency operators (one per edge type).
 //!
 //! The dense products group the triplets by output row with a stable
-//! counting sort into a **CSR view** (`starts` + triplet `order`),
-//! built lazily **once per matrix per orientation** and cached — the
-//! GNN reuses each adjacency operator across every GRU step of every
-//! epoch, so the historical sort-per-product was pure waste. Rows then
-//! accumulate with the fused [`axpy`] kernel, in parallel across
-//! disjoint output rows for large operands. Sort stability is what
-//! keeps the result bit-identical to the historical "walk the triplets
-//! in storage order" loop: each output element still receives its
-//! contributions in the original triplet order.
+//! counting sort into a **CSR view** (`starts` + contiguous
+//! `(src_row, value)` entries), built lazily **once per matrix per
+//! orientation** and cached — the GNN reuses each adjacency operator
+//! across every GRU step of every epoch. Rows then accumulate inline
+//! in the crate's kernel module, in parallel across disjoint output
+//! rows for large operands. Sort stability is what keeps the result
+//! bit-identical to a "walk the triplets in storage order" loop: each
+//! output element still receives its contributions in the original
+//! triplet order.
 
 use std::sync::OnceLock;
 
-use crate::matrix::{axpy, min_rows_for, par_row_chunks, Matrix};
+use crate::kernel;
+use crate::matrix::{min_rows_for, par_row_chunks, Matrix};
 
 /// A sparse `rows × cols` matrix stored as `(row, col, value)` triplets.
 ///
@@ -44,20 +45,22 @@ pub struct SparseMatrix {
     by_col: OnceLock<CsrView>,
 }
 
-/// A stable grouping of triplet indices by output row: triplet indices
-/// `order[starts[r]..starts[r + 1]]` are the row-`r` contributions, in
-/// original storage order.
+/// A stable grouping of the triplets by output row:
+/// `entries[starts[r]..starts[r + 1]]` are the row-`r` contributions
+/// as `(dense source row, value)`, in original storage order.
 #[derive(Debug, Clone)]
 struct CsrView {
     starts: Vec<usize>,
-    order: Vec<u32>,
+    entries: Vec<(u32, f64)>,
 }
 
 impl CsrView {
+    /// Group by `out_row`; each entry reads dense row `src_row`.
     fn build(
         out_rows: usize,
         triplets: &[(usize, usize, f64)],
         out_row: impl Fn(&(usize, usize, f64)) -> usize,
+        src_row: impl Fn(&(usize, usize, f64)) -> usize,
     ) -> CsrView {
         let mut starts = vec![0usize; out_rows + 1];
         for t in triplets {
@@ -67,13 +70,14 @@ impl CsrView {
             starts[r + 1] += starts[r];
         }
         let mut cursor = starts.clone();
-        let mut order = vec![0u32; triplets.len()];
-        for (idx, t) in triplets.iter().enumerate() {
+        let mut entries = vec![(0u32, 0.0); triplets.len()];
+        for t in triplets {
             let r = out_row(t);
-            order[cursor[r]] = idx as u32;
+            let src = u32::try_from(src_row(t)).expect("sparse dimension fits in u32");
+            entries[cursor[r]] = (src, t.2);
             cursor[r] += 1;
         }
-        CsrView { starts, order }
+        CsrView { starts, entries }
     }
 }
 
@@ -135,10 +139,10 @@ impl SparseMatrix {
     /// Panics if `self.cols() != dense.rows()`.
     pub fn matmul_dense(&self, dense: &Matrix) -> Matrix {
         assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        let view = self
-            .by_row
-            .get_or_init(|| CsrView::build(self.rows, &self.triplets, |&(r, _, _)| r));
-        self.grouped_product(self.rows, dense, view, |&(_, c, _)| c)
+        let view = self.by_row.get_or_init(|| {
+            CsrView::build(self.rows, &self.triplets, |&(r, _, _)| r, |&(_, c, _)| c)
+        });
+        self.grouped_product(self.rows, dense, view)
     }
 
     /// Dense product with the transpose: `selfᵀ · dense` (the backward
@@ -149,27 +153,21 @@ impl SparseMatrix {
     /// Panics if `self.rows() != dense.rows()`.
     pub fn transpose_matmul_dense(&self, dense: &Matrix) -> Matrix {
         assert_eq!(self.rows, dense.rows(), "spmmᵀ shape mismatch");
-        let view = self
-            .by_col
-            .get_or_init(|| CsrView::build(self.cols, &self.triplets, |&(_, c, _)| c));
-        self.grouped_product(self.cols, dense, view, |&(r, _, _)| r)
+        let view = self.by_col.get_or_init(|| {
+            CsrView::build(self.cols, &self.triplets, |&(_, c, _)| c, |&(r, _, _)| r)
+        });
+        self.grouped_product(self.cols, dense, view)
     }
 
-    /// Shared kernel for both dense products over a cached CSR view:
-    /// `src_row(t)` names the dense row a triplet reads.
+    /// Shared body of both dense products over a cached CSR view,
+    /// timed as one spmm call.
     ///
     /// Walking output rows through the stable CSR grouping accumulates
     /// each output element in original triplet order — bit-identical to
-    /// the historical "walk the triplets in storage order" loop (rows
-    /// are independent, so only the interleaving *across* rows differs;
+    /// a "walk the triplets in storage order" loop (rows are
+    /// independent, so only the interleaving *across* rows differs;
     /// pinned by the tests below).
-    fn grouped_product(
-        &self,
-        out_rows: usize,
-        dense: &Matrix,
-        view: &CsrView,
-        src_row: impl Fn(&(usize, usize, f64)) -> usize + Sync,
-    ) -> Matrix {
+    fn grouped_product(&self, out_rows: usize, dense: &Matrix, view: &CsrView) -> Matrix {
         let cols = dense.cols();
         let mut out = Matrix::zeros(out_rows, cols);
         if self.triplets.is_empty() {
@@ -182,13 +180,7 @@ impl SparseMatrix {
         let avg_work = (self.triplets.len() * cols.max(1)) / out_rows.max(1);
         let min_rows = min_rows_for(avg_work);
         let walk = |rows: std::ops::Range<usize>, chunk: &mut [f64]| {
-            for (li, r) in rows.enumerate() {
-                let dst = &mut chunk[li * cols..(li + 1) * cols];
-                for &idx in &view.order[view.starts[r]..view.starts[r + 1]] {
-                    let t = &self.triplets[idx as usize];
-                    axpy(dst, t.2, dense.row(src_row(t)));
-                }
-            }
+            kernel::csr_rows(&view.starts, &view.entries, rows, dense.as_slice(), cols, chunk);
         };
         if !ancstr_par::would_parallelize(out_rows, min_rows) {
             walk(0..out_rows, out.as_mut_slice());
@@ -324,17 +316,12 @@ mod tests {
         }
     }
 
-    /// The historical kernel: walk the triplets in storage order.
+    /// The storage-order triplet walk oracle.
     fn spmm_reference(s: &SparseMatrix, dense: &Matrix, transpose: bool) -> Matrix {
         let out_rows = if transpose { s.cols() } else { s.rows() };
-        let mut out = Matrix::zeros(out_rows, dense.cols());
-        for &(r, c, v) in s.triplets() {
-            let (dst, src) = if transpose { (c, r) } else { (r, c) };
-            for (d, &sv) in out.row_mut(dst).iter_mut().zip(dense.row(src)) {
-                *d += v * sv;
-            }
-        }
-        out
+        let data =
+            crate::oracle::spmm(s.triplets(), out_rows, dense.as_slice(), dense.cols(), transpose);
+        Matrix::from_vec(out_rows, dense.cols(), data)
     }
 
     #[test]

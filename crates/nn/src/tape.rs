@@ -171,11 +171,15 @@ impl Tape {
     ///
     /// Panics unless `row` is `1 × a.cols()`.
     pub fn add_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let (ar, ac) = self.value(a).shape();
+        let ac = self.value(a).cols();
         assert_eq!(self.value(row).shape(), (1, ac), "bias must be 1 × cols");
-        let bias = self.value(row).row(0).to_vec();
-        let base = self.value(a);
-        let v = Matrix::from_fn(ar, ac, |r, c| base[(r, c)] + bias[c]);
+        let bias = self.value(row).row(0);
+        let mut v = self.value(a).clone();
+        for vrow in v.as_mut_slice().chunks_exact_mut(ac.max(1)) {
+            for (x, &b) in vrow.iter_mut().zip(bias) {
+                *x += b;
+            }
+        }
         self.push(v, Op::AddRow(a, row))
     }
 
@@ -289,28 +293,35 @@ impl Tape {
                 slot @ None => *slot = Some(delta),
             }
         };
+        // `add_to` for a gradient passed through unchanged: copies `g`
+        // only when the slot is still empty.
+        let pass_to = |grads: &mut [Option<Matrix>], id: NodeId| match &mut grads[id.0] {
+            Some(existing) => existing.add_assign(g),
+            slot @ None => *slot = Some(g.clone()),
+        };
         match &self.nodes[i].op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
                 let (av, bv) = (self.value(*a), self.value(*b));
-                // dA = dC·Bᵀ via the transposed-RHS fast path (bit-identical
-                // to materializing Bᵀ, see `Matrix::matmul_transposed`).
+                // dA = dC·Bᵀ and dB = Aᵀ·dC, each bit-identical to
+                // materializing the transpose (see
+                // `Matrix::matmul_transposed` / `Matrix::transpose_matmul`).
                 add_to(grads, *a, g.matmul_transposed(bv));
-                add_to(grads, *b, av.transpose().matmul(g));
+                add_to(grads, *b, av.transpose_matmul(g));
             }
             Op::SpMm(s, b) => {
                 add_to(grads, *b, self.sparses[s.0].transpose_matmul_dense(g));
             }
             Op::Add(a, b) => {
-                add_to(grads, *a, g.clone());
-                add_to(grads, *b, g.clone());
+                pass_to(grads, *a);
+                pass_to(grads, *b);
             }
             Op::AddRow(a, row) => {
-                add_to(grads, *a, g.clone());
+                pass_to(grads, *a);
                 add_to(grads, *row, g.column_sums());
             }
             Op::Sub(a, b) => {
-                add_to(grads, *a, g.clone());
+                pass_to(grads, *a);
                 add_to(grads, *b, g.scale(-1.0));
             }
             Op::MulElem(a, b) => {
@@ -352,9 +363,11 @@ impl Tape {
                 let mut db = Matrix::zeros(bv.rows(), bv.cols());
                 for r in 0..av.rows() {
                     let gr = g[(r, 0)];
-                    for c in 0..av.cols() {
-                        da[(r, c)] = gr * bv[(r, c)];
-                        db[(r, c)] = gr * av[(r, c)];
+                    for (d, &x) in da.row_mut(r).iter_mut().zip(bv.row(r)) {
+                        *d = gr * x;
+                    }
+                    for (d, &x) in db.row_mut(r).iter_mut().zip(av.row(r)) {
+                        *d = gr * x;
                     }
                 }
                 add_to(grads, *a, da);

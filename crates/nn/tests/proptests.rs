@@ -1,9 +1,14 @@
 //! Property tests for the NN substrate: linear-algebra identities,
-//! autograd linearity, and eigen-solver invariants.
+//! autograd linearity, eigen-solver invariants, and bitwise agreement
+//! of every kernel path with its scalar oracle.
 
 use ancstr_nn::linalg::{normalized_laplacian, symmetric_eigenvalues};
 use ancstr_nn::{cosine_similarity, Matrix, SparseMatrix, Tape};
 use proptest::prelude::*;
+
+/// The crate's test-only scalar oracles, shared with its unit tests.
+#[path = "../src/oracle.rs"]
+mod oracle;
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-2.0f64..2.0, rows * cols)
@@ -108,124 +113,152 @@ proptest! {
     }
 }
 
-// Bit-exactness properties: the CSR-cached sparse products and the SIMD
-// backend must reproduce their reference computations *bitwise*, not
-// just within tolerance — they are the substrate of the repo-wide
-// identity contract.
+// Bit-exactness properties: every kernel path must reproduce its
+// scalar oracle *bitwise*, not just within tolerance — the kernels are
+// the substrate of the repo-wide identity contract.
+
+/// Output widths covering the tiled path on both sides of the narrow
+/// `D = 18` row path, a lone column, and a multi-tile width.
+const WIDTHS: [usize; 5] = [1, 17, 18, 19, 72];
+
+/// Seeded LCG fill in [-2, 2) with every `zero_every`-th element an
+/// exact zero (`zero_every == 0`: no planted zeros).
+fn lcg_fill(len: usize, seed: u64, zero_every: usize) -> Vec<f64> {
+    let mut state = seed;
+    (0..len)
+        .map(|i| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let v = (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0;
+            if zero_every > 0 && i % zero_every == 0 {
+                0.0
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
+fn assert_bits(got: &Matrix, want: &[f64], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.as_slice().len(), want.len(), "{}: length", what);
+    for (i, (&g, &w)) in got.as_slice().iter().zip(want).enumerate() {
+        prop_assert!(oracle::same_bits(g, w), "{} diverged at index {}: {} vs {}", what, i, g, w);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// `matmul_dense` (the cached-CSR walk) matches a plain
-    /// storage-order triplet walk bit-for-bit: per output row, the CSR
-    /// view visits that row's triplets in storage order, so every
-    /// accumulation happens in the same sequence as the naive loop.
+    /// Dense matmul — the narrow row path at n = 18 and the tiled path
+    /// at every other width — matches the naive ijk oracle bitwise,
+    /// planted zeros included.
+    #[test]
+    fn matmul_matches_oracle_bitwise(
+        m in 1usize..9,
+        inner in 1usize..40,
+        width in 0usize..WIDTHS.len(),
+        seed in any::<u64>(),
+        zero_every in 0usize..7,
+    ) {
+        let n = WIDTHS[width];
+        let a = Matrix::from_vec(m, inner, lcg_fill(m * inner, seed, zero_every));
+        let b = Matrix::from_vec(inner, n, lcg_fill(inner * n, seed ^ 0x9E37, 0));
+        let want = oracle::matmul(a.as_slice(), m, inner, b.as_slice(), n);
+        assert_bits(&a.matmul(&b), &want, "matmul")?;
+    }
+
+    /// `transpose_matmul` matches both `transpose().matmul()` and the
+    /// oracle built on an explicit transpose, bitwise.
+    #[test]
+    fn transpose_matmul_matches_oracle_bitwise(
+        rows in 1usize..60,
+        p in 1usize..24,
+        width in 0usize..WIDTHS.len(),
+        seed in any::<u64>(),
+        zero_every in 0usize..7,
+    ) {
+        let q = WIDTHS[width];
+        let a = Matrix::from_vec(rows, p, lcg_fill(rows * p, seed, zero_every));
+        let g = Matrix::from_vec(rows, q, lcg_fill(rows * q, seed ^ 0x51ED, 0));
+        let got = a.transpose_matmul(&g);
+        assert_bits(&got, a.transpose().matmul(&g).as_slice(), "transpose_matmul vs transpose")?;
+        let want = oracle::transpose_matmul(a.as_slice(), rows, p, g.as_slice(), q);
+        assert_bits(&got, &want, "transpose_matmul vs oracle")?;
+    }
+
+    /// Flat-CSR spmm in both orientations matches the storage-order
+    /// triplet walk bitwise, cold (building the cached view) and warm
+    /// (reusing it), with unsorted rows, duplicates and exact-zero
+    /// weights.
     #[test]
     fn csr_spmm_matches_triplet_reference_bitwise(
-        raw in prop::collection::vec(
-            (0usize..7, 0usize..5, -2.0f64..2.0, 0u8..4),
-            0..40,
-        ),
-        dense in arb_matrix(5, 6),
+        raw in prop::collection::vec((0usize..7, 0usize..5, -2.0f64..2.0, 0u8..4), 0..60),
+        width in 0usize..WIDTHS.len(),
+        seed in any::<u64>(),
     ) {
-        // A quarter of the weights are exact zeros — the axpy walk and
-        // the reference must agree on them too.
+        let cols = WIDTHS[width];
+        // A quarter of the weights are exact zeros: spmm never skips.
         let triplets: Vec<(usize, usize, f64)> = raw
             .into_iter()
             .map(|(r, c, w, z)| (r, c, if z == 0 { 0.0 } else { w }))
             .collect();
         let s = SparseMatrix::from_triplets(7, 5, triplets.clone());
-
-        let mut reference = Matrix::zeros(7, 6);
-        for &(r, c, w) in &triplets {
-            for j in 0..6 {
-                reference[(r, j)] += w * dense[(c, j)];
-            }
-        }
-        // Twice: cold (builds the CSR cache) and warm (reuses it).
-        for pass in 0..2 {
-            let got = s.matmul_dense(&dense);
-            for r in 0..7 {
-                for j in 0..6 {
-                    prop_assert_eq!(
-                        got[(r, j)].to_bits(),
-                        reference[(r, j)].to_bits(),
-                        "spmm pass {} diverged at ({}, {})", pass, r, j
-                    );
-                }
-            }
-        }
-
-        // Transpose product against its own triplet reference (operand
-        // shaped rows×k, output cols×k); operand derived from `dense`'s
-        // entries so the case stays fully driven by the strategy.
-        let mut dense_t = Matrix::zeros(7, 4);
-        for r in 0..7 {
-            for j in 0..4 {
-                dense_t[(r, j)] = dense[(r % 5, (r + j) % 6)] - 0.25;
-            }
-        }
-        let mut reference_t = Matrix::zeros(5, 4);
-        for &(r, c, w) in &triplets {
-            for j in 0..4 {
-                reference_t[(c, j)] += w * dense_t[(r, j)];
-            }
-        }
-        for pass in 0..2 {
-            let got = s.transpose_matmul_dense(&dense_t);
-            for r in 0..5 {
-                for j in 0..4 {
-                    prop_assert_eq!(
-                        got[(r, j)].to_bits(),
-                        reference_t[(r, j)].to_bits(),
-                        "spmmT pass {} diverged at ({}, {})", pass, r, j
-                    );
-                }
-            }
+        let x = Matrix::from_vec(5, cols, lcg_fill(5 * cols, seed, 0));
+        let y = Matrix::from_vec(7, cols, lcg_fill(7 * cols, seed ^ 0xC0DE, 0));
+        let want = oracle::spmm(&triplets, 7, x.as_slice(), cols, false);
+        let want_t = oracle::spmm(&triplets, 5, y.as_slice(), cols, true);
+        for _pass in 0..2 {
+            assert_bits(&s.matmul_dense(&x), &want, "spmm")?;
+            assert_bits(&s.transpose_matmul_dense(&y), &want_t, "spmm transpose")?;
         }
     }
 
-    /// The SIMD backend's blocked matmul kernel is bit-identical to the
-    /// scalar reference on random shapes and inputs, zeros included
-    /// (the `a == 0.0` skip must agree between backends).
+    /// A zero LHS element next to an inf/NaN RHS row: the dense paths
+    /// skip it (the output stays finite), spmm multiplies through it
+    /// (the output is NaN) — and every path agrees with its oracle.
     #[test]
-    fn simd_matmul_rows_matches_scalar_bitwise(
-        m in 1usize..5,
-        inner in 1usize..24,
-        n in 1usize..24,
-        seed in 0u64..u64::MAX,
-        zero_every in 2usize..7,
+    fn zero_next_to_non_finite_row_agrees_with_oracle_in_every_path(
+        inner in 2usize..12,
+        zero_at in 0usize..12,
+        width in 0usize..WIDTHS.len(),
+        nan in any::<bool>(),
     ) {
-        use ancstr_nn::backend::BackendKind;
+        let n = WIDTHS[width];
+        let k = zero_at % inner;
+        let bad = if nan { f64::NAN } else { f64::INFINITY };
+        // Row 0 has the zero at `k`; row 1 multiplies the bad row.
+        let mut a = lcg_fill(2 * inner, 7, 0);
+        a[k] = 0.0;
+        let mut b = lcg_fill(inner * n, 11, 0);
+        b[k * n..(k + 1) * n].fill(bad);
+        let am = Matrix::from_vec(2, inner, a.clone());
+        let bm = Matrix::from_vec(inner, n, b.clone());
 
-        // Seeded LCG fill with planted exact zeros.
-        let mut state = seed;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
-        };
-        let a: Vec<f64> = (0..m * inner)
-            .map(|i| if i % zero_every == 0 { 0.0 } else { next() })
-            .collect();
-        let b: Vec<f64> = (0..inner * n).map(|_| next()).collect();
+        // Dense matmul (narrow or tiled by width): row 0 skips the bad row.
+        let got = am.matmul(&bm);
+        assert_bits(&got, &oracle::matmul(&a, 2, inner, &b, n), "matmul")?;
+        prop_assert!(got.row(0).iter().all(|v| v.is_finite()), "matmul row 0: {:?}", got.row(0));
 
-        let mut scalar = vec![0.0f64; m * n];
-        let mut simd = vec![0.0f64; m * n];
-        BackendKind::Scalar.backend().matmul_rows(&a, inner, 0..m, &b, n, &mut scalar);
-        BackendKind::Simd.backend().matmul_rows(&a, inner, 0..m, &b, n, &mut simd);
-        for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "matmul diverged at flat index {}", i);
-        }
+        // transpose_matmul: Aᵀ·G with A = am (2 × inner)ᵀ-shaped input.
+        let at = am.transpose();
+        let g = Matrix::from_vec(inner, n, b.clone());
+        let got_t = at.transpose_matmul(&g);
+        let want_t = oracle::transpose_matmul(at.as_slice(), inner, 2, &b, n);
+        assert_bits(&got_t, &want_t, "transpose_matmul")?;
+        prop_assert!(got_t.row(0).iter().all(|v| v.is_finite()), "transpose_matmul row 0");
 
-        // The lane-grouped AXPY is bitwise too (independent elements,
-        // but the grouping must not change the arithmetic).
-        let alpha = next();
-        let x: Vec<f64> = (0..m * n).map(|_| next()).collect();
-        let mut ys = scalar.clone();
-        let mut yv = simd.clone();
-        BackendKind::Scalar.backend().axpy(&mut ys, alpha, &x);
-        BackendKind::Simd.backend().axpy(&mut yv, alpha, &x);
-        for (i, (s, v)) in ys.iter().zip(&yv).enumerate() {
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "axpy diverged at flat index {}", i);
-        }
+        // spmm: a zero weight on the bad source row is multiplied, not
+        // skipped, in both orientations.
+        let triplets = vec![(0, k, 0.0), (0, (k + 1) % inner, 1.5), (1, k, 2.0)];
+        let s = SparseMatrix::from_triplets(2, inner, triplets.clone());
+        let got_s = s.matmul_dense(&bm);
+        assert_bits(&got_s, &oracle::spmm(&triplets, 2, &b, n, false), "spmm")?;
+        prop_assert!(got_s.row(0).iter().all(|v| v.is_nan()), "spmm row 0 must be NaN");
+        let st = SparseMatrix::from_triplets(
+            inner,
+            2,
+            triplets.iter().map(|&(r, c, v)| (c, r, v)).collect(),
+        );
+        let got_st = st.transpose_matmul_dense(&bm);
+        let want_st = oracle::spmm(st.triplets(), 2, &b, n, true);
+        assert_bits(&got_st, &want_st, "spmm transpose")?;
     }
 }

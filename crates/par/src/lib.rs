@@ -66,8 +66,7 @@ pub const MAX_CHUNKS: usize = 64;
 /// floor now run on the submitting thread instead. Chunk boundaries
 /// are computed exactly as before ([`chunk_size`] ignores the floor),
 /// so per-chunk partials and every downstream output stay bit-identical
-/// — only the schedule changes. The full SIMD-kernel fix remains a
-/// roadmap item; this is the one-constant mitigation.
+/// — only the schedule changes.
 pub const PAR_ITEM_FLOOR: usize = 2048;
 
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -87,9 +86,16 @@ pub fn threads() -> usize {
     }
 }
 
-/// The hardware parallelism reported by the OS (at least 1).
+/// The hardware parallelism reported by the OS (at least 1), resolved
+/// once per process.
+///
+/// `std::thread::available_parallelism` reads cgroup files on every
+/// call (~20 µs), and [`threads`] consults this on every parallel
+/// region and every profiled kernel call when no count was set, so the
+/// answer is cached rather than re-queried.
 pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The chunk size used to split `0..n` with a requested minimum chunk

@@ -7,11 +7,9 @@
 //! (the default) an instrumented call pays exactly one relaxed atomic
 //! load and never touches the clock, so the hot paths are unperturbed.
 //!
-//! Attribution is flat, not hierarchical: `axpy` time recorded while
-//! inside an `spmm` call counts toward **both** kernels. That is
-//! deliberate — the question this module answers (ROADMAP item 2's
-//! detect-stage regression) is "which primitive is the wall-clock
-//! going to", and the overlap makes the inner/outer split explicit.
+//! Attribution is flat, not hierarchical: kernel time recorded inside
+//! a `par_region` counts toward both. spmm is timed once per product,
+//! never per nonzero, so the timer does not dominate what it measures.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -24,8 +22,9 @@ pub enum Kernel {
     Matmul = 0,
     /// Sparse × dense product (`SparseMatrix::grouped_product`).
     Spmm = 1,
-    /// Fused `y += a·x` accumulation primitive.
-    Axpy = 2,
+    // Slot 2 is the retired per-nonzero `axpy` kernel: nothing records
+    // into it any more, but its name stays in the exposition (reading
+    // 0) so existing consumers of `axpy.calls` keep working.
     /// Per-row L2 norms (`Matrix::row_norms`).
     RowNorms = 3,
     /// One parallel region dispatched through the worker pool
@@ -116,7 +115,7 @@ pub struct KernelStats {
     /// Number of instrumented calls.
     pub calls: u64,
     /// Total elements processed (kernel-specific unit: mul-adds for
-    /// matmul/spmm, vector elements for axpy/row_norms, chunks for
+    /// matmul/spmm, vector elements for row_norms, chunks for
     /// par_region).
     pub elems: u64,
     /// Total wall nanoseconds inside the kernel.

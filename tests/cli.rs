@@ -329,13 +329,13 @@ fn groups_output_renders_paths() {
     assert!(stdout.contains("sa/M1"), "{stdout}");
 }
 
-/// `bench` sweeps both backends by default, pins every `(backend,
-/// threads)` combination to one output hash, and records the schema
-/// fields CI's perf-smoke gate dispatches on. `--repeat` repetitions
-/// must reproduce the hash (the report says so via
-/// `identical_across_*`), and a zero repeat count is a usage error.
+/// `bench` pins every thread count to one output hash and records the
+/// schema fields CI's perf-smoke gate dispatches on. `--repeat`
+/// repetitions must reproduce the hash (the report says so via
+/// `identical_across_threads`), a zero repeat count is a usage error,
+/// and the removed `--backend` flag is rejected as unknown.
 #[test]
-fn bench_report_pins_backends_and_threads() {
+fn bench_report_pins_threads() {
     let dir = workdir("bench");
     let sp = dir.join("sa.sp");
     fs::write(&sp, NETLIST).unwrap();
@@ -353,40 +353,26 @@ fn bench_report_pins_backends_and_threads() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let report = fs::read_to_string(&report_path).unwrap();
     for needle in [
-        "\"schema\": \"ancstr-bench-v2\"",
-        "\"backends\": [\"scalar\", \"simd\"]",
+        "\"schema\": \"ancstr-bench-v3\"",
         "\"repeat\": 2",
+        "\"thread_counts\": [1, 2]",
         "\"identical_across_threads\": true",
-        "\"identical_across_backends\": true",
-        "\"simd_speedup_t1\"",
-        "\"backend\": \"scalar\", \"stage\": \"detect\"",
-        "\"backend\": \"simd\", \"stage\": \"detect\"",
+        "\"stage\": \"detect\", \"threads\": 2",
         "\"kernel\": \"matmul\"",
     ] {
         assert!(report.contains(needle), "missing {needle} in:\n{report}");
     }
+    assert!(!report.contains("backend"), "{report}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("identical across thread counts [1, 2] and backends"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("identical across thread counts [1, 2]"), "{stdout}");
 
-    // Pinning one backend narrows the report: no cross-backend ratio,
-    // and only that backend's records.
     let out = bin()
         .arg("bench")
         .arg(&sp)
-        .args(["--epochs", "8", "--seed", "5", "--threads", "2"])
-        .args(["--stress-devices", "0", "--backend", "scalar"])
-        .arg("-o")
-        .arg(&report_path)
+        .args(["--backend", "scalar"])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let report = fs::read_to_string(&report_path).unwrap();
-    assert!(report.contains("\"backends\": [\"scalar\"]"), "{report}");
-    assert!(!report.contains("simd_speedup_t1"), "{report}");
-    assert!(!report.contains("\"backend\": \"simd\""), "{report}");
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
 
     let out = bin()
         .arg("bench")

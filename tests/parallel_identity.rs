@@ -1,14 +1,12 @@
-//! Parallel + backend identity: extraction output is byte-identical at
-//! every thread count *and* on every kernel backend.
+//! Parallel identity: extraction output is byte-identical at every
+//! thread count.
 //!
 //! The compute layer (`ancstr-par`) promises that thread count is a
-//! scheduling detail, never an output detail; the kernel layer
-//! (`ancstr-nn`'s `Backend`) promises the same for the scalar/SIMD
-//! choice. These tests hold the real binary and the library pipeline to
-//! both promises on a mixed comparator/OTA/ADC suite: constraints,
-//! scores, warnings, and the trace event order must all match between
-//! `--threads 1` and `--threads 8`, and between `ANCSTR_BACKEND=scalar`
-//! and `ANCSTR_BACKEND=simd`.
+//! scheduling detail, never an output detail. These tests hold the real
+//! binary and the library pipeline to that promise on a mixed
+//! comparator/OTA/ADC suite: constraints, scores, warnings, and the
+//! trace event order must all match between `--threads 1` and
+//! `--threads 8`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,7 +17,6 @@ use ancstr_core::{detect_constraints, SymmetryExtractor};
 use ancstr_netlist::flat::FlatCircuit;
 use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::write::write_spice;
-use ancstr_nn::BackendKind;
 use ancstr_obs::validate_trace;
 
 const COMPARATOR: &str = "\
@@ -48,7 +45,7 @@ fn workdir(tag: &str) -> PathBuf {
 }
 
 /// Everything one `extract` run produced that must be invariant across
-/// thread counts and backends.
+/// thread counts.
 struct RunOutput {
     constraints: String,
     /// stderr with the wall-clock line and the `wrote <path>` echo
@@ -60,14 +57,13 @@ struct RunOutput {
     trace: Vec<(String, String, String)>,
 }
 
-fn extract_at(dir: &Path, sp: &Path, tag: &str, threads: usize, backend: &str) -> RunOutput {
-    let sym = dir.join(format!("{tag}-t{threads}-{backend}.sym"));
-    let trace = dir.join(format!("{tag}-t{threads}-{backend}.trace"));
+fn extract_at(dir: &Path, sp: &Path, tag: &str, threads: usize) -> RunOutput {
+    let sym = dir.join(format!("{tag}-t{threads}.sym"));
+    let trace = dir.join(format!("{tag}-t{threads}.trace"));
     let out = bin()
         .arg("extract")
         .arg(sp)
         .args(["--epochs", "12", "--seed", "7", "--threads", &threads.to_string()])
-        .env("ANCSTR_BACKEND", backend)
         .arg("--trace-out")
         .arg(&trace)
         .arg("-o")
@@ -89,13 +85,13 @@ fn extract_at(dir: &Path, sp: &Path, tag: &str, threads: usize, backend: &str) -
     }
 }
 
-/// The CLI contract: every `(backend, threads)` combination produces
-/// the same constraint bytes, the same diagnostic stream (warnings
-/// included, in order), and the same trace event sequence on every
-/// circuit class. Scalar at one thread — the historical sequential
-/// kernels — is the reference everything else is compared against.
+/// The CLI contract: every thread count produces the same constraint
+/// bytes, the same diagnostic stream (warnings included, in order), and
+/// the same trace event sequence on every circuit class. One thread —
+/// the fully sequential schedule — is the reference everything else is
+/// compared against.
 #[test]
-fn extract_output_is_byte_identical_across_threads_and_backends() {
+fn extract_output_is_byte_identical_across_threads() {
     let dir = workdir("cli");
 
     // A mixed suite: the inline comparator, a generated OTA, and the
@@ -111,44 +107,37 @@ fn extract_output_is_byte_identical_across_threads_and_backends() {
     for (tag, text) in &suite {
         let sp = dir.join(format!("{tag}.sp"));
         fs::write(&sp, text).unwrap();
-        let base = extract_at(&dir, &sp, tag, 1, "scalar");
+        let base = extract_at(&dir, &sp, tag, 1);
         assert!(!base.trace.is_empty(), "{tag}: trace captured events");
-        for backend in ["scalar", "simd"] {
-            for threads in [1usize, 2, 8] {
-                if backend == "scalar" && threads == 1 {
-                    continue; // the reference run itself
-                }
-                let run = extract_at(&dir, &sp, tag, threads, backend);
-                assert_eq!(
-                    base.constraints, run.constraints,
-                    "{tag}: constraints diverged at {threads} threads on {backend}"
-                );
-                assert_eq!(
-                    base.stderr, run.stderr,
-                    "{tag}: diagnostics/warnings diverged at {threads} threads on {backend}"
-                );
-                assert_eq!(
-                    base.trace, run.trace,
-                    "{tag}: trace event order diverged at {threads} threads on {backend}"
-                );
-            }
+        for threads in [2usize, 8] {
+            let run = extract_at(&dir, &sp, tag, threads);
+            assert_eq!(
+                base.constraints, run.constraints,
+                "{tag}: constraints diverged at {threads} threads"
+            );
+            assert_eq!(
+                base.stderr, run.stderr,
+                "{tag}: diagnostics/warnings diverged at {threads} threads"
+            );
+            assert_eq!(
+                base.trace, run.trace,
+                "{tag}: trace event order diverged at {threads} threads"
+            );
         }
     }
 }
 
 /// The library contract, one level below the CLI: every score's exact
 /// bit pattern, every acceptance decision, and every warning are
-/// invariant across thread counts and kernel backends. (In-process
-/// `set_threads`/`set_backend` are global, so this file keeps a single
-/// library-level test.)
+/// invariant across thread counts. (In-process `set_threads` is
+/// global, so this file keeps a single library-level test.)
 #[test]
 fn detection_scores_and_warnings_are_bit_identical_in_process() {
     let flat = FlatCircuit::elaborate(&parse_spice(COMPARATOR).unwrap()).unwrap();
     let config = ancstr_bench::quick_config();
 
-    let run = |threads: usize, backend: BackendKind| {
+    let run = |threads: usize| {
         ancstr_par::set_threads(threads);
-        ancstr_nn::set_backend(backend);
         let mut ex = SymmetryExtractor::new(config.clone());
         ex.fit(&[&flat]);
         let z = ex.vertex_embeddings(&flat);
@@ -163,43 +152,34 @@ fn detection_scores_and_warnings_are_bit_identical_in_process() {
         (weights, det)
     };
 
-    let (w1, d1) = run(1, BackendKind::Scalar);
-    for backend in [BackendKind::Scalar, BackendKind::Simd] {
-        for threads in [1usize, 2, 8] {
-            if backend == BackendKind::Scalar && threads == 1 {
-                continue; // the reference run itself
-            }
-            let (wn, dn) = run(threads, backend);
+    let (w1, d1) = run(1);
+    for threads in [2usize, 8] {
+        let (wn, dn) = run(threads);
+        assert_eq!(w1, wn, "trained weights diverged at {threads} threads");
+        assert_eq!(
+            d1.scored.len(),
+            dn.scored.len(),
+            "scored-pair count diverged at {threads} threads"
+        );
+        for (a, b) in d1.scored.iter().zip(&dn.scored) {
+            assert_eq!(a.candidate, b.candidate);
             assert_eq!(
-                w1, wn,
-                "trained weights diverged at {threads} threads on {backend}"
+                a.score.to_bits(),
+                b.score.to_bits(),
+                "score bits diverged at {threads} threads for {:?}",
+                a.candidate
             );
-            assert_eq!(
-                d1.scored.len(),
-                dn.scored.len(),
-                "scored-pair count diverged at {threads} threads on {backend}"
-            );
-            for (a, b) in d1.scored.iter().zip(&dn.scored) {
-                assert_eq!(a.candidate, b.candidate);
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "score bits diverged at {threads} threads on {backend} for {:?}",
-                    a.candidate
-                );
-                assert_eq!(a.accepted, b.accepted);
-            }
-            assert_eq!(d1.constraints, dn.constraints);
-            let render = |w: &[ancstr_core::NumericWarning]| -> Vec<String> {
-                w.iter().map(|x| x.to_string()).collect()
-            };
-            assert_eq!(
-                render(&d1.warnings),
-                render(&dn.warnings),
-                "warning order diverged at {threads} threads on {backend}"
-            );
+            assert_eq!(a.accepted, b.accepted);
         }
+        assert_eq!(d1.constraints, dn.constraints);
+        let render = |w: &[ancstr_core::NumericWarning]| -> Vec<String> {
+            w.iter().map(|x| x.to_string()).collect()
+        };
+        assert_eq!(
+            render(&d1.warnings),
+            render(&dn.warnings),
+            "warning order diverged at {threads} threads"
+        );
     }
     ancstr_par::set_threads(0);
-    ancstr_nn::set_backend(BackendKind::Simd);
 }
