@@ -42,7 +42,7 @@
 //!
 //! `bench` times each pipeline stage (graph-build, train, embed,
 //! detect) on the ADC1–ADC5 suite — or on the given netlists — at 1, 2,
-//! and N threads, writes a JSON report (default `BENCH_PR10.json`) with
+//! and N threads, writes a JSON report (default `BENCH.json`) with
 //! per-kernel attribution (matmul/spmm/row_norms calls, element counts,
 //! and wall time per thread count), and fails with exit code 1 if any
 //! thread count changes the extraction output hash. A `stress`
@@ -1039,7 +1039,7 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     if args.run_dir.is_some() || args.resume {
         return Err(usage_err("bench does not support --run-dir/--resume"));
     }
-    let out_path = args.output.clone().unwrap_or_else(|| "BENCH_PR10.json".to_owned());
+    let out_path = args.output.clone().unwrap_or_else(|| "BENCH.json".to_owned());
 
     let suite: Vec<(String, FlatCircuit)> = if args.positional.is_empty() {
         ancstr_bench::adc_dataset()

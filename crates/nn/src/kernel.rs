@@ -15,8 +15,8 @@
 //!   not the same as multiplying when `b` holds an `inf`/`NaN`, so
 //!   every path applies it per LHS element. At the model's width
 //!   (`n == 18`) the whole output row lives in a local `[f64; 18]` and
-//!   is stored once; other widths use a cache-blocked 4×4 register
-//!   tile, which only regroups independent output elements.
+//!   is stored once; other widths add each `b[k]` row into the output
+//!   row in place.
 //! * **transposed-LHS matmul** (`Aᵀ·G`, the weight gradient) — walks
 //!   A's rows in ascending order, so element `(i, j)` accumulates
 //!   `A[r][i]·G[r][j]` in ascending `r`: exactly the ascending-`k`
@@ -36,17 +36,6 @@ use std::ops::Range;
 /// this many columns take the register-resident row path.
 const NARROW: usize = 18;
 
-/// Column-block width for the tiled matmul: one output-row block plus
-/// one RHS-row block stay L1-resident.
-const J_BLOCK: usize = 256;
-
-/// Inner-dimension block depth: bounds the RHS tile (`K_BLOCK ×
-/// J_BLOCK` doubles ≈ 512 KiB) touched per output-row block.
-const K_BLOCK: usize = 256;
-
-/// Register-tile width: 4 × f64 = one AVX register (two SSE2).
-const LANES: usize = 4;
-
 /// Output rows `rows` of `a · b`, where `a` is `_ × inner` and `b` is
 /// `inner × n`, both row-major. `out` must be zeroed and cover exactly
 /// `rows`.
@@ -58,16 +47,19 @@ pub(crate) fn matmul_rows(
     n: usize,
     out: &mut [f64],
 ) {
+    if n == 0 {
+        return;
+    }
     if n == NARROW {
         narrow_rows::<NARROW>(a, inner, rows, b, out);
     } else {
-        tiled_rows(a, inner, rows, b, n, out);
+        generic_rows(a, inner, rows, b, n, out);
     }
 }
 
 /// Narrow-output matmul: the whole output row is a local `[f64; N]`,
 /// `k` ascends once over the inner dimension, and the row is stored
-/// once. Per element this is the tiled kernel's add sequence.
+/// once. Per element this is [`generic_rows`]'s add sequence.
 fn narrow_rows<const N: usize>(
     a: &[f64],
     inner: usize,
@@ -90,33 +82,13 @@ fn narrow_rows<const N: usize>(
     }
 }
 
-/// Cache-blocked ikj matmul with a 4×4 register tile: `k` advances in
-/// groups of 4 and a 4-wide strip of the output row stays in registers
-/// across the group. A group containing a zero falls back to the
-/// per-`k` loop so the zero skip matches exactly.
-fn tiled_rows(a: &[f64], inner: usize, rows: Range<usize>, b: &[f64], n: usize, out: &mut [f64]) {
+/// Row-by-row ikj matmul: each output row receives `a[i][k] · b[k]`
+/// for ascending `k`, skipping zero `a[i][k]`.
+fn generic_rows(a: &[f64], inner: usize, rows: Range<usize>, b: &[f64], n: usize, out: &mut [f64]) {
     for (i, orow) in rows.zip(out.chunks_exact_mut(n)) {
         let arow = &a[i * inner..(i + 1) * inner];
-        for k0 in (0..inner).step_by(K_BLOCK) {
-            let k1 = (k0 + K_BLOCK).min(inner);
-            for j0 in (0..n).step_by(J_BLOCK) {
-                let j1 = (j0 + J_BLOCK).min(n);
-                let mut k = k0;
-                while k + LANES <= k1 {
-                    let ak: [f64; LANES] = arow[k..k + LANES].try_into().expect("lane slice");
-                    if ak.iter().all(|&v| v != 0.0) {
-                        kgroup_tile(ak, &b[k * n..(k + LANES) * n], n, j0, j1, orow);
-                    } else {
-                        for (kk, &av) in (k..k + LANES).zip(&ak) {
-                            axpy_skip(&mut orow[j0..j1], av, &b[kk * n + j0..kk * n + j1]);
-                        }
-                    }
-                    k += LANES;
-                }
-                for (kk, &av) in (k..k1).zip(&arow[k..k1]) {
-                    axpy_skip(&mut orow[j0..j1], av, &b[kk * n + j0..kk * n + j1]);
-                }
-            }
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            axpy_skip(orow, av, brow);
         }
     }
 }
@@ -132,38 +104,13 @@ fn axpy_skip(y: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
-/// One all-nonzero `k`-group over one column block. `bgroup` holds the
-/// group's 4 RHS rows (`bgroup[l*n + j]` = `b[(k+l)*n + j]`).
-#[inline]
-fn kgroup_tile(ak: [f64; LANES], bgroup: &[f64], n: usize, j0: usize, j1: usize, orow: &mut [f64]) {
-    let width = j1 - j0;
-    let out = &mut orow[j0..j1];
-    let rows: [&[f64]; LANES] = std::array::from_fn(|l| &bgroup[l * n + j0..l * n + j1]);
-    let mut j = 0;
-    while j + LANES <= width {
-        let mut acc: [f64; LANES] = out[j..j + LANES].try_into().expect("lane slice");
-        // Four separate adds per element, ascending k.
-        for (&av, brow) in ak.iter().zip(rows) {
-            for (o, &bv) in acc.iter_mut().zip(&brow[j..j + LANES]) {
-                *o += av * bv;
-            }
-        }
-        out[j..j + LANES].copy_from_slice(&acc);
-        j += LANES;
-    }
-    for jj in j..width {
-        let mut acc = out[jj];
-        for (&av, brow) in ak.iter().zip(rows) {
-            acc += av * brow[jj];
-        }
-        out[jj] = acc;
-    }
-}
-
 /// `aᵀ · g` for row-major `a` (`rows × p`) and `g` (`rows × q`) into
 /// the zeroed `p × q` `out`, walking A's rows in ascending order and
 /// skipping zero elements of `a`.
 pub(crate) fn transpose_matmul(a: &[f64], p: usize, g: &[f64], q: usize, out: &mut [f64]) {
+    if p == 0 || q == 0 {
+        return;
+    }
     if q == NARROW {
         narrow_transpose_matmul::<NARROW>(a, p, g, out);
         return;
@@ -203,6 +150,9 @@ pub(crate) fn csr_rows(
     cols: usize,
     out: &mut [f64],
 ) {
+    if cols == 0 {
+        return;
+    }
     if cols == NARROW {
         narrow_csr_rows::<NARROW>(starts, entries, rows, dense, out);
         return;

@@ -22,8 +22,8 @@
 //!
 //! Every dense and sparse product runs on a single set of kernels
 //! (the private `kernel` module) with no runtime dispatch: a
-//! register-resident row path at the model's width `D = 18`, a 4×4
-//! register tile for other widths, a transpose-free `Aᵀ·G` for weight
+//! register-resident row path at the model's width `D = 18`, a plain
+//! row-by-row loop for other widths, a transpose-free `Aᵀ·G` for weight
 //! gradients, and a flat CSR walk for spmm. Each produces every output
 //! element by the same sequence of IEEE-754 adds as the plain scalar
 //! loop, in the same order, so outputs are byte-identical to that loop

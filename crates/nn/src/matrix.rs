@@ -739,6 +739,16 @@ mod tests {
     }
 
     #[test]
+    fn zero_width_products_are_empty() {
+        assert_eq!(Matrix::zeros(3, 2).matmul(&Matrix::zeros(2, 0)).shape(), (3, 0));
+        assert_eq!(Matrix::zeros(3, 0).matmul(&Matrix::zeros(0, 4)), Matrix::zeros(3, 4));
+        assert_eq!(Matrix::zeros(3, 0).transpose_matmul(&Matrix::zeros(3, 2)).shape(), (0, 2));
+        assert_eq!(Matrix::zeros(3, 2).transpose_matmul(&Matrix::zeros(3, 0)).shape(), (2, 0));
+        assert_eq!(Matrix::zeros(0, 2).transpose_matmul(&Matrix::zeros(0, 18)), Matrix::zeros(2, 18));
+        assert_eq!(Matrix::zeros(3, 0).matmul_transposed(&Matrix::zeros(2, 0)), Matrix::zeros(3, 2));
+    }
+
+    #[test]
     #[should_panic(expected = "matmul_transposed shape mismatch")]
     fn matmul_transposed_checks_shapes() {
         let a = Matrix::zeros(2, 3);

@@ -278,6 +278,13 @@ mod tests {
     }
 
     #[test]
+    fn zero_width_dense_operand_gives_empty_products() {
+        let s = SparseMatrix::from_triplets(3, 2, vec![(0, 1, 1.5), (2, 0, 2.0)]);
+        assert_eq!(s.matmul_dense(&Matrix::zeros(2, 0)).shape(), (3, 0));
+        assert_eq!(s.transpose_matmul_dense(&Matrix::zeros(3, 0)).shape(), (2, 0));
+    }
+
+    #[test]
     fn block_diagonal_spmm_is_bit_identical_to_per_part_spmm() {
         let mut seed = 9u64;
         let mut rnd = move || {

@@ -117,8 +117,8 @@ proptest! {
 // scalar oracle *bitwise*, not just within tolerance — the kernels are
 // the substrate of the repo-wide identity contract.
 
-/// Output widths covering the tiled path on both sides of the narrow
-/// `D = 18` row path, a lone column, and a multi-tile width.
+/// Output widths covering the generic row path on both sides of the
+/// narrow `D = 18` row path, a lone column, and a wide row.
 const WIDTHS: [usize; 5] = [1, 17, 18, 19, 72];
 
 /// Seeded LCG fill in [-2, 2) with every `zero_every`-th element an
@@ -147,7 +147,7 @@ fn assert_bits(got: &Matrix, want: &[f64], what: &str) -> Result<(), TestCaseErr
 }
 
 proptest! {
-    /// Dense matmul — the narrow row path at n = 18 and the tiled path
+    /// Dense matmul — the narrow row path at n = 18 and the generic path
     /// at every other width — matches the naive ijk oracle bitwise,
     /// planted zeros included.
     #[test]
@@ -232,7 +232,7 @@ proptest! {
         let am = Matrix::from_vec(2, inner, a.clone());
         let bm = Matrix::from_vec(inner, n, b.clone());
 
-        // Dense matmul (narrow or tiled by width): row 0 skips the bad row.
+        // Dense matmul (narrow or generic by width): row 0 skips the bad row.
         let got = am.matmul(&bm);
         assert_bits(&got, &oracle::matmul(&a, 2, inner, &b, n), "matmul")?;
         prop_assert!(got.row(0).iter().all(|v| v.is_finite()), "matmul row 0: {:?}", got.row(0));
