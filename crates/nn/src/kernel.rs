@@ -111,31 +111,10 @@ pub(crate) fn transpose_matmul(a: &[f64], p: usize, g: &[f64], q: usize, out: &m
     if p == 0 || q == 0 {
         return;
     }
-    if q == NARROW {
-        narrow_transpose_matmul::<NARROW>(a, p, g, out);
-        return;
-    }
     for (arow, grow) in a.chunks_exact(p).zip(g.chunks_exact(q)) {
         for (&av, orow) in arow.iter().zip(out.chunks_exact_mut(q)) {
             axpy_skip(orow, av, grow);
         }
-    }
-}
-
-/// [`transpose_matmul`] one output row at a time, held in a local
-/// `[f64; N]`: row `i` reads column `i` of `a` in place.
-fn narrow_transpose_matmul<const N: usize>(a: &[f64], p: usize, g: &[f64], out: &mut [f64]) {
-    for (i, orow) in out.chunks_exact_mut(N).enumerate() {
-        let mut acc = [0.0f64; N];
-        for (&av, grow) in a.iter().skip(i).step_by(p).zip(g.chunks_exact(N)) {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &gv) in acc.iter_mut().zip(grow) {
-                *o += av * gv;
-            }
-        }
-        orow.copy_from_slice(&acc);
     }
 }
 
@@ -153,10 +132,6 @@ pub(crate) fn csr_rows(
     if cols == 0 {
         return;
     }
-    if cols == NARROW {
-        narrow_csr_rows::<NARROW>(starts, entries, rows, dense, out);
-        return;
-    }
     for (r, dst) in rows.zip(out.chunks_exact_mut(cols)) {
         for &(src, v) in &entries[starts[r]..starts[r + 1]] {
             let src = src as usize * cols;
@@ -164,25 +139,5 @@ pub(crate) fn csr_rows(
                 *d += v * x;
             }
         }
-    }
-}
-
-/// [`csr_rows`] with the output row held in a local `[f64; N]`.
-fn narrow_csr_rows<const N: usize>(
-    starts: &[usize],
-    entries: &[(u32, f64)],
-    rows: Range<usize>,
-    dense: &[f64],
-    out: &mut [f64],
-) {
-    for (r, dst) in rows.zip(out.chunks_exact_mut(N)) {
-        let mut acc = [0.0f64; N];
-        for &(src, v) in &entries[starts[r]..starts[r + 1]] {
-            let src = src as usize * N;
-            for (o, &x) in acc.iter_mut().zip(&dense[src..src + N]) {
-                *o += v * x;
-            }
-        }
-        dst.copy_from_slice(&acc);
     }
 }

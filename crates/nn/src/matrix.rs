@@ -666,8 +666,8 @@ mod tests {
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive_across_block_boundaries() {
         let mut seed = 7;
-        // Shapes straddling the tile's block boundaries, the narrow
-        // width and the parallel-dispatch threshold.
+        // Long inner dimensions, widths on both sides of the narrow
+        // width, and the parallel-dispatch threshold.
         for (m, k, n) in
             [(3, 5, 4), (17, 300, 9), (5, 260, 270), (600, 18, 18), (2500, 18, 18), (64, 257, 31)]
         {
