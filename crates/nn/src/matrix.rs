@@ -744,8 +744,10 @@ mod tests {
         assert_eq!(Matrix::zeros(3, 0).matmul(&Matrix::zeros(0, 4)), Matrix::zeros(3, 4));
         assert_eq!(Matrix::zeros(3, 0).transpose_matmul(&Matrix::zeros(3, 2)).shape(), (0, 2));
         assert_eq!(Matrix::zeros(3, 2).transpose_matmul(&Matrix::zeros(3, 0)).shape(), (2, 0));
-        assert_eq!(Matrix::zeros(0, 2).transpose_matmul(&Matrix::zeros(0, 18)), Matrix::zeros(2, 18));
-        assert_eq!(Matrix::zeros(3, 0).matmul_transposed(&Matrix::zeros(2, 0)), Matrix::zeros(3, 2));
+        let empty_rows = Matrix::zeros(0, 2).transpose_matmul(&Matrix::zeros(0, 18));
+        assert_eq!(empty_rows, Matrix::zeros(2, 18));
+        let empty_inner = Matrix::zeros(3, 0).matmul_transposed(&Matrix::zeros(2, 0));
+        assert_eq!(empty_inner, Matrix::zeros(3, 2));
     }
 
     #[test]
