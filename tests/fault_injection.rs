@@ -7,9 +7,10 @@
 //! gradient, recovered via checkpoint restore).
 
 use ancstr_core::{
-    inject_checkpoint, inject_model, inject_spice, CheckpointFault, DurableFit, ExtractError,
-    ExtractorConfig, ModelFault, RunError, RunOptions, RunSession, SymmetryExtractor,
-    ALL_CHECKPOINT_FAULTS, ALL_MODEL_FAULTS, ALL_SPICE_FAULTS,
+    extract_source, extract_source_batch, inject_checkpoint, inject_model, inject_spice,
+    write_constraints, CheckpointFault, DurableFit, ExtractError, ExtractorConfig, ModelFault,
+    PipelineObs, RunError, RunOptions, RunSession, SymmetryExtractor, ALL_CHECKPOINT_FAULTS,
+    ALL_MODEL_FAULTS, ALL_SPICE_FAULTS,
 };
 use ancstr_gnn::{GnnModel, HealthConfig, TrainConfig, TrainError};
 use ancstr_netlist::flat::FlatCircuit;
@@ -104,6 +105,77 @@ fn spice_faults_never_panic_anywhere_in_the_pipeline() {
     assert!(parse_errors > 0, "no fault ever failed parsing");
     assert!(elaborate_errors > 0, "no fault ever failed elaboration");
     assert!(survived + degraded > 0, "no mutated netlist ever reached inference");
+}
+
+/// The degrade policy is one policy on every face: each mutated netlist
+/// that reaches inference gives the same outcome class, constraint bytes
+/// and warnings through the flat-circuit path, the service's solo
+/// `extract_source`, and the daemon's batch function — where it rides
+/// next to a healthy batch-mate whose bytes must not move.
+#[test]
+fn spice_faults_agree_across_flat_solo_and_batch_faces() {
+    let ex = trained_extractor();
+    let obs = PipelineObs::disabled();
+    let healthy = extract_source(GOOD_SRC, "healthy.sp", &ex, &obs).expect("fixture extracts");
+    let mut compared = 0usize;
+    let mut degraded = 0usize;
+
+    // The sweep's operators never make a feature non-finite, so one
+    // overflowing width joins it to reach the degrade arm.
+    let mut cases: Vec<(String, String)> = ALL_SPICE_FAULTS
+        .iter()
+        .flat_map(|&fault| {
+            (0..6u64).map(move |seed| {
+                (format!("{fault:?}/{seed}"), inject_spice(GOOD_SRC, fault, seed))
+            })
+        })
+        .collect();
+    cases.push(("overflowing width".to_owned(), GOOD_SRC.replace("w=4u", "w=1e999")));
+
+    for (case, mutated) in &cases {
+        let Ok(flat) = parse_spice(mutated)
+            .map_err(ExtractError::from)
+            .and_then(|nl| Ok(FlatCircuit::elaborate(&nl)?))
+        else {
+            continue;
+        };
+        let flat_out = ex.try_extract(&flat).map(|out| {
+            let mut warnings: Vec<String> =
+                out.detection.warnings.iter().map(|w| w.to_string()).collect();
+            warnings.sort();
+            (write_constraints(&flat, &out.detection.constraints), warnings)
+        });
+        let solo = extract_source(mutated, "mutated.sp", &ex, &obs)
+            .map(|r| (r.constraints_text, r.warnings));
+        let batch = extract_source_batch(
+            &[(GOOD_SRC, "healthy.sp"), (mutated, "mutated.sp")],
+            &ex,
+            &obs,
+        );
+        let [mate, item] = <[_; 2]>::try_from(batch).expect("one reply per item");
+        let item = item.map(|r| (r.constraints_text, r.warnings));
+
+        for (face, got) in [("solo", &solo), ("batch", &item)] {
+            match (&flat_out, got) {
+                (Ok(want), Ok(got)) => assert_eq!(want, got, "{case}: {face}"),
+                (Err(want), Err(got)) => assert_eq!(
+                    want.exit_code(),
+                    got.exit_code(),
+                    "{case}: {face}"
+                ),
+                (want, got) => panic!("{case}: {face} {got:?} vs flat {want:?}"),
+            }
+        }
+        let mate = mate.expect("the healthy batch-mate extracts");
+        assert_eq!(mate.constraints_text, healthy.constraints_text, "{case}");
+        assert_eq!(mate.warnings, healthy.warnings, "{case}");
+        compared += 1;
+        if flat_out.as_ref().is_ok_and(|(_, w)| !w.is_empty()) {
+            degraded += 1;
+        }
+    }
+    assert!(compared > 0, "no mutated netlist ever reached inference");
+    assert!(degraded > 0, "no mutation exercised the degrade policy");
 }
 
 /// Every model-file fault class × several seeds through
