@@ -108,16 +108,16 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use ancstr_core::groups::merged_groups_sorted;
-use ancstr_core::runstore::{DurableFit, RunError, RunOptions, RunSession};
+use ancstr_core::runstore::{RunOptions, RunSession, StageStatus};
 use ancstr_core::{
-    detect_constraints, detect_constraints_pruned, load_netlist_observed, read_constraints,
-    render_groups, render_metrics_table, write_constraints, ExtractError, ExtractorConfig,
-    PipelineObs, SymmetryExtractor, STAGES,
+    detect_constraints_pruned, load_netlist_observed, render_groups, render_metrics_table,
+    write_constraints, ExtractError, ExtractorConfig, FitOutcome, PipelineObs, RunCtx,
+    SymmetryExtractor, STAGES,
 };
-use ancstr_gnn::{matrix_from_text, matrix_to_text, EmbedError, HealthConfig, HealthReport};
+use ancstr_gnn::{HealthReport, TrainGraph};
+use ancstr_graph::BuildOptions;
 use ancstr_netlist::constraint::ConstraintSet;
 use ancstr_netlist::flat::FlatCircuit;
-use ancstr_nn::Matrix;
 use ancstr_obs::{
     analyze, validate_exposition, validate_trace, LogFormat, Logger, TraceFile, Tracer,
     Verbosity,
@@ -172,13 +172,12 @@ fn usage_err(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-/// The CLI's observability context: one structured logger for stderr
-/// and one [`PipelineObs`] handle shared by every pipeline call. With
-/// no `--trace-out` and no `--run-dir` the obs handle is disabled and
-/// the pipeline takes its exact pre-observability code path.
+/// The CLI's context: one structured logger for stderr and the one
+/// [`RunCtx`] every pipeline call runs under. With no `--trace-out`
+/// and no `--run-dir` its obs handle is disabled.
 struct ObsCtx {
     log: Logger,
-    obs: PipelineObs,
+    run: RunCtx,
 }
 
 impl ObsCtx {
@@ -190,12 +189,11 @@ impl ObsCtx {
     /// - `serve` always collects metrics — it exposes `/metrics` — and
     ///   attaches a tracer only for `--trace-out`;
     /// - `extract`/`train` enable observation iff `--trace-out` or
-    ///   `--run-dir` asks for it, keeping the exact pre-observability
-    ///   code path otherwise.
+    ///   `--run-dir` asks for it.
     fn for_command(cmd: &str, args: &Args) -> Result<ObsCtx, CliError> {
         let log = Logger::stderr(args.log_format, args.verbosity);
         if matches!(cmd, "stats" | "corpus" | "obs-check" | "obs-report" | "bench") {
-            return Ok(ObsCtx { log, obs: PipelineObs::disabled() });
+            return Ok(ObsCtx { log, run: RunCtx::default() });
         }
         let tracer = match &args.trace_out {
             Some(path) => Some(Tracer::to_file(Path::new(path)).map_err(|e| CliError::Io {
@@ -209,12 +207,12 @@ impl ObsCtx {
         } else {
             PipelineObs::disabled()
         };
-        Ok(ObsCtx { log, obs })
+        Ok(ObsCtx { log, run: RunCtx::observed(obs) })
     }
 }
 
 fn load(path: &str, ctx: &ObsCtx) -> Result<FlatCircuit, CliError> {
-    load_netlist_observed(path, &ctx.obs)
+    load_netlist_observed(path, &ctx.run.obs)
         .map_err(|err| CliError::Pipeline { path: path.to_owned(), err })
 }
 
@@ -501,8 +499,9 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
 /// Validate the durable-run flags and build [`RunOptions`], or `None`
 /// when no `--run-dir` was given. Flag misuse (resume/cadence/budget
 /// without a run directory, or an unwritable directory) is a usage
-/// error so scripts see exit code 2 before any work starts.
-fn run_options(args: &Args) -> Result<Option<RunOptions>, CliError> {
+/// error so scripts see exit code 2 before any work starts. A
+/// `--time-budget` arms the deadline watchdog on the run's token.
+fn run_options(args: &Args, ctx: &ObsCtx) -> Result<Option<RunOptions>, CliError> {
     let Some(dir) = &args.run_dir else {
         if args.resume {
             return Err(usage_err("--resume needs --run-dir"));
@@ -529,7 +528,7 @@ fn run_options(args: &Args) -> Result<Option<RunOptions>, CliError> {
         opts.checkpoint_every = n;
     }
     if let Some(secs) = args.time_budget {
-        opts.cancel.arm_deadline(Duration::from_secs(secs));
+        ctx.run.cancel.arm_deadline(Duration::from_secs(secs));
     }
     // Crash-injection hooks for the resume/abort smoke tests: abort (as
     // a kill would) or cancel (as the watchdog would) right after the
@@ -543,14 +542,78 @@ fn run_options(args: &Args) -> Result<Option<RunOptions>, CliError> {
     Ok(Some(opts))
 }
 
+/// Open the run session for `command` when `--run-dir` was given, and
+/// say which stages a resumed run will skip.
+fn open_session(
+    ctx: &ObsCtx,
+    opts: Option<RunOptions>,
+    command: &str,
+    config: &ExtractorConfig,
+    inputs: &[String],
+) -> Result<Option<RunSession>, CliError> {
+    let Some(opts) = opts else {
+        return Ok(None);
+    };
+    let run_dir = opts.run_dir.display().to_string();
+    let session = RunSession::open(opts, command, config, inputs)
+        .map_err(|e| CliError::Pipeline { path: run_dir, err: ExtractError::Run(e) })?;
+    let done: Vec<&str> = session
+        .manifest()
+        .stages
+        .iter()
+        .filter(|s| s.status == StageStatus::Done)
+        .map(|s| s.name.as_str())
+        .collect();
+    if !done.is_empty() {
+        ctx.log.info(format!("[run] stages already done: {}", done.join(", ")));
+    }
+    Ok(Some(session))
+}
+
+/// Map a pipeline error on `path`; a cancellation of a durable run is
+/// the time budget expiring, with progress checkpointed for `--resume`.
+fn pipeline_err(path: &str, run_dir: Option<&String>, err: ExtractError) -> CliError {
+    match (err, run_dir) {
+        (ExtractError::Cancelled, Some(dir)) => CliError::Deadline { run_dir: dir.clone() },
+        (err, _) => CliError::Pipeline { path: path.to_owned(), err },
+    }
+}
+
+/// Report a finished `try_fit` and hand back its training graphs; a
+/// cancelled one is [`ExtractError::Cancelled`].
+fn report_fit(ctx: &ObsCtx, outcome: FitOutcome) -> Result<Vec<TrainGraph>, ExtractError> {
+    match outcome {
+        FitOutcome::Cancelled { after_epoch } => {
+            ctx.log.info(format!(
+                "[run] training cancelled after epoch {after_epoch}; checkpoint flushed"
+            ));
+            Err(ExtractError::Cancelled)
+        }
+        FitOutcome::Completed { report, health, resumed_from, notes, graphs } => {
+            for note in &notes {
+                ctx.log.info(format!("[run] {note}"));
+            }
+            if let Some(epoch) = resumed_from {
+                ctx.log.info(format!("[run] resumed training from the epoch-{epoch} checkpoint"));
+            }
+            report_health(&ctx.log, &health);
+            if let Some(loss) = report.epoch_losses.last() {
+                ctx.log.info(format!("final loss {loss:.4}"));
+            }
+            Ok(graphs)
+        }
+    }
+}
+
 /// Write the current Prometheus exposition into `<run-dir>/metrics.prom`
-/// (atomic temp + rename). Called at every stage boundary; failures are
+/// (atomic temp + rename) after the final stage and on an aborted run;
+/// the stages write it at every boundary before that. Failures are
 /// surfaced as warnings — observability must never fail the run.
 fn write_prom_checkpoint(ctx: &ObsCtx, run_dir: &str) {
-    if !ctx.obs.enabled() {
+    if !ctx.run.obs.enabled() {
         return;
     }
-    if let Err(e) = ctx.obs.write_prom(&Path::new(run_dir).join("metrics.prom")) {
+    if let Err(e) = ctx.run.obs.write_prom(&Path::new(run_dir).join("metrics.prom")) {
         ctx.log.warn(format!("could not write metrics.prom: {e}"));
     }
 }
@@ -560,13 +623,14 @@ fn write_prom_checkpoint(ctx: &ObsCtx, run_dir: &str) {
 fn emit_outputs(
     ctx: &ObsCtx,
     args: &Args,
+    build: &BuildOptions,
     flat: &FlatCircuit,
     constraints: &ConstraintSet,
 ) -> Result<(), CliError> {
     if let Some(dot_path) = &args.dot {
         use ancstr_graph::dot::{to_dot, DotOptions};
-        use ancstr_graph::{BuildOptions, HetMultigraph};
-        let g = HetMultigraph::from_circuit(flat, &BuildOptions { max_net_degree: Some(64) });
+        use ancstr_graph::HetMultigraph;
+        let g = HetMultigraph::from_circuit(flat, build);
         let constrained: std::collections::HashSet<_> = constraints
             .iter()
             .flat_map(|c| [c.pair.lo(), c.pair.hi()])
@@ -584,8 +648,8 @@ fn emit_outputs(
 
     // The metrics table and the Prometheus quality gauges share one
     // source of truth (`ancstr_core::metrics::level_confusions`).
-    if ctx.obs.enabled() {
-        ctx.obs.record_quality(flat, constraints);
+    if ctx.run.obs.enabled() {
+        ctx.run.obs.record_quality(flat, constraints);
     }
     if let Some(path) = &args.metrics {
         fs::write(path, render_metrics_table(flat, constraints))
@@ -622,19 +686,20 @@ fn emit_outputs(
     Ok(())
 }
 
+/// `extract`: load, then either load `--model` or self-train on the
+/// input (reusing the training graph for inference), then the
+/// inference stages. With `--run-dir` every stage lands in the run
+/// directory and completed stages are skipped on `--resume`.
 fn cmd_extract(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
-    let run = run_options(&args)?;
+    let run = run_options(&args, ctx)?;
     let [input] = args.positional.as_slice() else {
         return Err(usage_err("extract needs exactly one netlist"));
     };
-    if let Some(opts) = run {
-        if args.model.is_some() {
-            return Err(usage_err(
-                "--model cannot be combined with --run-dir: a durable run owns its own \
-                 training stage",
-            ));
-        }
-        return cmd_extract_durable(ctx, &args, input, opts);
+    if run.is_some() && args.model.is_some() {
+        return Err(usage_err(
+            "--model cannot be combined with --run-dir: a durable run owns its own \
+             training stage",
+        ));
     }
     let flat = load(input, ctx)?;
     ctx.log.info(format!(
@@ -644,10 +709,12 @@ fn cmd_extract(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         flat.nodes().len()
     ));
 
-    let pipeline = |err: ExtractError| CliError::Pipeline { path: input.clone(), err };
-    let mut extractor =
-        SymmetryExtractor::try_new(config_with(args.epochs, args.seed)).map_err(pipeline)?;
-    if let Some(model_path) = &args.model {
+    let pipeline = |err| pipeline_err(input, args.run_dir.as_ref(), err);
+    let config = config_with(args.epochs, args.seed);
+    let mut session =
+        open_session(ctx, run, "extract", &config, std::slice::from_ref(input))?;
+    let mut extractor = SymmetryExtractor::try_new(config).map_err(pipeline)?;
+    let graph = if let Some(model_path) = &args.model {
         let text = fs::read_to_string(model_path).map_err(|e| CliError::Io {
             path: model_path.clone(),
             detail: e.to_string(),
@@ -657,16 +724,19 @@ fn cmd_extract(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
             err,
         })?;
         ctx.log.info(format!("loaded pre-trained model from {model_path}"));
+        None
     } else {
         ctx.log.info("training on the input netlist ...");
-        let (report, health) = extractor
-            .try_fit_observed(&[&flat], &HealthConfig::default(), &ctx.obs)
-            .map_err(pipeline)?;
-        report_health(&ctx.log, &health);
-        ctx.log.info(format!("final loss {:.4}", report.final_loss()));
-    }
+        let outcome =
+            extractor.try_fit(&[&flat], &ctx.run, session.as_mut()).map_err(pipeline)?;
+        report_fit(ctx, outcome).map_err(pipeline)?.pop()
+    };
 
-    let result = extractor.try_extract_observed(&flat, &ctx.obs).map_err(pipeline)?;
+    let result =
+        extractor.try_extract(&flat, graph, &ctx.run, session.as_mut()).map_err(pipeline)?;
+    for note in session.as_mut().map(RunSession::take_notes).unwrap_or_default() {
+        ctx.log.info(format!("[run] {note}"));
+    }
     for warning in &result.detection.warnings {
         ctx.log.warn(warning);
     }
@@ -675,213 +745,11 @@ fn cmd_extract(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         result.detection.constraints.len(),
         result.runtime.as_secs_f64() * 1e3
     ));
-    emit_outputs(ctx, &args, &flat, &result.detection.constraints)
-}
-
-/// The crash-safe extract path: every stage lands in the run directory,
-/// completed stages are skipped on `--resume`, and the cancel token is
-/// honoured between stages (and, inside training, between epochs).
-fn cmd_extract_durable(
-    ctx: &ObsCtx,
-    args: &Args,
-    input: &str,
-    opts: RunOptions,
-) -> Result<(), CliError> {
-    let run_dir = opts.run_dir.display().to_string();
-    let config = config_with(args.epochs, args.seed);
-    let pipeline = |err: ExtractError| CliError::Pipeline { path: input.to_owned(), err };
-    let run_err =
-        |e: RunError| CliError::Pipeline { path: run_dir.clone(), err: ExtractError::Run(e) };
-
-    let flat = load(input, ctx)?;
-    ctx.log.info(format!(
-        "{} devices, {} nets, {} hierarchy nodes",
-        flat.devices().len(),
-        flat.net_count(),
-        flat.nodes().len()
-    ));
-    let mut session =
-        RunSession::open(opts, "extract", &config, std::slice::from_ref(&input.to_owned()))
-            .map_err(run_err)?;
-    let deadline = |session: &RunSession| -> Result<(), CliError> {
-        if session.cancelled() {
-            Err(CliError::Deadline { run_dir: run_dir.clone() })
-        } else {
-            Ok(())
-        }
-    };
-
-    // Stage: graph. Cheap and deterministic, so the artifact is a
-    // sealed summary that pins what the rest of the run was built from.
-    if session.stage_done("graph") {
-        ctx.log.info("[run] graph stage already done; skipping");
-    } else {
-        let meta = format!(
-            "netlist {input}\ndevices {}\nnets {}\nnodes {}\n",
-            flat.devices().len(),
-            flat.net_count(),
-            flat.nodes().len()
-        );
-        session.complete_stage("graph", "graph.meta", "graph-meta", &meta).map_err(run_err)?;
-    }
-    write_prom_checkpoint(ctx, &run_dir);
-    deadline(&session)?;
-
-    // Stage: train (checkpointed; resumes bit-identically).
-    let mut extractor = SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
-    match extractor
-        .fit_durable_observed(&[&flat], &HealthConfig::default(), &mut session, &ctx.obs)
-        .map_err(pipeline)?
-    {
-        DurableFit::Cancelled { after_epoch } => {
-            ctx.log.info(format!(
-                "[run] training cancelled after epoch {after_epoch}; checkpoint flushed"
-            ));
-            return Err(CliError::Deadline { run_dir });
-        }
-        DurableFit::Completed { report, health, resumed_from, notes } => {
-            for note in &notes {
-                ctx.log.info(format!("[run] {note}"));
-            }
-            if session.stage_done("train") && report.epoch_losses.is_empty() {
-                ctx.log.info("[run] train stage already done; skipping");
-            }
-            if let Some(epoch) = resumed_from {
-                ctx.log.info(format!("[run] resumed training from the epoch-{epoch} checkpoint"));
-            }
-            report_health(&ctx.log, &health);
-            if let Some(loss) = report.epoch_losses.last() {
-                ctx.log.info(format!("final loss {loss:.4}"));
-            }
-        }
-    }
-    write_prom_checkpoint(ctx, &run_dir);
-    deadline(&session)?;
-
-    // Stage: embed. A corrupt artifact degrades to recomputation.
-    let _embed_span =
-        if ctx.obs.enabled() { Some(ctx.obs.stage("embed")) } else { None };
-    let tg = extractor.train_graph(&flat);
-    let expected_shape = (tg.tensors.vertex_count(), extractor.model().config().dim);
-    let compute_z = |extractor: &SymmetryExtractor| -> Result<Matrix, CliError> {
-        match extractor.model().try_embed(&tg.tensors, &tg.features) {
-            Ok(z) => Ok(z),
-            // Poisoned inputs still yield a degraded-but-valid run;
-            // detection quarantines the affected rows behind warnings.
-            Err(EmbedError::NonFiniteFeatures) => {
-                Ok(extractor.model().embed(&tg.tensors, &tg.features))
-            }
-            Err(other) => Err(pipeline(ExtractError::Embed(other))),
-        }
-    };
-    let z = if session.stage_done("embed") {
-        let reloaded = session
-            .store()
-            .read_artifact("embeddings.txt", "embeddings")
-            .map_err(|e| e.to_string())
-            .and_then(|payload| matrix_from_text(&payload).map_err(|e| e.to_string()));
-        match reloaded {
-            Ok(z) if z.shape() == expected_shape => {
-                ctx.log.info("[run] embed stage already done; loaded sealed embeddings");
-                z
-            }
-            Ok(z) => {
-                let note = format!(
-                    "embeddings artifact has shape {:?}, expected {expected_shape:?}; \
-                     recomputing",
-                    z.shape()
-                );
-                ctx.obs.runstore_note(&note);
-                ctx.log.info(format!("[run] {note}"));
-                let z = compute_z(&extractor)?;
-                session
-                    .store()
-                    .write_artifact("embeddings.txt", "embeddings", &matrix_to_text(&z))
-                    .map_err(run_err)?;
-                z
-            }
-            Err(reason) => {
-                let note = format!("embeddings artifact unusable ({reason}); recomputing");
-                ctx.obs.runstore_note(&note);
-                ctx.log.info(format!("[run] {note}"));
-                let z = compute_z(&extractor)?;
-                session
-                    .store()
-                    .write_artifact("embeddings.txt", "embeddings", &matrix_to_text(&z))
-                    .map_err(run_err)?;
-                z
-            }
-        }
-    } else {
-        let z = compute_z(&extractor)?;
-        session
-            .complete_stage("embed", "embeddings.txt", "embeddings", &matrix_to_text(&z))
-            .map_err(run_err)?;
-        z
-    };
-    drop(_embed_span);
-    write_prom_checkpoint(ctx, &run_dir);
-    deadline(&session)?;
-
-    // Stage: detect. The artifact is the exported constraint set.
-    let _detect_span =
-        if ctx.obs.enabled() { Some(ctx.obs.stage("detect")) } else { None };
-    let constraints = if session.stage_done("detect") {
-        let reloaded = session
-            .store()
-            .read_artifact("constraints.txt", "constraints")
-            .map_err(|e| e.to_string())
-            .and_then(|payload| read_constraints(&flat, &payload).map_err(|e| e.to_string()));
-        match reloaded {
-            Ok(set) => {
-                ctx.log.info("[run] detect stage already done; loaded sealed constraints");
-                set
-            }
-            Err(reason) => {
-                let note = format!("constraints artifact unusable ({reason}); re-detecting");
-                ctx.obs.runstore_note(&note);
-                ctx.log.info(format!("[run] {note}"));
-                let detection =
-                    detect_constraints(&flat, &z, &config.thresholds, &config.embed);
-                ctx.obs.record_detection(&detection);
-                for warning in &detection.warnings {
-                    ctx.log.warn(warning);
-                }
-                session
-                    .store()
-                    .write_artifact(
-                        "constraints.txt",
-                        "constraints",
-                        &write_constraints(&flat, &detection.constraints),
-                    )
-                    .map_err(run_err)?;
-                detection.constraints
-            }
-        }
-    } else {
-        let detection = detect_constraints(&flat, &z, &config.thresholds, &config.embed);
-        ctx.obs.record_detection(&detection);
-        for warning in &detection.warnings {
-            ctx.log.warn(warning);
-        }
-        session
-            .complete_stage(
-                "detect",
-                "constraints.txt",
-                "constraints",
-                &write_constraints(&flat, &detection.constraints),
-            )
-            .map_err(run_err)?;
-        detection.constraints
-    };
-    drop(_detect_span);
-
-    ctx.log.info(format!("{} constraints (run `{run_dir}` complete)", constraints.len()));
-    emit_outputs(ctx, args, &flat, &constraints)
+    emit_outputs(ctx, &args, &extractor.config().build, &flat, &result.detection.constraints)
 }
 
 fn cmd_train(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
-    let run = run_options(&args)?;
+    let run = run_options(&args, ctx)?;
     if args.positional.is_empty() {
         return Err(usage_err("train needs at least one netlist"));
     }
@@ -895,65 +763,14 @@ fn cmd_train(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         .collect::<Result<_, _>>()?;
     let refs: Vec<&FlatCircuit> = circuits.iter().collect();
     let corpus = args.positional.join(", ");
-    let pipeline = |err: ExtractError| CliError::Pipeline { path: corpus.clone(), err };
+    let pipeline = |err| pipeline_err(&corpus, args.run_dir.as_ref(), err);
     let config = config_with(args.epochs, args.seed);
-    let mut extractor = SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
+    let mut session = open_session(ctx, run, "train", &config, &args.positional)?;
+    let mut extractor = SymmetryExtractor::try_new(config).map_err(pipeline)?;
 
-    if let Some(opts) = run {
-        let run_dir = opts.run_dir.display().to_string();
-        let run_err =
-            |e: RunError| CliError::Pipeline { path: run_dir.clone(), err: ExtractError::Run(e) };
-        let mut session =
-            RunSession::open(opts, "train", &config, &args.positional).map_err(run_err)?;
-        if session.stage_done("graph") {
-            ctx.log.info("[run] graph stage already done; skipping");
-        } else {
-            let meta = format!(
-                "netlists {corpus}\ncircuits {}\ndevices {}\n",
-                refs.len(),
-                refs.iter().map(|f| f.devices().len()).sum::<usize>()
-            );
-            session.complete_stage("graph", "graph.meta", "graph-meta", &meta).map_err(run_err)?;
-        }
-        write_prom_checkpoint(ctx, &run_dir);
-        if session.cancelled() {
-            return Err(CliError::Deadline { run_dir });
-        }
-        ctx.log.info(format!("training on {} circuits ...", refs.len()));
-        match extractor
-            .fit_durable_observed(&refs, &HealthConfig::default(), &mut session, &ctx.obs)
-            .map_err(pipeline)?
-        {
-            DurableFit::Cancelled { after_epoch } => {
-                ctx.log.info(format!(
-                    "[run] training cancelled after epoch {after_epoch}; checkpoint flushed"
-                ));
-                return Err(CliError::Deadline { run_dir });
-            }
-            DurableFit::Completed { report, health, resumed_from, notes } => {
-                for note in &notes {
-                    ctx.log.info(format!("[run] {note}"));
-                }
-                if let Some(epoch) = resumed_from {
-                    ctx.log.info(format!(
-                        "[run] resumed training from the epoch-{epoch} checkpoint"
-                    ));
-                }
-                report_health(&ctx.log, &health);
-                if let Some(loss) = report.epoch_losses.last() {
-                    ctx.log.info(format!("final loss {loss:.4}"));
-                }
-            }
-        }
-        write_prom_checkpoint(ctx, &run_dir);
-    } else {
-        ctx.log.info(format!("training on {} circuits ...", refs.len()));
-        let (report, health) = extractor
-            .try_fit_observed(&refs, &HealthConfig::default(), &ctx.obs)
-            .map_err(pipeline)?;
-        report_health(&ctx.log, &health);
-        ctx.log.info(format!("final loss {:.4}", report.final_loss()));
-    }
+    ctx.log.info(format!("training on {} circuits ...", refs.len()));
+    let outcome = extractor.try_fit(&refs, &ctx.run, session.as_mut()).map_err(pipeline)?;
+    report_fit(ctx, outcome).map_err(pipeline)?;
 
     fs::write(&model_out, extractor.model().to_text())
         .map_err(|e| CliError::Io { path: model_out.clone(), detail: e.to_string() })?;
@@ -1055,6 +872,7 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     };
 
     let config = config_with(args.epochs, args.seed);
+    let obs = &ctx.run.obs;
     let max_threads = args.threads.unwrap_or_else(ancstr_par::available_parallelism);
     let mut counts = vec![1usize, 2, max_threads];
     counts.sort_unstable();
@@ -1122,22 +940,19 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
                 let t0 = Instant::now();
                 let mut extractor =
                     SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
-                let tg = extractor.train_graph(flat);
+                let tg = extractor.train_graph(flat, obs);
                 pass[0] += t0.elapsed().as_secs_f64() * 1e3;
 
                 let t1 = Instant::now();
-                extractor
-                    .try_fit_observed(&[flat], &HealthConfig::default(), &ctx.obs)
-                    .map_err(pipeline)?;
+                extractor.try_fit(&[flat], &ctx.run, None).map_err(pipeline)?;
                 pass[1] += t1.elapsed().as_secs_f64() * 1e3;
 
                 let t2 = Instant::now();
-                let z = extractor.model().embed(&tg.tensors, &tg.features);
+                let z = embed_one(&extractor, &tg, obs).map_err(pipeline)?;
                 pass[2] += t2.elapsed().as_secs_f64() * 1e3;
 
                 let t3 = Instant::now();
-                let detection =
-                    detect_constraints(flat, &z, &config.thresholds, &config.embed);
+                let detection = extractor.detect(flat, &z, obs);
                 pass[3] += t3.elapsed().as_secs_f64() * 1e3;
                 pass[5] += total0.elapsed().as_secs_f64() * 1e3;
 
@@ -1171,8 +986,9 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
                 let t4 = Instant::now();
                 let extractor =
                     SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
-                let tg = extractor.train_graph(flat);
-                let z = extractor.model().embed(&tg.tensors, &tg.features);
+                let tg = extractor.train_graph(flat, obs);
+                let z = embed_one(&extractor, &tg, obs).map_err(pipeline)?;
+                drop(tg);
                 let detection =
                     detect_constraints_pruned(flat, &z, &config.thresholds, &config.embed);
                 pass[4] += t4.elapsed().as_secs_f64() * 1e3;
@@ -1301,6 +1117,15 @@ fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     }
     println!("output identical across thread counts {counts:?}");
     Ok(())
+}
+
+/// The embed stage on one graph.
+fn embed_one(
+    extractor: &SymmetryExtractor,
+    tg: &TrainGraph,
+    obs: &PipelineObs,
+) -> Result<ancstr_nn::Matrix, ExtractError> {
+    extractor.embed(&[tg], obs).pop().expect("one result per graph")
 }
 
 /// Validate an observability artifact set: a JSONL trace (line-by-line
@@ -1488,14 +1313,14 @@ fn cmd_serve(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         cfg.workers,
         cfg.queue_depth,
         cfg.cache_entries,
-        if ctx.obs.tracing() {
+        if ctx.run.obs.tracing() {
             " (tracing on: requests are serialized for a valid trace stream)"
         } else {
             ""
         }
     ));
     let server =
-        ancstr_serve::Server::start(cfg.clone(), std::sync::Arc::new(registry), ctx.obs.clone())
+        ancstr_serve::Server::start(cfg.clone(), std::sync::Arc::new(registry), ctx.run.obs.clone())
             .map_err(|e| CliError::Io { path: cfg.addr.clone(), detail: e.to_string() })?;
     // Stdout is block-buffered when piped; flush so a supervising
     // process sees the address immediately.
@@ -1514,12 +1339,12 @@ fn cmd_serve(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
 /// appear.
 fn flush_abort(ctx: &ObsCtx, err: &CliError, metrics: Option<&str>, run_dir: Option<&str>) {
     let code = err.exit_code();
-    ctx.obs.event(
+    ctx.run.obs.event(
         "run",
         "run_aborted",
         &[("exit_code", u64::from(code).into()), ("reason", err.message().into())],
     );
-    ctx.obs.metrics().counter_add("ancstr_run_aborted_total", &[], 1);
+    ctx.run.obs.metrics().counter_add("ancstr_run_aborted_total", &[], 1);
     if let Some(dir) = run_dir {
         write_prom_checkpoint(ctx, dir);
     }
@@ -1582,6 +1407,6 @@ fn main() -> ExitCode {
             ExitCode::from(e.exit_code())
         }
     };
-    ctx.obs.flush();
+    ctx.run.obs.flush();
     code
 }

@@ -175,9 +175,9 @@ pub fn detect_constraints(
 /// [`detect_constraints`] with a lossless candidate-pruning prepass.
 ///
 /// Per node, the prepass additionally keeps one L2 norm per
-/// [`PRUNE_SEG`]-wide segment of the feature vector. A pair whose
+/// `PRUNE_SEG`-wide segment of the feature vector. A pair whose
 /// Cauchy–Schwarz upper bound `Σ_j ‖a_j‖‖b_j‖ / (‖a‖·‖b‖)` (times a
-/// [rounding margin](PRUNE_MARGIN)) cannot exceed its threshold is
+/// small rounding margin, `PRUNE_MARGIN`) cannot exceed its threshold is
 /// skipped without computing the full dot product. Acceptance requires
 /// `score > threshold` strictly, so pruning at `bound ≤ threshold`
 /// never drops an acceptable pair:

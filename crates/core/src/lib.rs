@@ -10,7 +10,26 @@
 //! PageRank; Algorithm 3 classifies candidate pairs by cosine similarity
 //! against the Eq. 4 size-adaptive threshold.
 //!
-//! Entry point: [`SymmetryExtractor`].
+//! The pipeline is one set of stages ([`pipeline`]), each written once
+//! with its trace span, its cancellation check and, under a durable
+//! [`RunSession`], its sealed run-dir artifact:
+//!
+//! 1. **load** — parse → elaborate ([`load_netlist_observed`]);
+//! 2. **graph** — Algorithm 1 multigraph → Table II features
+//!    ([`SymmetryExtractor::train_graph`]);
+//! 3. **train** — guarded unsupervised training, with checkpoints,
+//!    resume and the sealed model under a session;
+//! 4. **embed** — GNN inference over 1..n graphs, with the one
+//!    non-finite-features degrade policy ([`SymmetryExtractor::embed`]);
+//! 5. **detect** — Algorithms 2–3 ([`SymmetryExtractor::detect`]).
+//!
+//! All stages take one [`RunCtx`]: the [`PipelineObs`] handle, the
+//! [`CancelToken`] and the training [`HealthConfig`](ancstr_gnn::HealthConfig).
+//! The entry points sequence them: [`SymmetryExtractor::fit`] /
+//! [`SymmetryExtractor::extract`] (panicking convenience),
+//! [`SymmetryExtractor::try_fit`] / [`SymmetryExtractor::try_extract`]
+//! (typed errors, optional [`RunSession`]), and the service's
+//! [`extract_batch`] with its batch of one, [`extract_source`].
 //!
 //! # Example
 //!
@@ -70,7 +89,7 @@ pub use metrics::{
     confusion_from_decisions, level_confusions, pr_curve, render_metrics_table, roc_curve,
     Confusion, PrCurve, PrPoint, RocCurve, RocPoint,
 };
-pub use observe::{load_netlist_observed, PipelineObs, StageGuard, TrainTelemetry, STAGES};
+pub use observe::{PipelineObs, StageGuard, TrainTelemetry, STAGES};
 pub use pairs::{pair_stats, valid_pairs, valid_pairs_of_kind, CandidatePair, PairStats};
 pub use inject::{
     inject_checkpoint, inject_model, inject_spice, plan_serve_fault, CheckpointFault, ModelFault,
@@ -78,15 +97,12 @@ pub use inject::{
     ALL_SERVE_FAULTS, ALL_SPICE_FAULTS,
 };
 pub use pipeline::{
-    evaluate_detection, Evaluation, Extraction, ExtractorConfig, SymmetryExtractor,
+    evaluate_detection, load_netlist_observed, Evaluation, Extraction, ExtractorConfig,
+    FitOutcome, RunCtx, SymmetryExtractor,
 };
 pub use recover::ExtractError;
-pub use service::{
-    cache_key, extract_source, extract_source_batch, extract_source_batch_cancellable,
-    extract_source_batch_cancellable_with, extract_source_cancellable,
-    extract_source_cancellable_with, AltFormatter, ServiceReply,
-};
+pub use service::{cache_key, extract_batch, extract_source, AltFormatter, ServiceReply};
 pub use runstore::{
-    config_hash, write_atomic, CancelToken, DurableFit, RunError, RunManifest, RunOptions,
+    config_hash, write_atomic, CancelToken, RunError, RunManifest, RunOptions,
     RunSession, RunStore, StageEntry, StageStatus, DEFAULT_CHECKPOINT_EVERY, MANIFEST_VERSION,
 };

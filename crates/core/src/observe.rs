@@ -4,11 +4,11 @@
 //!
 //! [`PipelineObs`] is a cheap-clone handle bundling an optional
 //! [`Tracer`] with an always-available metrics [`Registry`]. Every
-//! observed pipeline entry point takes `&PipelineObs`; with
-//! [`PipelineObs::disabled`] each instrumentation point is a no-op and
-//! the pipeline's arithmetic is untouched either way — observation is
-//! strictly read-only (proven by integration tests that byte-compare
-//! outputs with and without tracing).
+//! pipeline stage runs the same code whatever the handle; with
+//! [`PipelineObs::disabled`] each instrumentation point is a cheap
+//! no-op, and observation is strictly read-only either way (proven by
+//! integration tests that byte-compare outputs with and without
+//! tracing).
 //!
 //! Span names map onto the paper's algorithms; see DESIGN.md:
 //! `parse` → `elaborate` → `graph_build` (Alg. 1) → `feature_init`
@@ -18,20 +18,12 @@
 use std::path::Path;
 use std::time::Instant;
 
-use ancstr_gnn::{
-    try_train_resumable, EmbedError, EpochTelemetry, GraphTensors, HealthConfig, HealthEvent,
-    HealthReport, ResumableHooks, TrainGraph, TrainReport, TrainerHooks,
-};
-use ancstr_graph::HetMultigraph;
-use ancstr_netlist::parse::parse_spice_file;
+use ancstr_gnn::{EpochTelemetry, HealthEvent, TrainerHooks};
 use ancstr_netlist::FlatCircuit;
 use ancstr_obs::{Registry, Span, Tracer, Value, DURATION_BUCKETS_S, GRAD_NORM_BUCKETS};
 
-use crate::detect::{detect_constraints, DetectionResult, NumericWarning};
-use crate::features::circuit_features;
+use crate::detect::{DetectionResult, NumericWarning};
 use crate::metrics::level_confusions;
-use crate::pipeline::{Extraction, SymmetryExtractor};
-use crate::recover::ExtractError;
 
 /// The seven pipeline stage names, in execution order. Shared by the
 /// instrumentation, the docs, and the trace-coverage tests.
@@ -95,9 +87,9 @@ impl PipelineObs {
         self.tracer.as_ref()
     }
 
-    /// Whether observation is wanted at all. The `*_observed` pipeline
-    /// entry points use this to pick the exact pre-observability code
-    /// path when nobody is watching.
+    /// Whether anyone reads this handle's metrics. The pipeline runs
+    /// the same code either way; callers use this only to skip export
+    /// work nobody asked for (metrics files, kernel profiling).
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -202,6 +194,13 @@ impl PipelineObs {
     }
 }
 
+impl Default for PipelineObs {
+    /// [`PipelineObs::disabled`].
+    fn default() -> PipelineObs {
+        PipelineObs::disabled()
+    }
+}
+
 /// RAII guard for one pipeline stage: closes the trace span and
 /// records the stage-duration histogram + run counter on drop.
 pub struct StageGuard {
@@ -296,170 +295,6 @@ impl TrainerHooks for TrainTelemetry {
     fn on_cancelled(&mut self, after_epoch: usize) {
         self.obs
             .event("train", "train_cancelled", &[("after_epoch", after_epoch.into())]);
-    }
-}
-
-/// Load and elaborate a SPICE netlist under `parse` and `elaborate`
-/// stage spans. The un-traced equivalent of
-/// `parse_spice_file` + [`FlatCircuit::elaborate`].
-///
-/// # Errors
-///
-/// [`ExtractError::Parse`] / [`ExtractError::Elaborate`] as usual.
-pub fn load_netlist_observed(
-    path: &str,
-    obs: &PipelineObs,
-) -> Result<FlatCircuit, ExtractError> {
-    let netlist = {
-        let _g = obs.stage_with("parse", &[("path", path.into())]);
-        parse_spice_file(path)?
-    };
-    let flat = {
-        let _g = obs.stage("elaborate");
-        FlatCircuit::elaborate(&netlist)?
-    };
-    obs.event(
-        "elaborate",
-        "circuit_loaded",
-        &[
-            ("path", path.into()),
-            ("devices", flat.devices().len().into()),
-            ("nets", flat.net_count().into()),
-        ],
-    );
-    Ok(flat)
-}
-
-impl SymmetryExtractor {
-    /// [`SymmetryExtractor::train_graph`] under `graph_build` and
-    /// `feature_init` stage spans.
-    pub fn train_graph_observed(&self, flat: &FlatCircuit, obs: &PipelineObs) -> TrainGraph {
-        let tensors = {
-            let _g = obs.stage("graph_build");
-            let g = HetMultigraph::from_circuit(flat, &self.config().build);
-            let t = GraphTensors::from_multigraph(&g);
-            obs.event("graph_build", "graph_built", &[("vertices", t.vertex_count().into())]);
-            t
-        };
-        let features = {
-            let _g = obs.stage("feature_init");
-            circuit_features(flat, &self.config().features)
-        };
-        TrainGraph { tensors, features }
-    }
-
-    /// [`SymmetryExtractor::try_fit`](crate::recover) with observability:
-    /// `graph_build`/`feature_init`/`train` stage spans and per-epoch
-    /// training telemetry through [`TrainTelemetry`]. With a disabled
-    /// handle this *is* `try_fit` — same code path, same results; with
-    /// an enabled one the observer is read-only, so results are still
-    /// bit-identical (proven by `tests/observability.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`SymmetryExtractor::try_fit`].
-    pub fn try_fit_observed(
-        &mut self,
-        circuits: &[&FlatCircuit],
-        health: &HealthConfig,
-        obs: &PipelineObs,
-    ) -> Result<(TrainReport, HealthReport), ExtractError> {
-        if !obs.enabled() {
-            return self.try_fit(circuits, health);
-        }
-        let dataset: Vec<TrainGraph> =
-            circuits.iter().map(|f| self.train_graph_observed(f, obs)).collect();
-        let train_config = self.config().train.clone();
-        let _span = obs.stage_with(
-            "train",
-            &[
-                ("epochs", train_config.epochs.into()),
-                ("circuits", circuits.len().into()),
-                ("seed", train_config.seed.into()),
-            ],
-        );
-        let mut telemetry = TrainTelemetry::new(obs.clone());
-        let (report, health_report, _outcome) = try_train_resumable(
-            self.model_mut(),
-            &dataset,
-            &train_config,
-            health,
-            ResumableHooks { observer: Some(&mut telemetry), ..ResumableHooks::default() },
-        )
-        .map_err(ExtractError::Train)?;
-        Ok((report, health_report))
-    }
-
-    /// [`SymmetryExtractor::try_extract`](crate::recover) with
-    /// observability: `graph_build`/`feature_init`/`embed`/`detect`
-    /// stage spans, degraded-embed events, and the detection's counted
-    /// [`NumericWarning`] records as structured `numeric_warning`
-    /// events (stable path-sorted order).
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`SymmetryExtractor::try_extract`].
-    pub fn try_extract_observed(
-        &self,
-        flat: &FlatCircuit,
-        obs: &PipelineObs,
-    ) -> Result<Extraction, ExtractError> {
-        self.try_extract_cancellable(flat, obs, &crate::runstore::CancelToken::new())
-    }
-
-    /// [`SymmetryExtractor::try_extract_observed`] under a
-    /// [`CancelToken`](crate::runstore::CancelToken): the token is
-    /// polled at every stage boundary (before graph build, before
-    /// embedding, before detection), so a request whose deadline
-    /// expires mid-pipeline stops occupying a worker at the next
-    /// boundary instead of running to completion for nobody. The
-    /// checks are read-only — with a never-cancelled token this is
-    /// byte-identical to `try_extract_observed`.
-    ///
-    /// # Errors
-    ///
-    /// [`ExtractError::Cancelled`] when the token trips; otherwise
-    /// exactly those of [`SymmetryExtractor::try_extract`].
-    pub fn try_extract_cancellable(
-        &self,
-        flat: &FlatCircuit,
-        obs: &PipelineObs,
-        cancel: &crate::runstore::CancelToken,
-    ) -> Result<Extraction, ExtractError> {
-        if cancel.is_cancelled() {
-            return Err(ExtractError::Cancelled);
-        }
-        let start = Instant::now();
-        let tg = self.train_graph_observed(flat, obs);
-        if cancel.is_cancelled() {
-            return Err(ExtractError::Cancelled);
-        }
-        let z = {
-            let _g = obs.stage("embed");
-            match self.model().try_embed(&tg.tensors, &tg.features) {
-                Ok(z) => z,
-                // Poisoned *inputs* still yield a degraded-but-valid
-                // detection (same policy as `try_extract`).
-                Err(EmbedError::NonFiniteFeatures) => {
-                    obs.event(
-                        "embed",
-                        "degraded_embed",
-                        &[("cause", "non-finite features".into())],
-                    );
-                    self.model().embed(&tg.tensors, &tg.features)
-                }
-                Err(other) => return Err(ExtractError::Embed(other)),
-            }
-        };
-        if cancel.is_cancelled() {
-            return Err(ExtractError::Cancelled);
-        }
-        let detection = {
-            let _g = obs.stage("detect");
-            detect_constraints(flat, &z, &self.config().thresholds, &self.config().embed)
-        };
-        obs.record_detection(&detection);
-        Ok(Extraction { detection, runtime: start.elapsed() })
     }
 }
 

@@ -1,29 +1,21 @@
-//! Fault-tolerant pipeline entry points: one workspace-level error type
-//! ([`ExtractError`]) covering every stage — SPICE parsing, hierarchy
-//! elaboration, configuration, model deserialization, guarded training,
-//! and inference — plus `try_*` variants of the [`SymmetryExtractor`]
-//! API that return those errors instead of panicking.
+//! The pipeline's one error type ([`ExtractError`]), covering every
+//! stage — SPICE parsing, hierarchy elaboration, configuration, model
+//! deserialization, guarded training, inference, the run store and
+//! cancellation — plus the checked [`SymmetryExtractor`] constructors.
 //!
 //! Design rule: the happy path is bit-identical to the unguarded API.
 //! Guardrails are read-only scans that only *act* (skip, clip, restore,
-//! re-seed) when an anomaly is present; see
-//! [`ancstr_gnn::try_train`] and
-//! [`detect_constraints`](crate::detect::detect_constraints)'s warning
-//! records.
+//! re-seed) when an anomaly is present; see [`ancstr_gnn::try_train`]
+//! and [`detect_constraints`](crate::detect::detect_constraints)'s
+//! warning records.
 
 use std::fmt;
-use std::time::Instant;
 
-use ancstr_gnn::{
-    try_train, EmbedError, GnnModel, HealthConfig, HealthReport, ParseModelError, TrainError,
-    TrainReport,
-};
+use ancstr_gnn::{EmbedError, GnnModel, ParseModelError, TrainError};
 use ancstr_netlist::error::{ElaborateError, ParseNetlistError};
-use ancstr_netlist::FlatCircuit;
 
-use crate::detect::detect_constraints;
 use crate::features::FEATURE_DIM;
-use crate::pipeline::{Extraction, ExtractorConfig, ReplaceModelError, SymmetryExtractor};
+use crate::pipeline::{ExtractorConfig, ReplaceModelError, SymmetryExtractor};
 
 /// Any failure of the extraction pipeline, from netlist text to
 /// constraint set, with enough context to name the offending stage.
@@ -203,63 +195,15 @@ impl SymmetryExtractor {
         let model = GnnModel::from_text(text)?;
         Ok(self.with_model(model)?)
     }
-
-    /// Guarded [`SymmetryExtractor::fit`]: unsupervised training with
-    /// NaN/Inf scans, gradient clipping, divergence detection, and
-    /// bounded checkpoint-restore recovery (see
-    /// [`ancstr_gnn::HealthConfig`]). On a healthy run the result is
-    /// bit-identical to [`SymmetryExtractor::fit`] and the
-    /// [`HealthReport`] is clean.
-    ///
-    /// # Errors
-    ///
-    /// [`ExtractError::Train`] on an empty/invalid corpus or when
-    /// anomalies persist past the retry budget.
-    pub fn try_fit(
-        &mut self,
-        circuits: &[&FlatCircuit],
-        health: &HealthConfig,
-    ) -> Result<(TrainReport, HealthReport), ExtractError> {
-        let dataset: Vec<ancstr_gnn::TrainGraph> =
-            circuits.iter().map(|f| self.train_graph(f)).collect();
-        let train_config = self.config().train.clone();
-        let out = try_train(self.model_mut(), &dataset, &train_config, health)?;
-        Ok(out)
-    }
-
-    /// Guarded [`SymmetryExtractor::extract`]: validates the model and
-    /// embeddings before scoring. Devices whose feature vectors come out
-    /// non-finite are *skipped with warning records*
-    /// ([`DetectionResult::warnings`](crate::detect::DetectionResult))
-    /// rather than scored with NaN cosine similarities — a degraded but
-    /// valid result.
-    ///
-    /// # Errors
-    ///
-    /// [`ExtractError::Embed`] when the model itself is unusable (its
-    /// parameters contain NaN/Inf), which would poison every score.
-    pub fn try_extract(&self, flat: &FlatCircuit) -> Result<Extraction, ExtractError> {
-        let start = Instant::now();
-        let tg = self.train_graph(flat);
-        let z = match self.model().try_embed(&tg.tensors, &tg.features) {
-            Ok(z) => z,
-            // Poisoned *inputs* still yield a degraded-but-valid
-            // detection: embed anyway and let detection quarantine the
-            // affected rows behind warnings.
-            Err(EmbedError::NonFiniteFeatures) => self.model().embed(&tg.tensors, &tg.features),
-            Err(other) => return Err(ExtractError::Embed(other)),
-        };
-        let detection =
-            detect_constraints(flat, &z, &self.config().thresholds, &self.config().embed);
-        Ok(Extraction { detection, runtime: start.elapsed() })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{FitOutcome, RunCtx};
     use ancstr_gnn::GnnConfig;
     use ancstr_netlist::parse::parse_spice;
+    use ancstr_netlist::FlatCircuit;
 
     fn quick_config() -> ExtractorConfig {
         ExtractorConfig {
@@ -304,15 +248,22 @@ M5 tail en vss vss nch w=2u l=0.5u
     fn try_fit_then_try_extract_matches_unguarded_pipeline() {
         let flat = latch();
         let mut guarded = SymmetryExtractor::try_new(quick_config()).unwrap();
-        let (report, health) =
-            guarded.try_fit(&[&flat], &HealthConfig::default()).unwrap();
+        let FitOutcome::Completed { report, health, .. } =
+            guarded.try_fit(&[&flat], &RunCtx::default(), None).unwrap()
+        else {
+            panic!("an unarmed token never cancels");
+        };
         assert!(health.clean(), "{health:?}");
 
+        // `fit` runs the guarded trainer too, so the unguarded reference
+        // is `ancstr_gnn::train` itself.
         let mut plain = SymmetryExtractor::new(quick_config());
-        let plain_report = plain.fit(&[&flat]);
+        let tg = plain.train_graph(&flat, &crate::observe::PipelineObs::disabled());
+        let train_config = plain.config().train.clone();
+        let plain_report = ancstr_gnn::train(plain.model_mut(), &[tg], &train_config);
         assert_eq!(report, plain_report, "guarded training is bit-identical when healthy");
 
-        let guarded_out = guarded.try_extract(&flat).unwrap();
+        let guarded_out = guarded.try_extract(&flat, None, &RunCtx::default(), None).unwrap();
         let plain_out = plain.extract(&flat);
         assert_eq!(guarded_out.detection, plain_out.detection);
         assert!(guarded_out.detection.warnings.is_empty());
@@ -321,7 +272,7 @@ M5 tail en vss vss nch w=2u l=0.5u
     #[test]
     fn try_fit_maps_empty_corpus_to_train_error() {
         let mut ex = SymmetryExtractor::try_new(quick_config()).unwrap();
-        let err = ex.try_fit(&[], &HealthConfig::default()).unwrap_err();
+        let err = ex.try_fit(&[], &RunCtx::default(), None).unwrap_err();
         assert_eq!(err, ExtractError::Train(TrainError::EmptyDataset));
         assert_eq!(err.exit_code(), 7);
     }
@@ -331,7 +282,7 @@ M5 tail en vss vss nch w=2u l=0.5u
         let flat = latch();
         let mut ex = SymmetryExtractor::try_new(quick_config()).unwrap();
         ex.model_mut().matrices_mut()[0][(0, 0)] = f64::NAN;
-        let err = ex.try_extract(&flat).unwrap_err();
+        let err = ex.try_extract(&flat, None, &RunCtx::default(), None).unwrap_err();
         assert_eq!(err, ExtractError::Embed(EmbedError::NonFiniteParameters));
         assert_eq!(err.exit_code(), 8);
     }

@@ -18,15 +18,15 @@
 //!     epoch-000005.ckpt      sealed kind=checkpoint (TrainerState)
 //! ```
 //!
-//! [`RunSession`] orchestrates the stage lifecycle: a resumed session
+//! [`RunSession`] holds the stage lifecycle: a resumed session
 //! validates the manifest against the current command, config hash, and
-//! inputs, skips completed stages, and
-//! [`SymmetryExtractor::fit_durable`] restarts training from the newest
-//! *valid* checkpoint, falling back past corrupt ones with notes rather
-//! than errors. A [`CancelToken`] (optionally armed with a deadline
-//! watchdog) requests cooperative cancellation at stage and epoch
-//! boundaries; the trainer flushes a final checkpoint first, so an
-//! interrupted run is always resumable.
+//! inputs, and the pipeline stages (see [`crate::pipeline`]) skip
+//! completed stages by reloading their artifacts. Training restarts
+//! from the newest *valid* checkpoint, falling back past corrupt ones
+//! with notes rather than errors. A [`CancelToken`] (optionally armed
+//! with a deadline watchdog) requests cooperative cancellation at stage
+//! and epoch boundaries; the trainer flushes a final checkpoint first,
+//! so an interrupted run is always resumable.
 
 use std::fmt;
 use std::fs;
@@ -37,12 +37,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ancstr_gnn::{
-    seal, try_train_resumable, HealthConfig, HealthReport, ResumableHooks, TrainOutcome,
-    TrainReport, TrainerHooks, TrainerState,
+    matrix_from_text, matrix_to_text, seal, GnnModel, HealthReport, TrainConfig, TrainReport,
+    TrainerState,
 };
-use ancstr_netlist::FlatCircuit;
+use ancstr_netlist::{ConstraintSet, FlatCircuit};
+use ancstr_nn::Matrix;
 
-use crate::observe::{PipelineObs, TrainTelemetry};
+use crate::export::{read_constraints, write_constraints};
+use crate::observe::PipelineObs;
 use crate::pipeline::{ExtractorConfig, SymmetryExtractor};
 use crate::recover::ExtractError;
 
@@ -701,11 +703,6 @@ impl RunStore {
         self.root.join(Self::MANIFEST)
     }
 
-    /// Does this directory contain a manifest at all?
-    pub fn has_manifest(&self) -> bool {
-        self.manifest_path().exists()
-    }
-
     /// Atomically persist the sealed manifest.
     ///
     /// # Errors
@@ -840,14 +837,12 @@ pub struct RunOptions {
     pub resume: bool,
     /// Training checkpoint cadence in epochs.
     pub checkpoint_every: usize,
-    /// Cooperative cancellation, polled at stage and epoch boundaries.
-    pub cancel: CancelToken,
     /// Crash-test hook: abort the process (as an uncatchable kill)
     /// immediately after the Nth checkpoint write of this run.
     #[doc(hidden)]
     pub test_abort_after_checkpoints: Option<usize>,
-    /// Interruption-test hook: fire the cancel token after the Nth
-    /// checkpoint write, producing a deterministic epoch-boundary
+    /// Interruption-test hook: fire the run's cancel token after the
+    /// Nth checkpoint write, producing a deterministic epoch-boundary
     /// cancellation without killing the test process.
     #[doc(hidden)]
     pub test_cancel_after_checkpoints: Option<usize>,
@@ -855,13 +850,12 @@ pub struct RunOptions {
 
 impl RunOptions {
     /// Defaults for the given directory: fresh run, cadence
-    /// [`DEFAULT_CHECKPOINT_EVERY`], no deadline.
+    /// [`DEFAULT_CHECKPOINT_EVERY`].
     pub fn new(run_dir: impl Into<PathBuf>) -> RunOptions {
         RunOptions {
             run_dir: run_dir.into(),
             resume: false,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            cancel: CancelToken::new(),
             test_abort_after_checkpoints: None,
             test_cancel_after_checkpoints: None,
         }
@@ -876,6 +870,7 @@ pub struct RunSession {
     manifest: RunManifest,
     options: RunOptions,
     checkpoint_writes: Arc<AtomicUsize>,
+    notes: Vec<String>,
 }
 
 impl RunSession {
@@ -935,6 +930,7 @@ impl RunSession {
             manifest,
             options,
             checkpoint_writes: Arc::new(AtomicUsize::new(0)),
+            notes: Vec::new(),
         })
     }
 
@@ -946,11 +942,6 @@ impl RunSession {
     /// The live manifest.
     pub fn manifest(&self) -> &RunManifest {
         &self.manifest
-    }
-
-    /// Has the deadline/cancel token fired?
-    pub fn cancelled(&self) -> bool {
-        self.options.cancel.is_cancelled()
     }
 
     /// Is the named stage already completed (from a resumed manifest)?
@@ -974,8 +965,9 @@ impl RunSession {
         self.store.save_manifest(&self.manifest)
     }
 
-    /// Write a stage's artifact and mark it done in one step. No-op for
-    /// a stage that is already done.
+    /// Write a stage's artifact and mark the stage done in one step. A
+    /// stage that is already done gets its artifact re-sealed (the
+    /// recomputation after an unusable artifact).
     ///
     /// # Errors
     ///
@@ -987,10 +979,10 @@ impl RunSession {
         kind: &str,
         payload: &str,
     ) -> Result<(), RunError> {
+        self.store.write_artifact(artifact, kind, payload)?;
         if self.stage_done(name) {
             return Ok(());
         }
-        self.store.write_artifact(artifact, kind, payload)?;
         self.mark_done(name, Some(artifact))
     }
 
@@ -999,181 +991,141 @@ impl RunSession {
         lineage.extend(health.retries.iter().map(|e| e.reseeded_to));
         self.manifest.seed_lineage = lineage;
     }
-}
 
-/// How [`SymmetryExtractor::fit_durable`] ended.
-#[derive(Debug, Clone)]
-pub enum DurableFit {
-    /// Training finished — in this process or a previous one (stage
-    /// already done). Reports describe the *full* run.
-    Completed {
-        /// Loss trajectory over all epochs.
-        report: TrainReport,
-        /// Guardrail activity over all epochs.
-        health: HealthReport,
-        /// Completed-epoch count of the checkpoint training resumed
-        /// from, when it did.
-        resumed_from: Option<usize>,
-        /// Recovery notes (corrupt checkpoints skipped, artifacts
-        /// rebuilt) for the caller to surface.
-        notes: Vec<String>,
-    },
-    /// The cancel token fired at an epoch boundary; a final checkpoint
-    /// was flushed, so the run resumes from exactly this point.
-    Cancelled {
-        /// Completed epochs at the moment of cancellation.
-        after_epoch: usize,
-    },
-}
-
-impl SymmetryExtractor {
-    /// Durable [`SymmetryExtractor::fit`]: guarded training that writes
-    /// periodic CRC-sealed checkpoints into the session's run
-    /// directory, resumes from the newest valid checkpoint (skipping
-    /// corrupt ones), honours the session's cancel token at epoch
-    /// boundaries, and — on completion — seals the final model artifact
-    /// and marks the `train` stage done with its seed lineage recorded.
-    ///
-    /// Crash/resume is bit-identical to an uninterrupted run: the
-    /// checkpoint carries the full trainer state (RNG, optimizer
-    /// moments, shuffle order, retry lineage), validated against the
-    /// current configuration before use.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SymmetryExtractor::try_fit`] returns, plus
-    /// [`ExtractError::Run`] on run-store failures.
-    pub fn fit_durable(
-        &mut self,
-        circuits: &[&FlatCircuit],
-        health: &HealthConfig,
-        session: &mut RunSession,
-    ) -> Result<DurableFit, ExtractError> {
-        self.fit_durable_observed(circuits, health, session, &PipelineObs::disabled())
+    /// Completed-epoch cadence of periodic training checkpoints.
+    pub fn checkpoint_every(&self) -> usize {
+        self.options.checkpoint_every.max(1)
     }
 
-    /// [`SymmetryExtractor::fit_durable`] with observability: stage
-    /// spans for graph/feature/train work, per-epoch training telemetry
-    /// (through the read-only [`TrainerHooks`] observer), and every
-    /// checkpoint-scan/fallback recovery note mirrored as a structured
-    /// `runstore_note` trace event. With a disabled handle this *is*
-    /// `fit_durable`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`SymmetryExtractor::fit_durable`].
-    pub fn fit_durable_observed(
-        &mut self,
-        circuits: &[&FlatCircuit],
-        health: &HealthConfig,
-        session: &mut RunSession,
-        obs: &PipelineObs,
-    ) -> Result<DurableFit, ExtractError> {
-        let mut notes = Vec::new();
+    /// Drain the recovery notes the stages left since the last call
+    /// (corrupt checkpoints skipped, artifacts recomputed), for the
+    /// caller to surface.
+    pub fn take_notes(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.notes)
+    }
 
-        if session.stage_done("train") {
-            // The final checkpoint is the canonical artifact: it holds
-            // the weights *and* the full report. Fall back to the model
-            // artifact, and past that re-train.
-            let (state, mut scan_notes) = session.store.latest_valid_checkpoint();
-            for n in &scan_notes {
-                obs.runstore_note(n);
-            }
-            notes.append(&mut scan_notes);
-            let state_fits = |state: &TrainerState| {
-                let slots = self.model().matrices();
-                state.gnn == self.config().gnn
-                    && state.epoch_losses.len() >= self.config().train.epochs
-                    && state.params.len() == slots.len()
-                    && state.params.iter().zip(&slots).all(|(p, s)| p.shape() == s.shape())
-            };
-            match state {
-                Some(state) if state_fits(&state) => {
-                    let report = TrainReport { epoch_losses: state.epoch_losses.clone() };
-                    let health_report = HealthReport {
-                        retries: state.retries.clone(),
-                        clipped_steps: state.clipped_steps,
-                    };
-                    for (slot, m) in
-                        self.model_mut().matrices_mut().into_iter().zip(&state.params)
-                    {
-                        *slot = m.clone();
-                    }
-                    return Ok(DurableFit::Completed {
-                        report,
-                        health: health_report,
-                        resumed_from: None,
-                        notes,
-                    });
-                }
-                _ => match session.store.read_artifact("model.txt", "model") {
-                    Ok(payload) => {
-                        let model = ancstr_gnn::GnnModel::from_text(&payload)
-                            .map_err(ExtractError::Model)?;
-                        *self =
-                            SymmetryExtractor::new(self.config().clone()).with_model(model)?;
-                        let note = "train stage was done but no full checkpoint survived; \
-                                    loaded sealed model artifact (loss history unavailable)";
-                        obs.runstore_note(note);
-                        notes.push(note.to_owned());
-                        return Ok(DurableFit::Completed {
-                            report: TrainReport { epoch_losses: Vec::new() },
-                            health: HealthReport::default(),
-                            resumed_from: None,
-                            notes,
-                        });
-                    }
-                    Err(e) => {
-                        let note = format!(
-                            "train stage was marked done but its artifacts are gone \
-                             ({e}); re-training"
-                        );
-                        obs.runstore_note(&note);
-                        notes.push(note);
-                        if let Some(s) =
-                            session.manifest.stages.iter_mut().find(|s| s.name == "train")
-                        {
-                            s.status = StageStatus::Pending;
-                        }
-                    }
-                },
-            }
+    /// Record a fallback decision: a note for the caller plus a
+    /// `runstore_note` event and counter.
+    fn recovery_note(&mut self, obs: &PipelineObs, note: String) {
+        obs.runstore_note(&note);
+        self.notes.push(note);
+    }
+
+    /// Write `metrics.prom` at a stage boundary when anyone reads the
+    /// metrics. Observability never fails the run: a failed write is
+    /// a note, not an error.
+    pub(crate) fn write_metrics(&mut self, obs: &PipelineObs) {
+        if !obs.enabled() {
+            return;
         }
+        if let Err(e) = obs.write_prom(&self.store.root.join("metrics.prom")) {
+            self.notes.push(format!("could not write metrics.prom: {e}"));
+        }
+    }
 
-        let dataset: Vec<ancstr_gnn::TrainGraph> =
-            circuits.iter().map(|f| self.train_graph_observed(f, obs)).collect();
-        let train_config = self.config().train.clone();
-
-        let resume_state = if session.options.resume {
-            let (state, mut scan_notes) = session.store.latest_valid_checkpoint();
-            for n in &scan_notes {
-                obs.runstore_note(n);
-            }
-            notes.append(&mut scan_notes);
-            state
+    /// Seal the `graph` stage: a summary of what the run was built
+    /// from. No-op once done.
+    pub(crate) fn seal_graph_meta(&mut self, circuits: &[&FlatCircuit]) -> Result<(), RunError> {
+        if self.stage_done("graph") {
+            return Ok(());
+        }
+        let inputs = self.manifest.inputs.join(", ");
+        let devices: usize = circuits.iter().map(|f| f.devices().len()).sum();
+        let meta = if self.manifest.command == "train" {
+            format!("netlists {inputs}\ncircuits {}\ndevices {devices}\n", circuits.len())
         } else {
-            None
+            let nets: usize = circuits.iter().map(|f| f.net_count()).sum();
+            let nodes: usize = circuits.iter().map(|f| f.nodes().len()).sum();
+            format!("netlist {inputs}\ndevices {devices}\nnets {nets}\nnodes {nodes}\n")
         };
-        let resumed_from = resume_state.as_ref().map(|s| s.epoch_losses.len());
-        let _train_span = obs.stage_with(
-            "train",
-            &[
-                ("epochs", train_config.epochs.into()),
-                ("circuits", circuits.len().into()),
-                ("seed", train_config.seed.into()),
-                ("checkpoint_every", session.options.checkpoint_every.into()),
-            ],
-        );
-        if let Some(epoch) = resumed_from {
-            obs.event("train", "resumed_from_checkpoint", &[("epoch", epoch.into())]);
-        }
+        self.complete_stage("graph", "graph.meta", "graph-meta", &meta)
+    }
 
-        let store = session.store.clone();
-        let writes = Arc::clone(&session.checkpoint_writes);
-        let abort_after = session.options.test_abort_after_checkpoints;
-        let cancel_after = session.options.test_cancel_after_checkpoints;
-        let sink_token = session.options.cancel.clone();
-        let mut sink = move |state: &TrainerState| -> Result<(), String> {
+    /// Reload the weights of a `train` stage that is already done. The
+    /// final checkpoint is the canonical artifact: it holds the weights
+    /// *and* the full report. Falls back to the model artifact, and
+    /// past that returns `None` with the stage reset to pending, so the
+    /// caller re-trains.
+    pub(crate) fn reload_model(
+        &mut self,
+        extractor: &mut SymmetryExtractor,
+        obs: &PipelineObs,
+    ) -> Result<Option<(TrainReport, HealthReport)>, ExtractError> {
+        let (state, scan_notes) = self.store.latest_valid_checkpoint();
+        for note in scan_notes {
+            self.recovery_note(obs, note);
+        }
+        let state_fits = |state: &TrainerState| {
+            let slots = extractor.model().matrices();
+            state.gnn == extractor.config().gnn
+                && state.epoch_losses.len() >= extractor.config().train.epochs
+                && state.params.len() == slots.len()
+                && state.params.iter().zip(&slots).all(|(p, s)| p.shape() == s.shape())
+        };
+        if let Some(state) = state.filter(state_fits) {
+            for (slot, m) in extractor.model_mut().matrices_mut().into_iter().zip(&state.params) {
+                *slot = m.clone();
+            }
+            let report = TrainReport { epoch_losses: state.epoch_losses };
+            let health =
+                HealthReport { retries: state.retries, clipped_steps: state.clipped_steps };
+            return Ok(Some((report, health)));
+        }
+        match self.store.read_artifact("model.txt", "model") {
+            Ok(payload) => {
+                let model = GnnModel::from_text(&payload).map_err(ExtractError::Model)?;
+                *extractor =
+                    SymmetryExtractor::new(extractor.config().clone()).with_model(model)?;
+                self.recovery_note(
+                    obs,
+                    "train stage was done but no full checkpoint survived; loaded sealed \
+                     model artifact (loss history unavailable)"
+                        .to_owned(),
+                );
+                Ok(Some((TrainReport { epoch_losses: Vec::new() }, HealthReport::default())))
+            }
+            Err(e) => {
+                self.recovery_note(
+                    obs,
+                    format!(
+                        "train stage was marked done but its artifacts are gone ({e}); \
+                         re-training"
+                    ),
+                );
+                if let Some(s) = self.manifest.stages.iter_mut().find(|s| s.name == "train") {
+                    s.status = StageStatus::Pending;
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// The newest valid checkpoint to resume training from, on a
+    /// resumed session (skipped corrupt ones become notes).
+    pub(crate) fn resume_state(&mut self, obs: &PipelineObs) -> Option<TrainerState> {
+        if !self.options.resume {
+            return None;
+        }
+        let (state, scan_notes) = self.store.latest_valid_checkpoint();
+        for note in scan_notes {
+            self.recovery_note(obs, note);
+        }
+        state
+    }
+
+    /// The trainer's checkpoint sink: write each checkpoint atomically,
+    /// then run the crash-test hooks (abort as a kill would, or fire
+    /// `cancel` as the deadline watchdog would).
+    pub(crate) fn checkpoint_sink(
+        &self,
+        cancel: &CancelToken,
+    ) -> impl FnMut(&TrainerState) -> Result<(), String> {
+        let store = self.store.clone();
+        let writes = Arc::clone(&self.checkpoint_writes);
+        let abort_after = self.options.test_abort_after_checkpoints;
+        let cancel_after = self.options.test_cancel_after_checkpoints;
+        let cancel = cancel.clone();
+        move |state: &TrainerState| {
             store.write_checkpoint(state).map_err(|e| e.to_string())?;
             let n = writes.fetch_add(1, Ordering::SeqCst) + 1;
             if abort_after.is_some_and(|limit| n >= limit) {
@@ -1181,87 +1133,136 @@ impl SymmetryExtractor {
                 std::process::abort();
             }
             if cancel_after.is_some_and(|limit| n >= limit) {
-                sink_token.cancel();
+                cancel.cancel();
             }
             Ok(())
-        };
-        let cancel_token = session.options.cancel.clone();
-        let cancel = move || cancel_token.is_cancelled();
-        let mut telemetry = TrainTelemetry::new(obs.clone());
-        let observer: Option<&mut dyn TrainerHooks> =
-            if obs.enabled() { Some(&mut telemetry) } else { None };
-        let hooks = ResumableHooks {
-            checkpoint_every: Some(session.options.checkpoint_every.max(1)),
-            on_checkpoint: Some(&mut sink),
-            cancel: Some(&cancel),
-            resume_from: resume_state,
-            observer,
-        };
+        }
+    }
 
-        let (report, health_report, outcome) =
-            try_train_resumable(self.model_mut(), &dataset, &train_config, health, hooks)
-                .map_err(ExtractError::Train)?;
+    /// Persist the seed lineage of a cancelled training run, which the
+    /// trainer has already checkpointed.
+    pub(crate) fn seal_cancelled(&mut self, health: &HealthReport) -> Result<(), RunError> {
+        self.record_seed_lineage(health);
+        self.store.save_manifest(&self.manifest)
+    }
 
-        match outcome {
-            TrainOutcome::Cancelled { after_epoch } => {
-                session.record_seed_lineage(&health_report);
-                session.store.save_manifest(&session.manifest)?;
-                Ok(DurableFit::Cancelled { after_epoch })
+    /// Seal a completed training run: a final checkpoint (the canonical
+    /// record) and the model artifact, then flip the `train` stage with
+    /// its seed lineage recorded.
+    pub(crate) fn seal_model(
+        &mut self,
+        model: &GnnModel,
+        report: &TrainReport,
+        health: &HealthReport,
+        config: &TrainConfig,
+        graphs: usize,
+        obs: &PipelineObs,
+    ) -> Result<(), RunError> {
+        let final_state = TrainerState {
+            gnn: model.config().clone(),
+            params: model.matrices().into_iter().cloned().collect(),
+            best_params: model.matrices().into_iter().cloned().collect(),
+            best_loss: report.epoch_losses.iter().copied().fold(f64::INFINITY, f64::min),
+            epoch_losses: report.epoch_losses.clone(),
+            attempt: health.retries.len(),
+            seed: health.retries.last().map_or(config.seed, |e| e.reseeded_to),
+            rng: [0; 4],
+            order: (0..graphs).collect(),
+            adam_steps: 0,
+            adam_moments: Vec::new(),
+            clipped_steps: health.clipped_steps,
+            retries: health.retries.clone(),
+        };
+        self.store.write_checkpoint(&final_state)?;
+        self.store.write_artifact("model.txt", "model", &model.to_text())?;
+        self.record_seed_lineage(health);
+        self.mark_done("train", Some("model.txt"))?;
+        obs.event(
+            "train",
+            "stage_sealed",
+            &[("artifact", "model.txt".into()), ("epochs", report.epoch_losses.len().into())],
+        );
+        Ok(())
+    }
+
+    /// The sealed embeddings of a done `embed` stage, when they verify
+    /// and have the expected `(devices, dim)` shape — one vertex per
+    /// device. Otherwise a note, and `None` so the caller recomputes.
+    pub(crate) fn reload_embeddings(
+        &mut self,
+        shape: (usize, usize),
+        obs: &PipelineObs,
+    ) -> Option<Matrix> {
+        self.reload(obs, "embeddings.txt", "embeddings", |payload| {
+            let z = matrix_from_text(payload).map_err(|e| e.to_string())?;
+            if z.shape() == shape {
+                Ok(z)
+            } else {
+                Err(format!("shape {:?}, expected {shape:?}", z.shape()))
             }
-            TrainOutcome::Completed => {
-                // Seal the terminal state: a final checkpoint (the
-                // canonical record) and the model artifact, then flip
-                // the stage.
-                let final_state = TrainerState {
-                    gnn: self.model().config().clone(),
-                    params: self.model().matrices().into_iter().cloned().collect(),
-                    best_params: self.model().matrices().into_iter().cloned().collect(),
-                    best_loss: report
-                        .epoch_losses
-                        .iter()
-                        .copied()
-                        .fold(f64::INFINITY, f64::min),
-                    epoch_losses: report.epoch_losses.clone(),
-                    attempt: health_report.retries.len(),
-                    seed: health_report
-                        .retries
-                        .last()
-                        .map_or(train_config.seed, |e| e.reseeded_to),
-                    rng: [0; 4],
-                    order: (0..dataset.len()).collect(),
-                    adam_steps: 0,
-                    adam_moments: Vec::new(),
-                    clipped_steps: health_report.clipped_steps,
-                    retries: health_report.retries.clone(),
-                };
-                session.store.write_checkpoint(&final_state)?;
-                session
-                    .store
-                    .write_artifact("model.txt", "model", &self.model().to_text())?;
-                session.record_seed_lineage(&health_report);
-                session.mark_done("train", Some("model.txt"))?;
-                obs.event(
-                    "train",
-                    "stage_sealed",
-                    &[
-                        ("artifact", "model.txt".into()),
-                        ("epochs", report.epoch_losses.len().into()),
-                    ],
-                );
-                Ok(DurableFit::Completed {
-                    report,
-                    health: health_report,
-                    resumed_from,
-                    notes,
-                })
+        })
+    }
+
+    /// Seal the `embed` stage's artifact.
+    pub(crate) fn seal_embeddings(&mut self, z: &Matrix) -> Result<(), RunError> {
+        self.complete_stage("embed", "embeddings.txt", "embeddings", &matrix_to_text(z))
+    }
+
+    /// The sealed constraint set of a done `detect` stage, or a note and
+    /// `None` so the caller re-detects.
+    pub(crate) fn reload_constraints(
+        &mut self,
+        flat: &FlatCircuit,
+        obs: &PipelineObs,
+    ) -> Option<ConstraintSet> {
+        self.reload(obs, "constraints.txt", "constraints", |payload| {
+            read_constraints(flat, payload).map_err(|e| e.to_string())
+        })
+    }
+
+    /// Read, verify and parse a stage artifact; an unusable one becomes
+    /// a recovery note and `None`.
+    fn reload<T>(
+        &mut self,
+        obs: &PipelineObs,
+        artifact: &str,
+        kind: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Option<T> {
+        let loaded = self
+            .store
+            .read_artifact(artifact, kind)
+            .map_err(|e| e.to_string())
+            .and_then(|payload| parse(&payload));
+        match loaded {
+            Ok(value) => Some(value),
+            Err(reason) => {
+                let note = format!("{kind} artifact unusable ({reason}); recomputing");
+                self.recovery_note(obs, note);
+                None
             }
         }
+    }
+
+    /// Seal the `detect` stage's artifact: the exported constraint set.
+    pub(crate) fn seal_constraints(
+        &mut self,
+        flat: &FlatCircuit,
+        constraints: &ConstraintSet,
+    ) -> Result<(), RunError> {
+        self.complete_stage(
+            "detect",
+            "constraints.txt",
+            "constraints",
+            &write_constraints(flat, constraints),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{FitOutcome, RunCtx};
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1422,7 +1423,6 @@ M5 tail en vss vss nch w=2u l=0.5u
         let flat = latch();
         let config = quick_config();
         let inputs = vec!["latch.sp".to_owned()];
-        let health = HealthConfig::default();
 
         // Reference: one uninterrupted durable run.
         let mut reference = SymmetryExtractor::new(config.clone());
@@ -1433,8 +1433,8 @@ M5 tail en vss vss nch w=2u l=0.5u
             &inputs,
         )
         .unwrap();
-        let out = reference.fit_durable(&[&flat], &health, &mut session).unwrap();
-        assert!(matches!(out, DurableFit::Completed { resumed_from: None, .. }), "{out:?}");
+        let out = reference.try_fit(&[&flat], &RunCtx::default(), Some(&mut session)).unwrap();
+        assert!(matches!(out, FitOutcome::Completed { resumed_from: None, .. }), "{out:?}");
 
         // Interrupted run: the cancel token fires after the second
         // periodic checkpoint (completed epoch 4), as a deadline would.
@@ -1444,8 +1444,8 @@ M5 tail en vss vss nch w=2u l=0.5u
         opts.test_cancel_after_checkpoints = Some(2);
         let mut interrupted = SymmetryExtractor::new(config.clone());
         let mut session = RunSession::open(opts, "extract", &config, &inputs).unwrap();
-        let out = interrupted.fit_durable(&[&flat], &health, &mut session).unwrap();
-        let DurableFit::Cancelled { after_epoch } = out else {
+        let out = interrupted.try_fit(&[&flat], &RunCtx::default(), Some(&mut session)).unwrap();
+        let FitOutcome::Cancelled { after_epoch } = out else {
             panic!("expected cancellation, got {out:?}");
         };
         assert_eq!(after_epoch, 4);
@@ -1457,8 +1457,8 @@ M5 tail en vss vss nch w=2u l=0.5u
         opts.checkpoint_every = 2;
         let mut session = RunSession::open(opts, "extract", &config, &inputs).unwrap();
         let mut resumed = SymmetryExtractor::new(config.clone());
-        let out = resumed.fit_durable(&[&flat], &health, &mut session).unwrap();
-        let DurableFit::Completed { report, resumed_from, .. } = out else {
+        let out = resumed.try_fit(&[&flat], &RunCtx::default(), Some(&mut session)).unwrap();
+        let FitOutcome::Completed { report, resumed_from, .. } = out else {
             panic!("expected completion, got {out:?}");
         };
         assert_eq!(resumed_from, Some(4));
@@ -1479,8 +1479,8 @@ M5 tail en vss vss nch w=2u l=0.5u
         opts.resume = true;
         let mut session = RunSession::open(opts, "extract", &config, &inputs).unwrap();
         let mut reloaded = SymmetryExtractor::new(config.clone());
-        let out = reloaded.fit_durable(&[&flat], &health, &mut session).unwrap();
-        let DurableFit::Completed { report, resumed_from, .. } = out else {
+        let out = reloaded.try_fit(&[&flat], &RunCtx::default(), Some(&mut session)).unwrap();
+        let FitOutcome::Completed { report, resumed_from, .. } = out else {
             panic!("expected completion, got {out:?}");
         };
         assert_eq!(resumed_from, None);
@@ -1493,15 +1493,14 @@ M5 tail en vss vss nch w=2u l=0.5u
         let flat = latch();
         let config = quick_config();
         let dir = tmp("durable-deadline0");
-        let opts = RunOptions::new(&dir);
-        opts.cancel.cancel();
+        let ctx = RunCtx::default();
+        ctx.cancel.cancel();
         let mut session =
-            RunSession::open(opts, "extract", &config, &["latch.sp".to_owned()]).unwrap();
+            RunSession::open(RunOptions::new(&dir), "extract", &config, &["latch.sp".to_owned()])
+                .unwrap();
         let mut ex = SymmetryExtractor::new(config.clone());
-        let out = ex
-            .fit_durable(&[&flat], &HealthConfig::default(), &mut session)
-            .unwrap();
-        let DurableFit::Cancelled { after_epoch } = out else {
+        let out = ex.try_fit(&[&flat], &ctx, Some(&mut session)).unwrap();
+        let FitOutcome::Cancelled { after_epoch } = out else {
             panic!("expected cancellation, got {out:?}");
         };
         assert_eq!(after_epoch, 0);

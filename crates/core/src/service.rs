@@ -5,10 +5,10 @@
 //! [`SymmetryExtractor`] warm and answers many independent requests
 //! against it — the inductive deployment mode of the paper's
 //! Section IV-C. This module is the boundary between "a netlist arrived
-//! as bytes" and the pipeline: [`extract_source`] runs parse →
-//! elaborate → embed → detect on in-memory SPICE text under the usual
-//! observability spans, and [`cache_key`] derives the content address
-//! a result cache stores the reply under.
+//! as bytes" and the pipeline stages: [`extract_batch`] runs load →
+//! graph → embed → detect on in-memory SPICE text for one or many
+//! requests, [`extract_source`] is its batch of one, and [`cache_key`]
+//! derives the content address a result cache stores the reply under.
 //!
 //! Everything here is deterministic: the same source text, extractor
 //! configuration, and model weights always produce the same
@@ -17,17 +17,17 @@
 //! is what makes the reply cacheable at all, and it is asserted
 //! end-to-end by `tests/serve.rs`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ancstr_netlist::parse::parse_spice;
+use ancstr_gnn::TrainGraph;
 use ancstr_netlist::{ConstraintSet, FlatCircuit};
+use ancstr_nn::Matrix;
 
-use crate::detect::detect_constraints;
 use crate::export::write_constraints;
 use crate::observe::PipelineObs;
-use crate::pipeline::{ExtractorConfig, SymmetryExtractor};
+use crate::pipeline::{load_source, ExtractorConfig, RunCtx, SymmetryExtractor};
 use crate::recover::ExtractError;
-use crate::runstore::{config_hash, CancelToken};
+use crate::runstore::config_hash;
 
 /// The service-level result of one extraction request.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,8 +45,9 @@ pub struct ServiceReply {
     pub nets: usize,
     /// Accepted symmetry constraints.
     pub constraints: usize,
-    /// Inference + detection wall-clock time (training excluded,
-    /// matching the paper's reporting).
+    /// This request's graph build, the (possibly shared) embed pass and
+    /// this request's detection, wall-clock (parsing and training
+    /// excluded, matching the paper's reporting).
     pub runtime: Duration,
     /// The constraints rendered by the caller-supplied alternate
     /// formatter (the serving layer threads the ALIGN-JSON exporter
@@ -55,16 +56,17 @@ pub struct ServiceReply {
     pub align_json: Option<String>,
 }
 
-/// An alternate constraint serializer threaded through the `_with`
-/// entry points. Core cannot depend on the hierarchical exporter (it
+/// An alternate constraint serializer threaded through
+/// [`extract_batch`]. Core cannot depend on the hierarchical exporter (it
 /// layers *on* core), so services inject it as a function of the
 /// elaborated circuit and the detected constraints.
 pub type AltFormatter = dyn Fn(&FlatCircuit, &ConstraintSet) -> String + Sync;
 
 /// Run the full extraction pipeline on in-memory SPICE text with a
-/// warm, pre-trained extractor. `origin` is a diagnostic label for the
-/// request (a peer address, a request id) that lands in the `parse`
-/// span where the file path would normally go.
+/// warm, pre-trained extractor: [`extract_batch`] with a batch of one
+/// under `obs`. `origin` is a diagnostic label for the request (a peer
+/// address, a request id) that lands in the `parse` span where the file
+/// path would normally go.
 ///
 /// # Errors
 ///
@@ -78,258 +80,94 @@ pub fn extract_source(
     extractor: &SymmetryExtractor,
     obs: &PipelineObs,
 ) -> Result<ServiceReply, ExtractError> {
-    extract_source_cancellable(source, origin, extractor, obs, &CancelToken::new())
+    let ctx = RunCtx::observed(obs.clone());
+    extract_batch(&[(source, origin)], extractor, &ctx, None)?
+        .pop()
+        .expect("one reply per item")
 }
 
-/// [`extract_source`] under a [`CancelToken`]: the token is polled at
-/// every stage boundary (parse → elaborate → graph/embed/detect), so a
-/// request whose deadline has already passed — or passes mid-pipeline —
-/// returns [`ExtractError::Cancelled`] at the next boundary instead of
-/// holding a worker hostage. With a never-cancelled token this is
-/// byte-identical to [`extract_source`] (the checks are read-only).
+/// Run many `(source, origin)` requests against one warm extractor
+/// through the pipeline stages: per item load → graph, one shared
+/// embed stage (a single graph is embedded directly; several share one
+/// forward pass over their block-diagonal fusion), then per item
+/// detect. `ctx.cancel` is polled after every item's front half and
+/// after the shared embed.
 ///
-/// # Errors
+/// Per-item semantics do not depend on the batch:
 ///
-/// [`ExtractError::Cancelled`] when the token trips; otherwise exactly
-/// those of [`extract_source`].
-pub fn extract_source_cancellable(
-    source: &str,
-    origin: &str,
-    extractor: &SymmetryExtractor,
-    obs: &PipelineObs,
-    cancel: &CancelToken,
-) -> Result<ServiceReply, ExtractError> {
-    extract_source_cancellable_with(source, origin, extractor, obs, cancel, None)
-}
-
-/// [`extract_source_cancellable`] plus an optional [`AltFormatter`]:
-/// when `alt` is `Some`, its rendering of the detected constraints is
-/// stored in [`ServiceReply::align_json`] alongside the canonical text.
-/// With `alt = None` this is exactly [`extract_source_cancellable`].
+/// - load and graph failures stay with their item (the inner `Err`);
+///   healthy batch-mates are unaffected;
+/// - the embed stage's degrade policy applies per item, and an item's
+///   non-finite features cannot reach another item's rows;
+/// - a non-finite *model* fails every item that is not degraded;
+/// - replies are byte-identical whatever the batch size (pinned by
+///   `tests/serve_batch.rs` at sizes 1/4/16);
+/// - [`ServiceReply::runtime`] is the item's graph build, the shared
+///   embed and the item's detect.
 ///
-/// # Errors
-///
-/// Exactly those of [`extract_source_cancellable`].
-pub fn extract_source_cancellable_with(
-    source: &str,
-    origin: &str,
-    extractor: &SymmetryExtractor,
-    obs: &PipelineObs,
-    cancel: &CancelToken,
-    alt: Option<&AltFormatter>,
-) -> Result<ServiceReply, ExtractError> {
-    if cancel.is_cancelled() {
-        return Err(ExtractError::Cancelled);
-    }
-    let netlist = {
-        let _g = obs.stage_with("parse", &[("path", origin.into())]);
-        parse_spice(source)?
-    };
-    if cancel.is_cancelled() {
-        return Err(ExtractError::Cancelled);
-    }
-    let flat = {
-        let _g = obs.stage("elaborate");
-        FlatCircuit::elaborate(&netlist)?
-    };
-    obs.event(
-        "elaborate",
-        "circuit_loaded",
-        &[
-            ("path", origin.into()),
-            ("devices", flat.devices().len().into()),
-            ("nets", flat.net_count().into()),
-        ],
-    );
-    let extraction = extractor.try_extract_cancellable(&flat, obs, cancel)?;
-    let mut warnings: Vec<String> =
-        extraction.detection.warnings.iter().map(|w| w.to_string()).collect();
-    warnings.sort();
-    Ok(ServiceReply {
-        constraints_text: write_constraints(&flat, &extraction.detection.constraints),
-        devices: flat.devices().len(),
-        nets: flat.net_count(),
-        constraints: extraction.detection.constraints.len(),
-        warnings,
-        runtime: extraction.runtime,
-        align_json: alt.map(|f| f(&flat, &extraction.detection.constraints)),
-    })
-}
-
-/// [`extract_source_batch_cancellable`] with a never-cancelled token.
-///
-/// # Errors
-///
-/// Never fails as a whole; per-item errors ride inside the returned
-/// vector.
-pub fn extract_source_batch(
-    items: &[(&str, &str)],
-    extractor: &SymmetryExtractor,
-    obs: &PipelineObs,
-) -> Vec<Result<ServiceReply, ExtractError>> {
-    extract_source_batch_cancellable(items, extractor, obs, &CancelToken::new())
-        .expect("an unarmed token never cancels")
-}
-
-/// Batched [`extract_source_cancellable`]: run many `(source, origin)`
-/// requests against one warm extractor, sharing a single GNN forward
-/// pass over the block-diagonal fusion of their graphs
-/// ([`GnnModel::embed_batch`](ancstr_gnn::GnnModel::embed_batch)).
-///
-/// Per-item semantics match the solo path exactly:
-///
-/// - parse/elaborate/graph-build failures stay with their item (the
-///   inner `Err`); healthy batch-mates are unaffected;
-/// - an item with non-finite features degrades (a `degraded_embed`
-///   event, then a best-effort embed) just like the solo path — and
-///   because the fused forward computes every output row from that
-///   row's part alone, its NaNs cannot reach any other item's bytes;
-/// - a non-finite *model* fails every item, as it would solo;
-/// - successful replies are byte-identical to what
-///   [`extract_source_cancellable`] returns for the same item (pinned
-///   by `tests/serve_batch.rs` at batch sizes 1/4/16).
+/// When `alt` is `Some`, its rendering of each item's constraints lands
+/// in [`ServiceReply::align_json`].
 ///
 /// # Errors
 ///
 /// The outer `Err` is always [`ExtractError::Cancelled`] and means the
 /// shared pass was abandoned at a stage boundary — no item completed.
 /// All other failures are per-item.
-pub fn extract_source_batch_cancellable(
+pub fn extract_batch(
     items: &[(&str, &str)],
     extractor: &SymmetryExtractor,
-    obs: &PipelineObs,
-    cancel: &CancelToken,
-) -> Result<Vec<Result<ServiceReply, ExtractError>>, ExtractError> {
-    extract_source_batch_cancellable_with(items, extractor, obs, cancel, None)
-}
-
-/// [`extract_source_batch_cancellable`] plus an optional
-/// [`AltFormatter`], applied per item exactly as on the solo path.
-/// With `alt = None` this is exactly the plain batch entry point.
-///
-/// # Errors
-///
-/// Exactly those of [`extract_source_batch_cancellable`].
-pub fn extract_source_batch_cancellable_with(
-    items: &[(&str, &str)],
-    extractor: &SymmetryExtractor,
-    obs: &PipelineObs,
-    cancel: &CancelToken,
+    ctx: &RunCtx,
     alt: Option<&AltFormatter>,
 ) -> Result<Vec<Result<ServiceReply, ExtractError>>, ExtractError> {
-    use ancstr_gnn::{EmbedError, TrainGraph};
-
-    struct Prepared {
+    struct Front {
         flat: FlatCircuit,
-        tg: TrainGraph,
+        graph: TrainGraph,
+        graph_time: Duration,
     }
 
-    if cancel.is_cancelled() {
-        return Err(ExtractError::Cancelled);
-    }
-    let start = std::time::Instant::now();
-
-    // Front half, per item: parse → elaborate → graph/features. Each
-    // item's staged failure is its own; the batch keeps going.
-    let mut fronts: Vec<Result<Prepared, ExtractError>> = Vec::with_capacity(items.len());
+    ctx.check()?;
+    let mut fronts = Vec::with_capacity(items.len());
     for &(source, origin) in items {
-        fronts.push((|| {
-            let netlist = {
-                let _g = obs.stage_with("parse", &[("path", origin.into())]);
-                parse_spice(source)?
-            };
-            let flat = {
-                let _g = obs.stage("elaborate");
-                FlatCircuit::elaborate(&netlist)?
-            };
-            obs.event(
-                "elaborate",
-                "circuit_loaded",
-                &[
-                    ("path", origin.into()),
-                    ("devices", flat.devices().len().into()),
-                    ("nets", flat.net_count().into()),
-                ],
-            );
-            let tg = extractor.train_graph_observed(&flat, obs);
-            Ok(Prepared { flat, tg })
-        })());
-        if cancel.is_cancelled() {
-            return Err(ExtractError::Cancelled);
-        }
+        fronts.push(load_source(source, origin, &ctx.obs).map(|flat| {
+            let start = Instant::now();
+            let graph = extractor.train_graph(&flat, &ctx.obs);
+            Front { flat, graph, graph_time: start.elapsed() }
+        }));
+        ctx.check()?;
     }
 
-    // Shared back half: one fused forward pass over every item that
-    // survived its front half. Per-item embed policy mirrors the solo
-    // path: non-finite *features* degrade the item but still run it
-    // (its NaNs stay inside its own block rows), while a non-finite
-    // *model* fails the item — unless degradation already claimed it,
-    // matching `try_embed`'s check order.
-    let model_finite = extractor.model().is_finite();
-    let embeddings: Vec<Option<ancstr_nn::Matrix>> = {
-        let _g = obs.stage("embed");
-        for front in &mut fronts {
-            let degraded = match &*front {
-                Ok(p) => !p.tg.features.is_finite(),
-                Err(_) => continue,
-            };
-            if degraded {
-                obs.event(
-                    "embed",
-                    "degraded_embed",
-                    &[("cause", "non-finite features".into())],
-                );
-            } else if !model_finite {
-                *front = Err(ExtractError::Embed(EmbedError::NonFiniteParameters));
-            }
-        }
-        let parts: Vec<_> = fronts
-            .iter()
-            .filter_map(|f| f.as_ref().ok().map(|p| (&p.tg.tensors, &p.tg.features)))
-            .collect();
-        let zs = if parts.is_empty() {
-            Vec::new()
-        } else {
-            extractor.model().embed_batch(&parts)
-        };
-        let mut split = zs.into_iter();
-        fronts
-            .iter()
-            .map(|f| f.as_ref().ok().map(|_| split.next().expect("one z per part")))
-            .collect()
-    };
-    if cancel.is_cancelled() {
-        return Err(ExtractError::Cancelled);
-    }
-
-    // Back half, per item: detection over its slice of the fused pass.
-    Ok(fronts
+    let start = Instant::now();
+    let graphs: Vec<&TrainGraph> = fronts.iter().flatten().map(|f| &f.graph).collect();
+    let mut zs = extractor.embed(&graphs, &ctx.obs).into_iter();
+    let embed_time = start.elapsed();
+    // Each graph is dropped here, before detection.
+    let embedded: Vec<Result<(FlatCircuit, Duration, Matrix), ExtractError>> = fronts
         .into_iter()
-        .zip(embeddings)
-        .map(|(front, z)| {
-            let p = front?;
-            let z = z.expect("every surviving item has an embedding");
-            let detection = {
-                let _g = obs.stage("detect");
-                detect_constraints(
-                    &p.flat,
-                    &z,
-                    &extractor.config().thresholds,
-                    &extractor.config().embed,
-                )
-            };
-            obs.record_detection(&detection);
+        .map(|front| {
+            let front = front?;
+            let z = zs.next().expect("one embedding per graph")?;
+            Ok((front.flat, front.graph_time + embed_time, z))
+        })
+        .collect();
+    ctx.check()?;
+
+    Ok(embedded
+        .into_iter()
+        .map(|item| {
+            let (flat, runtime, z) = item?;
+            let start = Instant::now();
+            let detection = extractor.detect(&flat, &z, &ctx.obs);
             let mut warnings: Vec<String> =
                 detection.warnings.iter().map(|w| w.to_string()).collect();
             warnings.sort();
             Ok(ServiceReply {
-                constraints_text: write_constraints(&p.flat, &detection.constraints),
-                devices: p.flat.devices().len(),
-                nets: p.flat.net_count(),
+                constraints_text: write_constraints(&flat, &detection.constraints),
+                devices: flat.devices().len(),
+                nets: flat.net_count(),
                 constraints: detection.constraints.len(),
                 warnings,
-                runtime: start.elapsed(),
-                align_json: alt.map(|f| f(&p.flat, &detection.constraints)),
+                runtime: runtime + start.elapsed(),
+                align_json: alt.map(|f| f(&flat, &detection.constraints)),
             })
         })
         .collect())
@@ -361,7 +199,8 @@ pub fn cache_key(netlist: &[u8], config: &ExtractorConfig, model_fingerprint: u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ancstr_gnn::HealthConfig;
+    use crate::runstore::CancelToken;
+    use ancstr_netlist::parse::parse_spice;
 
     const NETLIST: &str = "\
 .subckt sa inp inn outp outn clk vdd vss
@@ -388,7 +227,7 @@ M7 tail clk vss vss nch w=12u l=0.1u
         let netlist = parse_spice(NETLIST).unwrap();
         let flat = FlatCircuit::elaborate(&netlist).unwrap();
         let mut ex = SymmetryExtractor::try_new(quick_config()).unwrap();
-        ex.try_fit(&[&flat], &HealthConfig::default()).unwrap();
+        ex.try_fit(&[&flat], &RunCtx::default(), None).unwrap();
         ex
     }
 
@@ -400,7 +239,7 @@ M7 tail clk vss vss nch w=12u l=0.1u
         // Same model, same netlist, via the file-based path.
         let netlist = parse_spice(NETLIST).unwrap();
         let flat = FlatCircuit::elaborate(&netlist).unwrap();
-        let extraction = ex.try_extract(&flat).unwrap();
+        let extraction = ex.try_extract(&flat, None, &RunCtx::default(), None).unwrap();
         assert_eq!(
             reply.constraints_text,
             write_constraints(&flat, &extraction.detection.constraints)
@@ -428,13 +267,14 @@ M7 tail clk vss vss nch w=12u l=0.1u
         assert_eq!(err.exit_code(), 4, "malformed SPICE is a parse error: {err}");
     }
 
+    /// A cancelled token abandons the whole batch (here, of one).
     #[test]
     fn cancelled_token_aborts_with_the_deadline_stage() {
         let ex = trained_extractor();
         let obs = PipelineObs::disabled();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let err = extract_source_cancellable(NETLIST, "t", &ex, &obs, &cancel).unwrap_err();
+        let ctx = RunCtx::observed(obs);
+        ctx.cancel.cancel();
+        let err = extract_batch(&[(NETLIST, "t")], &ex, &ctx, None).unwrap_err();
         assert_eq!(err, ExtractError::Cancelled);
         assert_eq!(err.exit_code(), 10);
         assert_eq!(err.stage(), "deadline");
@@ -445,19 +285,9 @@ M7 tail clk vss vss nch w=12u l=0.1u
         let ex = trained_extractor();
         let obs = PipelineObs::disabled();
         let cancel = CancelToken::expiring_in(Duration::ZERO);
-        let err = extract_source_cancellable(NETLIST, "t", &ex, &obs, &cancel).unwrap_err();
+        let ctx = RunCtx { cancel, ..RunCtx::observed(obs) };
+        let err = extract_batch(&[(NETLIST, "t")], &ex, &ctx, None).unwrap_err();
         assert_eq!(err, ExtractError::Cancelled);
-    }
-
-    #[test]
-    fn unarmed_token_is_byte_identical_to_the_plain_path() {
-        let ex = trained_extractor();
-        let obs = PipelineObs::disabled();
-        let plain = extract_source(NETLIST, "t", &ex, &obs).unwrap();
-        let guarded =
-            extract_source_cancellable(NETLIST, "t", &ex, &obs, &CancelToken::new()).unwrap();
-        assert_eq!(plain.constraints_text, guarded.constraints_text);
-        assert_eq!(plain.warnings, guarded.warnings);
     }
 
     const OTHER: &str = "\
@@ -475,7 +305,7 @@ M5 tail ib vss vss nch w=2u l=0.5u
         let ex = trained_extractor();
         let obs = PipelineObs::disabled();
         let items = [(NETLIST, "a"), (OTHER, "b"), (NETLIST, "c")];
-        let batched = extract_source_batch(&items, &ex, &obs);
+        let batched = extract_batch(&items, &ex, &RunCtx::observed(obs.clone()), None).unwrap();
         assert_eq!(batched.len(), 3);
         for ((source, origin), got) in items.iter().zip(&batched) {
             let got = got.as_ref().expect("well-formed items succeed");
@@ -493,7 +323,7 @@ M5 tail ib vss vss nch w=2u l=0.5u
         let ex = trained_extractor();
         let obs = PipelineObs::disabled();
         let items = [(NETLIST, "good"), ("M1 a b\n", "bad"), (OTHER, "also-good")];
-        let batched = extract_source_batch(&items, &ex, &obs);
+        let batched = extract_batch(&items, &ex, &RunCtx::observed(obs.clone()), None).unwrap();
         assert_eq!(batched[1].as_ref().unwrap_err().exit_code(), 4);
         let solo = extract_source(NETLIST, "good", &ex, &obs).unwrap();
         assert_eq!(
@@ -502,17 +332,6 @@ M5 tail ib vss vss nch w=2u l=0.5u
             "a malformed batch-mate must not change a healthy reply"
         );
         assert!(batched[2].is_ok());
-    }
-
-    #[test]
-    fn batched_extraction_cancels_as_a_whole() {
-        let ex = trained_extractor();
-        let obs = PipelineObs::disabled();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let err = extract_source_batch_cancellable(&[(NETLIST, "t")], &ex, &obs, &cancel)
-            .unwrap_err();
-        assert_eq!(err, ExtractError::Cancelled);
     }
 
     #[test]

@@ -589,7 +589,7 @@ fn validate_resume(
 ///
 /// On an anomaly the partially-updated parameters are discarded, the
 /// best-loss checkpoint is restored, and training resumes at the failed
-/// epoch with a fresh RNG seeded by [`derive_seed`]`(config.seed,
+/// epoch with a fresh RNG seeded by `derive_seed(config.seed,
 /// attempt)`. A clean run returns the exact [`train`] trajectory and an
 /// empty [`HealthReport`].
 ///

@@ -3,7 +3,7 @@
 //! ALIGN-style placers ingest a JSON document of `SymmBlock` (matched
 //! block/device groups around an axis), `SymmNet` (net pairs that must
 //! mirror), and array constraints. This module renders the
-//! [`HierAnalysis`](crate::HierAnalysis) of a circuit into that
+//! [`HierAnalysis`] of a circuit into that
 //! convention — one canonical document:
 //!
 //! ```json

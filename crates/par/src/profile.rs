@@ -18,7 +18,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Kernel {
-    /// Dense blocked matmul ([`Matrix::matmul`] in `ancstr-nn`).
+    /// Dense blocked matmul (`Matrix::matmul` in `ancstr-nn`).
     Matmul = 0,
     /// Sparse × dense product (`SparseMatrix::grouped_product`).
     Spmm = 1,

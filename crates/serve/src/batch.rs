@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ancstr_core::{
-    extract_source_batch_cancellable_with, CancelToken, ExtractError, PipelineObs, ServiceReply,
+    extract_batch, CancelToken, ExtractError, PipelineObs, RunCtx, ServiceReply,
     SymmetryExtractor,
 };
 
@@ -282,7 +282,7 @@ impl Batcher {
         // The fused pass runs under the leader's token; a mate with a
         // tighter deadline is peeled off afterwards, one with a looser
         // deadline is retried in a subgroup led by its own token.
-        let lead_cancel = group[0].job.cancel.clone();
+        let ctx = RunCtx { cancel: group[0].job.cancel.clone(), ..RunCtx::observed(obs.clone()) };
         let poisoned = group.iter().any(|p| p.job.poison);
         let run = catch_unwind(AssertUnwindSafe(|| {
             if poisoned {
@@ -292,13 +292,7 @@ impl Batcher {
                 .iter()
                 .map(|p| (p.job.source.as_str(), p.job.origin.as_str()))
                 .collect();
-            extract_source_batch_cancellable_with(
-                &items,
-                extractor,
-                obs,
-                &lead_cancel,
-                Some(&align_formatter),
-            )
+            extract_batch(&items, extractor, &ctx, Some(&align_formatter))
         }));
         match run {
             Ok(Ok(results)) => {

@@ -24,7 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ancstr_core::{ExtractError, ExtractorConfig, SymmetryExtractor};
+use ancstr_core::{ExtractError, ExtractorConfig, RunCtx, SymmetryExtractor};
 use ancstr_gnn::GnnModel;
 use ancstr_netlist::{parse::parse_spice, FlatCircuit};
 
@@ -308,7 +308,7 @@ fn canary_check(extractor: &SymmetryExtractor) -> Result<(), String> {
     let netlist = parse_spice(CANARY_NETLIST).expect("built-in canary netlist parses");
     let flat = FlatCircuit::elaborate(&netlist).expect("built-in canary netlist elaborates");
     let extraction = extractor
-        .try_extract(&flat)
+        .try_extract(&flat, None, &RunCtx::default(), None)
         .map_err(|e| format!("canary inference failed: {e}"))?;
     if !extraction.detection.warnings.is_empty() {
         return Err(format!(

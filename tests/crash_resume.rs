@@ -153,3 +153,32 @@ fn double_crash_still_resumes_bit_identically() {
         fs::read(ref_run.join("model.txt")).unwrap()
     );
 }
+
+/// `--resume` of a finished run reloads every stage's sealed artifact:
+/// identical output bytes, and no graph is built and nothing trained.
+#[test]
+fn resuming_a_finished_run_reloads_without_rebuilding_the_graph() {
+    let dir = workdir("finished");
+    let sp = dir.join("sa.sp");
+    fs::write(&sp, NETLIST).unwrap();
+    let run = dir.join("run");
+    let first = dir.join("first.sym");
+    let out = extract(&sp, &run, &first, false).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let again = dir.join("again.sym");
+    let trace = dir.join("resume.jsonl");
+    let out = extract(&sp, &run, &again, true).arg("--trace-out").arg(&trace).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(fs::read(&again).unwrap(), fs::read(&first).unwrap());
+
+    let events = ancstr_obs::validate_trace(&fs::read_to_string(&trace).unwrap())
+        .expect("valid trace");
+    let ran = |stage: &str| events.iter().any(|e| e.kind == "span_start" && e.stage == stage);
+    for stage in ["graph_build", "feature_init", "train"] {
+        assert!(!ran(stage), "a resumed finished run ran `{stage}`");
+    }
+    for stage in ["parse", "elaborate", "embed", "detect"] {
+        assert!(ran(stage), "`{stage}` missing from the resumed trace");
+    }
+}

@@ -7,12 +7,12 @@
 //! gradient, recovered via checkpoint restore).
 
 use ancstr_core::{
-    extract_source, extract_source_batch, inject_checkpoint, inject_model, inject_spice,
-    write_constraints, CheckpointFault, DurableFit, ExtractError, ExtractorConfig, ModelFault,
-    PipelineObs, RunError, RunOptions, RunSession, SymmetryExtractor, ALL_CHECKPOINT_FAULTS,
-    ALL_MODEL_FAULTS, ALL_SPICE_FAULTS,
+    extract_batch, extract_source, inject_checkpoint, inject_model, inject_spice,
+    write_constraints, CheckpointFault, ExtractError, ExtractorConfig, FitOutcome, ModelFault,
+    PipelineObs, RunCtx, RunError, RunOptions, RunSession, SymmetryExtractor,
+    ALL_CHECKPOINT_FAULTS, ALL_MODEL_FAULTS, ALL_SPICE_FAULTS,
 };
-use ancstr_gnn::{GnnModel, HealthConfig, TrainConfig, TrainError};
+use ancstr_gnn::{GnnModel, HealthConfig, HealthReport, TrainConfig, TrainError, TrainReport};
 use ancstr_netlist::flat::FlatCircuit;
 use ancstr_netlist::parse::parse_spice;
 
@@ -42,13 +42,26 @@ fn tiny_config() -> ExtractorConfig {
     }
 }
 
+/// `try_fit` without a run session under `health`: the reports of a
+/// completed run.
+fn try_fit(
+    ex: &mut SymmetryExtractor,
+    circuits: &[&FlatCircuit],
+    health: HealthConfig,
+) -> Result<(TrainReport, HealthReport), ExtractError> {
+    match ex.try_fit(circuits, &RunCtx { health, ..RunCtx::default() }, None)? {
+        FitOutcome::Completed { report, health, .. } => Ok((report, health)),
+        FitOutcome::Cancelled { .. } => unreachable!("an unarmed token never cancels"),
+    }
+}
+
 /// A pre-trained extractor shared across mutated inputs (training once
 /// keeps the sweep fast; inference is the stage under test here).
 fn trained_extractor() -> SymmetryExtractor {
     let nl = parse_spice(GOOD_SRC).expect("fixture is valid");
     let flat = FlatCircuit::elaborate(&nl).expect("fixture elaborates");
     let mut ex = SymmetryExtractor::try_new(tiny_config()).expect("dim matches");
-    let (_, health) = ex.try_fit(&[&flat], &HealthConfig::default()).expect("healthy fit");
+    let (_, health) = try_fit(&mut ex, &[&flat], HealthConfig::default()).expect("healthy fit");
     assert!(health.clean(), "fixture training must be anomaly-free: {health:?}");
     ex
 }
@@ -86,7 +99,7 @@ fn spice_faults_never_panic_anywhere_in_the_pipeline() {
             };
             // The mutation produced a *valid* circuit: inference must
             // still complete without panicking.
-            match ex.try_extract(&flat) {
+            match ex.try_extract(&flat, None, &RunCtx::default(), None) {
                 Ok(out) => {
                     if out.detection.warnings.is_empty() {
                         survived += 1;
@@ -139,7 +152,7 @@ fn spice_faults_agree_across_flat_solo_and_batch_faces() {
         else {
             continue;
         };
-        let flat_out = ex.try_extract(&flat).map(|out| {
+        let flat_out = ex.try_extract(&flat, None, &RunCtx::default(), None).map(|out| {
             let mut warnings: Vec<String> =
                 out.detection.warnings.iter().map(|w| w.to_string()).collect();
             warnings.sort();
@@ -147,11 +160,13 @@ fn spice_faults_agree_across_flat_solo_and_batch_faces() {
         });
         let solo = extract_source(mutated, "mutated.sp", &ex, &obs)
             .map(|r| (r.constraints_text, r.warnings));
-        let batch = extract_source_batch(
+        let batch = extract_batch(
             &[(GOOD_SRC, "healthy.sp"), (mutated, "mutated.sp")],
             &ex,
-            &obs,
-        );
+            &RunCtx::observed(obs.clone()),
+            None,
+        )
+        .expect("an unarmed token never cancels");
         let [mate, item] = <[_; 2]>::try_from(batch).expect("one reply per item");
         let item = item.map(|r| (r.constraints_text, r.warnings));
 
@@ -222,7 +237,7 @@ fn model_faults_yield_typed_errors_or_finite_models() {
 #[test]
 fn empty_corpus_is_a_typed_training_error() {
     let mut ex = SymmetryExtractor::try_new(tiny_config()).unwrap();
-    let err = ex.try_fit(&[], &HealthConfig::default()).unwrap_err();
+    let err = try_fit(&mut ex, &[], HealthConfig::default()).unwrap_err();
     assert_eq!(err, ExtractError::Train(TrainError::EmptyDataset));
     assert_eq!(err.exit_code(), 7);
 }
@@ -238,11 +253,13 @@ fn injected_nan_gradient_recovers_and_extraction_still_works() {
     let mut ex = SymmetryExtractor::try_new(tiny_config()).unwrap();
     let health_cfg =
         HealthConfig { inject_nan_grad_at: Some(1), ..HealthConfig::default() };
-    let (report, health) = ex.try_fit(&[&flat], &health_cfg).expect("recovers");
+    let (report, health) = try_fit(&mut ex, &[&flat], health_cfg).expect("recovers");
     assert_eq!(health.retries.len(), 1, "exactly one recovery: {health:?}");
     assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
 
-    let out = ex.try_extract(&flat).expect("post-recovery inference works");
+    let out = ex
+        .try_extract(&flat, None, &RunCtx::default(), None)
+        .expect("post-recovery inference works");
     let id = |p: &str| flat.node_by_path(p).expect("path exists").id;
     assert!(out
         .detection
@@ -280,13 +297,13 @@ fn interrupted_run(dir: &std::path::Path, flat: &FlatCircuit) {
     let mut session =
         RunSession::open(opts, "extract", &config, &["fixture.sp".to_owned()]).unwrap();
     let mut ex = SymmetryExtractor::try_new(config).unwrap();
-    let out = ex.fit_durable(&[flat], &HealthConfig::default(), &mut session).unwrap();
-    assert!(matches!(out, DurableFit::Cancelled { after_epoch: 3 }), "{out:?}");
+    let out = ex.try_fit(&[flat], &RunCtx::default(), Some(&mut session)).unwrap();
+    assert!(matches!(out, FitOutcome::Cancelled { after_epoch: 3 }), "{out:?}");
 }
 
 /// Resume the run in `dir` with a fresh extractor, returning the
 /// outcome and the final model text.
-fn resume_run(dir: &std::path::Path) -> (DurableFit, String) {
+fn resume_run(dir: &std::path::Path) -> (FitOutcome, String) {
     let config = durable_config();
     let mut opts = RunOptions::new(dir);
     opts.resume = true;
@@ -296,7 +313,7 @@ fn resume_run(dir: &std::path::Path) -> (DurableFit, String) {
     let nl = parse_spice(GOOD_SRC).unwrap();
     let flat = FlatCircuit::elaborate(&nl).unwrap();
     let mut ex = SymmetryExtractor::try_new(config).unwrap();
-    let out = ex.fit_durable(&[&flat], &HealthConfig::default(), &mut session).unwrap();
+    let out = ex.try_fit(&[&flat], &RunCtx::default(), Some(&mut session)).unwrap();
     (out, ex.model().to_text())
 }
 
@@ -314,7 +331,7 @@ fn checkpoint_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 /// The uninterrupted reference weights for [`durable_config`].
 fn reference_weights(flat: &FlatCircuit) -> String {
     let mut ex = SymmetryExtractor::try_new(durable_config()).unwrap();
-    let (_, health) = ex.try_fit(&[flat], &HealthConfig::default()).unwrap();
+    let (_, health) = try_fit(&mut ex, &[flat], HealthConfig::default()).unwrap();
     assert!(health.clean(), "{health:?}");
     ex.model().to_text()
 }
@@ -343,7 +360,7 @@ fn corrupt_newest_checkpoint_is_skipped_and_resume_stays_bit_identical() {
             std::fs::write(newest, inject_checkpoint(&text, fault, seed)).unwrap();
 
             let (out, weights) = resume_run(&dir);
-            let DurableFit::Completed { resumed_from, notes, .. } = out else {
+            let FitOutcome::Completed { resumed_from, notes, .. } = out else {
                 panic!("{fault:?}/{seed}: expected completion, got {out:?}");
             };
             assert_eq!(resumed_from, Some(2), "{fault:?}/{seed}");
@@ -371,7 +388,7 @@ fn all_checkpoints_corrupt_falls_back_to_retraining() {
         std::fs::write(path, inject_checkpoint(&text, fault, i as u64)).unwrap();
     }
     let (out, weights) = resume_run(&dir);
-    let DurableFit::Completed { resumed_from, notes, .. } = out else {
+    let FitOutcome::Completed { resumed_from, notes, .. } = out else {
         panic!("expected completion, got {out:?}");
     };
     assert_eq!(resumed_from, None, "nothing valid to resume from");
@@ -452,10 +469,10 @@ fn checkpoint_fault_sweep_never_panics() {
                     Ok(mut session) => {
                         let mut ex = SymmetryExtractor::try_new(config).unwrap();
                         let out = ex
-                            .fit_durable(&[&flat], &HealthConfig::default(), &mut session)
+                            .try_fit(&[&flat], &RunCtx::default(), Some(&mut session))
                             .expect("checkpoint damage is always recoverable");
                         assert!(
-                            matches!(out, DurableFit::Completed { .. }),
+                            matches!(out, FitOutcome::Completed { .. }),
                             "{fault:?}/{seed}: {out:?}"
                         );
                         assert_eq!(

@@ -16,10 +16,9 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use ancstr_core::{
-    render_metrics_table, write_constraints, ExtractorConfig, PipelineObs, SymmetryExtractor,
-    STAGES,
+    render_metrics_table, write_constraints, ExtractorConfig, PipelineObs, RunCtx,
+    SymmetryExtractor, STAGES,
 };
-use ancstr_gnn::HealthConfig;
 use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::FlatCircuit;
 use ancstr_obs::{validate_exposition, validate_trace, Tracer};
@@ -57,15 +56,15 @@ fn quick_config() -> ExtractorConfig {
 fn run_pipeline(obs: Option<&PipelineObs>) -> (String, String, String) {
     let flat = fixture();
     let mut ex = SymmetryExtractor::try_new(quick_config()).expect("config is valid");
-    let health = HealthConfig::default();
     let result = match obs {
         Some(obs) => {
-            ex.try_fit_observed(&[&flat], &health, obs).expect("fit");
-            ex.try_extract_observed(&flat, obs).expect("extract")
+            let ctx = RunCtx::observed(obs.clone());
+            ex.try_fit(&[&flat], &ctx, None).expect("fit");
+            ex.try_extract(&flat, None, &ctx, None).expect("extract")
         }
         None => {
-            ex.try_fit(&[&flat], &health).expect("fit");
-            ex.try_extract(&flat).expect("extract")
+            ex.try_fit(&[&flat], &RunCtx::default(), None).expect("fit");
+            ex.try_extract(&flat, None, &RunCtx::default(), None).expect("extract")
         }
     };
     (
@@ -113,8 +112,9 @@ fn observed_run_covers_all_stages_with_epoch_telemetry() {
     let obs = PipelineObs::new(Some(tracer));
     let flat = ancstr_core::load_netlist_observed(sp.to_str().unwrap(), &obs).expect("loads");
     let mut ex = SymmetryExtractor::try_new(quick_config()).expect("config is valid");
-    ex.try_fit_observed(&[&flat], &HealthConfig::default(), &obs).expect("fit");
-    ex.try_extract_observed(&flat, &obs).expect("extract");
+    let ctx = RunCtx::observed(obs.clone());
+    ex.try_fit(&[&flat], &ctx, None).expect("fit");
+    ex.try_extract(&flat, None, &ctx, None).expect("extract");
     obs.flush();
 
     let events = validate_trace(&buf.contents()).expect("schema-valid trace");
@@ -302,4 +302,28 @@ fn aborted_run_flushes_partial_metrics_and_run_aborted_event() {
     let prom = fs::read_to_string(run.join("metrics.prom")).expect("metrics.prom on abort");
     validate_exposition(&prom).expect("valid exposition after abort");
     assert!(prom.contains("ancstr_run_aborted_total 1"), "{prom}");
+}
+
+/// A self-trained `extract` builds the input's graph once: inference
+/// reuses the training graph instead of running `graph_build` and
+/// `feature_init` a second time.
+#[test]
+fn self_trained_cli_extract_builds_the_graph_once() {
+    let dir = workdir("cli-one-build");
+    let sp = dir.join("sa.sp");
+    fs::write(&sp, NETLIST).unwrap();
+    let trace = dir.join("trace.jsonl");
+
+    let out = bin().arg("extract").arg(&sp)
+        .args(["--epochs", "12", "--seed", "3"])
+        .arg("-o").arg(dir.join("out.sym"))
+        .arg("--trace-out").arg(&trace)
+        .output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let events = validate_trace(&fs::read_to_string(&trace).unwrap()).expect("valid trace");
+    for stage in ["graph_build", "feature_init", "train", "embed", "detect"] {
+        let spans =
+            events.iter().filter(|e| e.kind == "span_start" && e.stage == stage).count();
+        assert_eq!(spans, 1, "`{stage}` ran {spans} times");
+    }
 }

@@ -4,7 +4,7 @@
 //!
 //! Two layers are pinned here:
 //!
-//! 1. **In-process**: [`ancstr_core::extract_source_batch`] over batch
+//! 1. **In-process**: [`ancstr_core::extract_batch`] over batch
 //!    sizes 1, 4, and 16 returns, for every item, the byte-identical
 //!    `constraints_text` (and identical counts and warnings) that the
 //!    solo [`ancstr_core::extract_source`] path returns for that item.
@@ -21,8 +21,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use ancstr_core::{extract_source, extract_source_batch, PipelineObs, SymmetryExtractor};
-use ancstr_gnn::{HealthConfig, TrainConfig};
+use ancstr_core::{
+    extract_batch, extract_source, FitOutcome, PipelineObs, RunCtx, SymmetryExtractor,
+};
+use ancstr_gnn::TrainConfig;
 use ancstr_netlist::flat::FlatCircuit;
 use ancstr_netlist::parse::parse_spice;
 use ancstr_serve::client;
@@ -56,7 +58,10 @@ fn trained_extractor() -> SymmetryExtractor {
     let nl = parse_spice(NETLIST).expect("fixture parses");
     let flat = FlatCircuit::elaborate(&nl).expect("fixture elaborates");
     let mut ex = SymmetryExtractor::try_new(cfg).expect("config is consistent");
-    let (_, health) = ex.try_fit(&[&flat], &HealthConfig::default()).expect("healthy fit");
+    let Ok(FitOutcome::Completed { health, .. }) = ex.try_fit(&[&flat], &RunCtx::default(), None)
+    else {
+        panic!("healthy fit");
+    };
     assert!(health.clean(), "fixture training must be anomaly-free: {health:?}");
     ex
 }
@@ -78,7 +83,8 @@ fn batched_extraction_is_byte_identical_at_sizes_1_4_16() {
         for (chunk_idx, chunk) in sources.chunks(batch).enumerate() {
             let items: Vec<(&str, &str)> =
                 chunk.iter().map(|s| (s.as_str(), "batched.sp")).collect();
-            let replies = extract_source_batch(&items, &ex, &obs);
+            let replies = extract_batch(&items, &ex, &RunCtx::observed(obs.clone()), None)
+                .expect("an unarmed token never cancels");
             assert_eq!(replies.len(), chunk.len());
             for (j, reply) in replies.into_iter().enumerate() {
                 let reply = reply.expect("batched item extracts");
