@@ -85,9 +85,8 @@
 //! every stage boundary — including on an aborted run, together with a
 //! terminal `run_aborted` trace event. `--log-format json` turns the
 //! diagnostic stderr stream into JSON lines, and `-v` / `--quiet`
-//! widen or silence it. With none of these flags set the pipeline runs
-//! the exact pre-observability code path and its outputs are
-//! byte-identical. `obs-check` re-validates a trace file and/or a
+//! widen or silence it. Observation is read-only: outputs are
+//! byte-identical with and without these flags. `obs-check` re-validates a trace file and/or a
 //! `metrics.prom` exposition line-by-line (used by CI). `obs-report`
 //! merges one or more JSONL trace files by trace id and renders
 //! per-trace waterfalls plus aggregate per-stage latency quantiles —
@@ -110,7 +109,7 @@ use std::time::{Duration, Instant};
 use ancstr_core::groups::merged_groups_sorted;
 use ancstr_core::runstore::{RunOptions, RunSession, StageStatus};
 use ancstr_core::{
-    detect_constraints_pruned, load_netlist_observed, render_groups, render_metrics_table,
+    detect_constraints_pruned, load_netlist, render_groups, render_metrics_table,
     write_constraints, ExtractError, ExtractorConfig, FitOutcome, PipelineObs, RunCtx,
     SymmetryExtractor, STAGES,
 };
@@ -212,7 +211,7 @@ impl ObsCtx {
 }
 
 fn load(path: &str, ctx: &ObsCtx) -> Result<FlatCircuit, CliError> {
-    load_netlist_observed(path, &ctx.run.obs)
+    load_netlist(path, &ctx.run.obs)
         .map_err(|err| CliError::Pipeline { path: path.to_owned(), err })
 }
 
@@ -726,7 +725,9 @@ fn cmd_extract(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         ctx.log.info(format!("loaded pre-trained model from {model_path}"));
         None
     } else {
-        ctx.log.info("training on the input netlist ...");
+        if !session.as_ref().is_some_and(|s| s.stage_done("train")) {
+            ctx.log.info("training on the input netlist ...");
+        }
         let outcome =
             extractor.try_fit(&[&flat], &ctx.run, session.as_mut()).map_err(pipeline)?;
         report_fit(ctx, outcome).map_err(pipeline)?.pop()

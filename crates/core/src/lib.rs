@@ -14,7 +14,7 @@
 //! with its trace span, its cancellation check and, under a durable
 //! [`RunSession`], its sealed run-dir artifact:
 //!
-//! 1. **load** — parse → elaborate ([`load_netlist_observed`]);
+//! 1. **load** — parse → elaborate ([`load_netlist`]);
 //! 2. **graph** — Algorithm 1 multigraph → Table II features
 //!    ([`SymmetryExtractor::train_graph`]);
 //! 3. **train** — guarded unsupervised training, with checkpoints,
@@ -97,7 +97,7 @@ pub use inject::{
     ALL_SERVE_FAULTS, ALL_SPICE_FAULTS,
 };
 pub use pipeline::{
-    evaluate_detection, load_netlist_observed, Evaluation, Extraction, ExtractorConfig,
+    evaluate_detection, load_netlist, Evaluation, Extraction, ExtractorConfig,
     FitOutcome, RunCtx, SymmetryExtractor,
 };
 pub use recover::ExtractError;

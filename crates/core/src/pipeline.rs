@@ -30,7 +30,7 @@ use ancstr_gnn::{
 };
 use ancstr_graph::{BuildOptions, HetMultigraph};
 use ancstr_netlist::error::ParseNetlistError;
-use ancstr_netlist::parse::{parse_spice, parse_spice_file};
+use ancstr_netlist::parse::parse_spice_file;
 use ancstr_netlist::{FlatCircuit, Netlist, SymmetryKind};
 use ancstr_nn::Matrix;
 
@@ -128,7 +128,7 @@ impl RunCtx {
 }
 
 /// How [`SymmetryExtractor::try_fit`] ended.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum FitOutcome {
     /// Training finished — in this call or, with a run session, in a
     /// previous process. Reports describe the *full* run.
@@ -157,45 +157,18 @@ pub enum FitOutcome {
     },
 }
 
-impl std::fmt::Debug for FitOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FitOutcome::Completed { report, health, resumed_from, notes, graphs } => f
-                .debug_struct("Completed")
-                .field("report", report)
-                .field("health", health)
-                .field("resumed_from", resumed_from)
-                .field("notes", notes)
-                .field("graphs", &graphs.len())
-                .finish(),
-            FitOutcome::Cancelled { after_epoch } => {
-                f.debug_struct("Cancelled").field("after_epoch", after_epoch).finish()
-            }
-        }
-    }
-}
-
 /// Stage `load` for a netlist file: parse → elaborate under `parse` and
 /// `elaborate` spans.
 ///
 /// # Errors
 ///
 /// [`ExtractError::Parse`] / [`ExtractError::Elaborate`].
-pub fn load_netlist_observed(path: &str, obs: &PipelineObs) -> Result<FlatCircuit, ExtractError> {
+pub fn load_netlist(path: &str, obs: &PipelineObs) -> Result<FlatCircuit, ExtractError> {
     load(path, obs, || parse_spice_file(path))
 }
 
-/// Stage `load` for in-memory SPICE text; `origin` labels the `parse`
-/// span where a file path would go.
-pub(crate) fn load_source(
-    source: &str,
-    origin: &str,
-    obs: &PipelineObs,
-) -> Result<FlatCircuit, ExtractError> {
-    load(origin, obs, || parse_spice(source))
-}
-
-fn load(
+/// Stage `load` over any parser; `origin` labels the `parse` span.
+pub(crate) fn load(
     origin: &str,
     obs: &PipelineObs,
     parse: impl FnOnce() -> Result<Netlist, ParseNetlistError>,

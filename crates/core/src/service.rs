@@ -20,12 +20,13 @@
 use std::time::{Duration, Instant};
 
 use ancstr_gnn::TrainGraph;
+use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::{ConstraintSet, FlatCircuit};
 use ancstr_nn::Matrix;
 
 use crate::export::write_constraints;
 use crate::observe::PipelineObs;
-use crate::pipeline::{load_source, ExtractorConfig, RunCtx, SymmetryExtractor};
+use crate::pipeline::{load, ExtractorConfig, RunCtx, SymmetryExtractor};
 use crate::recover::ExtractError;
 use crate::runstore::config_hash;
 
@@ -128,7 +129,7 @@ pub fn extract_batch(
     ctx.check()?;
     let mut fronts = Vec::with_capacity(items.len());
     for &(source, origin) in items {
-        fronts.push(load_source(source, origin, &ctx.obs).map(|flat| {
+        fronts.push(load(origin, &ctx.obs, || parse_spice(source)).map(|flat| {
             let start = Instant::now();
             let graph = extractor.train_graph(&flat, &ctx.obs);
             Front { flat, graph, graph_time: start.elapsed() }
@@ -200,7 +201,6 @@ pub fn cache_key(netlist: &[u8], config: &ExtractorConfig, model_fingerprint: u6
 mod tests {
     use super::*;
     use crate::runstore::CancelToken;
-    use ancstr_netlist::parse::parse_spice;
 
     const NETLIST: &str = "\
 .subckt sa inp inn outp outn clk vdd vss

@@ -110,7 +110,7 @@ fn observed_run_covers_all_stages_with_epoch_telemetry() {
 
     let (tracer, buf) = Tracer::in_memory();
     let obs = PipelineObs::new(Some(tracer));
-    let flat = ancstr_core::load_netlist_observed(sp.to_str().unwrap(), &obs).expect("loads");
+    let flat = ancstr_core::load_netlist(sp.to_str().unwrap(), &obs).expect("loads");
     let mut ex = SymmetryExtractor::try_new(quick_config()).expect("config is valid");
     let ctx = RunCtx::observed(obs.clone());
     ex.try_fit(&[&flat], &ctx, None).expect("fit");
