@@ -11,8 +11,9 @@
 //! against the Eq. 4 size-adaptive threshold.
 //!
 //! The pipeline is one set of stages ([`pipeline`]), each written once
-//! with its trace span, its cancellation check and, under a durable
-//! [`RunSession`], its sealed run-dir artifact:
+//! with its trace span and, under a durable [`RunSession`], its sealed
+//! run-dir artifact; the cancellation token is polled at every stage
+//! boundary:
 //!
 //! 1. **load** — parse → elaborate ([`load_netlist`]);
 //! 2. **graph** — Algorithm 1 multigraph → Table II features

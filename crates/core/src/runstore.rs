@@ -955,7 +955,7 @@ impl RunSession {
     /// # Errors
     ///
     /// [`RunError::Io`] when the manifest cannot be written.
-    pub fn mark_done(&mut self, name: &str, artifact: Option<&str>) -> Result<(), RunError> {
+    fn mark_done(&mut self, name: &str, artifact: Option<&str>) -> Result<(), RunError> {
         if let Some(s) = self.manifest.stages.iter_mut().find(|s| s.name == name) {
             s.status = StageStatus::Done;
             if artifact.is_some() {
@@ -972,7 +972,7 @@ impl RunSession {
     /// # Errors
     ///
     /// [`RunError::Io`] on write failure.
-    pub fn complete_stage(
+    fn complete_stage(
         &mut self,
         name: &str,
         artifact: &str,
@@ -993,7 +993,7 @@ impl RunSession {
     }
 
     /// Completed-epoch cadence of periodic training checkpoints.
-    pub fn checkpoint_every(&self) -> usize {
+    pub(crate) fn checkpoint_every(&self) -> usize {
         self.options.checkpoint_every.max(1)
     }
 

@@ -91,8 +91,8 @@ pub fn extract_source(
 /// through the pipeline stages: per item load → graph, one shared
 /// embed stage (a single graph is embedded directly; several share one
 /// forward pass over their block-diagonal fusion), then per item
-/// detect. `ctx.cancel` is polled after every item's front half and
-/// after the shared embed.
+/// detect. `ctx.cancel` is polled before the first item, after every
+/// item's front half and after the shared embed.
 ///
 /// Per-item semantics do not depend on the batch:
 ///
