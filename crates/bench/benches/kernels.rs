@@ -9,9 +9,9 @@ use ancstr_bench::quick_config;
 use ancstr_circuits::adc::adc1;
 use ancstr_circuits::comparator::comp1;
 use ancstr_core::circuit_features;
-use ancstr_core::FeatureConfig;
+use ancstr_core::{EmbedOptions, FeatureConfig};
 use ancstr_gnn::{GnnConfig, GnnModel, GraphTensors};
-use ancstr_graph::{pagerank, BuildOptions, HetMultigraph, PageRankOptions, SimpleDigraph};
+use ancstr_graph::{pagerank, BuildOptions, HetMultigraph, SimpleDigraph};
 use ancstr_netlist::flat::FlatCircuit;
 use ancstr_nn::linalg::{normalized_laplacian, symmetric_eigenvalues};
 use ancstr_nn::Matrix;
@@ -28,12 +28,16 @@ fn bench_graph_build(c: &mut Criterion) {
     g.finish();
 }
 
+/// Algorithm 2 lines 1–6 as `extract` runs them: the simple digraph
+/// built straight from the pins, then PageRank.
 fn bench_pagerank(c: &mut Criterion) {
     let flat = FlatCircuit::elaborate(&adc1()).expect("adc1");
-    let g = HetMultigraph::from_circuit(&flat, &BuildOptions { max_net_degree: Some(64) });
-    let s = SimpleDigraph::from_multigraph(&g);
+    let opts = EmbedOptions::default();
     c.bench_function("pagerank_adc1", |b| {
-        b.iter(|| pagerank(&s, &PageRankOptions::default()))
+        b.iter(|| {
+            let s = SimpleDigraph::from_device_range(&flat, 0..flat.devices().len(), &opts.build);
+            pagerank(&s, &opts.pagerank)
+        })
     });
 }
 

@@ -1,12 +1,13 @@
 //! Symmetry constraint detection (paper Section IV-E, Algorithm 3,
 //! Eqs. 4–5).
 
+use ancstr_graph::{BuildOptions, HetMultigraph};
 use ancstr_netlist::flat::{FlatCircuit, HierNodeKind};
 use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
 use ancstr_nn::{dot, row_norm, Matrix};
 
-use crate::embed::{embed_all_blocks, EmbedOptions};
-use crate::pairs::{valid_pairs, CandidatePair};
+use crate::embed::{embed_blocks, EmbedOptions};
+use crate::pairs::{compared_nodes, valid_pairs, CandidatePair};
 
 /// Threshold parameters (Eq. 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -214,8 +215,27 @@ fn detect_impl(
         z.rows() >= flat.devices().len(),
         "need one trained feature row per device"
     );
+    // Algorithm 2 runs only where Algorithm 3 looks: the blocks of some
+    // candidate pair.
+    let candidates = valid_pairs(flat);
+    let compared = compared_nodes(flat, &candidates);
+    let block_embeddings = embed_blocks(flat, z, embed, &compared);
+    score_candidates(flat, z, thresholds, candidates, &compared, &block_embeddings, prune)
+}
+
+/// Algorithm 3's scoring of `candidates` over the per-node features:
+/// device rows of `z`, and the `block_embeddings` of every `compared`
+/// block.
+fn score_candidates(
+    flat: &FlatCircuit,
+    z: &Matrix,
+    thresholds: &ThresholdConfig,
+    candidates: Vec<CandidatePair>,
+    compared: &[bool],
+    block_embeddings: &[Option<Vec<f64>>],
+    prune: bool,
+) -> DetectionResult {
     let lambda_sys = thresholds.system_threshold(flat.max_subcircuit_size());
-    let block_embeddings = embed_all_blocks(flat, z, embed);
 
     fn feature_of<'a>(
         flat: &FlatCircuit,
@@ -227,24 +247,27 @@ fn detect_impl(
             HierNodeKind::Device(i) => z.row(*i),
             HierNodeKind::Block { .. } => block_embeddings[id.0]
                 .as_deref()
-                .expect("every block has an embedding"),
+                .expect("every compared block has an embedding"),
         }
     }
 
-    // Hoisted per-node stats. Device norms come from the
-    // row-norm kernel via `Matrix::row_norms`; block-embedding norms go
-    // through the same free `row_norm` — one source of truth for the
-    // denominator arithmetic.
+    // Hoisted per-node stats, for the compared nodes only. Device norms
+    // come from the row-norm kernel via `Matrix::row_norms`;
+    // block-embedding norms go through the same free `row_norm` — one
+    // source of truth for the denominator arithmetic.
     let device_norms = z.row_norms();
-    let stats: Vec<NodeStat> = (0..block_embeddings.len())
+    let stats: Vec<Option<NodeStat>> = (0..compared.len())
         .map(|raw| {
+            if !compared[raw] {
+                return None;
+            }
             let id = ancstr_netlist::HierNodeId(raw);
-            let feature = feature_of(flat, z, &block_embeddings, id);
+            let feature = feature_of(flat, z, block_embeddings, id);
             let norm = match &flat.node(id).kind {
                 HierNodeKind::Device(i) => device_norms[*i],
                 HierNodeKind::Block { .. } => row_norm(feature),
             };
-            NodeStat {
+            Some(NodeStat {
                 finite: feature.iter().all(|x| x.is_finite()),
                 norm,
                 seg_norms: if prune {
@@ -252,9 +275,12 @@ fn detect_impl(
                 } else {
                     Vec::new()
                 },
-            }
+            })
         })
         .collect();
+    let stat = |id: ancstr_netlist::HierNodeId| {
+        stats[id.0].as_ref().expect("every candidate node is compared")
+    };
 
     /// What the parallel scoring pass found for one candidate, in
     /// candidate order; folded serially below so warning/constraint
@@ -267,10 +293,8 @@ fn detect_impl(
         Pruned,
     }
 
-    let candidates = valid_pairs(flat);
     let outcomes = ancstr_par::map_items(&candidates, 64, |candidate| {
-        let (sa, sb) =
-            (&stats[candidate.pair.lo().0], &stats[candidate.pair.hi().0]);
+        let (sa, sb) = (stat(candidate.pair.lo()), stat(candidate.pair.hi()));
         // A NaN anywhere would turn the cosine score into NaN, which
         // compares false against every threshold and silently becomes a
         // rejection. Surface it as a counted warning record instead.
@@ -286,8 +310,8 @@ fn detect_impl(
                 return PairOutcome::Pruned;
             }
         }
-        let za = feature_of(flat, z, &block_embeddings, candidate.pair.lo());
-        let zb = feature_of(flat, z, &block_embeddings, candidate.pair.hi());
+        let za = feature_of(flat, z, block_embeddings, candidate.pair.lo());
+        let zb = feature_of(flat, z, block_embeddings, candidate.pair.hi());
         PairOutcome::Scored(if sa.norm == 0.0 || sb.norm == 0.0 {
             0.0
         } else {
@@ -349,7 +373,10 @@ fn detect_impl(
 /// `cos(z_u, z_u') > pair_threshold` — i.e. the device bridges two
 /// matched halves. This extends the paper's pairwise output with the
 /// axis annotations analog placers additionally need (the benchmark
-/// generators record them as `*.selfsym`).
+/// generators record them as `*.selfsym`). Neighbours come from the
+/// circuit's multigraph built with `build` — pass the extractor's
+/// `ExtractorConfig::build`, so the axis check sees the graph the model
+/// was trained on.
 ///
 /// Returns hierarchy node ids of the flagged devices, sorted.
 pub fn detect_self_symmetric(
@@ -357,10 +384,9 @@ pub fn detect_self_symmetric(
     z: &Matrix,
     detection: &DetectionResult,
     pair_threshold: f64,
+    build: &BuildOptions,
 ) -> Vec<ancstr_netlist::HierNodeId> {
-    use ancstr_graph::{BuildOptions, HetMultigraph};
-
-    let g = HetMultigraph::from_circuit(flat, &BuildOptions { max_net_degree: Some(64) });
+    let g = HetMultigraph::from_circuit(flat, build);
     let mut paired = std::collections::HashSet::new();
     for c in detection.constraints.iter() {
         paired.insert(c.pair.lo());
@@ -541,7 +567,7 @@ M5 tail ib vss vss nch w=2u l=0.5u
             &ThresholdConfig::default(),
             &EmbedOptions::default(),
         );
-        let selfsym = detect_self_symmetric(&flat, &z, &detection, 0.95);
+        let selfsym = detect_self_symmetric(&flat, &z, &detection, 0.95, &BuildOptions::default());
         let m5 = flat.node_by_path("dp/M5").unwrap().id;
         assert!(selfsym.contains(&m5), "tail flagged: {selfsym:?}");
         // The paired devices themselves are not flagged.
@@ -570,7 +596,7 @@ M3 x x vdd vdd pch w=2u l=0.1u
             &ThresholdConfig::default(),
             &EmbedOptions::default(),
         );
-        let selfsym = detect_self_symmetric(&flat, &z, &detection, 0.95);
+        let selfsym = detect_self_symmetric(&flat, &z, &detection, 0.95, &BuildOptions::default());
         assert!(selfsym.is_empty(), "{selfsym:?}");
     }
 
@@ -682,6 +708,63 @@ M4 b a s vss nch w=2u l=0.1u
         assert_eq!(exact.warnings, pruned.warnings);
         assert_eq!(exact.warnings.len(), 1);
         assert_eq!(exact.constraints, pruned.constraints);
+    }
+
+    #[test]
+    fn embedding_only_compared_blocks_matches_the_all_blocks_path() {
+        // `buf` is a Logic block, so its inverter children are never
+        // compared; `wrap`'s inverter is an only child; `wrap` itself has
+        // no same-class sibling. Only XB1/XB2 (and C1/C2) are candidates.
+        let nl = parse_spice(
+            "\
+.subckt inv in out vdd vss
+*.class inverter
+Mp out in vdd vdd pch w=2u l=0.1u
+Mn out in vss vss nch w=1u l=0.1u
+.ends
+.subckt buf in out vdd vss
+*.class logic
+X1 in m vdd vss inv
+X2 m out vdd vss inv
+.ends
+.subckt wrap in out vdd vss
+X0 in out vdd vss inv
+.ends
+.subckt top a y vdd vss
+XB1 a m vdd vss buf
+XB2 m y vdd vss buf
+XW a y vdd vss wrap
+C1 a vss 10f
+C2 y vss 10f
+.ends
+",
+        )
+        .unwrap();
+        let flat = FlatCircuit::elaborate(&nl).unwrap();
+        let n = flat.devices().len();
+        let z = Matrix::from_fn(n, 3, |r, c| ((r * 7 + c * 3) % 5) as f64 - 1.5);
+        let (cfg, opts) = (ThresholdConfig::default(), EmbedOptions::default());
+
+        let compared = compared_nodes(&flat, &valid_pairs(&flat));
+        let compared_blocks: Vec<&str> =
+            flat.blocks().filter(|b| compared[b.id.0]).map(|b| b.path.as_str()).collect();
+        assert_eq!(compared_blocks, ["top/XB1", "top/XB2"]);
+
+        // The old path: every block embedded, every node's stats taken.
+        let all = vec![true; flat.nodes().len()];
+        for prune in [false, true] {
+            let reference = score_candidates(
+                &flat,
+                &z,
+                &cfg,
+                valid_pairs(&flat),
+                &all,
+                &embed_blocks(&flat, &z, &opts, &all),
+                prune,
+            );
+            let got = detect_impl(&flat, &z, &cfg, &opts, prune);
+            assert_eq!(got, reference, "prune = {prune}");
+        }
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! (untyped, de-paralleled) digraph of its own multigraph.
 
 use ancstr_graph::{
-    pagerank::top_m_by_pagerank, pagerank, BuildOptions, HetMultigraph, PageRankOptions,
-    SimpleDigraph,
+    pagerank::top_m_by_pagerank, pagerank, BuildOptions, PageRankOptions, SimpleDigraph,
 };
 use ancstr_netlist::flat::{FlatCircuit, HierNodeId};
 use ancstr_nn::Matrix;
+
+use crate::pairs::{compared_nodes, valid_pairs};
 
 /// Options of Algorithm 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,14 +30,16 @@ impl Default for EmbedOptions {
             m: 10,
             pagerank: PageRankOptions::default(),
             // Algorithm 1's clique construction is quadratic in net
-            // fanout: a flattened supply rail touching every device of a
-            // 100k-device corpus materializes O(n²) multigraph edges in
-            // the root block's subgraph before the simple-digraph
-            // collapse can dedup them. No hand-built benchmark has a
-            // block-local net over 551 pins, so pruning at 1024 leaves
-            // every committed result bit-identical while keeping
-            // synthetic-scale embedding linear. (The training graph
-            // prunes harder, at 64 — see `ExtractorConfig::default`.)
+            // fanout. Detection embeds only compared blocks, never the
+            // root whose flattened supply rail touches every device of
+            // a 100k-device corpus, but a compared block can still
+            // carry a rail of thousands of pins, and every clique pair
+            // is enumerated before the simple-digraph dedup. No
+            // hand-built benchmark has a block-local net over 551 pins,
+            // so pruning at 1024 leaves every committed result
+            // bit-identical while keeping synthetic-scale embedding
+            // linear. (The training graph prunes harder, at 64 — see
+            // `ExtractorConfig::default`.)
             build: BuildOptions { max_net_degree: Some(1024) },
         }
     }
@@ -64,32 +67,48 @@ pub fn embed_circuit(
         z.rows() >= flat.devices().len(),
         "need one trained feature row per device"
     );
-    // Lines 1–4: simplified digraph of the subcircuit's multigraph.
-    let g = HetMultigraph::from_subtree(flat, node, &options.build);
-    let simple = SimpleDigraph::from_multigraph(&g);
+    // Lines 1–4: simplified digraph of the subcircuit, built straight
+    // from its devices' pins. Vertex `v` is flat device `range.start + v`.
+    let range = flat.subtree_device_indices(node);
+    let simple = SimpleDigraph::from_device_range(flat, range.clone(), &options.build);
     // Lines 5–6: PageRank and ordering.
     let pr = pagerank(&simple, &options.pagerank);
-    let m = options.m.min(g.vertex_count());
+    let m = options.m.min(simple.vertex_count());
     let top = top_m_by_pagerank(&pr, m);
     // Lines 7–10: concatenate the trained features of the top vertices.
     let mut out = Vec::with_capacity(m * z.cols());
     for &v in &top {
-        // Subtree graphs index vertices by global flat-device position.
-        let global = g.device_index(ancstr_graph::VertexId(v));
-        out.extend_from_slice(z.row(global));
+        out.extend_from_slice(z.row(range.start + v));
     }
     out
 }
 
-/// Embeddings for every block node of the circuit, keyed by node id
-/// order (missing entries for leaves).
+/// Embeddings of the blocks Algorithm 3 compares, keyed by node id
+/// order: `Some` exactly for the blocks that appear in a [`valid_pairs`]
+/// candidate. Every other node is `None`: leaves, the root, blocks with
+/// no same-class sibling and the children of
+/// [`Logic`](ancstr_netlist::CircuitClass::Logic) blocks, whose
+/// embeddings no pair reads.
 pub fn embed_all_blocks(
     flat: &FlatCircuit,
     z: &Matrix,
     options: &EmbedOptions,
 ) -> Vec<Option<Vec<f64>>> {
+    let compared = compared_nodes(flat, &valid_pairs(flat));
+    embed_blocks(flat, z, options, &compared)
+}
+
+/// Embeddings of the blocks whose `compared[id]` is set, keyed by node
+/// id order (`None` elsewhere).
+pub(crate) fn embed_blocks(
+    flat: &FlatCircuit,
+    z: &Matrix,
+    options: &EmbedOptions,
+    compared: &[bool],
+) -> Vec<Option<Vec<f64>>> {
     let mut out = vec![None; flat.nodes().len()];
-    let blocks: Vec<HierNodeId> = flat.blocks().map(|b| b.id).collect();
+    let blocks: Vec<HierNodeId> =
+        flat.blocks().map(|b| b.id).filter(|id| compared[id.0]).collect();
     // Each block runs its own subcircuit PageRank — independent work,
     // fanned out across blocks; `map_items` returns results in block
     // order, so the scatter below is deterministic.
@@ -195,14 +214,97 @@ R3 h x3 1k
     }
 
     #[test]
-    fn embed_all_blocks_covers_internal_nodes_only() {
+    fn embed_all_blocks_covers_compared_blocks_only() {
         let f = flat(TWO_INV);
         let z = identity_features(4);
         let all = embed_all_blocks(&f, &z, &EmbedOptions::default());
-        let blocks = f.blocks().count();
-        assert_eq!(all.iter().filter(|e| e.is_some()).count(), blocks);
+        // (X1, X2) is the only candidate pair: the root block `top` is
+        // never compared, so it is not embedded.
+        let x1 = f.node_by_path("top/X1").unwrap().id;
+        let x2 = f.node_by_path("top/X2").unwrap().id;
         for n in f.nodes() {
-            assert_eq!(all[n.id.0].is_some(), n.is_block());
+            assert_eq!(all[n.id.0].is_some(), n.id == x1 || n.id == x2, "{}", n.path);
         }
+    }
+
+    /// Algorithm 2 the way it was first written, kept as the oracle of
+    /// the direct path: the typed multigraph, collapsed by
+    /// `from_multigraph`, ranked by a PageRank that divides once per
+    /// in-edge.
+    fn reference_pagerank(g: &SimpleDigraph, options: &PageRankOptions) -> Vec<f64> {
+        let n = g.vertex_count();
+        if n == 0 {
+            return Vec::new();
+        }
+        let nf = n as f64;
+        let gamma = options.damping;
+        let base = (1.0 - gamma) / nf;
+        let mut pr = vec![1.0 / nf; n];
+        let mut next = vec![0.0; n];
+        let out_deg: Vec<f64> = (0..n).map(|v| g.out_degree(v) as f64).collect();
+        let dangling_vertices: Vec<usize> = (0..n).filter(|&v| g.out_degree(v) == 0).collect();
+        for _ in 0..options.max_iterations {
+            let dangling: f64 = dangling_vertices.iter().map(|&v| pr[v]).sum();
+            let dangling_share = gamma * dangling / nf;
+            for (v, slot) in next.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for &u in g.in_neighbors(v) {
+                    acc += pr[u] / out_deg[u];
+                }
+                *slot = base + dangling_share + gamma * acc;
+            }
+            let delta: f64 = pr.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut pr, &mut next);
+            if delta < options.tolerance {
+                break;
+            }
+        }
+        pr
+    }
+
+    fn reference_embed_circuit(
+        flat: &FlatCircuit,
+        node: HierNodeId,
+        z: &Matrix,
+        options: &EmbedOptions,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let g = ancstr_graph::HetMultigraph::from_subtree(flat, node, &options.build);
+        let simple = SimpleDigraph::from_multigraph(&g);
+        let pr = reference_pagerank(&simple, &options.pagerank);
+        let top = top_m_by_pagerank(&pr, options.m.min(g.vertex_count()));
+        let mut out = Vec::new();
+        for &v in &top {
+            out.extend_from_slice(z.row(g.device_index(ancstr_graph::VertexId(v))));
+        }
+        (out, pr)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn direct_algorithm2_is_bit_identical_to_the_multigraph_reference() {
+        let mut designs = ancstr_circuits::adc::adc_benchmarks();
+        designs.extend(ancstr_circuits::block_benchmarks(20210705));
+        designs.push(ancstr_circuits::stress::stress_system(2000, 7));
+        let opts = EmbedOptions::default();
+        let mut blocks = 0;
+        for nl in &designs {
+            let f = FlatCircuit::elaborate(nl).unwrap();
+            // Distinct rows, so the embedding spells out the top-M order.
+            let z = Matrix::from_fn(f.devices().len(), 2, |r, c| (r * (c + 1)) as f64);
+            for b in f.blocks() {
+                let (want, want_pr) = reference_embed_circuit(&f, b.id, &z, &opts);
+                let range = f.subtree_device_indices(b.id);
+                let simple = SimpleDigraph::from_device_range(&f, range, &opts.build);
+                let pr = pagerank(&simple, &opts.pagerank);
+                assert_eq!(bits(&pr), bits(&want_pr), "{}: PageRank bits", b.path);
+                let got = embed_circuit(&f, b.id, &z, &opts);
+                assert_eq!(bits(&got), bits(&want), "{}: embedding bits", b.path);
+                blocks += 1;
+            }
+        }
+        assert!(blocks > 100, "only {blocks} blocks checked");
     }
 }

@@ -62,6 +62,17 @@ pub fn valid_pairs(flat: &FlatCircuit) -> Vec<CandidatePair> {
     out
 }
 
+/// Which hierarchy nodes appear in some candidate, indexed by node id:
+/// the nodes whose features Algorithm 3 reads.
+pub(crate) fn compared_nodes(flat: &FlatCircuit, candidates: &[CandidatePair]) -> Vec<bool> {
+    let mut compared = vec![false; flat.nodes().len()];
+    for c in candidates {
+        compared[c.pair.lo().0] = true;
+        compared[c.pair.hi().0] = true;
+    }
+    compared
+}
+
 /// Only the pairs of one level.
 pub fn valid_pairs_of_kind(flat: &FlatCircuit, kind: SymmetryKind) -> Vec<CandidatePair> {
     valid_pairs(flat)

@@ -51,10 +51,10 @@ pub fn pagerank(g: &SimpleDigraph, options: &PageRankOptions) -> Vec<f64> {
     let base = (1.0 - gamma) / nf;
     let mut pr = vec![1.0 / nf; n];
     let mut next = vec![0.0; n];
+    let mut share = vec![0.0; n];
 
     // Out-degrees are loop invariants: hoist the float conversions and
-    // the dangling-vertex scan out of the power iteration. The ranks
-    // stay bit-identical (`pr[u] / out_deg[u]` is the same division).
+    // the dangling-vertex scan out of the power iteration.
     let out_deg: Vec<f64> = (0..n).map(|v| g.out_degree(v) as f64).collect();
     let dangling_vertices: Vec<usize> = (0..n).filter(|&v| g.out_degree(v) == 0).collect();
 
@@ -62,10 +62,18 @@ pub fn pagerank(g: &SimpleDigraph, options: &PageRankOptions) -> Vec<f64> {
         // Rank from dangling vertices spreads uniformly.
         let dangling: f64 = dangling_vertices.iter().map(|&v| pr[v]).sum();
         let dangling_share = gamma * dangling / nf;
+        // Each vertex's per-out-edge share, divided once per sweep rather
+        // than once per out-edge: the same division on the same operands,
+        // summed below in the same order, so the ranks keep their bits.
+        // A dangling vertex's share is never read (it is nobody's
+        // in-neighbour).
+        for ((s, &p), &d) in share.iter_mut().zip(&pr).zip(&out_deg) {
+            *s = p / d;
+        }
         for (v, slot) in next.iter_mut().enumerate() {
             let mut acc = 0.0;
             for &u in g.in_neighbors(v) {
-                acc += pr[u] / out_deg[u];
+                acc += share[u];
             }
             *slot = base + dangling_share + gamma * acc;
         }

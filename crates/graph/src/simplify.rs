@@ -4,7 +4,11 @@
 //! directed edges (one per direction) remain between any two vertices.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
+use ancstr_netlist::flat::FlatCircuit;
+
+use crate::build::{for_each_clique_pair, BuildOptions};
 use crate::multigraph::{HetMultigraph, VertexId};
 
 /// An untyped simple digraph over the same vertex set as a
@@ -17,8 +21,43 @@ pub struct SimpleDigraph {
 }
 
 impl SimpleDigraph {
+    /// The simple digraph `G'_t` of Algorithm 2 over a range of
+    /// flat-device indices (a subtree's devices are one range), built
+    /// straight from their pins. It is identical (neighbour order
+    /// included) to
+    /// `from_multigraph(&HetMultigraph::from_device_range(flat, range,
+    /// options))` without materializing the typed multigraph.
+    pub fn from_device_range(
+        flat: &FlatCircuit,
+        range: Range<usize>,
+        options: &BuildOptions,
+    ) -> SimpleDigraph {
+        let n = range.len();
+        let mut out = vec![Vec::new(); n];
+        let mut inn = vec![Vec::new(); n];
+        // The multigraph's two edges of every clique pair, untyped.
+        for_each_clique_pair(flat, range, options, |(u, _), (v, _)| {
+            out[u].push(v);
+            inn[v].push(u);
+            out[v].push(u);
+            inn[u].push(v);
+        });
+        // Parallel edges collapse: each list keeps the first occurrence
+        // of every neighbour, which is where `from_multigraph` first saw
+        // that edge. A per-list stamp finds repeats without hashing.
+        for lists in [&mut out, &mut inn] {
+            let mut stamp = vec![usize::MAX; n];
+            for (u, list) in lists.iter_mut().enumerate() {
+                list.retain(|&w| std::mem::replace(&mut stamp[w], u) != u);
+            }
+        }
+        SimpleDigraph { n, out, inn }
+    }
+
     /// Collapse a multigraph into a simple digraph (Algorithm 2 lines
-    /// 1–4): drop edge types, reject duplicates.
+    /// 1–4): drop edge types, reject duplicates. Production builds `G'_t`
+    /// with [`SimpleDigraph::from_device_range`]; this is the reference it
+    /// is tested against.
     pub fn from_multigraph(g: &HetMultigraph) -> SimpleDigraph {
         let n = g.vertex_count();
         let mut out = vec![Vec::new(); n];

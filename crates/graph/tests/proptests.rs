@@ -84,6 +84,32 @@ proptest! {
         }
     }
 
+    /// The direct pin-to-digraph builder is the multigraph path without
+    /// the multigraph: same neighbour lists in the same order, and so
+    /// the same PageRank bits, for any device window and degree cap.
+    #[test]
+    fn direct_builder_matches_the_multigraph_collapse(
+        flat in arb_flat(),
+        cap in 0usize..8,
+        window in (0usize..20, 0usize..20),
+    ) {
+        let n = flat.devices().len();
+        let (a, b) = (window.0 % (n + 1), window.1 % (n + 1));
+        let range = a.min(b)..a.max(b);
+        // A cap of 0 stands for no cap (the faithful Algorithm 1).
+        let options = BuildOptions { max_net_degree: (cap > 0).then_some(cap) };
+        let reference = SimpleDigraph::from_multigraph(
+            &HetMultigraph::from_device_range(&flat, range.clone(), &options),
+        );
+        let direct = SimpleDigraph::from_device_range(&flat, range, &options);
+        // Equal structs: every in- and out-list, in order.
+        prop_assert_eq!(&direct, &reference);
+        let bits = |g: &SimpleDigraph| -> Vec<u64> {
+            pagerank(g, &PageRankOptions::default()).iter().map(|x| x.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&direct), bits(&reference));
+    }
+
     /// Net-degree pruning is monotone: a tighter cutoff never adds edges.
     #[test]
     fn pruning_is_monotone(flat in arb_flat(), k in 1usize..8) {

@@ -31,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nl = parse_spice(NETLIST)?;
     let flat = FlatCircuit::elaborate(&nl)?;
 
-    let mut extractor = SymmetryExtractor::new(ExtractorConfig::default());
+    let config = ExtractorConfig::default();
+    let mut extractor = SymmetryExtractor::new(config.clone());
     extractor.fit(&[&flat]);
     let result = extractor.extract(&flat);
 
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The tail device M5 bridges the matched halves: self-symmetric.
     let z = extractor.vertex_embeddings(&flat);
-    let axis = detect_self_symmetric(&flat, &z, &result.detection, 0.99);
+    let axis = detect_self_symmetric(&flat, &z, &result.detection, 0.99, &config.build);
     let axis_names: Vec<&str> = axis.iter().map(|&m| flat.node(m).name.as_str()).collect();
     println!("\nself-symmetric (axis) devices: {axis_names:?}");
     assert!(axis_names.contains(&"M5"), "tail flagged on the axis");
