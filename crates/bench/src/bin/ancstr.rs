@@ -86,8 +86,11 @@
 //! terminal `run_aborted` trace event. `--log-format json` turns the
 //! diagnostic stderr stream into JSON lines, and `-v` / `--quiet`
 //! widen or silence it. Observation is read-only: outputs are
-//! byte-identical with and without these flags. `obs-check` re-validates a trace file and/or a
-//! `metrics.prom` exposition line-by-line (used by CI). `obs-report`
+//! byte-identical with and without these flags. A traced stage span's
+//! end carries the process's peak RSS so far (`vm_hwm_kb`, on Linux).
+//! `obs-check` re-validates a trace file and/or a `metrics.prom`
+//! exposition line-by-line (used by CI), and names the stage that set
+//! a trace's peak RSS. `obs-report`
 //! merges one or more JSONL trace files by trace id and renders
 //! per-trace waterfalls plus aggregate per-stage latency quantiles —
 //! feed it the `--trace-out` files from several serve replicas to see
@@ -111,7 +114,7 @@ use ancstr_core::runstore::{RunOptions, RunSession, StageStatus};
 use ancstr_core::{
     detect_constraints_pruned, load_netlist, render_groups, render_metrics_table,
     write_constraints, ExtractError, ExtractorConfig, FitOutcome, PipelineObs, RunCtx,
-    SymmetryExtractor, STAGES,
+    SymmetryExtractor, PEAK_RSS_FIELD, STAGES,
 };
 use ancstr_gnn::{HealthReport, TrainGraph};
 use ancstr_graph::BuildOptions;
@@ -1172,6 +1175,25 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
             ctx.log.info(format!("{epochs} epoch telemetry events"));
         }
         ctx.log.info(format!("{path}: {} schema-valid trace events", events.len()));
+        let mut peak: Option<(u64, &str)> = None;
+        for e in events.iter().filter(|e| e.kind == "span_end") {
+            let Some(v) = e.fields.get(PEAK_RSS_FIELD) else { continue };
+            let kb = v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0).ok_or_else(|| {
+                CliError::Validation(format!(
+                    "`{path}`: span {} has a non-integer `{PEAK_RSS_FIELD}`",
+                    e.id
+                ))
+            })? as u64;
+            if peak.is_none_or(|(best, _)| kb > best) {
+                peak = Some((kb, &e.stage));
+            }
+        }
+        if let Some((kb, stage)) = peak {
+            ctx.log.info(format!(
+                "{path}: peak RSS {:.1} MB, first reached by the end of stage `{stage}`",
+                kb as f64 / 1024.0
+            ));
+        }
     }
     if let Some(path) = &args.prom {
         let text = fs::read_to_string(path)

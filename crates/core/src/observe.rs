@@ -20,7 +20,9 @@ use std::time::Instant;
 
 use ancstr_gnn::{EpochTelemetry, HealthEvent, TrainerHooks};
 use ancstr_netlist::FlatCircuit;
-use ancstr_obs::{Registry, Span, Tracer, Value, DURATION_BUCKETS_S, GRAD_NORM_BUCKETS};
+use ancstr_obs::{
+    peak_rss_kb, Registry, Span, Tracer, Value, DURATION_BUCKETS_S, GRAD_NORM_BUCKETS,
+};
 
 use crate::detect::{DetectionResult, NumericWarning};
 use crate::metrics::level_confusions;
@@ -201,8 +203,16 @@ impl Default for PipelineObs {
     }
 }
 
-/// RAII guard for one pipeline stage: closes the trace span and
-/// records the stage-duration histogram + run counter on drop.
+/// The `span_end` field of a traced stage span holding the process's
+/// peak resident set (`VmHWM`, KiB) when the stage ended; absent where
+/// `/proc/self/status` does not exist. The high-water mark only rises,
+/// so the first stage whose end carries the run's final value is the
+/// stage that set the peak.
+pub const PEAK_RSS_FIELD: &str = "vm_hwm_kb";
+
+/// RAII guard for one pipeline stage: closes the trace span (stamping
+/// [`PEAK_RSS_FIELD`] on its end) and records the stage-duration
+/// histogram + run counter on drop.
 pub struct StageGuard {
     span: Option<Span>,
     metrics: Registry,
@@ -221,7 +231,12 @@ impl Drop for StageGuard {
         );
         self.metrics
             .counter_add("ancstr_stage_runs_total", &[("stage", self.stage)], 1);
-        self.span.take(); // emits span_end
+        if let Some(span) = self.span.take() {
+            match peak_rss_kb() {
+                Some(kb) => span.close_with(&[(PEAK_RSS_FIELD, kb.into())]),
+                None => span.close(),
+            }
+        }
     }
 }
 

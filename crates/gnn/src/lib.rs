@@ -16,6 +16,16 @@
 //! The model is *inductive*: once trained, [`GnnModel::embed`] produces
 //! vertex embeddings for unseen circuits without retraining.
 //!
+//! Eq. 1 is written once, over the [`ancstr_nn::Forward`] ops. Training
+//! records it on an autograd [`Tape`](ancstr_nn::Tape)
+//! ([`GnnModel::forward_on_tape`]); inference ([`GnnModel::embed`],
+//! [`GnnModel::try_embed`], [`GnnModel::embed_batch`]) runs it on
+//! [`Eager`](ancstr_nn::Eager) values, which borrow the features and
+//! free each intermediate after its last use. Both call the same
+//! kernels in the same order, so the embeddings are bit-identical to
+//! the tape's, and inference memory stays a few `n × D` activations
+//! instead of every intermediate of the pass.
+//!
 //! # Example
 //!
 //! ```

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use ancstr_netlist::PortType;
 use ancstr_nn::init::xavier_uniform;
-use ancstr_nn::{GruCell, GruLeaves, Matrix, NodeId, Tape};
+use ancstr_nn::{Eager, Forward, GruCell, Matrix, NodeId, Tape};
 
 use crate::tensors::GraphTensors;
 
@@ -55,13 +55,6 @@ pub struct Layer {
     gru: GruCell,
 }
 
-/// Tape leaves for one layer during a recorded forward pass.
-#[derive(Debug, Clone)]
-pub struct LayerLeaves {
-    edge_weights: Vec<NodeId>,
-    gru: GruLeaves,
-}
-
 /// The trained model: weights for every layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GnnModel {
@@ -73,18 +66,13 @@ pub struct GnnModel {
 /// collect gradients in [`GnnModel::matrices_mut`] order.
 #[derive(Debug, Clone)]
 pub struct ModelLeaves {
-    layers: Vec<LayerLeaves>,
+    ids: Vec<NodeId>,
 }
 
 impl ModelLeaves {
-    /// Leaf ids flattened in [`GnnModel::matrices`] order.
-    pub fn ids(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for l in &self.layers {
-            out.extend_from_slice(&l.edge_weights);
-            out.extend_from_slice(l.gru.ids());
-        }
-        out
+    /// Leaf ids in [`GnnModel::matrices`] order.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
     }
 }
 
@@ -160,6 +148,30 @@ impl GnnModel {
         tensors: &GraphTensors,
         features: &Matrix,
     ) -> (NodeId, ModelLeaves) {
+        let (h, ids) = self.forward(tape, tensors, features);
+        (h, ModelLeaves { ids })
+    }
+
+    /// Inference: the final feature representation `Z = H^{(K)}` for
+    /// every vertex. Runs the same forward pass as
+    /// [`GnnModel::forward_on_tape`], bit for bit, without recording it:
+    /// each intermediate is freed after its last use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches (see [`GnnModel::forward_on_tape`]).
+    pub fn embed(&self, tensors: &GraphTensors, features: &Matrix) -> Matrix {
+        self.forward(&mut Eager, tensors, features).0.into_owned()
+    }
+
+    /// Eq. 1, K times, over either evaluator: the final hidden state and
+    /// every parameter as bound by `f`, in [`GnnModel::matrices`] order.
+    fn forward<'a, F: Forward<'a>>(
+        &'a self,
+        f: &mut F,
+        tensors: &'a GraphTensors,
+        features: &'a Matrix,
+    ) -> (F::Value, Vec<F::Param>) {
         assert_eq!(
             features.cols(),
             self.config.dim,
@@ -173,62 +185,50 @@ impl GnnModel {
         // Shared handles: every pass over this graph reuses the same
         // operators, so their cached CSR views are built exactly once
         // per graph instead of re-sorted per GRU step.
-        let adj: Vec<_> = PortType::ALL
+        let adj: Vec<F::Sparse> = PortType::ALL
             .iter()
-            .map(|&p| tape.sparse(tensors.adjacency_shared(p)))
+            .map(|&p| f.operator(tensors.adjacency_shared(p)))
             .collect();
 
-        let mut h = tape.leaf(features.clone());
-        let mut leaves = Vec::with_capacity(self.layers.len());
+        let mut h = f.input(features);
+        let mut params = Vec::with_capacity(self.param_count());
         for layer in &self.layers {
-            let w_ids: Vec<NodeId> = layer
-                .edge_weights
-                .iter()
-                .map(|w| tape.leaf(w.clone()))
-                .collect();
-            let gru_leaves = layer.gru.leaves(tape);
+            let edge_w: Vec<F::Param> = layer.edge_weights.iter().map(|w| f.param(w)).collect();
+            let gru = layer.gru.leaves(f);
+            params.extend_from_slice(&edge_w);
+            params.extend_from_slice(gru.ids());
 
-            // message = Σ_τ A_τ · (H · W_τ)
-            let mut message: Option<NodeId> = None;
-            for (w, &a) in w_ids.iter().zip(&adj) {
-                let hw = tape.matmul(h, *w);
-                let m = tape.spmm(a, hw);
+            // message = Σ_τ A_τ · (H · W_τ). Each operand passed by
+            // value is at its last use, so the eager pass frees it here.
+            let mut message: Option<F::Value> = None;
+            for (&w, &a) in edge_w.iter().zip(&adj) {
+                let hw = f.matmul(&h, w);
+                let m = f.spmm(a, hw);
                 message = Some(match message {
-                    Some(acc) => tape.add(acc, m),
+                    Some(acc) => f.add(acc, &m),
                     None => m,
                 });
             }
             let message = message.expect("PortType::COUNT > 0");
             h = match self.config.combiner {
-                Combiner::Gru => GruCell::forward(tape, &gru_leaves, message, h),
+                Combiner::Gru => GruCell::forward(f, &gru, message, h),
                 Combiner::MeanLinear => {
                     // h' = tanh(((h + m)/2) · W + b), reusing the GRU's
                     // candidate weights (unused parameters simply get
                     // zero gradients).
-                    let w = gru_leaves.ids()[2]; // Wh
-                    let b = gru_leaves.ids()[8]; // bh
-                    let sum = tape.add(h, message);
-                    let half = tape.scale(sum, 0.5);
-                    let lin = tape.matmul(half, w);
-                    let biased = tape.add_row(lin, b);
-                    tape.tanh(biased)
+                    let w = gru.ids()[2]; // Wh
+                    let b = gru.ids()[8]; // bh
+                    let sum = f.add(h, &message);
+                    drop(message);
+                    let half = f.scale(sum, 0.5);
+                    let lin = f.matmul(&half, w);
+                    drop(half);
+                    let biased = f.add_row(lin, b);
+                    f.tanh(biased)
                 }
             };
-            leaves.push(LayerLeaves { edge_weights: w_ids, gru: gru_leaves });
         }
-        (h, ModelLeaves { layers: leaves })
-    }
-
-    /// Inference: the final feature representation `Z = H^{(K)}` for
-    /// every vertex (no gradients retained).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches (see [`GnnModel::forward_on_tape`]).
-    pub fn embed(&self, tensors: &GraphTensors, features: &Matrix) -> Matrix {
-        let mut tape = Tape::new();
-        let (h, _) = self.forward_on_tape(&mut tape, tensors, features);
-        tape.value(h).clone()
+        (h, params)
     }
 
     /// Batched inference: embed several independent graphs in one
@@ -253,6 +253,11 @@ impl GnnModel {
     pub fn embed_batch(&self, parts: &[(&GraphTensors, &Matrix)]) -> Vec<Matrix> {
         assert!(!parts.is_empty(), "embed_batch needs at least one part");
         for (tensors, features) in parts {
+            assert_eq!(
+                features.cols(),
+                self.config.dim,
+                "feature dimension must match the model"
+            );
             assert_eq!(
                 features.rows(),
                 tensors.vertex_count(),
@@ -502,6 +507,16 @@ mod tests {
         let t = line_graph(3);
         let x = Matrix::zeros(3, 7);
         let _ = model.embed(&t, &x);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature dimension must match the model")]
+    fn embed_batch_checks_each_part_feature_dim() {
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5, ..GnnConfig::default() });
+        let t = line_graph(3);
+        let good = Matrix::zeros(3, 4);
+        let bad = Matrix::zeros(3, 7);
+        let _ = model.embed_batch(&[(&t, &good), (&t, &bad)]);
     }
 
     #[test]

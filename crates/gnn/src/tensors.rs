@@ -63,11 +63,11 @@ impl GraphTensors {
     }
 
     /// The adjacency operator as a shared handle — what
-    /// [`Tape::sparse`](ancstr_nn::Tape::sparse) wants, so repeated
-    /// forward passes reuse one operator (and its cached CSR views)
-    /// instead of cloning the triplets per pass.
-    pub fn adjacency_shared(&self, port: PortType) -> Arc<SparseMatrix> {
-        Arc::clone(&self.adjacency[port.index()])
+    /// [`Forward::operator`](ancstr_nn::Forward::operator) binds, so
+    /// repeated forward passes reuse one operator (and its cached CSR
+    /// views) instead of cloning the triplets per pass.
+    pub fn adjacency_shared(&self, port: PortType) -> &Arc<SparseMatrix> {
+        &self.adjacency[port.index()]
     }
 
     /// Distinct 1-hop in-neighbours of `v` (the positive-pair set of

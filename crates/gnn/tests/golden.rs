@@ -1,4 +1,4 @@
-//! Absolute-bits golden test for training.
+//! Absolute-bits golden tests for training and inference.
 //!
 //! The identity tests elsewhere compare runs of the same build with
 //! each other (thread counts, crash/resume, batching), so a kernel
@@ -6,7 +6,9 @@
 //! This test pins the bits themselves: five epochs on the COMP1
 //! comparator at the paper's `D = 18`, hashed from the model's text
 //! form. The constant was computed before the single-kernel rewrite of
-//! `ancstr-nn`; every kernel must keep reproducing it.
+//! `ancstr-nn`; every kernel must keep reproducing it. A second
+//! constant pins the inference bits: the embedding that trained model
+//! produces for the same features.
 
 use ancstr_gnn::{train, GnnConfig, GnnModel, GraphTensors, TrainConfig, TrainGraph};
 use ancstr_graph::{BuildOptions, HetMultigraph};
@@ -15,6 +17,14 @@ use ancstr_nn::Matrix;
 
 /// FNV-1a over `GnnModel::to_text` after the run below.
 const GOLDEN_MODEL_HASH: u64 = 0x8e21_3034_322e_ff60;
+
+/// FNV-1a over the little-endian bits of every element of
+/// `GnnModel::embed` for the model trained below, on its own features.
+/// Computed at commit 52f2b47, when inference still recorded its
+/// forward pass on the autograd tape, so the tape-free value path is
+/// pinned to the tape's historical bits rather than only to the tape of
+/// the same build.
+const GOLDEN_EMBED_HASH: u64 = 0xef90_94df_04b9_975e;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -34,12 +44,26 @@ fn comparator_graph() -> TrainGraph {
     TrainGraph { tensors, features }
 }
 
-#[test]
-fn five_comparator_epochs_reproduce_the_golden_model_bits() {
-    let graph = comparator_graph();
+/// Five epochs of the default trainer on `graph`.
+fn five_epoch_model(graph: &TrainGraph) -> GnnModel {
     let mut model = GnnModel::new(GnnConfig::default());
     let cfg = TrainConfig { epochs: 5, ..TrainConfig::default() };
-    train(&mut model, std::slice::from_ref(&graph), &cfg);
+    train(&mut model, std::slice::from_ref(graph), &cfg);
+    model
+}
+
+#[test]
+fn five_comparator_epochs_reproduce_the_golden_model_bits() {
+    let model = five_epoch_model(&comparator_graph());
     let hash = fnv1a(model.to_text().as_bytes());
     assert_eq!(hash, GOLDEN_MODEL_HASH, "trained model bits moved: {hash:#018x}");
+}
+
+#[test]
+fn five_epoch_comparator_embedding_reproduces_the_golden_bits() {
+    let graph = comparator_graph();
+    let z = five_epoch_model(&graph).embed(&graph.tensors, &graph.features);
+    let bytes: Vec<u8> = z.as_slice().iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+    let hash = fnv1a(&bytes);
+    assert_eq!(hash, GOLDEN_EMBED_HASH, "embedding bits moved: {hash:#018x}");
 }

@@ -1,16 +1,22 @@
 //! Property tests for the GNN: forward-pass invariants over random
-//! graphs and configurations, and serialization round trips.
+//! graphs and configurations, the inference pass's bit identity with
+//! the recorded tape, and serialization round trips.
 
 use ancstr_gnn::model::Combiner;
 use ancstr_gnn::{open_sealed, seal, GnnConfig, GnnModel, GraphTensors};
 use ancstr_graph::{HetMultigraph, VertexId};
 use ancstr_netlist::PortType;
-use ancstr_nn::Matrix;
+use ancstr_nn::{Matrix, Tape};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = GraphTensors> {
-    prop::collection::vec((0usize..8, 0usize..8, 0usize..4), 0..24).prop_map(|edges| {
-        let mut g = HetMultigraph::with_vertices(0..8);
+    arb_graph_on(8)
+}
+
+/// A random multigraph on `n` vertices with fewer than `3n` typed edges.
+fn arb_graph_on(n: usize) -> impl Strategy<Value = GraphTensors> {
+    prop::collection::vec((0..n, 0..n, 0usize..4), 0..3 * n).prop_map(move |edges| {
+        let mut g = HetMultigraph::with_vertices(0..n);
         for (u, v, p) in edges {
             if u != v {
                 g.add_edge(VertexId(u), VertexId(v), PortType::ALL[p]);
@@ -40,6 +46,61 @@ proptest! {
         prop_assert_eq!(z1.shape(), (8, 6));
         prop_assert!(z1.is_finite());
         prop_assert_eq!(z1, z2);
+    }
+
+    /// Inference (`embed`, tape-free) reproduces the value of the
+    /// recorded training forward bit for bit, for both combiners and
+    /// K ∈ {1, 2, 3}, at one and two threads. The 600-vertex graphs are
+    /// large enough for the kernels to split work across threads. A NaN
+    /// feature keeps identical bits on both paths, and stays in the rows
+    /// it can reach in K hops along the edges.
+    #[test]
+    fn eager_forward_is_bit_identical_to_the_tape(
+        t in any::<bool>().prop_flat_map(|big| arb_graph_on(if big { 600 } else { 8 })),
+        seed in 0u64..100,
+        layers in 1usize..4,
+        mean in any::<bool>(),
+        poison in any::<bool>(),
+        nan_row in 0usize..8,
+        threads in 1usize..3,
+    ) {
+        let combiner = if mean { Combiner::MeanLinear } else { Combiner::Gru };
+        let model = GnnModel::new(GnnConfig { dim: 18, layers, seed, combiner });
+        let n = t.vertex_count();
+        let mut x = Matrix::from_fn(n, 18, |r, c| {
+            ((r * 5 + c * 3) as u64 + seed) as f64 % 13.0 * 0.1 - 0.6
+        });
+        let nan_row = poison.then_some(nan_row);
+        if let Some(v) = nan_row {
+            x[(v, seed as usize % 18)] = f64::NAN;
+        }
+
+        let before = ancstr_par::threads();
+        ancstr_par::set_threads(threads);
+        let eager = model.embed(&t, &x);
+        let mut tape = Tape::new();
+        let (z, _) = model.forward_on_tape(&mut tape, &t, &x);
+        ancstr_par::set_threads(before);
+        let recorded = tape.value(z);
+        prop_assert_eq!(eager.shape(), recorded.shape());
+        for (a, b) in eager.as_slice().iter().zip(recorded.as_slice()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "eager forward diverged from the tape");
+        }
+
+        if let Some(v) = nan_row {
+            let mut reached = vec![false; n];
+            reached[v] = true;
+            for _ in 0..layers {
+                let prev = reached.clone();
+                for (u, hit) in reached.iter_mut().enumerate() {
+                    *hit |= t.in_neighbors(u).iter().any(|&w| prev[w]);
+                }
+            }
+            for (r, &hit) in reached.iter().enumerate() {
+                let finite = eager.row(r).iter().all(|e| e.is_finite());
+                prop_assert_eq!(finite, !hit, "row {} of a NaN at vertex {}", r, v);
+            }
+        }
     }
 
     /// Serialization round trip is exact for any configuration.

@@ -4,9 +4,9 @@
 
 use rand::Rng;
 
+use crate::forward::Forward;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
-use crate::tape::{NodeId, Tape};
 
 /// Learnable parameters of a GRU cell.
 ///
@@ -26,16 +26,16 @@ pub struct GruCell {
     params: Vec<Matrix>,
 }
 
-/// Tape leaves for one forward pass of a [`GruCell`], in the same order
-/// as [`GruCell::matrices`].
+/// A cell's parameters bound for one forward pass (on a tape, its
+/// leaves), in the same order as [`GruCell::matrices`].
 #[derive(Debug, Clone)]
-pub struct GruLeaves {
-    ids: Vec<NodeId>,
+pub struct GruLeaves<P> {
+    ids: Vec<P>,
 }
 
-impl GruLeaves {
-    /// The leaf node ids, ordered as [`GruCell::matrices`].
-    pub fn ids(&self) -> &[NodeId] {
+impl<P> GruLeaves<P> {
+    /// The bound parameters, ordered as [`GruCell::matrices`].
+    pub fn ids(&self) -> &[P] {
         &self.ids
     }
 }
@@ -80,10 +80,10 @@ impl GruCell {
         &mut self.params
     }
 
-    /// Register the parameters as leaves on `tape`.
-    pub fn leaves(&self, tape: &mut Tape) -> GruLeaves {
+    /// Bind the parameters for one pass of `f` (leaves, on a tape).
+    pub fn leaves<'a, F: Forward<'a>>(&'a self, f: &mut F) -> GruLeaves<F::Param> {
         GruLeaves {
-            ids: self.params.iter().map(|m| tape.leaf(m.clone())).collect(),
+            ids: self.params.iter().map(|m| f.param(m)).collect(),
         }
     }
 
@@ -92,34 +92,45 @@ impl GruCell {
     ///
     /// # Panics
     ///
-    /// Panics (inside tape ops) on shape mismatches.
-    pub fn forward(tape: &mut Tape, leaves: &GruLeaves, x: NodeId, h: NodeId) -> NodeId {
+    /// Panics (inside the ops) on shape mismatches.
+    pub fn forward<'a, F: Forward<'a>>(
+        f: &mut F,
+        leaves: &GruLeaves<F::Param>,
+        x: F::Value,
+        h: F::Value,
+    ) -> F::Value {
         let [wz, wr, wh, uz, ur, uh, bz, br, bh] = leaves.ids[..] else {
             unreachable!("GruLeaves always holds {} ids", GruCell::PARAM_COUNT)
         };
-        let gate = |tape: &mut Tape, w: NodeId, u_in: NodeId, b: NodeId, state: NodeId| {
-            let xw = tape.matmul(x, w);
-            let hu = tape.matmul(state, u_in);
-            let s = tape.add(xw, hu);
-            tape.add_row(s, b)
+        let gate = |f: &mut F, x: &F::Value, w, u_in, b, state: &F::Value| {
+            let xw = f.matmul(x, w);
+            let hu = f.matmul(state, u_in);
+            let s = f.add(xw, &hu);
+            f.add_row(s, b)
         };
-        let z_pre = gate(tape, wz, uz, bz, h);
-        let z = tape.sigmoid(z_pre);
-        let r_pre = gate(tape, wr, ur, br, h);
-        let r = tape.sigmoid(r_pre);
-        let rh = tape.mul_elem(r, h);
-        let cand_pre = gate(tape, wh, uh, bh, rh);
-        let cand = tape.tanh(cand_pre);
+        let z_pre = gate(f, &x, wz, uz, bz, &h);
+        let z = f.sigmoid(z_pre);
+        let r_pre = gate(f, &x, wr, ur, br, &h);
+        let r = f.sigmoid(r_pre);
+        let rh = f.mul_elem(r, &h);
+        let cand_pre = gate(f, &x, wh, uh, bh, &rh);
+        // Last uses: the eager pass frees these before allocating again
+        // (on a tape, dropping a node id does nothing).
+        drop((x, rh));
+        let cand = f.tanh(cand_pre);
         // h' = h + z ⊙ (h̃ − h)
-        let delta = tape.sub(cand, h);
-        let zd = tape.mul_elem(z, delta);
-        tape.add(h, zd)
+        let delta = f.sub(cand, &h);
+        let zd = f.mul_elem(z, &delta);
+        drop(delta);
+        f.add(h, &zd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forward::Eager;
+    use crate::tape::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -152,6 +163,23 @@ mod tests {
         assert!(v.is_finite());
         // GRU output is a convex combination of h and tanh(·), so |h'| ≤ max(|h|, 1).
         assert!(v.max_abs() <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn eager_step_matches_the_tape_bitwise() {
+        let c = cell();
+        let xv = Matrix::from_fn(6, 4, |r, k| (r * 4 + k) as f64 * 0.07 - 0.8);
+        let hv = Matrix::from_fn(6, 3, |r, k| (r + 2 * k) as f64 * -0.05 + 0.3);
+        let mut tape = Tape::new();
+        let leaves = c.leaves(&mut tape);
+        let (x, h) = (tape.leaf(xv.clone()), tape.leaf(hv.clone()));
+        let out = GruCell::forward(&mut tape, &leaves, x, h);
+        let mut eager = Eager;
+        let leaves = c.leaves(&mut eager);
+        let (x, h) = (eager.input(&xv), eager.input(&hv));
+        let eager_out = GruCell::forward(&mut eager, &leaves, x, h);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&eager_out), bits(tape.value(out)));
     }
 
     #[test]

@@ -4,14 +4,18 @@
 //!
 //! The paper implements its GNN in PyTorch; this crate replaces that
 //! dependency with a from-scratch stack sized for the model at hand
-//! (feature dimension 18, two layers, graphs of ≤ a few thousand
-//! vertices):
+//! (feature dimension 18, two layers, graphs of up to ~10^5 vertices
+//! in one pass):
 //!
 //! * [`Matrix`] — dense row-major `f64` linear algebra;
 //! * [`SparseMatrix`] — triplet sparse matrices for the per-edge-type
 //!   adjacency operators, multiplied through cached CSR views;
 //! * [`Tape`] — reverse-mode autograd over the op set the model needs
 //!   (verified against finite differences in the test suite);
+//! * [`Forward`] — the forward ops of Eq. 1 and the GRU, implemented by
+//!   [`Tape`] (recorded, for training) and by [`Eager`] (plain values
+//!   freed at their last use, for inference), so the model's forward
+//!   pass is written once and both evaluators give the same bits;
 //! * [`GruCell`] — the Eq. 1 combiner;
 //! * [`Adam`] — the optimizer;
 //! * [`init`] — Xavier initialization;
@@ -50,6 +54,7 @@
 //! ```
 
 pub mod error;
+pub mod forward;
 pub mod gru;
 pub mod init;
 mod kernel;
@@ -62,6 +67,7 @@ pub mod sparse;
 pub mod tape;
 
 pub use error::NnError;
+pub use forward::{Eager, Forward};
 pub use gru::{GruCell, GruLeaves};
 pub use matrix::{cosine_similarity, dot, row_norm, Matrix};
 pub use optim::Adam;
@@ -76,6 +82,7 @@ mod tests {
         assert_send_sync::<crate::Matrix>();
         assert_send_sync::<crate::SparseMatrix>();
         assert_send_sync::<crate::Tape>();
+        assert_send_sync::<crate::Eager>();
         assert_send_sync::<crate::GruCell>();
         assert_send_sync::<crate::Adam>();
     }

@@ -372,6 +372,24 @@ impl Matrix {
         out
     }
 
+    /// [`Matrix::map`] writing into `self`'s buffer.
+    pub(crate) fn map_assign(&mut self, f: impl Fn(f64) -> f64) {
+        for x in &mut self.data {
+            *x = f(*x);
+        }
+    }
+
+    /// [`Matrix::map_par`] writing into `self`'s buffer, split into the
+    /// same element chunks.
+    pub(crate) fn map_par_assign(&mut self, f: impl Fn(f64) -> f64 + Sync) {
+        let len = self.data.len();
+        par_row_chunks(len, 1, &mut self.data, MAP_PAR_MIN_CHUNK, |_, chunk| {
+            for x in chunk {
+                *x = f(*x);
+            }
+        });
+    }
+
     /// The L2 norm of every row, computed exactly as
     /// [`cosine_similarity`] computes its per-vector norms (sum of
     /// squares in index order, then square root).
@@ -394,9 +412,20 @@ impl Matrix {
     ///
     /// Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
+        self.zip_assign(other, |a, b| a + b);
+    }
+
+    /// `self + 1·rowᵀ` in place: add a `1 × cols` bias to every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row` is `1 × self.cols()`.
+    pub fn add_row_assign(&mut self, row: &Matrix) {
+        assert_eq!(row.shape(), (1, self.cols), "bias must be 1 × cols");
+        for vrow in self.data.chunks_exact_mut(self.cols.max(1)) {
+            for (x, &b) in vrow.iter_mut().zip(&row.data) {
+                *x += b;
+            }
         }
     }
 
@@ -429,6 +458,19 @@ impl Matrix {
     /// Whether every element is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+
+    /// `self[i] = f(self[i], other[i])`: [`Matrix::zip_with`] writing
+    /// into `self`'s buffer, with the same per-element arithmetic.
+    pub(crate) fn zip_assign(&mut self, other: &Matrix, f: impl Fn(f64, f64) -> f64) {
+        assert_eq!(
+            self.shape(),
+            other.shape(),
+            "element-wise op shape mismatch"
+        );
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
+        }
     }
 
     fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {

@@ -171,15 +171,8 @@ impl Tape {
     ///
     /// Panics unless `row` is `1 × a.cols()`.
     pub fn add_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let ac = self.value(a).cols();
-        assert_eq!(self.value(row).shape(), (1, ac), "bias must be 1 × cols");
-        let bias = self.value(row).row(0);
         let mut v = self.value(a).clone();
-        for vrow in v.as_mut_slice().chunks_exact_mut(ac.max(1)) {
-            for (x, &b) in vrow.iter_mut().zip(bias) {
-                *x += b;
-            }
-        }
+        v.add_row_assign(self.value(row));
         self.push(v, Op::AddRow(a, row))
     }
 

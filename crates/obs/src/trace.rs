@@ -231,6 +231,7 @@ pub struct Span {
     start_ts: u64,
     name: String,
     stage: String,
+    open: bool,
 }
 
 impl Span {
@@ -251,11 +252,17 @@ impl Span {
             start_ts: ts,
             name: name.to_string(),
             stage: stage.to_string(),
+            open: true,
         }
     }
 
     /// Close the span now (equivalent to dropping it).
     pub fn close(self) {}
+
+    /// Close the span now, with `fields` on its `span_end` line.
+    pub fn close_with(mut self, fields: &[(&str, Value)]) {
+        self.end(fields);
+    }
 
     /// The span's unique id within its tracer's stream.
     ///
@@ -268,8 +275,11 @@ impl Span {
     }
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
+impl Span {
+    fn end(&mut self, fields: &[(&str, Value)]) {
+        if !std::mem::take(&mut self.open) {
+            return;
+        }
         let mut inner = self.tracer.lock();
         let ts = inner.epoch.elapsed().as_nanos() as u64;
         // LIFO discipline: a guard dropping out of order (possible only
@@ -289,10 +299,25 @@ impl Drop for Span {
             self.id,
             parent,
             Some(dur),
-            &[],
+            fields,
         );
         let _ = writeln!(inner.out, "{line}");
     }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.end(&[]);
+    }
+}
+
+/// The process's peak resident set so far, in KiB: `VmHWM` from
+/// `/proc/self/status`. `None` where that file does not exist (or has
+/// no such line), i.e. off Linux.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.split_whitespace().next()?.parse().ok()
 }
 
 /// Mint a process-unique 128-bit trace id as 32 lowercase hex digits.
@@ -532,6 +557,24 @@ mod tests {
         assert_eq!(events[1].parent, events[0].id);
         assert_eq!(events[4].kind, "span_end");
         assert_eq!(events[4].span, "train");
+    }
+
+    #[test]
+    fn close_with_puts_fields_on_the_single_span_end() {
+        let (tracer, buf) = Tracer::in_memory();
+        tracer.span("embed", "embed", &[]).close_with(&[("vm_hwm_kb", 42u64.into())]);
+        tracer.flush();
+        let events = validate_trace(&buf.contents()).unwrap();
+        assert_eq!(events.len(), 2, "dropping a closed span emits nothing more");
+        assert_eq!(events[1].kind, "span_end");
+        assert_eq!(events[1].fields["vm_hwm_kb"].as_num(), Some(42.0));
+        assert!(events[0].fields.is_empty());
+    }
+
+    #[test]
+    fn peak_rss_is_read_where_proc_exists() {
+        let expected = std::path::Path::new("/proc/self/status").exists();
+        assert_eq!(peak_rss_kb().is_some_and(|kb| kb > 0), expected);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::process::Command;
 
 use ancstr_core::{
     render_metrics_table, write_constraints, ExtractorConfig, PipelineObs, RunCtx,
-    SymmetryExtractor, STAGES,
+    SymmetryExtractor, PEAK_RSS_FIELD, STAGES,
 };
 use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::FlatCircuit;
@@ -148,6 +148,48 @@ fn observed_run_covers_all_stages_with_epoch_telemetry() {
     assert_eq!(reread, prom, "write_prom altered the exposition");
 }
 
+/// A traced stage span's end carries the process's peak RSS so far
+/// (`VmHWM`) where `/proc/self/status` exists, and omits it elsewhere.
+/// Nothing else carries it, and the mark never falls from one stage
+/// end to the next.
+#[test]
+fn stage_span_ends_carry_the_peak_rss_high_water_mark() {
+    let dir = workdir("peak-rss");
+    let sp = dir.join("sa.sp");
+    fs::write(&sp, NETLIST).unwrap();
+
+    let (tracer, buf) = Tracer::in_memory();
+    let obs = PipelineObs::new(Some(tracer));
+    let flat = ancstr_core::load_netlist(sp.to_str().unwrap(), &obs).expect("loads");
+    let mut ex = SymmetryExtractor::try_new(quick_config()).expect("config is valid");
+    let ctx = RunCtx::observed(obs.clone());
+    ex.try_fit(&[&flat], &ctx, None).expect("fit");
+    ex.try_extract(&flat, None, &ctx, None).expect("extract");
+    obs.flush();
+
+    let events = validate_trace(&buf.contents()).expect("schema-valid trace");
+    let has_proc = ancstr_obs::peak_rss_kb().is_some();
+    let mut last = 0.0;
+    let mut stage_ends = 0;
+    for e in &events {
+        let hwm = e.fields.get(PEAK_RSS_FIELD).map(|v| v.as_num().expect("numeric"));
+        let is_stage_end = e.kind == "span_end" && STAGES.contains(&e.stage.as_str())
+            && e.span == e.stage;
+        if !is_stage_end || !has_proc {
+            assert_eq!(hwm, None, "{} `{}` must not carry {PEAK_RSS_FIELD}", e.kind, e.span);
+            continue;
+        }
+        let kb = hwm.unwrap_or_else(|| panic!("stage `{}` end lacks {PEAK_RSS_FIELD}", e.stage));
+        assert!(kb > 0.0 && kb.fract() == 0.0, "{kb}");
+        assert!(kb >= last, "high-water mark fell from {last} to {kb} at `{}`", e.stage);
+        last = kb;
+        stage_ends += 1;
+    }
+    if has_proc {
+        assert!(stage_ends >= STAGES.len(), "only {stage_ends} stage span ends");
+    }
+}
+
 // ---- binary-level tests --------------------------------------------------
 
 fn bin() -> Command {
@@ -200,11 +242,25 @@ fn cli_trace_out_does_not_change_outputs_and_validates() {
     let out = bin().arg("obs-check").arg("--trace").arg(&trace)
         .args(["--require-stages", "all", "--require-epoch-events"])
         .output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{log}");
+    if ancstr_obs::peak_rss_kb().is_some() {
+        assert!(log.contains("first reached by the end of stage"), "{log}");
+    }
 
     // A malformed trace must fail obs-check with exit 1.
     let broken = dir.join("broken.jsonl");
     fs::write(&broken, "{\"ts_ns\":1,\"kind\":\"bogus\"}\n").unwrap();
+    let out = bin().arg("obs-check").arg("--trace").arg(&broken).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // So must a peak RSS that is not a non-negative integer.
+    fs::write(
+        &broken,
+        "{\"ts_ns\":1,\"kind\":\"span_start\",\"span\":\"parse\",\"stage\":\"parse\",\"id\":1,\"parent\":0,\"fields\":{}}\n\
+         {\"ts_ns\":2,\"kind\":\"span_end\",\"span\":\"parse\",\"stage\":\"parse\",\"id\":1,\"parent\":0,\"dur_ns\":1,\"fields\":{\"vm_hwm_kb\":-3}}\n",
+    )
+    .unwrap();
     let out = bin().arg("obs-check").arg("--trace").arg(&broken).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
 }
