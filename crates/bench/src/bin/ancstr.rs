@@ -87,10 +87,13 @@
 //! diagnostic stderr stream into JSON lines, and `-v` / `--quiet`
 //! widen or silence it. Observation is read-only: outputs are
 //! byte-identical with and without these flags. A traced stage span's
-//! end carries the process's peak RSS so far (`vm_hwm_kb`, on Linux).
+//! end carries the process's peak RSS so far (`vm_hwm_kb`, on Linux);
+//! the `detect` span's end also carries `blocks_compared` and
+//! `block_digraphs`, how many blocks Algorithm 2 embedded and how many
+//! distinct digraphs it ranked for them.
 //! `obs-check` re-validates a trace file and/or a `metrics.prom`
-//! exposition line-by-line (used by CI), and names the stage that set
-//! a trace's peak RSS. `obs-report`
+//! exposition line-by-line (used by CI), checks those counts, and names
+//! the stage that set a trace's peak RSS. `obs-report`
 //! merges one or more JSONL trace files by trace id and renders
 //! per-trace waterfalls plus aggregate per-stage latency quantiles —
 //! feed it the `--trace-out` files from several serve replicas to see
@@ -1175,17 +1178,38 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
             ctx.log.info(format!("{epochs} epoch telemetry events"));
         }
         ctx.log.info(format!("{path}: {} schema-valid trace events", events.len()));
+        // A span-end count field, when present, is a non-negative integer.
+        let count = |e: &ancstr_obs::TraceEvent, field: &str| -> Result<Option<u64>, CliError> {
+            let Some(v) = e.fields.get(field) else { return Ok(None) };
+            match v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0) {
+                Some(n) => Ok(Some(n as u64)),
+                None => Err(CliError::Validation(format!(
+                    "`{path}`: span {} has a non-integer `{field}`",
+                    e.id
+                ))),
+            }
+        };
         let mut peak: Option<(u64, &str)> = None;
         for e in events.iter().filter(|e| e.kind == "span_end") {
-            let Some(v) = e.fields.get(PEAK_RSS_FIELD) else { continue };
-            let kb = v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0).ok_or_else(|| {
-                CliError::Validation(format!(
-                    "`{path}`: span {} has a non-integer `{PEAK_RSS_FIELD}`",
-                    e.id
-                ))
-            })? as u64;
-            if peak.is_none_or(|(best, _)| kb > best) {
-                peak = Some((kb, &e.stage));
+            if let Some(kb) = count(e, PEAK_RSS_FIELD)? {
+                if peak.is_none_or(|(best, _)| kb > best) {
+                    peak = Some((kb, &e.stage));
+                }
+            }
+            let compared = count(e, "blocks_compared")?;
+            let digraphs = count(e, "block_digraphs")?;
+            if let (Some(compared), Some(digraphs)) = (compared, digraphs) {
+                if digraphs > compared {
+                    return Err(CliError::Validation(format!(
+                        "`{path}`: span {} ranked {digraphs} block digraphs for only \
+                         {compared} compared blocks",
+                        e.id
+                    )));
+                }
+                ctx.log.info(format!(
+                    "{path}: Algorithm 2 ranked {digraphs} distinct block digraphs for \
+                     {compared} compared blocks"
+                ));
             }
         }
         if let Some((kb, stage)) = peak {

@@ -6,7 +6,7 @@ use ancstr_netlist::flat::{FlatCircuit, HierNodeKind};
 use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
 use ancstr_nn::{dot, row_norm, Matrix};
 
-use crate::embed::{embed_blocks, EmbedOptions};
+use crate::embed::{embed_blocks, BlockRanking, EmbedOptions};
 use crate::pairs::{compared_nodes, valid_pairs, CandidatePair};
 
 /// Threshold parameters (Eq. 4).
@@ -92,6 +92,10 @@ pub struct DetectionResult {
     /// Nodes whose features were non-finite; pairs touching them were
     /// skipped rather than scored (empty on a healthy run).
     pub warnings: Vec<NumericWarning>,
+    /// How many blocks Algorithm 2 embedded and how many distinct
+    /// digraphs it ranked for them. `None` when this detection did not
+    /// run Algorithm 2: a reloaded detect stage, or a baseline detector.
+    pub block_ranking: Option<BlockRanking>,
 }
 
 impl DetectionResult {
@@ -219,8 +223,11 @@ fn detect_impl(
     // candidate pair.
     let candidates = valid_pairs(flat);
     let compared = compared_nodes(flat, &candidates);
-    let block_embeddings = embed_blocks(flat, z, embed, &compared);
-    score_candidates(flat, z, thresholds, candidates, &compared, &block_embeddings, prune)
+    let (block_embeddings, ranking) = embed_blocks(flat, z, embed, &compared);
+    DetectionResult {
+        block_ranking: Some(ranking),
+        ..score_candidates(flat, z, thresholds, candidates, &compared, &block_embeddings, prune)
+    }
 }
 
 /// Algorithm 3's scoring of `candidates` over the per-node features:
@@ -361,7 +368,13 @@ fn score_candidates(
         }
         scored.push(ScoredPair { candidate, score, accepted, threshold });
     }
-    DetectionResult { scored, constraints, system_threshold: lambda_sys, warnings }
+    DetectionResult {
+        scored,
+        constraints,
+        system_threshold: lambda_sys,
+        warnings,
+        block_ranking: None,
+    }
 }
 
 /// Detect *self-symmetric* devices: modules placed on the symmetry axis
@@ -759,10 +772,13 @@ C2 y vss 10f
                 &cfg,
                 valid_pairs(&flat),
                 &all,
-                &embed_blocks(&flat, &z, &opts, &all),
+                &embed_blocks(&flat, &z, &opts, &all).0,
                 prune,
             );
             let got = detect_impl(&flat, &z, &cfg, &opts, prune);
+            let ranking = got.block_ranking.expect("detection ran Algorithm 2");
+            assert_eq!(ranking.blocks_compared, 2, "prune = {prune}");
+            let got = DetectionResult { block_ranking: None, ..got };
             assert_eq!(got, reference, "prune = {prune}");
         }
     }

@@ -3,9 +3,28 @@
 //! A subcircuit's embedding is the concatenation of the trained feature
 //! vectors of its top-M PageRank vertices, computed on the simplified
 //! (untyped, de-paralleled) digraph of its own multigraph.
+//!
+//! Lines 1–6 (the digraph, its PageRank and the top-M choice) read only
+//! the block's [`PinStream`]: its pins in Algorithm 1's order, with the
+//! global net ids erased. Only lines 7–10 read the block's own rows of
+//! `z`. So [`embed_all_blocks`] ranks each distinct stream once and
+//! gathers every block's rows through the shared top-M local indices.
+//!
+//! The key is exact. Streams are compared in full (a hash match is
+//! confirmed by equality), and equal streams give the same neighbour
+//! lists in the same order, hence the same PageRank bits and the same
+//! top-M. The key is deliberately not the subcircuit master: two
+//! instances of one master whose ports are tied differently in the
+//! parent (say `in` and `out` on one net) have different in-scope nets
+//! and so different digraphs. Instances whose nets happen to be
+//! numbered in a different order get different streams too, which
+//! costs sharing, never correctness.
+
+use std::collections::HashMap;
 
 use ancstr_graph::{
-    pagerank::top_m_by_pagerank, pagerank, BuildOptions, PageRankOptions, SimpleDigraph,
+    pagerank::top_m_by_pagerank, pagerank, BuildOptions, PageRankOptions, PinStream,
+    SimpleDigraph,
 };
 use ancstr_netlist::flat::{FlatCircuit, HierNodeId};
 use ancstr_nn::Matrix;
@@ -45,6 +64,33 @@ impl Default for EmbedOptions {
     }
 }
 
+/// How much Algorithm 2 work one detection shared between blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRanking {
+    /// Blocks Algorithm 3 compares, each of which gets an embedding.
+    pub blocks_compared: usize,
+    /// Distinct pin streams among them, each ranked once.
+    pub block_digraphs: usize,
+}
+
+/// Algorithm 2 lines 1–6 on one block's pin stream: the simple digraph,
+/// its PageRank, and the top-M local vertex indices in rank order.
+fn rank(stream: &PinStream, options: &EmbedOptions) -> Vec<usize> {
+    let simple = SimpleDigraph::from_pin_stream(stream, &options.build);
+    let pr = pagerank(&simple, &options.pagerank);
+    top_m_by_pagerank(&pr, options.m.min(simple.vertex_count()))
+}
+
+/// Algorithm 2 lines 7–10: the trained features of the `top` vertices of
+/// a block whose vertex `v` is flat device `first + v`, concatenated.
+fn gather(z: &Matrix, first: usize, top: &[usize]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(top.len() * z.cols());
+    for &v in top {
+        out.extend_from_slice(z.row(first + v));
+    }
+    out
+}
+
 /// Compute a subcircuit's feature embedding `z_t` (Algorithm 2).
 ///
 /// `z` holds the trained per-vertex representations of the *whole*
@@ -67,20 +113,9 @@ pub fn embed_circuit(
         z.rows() >= flat.devices().len(),
         "need one trained feature row per device"
     );
-    // Lines 1–4: simplified digraph of the subcircuit, built straight
-    // from its devices' pins. Vertex `v` is flat device `range.start + v`.
     let range = flat.subtree_device_indices(node);
-    let simple = SimpleDigraph::from_device_range(flat, range.clone(), &options.build);
-    // Lines 5–6: PageRank and ordering.
-    let pr = pagerank(&simple, &options.pagerank);
-    let m = options.m.min(simple.vertex_count());
-    let top = top_m_by_pagerank(&pr, m);
-    // Lines 7–10: concatenate the trained features of the top vertices.
-    let mut out = Vec::with_capacity(m * z.cols());
-    for &v in &top {
-        out.extend_from_slice(z.row(range.start + v));
-    }
-    out
+    let top = rank(&PinStream::from_device_range(flat, range.clone()), options);
+    gather(z, range.start, &top)
 }
 
 /// Embeddings of the blocks Algorithm 3 compares, keyed by node id
@@ -88,35 +123,55 @@ pub fn embed_circuit(
 /// candidate. Every other node is `None`: leaves, the root, blocks with
 /// no same-class sibling and the children of
 /// [`Logic`](ancstr_netlist::CircuitClass::Logic) blocks, whose
-/// embeddings no pair reads.
+/// embeddings no pair reads. Each distinct block pin stream is ranked
+/// once (see the module docs).
 pub fn embed_all_blocks(
     flat: &FlatCircuit,
     z: &Matrix,
     options: &EmbedOptions,
 ) -> Vec<Option<Vec<f64>>> {
     let compared = compared_nodes(flat, &valid_pairs(flat));
-    embed_blocks(flat, z, options, &compared)
+    embed_blocks(flat, z, options, &compared).0
 }
 
 /// Embeddings of the blocks whose `compared[id]` is set, keyed by node
-/// id order (`None` elsewhere).
+/// id order (`None` elsewhere), with the work they shared.
 pub(crate) fn embed_blocks(
     flat: &FlatCircuit,
     z: &Matrix,
     options: &EmbedOptions,
     compared: &[bool],
-) -> Vec<Option<Vec<f64>>> {
-    let mut out = vec![None; flat.nodes().len()];
+) -> (Vec<Option<Vec<f64>>>, BlockRanking) {
     let blocks: Vec<HierNodeId> =
         flat.blocks().map(|b| b.id).filter(|id| compared[id.0]).collect();
-    // Each block runs its own subcircuit PageRank — independent work,
-    // fanned out across blocks; `map_items` returns results in block
-    // order, so the scatter below is deterministic.
-    let embeddings = ancstr_par::map_items(&blocks, 1, |&id| embed_circuit(flat, id, z, options));
-    for (id, e) in blocks.into_iter().zip(embeddings) {
-        out[id.0] = Some(e);
+    // The streams and the ranks are independent per block and per
+    // stream, fanned out; `map_items` returns results in input order,
+    // so the numbering and the scatter below are deterministic.
+    let streams = ancstr_par::map_items(&blocks, 1, |&id| {
+        PinStream::from_device_range(flat, flat.subtree_device_indices(id))
+    });
+    // Number the distinct streams in block order. The map is keyed by
+    // the stream itself, so a hash match is confirmed by full equality.
+    let mut keys: HashMap<&PinStream, usize> = HashMap::new();
+    let mut distinct: Vec<&PinStream> = Vec::new();
+    let key_of: Vec<usize> = streams
+        .iter()
+        .map(|s| {
+            *keys.entry(s).or_insert_with(|| {
+                distinct.push(s);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let ranks = ancstr_par::map_items(&distinct, 1, |s| rank(s, options));
+
+    let mut out = vec![None; flat.nodes().len()];
+    for (&id, &key) in blocks.iter().zip(&key_of) {
+        let first = flat.subtree_device_indices(id).start;
+        out[id.0] = Some(gather(z, first, &ranks[key]));
     }
-    out
+    let ranking = BlockRanking { blocks_compared: blocks.len(), block_digraphs: ranks.len() };
+    (out, ranking)
 }
 
 #[cfg(test)]
@@ -283,28 +338,87 @@ R3 h x3 1k
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    fn option_bits(v: &[Option<Vec<f64>>]) -> Vec<Option<Vec<u64>>> {
+        v.iter().map(|e| e.as_deref().map(bits)).collect()
+    }
+
     #[test]
     fn direct_algorithm2_is_bit_identical_to_the_multigraph_reference() {
         let mut designs = ancstr_circuits::adc::adc_benchmarks();
         designs.extend(ancstr_circuits::block_benchmarks(20210705));
         designs.push(ancstr_circuits::stress::stress_system(2000, 7));
         let opts = EmbedOptions::default();
-        let mut blocks = 0;
+        let before = ancstr_par::threads();
+        let (mut blocks, mut digraphs) = (0, 0);
         for nl in &designs {
             let f = FlatCircuit::elaborate(nl).unwrap();
             // Distinct rows, so the embedding spells out the top-M order.
             let z = Matrix::from_fn(f.devices().len(), 2, |r, c| (r * (c + 1)) as f64);
+            let mut want_all = vec![None; f.nodes().len()];
             for b in f.blocks() {
                 let (want, want_pr) = reference_embed_circuit(&f, b.id, &z, &opts);
-                let range = f.subtree_device_indices(b.id);
-                let simple = SimpleDigraph::from_device_range(&f, range, &opts.build);
+                let stream = PinStream::from_device_range(&f, f.subtree_device_indices(b.id));
+                let simple = SimpleDigraph::from_pin_stream(&stream, &opts.build);
                 let pr = pagerank(&simple, &opts.pagerank);
                 assert_eq!(bits(&pr), bits(&want_pr), "{}: PageRank bits", b.path);
                 let got = embed_circuit(&f, b.id, &z, &opts);
                 assert_eq!(bits(&got), bits(&want), "{}: embedding bits", b.path);
+                want_all[b.id.0] = Some(want);
                 blocks += 1;
             }
+            // With every block compared, ranking each distinct pin
+            // stream once gives every block its own reference bits, at
+            // any thread count.
+            let all = vec![true; f.nodes().len()];
+            for threads in [1, 2] {
+                ancstr_par::set_threads(threads);
+                let (got, ranking) = embed_blocks(&f, &z, &opts, &all);
+                assert_eq!(option_bits(&got), option_bits(&want_all), "{threads} threads");
+                assert_eq!(ranking.blocks_compared, f.blocks().count());
+                assert!(ranking.block_digraphs <= ranking.blocks_compared);
+                digraphs += ranking.block_digraphs;
+            }
         }
+        ancstr_par::set_threads(before);
         assert!(blocks > 100, "only {blocks} blocks checked");
+        assert!(digraphs < 2 * blocks, "no block shared a rank");
+    }
+
+    #[test]
+    fn instances_tied_differently_rank_apart_and_alike_ones_share() {
+        // Three instances of one master: X1 and X3 keep `in` and `out`
+        // on separate nets, X2 ties both to one net, which merges two of
+        // its block-local nets.
+        let f = flat(
+            "\
+.subckt cell in out vdd vss
+M1 out in vss vss nch w=1u l=0.1u
+M2 x in vdd vdd pch w=2u l=0.1u
+R1 x out 1k
+.ends
+.subckt top a b c d e vdd vss
+X1 a b vdd vss cell
+X2 c c vdd vss cell
+X3 d e vdd vss cell
+.ends
+",
+        );
+        let z = Matrix::from_fn(f.devices().len(), 2, |r, c| (r * (c + 1)) as f64);
+        let opts = EmbedOptions::default();
+        let id = |path: &str| f.node_by_path(path).unwrap().id;
+        let [x1, x2, x3] = [id("top/X1"), id("top/X2"), id("top/X3")];
+        let stream = |node| PinStream::from_device_range(&f, f.subtree_device_indices(node));
+        assert_ne!(stream(x1), stream(x2), "a port tie must change the key");
+        assert_eq!(stream(x1), stream(x3), "net ids must not leak into the key");
+
+        let compared = compared_nodes(&f, &valid_pairs(&f));
+        let (got, ranking) = embed_blocks(&f, &z, &opts, &compared);
+        assert_eq!(ranking, BlockRanking { blocks_compared: 3, block_digraphs: 2 });
+        for x in [x1, x2, x3] {
+            let (want, _) = reference_embed_circuit(&f, x, &z, &opts);
+            assert_eq!(got[x.0].as_deref().map(bits), Some(bits(&want)), "{}", f.node(x).path);
+        }
+        // X3 shares X1's rank but gathers its own rows.
+        assert_ne!(got[x1.0], got[x3.0]);
     }
 }

@@ -82,7 +82,7 @@ pub use detect::{
     detect_constraints, detect_constraints_pruned, DetectionResult, NumericWarning,
     ScoredPair, ThresholdConfig,
 };
-pub use embed::{embed_all_blocks, embed_circuit, EmbedOptions};
+pub use embed::{embed_all_blocks, embed_circuit, BlockRanking, EmbedOptions};
 pub use export::{read_constraints, write_constraints, ParseConstraintError};
 pub use groups::{merge_groups, merged_groups_sorted, render_groups, sort_groups_by_path, SymmetryGroup};
 pub use features::{circuit_features, init_features, FeatureConfig, FEATURE_DIM};

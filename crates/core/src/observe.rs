@@ -66,6 +66,8 @@ impl PipelineObs {
         metrics.help("ancstr_detect_skipped_pairs_total", "Candidate pairs skipped because a member was quarantined.");
         metrics.help("ancstr_detect_constraints", "Accepted symmetry constraints in the latest detection.");
         metrics.help("ancstr_detect_scored_pairs", "Candidate pairs scored in the latest detection.");
+        metrics.help("ancstr_detect_blocks_compared", "Blocks Algorithm 2 embedded in the latest detection.");
+        metrics.help("ancstr_detect_block_digraphs", "Distinct block digraphs Algorithm 2 ranked in the latest detection.");
         metrics.help("ancstr_quality", "Table V/VI detection quality against ground truth.");
         metrics.help("ancstr_run_aborted_total", "Runs that ended on watchdog cancellation or a run-store failure.");
         PipelineObs { metrics, tracer, enabled: true }
@@ -115,6 +117,7 @@ impl PipelineObs {
             metrics: self.metrics.clone(),
             stage,
             start: Instant::now(),
+            open: true,
         }
     }
 
@@ -151,13 +154,18 @@ impl PipelineObs {
         self.metrics.counter_add("ancstr_runstore_recovery_notes_total", &[], 1);
     }
 
-    /// Record a finished detection: constraint/pair gauges, plus the
+    /// Record a finished detection: constraint/pair gauges, the
+    /// Algorithm 2 sharing gauges when it ran Algorithm 2, plus the
     /// counted [`NumericWarning`] records as structured `numeric_warning`
     /// events in stable (path-sorted) order.
     pub fn record_detection(&self, detection: &DetectionResult) {
         let m = &self.metrics;
         m.gauge_set("ancstr_detect_constraints", &[], detection.constraints.len() as f64);
         m.gauge_set("ancstr_detect_scored_pairs", &[], detection.scored.len() as f64);
+        if let Some(r) = detection.block_ranking {
+            m.gauge_set("ancstr_detect_blocks_compared", &[], r.blocks_compared as f64);
+            m.gauge_set("ancstr_detect_block_digraphs", &[], r.block_digraphs as f64);
+        }
         let mut warnings: Vec<&NumericWarning> = detection.warnings.iter().collect();
         warnings.sort_by(|a, b| a.path.cmp(&b.path).then(a.node.cmp(&b.node)));
         for w in warnings {
@@ -218,10 +226,20 @@ pub struct StageGuard {
     metrics: Registry,
     stage: &'static str,
     start: Instant,
+    open: bool,
 }
 
-impl Drop for StageGuard {
-    fn drop(&mut self) {
+impl StageGuard {
+    /// Close the stage now, with `fields` on its `span_end` next to
+    /// [`PEAK_RSS_FIELD`].
+    pub fn close_with(mut self, fields: &[(&str, Value)]) {
+        self.close(fields);
+    }
+
+    fn close(&mut self, fields: &[(&str, Value)]) {
+        if !std::mem::take(&mut self.open) {
+            return;
+        }
         let elapsed = self.start.elapsed().as_secs_f64();
         self.metrics.observe(
             "ancstr_stage_duration_seconds",
@@ -232,11 +250,18 @@ impl Drop for StageGuard {
         self.metrics
             .counter_add("ancstr_stage_runs_total", &[("stage", self.stage)], 1);
         if let Some(span) = self.span.take() {
-            match peak_rss_kb() {
-                Some(kb) => span.close_with(&[(PEAK_RSS_FIELD, kb.into())]),
-                None => span.close(),
+            let mut end = fields.to_vec();
+            if let Some(kb) = peak_rss_kb() {
+                end.push((PEAK_RSS_FIELD, kb.into()));
             }
+            span.close_with(&end);
         }
+    }
+}
+
+impl Drop for StageGuard {
+    fn drop(&mut self) {
+        self.close(&[]);
     }
 }
 

@@ -439,6 +439,7 @@ impl SymmetryExtractor {
                 constraints,
                 system_threshold: f64::NAN,
                 warnings: Vec::new(),
+                block_ranking: None,
             },
             None => {
                 let start = Instant::now();
@@ -584,12 +585,17 @@ impl SymmetryExtractor {
     }
 
     /// Stage `detect`: exact Algorithm 2–3 detection under a `detect`
-    /// span, then the detection's gauges and `numeric_warning` events.
+    /// span whose end carries `blocks_compared` and `block_digraphs`
+    /// (how much Algorithm 2 work the blocks shared), then the
+    /// detection's gauges and `numeric_warning` events.
     pub fn detect(&self, flat: &FlatCircuit, z: &Matrix, obs: &PipelineObs) -> DetectionResult {
-        let detection = {
-            let _g = obs.stage("detect");
-            detect_constraints(flat, z, &self.config.thresholds, &self.config.embed)
-        };
+        let g = obs.stage("detect");
+        let detection = detect_constraints(flat, z, &self.config.thresholds, &self.config.embed);
+        let r = detection.block_ranking.expect("detect_constraints runs Algorithm 2");
+        g.close_with(&[
+            ("blocks_compared", r.blocks_compared.into()),
+            ("block_digraphs", r.block_digraphs.into()),
+        ]);
         obs.record_detection(&detection);
         detection
     }

@@ -3,9 +3,15 @@
 
 use ancstr_core::detect::ThresholdConfig;
 use ancstr_core::metrics::{roc_curve, Confusion};
-use ancstr_core::{circuit_features, valid_pairs, FeatureConfig, FEATURE_DIM};
+use ancstr_core::{
+    circuit_features, embed_all_blocks, valid_pairs, EmbedOptions, FeatureConfig, FEATURE_DIM,
+};
+use ancstr_graph::pagerank::top_m_by_pagerank;
+use ancstr_graph::{pagerank, HetMultigraph, SimpleDigraph, VertexId};
 use ancstr_netlist::flat::FlatCircuit;
+use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::{Device, DeviceType, Geometry, Netlist, Subckt};
+use ancstr_nn::Matrix;
 use proptest::prelude::*;
 
 fn arb_cell() -> impl Strategy<Value = FlatCircuit> {
@@ -48,7 +54,76 @@ fn arb_cell() -> impl Strategy<Value = FlatCircuit> {
     })
 }
 
+/// Strategy: a top made of random instances of two random masters,
+/// each instance's three ports tied to random top nets (so some
+/// instances tie two ports together and others do not).
+fn arb_two_master_top() -> impl Strategy<Value = FlatCircuit> {
+    // A device: nch or resistor, over the master's ports and one
+    // internal net.
+    let master = || prop::collection::vec((any::<bool>(), 0usize..4, 0usize..4, 0usize..4), 1..6);
+    let instance = (0usize..2, 0usize..4, 0usize..4, 0usize..4);
+    (master(), master(), prop::collection::vec(instance, 2..9)).prop_map(|(m0, m1, xs)| {
+        let nets = ["p0", "p1", "p2", "x"];
+        let mut src = String::new();
+        for (name, devs) in [("m0", m0), ("m1", m1)] {
+            src += &format!(".subckt {name} p0 p1 p2\n");
+            for (i, (mos, a, b, c)) in devs.into_iter().enumerate() {
+                let (a, b, c) = (nets[a], nets[b], nets[c]);
+                src += &if mos {
+                    format!("M{i} {a} {b} {c} {a} nch w=1u l=0.1u\n")
+                } else {
+                    format!("R{i} {a} {b} 1k\n")
+                };
+            }
+            src += ".ends\n";
+        }
+        src += ".subckt top t0 t1 t2 t3\n";
+        for (i, (m, a, b, c)) in xs.into_iter().enumerate() {
+            src += &format!("X{i} t{a} t{b} t{c} m{m}\n");
+        }
+        src += ".ends\n";
+        FlatCircuit::elaborate(&parse_spice(&src).expect("valid SPICE")).expect("elaborates")
+    })
+}
+
+/// Algorithm 2 on one block, the unshared way: its own multigraph,
+/// collapsed, ranked, and its top-M rows gathered.
+fn per_block_embedding(
+    flat: &FlatCircuit,
+    node: ancstr_netlist::HierNodeId,
+    z: &Matrix,
+    options: &EmbedOptions,
+) -> Vec<f64> {
+    let g = HetMultigraph::from_subtree(flat, node, &options.build);
+    let pr = pagerank(&SimpleDigraph::from_multigraph(&g), &options.pagerank);
+    let mut out = Vec::new();
+    for v in top_m_by_pagerank(&pr, options.m.min(g.vertex_count())) {
+        out.extend_from_slice(z.row(g.device_index(VertexId(v))));
+    }
+    out
+}
+
 proptest! {
+    /// Ranking each distinct block pin stream once gives every compared
+    /// block the bits of its own per-block Algorithm 2.
+    #[test]
+    fn shared_block_ranks_match_the_per_block_reference(flat in arb_two_master_top()) {
+        let z = Matrix::from_fn(flat.devices().len(), 2, |r, c| (r * (c + 1)) as f64);
+        let options = EmbedOptions::default();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let got = embed_all_blocks(&flat, &z, &options);
+        let mut compared = 0;
+        for b in flat.blocks() {
+            if let Some(e) = &got[b.id.0] {
+                let want = per_block_embedding(&flat, b.id, &z, &options);
+                prop_assert_eq!(bits(e), bits(&want), "{}", &b.path);
+                compared += 1;
+            }
+        }
+        // Every instance has a same-class sibling, so all are compared.
+        prop_assert_eq!(compared, flat.root().children.len());
+    }
+
     /// Features: one row per device, 18 wide, one-hot block exact,
     /// geometry block within [0, 1].
     #[test]

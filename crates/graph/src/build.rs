@@ -22,49 +22,94 @@ pub struct BuildOptions {
     pub max_net_degree: Option<usize>,
 }
 
-/// Algorithm 1's clique enumeration over the devices in `range` — the
-/// one place its rules live.
+/// A block's pins in Algorithm 1's visiting order, with the global net
+/// ids erased: the input of the clique enumeration, and all of it.
 ///
-/// Nets are restricted to the pins of in-scope devices, so connections
-/// leaving the scope are ignored (they belong to the enclosing
-/// hierarchy). Nets are visited by id, the pins of one net in device
-/// then pin order; a net with more than `max_net_degree` pins is
-/// skipped. For every unordered pair of pins on a net that belong to
-/// two different devices (no self loops), `pair((u, τ_u), (v, τ_v))` is
-/// called with local vertex indices (`device index - range.start`, so
-/// `u` comes first in pin order). Algorithm 1 turns the pair into the
-/// two typed edges `(u, v, τ_v)` and `(v, u, τ_u)`.
-pub(crate) fn for_each_clique_pair(
-    flat: &FlatCircuit,
-    range: Range<usize>,
-    options: &BuildOptions,
-    mut pair: impl FnMut((usize, PortType), (usize, PortType)),
-) {
-    // In-scope pins as (net, vertex, pin index, port), sorted by net,
-    // then vertex, then pin index: grouped by net, each net's pins in
-    // device then pin order. The keys are unique, so an in-place
-    // unstable sort gives that order; on a 100k-device circuit a stable
-    // sort's scratch buffer over wider entries raised `extract`'s peak
-    // RSS by ~15 MB. (Vertex and net counts fit `u32` in any circuit
-    // that fits in memory.)
-    let devices = &flat.devices()[range];
-    let mut pins: Vec<(u32, u32, u8, PortType)> =
-        Vec::with_capacity(devices.iter().map(|d| d.typed_pins().count()).sum());
-    for (v, d) in devices.iter().enumerate() {
-        for (k, (net, port)) in d.typed_pins().enumerate() {
-            pins.push((net.0 as u32, v as u32, k as u8, port));
-        }
-    }
-    pins.sort_unstable_by_key(|&(net, v, k, _)| (net, v, k));
+/// The pins of the devices in a range are sorted by net, then device,
+/// then pin index, so they come grouped by net, each net's pins in
+/// device then pin order. Only the group boundaries and each pin's
+/// `(local vertex, port)` are kept (vertex `v` is flat device
+/// `range.start + v`). Nets are restricted to in-scope pins, so
+/// connections leaving the scope are ignored (they belong to the
+/// enclosing hierarchy).
+///
+/// Everything Algorithm 1 reads of a range is in its stream, so two
+/// ranges with equal streams have the same clique pairs in the same
+/// order: the same multigraph up to the device offset, and the same
+/// simple digraph. That makes the stream a content key for per-block
+/// work.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PinStream {
+    vertices: usize,
+    /// End offset in `pins` of each net's group, in net order.
+    ends: Vec<u32>,
+    /// Every in-scope pin, grouped by net, as `local vertex << 2 | port
+    /// index`: one integer per pin, so hashing and comparing a stream
+    /// are single passes over plain words.
+    pins: Vec<u32>,
+}
 
-    for net in pins.chunk_by(|a, b| a.0 == b.0) {
-        if options.max_net_degree.is_some_and(|k| net.len() > k) {
-            continue;
+impl PinStream {
+    /// The pin stream of the devices in `range` (flat-device indices; a
+    /// subtree's devices are one range).
+    pub fn from_device_range(flat: &FlatCircuit, range: Range<usize>) -> PinStream {
+        // In-scope pins as (net, vertex, pin index, port), sorted by
+        // net, then vertex, then pin index. The keys are unique, so an
+        // in-place unstable sort gives that order; on a 100k-device
+        // circuit a stable sort's scratch buffer over wider entries
+        // raised `extract`'s peak RSS by ~15 MB. (Net counts fit `u32`,
+        // and vertex counts 30 bits, in any circuit that fits in memory.)
+        let devices = &flat.devices()[range];
+        let mut sorted: Vec<(u32, u32, u8, PortType)> =
+            Vec::with_capacity(devices.iter().map(|d| d.typed_pins().count()).sum());
+        for (v, d) in devices.iter().enumerate() {
+            for (k, (net, port)) in d.typed_pins().enumerate() {
+                sorted.push((net.0 as u32, v as u32, k as u8, port));
+            }
         }
-        for (i, &(_, u, _, tu)) in net.iter().enumerate() {
-            for &(_, v, _, tv) in &net[i + 1..] {
-                if u != v {
-                    pair((u as usize, tu), (v as usize, tv));
+        sorted.sort_unstable_by_key(|&(net, v, k, _)| (net, v, k));
+
+        let mut ends = Vec::new();
+        let mut pins = Vec::with_capacity(sorted.len());
+        for net in sorted.chunk_by(|a, b| a.0 == b.0) {
+            pins.extend(net.iter().map(|&(_, v, _, port)| v << 2 | port.index() as u32));
+            ends.push(pins.len() as u32);
+        }
+        PinStream { vertices: devices.len(), ends, pins }
+    }
+
+    /// Number of vertices (devices in the range).
+    pub fn vertex_count(&self) -> usize {
+        self.vertices
+    }
+
+    /// Algorithm 1's clique enumeration over the stream — the one
+    /// place its rules live.
+    ///
+    /// Nets are visited in stream order; a net with more than
+    /// `max_net_degree` pins is skipped. For every unordered pair of
+    /// pins on a net that belong to two different devices (no self
+    /// loops), `pair((u, τ_u), (v, τ_v))` is called with local vertex
+    /// indices (`u` comes first in pin order). Algorithm 1 turns the
+    /// pair into the two typed edges `(u, v, τ_v)` and `(v, u, τ_u)`.
+    pub(crate) fn for_each_clique_pair(
+        &self,
+        options: &BuildOptions,
+        mut pair: impl FnMut((usize, PortType), (usize, PortType)),
+    ) {
+        let decode = |p: u32| ((p >> 2) as usize, PortType::ALL[(p & 3) as usize]);
+        let mut start = 0;
+        for &end in &self.ends {
+            let net = &self.pins[start..end as usize];
+            start = end as usize;
+            if options.max_net_degree.is_some_and(|k| net.len() > k) {
+                continue;
+            }
+            for (i, &u) in net.iter().enumerate() {
+                for &v in &net[i + 1..] {
+                    if u >> 2 != v >> 2 {
+                        pair(decode(u), decode(v));
+                    }
                 }
             }
         }
@@ -81,7 +126,7 @@ impl HetMultigraph {
     /// Build the multigraph over the devices beneath one hierarchy node —
     /// the per-subcircuit graph `G_t`. (Circuit feature embedding needs
     /// only its simple digraph, which
-    /// [`SimpleDigraph::from_device_range`](crate::SimpleDigraph::from_device_range)
+    /// [`SimpleDigraph::from_pin_stream`](crate::SimpleDigraph::from_pin_stream)
     /// builds without it.)
     pub fn from_subtree(
         flat: &FlatCircuit,
@@ -92,18 +137,19 @@ impl HetMultigraph {
     }
 
     /// Build the multigraph over an explicit range of flat-device
-    /// indices. Nets are restricted to the pins of in-scope devices, so
-    /// connections leaving the scope are ignored (they belong to the
-    /// enclosing hierarchy).
+    /// indices, from the range's [`PinStream`]. Nets are restricted to
+    /// the pins of in-scope devices, so connections leaving the scope
+    /// are ignored (they belong to the enclosing hierarchy).
     pub fn from_device_range(
         flat: &FlatCircuit,
         range: Range<usize>,
         options: &BuildOptions,
     ) -> HetMultigraph {
-        let mut g = HetMultigraph::with_vertices(range.clone());
+        let stream = PinStream::from_device_range(flat, range.clone());
+        let mut g = HetMultigraph::with_vertices(range);
         // Both directions of each clique pair, each typed by its
         // destination port.
-        for_each_clique_pair(flat, range, options, |(u, tu), (v, tv)| {
+        stream.for_each_clique_pair(options, |(u, tu), (v, tv)| {
             g.add_edge(crate::VertexId(u), crate::VertexId(v), tv);
             g.add_edge(crate::VertexId(v), crate::VertexId(u), tu);
         });

@@ -6,6 +6,8 @@
 //! * [`HetMultigraph`] — the directed multigraph `G = (V, E)` whose
 //!   vertices are primitive devices and whose edges `(u, v, τ_v)` are
 //!   typed by the destination port (Algorithm 1's clique construction);
+//! * [`PinStream`] — a block's pins in Algorithm 1's order with the
+//!   global net ids erased, from which both graphs are built;
 //! * [`SimpleDigraph`] — the de-paralleled, untyped digraph `G'_t` used
 //!   by circuit feature embedding (Algorithm 2, lines 1–4);
 //! * [`pagerank()`] — Eq. 3's PageRank iteration;
@@ -40,7 +42,7 @@ pub mod multigraph;
 pub mod pagerank;
 pub mod simplify;
 
-pub use build::BuildOptions;
+pub use build::{BuildOptions, PinStream};
 pub use multigraph::{Edge, EdgeId, HetMultigraph, VertexId};
 pub use pagerank::{pagerank, PageRankOptions};
 pub use simplify::SimpleDigraph;

@@ -4,11 +4,8 @@
 //! directed edges (one per direction) remain between any two vertices.
 
 use std::collections::HashSet;
-use std::ops::Range;
 
-use ancstr_netlist::flat::FlatCircuit;
-
-use crate::build::{for_each_clique_pair, BuildOptions};
+use crate::build::{BuildOptions, PinStream};
 use crate::multigraph::{HetMultigraph, VertexId};
 
 /// An untyped simple digraph over the same vertex set as a
@@ -21,22 +18,18 @@ pub struct SimpleDigraph {
 }
 
 impl SimpleDigraph {
-    /// The simple digraph `G'_t` of Algorithm 2 over a range of
-    /// flat-device indices (a subtree's devices are one range), built
-    /// straight from their pins. It is identical (neighbour order
+    /// The simple digraph `G'_t` of Algorithm 2 of a block, built
+    /// straight from its [`PinStream`]. It is identical (neighbour order
     /// included) to
     /// `from_multigraph(&HetMultigraph::from_device_range(flat, range,
-    /// options))` without materializing the typed multigraph.
-    pub fn from_device_range(
-        flat: &FlatCircuit,
-        range: Range<usize>,
-        options: &BuildOptions,
-    ) -> SimpleDigraph {
-        let n = range.len();
+    /// options))` for the range the stream was taken from, without
+    /// materializing the typed multigraph.
+    pub fn from_pin_stream(stream: &PinStream, options: &BuildOptions) -> SimpleDigraph {
+        let n = stream.vertex_count();
         let mut out = vec![Vec::new(); n];
         let mut inn = vec![Vec::new(); n];
         // The multigraph's two edges of every clique pair, untyped.
-        for_each_clique_pair(flat, range, options, |(u, _), (v, _)| {
+        stream.for_each_clique_pair(options, |(u, _), (v, _)| {
             out[u].push(v);
             inn[v].push(u);
             out[v].push(u);
@@ -56,7 +49,7 @@ impl SimpleDigraph {
 
     /// Collapse a multigraph into a simple digraph (Algorithm 2 lines
     /// 1–4): drop edge types, reject duplicates. Production builds `G'_t`
-    /// with [`SimpleDigraph::from_device_range`]; this is the reference it
+    /// with [`SimpleDigraph::from_pin_stream`]; this is the reference it
     /// is tested against.
     pub fn from_multigraph(g: &HetMultigraph) -> SimpleDigraph {
         let n = g.vertex_count();

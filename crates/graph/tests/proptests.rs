@@ -1,6 +1,8 @@
 //! Property tests for graph construction and PageRank invariants.
 
-use ancstr_graph::{pagerank, BuildOptions, HetMultigraph, PageRankOptions, SimpleDigraph};
+use ancstr_graph::{
+    pagerank, BuildOptions, HetMultigraph, PageRankOptions, PinStream, SimpleDigraph,
+};
 use ancstr_netlist::flat::FlatCircuit;
 use ancstr_netlist::{Device, DeviceType, Geometry, Netlist, Subckt};
 use proptest::prelude::*;
@@ -84,7 +86,7 @@ proptest! {
         }
     }
 
-    /// The direct pin-to-digraph builder is the multigraph path without
+    /// The pin-stream digraph builder is the multigraph path without
     /// the multigraph: same neighbour lists in the same order, and so
     /// the same PageRank bits, for any device window and degree cap.
     #[test]
@@ -101,7 +103,8 @@ proptest! {
         let reference = SimpleDigraph::from_multigraph(
             &HetMultigraph::from_device_range(&flat, range.clone(), &options),
         );
-        let direct = SimpleDigraph::from_device_range(&flat, range, &options);
+        let direct =
+            SimpleDigraph::from_pin_stream(&PinStream::from_device_range(&flat, range), &options);
         // Equal structs: every in- and out-list, in order.
         prop_assert_eq!(&direct, &reference);
         let bits = |g: &SimpleDigraph| -> Vec<u64> {

@@ -383,3 +383,93 @@ fn self_trained_cli_extract_builds_the_graph_once() {
         assert_eq!(spans, 1, "`{stage}` ran {spans} times");
     }
 }
+
+/// Three instances of one master; X2 ties `in` and `out` to one net, so
+/// its block digraph differs from X1's and X3's, which share one rank.
+const TIED_INSTANCES: &str = "\
+.subckt cell in out vdd vss
+M1 out in vss vss nch w=1u l=0.1u
+M2 x in vdd vdd pch w=2u l=0.1u
+R1 x out 1k
+.ends
+.subckt top a b c d e vdd vss
+X1 a b vdd vss cell
+X2 c c vdd vss cell
+X3 d e vdd vss cell
+.ends
+";
+
+/// The `span_end` lines of a trace's `detect` stage spans.
+fn detect_span_ends(trace: &std::path::Path) -> Vec<ancstr_obs::TraceEvent> {
+    let events = validate_trace(&fs::read_to_string(trace).unwrap()).expect("valid trace");
+    events.into_iter().filter(|e| e.kind == "span_end" && e.span == "detect").collect()
+}
+
+/// The `detect` span end and the gauges report how many blocks
+/// Algorithm 2 embedded and how many distinct digraphs it ranked for
+/// them; a resumed run that reloads the detect stage reports neither,
+/// and `obs-check` rejects counts that are not non-negative integers or
+/// rank more digraphs than blocks.
+#[test]
+fn detect_span_reports_shared_block_digraphs() {
+    let dir = workdir("cli-block-digraphs");
+    let sp = dir.join("tied.sp");
+    fs::write(&sp, TIED_INSTANCES).unwrap();
+    let run = dir.join("run");
+    let extract = |trace: &std::path::Path, resume: bool| {
+        let mut cmd = bin();
+        cmd.arg("extract").arg(&sp).args(["--epochs", "12", "--seed", "3"])
+            .arg("-o").arg(dir.join("out.sym"))
+            .arg("--run-dir").arg(&run)
+            .arg("--trace-out").arg(trace);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    };
+
+    let trace = dir.join("trace.jsonl");
+    extract(&trace, false);
+    let ends = detect_span_ends(&trace);
+    assert_eq!(ends.len(), 1);
+    let field = |name: &str| ends[0].fields.get(name).and_then(|v| v.as_num());
+    assert_eq!(field("blocks_compared"), Some(3.0));
+    assert_eq!(field("block_digraphs"), Some(2.0));
+    let prom = fs::read_to_string(run.join("metrics.prom")).unwrap();
+    assert!(prom.contains("ancstr_detect_blocks_compared 3\n"), "{prom}");
+    assert!(prom.contains("ancstr_detect_block_digraphs 2\n"), "{prom}");
+    let out = bin().arg("obs-check").arg("--trace").arg(&trace).output().unwrap();
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{log}");
+    assert!(log.contains("ranked 2 distinct block digraphs for 3 compared blocks"), "{log}");
+
+    // A resumed finished run reloads the detection: no counts anywhere.
+    let resumed = dir.join("resumed.jsonl");
+    extract(&resumed, true);
+    let ends = detect_span_ends(&resumed);
+    assert_eq!(ends.len(), 1, "the reload still runs under a detect span");
+    for name in ["blocks_compared", "block_digraphs"] {
+        assert!(!ends[0].fields.contains_key(name), "a reloaded detect reported `{name}`");
+    }
+    let prom = fs::read_to_string(run.join("metrics.prom")).unwrap();
+    assert!(!prom.contains("ancstr_detect_block_digraphs "), "{prom}");
+
+    let broken = dir.join("broken.jsonl");
+    for fields in [
+        "\"blocks_compared\":3,\"block_digraphs\":4",
+        "\"blocks_compared\":3,\"block_digraphs\":1.5",
+        "\"blocks_compared\":-1,\"block_digraphs\":0",
+    ] {
+        fs::write(
+            &broken,
+            format!(
+                "{{\"ts_ns\":1,\"kind\":\"span_start\",\"span\":\"detect\",\"stage\":\"detect\",\"id\":1,\"parent\":0,\"fields\":{{}}}}\n\
+                 {{\"ts_ns\":2,\"kind\":\"span_end\",\"span\":\"detect\",\"stage\":\"detect\",\"id\":1,\"parent\":0,\"dur_ns\":1,\"fields\":{{{fields}}}}}\n"
+            ),
+        )
+        .unwrap();
+        let out = bin().arg("obs-check").arg("--trace").arg(&broken).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{fields}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
