@@ -87,10 +87,12 @@
 //! diagnostic stderr stream into JSON lines, and `-v` / `--quiet`
 //! widen or silence it. Observation is read-only: outputs are
 //! byte-identical with and without these flags. A traced stage span's
-//! end carries the process's peak RSS so far (`vm_hwm_kb`, on Linux);
-//! the `detect` span's end also carries `blocks_compared` and
-//! `block_digraphs`, how many blocks Algorithm 2 embedded and how many
-//! distinct digraphs it ranked for them.
+//! end carries the process's peak RSS so far (`vm_hwm_kb`, on Linux)
+//! and its minor page faults so far (`minflt`); each `epoch` event
+//! carries the faults taken since the previous epoch. The `detect`
+//! span's end also carries `blocks_compared` and `block_digraphs`, how
+//! many blocks Algorithm 2 embedded and how many distinct digraphs it
+//! ranked for them.
 //! `obs-check` re-validates a trace file and/or a `metrics.prom`
 //! exposition line-by-line (used by CI), checks those counts, and names
 //! the stage that set a trace's peak RSS. `obs-report`
@@ -117,7 +119,7 @@ use ancstr_core::runstore::{RunOptions, RunSession, StageStatus};
 use ancstr_core::{
     detect_constraints_pruned, load_netlist, render_groups, render_metrics_table,
     write_constraints, ExtractError, ExtractorConfig, FitOutcome, PipelineObs, RunCtx,
-    SymmetryExtractor, PEAK_RSS_FIELD, STAGES,
+    SymmetryExtractor, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES,
 };
 use ancstr_gnn::{HealthReport, TrainGraph};
 use ancstr_graph::BuildOptions;
@@ -1178,17 +1180,20 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
             ctx.log.info(format!("{epochs} epoch telemetry events"));
         }
         ctx.log.info(format!("{path}: {} schema-valid trace events", events.len()));
-        // A span-end count field, when present, is a non-negative integer.
+        // A count field, when present, is a non-negative integer.
         let count = |e: &ancstr_obs::TraceEvent, field: &str| -> Result<Option<u64>, CliError> {
             let Some(v) = e.fields.get(field) else { return Ok(None) };
             match v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0) {
                 Some(n) => Ok(Some(n as u64)),
                 None => Err(CliError::Validation(format!(
-                    "`{path}`: span {} has a non-integer `{field}`",
-                    e.id
+                    "`{path}`: {} {} has a non-integer `{field}`",
+                    e.kind, e.id
                 ))),
             }
         };
+        for e in &events {
+            count(e, MINOR_FAULTS_FIELD)?;
+        }
         let mut peak: Option<(u64, &str)> = None;
         for e in events.iter().filter(|e| e.kind == "span_end") {
             if let Some(kb) = count(e, PEAK_RSS_FIELD)? {

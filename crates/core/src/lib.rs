@@ -90,7 +90,9 @@ pub use metrics::{
     confusion_from_decisions, level_confusions, pr_curve, render_metrics_table, roc_curve,
     Confusion, PrCurve, PrPoint, RocCurve, RocPoint,
 };
-pub use observe::{PipelineObs, StageGuard, TrainTelemetry, PEAK_RSS_FIELD, STAGES};
+pub use observe::{
+    PipelineObs, StageGuard, TrainTelemetry, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES,
+};
 pub use pairs::{pair_stats, valid_pairs, valid_pairs_of_kind, CandidatePair, PairStats};
 pub use inject::{
     inject_checkpoint, inject_model, inject_spice, plan_serve_fault, CheckpointFault, ModelFault,

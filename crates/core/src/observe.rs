@@ -21,7 +21,7 @@ use std::time::Instant;
 use ancstr_gnn::{EpochTelemetry, HealthEvent, TrainerHooks};
 use ancstr_netlist::FlatCircuit;
 use ancstr_obs::{
-    peak_rss_kb, Registry, Span, Tracer, Value, DURATION_BUCKETS_S, GRAD_NORM_BUCKETS,
+    minor_faults, peak_rss_kb, Registry, Span, Tracer, Value, DURATION_BUCKETS_S, GRAD_NORM_BUCKETS,
 };
 
 use crate::detect::{DetectionResult, NumericWarning};
@@ -218,8 +218,16 @@ impl Default for PipelineObs {
 /// stage that set the peak.
 pub const PEAK_RSS_FIELD: &str = "vm_hwm_kb";
 
+/// The field holding minor page faults (`minflt` of `/proc/self/stat`)
+/// where that file exists: on a traced stage span's end, the process's
+/// count so far; on an `epoch` event, the faults taken since the
+/// previous epoch (for the first epoch, since training started). A
+/// training step that allocates its large buffers afresh shows up here
+/// as every epoch re-faulting about as much as the first.
+pub const MINOR_FAULTS_FIELD: &str = "minflt";
+
 /// RAII guard for one pipeline stage: closes the trace span (stamping
-/// [`PEAK_RSS_FIELD`] on its end) and records the stage-duration
+/// [`PEAK_RSS_FIELD`] and [`MINOR_FAULTS_FIELD`] on its end) and records the stage-duration
 /// histogram + run counter on drop.
 pub struct StageGuard {
     span: Option<Span>,
@@ -231,7 +239,7 @@ pub struct StageGuard {
 
 impl StageGuard {
     /// Close the stage now, with `fields` on its `span_end` next to
-    /// [`PEAK_RSS_FIELD`].
+    /// [`PEAK_RSS_FIELD`] and [`MINOR_FAULTS_FIELD`].
     pub fn close_with(mut self, fields: &[(&str, Value)]) {
         self.close(fields);
     }
@@ -254,6 +262,9 @@ impl StageGuard {
             if let Some(kb) = peak_rss_kb() {
                 end.push((PEAK_RSS_FIELD, kb.into()));
             }
+            if let Some(faults) = minor_faults() {
+                end.push((MINOR_FAULTS_FIELD, faults.into()));
+            }
             span.close_with(&end);
         }
     }
@@ -269,31 +280,37 @@ impl Drop for StageGuard {
 /// checkpoint latency and cancellation into trace events and metrics.
 pub struct TrainTelemetry {
     obs: PipelineObs,
+    /// [`minor_faults`] when the last epoch ended (or training began);
+    /// read only while tracing.
+    faults_at: Option<u64>,
 }
 
 impl TrainTelemetry {
     /// An adapter writing into `obs`.
     pub fn new(obs: PipelineObs) -> TrainTelemetry {
-        TrainTelemetry { obs }
+        let faults_at = if obs.tracing() { minor_faults() } else { None };
+        TrainTelemetry { obs, faults_at }
     }
 }
 
 impl TrainerHooks for TrainTelemetry {
     fn on_epoch(&mut self, t: &EpochTelemetry) {
-        self.obs.event(
-            "train",
-            "epoch",
-            &[
-                ("epoch", t.epoch.into()),
-                ("attempt", t.attempt.into()),
-                ("loss", t.loss.into()),
-                ("steps", t.steps.into()),
-                ("grad_norm_max", t.grad_norm_max.into()),
-                ("grad_norm_mean", t.grad_norm_mean.into()),
-                ("grad_norm_post_clip_max", t.grad_norm_post_clip_max.into()),
-                ("clipped_steps", t.clipped_steps.into()),
-            ],
-        );
+        let mut fields: Vec<(&str, Value)> = vec![
+            ("epoch", t.epoch.into()),
+            ("attempt", t.attempt.into()),
+            ("loss", t.loss.into()),
+            ("steps", t.steps.into()),
+            ("grad_norm_max", t.grad_norm_max.into()),
+            ("grad_norm_mean", t.grad_norm_mean.into()),
+            ("grad_norm_post_clip_max", t.grad_norm_post_clip_max.into()),
+            ("clipped_steps", t.clipped_steps.into()),
+        ];
+        if let Some(before) = self.faults_at {
+            let now = minor_faults().unwrap_or(before);
+            fields.push((MINOR_FAULTS_FIELD, now.saturating_sub(before).into()));
+            self.faults_at = Some(now);
+        }
+        self.obs.event("train", "epoch", &fields);
         let m = self.obs.metrics();
         m.counter_add("ancstr_train_epochs_total", &[], 1);
         m.gauge_set("ancstr_train_loss", &[], t.loss);

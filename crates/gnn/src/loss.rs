@@ -34,7 +34,7 @@ impl Default for LossConfig {
 }
 
 /// The positive/negative index pairs for one training pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContextBatch {
     /// Positive pairs `(u, v)` with `u ∈ N_in(v)`.
     pub positives: Vec<(usize, usize)>,
@@ -51,8 +51,17 @@ impl ContextBatch {
     /// which the last draw is kept (matching the usual word2vec
     /// implementation compromise).
     pub fn sample(tensors: &GraphTensors, config: &LossConfig, rng: &mut impl Rng) -> ContextBatch {
+        let mut batch = ContextBatch::default();
+        batch.resample(tensors, config, rng);
+        batch
+    }
+
+    /// Replace this batch with [`ContextBatch::sample`]'s draw, reusing
+    /// its allocations: the same pairs from the same RNG calls.
+    pub(crate) fn resample(&mut self, tensors: &GraphTensors, config: &LossConfig, rng: &mut impl Rng) {
         let n = tensors.vertex_count();
-        let mut positives = Vec::new();
+        let positives = &mut self.positives;
+        positives.clear();
         for v in 0..n {
             for &u in tensors.in_neighbors(v) {
                 positives.push((u, v));
@@ -60,18 +69,17 @@ impl ContextBatch {
         }
 
         // Unigram distribution ∝ (in_degree + 1)^0.75.
-        let weights: Vec<f64> = (0..n)
-            .map(|v| ((tensors.in_degree(v) + 1) as f64).powf(0.75))
-            .collect();
-        let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
-        for &w in &weights {
-            acc += w;
-            cumulative.push(acc);
-        }
+        let cumulative: Vec<f64> = (0..n)
+            .map(|v| {
+                acc += ((tensors.in_degree(v) + 1) as f64).powf(0.75);
+                acc
+            })
+            .collect();
         let total = acc;
 
-        let mut negatives = Vec::new();
+        let negatives = &mut self.negatives;
+        negatives.clear();
         if n > 1 && total > 0.0 {
             for v in 0..n {
                 let forbidden = tensors.in_neighbors(v);
@@ -88,7 +96,6 @@ impl ContextBatch {
                 }
             }
         }
-        ContextBatch { positives, negatives }
     }
 
     /// Number of loss terms.
@@ -118,18 +125,16 @@ pub fn context_loss(
     let mut terms: Vec<NodeId> = Vec::new();
 
     if !batch.positives.is_empty() {
-        let (us, vs): (Vec<usize>, Vec<usize>) = batch.positives.iter().copied().unzip();
-        let zu = tape.gather_rows(z, us);
-        let zv = tape.gather_rows(z, vs);
+        let zu = tape.gather_rows(z, batch.positives.iter().map(|&(u, _)| u));
+        let zv = tape.gather_rows(z, batch.positives.iter().map(|&(_, v)| v));
         let dots = tape.row_dot(zu, zv);
         let ls = tape.log_sigmoid(dots);
         let s = tape.sum(ls);
         terms.push(tape.neg(s));
     }
     if !batch.negatives.is_empty() {
-        let (us, vs): (Vec<usize>, Vec<usize>) = batch.negatives.iter().copied().unzip();
-        let zu = tape.gather_rows(z, us);
-        let zv = tape.gather_rows(z, vs);
+        let zu = tape.gather_rows(z, batch.negatives.iter().map(|&(u, _)| u));
+        let zv = tape.gather_rows(z, batch.negatives.iter().map(|&(_, v)| v));
         let dots = tape.row_dot(zu, zv);
         // log(1 − σ(x)) = log σ(−x)
         let neg_dots = tape.neg(dots);

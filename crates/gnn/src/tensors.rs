@@ -38,12 +38,24 @@ impl GraphTensors {
             .into_iter()
             .map(|t| Arc::new(SparseMatrix::from_triplets(n, n, t)))
             .collect();
+        // One pass over the in-edges: `seen[u]` marks `u` as already in
+        // `v`'s list and is cleared again from the finished list, so each
+        // list keeps first occurrences in edge order (what
+        // `HetMultigraph::in_neighbors` returns) in O(|V| + |E|). One
+        // byte per vertex keeps the scratch as small as the per-vertex
+        // array it replaces.
+        let mut seen = vec![false; n];
         let in_neighbors: Vec<Vec<usize>> = (0..n)
             .map(|v| {
-                g.in_neighbors(ancstr_graph::VertexId(v))
-                    .into_iter()
-                    .map(|u| u.0)
-                    .collect()
+                let list: Vec<usize> = g
+                    .in_edges(ancstr_graph::VertexId(v))
+                    .map(|e| e.src.0)
+                    .filter(|&u| !std::mem::replace(&mut seen[u], true))
+                    .collect();
+                for &u in &list {
+                    seen[u] = false;
+                }
+                list
             })
             .collect();
         let in_degree = (0..n)

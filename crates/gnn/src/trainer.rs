@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use ancstr_nn::{Adam, Matrix};
+use ancstr_nn::{Adam, Matrix, Tape};
 
 use crate::error::{AnomalyCause, TrainError};
 use crate::loss::{context_loss, ContextBatch, LossConfig};
@@ -237,6 +237,15 @@ struct EpochGuard<'a> {
     norms: Option<&'a mut NormStats>,
 }
 
+/// What one training run reuses from step to step: the tape, whose
+/// buffer pool makes a steady-state step allocate nothing large, and
+/// the resampled context batch.
+#[derive(Default)]
+struct StepBuffers {
+    tape: Tape,
+    batch: ContextBatch,
+}
+
 /// One full pass over the dataset. With `guard: None` this is exactly
 /// the historical [`train`] epoch — same RNG call sequence, same
 /// arithmetic. With a guard it additionally scans gradients (abort on
@@ -250,6 +259,7 @@ fn epoch_pass(
     opt: &mut Adam,
     order: &mut [usize],
     fixed_batches: &[ContextBatch],
+    step: &mut StepBuffers,
     mut guard: Option<EpochGuard<'_>>,
 ) -> Result<f64, AnomalyCause> {
     order.shuffle(rng);
@@ -258,9 +268,10 @@ fn epoch_pass(
     for &gi in order.iter() {
         let graph = &dataset[gi];
         let batch = if config.resample_negatives {
-            ContextBatch::sample(&graph.tensors, &config.loss, rng)
+            step.batch.resample(&graph.tensors, &config.loss, rng);
+            &step.batch
         } else {
-            fixed_batches[gi].clone()
+            &fixed_batches[gi]
         };
         if batch.is_empty() {
             continue;
@@ -273,9 +284,10 @@ fn epoch_pass(
             }
             None => &graph.tensors,
         };
-        let mut tape = ancstr_nn::Tape::new();
-        let (z, leaves) = model.forward_on_tape(&mut tape, tensors, &graph.features);
-        let loss = context_loss(&mut tape, z, &batch, &config.loss);
+        let tape = &mut step.tape;
+        tape.clear();
+        let (z, leaves) = model.forward_on_tape(tape, tensors, &graph.features);
+        let loss = context_loss(tape, z, batch, &config.loss);
         let loss_value = tape.value(loss)[(0, 0)];
         let mut grads = tape.backward(loss);
 
@@ -291,6 +303,7 @@ fn epoch_pass(
                 })
             })
             .collect();
+        tape.recycle(grads);
 
         if let Some(g) = guard.as_mut() {
             if g.health.inject_nan_grad_at == Some(g.epoch) && g.attempt == 0 {
@@ -333,6 +346,7 @@ fn epoch_pass(
 
         let mut params = model.matrices_mut();
         opt.step(&mut params, &grad_mats);
+        tape.recycle(grad_mats);
 
         total += loss_value;
         counted += 1;
@@ -362,6 +376,7 @@ pub fn train(model: &mut GnnModel, dataset: &[TrainGraph], config: &TrainConfig)
 
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     let mut order: Vec<usize> = (0..dataset.len()).collect();
+    let mut step = StepBuffers::default();
 
     for _epoch in 0..config.epochs {
         let loss = epoch_pass(
@@ -372,6 +387,7 @@ pub fn train(model: &mut GnnModel, dataset: &[TrainGraph], config: &TrainConfig)
             &mut opt,
             &mut order,
             &fixed_batches,
+            &mut step,
             None,
         )
         .expect("unguarded epochs never abort");
@@ -660,6 +676,7 @@ pub fn try_train_resumable(
     let mut attempt = 0usize;
     let mut seed = config.seed;
 
+    let mut step = StepBuffers::default();
     let mut resume = hooks.resume_from.take();
     if let Some(state) = &resume {
         validate_resume(state, model, dataset.len(), config)?;
@@ -742,6 +759,7 @@ pub fn try_train_resumable(
                 &mut opt,
                 &mut order,
                 &fixed_batches,
+                &mut step,
                 Some(guard),
             );
             let anomaly = match outcome {

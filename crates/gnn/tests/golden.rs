@@ -8,11 +8,14 @@
 //! form. The constant was computed before the single-kernel rewrite of
 //! `ancstr-nn`; every kernel must keep reproducing it. A second
 //! constant pins the inference bits: the embedding that trained model
-//! produces for the same features.
+//! produces for the same features. A third constant pins a run whose
+//! steps alternate between two graph sizes with per-step sampled
+//! operators, so buffers reused across steps must never leak into a
+//! value.
 
 use ancstr_gnn::{train, GnnConfig, GnnModel, GraphTensors, TrainConfig, TrainGraph};
 use ancstr_graph::{BuildOptions, HetMultigraph};
-use ancstr_netlist::FlatCircuit;
+use ancstr_netlist::{FlatCircuit, Netlist};
 use ancstr_nn::Matrix;
 
 /// FNV-1a over `GnnModel::to_text` after the run below.
@@ -26,6 +29,14 @@ const GOLDEN_MODEL_HASH: u64 = 0x8e21_3034_322e_ff60;
 /// the same build.
 const GOLDEN_EMBED_HASH: u64 = 0xef90_94df_04b9_975e;
 
+/// FNV-1a over `GnnModel::to_text` after five epochs over COMP1 and
+/// OTA2 (47 and 20 vertices) with resampled negatives and three
+/// sampled in-edges per vertex. Computed at commit be2cde1, when every
+/// training step still recorded on a fresh tape, so reusing one tape's
+/// buffers across steps of different shapes is pinned to the
+/// historical bits.
+const GOLDEN_TWO_SHAPE_MODEL_HASH: u64 = 0x1336_b3ca_11c4_85ba;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -33,7 +44,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn comparator_graph() -> TrainGraph {
-    let flat = FlatCircuit::elaborate(&ancstr_circuits::comparator::comp1(1)).expect("comp1");
+    graph_of(&ancstr_circuits::comparator::comp1(1))
+}
+
+fn graph_of(netlist: &Netlist) -> TrainGraph {
+    let flat = FlatCircuit::elaborate(netlist).expect("elaborates");
     let graph = HetMultigraph::from_circuit(&flat, &BuildOptions::default());
     let tensors = GraphTensors::from_multigraph(&graph);
     // Deterministic features with exact zeros, so the kernels' zero
@@ -66,4 +81,24 @@ fn five_epoch_comparator_embedding_reproduces_the_golden_bits() {
     let bytes: Vec<u8> = z.as_slice().iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
     let hash = fnv1a(&bytes);
     assert_eq!(hash, GOLDEN_EMBED_HASH, "embedding bits moved: {hash:#018x}");
+}
+
+#[test]
+fn two_shape_sampled_epochs_reproduce_the_golden_model_bits() {
+    let dataset = [
+        comparator_graph(),
+        graph_of(&ancstr_circuits::ota::ota2(1)),
+    ];
+    let sizes = dataset.each_ref().map(|g| g.tensors.vertex_count());
+    assert_eq!(sizes, [47, 20], "the two graphs must differ in size");
+    let mut model = GnnModel::new(GnnConfig::default());
+    let cfg = TrainConfig {
+        epochs: 5,
+        resample_negatives: true,
+        neighbor_samples: Some(3),
+        ..TrainConfig::default()
+    };
+    train(&mut model, &dataset, &cfg);
+    let hash = fnv1a(model.to_text().as_bytes());
+    assert_eq!(hash, GOLDEN_TWO_SHAPE_MODEL_HASH, "trained model bits moved: {hash:#018x}");
 }

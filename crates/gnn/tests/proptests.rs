@@ -26,8 +26,46 @@ fn arb_graph_on(n: usize) -> impl Strategy<Value = GraphTensors> {
     })
 }
 
+/// The distinct in-neighbours of `v` by a per-vertex `|V|`-sized
+/// dedup: the reference both neighbour-list builders must match.
+fn naive_in_neighbors(g: &HetMultigraph, v: usize) -> Vec<usize> {
+    let mut seen = vec![false; g.vertex_count()];
+    let mut out = Vec::new();
+    for e in g.in_edges(VertexId(v)) {
+        if !std::mem::replace(&mut seen[e.src.0], true) {
+            out.push(e.src.0);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `GraphTensors`' one-pass neighbour lists and
+    /// `HetMultigraph::in_neighbors` both equal the naive per-vertex
+    /// dedup, order included, on multigraphs whose few vertices force
+    /// many parallel edges.
+    #[test]
+    fn neighbor_lists_match_a_naive_dedup(
+        n in 2usize..10,
+        edges in prop::collection::vec((0usize..10, 0usize..10, 0usize..4), 0..60),
+    ) {
+        let mut g = HetMultigraph::with_vertices(0..n);
+        for (u, v, p) in edges {
+            let (u, v) = (u % n, v % n);
+            if u != v {
+                g.add_edge(VertexId(u), VertexId(v), PortType::ALL[p]);
+            }
+        }
+        let t = GraphTensors::from_multigraph(&g);
+        for v in 0..n {
+            let naive = naive_in_neighbors(&g, v);
+            let direct: Vec<usize> = g.in_neighbors(VertexId(v)).iter().map(|u| u.0).collect();
+            prop_assert_eq!(t.in_neighbors(v), naive.as_slice());
+            prop_assert_eq!(direct, naive);
+        }
+    }
 
     /// Embeddings are finite, shaped n × D, and deterministic for any
     /// graph, seed, layer count, and combiner.

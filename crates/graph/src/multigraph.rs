@@ -1,6 +1,6 @@
 //! The heterogeneous directed multigraph `G = (V, E)`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use ancstr_netlist::PortType;
@@ -136,17 +136,11 @@ impl HetMultigraph {
     }
 
     /// The distinct in-neighbour vertices of `v` (parallel edges
-    /// deduplicated, order of first appearance).
+    /// deduplicated, order of first appearance), in time linear in
+    /// `v`'s in-degree.
     pub fn in_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let mut seen = vec![false; self.vertex_count()];
-        let mut out = Vec::new();
-        for e in self.in_edges(v) {
-            if !seen[e.src.0] {
-                seen[e.src.0] = true;
-                out.push(e.src);
-            }
-        }
-        out
+        let mut seen = HashSet::with_capacity(self.in_degree(v));
+        self.in_edges(v).map(|e| e.src).filter(|&u| seen.insert(u)).collect()
     }
 
     /// Count of edges per port type, in [`PortType::ALL`] order.

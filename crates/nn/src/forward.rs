@@ -95,11 +95,11 @@ impl<'a> Forward<'a> for Tape {
     type Sparse = SparseId;
 
     fn input(&mut self, m: &'a Matrix) -> NodeId {
-        self.leaf(m.clone())
+        self.leaf_copy(m)
     }
 
     fn param(&mut self, m: &'a Matrix) -> NodeId {
-        self.leaf(m.clone())
+        self.leaf_copy(m)
     }
 
     fn operator(&mut self, s: &'a Arc<SparseMatrix>) -> SparseId {

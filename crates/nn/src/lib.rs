@@ -11,7 +11,8 @@
 //! * [`SparseMatrix`] — triplet sparse matrices for the per-edge-type
 //!   adjacency operators, multiplied through cached CSR views;
 //! * [`Tape`] — reverse-mode autograd over the op set the model needs
-//!   (verified against finite differences in the test suite);
+//!   (verified against finite differences in the test suite), which
+//!   builds each recording in the buffers the previous one freed;
 //! * [`Forward`] — the forward ops of Eq. 1 and the GRU, implemented by
 //!   [`Tape`] (recorded, for training) and by [`Eager`] (plain values
 //!   freed at their last use, for inference), so the model's forward
@@ -41,14 +42,16 @@
 //!
 //! let mut w = Matrix::from_rows(&[&[0.5, -0.5]]);
 //! let mut opt = Adam::new(0.05);
+//! let mut tape = Tape::new();
 //! for _ in 0..100 {
-//!     let mut tape = Tape::new();
+//!     tape.clear(); // the next recording reuses this one's buffers
 //!     let wn = tape.leaf(w.clone());
 //!     let sq = tape.mul_elem(wn, wn);
 //!     let loss = tape.sum(sq);
 //!     let mut grads = tape.backward(loss);
 //!     let g = grads.take(wn).expect("w influences the loss");
-//!     opt.step(&mut [&mut w], &[g]);
+//!     opt.step(&mut [&mut w], std::slice::from_ref(&g));
+//!     tape.recycle([g]);
 //! }
 //! assert!(w.max_abs() < 1e-2);
 //! ```

@@ -16,6 +16,16 @@
 //! The arithmetic lives in the crate's single kernel module (whose
 //! docs carry the bit-identity argument); this module owns shapes,
 //! profiling, and the parallel row-chunk scheduling.
+//!
+//! # Buffer reuse
+//!
+//! Every kernel the training tape records has a crate-private `*_into`
+//! form that builds its result in a caller-supplied `Vec<f64>` (any
+//! length, any contents) instead of a fresh allocation. The public
+//! method is that form called with `Vec::new()`, so both run the same
+//! kernel: each element is computed by the same expression with its
+//! operands in the same order, and an accumulating kernel (matmul,
+//! `Aᵀ·G`, spmm, column sums) always starts from zeros.
 
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
@@ -88,6 +98,11 @@ impl Matrix {
         Matrix { rows: r, cols: c, data }
     }
 
+    /// Give up the row-major buffer (for reuse by another matrix).
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Wrap an existing buffer.
     ///
     /// # Panics
@@ -152,13 +167,18 @@ impl Matrix {
     ///
     /// Panics on an inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_into(other, Vec::new())
+    }
+
+    /// [`Matrix::matmul`] built in `buf`'s allocation.
+    pub(crate) fn matmul_into(&self, other: &Matrix, buf: Vec<f64>) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {:?} · {:?}",
             self.shape(),
             other.shape()
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        let mut out = Matrix::zeros_in(self.rows, other.cols, buf);
         let inner = self.cols;
         let n = other.cols;
         let _prof = ancstr_par::profile::time(
@@ -187,6 +207,11 @@ impl Matrix {
     ///
     /// Panics unless `self.rows() == other.rows()`.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
+        self.transpose_matmul_into(other, Vec::new())
+    }
+
+    /// [`Matrix::transpose_matmul`] built in `buf`'s allocation.
+    pub(crate) fn transpose_matmul_into(&self, other: &Matrix, buf: Vec<f64>) -> Matrix {
         assert_eq!(
             self.rows,
             other.rows,
@@ -194,7 +219,7 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let mut out = Matrix::zeros(self.cols, other.cols);
+        let mut out = Matrix::zeros_in(self.cols, other.cols, buf);
         let _prof = ancstr_par::profile::time(
             ancstr_par::profile::Kernel::Matmul,
             (self.rows * self.cols * other.cols) as u64,
@@ -218,6 +243,18 @@ impl Matrix {
     ///
     /// Panics unless `self.cols() == other.cols()`.
     pub fn matmul_transposed(&self, other: &Matrix) -> Matrix {
+        self.matmul_transposed_into(other, Vec::new(), Vec::new()).0
+    }
+
+    /// [`Matrix::matmul_transposed`] built in `buf`'s allocation, with
+    /// the transposed copy of `other` in `scratch`'s; returns the
+    /// product and the scratch buffer.
+    pub(crate) fn matmul_transposed_into(
+        &self,
+        other: &Matrix,
+        buf: Vec<f64>,
+        scratch: Vec<f64>,
+    ) -> (Matrix, Vec<f64>) {
         assert_eq!(
             self.cols,
             other.cols,
@@ -225,12 +262,18 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        self.matmul(&other.transpose())
+        let transposed = other.transpose_into(scratch);
+        (self.matmul_into(&transposed, buf), transposed.into_vec())
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(Vec::new())
+    }
+
+    /// [`Matrix::transpose`] built in `buf`'s allocation.
+    pub(crate) fn transpose_into(&self, buf: Vec<f64>) -> Matrix {
+        let mut out = Matrix::zeros_in(self.cols, self.rows, buf);
         for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 out.data[c * self.rows + r] = v;
@@ -338,16 +381,31 @@ impl Matrix {
 
     /// Scalar multiple.
     pub fn scale(&self, k: f64) -> Matrix {
-        self.map(|x| x * k)
+        self.scale_into(k, Vec::new())
+    }
+
+    /// [`Matrix::scale`] built in `buf`'s allocation.
+    pub(crate) fn scale_into(&self, k: f64, buf: Vec<f64>) -> Matrix {
+        self.map_into(buf, |x| x * k)
     }
 
     /// Apply `f` element-wise.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        self.map_into(Vec::new(), f)
+    }
+
+    /// [`Matrix::map`] built in `buf`'s allocation.
+    pub(crate) fn map_into(&self, mut buf: Vec<f64>, f: impl Fn(f64) -> f64) -> Matrix {
+        buf.clear();
+        buf.extend(self.data.iter().map(|&x| f(x)));
+        Matrix { rows: self.rows, cols: self.cols, data: buf }
+    }
+
+    /// A copy of `self` built in `buf`'s allocation.
+    pub(crate) fn copy_into(&self, mut buf: Vec<f64>) -> Matrix {
+        buf.clear();
+        buf.extend_from_slice(&self.data);
+        Matrix { rows: self.rows, cols: self.cols, data: buf }
     }
 
     /// Apply `f` element-wise, in parallel for large matrices.
@@ -357,7 +415,12 @@ impl Matrix {
     /// the activation transcendentals (`tanh`, `exp`) qualify; `x * k`
     /// does not.
     pub fn map_par(&self, f: impl Fn(f64) -> f64 + Sync) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
+        self.map_par_into(Vec::new(), f)
+    }
+
+    /// [`Matrix::map_par`] built in `buf`'s allocation.
+    pub(crate) fn map_par_into(&self, buf: Vec<f64>, f: impl Fn(f64) -> f64 + Sync) -> Matrix {
+        let mut out = Matrix::zeros_in(self.rows, self.cols, buf);
         let base = ancstr_par::SendPtr::new(out.data.as_mut_ptr());
         ancstr_par::for_each_chunk(self.data.len(), MAP_PAR_MIN_CHUNK, |range| {
             // Sound: chunk ranges are disjoint, so each element is
@@ -441,7 +504,12 @@ impl Matrix {
 
     /// Column sums as a `1 × cols` matrix.
     pub fn column_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+        self.column_sums_into(Vec::new())
+    }
+
+    /// [`Matrix::column_sums`] built in `buf`'s allocation.
+    pub(crate) fn column_sums_into(&self, buf: Vec<f64>) -> Matrix {
+        let mut out = Matrix::zeros_in(1, self.cols, buf);
         for row in self.data.chunks_exact(self.cols.max(1)) {
             for (o, &v) in out.data.iter_mut().zip(row) {
                 *o += v;
@@ -474,22 +542,45 @@ impl Matrix {
     }
 
     fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+        self.zip_with_into(other, Vec::new(), f)
+    }
+
+    /// `out[i] = f(self[i], other[i])` built in `buf`'s allocation: the
+    /// body of [`Matrix::add`], [`Matrix::sub`] and [`Matrix::mul_elem`].
+    pub(crate) fn zip_with_into(
+        &self,
+        other: &Matrix,
+        mut buf: Vec<f64>,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> Matrix {
         assert_eq!(
             self.shape(),
             other.shape(),
             "element-wise op shape mismatch"
         );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        buf.clear();
+        buf.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        Matrix { rows: self.rows, cols: self.cols, data: buf }
     }
+
+    /// A `rows × cols` matrix of zeros in `buf`'s allocation — the
+    /// start state of an accumulating kernel. An empty `buf` gives
+    /// exactly [`Matrix::zeros`].
+    pub(crate) fn zeros_in(rows: usize, cols: usize, buf: Vec<f64>) -> Matrix {
+        Matrix::filled_in(rows, cols, 0.0, buf)
+    }
+
+    /// [`Matrix::filled`] in `buf`'s allocation.
+    pub(crate) fn filled_in(rows: usize, cols: usize, value: f64, mut buf: Vec<f64>) -> Matrix {
+        let len = rows * cols;
+        if buf.capacity() < len {
+            return Matrix::filled(rows, cols, value);
+        }
+        buf.clear();
+        buf.resize(len, value);
+        Matrix { rows, cols, data: buf }
+    }
+
 }
 
 impl Index<(usize, usize)> for Matrix {

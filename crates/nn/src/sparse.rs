@@ -138,11 +138,16 @@ impl SparseMatrix {
     ///
     /// Panics if `self.cols() != dense.rows()`.
     pub fn matmul_dense(&self, dense: &Matrix) -> Matrix {
+        self.matmul_dense_into(dense, Vec::new())
+    }
+
+    /// [`SparseMatrix::matmul_dense`] built in `buf`'s allocation.
+    pub(crate) fn matmul_dense_into(&self, dense: &Matrix, buf: Vec<f64>) -> Matrix {
         assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
         let view = self.by_row.get_or_init(|| {
             CsrView::build(self.rows, &self.triplets, |&(r, _, _)| r, |&(_, c, _)| c)
         });
-        self.grouped_product(self.rows, dense, view)
+        self.grouped_product(self.rows, dense, view, buf)
     }
 
     /// Dense product with the transpose: `selfᵀ · dense` (the backward
@@ -152,11 +157,17 @@ impl SparseMatrix {
     ///
     /// Panics if `self.rows() != dense.rows()`.
     pub fn transpose_matmul_dense(&self, dense: &Matrix) -> Matrix {
+        self.transpose_matmul_dense_into(dense, Vec::new())
+    }
+
+    /// [`SparseMatrix::transpose_matmul_dense`] built in `buf`'s
+    /// allocation.
+    pub(crate) fn transpose_matmul_dense_into(&self, dense: &Matrix, buf: Vec<f64>) -> Matrix {
         assert_eq!(self.rows, dense.rows(), "spmmᵀ shape mismatch");
         let view = self.by_col.get_or_init(|| {
             CsrView::build(self.cols, &self.triplets, |&(_, c, _)| c, |&(r, _, _)| r)
         });
-        self.grouped_product(self.cols, dense, view)
+        self.grouped_product(self.cols, dense, view, buf)
     }
 
     /// Shared body of both dense products over a cached CSR view,
@@ -167,9 +178,15 @@ impl SparseMatrix {
     /// a "walk the triplets in storage order" loop (rows are
     /// independent, so only the interleaving *across* rows differs;
     /// pinned by the tests below).
-    fn grouped_product(&self, out_rows: usize, dense: &Matrix, view: &CsrView) -> Matrix {
+    fn grouped_product(
+        &self,
+        out_rows: usize,
+        dense: &Matrix,
+        view: &CsrView,
+        buf: Vec<f64>,
+    ) -> Matrix {
         let cols = dense.cols();
-        let mut out = Matrix::zeros(out_rows, cols);
+        let mut out = Matrix::zeros_in(out_rows, cols, buf);
         if self.triplets.is_empty() {
             return out;
         }

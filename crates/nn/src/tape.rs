@@ -8,6 +8,18 @@
 //! sum — enough for Eq. 1's GRU aggregation and Eq. 2's negative-sampling
 //! loss.
 //!
+//! # Buffer reuse
+//!
+//! A tape keeps the buffers it has freed and builds every later value,
+//! gradient and backward temporary in one of them (the smallest that
+//! fits). [`Tape::clear`] frees every recorded value and
+//! [`Tape::recycle`] takes back gradients, so a training loop that
+//! clears one tape per step and recycles its gradients allocates only
+//! while its graphs grow: steady-state steps reuse the previous step's
+//! buffers. Reuse never changes a value's bits — each op runs the same
+//! kernel as the matching [`Matrix`] method (see the matrix module's
+//! "Buffer reuse" notes).
+//!
 //! # Example
 //!
 //! ```
@@ -61,14 +73,17 @@ struct Node {
 }
 
 /// Gradients produced by [`Tape::backward`].
+///
+/// Hand them back with [`Tape::recycle`] once read, so the next
+/// recording reuses their buffers.
 #[derive(Debug, Clone)]
 pub struct Gradients {
     grads: Vec<Option<Matrix>>,
 }
 
 impl Gradients {
-    /// The gradient of the loss with respect to node `id`, or `None`
-    /// when the node does not influence the loss.
+    /// The gradient of the loss with respect to leaf `id`, or `None`
+    /// when the leaf does not influence the loss or `id` is not a leaf.
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
         self.grads.get(id.0).and_then(Option::as_ref)
     }
@@ -79,11 +94,72 @@ impl Gradients {
     }
 }
 
-/// A forward-computation tape supporting one reverse sweep.
+/// The gradients still held, in node order.
+impl IntoIterator for Gradients {
+    type Item = Matrix;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Option<Matrix>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.grads.into_iter().flatten()
+    }
+}
+
+/// Freed buffers kept for reuse, sorted by capacity.
+#[derive(Debug)]
+struct Pool<T> {
+    free: Vec<Vec<T>>,
+    /// Buffers handed out since the last [`Pool::trim`].
+    taken: usize,
+}
+
+impl<T> Default for Pool<T> {
+    fn default() -> Pool<T> {
+        Pool { free: Vec::new(), taken: 0 }
+    }
+}
+
+impl<T> Pool<T> {
+    /// The smallest free buffer with room for `len` elements (its
+    /// contents are stale), or an empty one for the kernel to allocate.
+    ///
+    /// When nothing fits, the largest free buffer is dropped rather
+    /// than kept beside the new one, so a graph that grows replaces
+    /// buffers instead of adding to them.
+    fn take(&mut self, len: usize) -> Vec<T> {
+        self.taken += 1;
+        let fit = self.free.partition_point(|b| b.capacity() < len);
+        if fit < self.free.len() {
+            return self.free.remove(fit);
+        }
+        self.free.pop();
+        Vec::new()
+    }
+
+    fn put(&mut self, buf: Vec<T>) {
+        if buf.capacity() > 0 {
+            let at = self.free.partition_point(|b| b.capacity() < buf.capacity());
+            self.free.insert(at, buf);
+        }
+    }
+
+    /// Keep no more buffers than were handed out since the last trim,
+    /// dropping the smallest: owned leaves and matrices recycled from
+    /// outside the tape would otherwise pile up across recordings.
+    fn trim(&mut self) {
+        let extra = self.free.len().saturating_sub(self.taken);
+        self.free.drain(..extra);
+        self.taken = 0;
+    }
+}
+
+/// A forward-computation tape supporting one reverse sweep per
+/// recording; [`Tape::clear`] starts the next recording.
 #[derive(Debug, Default)]
 pub struct Tape {
     nodes: Vec<Node>,
     sparses: Vec<Arc<SparseMatrix>>,
+    buffers: Pool<f64>,
+    indices: Pool<usize>,
 }
 
 /// Numerically stable `σ(x)`.
@@ -121,6 +197,29 @@ impl Tape {
         self.nodes.is_empty()
     }
 
+    /// Forget every recorded node and operand, keeping their buffers
+    /// for the next recording. Earlier [`NodeId`]s and [`SparseId`]s
+    /// are invalid afterwards.
+    pub fn clear(&mut self) {
+        for node in self.nodes.drain(..) {
+            self.buffers.put(node.value.into_vec());
+            if let Op::GatherRows(_, indices) = node.op {
+                self.indices.put(indices);
+            }
+        }
+        self.buffers.trim();
+        self.indices.trim();
+        self.sparses.clear();
+    }
+
+    /// Give matrices back for reuse — normally the [`Gradients`] of
+    /// [`Tape::backward`] and anything taken out of them.
+    pub fn recycle(&mut self, matrices: impl IntoIterator<Item = Matrix>) {
+        for m in matrices {
+            self.buffers.put(m.into_vec());
+        }
+    }
+
     /// The forward value of a node.
     ///
     /// # Panics
@@ -133,6 +232,13 @@ impl Tape {
     /// Register an input (leaf) node; gradients flow into leaves.
     pub fn leaf(&mut self, value: Matrix) -> NodeId {
         self.push(value, Op::Leaf)
+    }
+
+    /// [`Tape::leaf`] holding a copy of `value` in a reused buffer —
+    /// what a loop that records the same inputs every step wants.
+    pub(crate) fn leaf_copy(&mut self, value: &Matrix) -> NodeId {
+        let v = value.copy_into(self.buffers.take(value.as_slice().len()));
+        self.push(v, Op::Leaf)
     }
 
     /// Register a constant sparse operand for [`Tape::spmm`].
@@ -149,19 +255,21 @@ impl Tape {
 
     /// `a · b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).matmul(self.value(b));
+        let buf = self.buffers.take(self.value(a).rows() * self.value(b).cols());
+        let v = self.value(a).matmul_into(self.value(b), buf);
         self.push(v, Op::MatMul(a, b))
     }
 
     /// `S · b` with constant sparse `S` (message aggregation).
     pub fn spmm(&mut self, s: SparseId, b: NodeId) -> NodeId {
-        let v = self.sparses[s.0].matmul_dense(self.value(b));
+        let buf = self.buffers.take(self.sparses[s.0].rows() * self.value(b).cols());
+        let v = self.sparses[s.0].matmul_dense_into(self.value(b), buf);
         self.push(v, Op::SpMm(s, b))
     }
 
     /// `a + b` (same shape).
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).add(self.value(b));
+        let v = self.zip(a, b, |x, y| x + y);
         self.push(v, Op::Add(a, b))
     }
 
@@ -171,50 +279,53 @@ impl Tape {
     ///
     /// Panics unless `row` is `1 × a.cols()`.
     pub fn add_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let mut v = self.value(a).clone();
+        let buf = self.buffers.take(self.value(a).as_slice().len());
+        let mut v = self.value(a).copy_into(buf);
         v.add_row_assign(self.value(row));
         self.push(v, Op::AddRow(a, row))
     }
 
     /// `a − b`.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).sub(self.value(b));
+        let v = self.zip(a, b, |x, y| x - y);
         self.push(v, Op::Sub(a, b))
     }
 
     /// Hadamard product `a ⊙ b`.
     pub fn mul_elem(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).mul_elem(self.value(b));
+        let v = self.zip(a, b, |x, y| x * y);
         self.push(v, Op::MulElem(a, b))
     }
 
     /// `k · a`.
     pub fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
-        let v = self.value(a).scale(k);
+        let buf = self.buffers.take(self.value(a).as_slice().len());
+        let v = self.value(a).scale_into(k, buf);
         self.push(v, Op::Scale(a, k))
     }
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map_par(sigmoid);
+        let v = self.map_par(a, sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
     /// Element-wise `tanh`.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map_par(f64::tanh);
+        let v = self.map_par(a, f64::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     /// Element-wise `log σ` (stable; the building block of Eq. 2).
     pub fn log_sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map_par(log_sigmoid);
+        let v = self.map_par(a, log_sigmoid);
         self.push(v, Op::LogSigmoid(a))
     }
 
     /// `−a`.
     pub fn neg(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).scale(-1.0);
+        let buf = self.buffers.take(self.value(a).as_slice().len());
+        let v = self.value(a).scale_into(-1.0, buf);
         self.push(v, Op::Neg(a))
     }
 
@@ -223,14 +334,21 @@ impl Tape {
     /// # Panics
     ///
     /// Panics if an index is out of range.
-    pub fn gather_rows(&mut self, a: NodeId, indices: Vec<usize>) -> NodeId {
+    pub fn gather_rows(&mut self, a: NodeId, indices: impl IntoIterator<Item = usize>) -> NodeId {
+        let indices = indices.into_iter();
+        let mut idx = self.indices.take(indices.size_hint().0);
+        idx.clear();
+        idx.extend(indices);
+        let cols = self.value(a).cols();
+        let mut data = self.buffers.take(idx.len() * cols);
+        data.clear();
+        data.reserve_exact(idx.len() * cols);
         let src = self.value(a);
-        let cols = src.cols();
-        let mut v = Matrix::zeros(indices.len(), cols);
-        for (r, &i) in indices.iter().enumerate() {
-            v.row_mut(r).copy_from_slice(src.row(i));
+        for &i in &idx {
+            data.extend_from_slice(src.row(i));
         }
-        self.push(v, Op::GatherRows(a, indices))
+        let v = Matrix::from_vec(idx.len(), cols, data);
+        self.push(v, Op::GatherRows(a, idx))
     }
 
     /// Row-wise dot products: `(n × d, n × d) → n × 1`.
@@ -239,37 +357,44 @@ impl Tape {
     ///
     /// Panics on shape mismatch.
     pub fn row_dot(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let mut data = self.buffers.take(self.value(a).rows());
         let (av, bv) = (self.value(a), self.value(b));
         assert_eq!(av.shape(), bv.shape(), "row_dot shape mismatch");
-        let mut v = Matrix::zeros(av.rows(), 1);
-        for r in 0..av.rows() {
-            v[(r, 0)] = av
-                .row(r)
-                .iter()
-                .zip(bv.row(r))
-                .map(|(x, y)| x * y)
-                .sum();
-        }
+        data.clear();
+        data.extend((0..av.rows()).map(|r| -> f64 {
+            av.row(r).iter().zip(bv.row(r)).map(|(x, y)| x * y).sum()
+        }));
+        let v = Matrix::from_vec(av.rows(), 1, data);
         self.push(v, Op::RowDot(a, b))
     }
 
     /// Sum of all elements: `→ 1 × 1`.
     pub fn sum(&mut self, a: NodeId) -> NodeId {
-        let v = Matrix::from_rows(&[&[self.value(a).sum()]]);
+        let buf = self.buffers.take(1);
+        let v = Matrix::filled_in(1, 1, self.value(a).sum(), buf);
         self.push(v, Op::Sum(a))
     }
 
     /// Reverse sweep from `loss` (normally a `1 × 1` node); returns the
-    /// gradient of `loss.sum()` with respect to every node.
-    pub fn backward(&self, loss: NodeId) -> Gradients {
+    /// gradient of `loss.sum()` with respect to every leaf. An interior
+    /// node's gradient goes back to the pool as soon as the sweep has
+    /// passed it on, so the sweep holds at most the gradients still
+    /// waiting to be passed on.
+    pub fn backward(&mut self, loss: NodeId) -> Gradients {
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        let shape = self.value(loss).shape();
-        grads[loss.0] = Some(Matrix::filled(shape.0, shape.1, 1.0));
+        let (rows, cols) = self.value(loss).shape();
+        grads[loss.0] = Some(Matrix::filled_in(rows, cols, 1.0, self.buffers.take(rows * cols)));
 
+        let Tape { nodes, sparses, buffers, .. } = self;
+        let mut sweep = Backward { nodes, sparses, buffers, grads: &mut grads };
         for i in (0..=loss.0).rev() {
-            let Some(g) = grads[i].take() else { continue };
-            self.accumulate(i, &g, &mut grads);
-            grads[i] = Some(g);
+            let Some(g) = sweep.grads[i].take() else { continue };
+            sweep.accumulate(i, &g);
+            if matches!(sweep.nodes[i].op, Op::Leaf) {
+                sweep.grads[i] = Some(g);
+            } else {
+                sweep.buffers.put(g.into_vec());
+            }
         }
         Gradients { grads }
     }
@@ -279,81 +404,134 @@ impl Tape {
         NodeId(self.nodes.len() - 1)
     }
 
-    fn accumulate(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
-        let add_to = |grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix| {
-            match &mut grads[id.0] {
-                Some(existing) => existing.add_assign(&delta),
-                slot @ None => *slot = Some(delta),
+    /// `f(a[i], b[i])` element-wise, in a reused buffer.
+    fn zip(&mut self, a: NodeId, b: NodeId, f: impl Fn(f64, f64) -> f64) -> Matrix {
+        let buf = self.buffers.take(self.value(a).as_slice().len());
+        self.value(a).zip_with_into(self.value(b), buf, f)
+    }
+
+    /// `f(a[i])` element-wise and in parallel, in a reused buffer.
+    fn map_par(&mut self, a: NodeId, f: impl Fn(f64) -> f64 + Sync) -> Matrix {
+        let buf = self.buffers.take(self.value(a).as_slice().len());
+        self.value(a).map_par_into(buf, f)
+    }
+}
+
+/// One reverse sweep: the recorded nodes, read-only, next to the
+/// gradient slots and the buffer pool it writes.
+struct Backward<'t> {
+    nodes: &'t [Node],
+    sparses: &'t [Arc<SparseMatrix>],
+    buffers: &'t mut Pool<f64>,
+    grads: &'t mut [Option<Matrix>],
+}
+
+impl Backward<'_> {
+    /// A reused buffer with room for a matrix shaped like `m`.
+    fn buf_like(&mut self, m: &Matrix) -> Vec<f64> {
+        self.buffers.take(m.as_slice().len())
+    }
+
+    /// Add `delta` into `id`'s gradient, or make it the gradient.
+    fn add_to(&mut self, id: NodeId, delta: Matrix) {
+        match &mut self.grads[id.0] {
+            Some(existing) => {
+                existing.add_assign(&delta);
+                self.buffers.put(delta.into_vec());
             }
-        };
-        // `add_to` for a gradient passed through unchanged: copies `g`
-        // only when the slot is still empty.
-        let pass_to = |grads: &mut [Option<Matrix>], id: NodeId| match &mut grads[id.0] {
-            Some(existing) => existing.add_assign(g),
-            slot @ None => *slot = Some(g.clone()),
-        };
-        match &self.nodes[i].op {
+            slot @ None => *slot = Some(delta),
+        }
+    }
+
+    /// [`Backward::add_to`] for a gradient passed through unchanged:
+    /// copies `g` only when the slot is still empty.
+    fn pass_to(&mut self, id: NodeId, g: &Matrix) {
+        if let Some(existing) = &mut self.grads[id.0] {
+            existing.add_assign(g);
+        } else {
+            let copy = g.copy_into(self.buf_like(g));
+            self.grads[id.0] = Some(copy);
+        }
+    }
+
+    /// `g ⊙ d(x)` for the element-wise derivative `d` of an activation
+    /// at `x`: `d` is built first (in parallel), then multiplied into
+    /// in place as `g · d`, the operand order of `g.mul_elem(&d)`.
+    fn activation(&mut self, id: NodeId, x: &Matrix, g: &Matrix, d: impl Fn(f64) -> f64 + Sync) {
+        let mut delta = x.map_par_into(self.buf_like(x), d);
+        delta.zip_assign(g, |dv, gv| gv * dv);
+        self.add_to(id, delta);
+    }
+
+    fn accumulate(&mut self, i: usize, g: &Matrix) {
+        let nodes = self.nodes;
+        match &nodes[i].op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
-                let (av, bv) = (self.value(*a), self.value(*b));
+                let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
                 // dA = dC·Bᵀ and dB = Aᵀ·dC, each bit-identical to
                 // materializing the transpose (see
                 // `Matrix::matmul_transposed` / `Matrix::transpose_matmul`).
-                add_to(grads, *a, g.matmul_transposed(bv));
-                add_to(grads, *b, av.transpose_matmul(g));
+                let (buf, scratch) = (self.buffers.take(g.rows() * bv.rows()), self.buf_like(bv));
+                let (da, scratch) = g.matmul_transposed_into(bv, buf, scratch);
+                self.buffers.put(scratch);
+                self.add_to(*a, da);
+                let db = av.transpose_matmul_into(g, self.buffers.take(av.cols() * g.cols()));
+                self.add_to(*b, db);
             }
             Op::SpMm(s, b) => {
-                add_to(grads, *b, self.sparses[s.0].transpose_matmul_dense(g));
+                let s = &self.sparses[s.0];
+                let buf = self.buffers.take(s.cols() * g.cols());
+                let db = s.transpose_matmul_dense_into(g, buf);
+                self.add_to(*b, db);
             }
             Op::Add(a, b) => {
-                pass_to(grads, *a);
-                pass_to(grads, *b);
+                self.pass_to(*a, g);
+                self.pass_to(*b, g);
             }
             Op::AddRow(a, row) => {
-                pass_to(grads, *a);
-                add_to(grads, *row, g.column_sums());
+                self.pass_to(*a, g);
+                let drow = g.column_sums_into(self.buffers.take(g.cols()));
+                self.add_to(*row, drow);
             }
             Op::Sub(a, b) => {
-                pass_to(grads, *a);
-                add_to(grads, *b, g.scale(-1.0));
+                self.pass_to(*a, g);
+                let db = g.scale_into(-1.0, self.buf_like(g));
+                self.add_to(*b, db);
             }
             Op::MulElem(a, b) => {
-                add_to(grads, *a, g.mul_elem(self.value(*b)));
-                add_to(grads, *b, g.mul_elem(self.value(*a)));
+                let da = g.zip_with_into(&nodes[b.0].value, self.buf_like(g), |x, y| x * y);
+                self.add_to(*a, da);
+                let db = g.zip_with_into(&nodes[a.0].value, self.buf_like(g), |x, y| x * y);
+                self.add_to(*b, db);
             }
-            Op::Scale(a, k) => add_to(grads, *a, g.scale(*k)),
-            Op::Sigmoid(a) => {
-                let s = &self.nodes[i].value;
-                let ds = s.map_par(|x| x * (1.0 - x));
-                add_to(grads, *a, g.mul_elem(&ds));
+            Op::Scale(a, k) => {
+                let da = g.scale_into(*k, self.buf_like(g));
+                self.add_to(*a, da);
             }
-            Op::Tanh(a) => {
-                let t = &self.nodes[i].value;
-                let dt = t.map_par(|x| 1.0 - x * x);
-                add_to(grads, *a, g.mul_elem(&dt));
+            Op::Sigmoid(a) => self.activation(*a, &nodes[i].value, g, |x| x * (1.0 - x)),
+            Op::Tanh(a) => self.activation(*a, &nodes[i].value, g, |x| 1.0 - x * x),
+            // d/dx log σ(x) = 1 − σ(x) = σ(−x)
+            Op::LogSigmoid(a) => self.activation(*a, &nodes[a.0].value, g, |v| sigmoid(-v)),
+            Op::Neg(a) => {
+                let da = g.scale_into(-1.0, self.buf_like(g));
+                self.add_to(*a, da);
             }
-            Op::LogSigmoid(a) => {
-                // d/dx log σ(x) = 1 − σ(x) = σ(−x)
-                let x = self.value(*a);
-                let d = x.map_par(|v| sigmoid(-v));
-                add_to(grads, *a, g.mul_elem(&d));
-            }
-            Op::Neg(a) => add_to(grads, *a, g.scale(-1.0)),
             Op::GatherRows(a, indices) => {
-                let src = self.value(*a);
-                let mut d = Matrix::zeros(src.rows(), src.cols());
+                let src = &nodes[a.0].value;
+                let mut d = Matrix::zeros_in(src.rows(), src.cols(), self.buf_like(src));
                 for (r, &idx) in indices.iter().enumerate() {
                     let drow = d.row_mut(idx);
                     for (x, &y) in drow.iter_mut().zip(g.row(r)) {
                         *x += y;
                     }
                 }
-                add_to(grads, *a, d);
+                self.add_to(*a, d);
             }
             Op::RowDot(a, b) => {
-                let (av, bv) = (self.value(*a), self.value(*b));
-                let mut da = Matrix::zeros(av.rows(), av.cols());
-                let mut db = Matrix::zeros(bv.rows(), bv.cols());
+                let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
+                let mut da = Matrix::zeros_in(av.rows(), av.cols(), self.buf_like(av));
+                let mut db = Matrix::zeros_in(bv.rows(), bv.cols(), self.buf_like(bv));
                 for r in 0..av.rows() {
                     let gr = g[(r, 0)];
                     for (d, &x) in da.row_mut(r).iter_mut().zip(bv.row(r)) {
@@ -363,12 +541,13 @@ impl Tape {
                         *d = gr * x;
                     }
                 }
-                add_to(grads, *a, da);
-                add_to(grads, *b, db);
+                self.add_to(*a, da);
+                self.add_to(*b, db);
             }
             Op::Sum(a) => {
-                let shape = self.value(*a).shape();
-                add_to(grads, *a, Matrix::filled(shape.0, shape.1, g[(0, 0)]));
+                let src = &nodes[a.0].value;
+                let da = Matrix::filled_in(src.rows(), src.cols(), g[(0, 0)], self.buf_like(src));
+                self.add_to(*a, da);
             }
         }
     }
@@ -486,6 +665,105 @@ mod tests {
         let grads = t.backward(loss);
         assert!(grads.grad(orphan).is_none());
         assert!(grads.grad(x).is_some());
+    }
+
+    /// Record every op once over an `n`-row input: a pass whose buffer
+    /// sizes all scale with `n`. Returns every node (the three leaves
+    /// first) and the loss.
+    fn record_every_op(t: &mut Tape, n: usize) -> (Vec<NodeId>, NodeId) {
+        let x = Matrix::from_fn(n, 3, |r, c| ((r * 5 + c * 3) % 7) as f64 * 0.2 - 0.6);
+        let p = Matrix::from_fn(3, 3, |r, c| ((r + 2 * c) % 5) as f64 * 0.3 - 0.5);
+        let edges = (0..2 * n).map(|k| (k % n, (k * 7 + 1) % n, 1.0 + (k % 3) as f64)).collect();
+        let sid = t.sparse(SparseMatrix::from_triplets(n, n, edges));
+        let x = t.leaf_copy(&x);
+        let pn = t.leaf_copy(&p);
+        let bn = t.leaf_copy(&Matrix::from_rows(&[&[0.05, -0.1, 0.2]]));
+        let xp = t.matmul(x, pn);
+        let agg = t.spmm(sid, xp);
+        let biased = t.add_row(agg, bn);
+        let th = t.tanh(biased);
+        let gathered = t.gather_rows(x, (0..n).map(|r| (r * 3 + 1) % n));
+        let gp = t.matmul(gathered, pn);
+        let dots = t.row_dot(th, gp);
+        let ls = t.log_sigmoid(dots);
+        let neg = t.neg(ls);
+        let sig = t.sigmoid(neg);
+        let sub = t.sub(sig, ls);
+        let prod = t.mul_elem(sub, dots);
+        let scaled = t.scale(prod, 0.7);
+        let both = t.add(scaled, prod);
+        let loss = t.sum(both);
+        (vec![x, pn, bn, xp, agg, biased, th, gathered, gp, dots, ls, neg, sig, sub, prod], loss)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Values and gradients of `record_every_op` on a tape that has
+    /// recorded other shapes before equal a fresh tape's, bit for bit.
+    #[test]
+    fn reused_buffers_match_a_fresh_tape_across_shape_changes() {
+        let fresh = |n: usize| {
+            let mut t = Tape::new();
+            let (nodes, loss) = record_every_op(&mut t, n);
+            let grads = t.backward(loss);
+            let values: Vec<Vec<u64>> = nodes.iter().map(|&id| bits(t.value(id))).collect();
+            let grads: Vec<Vec<u64>> =
+                nodes[..3].iter().map(|&id| bits(grads.grad(id).unwrap())).collect();
+            (values, grads)
+        };
+        let mut t = Tape::new();
+        for n in [300, 40, 300, 40] {
+            t.clear();
+            let (nodes, loss) = record_every_op(&mut t, n);
+            let grads = t.backward(loss);
+            let (values, expect) = fresh(n);
+            for (k, &id) in nodes.iter().enumerate() {
+                assert_eq!(bits(t.value(id)), values[k], "value of node {k} at n = {n}");
+            }
+            for (k, &id) in nodes[..3].iter().enumerate() {
+                assert_eq!(bits(grads.grad(id).unwrap()), expect[k], "gradient of leaf {k} at n = {n}");
+            }
+            t.recycle(grads);
+        }
+    }
+
+    /// Once a tape has recorded its largest shape, later recordings of
+    /// that shape or a smaller one allocate nothing: the pool comes back
+    /// unchanged after every pass.
+    #[test]
+    fn steady_state_recordings_reuse_every_buffer() {
+        let mut t = Tape::new();
+        let mut pools = Vec::new();
+        for n in [300, 40, 300, 300, 40] {
+            let (_, loss) = record_every_op(&mut t, n);
+            let grads = t.backward(loss);
+            t.recycle(grads);
+            t.clear();
+            pools.push(t.buffers.free.iter().map(Vec::capacity).collect::<Vec<_>>());
+        }
+        assert!(!pools[0].is_empty());
+        for (k, pool) in pools.iter().enumerate() {
+            assert_eq!(pool, &pools[0], "pass {k} changed the pool");
+        }
+    }
+
+    /// Owned leaves and matrices recycled from outside the tape never
+    /// leave more free buffers than the last recording took.
+    #[test]
+    fn foreign_buffers_are_trimmed() {
+        let mut t = Tape::new();
+        for _ in 0..3 {
+            t.leaf(Matrix::zeros(4, 4));
+            let (_, loss) = record_every_op(&mut t, 40);
+            let grads = t.backward(loss);
+            t.recycle(grads);
+            let taken = t.buffers.taken;
+            t.recycle((0..500).map(|_| Matrix::zeros(1, 1)));
+            t.clear();
+            assert!(t.buffers.free.len() <= taken, "{} > {taken}", t.buffers.free.len());
+        }
     }
 
     /// Central-difference gradient check over a composite expression that

@@ -47,6 +47,6 @@ pub use metrics::{
 };
 pub use report::{analyze, Report, TraceFile};
 pub use trace::{
-    is_trace_id, mint_trace_id, peak_rss_kb, validate_line, validate_trace, Span, TraceBuffer,
-    TraceEvent, Tracer, Value,
+    is_trace_id, minor_faults, mint_trace_id, peak_rss_kb, validate_line, validate_trace, Span,
+    TraceBuffer, TraceEvent, Tracer, Value,
 };

@@ -320,6 +320,17 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().next()?.parse().ok()
 }
 
+/// Minor page faults the process has taken so far: field 10 (`minflt`)
+/// of `/proc/self/stat`. `None` where that file does not exist, i.e.
+/// off Linux.
+pub fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 2 is the command name in parentheses and may hold spaces;
+    // fields 3 onwards follow its closing parenthesis.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(10 - 3)?.parse().ok()
+}
+
 /// Mint a process-unique 128-bit trace id as 32 lowercase hex digits.
 ///
 /// Combines wall-clock nanoseconds, the process id, a process-wide
@@ -575,6 +586,16 @@ mod tests {
     fn peak_rss_is_read_where_proc_exists() {
         let expected = std::path::Path::new("/proc/self/status").exists();
         assert_eq!(peak_rss_kb().is_some_and(|kb| kb > 0), expected);
+    }
+
+    #[test]
+    fn minor_faults_are_read_where_proc_exists_and_only_rise() {
+        let expected = std::path::Path::new("/proc/self/stat").exists();
+        let before = minor_faults();
+        assert_eq!(before.is_some_and(|n| n > 0), expected);
+        let touched = vec![1u8; 1 << 22];
+        assert_eq!(touched.iter().map(|&b| usize::from(b)).sum::<usize>(), 1 << 22);
+        assert!(minor_faults() >= before);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::process::Command;
 
 use ancstr_core::{
     render_metrics_table, write_constraints, ExtractorConfig, PipelineObs, RunCtx,
-    SymmetryExtractor, PEAK_RSS_FIELD, STAGES,
+    SymmetryExtractor, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES,
 };
 use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::FlatCircuit;
@@ -190,6 +190,49 @@ fn stage_span_ends_carry_the_peak_rss_high_water_mark() {
     }
 }
 
+/// Where `/proc/self/stat` exists, a traced stage span's end carries
+/// the process's minor page faults so far, which never fall from one
+/// stage end to the next, and every `epoch` event carries the faults
+/// taken since the previous epoch. Nothing else carries the field.
+#[test]
+fn stage_ends_and_epochs_carry_minor_page_faults() {
+    let (tracer, buf) = Tracer::in_memory();
+    let obs = PipelineObs::new(Some(tracer));
+    let flat = fixture();
+    let mut ex = SymmetryExtractor::try_new(quick_config()).expect("config is valid");
+    let ctx = RunCtx::observed(obs.clone());
+    ex.try_fit(&[&flat], &ctx, None).expect("fit");
+    ex.try_extract(&flat, None, &ctx, None).expect("extract");
+    obs.flush();
+
+    let events = validate_trace(&buf.contents()).expect("schema-valid trace");
+    let has_proc = ancstr_obs::minor_faults().is_some();
+    let (mut last, mut stage_ends, mut epochs) = (0.0, 0, 0);
+    for e in &events {
+        let faults = e.fields.get(MINOR_FAULTS_FIELD).map(|v| v.as_num().expect("numeric"));
+        let is_stage_end = e.kind == "span_end" && STAGES.contains(&e.stage.as_str())
+            && e.span == e.stage;
+        let is_epoch = e.kind == "event" && e.span == "epoch";
+        if !has_proc || !(is_stage_end || is_epoch) {
+            assert_eq!(faults, None, "{} `{}` must not carry {MINOR_FAULTS_FIELD}", e.kind, e.span);
+            continue;
+        }
+        let n = faults.unwrap_or_else(|| panic!("{} `{}` lacks {MINOR_FAULTS_FIELD}", e.kind, e.span));
+        assert!(n >= 0.0 && n.fract() == 0.0, "{n}");
+        if is_epoch {
+            epochs += 1;
+        } else {
+            assert!(n >= last, "fault count fell from {last} to {n} at `{}`", e.stage);
+            last = n;
+            stage_ends += 1;
+        }
+    }
+    if has_proc {
+        assert!(stage_ends >= STAGES.len(), "only {stage_ends} stage span ends");
+        assert_eq!(epochs, EPOCHS, "every epoch event carries its faults");
+    }
+}
+
 // ---- binary-level tests --------------------------------------------------
 
 fn bin() -> Command {
@@ -263,6 +306,17 @@ fn cli_trace_out_does_not_change_outputs_and_validates() {
     .unwrap();
     let out = bin().arg("obs-check").arg("--trace").arg(&broken).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // And an epoch's fault count that is not a non-negative integer.
+    fs::write(
+        &broken,
+        "{\"ts_ns\":1,\"kind\":\"event\",\"span\":\"epoch\",\"stage\":\"train\",\"id\":1,\"parent\":0,\"fields\":{\"minflt\":1.5}}\n",
+    )
+    .unwrap();
+    let out = bin().arg("obs-check").arg("--trace").arg(&broken).output().unwrap();
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{log}");
+    assert!(log.contains("non-integer `minflt`"), "{log}");
 }
 
 /// A durable run writes `<run-dir>/metrics.prom` that re-parses as
