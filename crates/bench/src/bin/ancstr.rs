@@ -89,7 +89,8 @@
 //! byte-identical with and without these flags. A traced stage span's
 //! end carries the process's peak RSS so far (`vm_hwm_kb`, on Linux)
 //! and its minor page faults so far (`minflt`); each `epoch` event
-//! carries the faults taken since the previous epoch. The `detect`
+//! carries the faults taken since the previous epoch and the KiB the
+//! training step's tape held at its end (`tape_kb`). The `detect`
 //! span's end also carries `blocks_compared` and `block_digraphs`, how
 //! many blocks Algorithm 2 embedded and how many distinct digraphs it
 //! ranked for them.
@@ -119,7 +120,7 @@ use ancstr_core::runstore::{RunOptions, RunSession, StageStatus};
 use ancstr_core::{
     detect_constraints_pruned, load_netlist, render_groups, render_metrics_table,
     write_constraints, ExtractError, ExtractorConfig, FitOutcome, PipelineObs, RunCtx,
-    SymmetryExtractor, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES,
+    SymmetryExtractor, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES, TAPE_KB_FIELD,
 };
 use ancstr_gnn::{HealthReport, TrainGraph};
 use ancstr_graph::BuildOptions;
@@ -1193,6 +1194,7 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         };
         for e in &events {
             count(e, MINOR_FAULTS_FIELD)?;
+            count(e, TAPE_KB_FIELD)?;
         }
         let mut peak: Option<(u64, &str)> = None;
         for e in events.iter().filter(|e| e.kind == "span_end") {

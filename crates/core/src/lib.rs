@@ -92,6 +92,7 @@ pub use metrics::{
 };
 pub use observe::{
     PipelineObs, StageGuard, TrainTelemetry, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES,
+    TAPE_KB_FIELD,
 };
 pub use pairs::{pair_stats, valid_pairs, valid_pairs_of_kind, CandidatePair, PairStats};
 pub use inject::{

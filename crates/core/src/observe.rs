@@ -226,6 +226,11 @@ pub const PEAK_RSS_FIELD: &str = "vm_hwm_kb";
 /// as every epoch re-faulting about as much as the first.
 pub const MINOR_FAULTS_FIELD: &str = "minflt";
 
+/// The field of an `epoch` event holding the KiB of buffer capacity
+/// the training step's tape held at the epoch's end (its recorded
+/// values plus its free pool): the training memory a step reuses.
+pub const TAPE_KB_FIELD: &str = "tape_kb";
+
 /// RAII guard for one pipeline stage: closes the trace span (stamping
 /// [`PEAK_RSS_FIELD`] and [`MINOR_FAULTS_FIELD`] on its end) and records the stage-duration
 /// histogram + run counter on drop.
@@ -304,6 +309,7 @@ impl TrainerHooks for TrainTelemetry {
             ("grad_norm_mean", t.grad_norm_mean.into()),
             ("grad_norm_post_clip_max", t.grad_norm_post_clip_max.into()),
             ("clipped_steps", t.clipped_steps.into()),
+            (TAPE_KB_FIELD, t.tape_kb.into()),
         ];
         if let Some(before) = self.faults_at {
             let now = minor_faults().unwrap_or(before);
@@ -406,6 +412,7 @@ mod tests {
             grad_norm_mean: 1.5,
             grad_norm_post_clip_max: 1.0,
             clipped_steps: 1,
+            tape_kb: 96,
         });
         hooks.on_retry(&HealthEvent {
             epoch: 1,

@@ -33,6 +33,32 @@ impl Default for LossConfig {
     }
 }
 
+/// The cumulative degree^(3/4) unigram table `Neg(v)` draws from. It
+/// depends only on the graph, so a training run builds it once per
+/// graph and reuses it for every resampled batch.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct NegativeTable {
+    cumulative: Vec<f64>,
+}
+
+impl NegativeTable {
+    /// The table of `tensors`: entry `v` is `Σ_{w ≤ v} (in_degree(w) + 1)^0.75`.
+    pub(crate) fn new(tensors: &GraphTensors) -> NegativeTable {
+        let mut acc = 0.0;
+        let cumulative = (0..tensors.vertex_count())
+            .map(|v| {
+                acc += ((tensors.in_degree(v) + 1) as f64).powf(0.75);
+                acc
+            })
+            .collect();
+        NegativeTable { cumulative }
+    }
+
+    fn total(&self) -> f64 {
+        self.cumulative.last().copied().unwrap_or(0.0)
+    }
+}
+
 /// The positive/negative index pairs for one training pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContextBatch {
@@ -52,13 +78,20 @@ impl ContextBatch {
     /// implementation compromise).
     pub fn sample(tensors: &GraphTensors, config: &LossConfig, rng: &mut impl Rng) -> ContextBatch {
         let mut batch = ContextBatch::default();
-        batch.resample(tensors, config, rng);
+        batch.resample(tensors, &NegativeTable::new(tensors), config, rng);
         batch
     }
 
     /// Replace this batch with [`ContextBatch::sample`]'s draw, reusing
-    /// its allocations: the same pairs from the same RNG calls.
-    pub(crate) fn resample(&mut self, tensors: &GraphTensors, config: &LossConfig, rng: &mut impl Rng) {
+    /// its allocations and `table`, the [`NegativeTable`] of `tensors`:
+    /// the same pairs from the same RNG calls.
+    pub(crate) fn resample(
+        &mut self,
+        tensors: &GraphTensors,
+        table: &NegativeTable,
+        config: &LossConfig,
+        rng: &mut impl Rng,
+    ) {
         let n = tensors.vertex_count();
         let positives = &mut self.positives;
         positives.clear();
@@ -69,14 +102,8 @@ impl ContextBatch {
         }
 
         // Unigram distribution ∝ (in_degree + 1)^0.75.
-        let mut acc = 0.0;
-        let cumulative: Vec<f64> = (0..n)
-            .map(|v| {
-                acc += ((tensors.in_degree(v) + 1) as f64).powf(0.75);
-                acc
-            })
-            .collect();
-        let total = acc;
+        let cumulative = &table.cumulative;
+        let total = table.total();
 
         let negatives = &mut self.negatives;
         negatives.clear();
@@ -125,17 +152,13 @@ pub fn context_loss(
     let mut terms: Vec<NodeId> = Vec::new();
 
     if !batch.positives.is_empty() {
-        let zu = tape.gather_rows(z, batch.positives.iter().map(|&(u, _)| u));
-        let zv = tape.gather_rows(z, batch.positives.iter().map(|&(_, v)| v));
-        let dots = tape.row_dot(zu, zv);
+        let dots = tape.pair_dots(z, &batch.positives);
         let ls = tape.log_sigmoid(dots);
         let s = tape.sum(ls);
         terms.push(tape.neg(s));
     }
     if !batch.negatives.is_empty() {
-        let zu = tape.gather_rows(z, batch.negatives.iter().map(|&(u, _)| u));
-        let zv = tape.gather_rows(z, batch.negatives.iter().map(|&(_, v)| v));
-        let dots = tape.row_dot(zu, zv);
+        let dots = tape.pair_dots(z, &batch.negatives);
         // log(1 − σ(x)) = log σ(−x)
         let neg_dots = tape.neg(dots);
         let ls = tape.log_sigmoid(neg_dots);
@@ -190,6 +213,23 @@ mod tests {
         let a = ContextBatch::sample(&t, &cfg, &mut StdRng::seed_from_u64(9));
         let b = ContextBatch::sample(&t, &cfg, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
+    }
+
+    /// One table reused across many resamples draws exactly what a
+    /// fresh [`ContextBatch::sample`] draws at every seed.
+    #[test]
+    fn table_backed_resample_matches_sample_across_seeds() {
+        let t = tensors();
+        let cfg = LossConfig::default();
+        let table = NegativeTable::new(&t);
+        let mut batch = ContextBatch::default();
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            batch.resample(&t, &table, &cfg, &mut rng);
+            let mut fresh_rng = StdRng::seed_from_u64(seed);
+            assert_eq!(batch, ContextBatch::sample(&t, &cfg, &mut fresh_rng), "seed {seed}");
+            assert_eq!(rng.gen::<u64>(), fresh_rng.gen::<u64>(), "RNG stream at seed {seed}");
+        }
     }
 
     #[test]

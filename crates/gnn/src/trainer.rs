@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use ancstr_nn::{Adam, Matrix, Tape};
 
 use crate::error::{AnomalyCause, TrainError};
-use crate::loss::{context_loss, ContextBatch, LossConfig};
+use crate::loss::{context_loss, ContextBatch, LossConfig, NegativeTable};
 use crate::model::{GnnConfig, GnnModel};
 use crate::tensors::GraphTensors;
 
@@ -186,6 +186,10 @@ pub struct EpochTelemetry {
     pub grad_norm_post_clip_max: f64,
     /// Steps whose gradient was norm-clipped this epoch.
     pub clipped_steps: usize,
+    /// KiB of buffer capacity the step tape holds at the epoch's end:
+    /// the last step's recorded values and the free buffers kept for
+    /// the next ([`Tape::held_bytes`]).
+    pub tape_kb: usize,
 }
 
 /// Read-only training observer for telemetry.
@@ -238,12 +242,41 @@ struct EpochGuard<'a> {
 }
 
 /// What one training run reuses from step to step: the tape, whose
-/// buffer pool makes a steady-state step allocate nothing large, and
-/// the resampled context batch.
-#[derive(Default)]
+/// buffer pool makes a steady-state step allocate nothing large, the
+/// resampled context batch, and each graph's negative-sampling table.
 struct StepBuffers {
     tape: Tape,
     batch: ContextBatch,
+    tables: Vec<NegativeTable>,
+}
+
+impl StepBuffers {
+    fn new(dataset: &[TrainGraph]) -> StepBuffers {
+        StepBuffers {
+            tape: Tape::new(),
+            batch: ContextBatch::default(),
+            tables: dataset.iter().map(|g| NegativeTable::new(&g.tensors)).collect(),
+        }
+    }
+
+    /// One [`ContextBatch::sample`] draw per graph, in dataset order:
+    /// the batches of a run that does not resample.
+    fn fixed_batches(
+        &self,
+        dataset: &[TrainGraph],
+        config: &LossConfig,
+        rng: &mut StdRng,
+    ) -> Vec<ContextBatch> {
+        dataset
+            .iter()
+            .zip(&self.tables)
+            .map(|(g, table)| {
+                let mut batch = ContextBatch::default();
+                batch.resample(&g.tensors, table, config, rng);
+                batch
+            })
+            .collect()
+    }
 }
 
 /// One full pass over the dataset. With `guard: None` this is exactly
@@ -268,7 +301,7 @@ fn epoch_pass(
     for &gi in order.iter() {
         let graph = &dataset[gi];
         let batch = if config.resample_negatives {
-            step.batch.resample(&graph.tensors, &config.loss, rng);
+            step.batch.resample(&graph.tensors, &step.tables[gi], &config.loss, rng);
             &step.batch
         } else {
             &fixed_batches[gi]
@@ -369,14 +402,11 @@ pub fn train(model: &mut GnnModel, dataset: &[TrainGraph], config: &TrainConfig)
     let mut opt = Adam::new(config.learning_rate);
 
     // Pre-sample fixed batches when not resampling.
-    let fixed_batches: Vec<ContextBatch> = dataset
-        .iter()
-        .map(|g| ContextBatch::sample(&g.tensors, &config.loss, &mut rng))
-        .collect();
+    let mut step = StepBuffers::new(dataset);
+    let fixed_batches = step.fixed_batches(dataset, &config.loss, &mut rng);
 
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     let mut order: Vec<usize> = (0..dataset.len()).collect();
-    let mut step = StepBuffers::default();
 
     for _epoch in 0..config.epochs {
         let loss = epoch_pass(
@@ -676,7 +706,7 @@ pub fn try_train_resumable(
     let mut attempt = 0usize;
     let mut seed = config.seed;
 
-    let mut step = StepBuffers::default();
+    let mut step = StepBuffers::new(dataset);
     let mut resume = hooks.resume_from.take();
     if let Some(state) = &resume {
         validate_resume(state, model, dataset.len(), config)?;
@@ -697,10 +727,7 @@ pub fn try_train_resumable(
         // mid-stream RNG state, shuffle order, and optimizer moments.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut opt = Adam::new(config.learning_rate);
-        let fixed_batches: Vec<ContextBatch> = dataset
-            .iter()
-            .map(|g| ContextBatch::sample(&g.tensors, &config.loss, &mut rng))
-            .collect();
+        let fixed_batches = step.fixed_batches(dataset, &config.loss, &mut rng);
         let mut order: Vec<usize> = (0..dataset.len()).collect();
         if let Some(state) = resume.take() {
             rng = StdRng::from_state(state.rng);
@@ -793,6 +820,7 @@ pub fn try_train_resumable(
                             },
                             grad_norm_post_clip_max: stats.post_max,
                             clipped_steps: report.clipped_steps - clipped_before,
+                            tape_kb: step.tape.held_bytes() / 1024,
                         });
                     }
                     None

@@ -62,7 +62,8 @@ pub trait Forward<'a> {
     /// A bound constant sparse operator.
     type Sparse: Copy;
 
-    /// Bind an input matrix (the vertex features) as a value.
+    /// Bind an input matrix (the vertex features) as a value. On a
+    /// [`Tape`] it is a constant: no gradient flows into it.
     fn input(&mut self, m: &'a Matrix) -> Self::Value;
     /// Bind a parameter matrix.
     fn param(&mut self, m: &'a Matrix) -> Self::Param;
@@ -95,7 +96,7 @@ impl<'a> Forward<'a> for Tape {
     type Sparse = SparseId;
 
     fn input(&mut self, m: &'a Matrix) -> NodeId {
-        self.leaf_copy(m)
+        self.const_copy(m)
     }
 
     fn param(&mut self, m: &'a Matrix) -> NodeId {

@@ -17,11 +17,14 @@
 //!   (`n == 18`) the whole output row lives in a local `[f64; 18]` and
 //!   is stored once; other widths add each `b[k]` row into the output
 //!   row in place.
-//! * **transposed-LHS matmul** (`Aᵀ·G`, the weight gradient) — walks
-//!   A's rows in ascending order, so element `(i, j)` accumulates
-//!   `A[r][i]·G[r][j]` in ascending `r`: exactly the ascending-`k`
-//!   order of `A.transpose().matmul(G)`, with the same zero skip,
-//!   without materialising the transpose.
+//! * **transposed-LHS matmul** (`Aᵀ·G`, the weight gradient) — element
+//!   `(i, j)` accumulates `A[r][i]·G[r][j]` in ascending `r`: exactly
+//!   the ascending-`k` order of `A.transpose().matmul(G)`, with the
+//!   same zero skip, without materialising the transpose. At the
+//!   model's width (`q == 18`) each output row `i` is a local
+//!   `[f64; 18]` that walks column `i` of A down the rows and is
+//!   stored once; other widths walk A's rows and add each `G[r]` row
+//!   into the output rows in place.
 //! * **CSR spmm** — each output row walks its `(src_row, value)`
 //!   entries in original triplet order and adds `value·dense[src_row]`
 //!   with no zero skip, exactly like a storage-order triplet walk.
@@ -105,16 +108,39 @@ fn axpy_skip(y: &mut [f64], a: f64, x: &[f64]) {
 }
 
 /// `aᵀ · g` for row-major `a` (`rows × p`) and `g` (`rows × q`) into
-/// the zeroed `p × q` `out`, walking A's rows in ascending order and
-/// skipping zero elements of `a`.
+/// the zeroed `p × q` `out`: element `(i, j)` accumulates
+/// `a[r][i]·g[r][j]` in ascending `r`, skipping zero elements of `a`.
 pub(crate) fn transpose_matmul(a: &[f64], p: usize, g: &[f64], q: usize, out: &mut [f64]) {
     if p == 0 || q == 0 {
+        return;
+    }
+    if q == NARROW {
+        narrow_transpose_rows::<NARROW>(a, p, g, out);
         return;
     }
     for (arow, grow) in a.chunks_exact(p).zip(g.chunks_exact(q)) {
         for (&av, orow) in arow.iter().zip(out.chunks_exact_mut(q)) {
             axpy_skip(orow, av, grow);
         }
+    }
+}
+
+/// Narrow-output `aᵀ · g`: output row `i` is a local `[f64; N]` that
+/// walks column `i` of `a` over ascending `r` and is stored once. Per
+/// element this is [`transpose_matmul`]'s add sequence.
+fn narrow_transpose_rows<const N: usize>(a: &[f64], p: usize, g: &[f64], out: &mut [f64]) {
+    for (i, orow) in out.chunks_exact_mut(N).enumerate() {
+        let mut acc = [0.0f64; N];
+        for (arow, grow) in a.chunks_exact(p).zip(g.chunks_exact(N)) {
+            let av = arow[i];
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &gv) in acc.iter_mut().zip(grow) {
+                *o += av * gv;
+            }
+        }
+        orow.copy_from_slice(&acc);
     }
 }
 

@@ -103,6 +103,11 @@ impl Matrix {
         self.data
     }
 
+    /// Elements the row-major buffer has room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Wrap an existing buffer.
     ///
     /// # Panics

@@ -56,6 +56,70 @@ pub fn spmm(
     out
 }
 
+/// One side of a pair: its `u` or its `v`.
+type Side = fn(&(usize, usize)) -> usize;
+const U: Side = |p| p.0;
+const V: Side = |p| p.1;
+
+/// Row `side(pair)` of `z` (`_ × d`) for every pair, stacked.
+fn gather(z: &[f64], d: usize, pairs: &[(usize, usize)], side: Side) -> Vec<f64> {
+    pairs.iter().flat_map(|p| z[side(p) * d..(side(p) + 1) * d].iter().copied()).collect()
+}
+
+/// Eq. 2's pair dots by gathering the `u` rows and the `v` rows of `z`
+/// (`_ × d`) and taking row-wise dots.
+pub fn pair_dots(z: &[f64], d: usize, pairs: &[(usize, usize)]) -> Vec<f64> {
+    let (zu, zv) = (gather(z, d, pairs, U), gather(z, d, pairs, V));
+    (0..pairs.len())
+        .map(|r| -> f64 {
+            let (a, b) = (&zu[r * d..(r + 1) * d], &zv[r * d..(r + 1) * d]);
+            a.iter().zip(b).map(|(x, y)| x * y).sum()
+        })
+        .collect()
+}
+
+/// The gradient `z` (`n × d`) holds after a reverse sweep passes `g`
+/// (one value per pair) back through [`pair_dots`]'s composition, when
+/// it held `dz` before (`None`: no gradient yet). The row-wise dot
+/// gives the `u` gather `g[r]·z[v]` and the `v` gather `g[r]·z[u]`;
+/// each gather scatters its rows into zeros in pair order; the sweep
+/// reaches the `v` gather first.
+pub fn pair_dots_grad(
+    z: &[f64],
+    n: usize,
+    d: usize,
+    pairs: &[(usize, usize)],
+    g: &[f64],
+    dz: Option<Vec<f64>>,
+) -> Vec<f64> {
+    let (zu, zv) = (gather(z, d, pairs, U), gather(z, d, pairs, V));
+    let times_g = |rows: &[f64]| -> Vec<f64> {
+        (0..rows.len()).map(|k| g[k / d] * rows[k]).collect()
+    };
+    let scatter = |rows: &[f64], side: Side| -> Vec<f64> {
+        let mut out = vec![0.0; n * d];
+        for (r, p) in pairs.iter().enumerate() {
+            for j in 0..d {
+                out[side(p) * d + j] += rows[r * d + j];
+            }
+        }
+        out
+    };
+    let dv = scatter(&times_g(&zu), V);
+    let du = scatter(&times_g(&zv), U);
+    let add = |mut acc: Vec<f64>, delta: &[f64]| {
+        for (a, &x) in acc.iter_mut().zip(delta) {
+            *a += x;
+        }
+        acc
+    };
+    let dz = match dz {
+        Some(dz) => add(dz, &dv),
+        None => dv,
+    };
+    add(dz, &du)
+}
+
 /// Bitwise equality, except that any NaN matches any NaN: IEEE-754
 /// leaves the payload of a NaN produced from two NaN operands to the
 /// operand order, which the compiler may commute.

@@ -4,9 +4,18 @@
 //! ops; [`Tape::backward`] then sweeps it once in reverse, accumulating
 //! gradients. The op set is exactly what the AncstrGNN model needs:
 //! (sparse-)matmul, broadcast bias, element-wise arithmetic, `σ`/`tanh`,
-//! numerically stable `log σ`, row gathering, row-wise dots, and a final
-//! sum — enough for Eq. 1's GRU aggregation and Eq. 2's negative-sampling
-//! loss.
+//! numerically stable `log σ`, dot products of indexed row pairs, and a
+//! final sum — enough for Eq. 1's GRU aggregation and Eq. 2's
+//! negative-sampling loss.
+//!
+//! # What the sweep computes
+//!
+//! Gradients flow into leaves ([`Tape::leaf`]); an input bound through
+//! [`Forward::input`](crate::Forward::input) is a constant. A node
+//! needs a gradient only if one of its operands does, and the sweep
+//! builds no gradient for a node that does not: the features' `dA`
+//! products, for one, are never computed. Skipping a gradient nobody
+//! reads changes no leaf gradient's bits.
 //!
 //! # Buffer reuse
 //!
@@ -50,6 +59,7 @@ pub struct SparseId(usize);
 #[derive(Debug, Clone)]
 enum Op {
     Leaf,
+    Const,
     MatMul(NodeId, NodeId),
     SpMm(SparseId, NodeId),
     Add(NodeId, NodeId),
@@ -61,15 +71,40 @@ enum Op {
     Tanh(NodeId),
     LogSigmoid(NodeId),
     Neg(NodeId),
-    GatherRows(NodeId, Vec<usize>),
-    RowDot(NodeId, NodeId),
+    /// Dot products of `z`'s row pairs, stored as `[u0, v0, u1, v1, …]`.
+    PairDots(NodeId, Vec<usize>),
     Sum(NodeId),
+}
+
+impl Op {
+    /// The node operands, as `(first, second)`.
+    fn operands(&self) -> (Option<NodeId>, Option<NodeId>) {
+        match *self {
+            Op::Leaf | Op::Const => (None, None),
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRow(a, b)
+            | Op::Sub(a, b)
+            | Op::MulElem(a, b) => (Some(a), Some(b)),
+            Op::SpMm(_, a)
+            | Op::Scale(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::LogSigmoid(a)
+            | Op::Neg(a)
+            | Op::PairDots(a, _)
+            | Op::Sum(a) => (Some(a), None),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
 struct Node {
     value: Matrix,
     op: Op,
+    /// Whether a leaf is reachable through the operands: only such a
+    /// node gets a gradient.
+    needs_grad: bool,
 }
 
 /// Gradients produced by [`Tape::backward`].
@@ -133,6 +168,11 @@ impl<T> Pool<T> {
         }
         self.free.pop();
         Vec::new()
+    }
+
+    /// Elements the free buffers have room for.
+    fn held(&self) -> usize {
+        self.free.iter().map(Vec::capacity).sum()
     }
 
     fn put(&mut self, buf: Vec<T>) {
@@ -203,7 +243,7 @@ impl Tape {
     pub fn clear(&mut self) {
         for node in self.nodes.drain(..) {
             self.buffers.put(node.value.into_vec());
-            if let Op::GatherRows(_, indices) = node.op {
+            if let Op::PairDots(_, indices) = node.op {
                 self.indices.put(indices);
             }
         }
@@ -218,6 +258,23 @@ impl Tape {
         for m in matrices {
             self.buffers.put(m.into_vec());
         }
+    }
+
+    /// Bytes of buffer capacity the tape holds: its recorded values and
+    /// pair indices, and the free buffers it keeps for reuse.
+    pub fn held_bytes(&self) -> usize {
+        let recorded: usize = self
+            .nodes
+            .iter()
+            .map(|node| {
+                let indices = match &node.op {
+                    Op::PairDots(_, indices) => indices.capacity(),
+                    _ => 0,
+                };
+                node.value.capacity() * size_of::<f64>() + indices * size_of::<usize>()
+            })
+            .sum();
+        recorded + self.buffers.held() * size_of::<f64>() + self.indices.held() * size_of::<usize>()
     }
 
     /// The forward value of a node.
@@ -235,10 +292,17 @@ impl Tape {
     }
 
     /// [`Tape::leaf`] holding a copy of `value` in a reused buffer —
-    /// what a loop that records the same inputs every step wants.
+    /// what a loop that records the same parameters every step wants.
     pub(crate) fn leaf_copy(&mut self, value: &Matrix) -> NodeId {
         let v = value.copy_into(self.buffers.take(value.as_slice().len()));
         self.push(v, Op::Leaf)
+    }
+
+    /// A constant holding a copy of `value` in a reused buffer: no
+    /// gradient flows into it.
+    pub(crate) fn const_copy(&mut self, value: &Matrix) -> NodeId {
+        let v = value.copy_into(self.buffers.take(value.as_slice().len()));
+        self.push(v, Op::Const)
     }
 
     /// Register a constant sparse operand for [`Tape::spmm`].
@@ -329,43 +393,26 @@ impl Tape {
         self.push(v, Op::Neg(a))
     }
 
-    /// Select rows of `a` by index (repeats allowed).
+    /// `z_uᵀ z_v` for every pair `(u, v)` of rows of `z` (repeats and
+    /// `u == v` allowed): `→ pairs.len() × 1`. Equal, value and
+    /// gradient, to gathering the `u` rows and the `v` rows and taking
+    /// row-wise dots, without building either `pairs.len() × d` gather.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
-    pub fn gather_rows(&mut self, a: NodeId, indices: impl IntoIterator<Item = usize>) -> NodeId {
-        let indices = indices.into_iter();
-        let mut idx = self.indices.take(indices.size_hint().0);
+    pub fn pair_dots(&mut self, z: NodeId, pairs: &[(usize, usize)]) -> NodeId {
+        let mut idx = self.indices.take(2 * pairs.len());
         idx.clear();
-        idx.extend(indices);
-        let cols = self.value(a).cols();
-        let mut data = self.buffers.take(idx.len() * cols);
+        idx.extend(pairs.iter().flat_map(|&(u, v)| [u, v]));
+        let mut data = self.buffers.take(pairs.len());
         data.clear();
-        data.reserve_exact(idx.len() * cols);
-        let src = self.value(a);
-        for &i in &idx {
-            data.extend_from_slice(src.row(i));
-        }
-        let v = Matrix::from_vec(idx.len(), cols, data);
-        self.push(v, Op::GatherRows(a, idx))
-    }
-
-    /// Row-wise dot products: `(n × d, n × d) → n × 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn row_dot(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let mut data = self.buffers.take(self.value(a).rows());
-        let (av, bv) = (self.value(a), self.value(b));
-        assert_eq!(av.shape(), bv.shape(), "row_dot shape mismatch");
-        data.clear();
-        data.extend((0..av.rows()).map(|r| -> f64 {
-            av.row(r).iter().zip(bv.row(r)).map(|(x, y)| x * y).sum()
+        let zv = self.value(z);
+        data.extend(pairs.iter().map(|&(u, v)| -> f64 {
+            zv.row(u).iter().zip(zv.row(v)).map(|(x, y)| x * y).sum()
         }));
-        let v = Matrix::from_vec(av.rows(), 1, data);
-        self.push(v, Op::RowDot(a, b))
+        let v = Matrix::from_vec(pairs.len(), 1, data);
+        self.push(v, Op::PairDots(z, idx))
     }
 
     /// Sum of all elements: `→ 1 × 1`.
@@ -382,8 +429,11 @@ impl Tape {
     /// waiting to be passed on.
     pub fn backward(&mut self, loss: NodeId) -> Gradients {
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        let (rows, cols) = self.value(loss).shape();
-        grads[loss.0] = Some(Matrix::filled_in(rows, cols, 1.0, self.buffers.take(rows * cols)));
+        if self.nodes[loss.0].needs_grad {
+            let (rows, cols) = self.value(loss).shape();
+            grads[loss.0] =
+                Some(Matrix::filled_in(rows, cols, 1.0, self.buffers.take(rows * cols)));
+        }
 
         let Tape { nodes, sparses, buffers, .. } = self;
         let mut sweep = Backward { nodes, sparses, buffers, grads: &mut grads };
@@ -400,7 +450,10 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
-        self.nodes.push(Node { value, op });
+        let needs = |id: Option<NodeId>| id.is_some_and(|id| self.nodes[id.0].needs_grad);
+        let (a, b) = op.operands();
+        let needs_grad = matches!(op, Op::Leaf) || needs(a) || needs(b);
+        self.nodes.push(Node { value, op, needs_grad });
         NodeId(self.nodes.len() - 1)
     }
 
@@ -432,6 +485,12 @@ impl Backward<'_> {
         self.buffers.take(m.as_slice().len())
     }
 
+    /// Whether `id` takes a gradient; the sweep builds none for a node
+    /// that does not.
+    fn needs(&self, id: NodeId) -> bool {
+        self.nodes[id.0].needs_grad
+    }
+
     /// Add `delta` into `id`'s gradient, or make it the gradient.
     fn add_to(&mut self, id: NodeId, delta: Matrix) {
         match &mut self.grads[id.0] {
@@ -444,8 +503,12 @@ impl Backward<'_> {
     }
 
     /// [`Backward::add_to`] for a gradient passed through unchanged:
-    /// copies `g` only when the slot is still empty.
+    /// copies `g` only when the slot is still empty, and not at all
+    /// when `id` needs no gradient.
     fn pass_to(&mut self, id: NodeId, g: &Matrix) {
+        if !self.needs(id) {
+            return;
+        }
         if let Some(existing) = &mut self.grads[id.0] {
             existing.add_assign(g);
         } else {
@@ -463,21 +526,29 @@ impl Backward<'_> {
         self.add_to(id, delta);
     }
 
+    /// Pass `g`, the gradient of node `i`, on to each of its operands
+    /// that needs one (a node reached here needs a gradient, so a
+    /// single operand always does).
     fn accumulate(&mut self, i: usize, g: &Matrix) {
         let nodes = self.nodes;
         match &nodes[i].op {
-            Op::Leaf => {}
+            Op::Leaf | Op::Const => {}
             Op::MatMul(a, b) => {
                 let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
                 // dA = dC·Bᵀ and dB = Aᵀ·dC, each bit-identical to
                 // materializing the transpose (see
                 // `Matrix::matmul_transposed` / `Matrix::transpose_matmul`).
-                let (buf, scratch) = (self.buffers.take(g.rows() * bv.rows()), self.buf_like(bv));
-                let (da, scratch) = g.matmul_transposed_into(bv, buf, scratch);
-                self.buffers.put(scratch);
-                self.add_to(*a, da);
-                let db = av.transpose_matmul_into(g, self.buffers.take(av.cols() * g.cols()));
-                self.add_to(*b, db);
+                if self.needs(*a) {
+                    let (buf, scratch) =
+                        (self.buffers.take(g.rows() * bv.rows()), self.buf_like(bv));
+                    let (da, scratch) = g.matmul_transposed_into(bv, buf, scratch);
+                    self.buffers.put(scratch);
+                    self.add_to(*a, da);
+                }
+                if self.needs(*b) {
+                    let db = av.transpose_matmul_into(g, self.buffers.take(av.cols() * g.cols()));
+                    self.add_to(*b, db);
+                }
             }
             Op::SpMm(s, b) => {
                 let s = &self.sparses[s.0];
@@ -491,19 +562,27 @@ impl Backward<'_> {
             }
             Op::AddRow(a, row) => {
                 self.pass_to(*a, g);
-                let drow = g.column_sums_into(self.buffers.take(g.cols()));
-                self.add_to(*row, drow);
+                if self.needs(*row) {
+                    let drow = g.column_sums_into(self.buffers.take(g.cols()));
+                    self.add_to(*row, drow);
+                }
             }
             Op::Sub(a, b) => {
                 self.pass_to(*a, g);
-                let db = g.scale_into(-1.0, self.buf_like(g));
-                self.add_to(*b, db);
+                if self.needs(*b) {
+                    let db = g.scale_into(-1.0, self.buf_like(g));
+                    self.add_to(*b, db);
+                }
             }
             Op::MulElem(a, b) => {
-                let da = g.zip_with_into(&nodes[b.0].value, self.buf_like(g), |x, y| x * y);
-                self.add_to(*a, da);
-                let db = g.zip_with_into(&nodes[a.0].value, self.buf_like(g), |x, y| x * y);
-                self.add_to(*b, db);
+                if self.needs(*a) {
+                    let da = g.zip_with_into(&nodes[b.0].value, self.buf_like(g), |x, y| x * y);
+                    self.add_to(*a, da);
+                }
+                if self.needs(*b) {
+                    let db = g.zip_with_into(&nodes[a.0].value, self.buf_like(g), |x, y| x * y);
+                    self.add_to(*b, db);
+                }
             }
             Op::Scale(a, k) => {
                 let da = g.scale_into(*k, self.buf_like(g));
@@ -517,32 +596,26 @@ impl Backward<'_> {
                 let da = g.scale_into(-1.0, self.buf_like(g));
                 self.add_to(*a, da);
             }
-            Op::GatherRows(a, indices) => {
-                let src = &nodes[a.0].value;
-                let mut d = Matrix::zeros_in(src.rows(), src.cols(), self.buf_like(src));
-                for (r, &idx) in indices.iter().enumerate() {
-                    let drow = d.row_mut(idx);
-                    for (x, &y) in drow.iter_mut().zip(g.row(r)) {
-                        *x += y;
+            Op::PairDots(z, pairs) => {
+                // `gr·z[v]` scatters into the `u` rows and `gr·z[u]` into
+                // the `v` rows, each in pair order from zero; `z` then
+                // takes the `v` side first — the order in which a sweep
+                // reaches gathers of the `v` rows and the `u` rows
+                // recorded before a row-wise dot.
+                let zv = &nodes[z.0].value;
+                let mut du = Matrix::zeros_in(zv.rows(), zv.cols(), self.buf_like(zv));
+                let mut dv = Matrix::zeros_in(zv.rows(), zv.cols(), self.buf_like(zv));
+                for (uv, &gr) in pairs.chunks_exact(2).zip(g.as_slice()) {
+                    let (u, v) = (uv[0], uv[1]);
+                    for (d, &x) in du.row_mut(u).iter_mut().zip(zv.row(v)) {
+                        *d += gr * x;
+                    }
+                    for (d, &x) in dv.row_mut(v).iter_mut().zip(zv.row(u)) {
+                        *d += gr * x;
                     }
                 }
-                self.add_to(*a, d);
-            }
-            Op::RowDot(a, b) => {
-                let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
-                let mut da = Matrix::zeros_in(av.rows(), av.cols(), self.buf_like(av));
-                let mut db = Matrix::zeros_in(bv.rows(), bv.cols(), self.buf_like(bv));
-                for r in 0..av.rows() {
-                    let gr = g[(r, 0)];
-                    for (d, &x) in da.row_mut(r).iter_mut().zip(bv.row(r)) {
-                        *d = gr * x;
-                    }
-                    for (d, &x) in db.row_mut(r).iter_mut().zip(av.row(r)) {
-                        *d = gr * x;
-                    }
-                }
-                self.add_to(*a, da);
-                self.add_to(*b, db);
+                self.add_to(*z, dv);
+                self.add_to(*z, du);
             }
             Op::Sum(a) => {
                 let src = &nodes[a.0].value;
@@ -601,28 +674,24 @@ mod tests {
         assert_eq!(grads.grad(b).unwrap(), &Matrix::from_rows(&[&[4.0], &[6.0]]));
     }
 
+    /// Repeated pairs and `u == v` pairs each add both of their terms:
+    /// `d(z_uᵀ z_v)/dz_u = z_v` and `d(z_uᵀ z_v)/dz_v = z_u`.
     #[test]
-    fn gather_rows_accumulates_repeats() {
+    fn pair_dots_accumulate_repeats_and_self_pairs() {
         let mut t = Tape::new();
-        let a = t.leaf(Matrix::from_rows(&[&[1.0], &[2.0]]));
-        let gathered = t.gather_rows(a, vec![0, 0, 1]);
-        assert_eq!(t.value(gathered).rows(), 3);
-        let loss = t.sum(gathered);
-        let grads = t.backward(loss);
-        assert_eq!(grads.grad(a).unwrap(), &Matrix::from_rows(&[&[2.0], &[1.0]]));
-    }
-
-    #[test]
-    fn row_dot_gradients() {
-        let mut t = Tape::new();
-        let a = t.leaf(Matrix::from_rows(&[&[1.0, 2.0]]));
-        let b = t.leaf(Matrix::from_rows(&[&[3.0, 4.0]]));
-        let d = t.row_dot(a, b);
-        assert_eq!(t.value(d)[(0, 0)], 11.0);
+        let zval = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let pairs = [(0, 1), (0, 0), (1, 0), (0, 1)];
+        let z = t.leaf(zval.clone());
+        let d = t.pair_dots(z, &pairs);
+        assert_eq!(t.value(d), &Matrix::from_rows(&[&[11.0], &[5.0], &[11.0], &[11.0]]));
+        assert_eq!(t.value(d).as_slice(), crate::oracle::pair_dots(zval.as_slice(), 2, &pairs));
         let loss = t.sum(d);
         let grads = t.backward(loss);
-        assert_eq!(grads.grad(a).unwrap(), &Matrix::from_rows(&[&[3.0, 4.0]]));
-        assert_eq!(grads.grad(b).unwrap(), &Matrix::from_rows(&[&[1.0, 2.0]]));
+        // Row 2 is in no pair.
+        let expect = Matrix::from_rows(&[&[11.0, 16.0], &[3.0, 6.0], &[0.0, 0.0]]);
+        assert_eq!(grads.grad(z).unwrap(), &expect);
+        let oracle = crate::oracle::pair_dots_grad(zval.as_slice(), 3, 2, &pairs, &[1.0; 4], None);
+        assert_eq!(expect.as_slice(), oracle);
     }
 
     #[test]
@@ -667,24 +736,25 @@ mod tests {
         assert!(grads.grad(x).is_some());
     }
 
-    /// Record every op once over an `n`-row input: a pass whose buffer
-    /// sizes all scale with `n`. Returns every node (the three leaves
-    /// first) and the loss.
-    fn record_every_op(t: &mut Tape, n: usize) -> (Vec<NodeId>, NodeId) {
+    /// Record every op once over an `n`-row input, bound as a leaf or
+    /// (`const_input`) as a constant: a pass whose buffer sizes all
+    /// scale with `n`. Returns every node (the input and the two
+    /// parameters first) and the loss.
+    fn record_every_op(t: &mut Tape, n: usize, const_input: bool) -> (Vec<NodeId>, NodeId) {
         let x = Matrix::from_fn(n, 3, |r, c| ((r * 5 + c * 3) % 7) as f64 * 0.2 - 0.6);
         let p = Matrix::from_fn(3, 3, |r, c| ((r + 2 * c) % 5) as f64 * 0.3 - 0.5);
         let edges = (0..2 * n).map(|k| (k % n, (k * 7 + 1) % n, 1.0 + (k % 3) as f64)).collect();
         let sid = t.sparse(SparseMatrix::from_triplets(n, n, edges));
-        let x = t.leaf_copy(&x);
+        let x = if const_input { t.const_copy(&x) } else { t.leaf_copy(&x) };
         let pn = t.leaf_copy(&p);
         let bn = t.leaf_copy(&Matrix::from_rows(&[&[0.05, -0.1, 0.2]]));
         let xp = t.matmul(x, pn);
         let agg = t.spmm(sid, xp);
         let biased = t.add_row(agg, bn);
         let th = t.tanh(biased);
-        let gathered = t.gather_rows(x, (0..n).map(|r| (r * 3 + 1) % n));
-        let gp = t.matmul(gathered, pn);
-        let dots = t.row_dot(th, gp);
+        let mixed = t.add(th, x);
+        let pairs: Vec<(usize, usize)> = (0..n).map(|r| (r, (r * 3 + 1) % n)).collect();
+        let dots = t.pair_dots(mixed, &pairs);
         let ls = t.log_sigmoid(dots);
         let neg = t.neg(ls);
         let sig = t.sigmoid(neg);
@@ -693,7 +763,7 @@ mod tests {
         let scaled = t.scale(prod, 0.7);
         let both = t.add(scaled, prod);
         let loss = t.sum(both);
-        (vec![x, pn, bn, xp, agg, biased, th, gathered, gp, dots, ls, neg, sig, sub, prod], loss)
+        (vec![x, pn, bn, xp, agg, biased, th, mixed, dots, ls, neg, sig, sub, prod], loss)
     }
 
     fn bits(m: &Matrix) -> Vec<u64> {
@@ -706,7 +776,7 @@ mod tests {
     fn reused_buffers_match_a_fresh_tape_across_shape_changes() {
         let fresh = |n: usize| {
             let mut t = Tape::new();
-            let (nodes, loss) = record_every_op(&mut t, n);
+            let (nodes, loss) = record_every_op(&mut t, n, false);
             let grads = t.backward(loss);
             let values: Vec<Vec<u64>> = nodes.iter().map(|&id| bits(t.value(id))).collect();
             let grads: Vec<Vec<u64>> =
@@ -716,7 +786,7 @@ mod tests {
         let mut t = Tape::new();
         for n in [300, 40, 300, 40] {
             t.clear();
-            let (nodes, loss) = record_every_op(&mut t, n);
+            let (nodes, loss) = record_every_op(&mut t, n, false);
             let grads = t.backward(loss);
             let (values, expect) = fresh(n);
             for (k, &id) in nodes.iter().enumerate() {
@@ -737,7 +807,7 @@ mod tests {
         let mut t = Tape::new();
         let mut pools = Vec::new();
         for n in [300, 40, 300, 300, 40] {
-            let (_, loss) = record_every_op(&mut t, n);
+            let (_, loss) = record_every_op(&mut t, n, false);
             let grads = t.backward(loss);
             t.recycle(grads);
             t.clear();
@@ -756,7 +826,7 @@ mod tests {
         let mut t = Tape::new();
         for _ in 0..3 {
             t.leaf(Matrix::zeros(4, 4));
-            let (_, loss) = record_every_op(&mut t, 40);
+            let (_, loss) = record_every_op(&mut t, 40, false);
             let grads = t.backward(loss);
             t.recycle(grads);
             let taken = t.buffers.taken;
@@ -766,8 +836,47 @@ mod tests {
         }
     }
 
+    /// A constant input gets no gradient, and every leaf gradient (and
+    /// every value) equals the recording that binds the input as a leaf;
+    /// the sweep takes fewer buffers, since it builds no gradient for
+    /// the constant.
+    #[test]
+    fn constant_input_gets_no_gradient_and_leaves_keep_their_bits() {
+        for n in [40, 7] {
+            let mut lt = Tape::new();
+            let (leaf_nodes, leaf_loss) = record_every_op(&mut lt, n, false);
+            let leaf_grads = lt.backward(leaf_loss);
+            let mut ct = Tape::new();
+            let (const_nodes, const_loss) = record_every_op(&mut ct, n, true);
+            let const_grads = ct.backward(const_loss);
+            assert!(leaf_grads.grad(leaf_nodes[0]).is_some());
+            assert!(const_grads.grad(const_nodes[0]).is_none(), "constant input took a gradient");
+            assert!(ct.buffers.taken < lt.buffers.taken, "the sweep built the constant's gradient");
+            for (&l, &c) in leaf_nodes.iter().zip(&const_nodes) {
+                assert_eq!(bits(lt.value(l)), bits(ct.value(c)), "value at n = {n}");
+            }
+            for k in 1..3 {
+                let (l, c) = (leaf_nodes[k], const_nodes[k]);
+                let want = bits(leaf_grads.grad(l).unwrap());
+                assert_eq!(bits(const_grads.grad(c).unwrap()), want, "leaf {k} at n = {n}");
+            }
+        }
+    }
+
+    /// A loss no leaf reaches seeds no gradient at all.
+    #[test]
+    fn loss_of_constants_has_no_gradients() {
+        let mut t = Tape::new();
+        let x = t.const_copy(&Matrix::from_rows(&[&[1.0, -2.0]]));
+        let sq = t.mul_elem(x, x);
+        let loss = t.sum(sq);
+        assert_eq!(t.backward(loss).into_iter().count(), 0);
+    }
+
     /// Central-difference gradient check over a composite expression that
-    /// exercises every op: f(P) = Σ logσ(rowdot(tanh(S·(X·P) + b), g(X)))
+    /// exercises every op:
+    /// f(P) = Σ logσ(pairdots(tanh(S·(X·P) + b) + X·P)), with repeated and
+    /// `u == v` pairs.
     #[test]
     fn finite_difference_gradient_check() {
         let xval = Matrix::from_rows(&[
@@ -791,9 +900,9 @@ mod tests {
             let agg = t.spmm(sid, xp);
             let biased = t.add_row(agg, bn);
             let th = t.tanh(biased);
-            let gathered = t.gather_rows(x, vec![1, 2, 0]);
-            let gp = t.matmul(gathered, pn);
-            let dots = t.row_dot(th, gp);
+            let gp = t.matmul(x, pn);
+            let mixed = t.add(th, gp);
+            let dots = t.pair_dots(mixed, &[(1, 0), (2, 1), (0, 2), (1, 1), (2, 1)]);
             let ls = t.log_sigmoid(dots);
             let neg = t.neg(ls);
             let sig = t.sigmoid(neg);

@@ -262,3 +262,76 @@ proptest! {
         assert_bits(&got_st, &want_st, "spmm transpose")?;
     }
 }
+
+proptest! {
+    /// `Tape::pair_dots` matches the gather + row-dot composition
+    /// bitwise: its values, and the gradient it leaves in `z` with and
+    /// without one already there. Random shapes, repeated pairs,
+    /// `u == v` pairs and rows no pair touches, at 1 and 2 threads.
+    #[test]
+    fn pair_dots_match_the_gather_composition_bitwise(
+        n in 1usize..12,
+        spare in 0usize..3,
+        width in 0usize..WIDTHS.len(),
+        raw in prop::collection::vec((0usize..12, 0usize..12, any::<bool>()), 1..40),
+        seed in any::<u64>(),
+        prior in any::<bool>(),
+    ) {
+        let d = WIDTHS[width];
+        // Rows `n..n + spare` are in no pair.
+        let rows = n + spare;
+        let pairs: Vec<(usize, usize)> = raw
+            .iter()
+            .map(|&(u, v, same)| (u % n, if same { u % n } else { v % n }))
+            .collect();
+        let z = Matrix::from_vec(rows, d, lcg_fill(rows * d, seed, 0));
+        let g = lcg_fill(pairs.len(), seed ^ 0xD07, 0);
+        let want = oracle::pair_dots(z.as_slice(), d, &pairs);
+        let before = prior.then(|| vec![0.5; rows * d]);
+        let want_grad = oracle::pair_dots_grad(z.as_slice(), rows, d, &pairs, &g, before);
+        for threads in [1, 2] {
+            ancstr_par::set_threads(threads);
+            let mut t = Tape::new();
+            let zn = t.leaf(z.clone());
+            let dots = t.pair_dots(zn, &pairs);
+            // d(Σ dots ⊙ w)/d dots = w exactly.
+            let w = t.leaf(Matrix::from_vec(pairs.len(), 1, g.clone()));
+            let weighted = t.mul_elem(dots, w);
+            let mut loss = t.sum(weighted);
+            if prior {
+                // Recorded later, so swept first: `z` holds 0.5s when
+                // the pair dots reach it.
+                let half = t.scale(zn, 0.5);
+                let s = t.sum(half);
+                loss = t.add(loss, s);
+            }
+            assert_bits(t.value(dots), &want, "pair_dots")?;
+            let grads = t.backward(loss);
+            assert_bits(grads.grad(zn).unwrap(), &want_grad, "pair_dots gradient")?;
+        }
+        ancstr_par::set_threads(0);
+    }
+
+    /// `transpose_matmul` at the model's width, the register-resident
+    /// row path, matches the oracle bitwise with zeros in A next to
+    /// ±inf and NaN in G.
+    #[test]
+    fn narrow_transpose_matmul_matches_oracle_with_non_finite_gradients(
+        rows in 1usize..40,
+        p in 1usize..24,
+        seed in any::<u64>(),
+        zero_every in 2usize..6,
+        bad in prop::collection::vec((any::<usize>(), 0usize..3), 0..6),
+    ) {
+        let q = 18;
+        let a = lcg_fill(rows * p, seed, zero_every);
+        let mut g = lcg_fill(rows * q, seed ^ 0x51ED, 0);
+        for &(at, kind) in &bad {
+            let len = g.len();
+            g[at % len] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][kind];
+        }
+        let am = Matrix::from_vec(rows, p, a.clone());
+        let got = am.transpose_matmul(&Matrix::from_vec(rows, q, g.clone()));
+        assert_bits(&got, &oracle::transpose_matmul(&a, rows, p, &g, q), "transpose_matmul at q = 18")?;
+    }
+}

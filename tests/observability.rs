@@ -17,7 +17,7 @@ use std::process::Command;
 
 use ancstr_core::{
     render_metrics_table, write_constraints, ExtractorConfig, PipelineObs, RunCtx,
-    SymmetryExtractor, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES,
+    SymmetryExtractor, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES, TAPE_KB_FIELD,
 };
 use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::FlatCircuit;
@@ -233,6 +233,38 @@ fn stage_ends_and_epochs_carry_minor_page_faults() {
     }
 }
 
+/// Every `epoch` event, and nothing else, carries the KiB the training
+/// step's tape held at the epoch's end. A step records into the buffers
+/// the previous step freed, so the figure levels off: a buffer grows
+/// only while best-fit reuse is still settling which buffer serves
+/// which value.
+#[test]
+fn epochs_carry_the_step_tapes_held_memory() {
+    let (tracer, buf) = Tracer::in_memory();
+    let obs = PipelineObs::new(Some(tracer));
+    let flat = fixture();
+    let mut ex = SymmetryExtractor::try_new(quick_config()).expect("config is valid");
+    ex.try_fit(&[&flat], &RunCtx::observed(obs.clone()), None).expect("fit");
+    obs.flush();
+
+    let events = validate_trace(&buf.contents()).expect("schema-valid trace");
+    let mut held = Vec::new();
+    for e in &events {
+        let kb = e.fields.get(TAPE_KB_FIELD).map(|v| v.as_num().expect("numeric"));
+        if e.kind == "event" && e.span == "epoch" {
+            let kb = kb.unwrap_or_else(|| panic!("epoch event {} lacks {TAPE_KB_FIELD}", e.id));
+            assert!(kb > 0.0 && kb.fract() == 0.0, "{TAPE_KB_FIELD} {kb}");
+            held.push(kb);
+        } else {
+            assert_eq!(kb, None, "{} `{}` must not carry {TAPE_KB_FIELD}", e.kind, e.span);
+        }
+    }
+    assert_eq!(held.len(), EPOCHS, "one {TAPE_KB_FIELD} per epoch");
+    let settled = &held[EPOCHS / 2..];
+    assert!(settled.iter().all(|&kb| kb == settled[0]), "tape memory still moving: {held:?}");
+    assert!(settled[0] < 2.0 * held[0], "tape memory doubled: {held:?}");
+}
+
 // ---- binary-level tests --------------------------------------------------
 
 fn bin() -> Command {
@@ -317,6 +349,17 @@ fn cli_trace_out_does_not_change_outputs_and_validates() {
     let log = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{log}");
     assert!(log.contains("non-integer `minflt`"), "{log}");
+
+    // And an epoch's tape memory that is not a non-negative integer.
+    fs::write(
+        &broken,
+        "{\"ts_ns\":1,\"kind\":\"event\",\"span\":\"epoch\",\"stage\":\"train\",\"id\":1,\"parent\":0,\"fields\":{\"tape_kb\":-2}}\n",
+    )
+    .unwrap();
+    let out = bin().arg("obs-check").arg("--trace").arg(&broken).output().unwrap();
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{log}");
+    assert!(log.contains("non-integer `tape_kb`"), "{log}");
 }
 
 /// A durable run writes `<run-dir>/metrics.prom` that re-parses as
