@@ -2,14 +2,17 @@
 //!
 //! ```text
 //! ancstr extract <netlist.sp> [-o constraints.txt] [--model model.txt]
-//!                [--epochs N] [--seed S] [--groups]
+//!                [--epochs N] [--seed S] [--threads N] [--groups]
 //!                [--constraint-format magical|align-json]
+//!                [--dot FILE] [--metrics FILE]
 //!                [--run-dir DIR] [--resume] [--checkpoint-every N]
 //!                [--time-budget SECS] [--trace-out FILE]
 //!                [--log-format text|json] [-v|--quiet]
 //! ancstr train   <netlist.sp>... --model-out model.txt [--epochs N]
+//!                [--seed S] [--threads N]
 //!                [--run-dir DIR] [--resume] [--checkpoint-every N]
 //!                [--time-budget SECS] [--trace-out FILE]
+//!                [--log-format text|json] [-v|--quiet]
 //! ancstr stats   <netlist.sp>
 //! ancstr corpus  --devices N [--seed S] [-o netlist.sp]
 //! ancstr obs-check [--trace FILE] [--require-stages a,b,..]
@@ -17,10 +20,10 @@
 //! ancstr obs-report <trace.jsonl>...
 //! ancstr serve   --model model.txt [--port N] [--workers N]
 //!                [--queue-depth N] [--cache-entries N]
+//!                [--default-deadline-ms N] [--chaos] [--metrics FILE]
 //!                [--peers host:port,..] [--batch-max N] [--model-slots N]
-//!                [--trace-out FILE] [--log-format text|json] [-v|--quiet]
-//! ancstr bench   [netlist.sp...] [-o report.json] [--epochs N] [--seed S]
-//!                [--threads N] [--stress-devices N] [--repeat N]
+//!                [--threads N] [--trace-out FILE]
+//!                [--log-format text|json] [-v|--quiet]
 //! ```
 //!
 //! `extract` trains on the input itself unless `--model` supplies a
@@ -39,21 +42,6 @@
 //! stress netlist (a time-interleaved ADC array sized to `--devices`
 //! primitives, exact hierarchical ground truth included) for
 //! throughput experiments.
-//!
-//! `bench` times each pipeline stage (graph-build, train, embed,
-//! detect) on the ADC1–ADC5 suite — or on the given netlists — at 1, 2,
-//! and N threads, writes a JSON report (default `BENCH.json`) with
-//! per-kernel attribution (matmul/spmm/row_norms calls, element counts,
-//! and wall time per thread count), and fails with exit code 1 if any
-//! thread count changes the extraction output hash. A `stress`
-//! stage additionally times inductive extraction (graph-build + embed +
-//! pruned detect) over a generated `--stress-devices` corpus (default
-//! 10000; 0 disables the stage's work but keeps its rows so report
-//! consumers see a stable stage set). `--repeat N` runs each
-//! thread-count sweep N times and reports the per-stage
-//! minimum wall time — the standard way to push scheduler noise below
-//! the effect being measured — while asserting the output hash is
-//! identical on every repetition.
 //!
 //! `serve` keeps a trained model warm in a long-lived HTTP daemon
 //! (`ancstr-serve`): `POST /v1/extract` takes a SPICE netlist body and
@@ -113,14 +101,14 @@
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ancstr_core::groups::merged_groups_sorted;
 use ancstr_core::runstore::{RunOptions, RunSession, StageStatus};
 use ancstr_core::{
-    detect_constraints_pruned, load_netlist, render_groups, render_metrics_table,
-    write_constraints, ExtractError, ExtractorConfig, FitOutcome, PipelineObs, RunCtx,
-    SymmetryExtractor, MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES, TAPE_KB_FIELD,
+    load_netlist, render_groups, render_metrics_table, write_constraints, ExtractError,
+    ExtractorConfig, FitOutcome, PipelineObs, RunCtx, SymmetryExtractor, MINOR_FAULTS_FIELD,
+    PEAK_RSS_FIELD, STAGES, TAPE_KB_FIELD,
 };
 use ancstr_gnn::{HealthReport, TrainGraph};
 use ancstr_graph::BuildOptions;
@@ -132,7 +120,7 @@ use ancstr_obs::{
 };
 
 fn usage() -> &'static str {
-    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr bench [netlist.sp...] [-o report.json] [--epochs N] [--seed S] [--threads N] [--stress-devices N] [--repeat N]"
+    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--peers HOST:PORT,..] [--batch-max N] [--model-slots N] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]"
 }
 
 /// Everything that can go wrong, sorted by exit code: failed
@@ -200,7 +188,7 @@ impl ObsCtx {
     ///   `--run-dir` asks for it.
     fn for_command(cmd: &str, args: &Args) -> Result<ObsCtx, CliError> {
         let log = Logger::stderr(args.log_format, args.verbosity);
-        if matches!(cmd, "stats" | "corpus" | "obs-check" | "obs-report" | "bench") {
+        if matches!(cmd, "stats" | "corpus" | "obs-check" | "obs-report") {
             return Ok(ObsCtx { log, run: RunCtx::default() });
         }
         let tracer = match &args.trace_out {
@@ -282,10 +270,8 @@ struct Args {
     align: Option<String>,
     require_stages: Option<String>,
     require_epoch_events: bool,
-    // corpus / bench stress sizing
+    // corpus sizing
     devices: Option<usize>,
-    stress_devices: Option<usize>,
-    repeat: Option<usize>,
     // serve tunables
     port: Option<u16>,
     workers: Option<usize>,
@@ -325,8 +311,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         require_stages: None,
         require_epoch_events: false,
         devices: None,
-        stress_devices: None,
-        repeat: None,
         port: None,
         workers: None,
         queue_depth: None,
@@ -378,22 +362,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     return Err("--devices must be at least 1".to_owned());
                 }
                 args.devices = Some(n);
-            }
-            "--stress-devices" => {
-                args.stress_devices = Some(
-                    take("--stress-devices")?
-                        .parse()
-                        .map_err(|_| "bad --stress-devices (want an integer; 0 disables)")?,
-                );
-            }
-            "--repeat" => {
-                let n: usize = take("--repeat")?
-                    .parse()
-                    .map_err(|_| "bad --repeat (want a positive integer)")?;
-                if n == 0 {
-                    return Err("--repeat must be at least 1".to_owned());
-                }
-                args.repeat = Some(n);
             }
             "--align" => args.align = Some(take("--align")?),
             "--dot" => args.dot = Some(take("--dot")?),
@@ -836,308 +804,6 @@ fn cmd_corpus(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Names of the timed pipeline stages, in execution order. `stress` is
-/// the scale-sweep stage: inductive extraction (graph-build + embed +
-/// detect) over a generated `--stress-devices` corpus.
-const BENCH_STAGES: [&str; 6] = ["graph-build", "train", "embed", "detect", "stress", "total"];
-
-/// FNV-1a over a byte slice, continuing from `hash` — the bench report's
-/// output fingerprint (constraints text, scores, warnings).
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Time every pipeline stage on the ADC1–ADC5 suite (or the given
-/// netlists) at 1, 2, and N threads, write a JSON report, and fail if
-/// any thread count changes the extraction output.
-///
-/// The report is the PR's performance artifact: one record per
-/// `(stage, threads)` with the summed wall time over the suite and the
-/// speedup relative to the single-thread run, plus the per-thread-count
-/// output hash CI gates on. A `kernels` section attributes each sweep's
-/// time to the individual compute kernels (matmul, spmm, row_norms,
-/// parallel-region overhead) so a stage-level regression can be pinned
-/// on the kernel that caused it.
-fn cmd_bench(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
-    if args.run_dir.is_some() || args.resume {
-        return Err(usage_err("bench does not support --run-dir/--resume"));
-    }
-    let out_path = args.output.clone().unwrap_or_else(|| "BENCH.json".to_owned());
-
-    let suite: Vec<(String, FlatCircuit)> = if args.positional.is_empty() {
-        ancstr_bench::adc_dataset()
-            .into_iter()
-            .map(|b| (b.name.to_owned(), b.flat))
-            .collect()
-    } else {
-        let mut v = Vec::with_capacity(args.positional.len());
-        for p in &args.positional {
-            v.push((p.clone(), load(p, ctx)?));
-        }
-        v
-    };
-
-    let config = config_with(args.epochs, args.seed);
-    let obs = &ctx.run.obs;
-    let max_threads = args.threads.unwrap_or_else(ancstr_par::available_parallelism);
-    let mut counts = vec![1usize, 2, max_threads];
-    counts.sort_unstable();
-    counts.dedup();
-    let repeat = args.repeat.unwrap_or(1);
-
-    // The scale-sweep corpus: generated once (deterministic in devices
-    // and seed), then extracted inductively at every thread count.
-    let stress_devices = args.stress_devices.unwrap_or(10_000);
-    let stress_flat = if stress_devices > 0 {
-        let seed = args.seed.unwrap_or(7);
-        ctx.log.info(format!(
-            "bench: generating {stress_devices}-device stress corpus (seed {seed})"
-        ));
-        let nl = ancstr_circuits::stress::stress_system(stress_devices, seed);
-        Some(FlatCircuit::elaborate(&nl).map_err(|err| CliError::Pipeline {
-            path: "stress".to_owned(),
-            err: ExtractError::Elaborate(err),
-        })?)
-    } else {
-        None
-    };
-
-    // wall[c][s] = summed milliseconds for thread count `counts[c]`,
-    // stage `BENCH_STAGES[s]`.
-    let mut wall = vec![[0f64; BENCH_STAGES.len()]; counts.len()];
-    let mut hashes = vec![0u64; counts.len()];
-    // kernels[c] = per-kernel counters accumulated over the whole suite
-    // for one thread-count sweep — the attribution that says *which*
-    // kernel a stage's wall time went to.
-    let mut kernels = vec![Vec::new(); counts.len()];
-    ancstr_par::profile::set_enabled(true);
-
-    // The repeat loop is OUTERMOST, not per-cell: on throttled shared
-    // hardware the machine drifts over the minutes a sweep takes, so
-    // back-to-back repetitions of one cell share the same weather while
-    // cells run minutes apart do not. Interleaving spreads every cell's
-    // samples across the whole run and the per-stage minimum then
-    // compares like with like.
-    for rep in 0..repeat {
-        if repeat > 1 {
-            ctx.log.info(format!("bench: repetition {}/{repeat}", rep + 1));
-        }
-        for (ci, &t) in counts.iter().enumerate() {
-            ancstr_par::set_threads(t);
-            if rep == 0 {
-                ctx.log.info(format!(
-                    "bench: {} circuits at {t} thread(s){}",
-                    suite.len(),
-                    if repeat > 1 {
-                        format!(", min of {repeat} interleaved runs")
-                    } else {
-                        String::new()
-                    }
-                ));
-            }
-            ancstr_par::profile::reset();
-            let mut pass = [0f64; BENCH_STAGES.len()];
-            let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-            for (name, flat) in &suite {
-                let pipeline =
-                    |err: ExtractError| CliError::Pipeline { path: name.clone(), err };
-                let total0 = Instant::now();
-
-                let t0 = Instant::now();
-                let mut extractor =
-                    SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
-                let tg = extractor.train_graph(flat, obs);
-                pass[0] += t0.elapsed().as_secs_f64() * 1e3;
-
-                let t1 = Instant::now();
-                extractor.try_fit(&[flat], &ctx.run, None).map_err(pipeline)?;
-                pass[1] += t1.elapsed().as_secs_f64() * 1e3;
-
-                let t2 = Instant::now();
-                let z = embed_one(&extractor, &tg, obs).map_err(pipeline)?;
-                pass[2] += t2.elapsed().as_secs_f64() * 1e3;
-
-                let t3 = Instant::now();
-                let detection = extractor.detect(flat, &z, obs);
-                pass[3] += t3.elapsed().as_secs_f64() * 1e3;
-                pass[5] += total0.elapsed().as_secs_f64() * 1e3;
-
-                // Fingerprint everything detection produced, in
-                // order: exported constraints, every score bit
-                // pattern, warnings.
-                hash = fnv1a(
-                    hash,
-                    write_constraints(flat, &detection.constraints).as_bytes(),
-                );
-                for s in &detection.scored {
-                    hash = fnv1a(hash, &s.score.to_bits().to_le_bytes());
-                    hash = fnv1a(hash, &[u8::from(s.accepted)]);
-                    hash = fnv1a(hash, &s.threshold.to_bits().to_le_bytes());
-                }
-                for w in &detection.warnings {
-                    hash = fnv1a(hash, w.to_string().as_bytes());
-                }
-            }
-            // Stress stage: inductive extraction (no training — the
-            // seeded initial model is deterministic, which is all
-            // the identity check needs) over the generated corpus,
-            // through the pruned detection prepass (its constraints
-            // are proven identical to exact detection, so the hash
-            // still pins every thread count to one output).
-            if let Some(flat) = &stress_flat {
-                let pipeline = |err: ExtractError| CliError::Pipeline {
-                    path: "stress".to_owned(),
-                    err,
-                };
-                let t4 = Instant::now();
-                let extractor =
-                    SymmetryExtractor::try_new(config.clone()).map_err(pipeline)?;
-                let tg = extractor.train_graph(flat, obs);
-                let z = embed_one(&extractor, &tg, obs).map_err(pipeline)?;
-                drop(tg);
-                let detection =
-                    detect_constraints_pruned(flat, &z, &config.thresholds, &config.embed);
-                pass[4] += t4.elapsed().as_secs_f64() * 1e3;
-                hash = fnv1a(
-                    hash,
-                    write_constraints(flat, &detection.constraints).as_bytes(),
-                );
-                if rep == 0 {
-                    ctx.log.info(format!(
-                        "bench: stress {} devices -> {} constraints at {t} thread(s)",
-                        flat.devices().len(),
-                        detection.constraints.len()
-                    ));
-                }
-            }
-            // Min-of-N per stage: repetitions exist to shake off
-            // scheduler noise, and the minimum is the run the
-            // machine least interfered with. The output itself must
-            // not vary run to run — that would be nondeterminism,
-            // which is exactly what this tool exists to catch.
-            if rep == 0 {
-                hashes[ci] = hash;
-                wall[ci] = pass;
-            } else {
-                if hashes[ci] != hash {
-                    return Err(CliError::Validation(format!(
-                        "bench: output hash changed between repetitions at {t} \
-                         thread(s) ({:016x} then {hash:016x}) — \
-                         the pipeline is nondeterministic",
-                        hashes[ci]
-                    )));
-                }
-                for (acc, &ms) in wall[ci].iter_mut().zip(&pass) {
-                    *acc = acc.min(ms);
-                }
-            }
-            kernels[ci] = ancstr_par::profile::snapshot();
-        }
-    }
-    // Restore the CLI-wide thread cap the sweep overrode.
-    ancstr_par::set_threads(args.threads.unwrap_or(0));
-    ancstr_par::profile::set_enabled(false);
-
-    let identical = hashes.iter().all(|&h| h == hashes[0]);
-    let names: Vec<String> = suite.iter().map(|(n, _)| format!("\"{n}\"")).collect();
-    let mut records = String::new();
-    for (si, stage) in BENCH_STAGES.iter().enumerate() {
-        for (ci, &t) in counts.iter().enumerate() {
-            let ms = wall[ci][si];
-            let speedup = if ms > 0.0 { wall[0][si] / ms } else { 1.0 };
-            if !records.is_empty() {
-                records.push_str(",\n");
-            }
-            records.push_str(&format!(
-                "    {{\"stage\": \"{stage}\", \"threads\": {t}, \
-                 \"wall_ms\": {ms:.3}, \"speedup\": {speedup:.3}}}"
-            ));
-        }
-    }
-    let hash_entries: Vec<String> = counts
-        .iter()
-        .zip(&hashes)
-        .map(|(t, h)| format!("\"{t}\": \"{h:016x}\""))
-        .collect();
-    let mut kernel_records = String::new();
-    for (ci, &t) in counts.iter().enumerate() {
-        for s in kernels[ci].iter().filter(|s| s.calls > 0) {
-            if !kernel_records.is_empty() {
-                kernel_records.push_str(",\n");
-            }
-            kernel_records.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"threads\": {t}, \
-                 \"calls\": {}, \"elements\": {}, \"wall_ms\": {:.3}}}",
-                s.name,
-                s.calls,
-                s.elems,
-                s.wall_ns as f64 / 1e6,
-            ));
-        }
-    }
-    let report = format!(
-        "{{\n  \"schema\": \"ancstr-bench-v3\",\n  \"suite\": [{}],\n  \
-         \"stress_devices\": {stress_devices},\n  \"repeat\": {repeat},\n  \
-         \"thread_counts\": {counts:?},\n  \"output_hashes\": {{{}}},\n  \
-         \"identical_across_threads\": {identical},\n  \
-         \"records\": [\n{records}\n  ],\n  \
-         \"kernels\": [\n{kernel_records}\n  ]\n}}\n",
-        names.join(", "),
-        hash_entries.join(", "),
-    );
-    fs::write(&out_path, &report)
-        .map_err(|e| CliError::Io { path: out_path.clone(), detail: e.to_string() })?;
-    ctx.log.info(format!("wrote {out_path}"));
-
-    println!("{:<12} {:>8} {:>12} {:>9}", "stage", "threads", "wall_ms", "speedup");
-    for (si, stage) in BENCH_STAGES.iter().enumerate() {
-        for (ci, &t) in counts.iter().enumerate() {
-            let ms = wall[ci][si];
-            let speedup = if ms > 0.0 { wall[0][si] / ms } else { 1.0 };
-            println!("{stage:<12} {t:>8} {ms:>12.3} {speedup:>8.2}x");
-        }
-    }
-    println!();
-    println!(
-        "{:<12} {:>8} {:>10} {:>14} {:>12}",
-        "kernel", "threads", "calls", "elements", "wall_ms"
-    );
-    for (ci, &t) in counts.iter().enumerate() {
-        for s in kernels[ci].iter().filter(|s| s.calls > 0) {
-            println!(
-                "{:<12} {t:>8} {:>10} {:>14} {:>12.3}",
-                s.name,
-                s.calls,
-                s.elems,
-                s.wall_ns as f64 / 1e6,
-            );
-        }
-    }
-
-    if !identical {
-        let rendered: Vec<String> =
-            counts.iter().zip(&hashes).map(|(t, h)| format!("{t}: {h:016x}")).collect();
-        return Err(CliError::Validation(format!(
-            "extraction output diverged across thread counts: {rendered:?}"
-        )));
-    }
-    println!("output identical across thread counts {counts:?}");
-    Ok(())
-}
-
-/// The embed stage on one graph.
-fn embed_one(
-    extractor: &SymmetryExtractor,
-    tg: &TrainGraph,
-    obs: &PipelineObs,
-) -> Result<ancstr_nn::Matrix, ExtractError> {
-    extractor.embed(&[tg], obs).pop().expect("one result per graph")
-}
-
 /// Validate an observability artifact set: a JSONL trace (line-by-line
 /// schema + LIFO nesting, optionally requiring stage coverage and
 /// per-epoch telemetry) and/or a Prometheus text exposition. Exit code
@@ -1424,8 +1090,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Cap the compute layer before any pipeline work; `bench` manages
-    // the count itself (sweeping 1, 2, N) and reads the cap as its N.
+    // Cap the compute layer before any pipeline work.
     if let Some(n) = args.threads {
         ancstr_par::set_threads(n);
     }
@@ -1448,7 +1113,6 @@ fn main() -> ExitCode {
         "obs-check" => cmd_obs_check(&ctx, args),
         "obs-report" => cmd_obs_report(&ctx, args),
         "serve" => cmd_serve(&ctx, args),
-        "bench" => cmd_bench(&ctx, args),
         other => Err(usage_err(format!("unknown command `{other}`"))),
     };
     let code = match result {
@@ -1463,4 +1127,65 @@ fn main() -> ExitCode {
     };
     ctx.run.obs.flush();
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::usage;
+
+    const SOURCE: &str = include_str!("ancstr.rs");
+
+    /// Each `parse_args` arm that matches a flag, as its spellings
+    /// (`"-o" | "--output" =>` gives `["-o", "--output"]`).
+    fn parsed_flags() -> Vec<Vec<&'static str>> {
+        let start = SOURCE.find("fn parse_args(").expect("parse_args is defined");
+        let body = &SOURCE[start..];
+        let body = &body[..body.find("\n}\n").expect("parse_args ends")];
+        body.lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("\"-"))
+            .filter_map(|l| l.split_once(" =>"))
+            .map(|(pattern, _)| {
+                pattern.split('|').map(|alt| alt.trim().trim_matches('"')).collect()
+            })
+            .collect()
+    }
+
+    /// The module doc's `text` synopsis block.
+    fn synopsis() -> String {
+        let doc: Vec<&str> = SOURCE
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+            .map(|l| l.trim_start_matches("//!"))
+            .collect();
+        let open = doc.iter().position(|l| l.trim() == "```text").expect("synopsis opens");
+        let len = doc[open + 1..].iter().position(|l| l.trim() == "```").expect("synopsis closes");
+        doc[open + 1..open + 1 + len].join("\n")
+    }
+
+    /// `flag` occurs in `text` as a whole flag, not as the prefix of a
+    /// longer one (`--model` inside `--model-out`).
+    fn mentions(text: &str, flag: &str) -> bool {
+        text.match_indices(flag).any(|(at, _)| {
+            !text[at + flag.len()..]
+                .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    }
+
+    #[test]
+    fn every_parsed_flag_is_in_the_usage_and_the_synopsis() {
+        let flags = parsed_flags();
+        assert!(flags.len() > 20, "found only {} flag arms", flags.len());
+        let synopsis = synopsis();
+        for spellings in &flags {
+            assert!(
+                spellings.iter().any(|f| mentions(usage(), f)),
+                "usage() omits {spellings:?}"
+            );
+            assert!(
+                spellings.iter().any(|f| mentions(&synopsis, f)),
+                "the module-doc synopsis omits {spellings:?}"
+            );
+        }
+    }
 }

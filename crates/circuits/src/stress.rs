@@ -16,8 +16,9 @@
 //! `ancstr-hier` promotes it), block-level P/N pairs, and adjacent
 //! channel pairs at the top. The generator is a pure function of
 //! `(devices, seed)` — two calls with the same arguments produce
-//! byte-identical SPICE, which is what lets `ancstr bench --stress` and
-//! the CI stress-smoke job pin wall times against a reproducible input.
+//! byte-identical SPICE, which is what lets perfbench's stress workload
+//! and the CI stress-smoke job pin wall times against a reproducible
+//! input.
 
 use ancstr_netlist::{CircuitClass, Netlist, Subckt};
 

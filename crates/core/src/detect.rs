@@ -105,48 +105,12 @@ impl DetectionResult {
     }
 }
 
-/// Segment width of the pruning prepass: per-node feature vectors are
-/// split into runs of `SEG` elements and one L2 norm is kept per run.
-/// Device vectors are 18-dimensional, so `SEG = 4` yields 5 segments —
-/// enough resolution that dissimilar profiles produce a Cauchy–Schwarz
-/// bound well below the 0.95+ thresholds. (A segment width near the
-/// vector length would collapse the bound to 1 and never prune.)
-const PRUNE_SEG: usize = 4;
-
-/// Multiplicative safety margin on the pruning upper bound: the bound
-/// is exact in real arithmetic, and this margin absorbs the floating-
-/// point rounding of computing it, so pruning can never drop a pair
-/// whose exact score clears the threshold.
-const PRUNE_MARGIN: f64 = 1.0 + 1e-9;
-
 /// Per-node facts hoisted out of the O(pairs) scoring loop: each node's
 /// finiteness flag and full-vector L2 norm are computed once instead of
-/// once per pair the node appears in. `seg_norms` (pruned mode only)
-/// holds the L2 norm of each `PRUNE_SEG`-wide run of the vector.
+/// once per pair the node appears in.
 struct NodeStat {
     finite: bool,
     norm: f64,
-    seg_norms: Vec<f64>,
-}
-
-/// Upper bound on the pair's cosine score from segment norms alone:
-/// `|Σ_j dot_j| ≤ Σ_j ‖a_j‖‖b_j‖` (Cauchy–Schwarz per segment). The
-/// zipped dot only covers `min(#segments)` runs — zero-padding
-/// semantics — and a clipped final segment's norm is bounded by the
-/// full segment's norm, so truncating the sum keeps the bound valid
-/// for unequal-length vectors.
-fn score_upper_bound(a: &NodeStat, b: &NodeStat) -> f64 {
-    if a.norm == 0.0 || b.norm == 0.0 {
-        // The exact score of a zero-norm pair is defined as 0.
-        return 0.0;
-    }
-    let bound: f64 = a
-        .seg_norms
-        .iter()
-        .zip(&b.seg_norms)
-        .map(|(x, y)| x * y)
-        .sum();
-    bound / (a.norm * b.norm) * PRUNE_MARGIN
 }
 
 /// Algorithm 3: score every valid pair with cosine similarity and keep
@@ -174,47 +138,6 @@ pub fn detect_constraints(
     thresholds: &ThresholdConfig,
     embed: &EmbedOptions,
 ) -> DetectionResult {
-    detect_impl(flat, z, thresholds, embed, false)
-}
-
-/// [`detect_constraints`] with a lossless candidate-pruning prepass.
-///
-/// Per node, the prepass additionally keeps one L2 norm per
-/// `PRUNE_SEG`-wide segment of the feature vector. A pair whose
-/// Cauchy–Schwarz upper bound `Σ_j ‖a_j‖‖b_j‖ / (‖a‖·‖b‖)` (times a
-/// small rounding margin, `PRUNE_MARGIN`) cannot exceed its threshold is
-/// skipped without computing the full dot product. Acceptance requires
-/// `score > threshold` strictly, so pruning at `bound ≤ threshold`
-/// never drops an acceptable pair:
-///
-/// * `constraints`, `system_threshold` and `warnings` are **identical**
-///   to [`detect_constraints`] on the same inputs;
-/// * `scored` contains only the *surviving* pairs (every accepted pair
-///   survives by construction; pruned pairs were provably rejections).
-///
-/// Use this for large flat designs where scoring is pair-dominated; use
-/// [`detect_constraints`] when the full ROC (every pair's score) is
-/// needed.
-///
-/// # Panics
-///
-/// Panics if `z` has fewer rows than the circuit has devices.
-pub fn detect_constraints_pruned(
-    flat: &FlatCircuit,
-    z: &Matrix,
-    thresholds: &ThresholdConfig,
-    embed: &EmbedOptions,
-) -> DetectionResult {
-    detect_impl(flat, z, thresholds, embed, true)
-}
-
-fn detect_impl(
-    flat: &FlatCircuit,
-    z: &Matrix,
-    thresholds: &ThresholdConfig,
-    embed: &EmbedOptions,
-    prune: bool,
-) -> DetectionResult {
     assert!(
         z.rows() >= flat.devices().len(),
         "need one trained feature row per device"
@@ -226,7 +149,7 @@ fn detect_impl(
     let (block_embeddings, ranking) = embed_blocks(flat, z, embed, &compared);
     DetectionResult {
         block_ranking: Some(ranking),
-        ..score_candidates(flat, z, thresholds, candidates, &compared, &block_embeddings, prune)
+        ..score_candidates(flat, z, thresholds, candidates, &compared, &block_embeddings)
     }
 }
 
@@ -240,7 +163,6 @@ fn score_candidates(
     candidates: Vec<CandidatePair>,
     compared: &[bool],
     block_embeddings: &[Option<Vec<f64>>],
-    prune: bool,
 ) -> DetectionResult {
     let lambda_sys = thresholds.system_threshold(flat.max_subcircuit_size());
 
@@ -274,15 +196,7 @@ fn score_candidates(
                 HierNodeKind::Device(i) => device_norms[*i],
                 HierNodeKind::Block { .. } => row_norm(feature),
             };
-            Some(NodeStat {
-                finite: feature.iter().all(|x| x.is_finite()),
-                norm,
-                seg_norms: if prune {
-                    feature.chunks(PRUNE_SEG).map(row_norm).collect()
-                } else {
-                    Vec::new()
-                },
-            })
+            Some(NodeStat { finite: feature.iter().all(|x| x.is_finite()), norm })
         })
         .collect();
     let stat = |id: ancstr_netlist::HierNodeId| {
@@ -295,9 +209,6 @@ fn score_candidates(
     enum PairOutcome {
         Scored(f64),
         Skipped { lo_bad: bool, hi_bad: bool },
-        /// Upper bound cannot clear the threshold: a provable
-        /// rejection, dropped without scoring (pruned mode only).
-        Pruned,
     }
 
     let outcomes = ancstr_par::map_items(&candidates, 64, |candidate| {
@@ -307,15 +218,6 @@ fn score_candidates(
         // rejection. Surface it as a counted warning record instead.
         if !sa.finite || !sb.finite {
             return PairOutcome::Skipped { lo_bad: !sa.finite, hi_bad: !sb.finite };
-        }
-        if prune {
-            let threshold = match candidate.kind {
-                SymmetryKind::System => lambda_sys,
-                SymmetryKind::Device => thresholds.device,
-            };
-            if score_upper_bound(sa, sb) <= threshold {
-                return PairOutcome::Pruned;
-            }
         }
         let za = feature_of(flat, z, block_embeddings, candidate.pair.lo());
         let zb = feature_of(flat, z, block_embeddings, candidate.pair.hi());
@@ -351,7 +253,6 @@ fn score_candidates(
                 }
                 continue;
             }
-            PairOutcome::Pruned => continue,
             PairOutcome::Scored(score) => score,
         };
         let threshold = match candidate.kind {
@@ -666,64 +567,6 @@ M4 b a s vss nch w=2u l=0.1u
     }
 
     #[test]
-    fn pruned_detection_matches_exact_and_prunes_provable_rejections() {
-        let flat = two_inv();
-        // 8-dim features (two PRUNE_SEG segments): X1's devices match
-        // X2's, so the block pair is accepted and must survive pruning;
-        // C1/C2 live in disjoint segments, so their Cauchy–Schwarz
-        // bound is 0 and the pair is pruned without scoring.
-        let z = Matrix::from_rows(&[
-            &[1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-            &[0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-            &[1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-            &[0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-            &[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
-        ]);
-        let cfg = ThresholdConfig::default();
-        let opts = EmbedOptions::default();
-        let exact = detect_constraints(&flat, &z, &cfg, &opts);
-        let pruned = detect_constraints_pruned(&flat, &z, &cfg, &opts);
-        // The lossless contract: identical constraints, threshold,
-        // warnings.
-        assert_eq!(exact.constraints, pruned.constraints);
-        assert_eq!(exact.system_threshold, pruned.system_threshold);
-        assert_eq!(exact.warnings, pruned.warnings);
-        assert!(!exact.constraints.is_empty());
-        // Something was actually pruned (the C1/C2 pair).
-        assert!(pruned.scored.len() < exact.scored.len(), "nothing pruned");
-        // Survivors are bit-identical to their exact counterparts, and
-        // every accepted pair survived.
-        for p in &pruned.scored {
-            let e = exact
-                .scored
-                .iter()
-                .find(|e| e.candidate == p.candidate)
-                .expect("survivor exists in exact scoring");
-            assert_eq!(e.score.to_bits(), p.score.to_bits());
-            assert_eq!(e.accepted, p.accepted);
-            assert_eq!(e.threshold, p.threshold);
-        }
-        for e in exact.scored.iter().filter(|e| e.accepted) {
-            assert!(
-                pruned.scored.iter().any(|p| p.candidate == e.candidate),
-                "accepted pair pruned: {:?}",
-                e.candidate
-            );
-        }
-
-        // Non-finite features are skipped (and warned about) before the
-        // pruning bound is consulted — warning records stay identical.
-        let mut poisoned = z.clone();
-        poisoned[(4, 0)] = f64::NAN;
-        let exact = detect_constraints(&flat, &poisoned, &cfg, &opts);
-        let pruned = detect_constraints_pruned(&flat, &poisoned, &cfg, &opts);
-        assert_eq!(exact.warnings, pruned.warnings);
-        assert_eq!(exact.warnings.len(), 1);
-        assert_eq!(exact.constraints, pruned.constraints);
-    }
-
-    #[test]
     fn embedding_only_compared_blocks_matches_the_all_blocks_path() {
         // `buf` is a Logic block, so its inverter children are never
         // compared; `wrap`'s inverter is an only child; `wrap` itself has
@@ -765,22 +608,19 @@ C2 y vss 10f
 
         // The old path: every block embedded, every node's stats taken.
         let all = vec![true; flat.nodes().len()];
-        for prune in [false, true] {
-            let reference = score_candidates(
-                &flat,
-                &z,
-                &cfg,
-                valid_pairs(&flat),
-                &all,
-                &embed_blocks(&flat, &z, &opts, &all).0,
-                prune,
-            );
-            let got = detect_impl(&flat, &z, &cfg, &opts, prune);
-            let ranking = got.block_ranking.expect("detection ran Algorithm 2");
-            assert_eq!(ranking.blocks_compared, 2, "prune = {prune}");
-            let got = DetectionResult { block_ranking: None, ..got };
-            assert_eq!(got, reference, "prune = {prune}");
-        }
+        let reference = score_candidates(
+            &flat,
+            &z,
+            &cfg,
+            valid_pairs(&flat),
+            &all,
+            &embed_blocks(&flat, &z, &opts, &all).0,
+        );
+        let got = detect_constraints(&flat, &z, &cfg, &opts);
+        let ranking = got.block_ranking.expect("detection ran Algorithm 2");
+        assert_eq!(ranking.blocks_compared, 2);
+        let got = DetectionResult { block_ranking: None, ..got };
+        assert_eq!(got, reference);
     }
 
     #[test]

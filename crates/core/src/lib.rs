@@ -79,8 +79,7 @@ pub mod service;
 
 pub use consistency::{vote_template_consistency, ConsistencyOptions, ConsistencyReport};
 pub use detect::{
-    detect_constraints, detect_constraints_pruned, DetectionResult, NumericWarning,
-    ScoredPair, ThresholdConfig,
+    detect_constraints, DetectionResult, NumericWarning, ScoredPair, ThresholdConfig,
 };
 pub use embed::{embed_all_blocks, embed_circuit, BlockRanking, EmbedOptions};
 pub use export::{read_constraints, write_constraints, ParseConstraintError};

@@ -110,7 +110,7 @@ impl Drop for Timer {
 /// A point-in-time copy of one kernel's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Kernel name as exposed in metrics and bench output.
+    /// Kernel name as exposed in metrics.
     pub name: &'static str,
     /// Number of instrumented calls.
     pub calls: u64,

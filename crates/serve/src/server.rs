@@ -1977,6 +1977,13 @@ M5 t t vss vss nch w=1u l=0.1u
         assert!(snapshot.contains("ancstr_par_threads"), "{snapshot}");
         assert!(snapshot.contains("ancstr_serve_request_duration_seconds_bucket"), "{snapshot}");
         assert!(snapshot.contains("ancstr_kernel_calls_total{kernel=\"matmul\"}"), "{snapshot}");
+        // The request's embed ran Eq. 1, so real spmm calls reached the
+        // kernel profile.
+        let spmm_calls = snapshot
+            .lines()
+            .find_map(|l| l.strip_prefix("ancstr_kernel_calls_total{kernel=\"spmm\"} "))
+            .and_then(|v| v.parse::<u64>().ok());
+        assert!(spmm_calls.is_some_and(|n| n > 0), "{snapshot}");
         ancstr_obs::metrics::validate_exposition(&snapshot).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

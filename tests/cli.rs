@@ -110,6 +110,14 @@ fn bad_usage_fails_cleanly() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+
+    let out = bin().args(["bench"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "a removed command is a usage error");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown command `bench`"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// Exit codes are stable per failure stage: 2 usage, 3 I/O, 4 parse,
@@ -329,61 +337,3 @@ fn groups_output_renders_paths() {
     assert!(stdout.contains("sa/M1"), "{stdout}");
 }
 
-/// `bench` pins every thread count to one output hash and records the
-/// schema fields CI's perf-smoke gate dispatches on. `--repeat`
-/// repetitions must reproduce the hash (the report says so via
-/// `identical_across_threads`), a zero repeat count is a usage error,
-/// and the removed `--backend` flag is rejected as unknown.
-#[test]
-fn bench_report_pins_threads() {
-    let dir = workdir("bench");
-    let sp = dir.join("sa.sp");
-    fs::write(&sp, NETLIST).unwrap();
-    let report_path = dir.join("report.json");
-
-    let out = bin()
-        .arg("bench")
-        .arg(&sp)
-        .args(["--epochs", "8", "--seed", "5", "--threads", "2"])
-        .args(["--stress-devices", "0", "--repeat", "2"])
-        .arg("-o")
-        .arg(&report_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let report = fs::read_to_string(&report_path).unwrap();
-    for needle in [
-        "\"schema\": \"ancstr-bench-v3\"",
-        "\"repeat\": 2",
-        "\"thread_counts\": [1, 2]",
-        "\"identical_across_threads\": true",
-        "\"stage\": \"detect\", \"threads\": 2",
-        "\"kernel\": \"matmul\"",
-    ] {
-        assert!(report.contains(needle), "missing {needle} in:\n{report}");
-    }
-    assert!(!report.contains("backend"), "{report}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("identical across thread counts [1, 2]"), "{stdout}");
-
-    let out = bin()
-        .arg("bench")
-        .arg(&sp)
-        .args(["--backend", "scalar"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
-
-    let out = bin()
-        .arg("bench")
-        .arg(&sp)
-        .args(["--repeat", "0"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "usage error for --repeat 0");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--repeat must be at least 1"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
