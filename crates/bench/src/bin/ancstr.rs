@@ -82,9 +82,12 @@
 //! span's end also carries `blocks_compared` and `block_digraphs`, how
 //! many blocks Algorithm 2 embedded and how many distinct digraphs it
 //! ranked for them.
+//! After `detect`, `extract` traces its output tail as an `export` span
+//! (the DOT dump, quality gauges and rendering) and a `write` span.
 //! `obs-check` re-validates a trace file and/or a `metrics.prom`
-//! exposition line-by-line (used by CI), checks those counts, and names
-//! the stage that set a trace's peak RSS. `obs-report`
+//! exposition line-by-line (used by CI), checks those counts, names
+//! the stage that set a trace's peak RSS, and logs how much of the
+//! trace's wall its top-level spans cover. `obs-report`
 //! merges one or more JSONL trace files by trace id and renders
 //! per-trace waterfalls plus aggregate per-stage latency quantiles —
 //! feed it the `--trace-out` files from several serve replicas to see
@@ -595,7 +598,8 @@ fn write_prom_checkpoint(ctx: &ObsCtx, run_dir: &str) {
 }
 
 /// Shared output tail of `extract`: optional DOT dump, then the
-/// constraint set (or merged groups) to `-o`/stdout.
+/// constraint set (or merged groups) to `-o`/stdout, traced as an
+/// `export` span and a `write` span.
 fn emit_outputs(
     ctx: &ObsCtx,
     args: &Args,
@@ -603,6 +607,8 @@ fn emit_outputs(
     flat: &FlatCircuit,
     constraints: &ConstraintSet,
 ) -> Result<(), CliError> {
+    // CLI spans, not pipeline stages: the daemon has no output tail.
+    let export = ctx.run.obs.stage("export");
     if let Some(dot_path) = &args.dot {
         use ancstr_graph::dot::{to_dot, DotOptions};
         use ancstr_graph::HetMultigraph;
@@ -651,6 +657,8 @@ fn emit_outputs(
         }
         ConstraintFormat::Magical => write_constraints(flat, constraints),
     };
+    drop(export);
+    let _write = ctx.run.obs.stage("write");
     match &args.output {
         Some(path) => {
             fs::write(path, &text)
@@ -889,6 +897,22 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
             ctx.log.info(format!(
                 "{path}: peak RSS {:.1} MB, first reached by the end of stage `{stage}`",
                 kb as f64 / 1024.0
+            ));
+        }
+        // The trace's wall runs from the tracer's start to its last
+        // line; top-level spans that overlap (a daemon's concurrent
+        // requests) can sum past it.
+        let wall_ns = events.iter().map(|e| e.ts_ns).max().unwrap_or(0);
+        let covered_ns: u64 = events
+            .iter()
+            .filter(|e| e.kind == "span_end" && e.parent == 0)
+            .filter_map(|e| e.dur_ns)
+            .sum();
+        if wall_ns > 0 {
+            ctx.log.info(format!(
+                "{path}: top-level spans cover {:.1}% of the trace's {:.1} ms",
+                100.0 * covered_ns as f64 / wall_ns as f64,
+                wall_ns as f64 / 1e6
             ));
         }
     }

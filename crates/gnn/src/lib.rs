@@ -23,8 +23,10 @@
 //! [`Eager`](ancstr_nn::Eager) values, which borrow the features and
 //! free each intermediate after its last use. Both call the same
 //! kernels in the same order, so the embeddings are bit-identical to
-//! the tape's, and inference memory stays a few `n × D` activations
-//! instead of every intermediate of the pass.
+//! the tape's. Each message term is summed straight into the message
+//! and the GRU step overwrites the message with the next state, so an
+//! inference layer holds at most three `n × D` buffers: the state, the
+//! message and one term.
 //!
 //! # Example
 //!

@@ -198,15 +198,15 @@ impl GnnModel {
             params.extend_from_slice(&edge_w);
             params.extend_from_slice(gru.ids());
 
-            // message = Σ_τ A_τ · (H · W_τ). Each operand passed by
-            // value is at its last use, so the eager pass frees it here.
+            // message = Σ_τ A_τ · (H · W_τ), each term summed into the
+            // first. Each operand passed by value is at its last use, so
+            // the eager pass frees it here.
             let mut message: Option<F::Value> = None;
             for (&w, &a) in edge_w.iter().zip(&adj) {
                 let hw = f.matmul(&h, w);
-                let m = f.spmm(a, hw);
                 message = Some(match message {
-                    Some(acc) => f.add(acc, &m),
-                    None => m,
+                    Some(acc) => f.spmm_add(a, hw, acc),
+                    None => f.spmm(a, hw),
                 });
             }
             let message = message.expect("PortType::COUNT > 0");
@@ -237,8 +237,8 @@ impl GnnModel {
     /// split the stacked hidden state back into per-graph matrices.
     ///
     /// Byte-identical to calling [`GnnModel::embed`] per part: every op
-    /// in the forward pass (dense matmul, block-diagonal spmm, the GRU's
-    /// element-wise gates, row-broadcast bias) computes each output row
+    /// in the forward pass (dense matmul, block-diagonal spmm, the fused
+    /// GRU step, row-broadcast bias) computes each output row
     /// from that row's inputs alone, so fusing only changes how rows are
     /// grouped for dispatch. By the same argument a non-finite feature
     /// row poisons only its own part's rows — batch-mates of a poisoned

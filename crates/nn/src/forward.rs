@@ -17,6 +17,14 @@
 //! element is still computed by the same expression with its operands
 //! in the same order.
 //!
+//! Two ops are composites, one pass over the rows each:
+//! [`Forward::spmm_add`] sums a message term into its accumulator
+//! without building the term, and [`Forward::gru_step`] runs Eq. 1's
+//! whole GRU combiner in the fused gate kernel. Each gives the bits of
+//! the op-by-op composition it replaces. [`Eager`] runs both in place,
+//! so a layer holds at most three `n × d` buffers: the state, the
+//! message accumulator and one message term.
+//!
 //! Ownership is part of each signature: an operand passed by value is
 //! the caller's last use of it (the eager pass may overwrite or free
 //! it); one passed by reference is read and kept.
@@ -45,9 +53,10 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::gru::{self, GruLeaves, Message};
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
-use crate::tape::{self, NodeId, SparseId, Tape};
+use crate::tape::{NodeId, SparseId, Tape};
 
 /// The ops a forward pass of Eq. 1 and its combiners is made of.
 ///
@@ -74,20 +83,22 @@ pub trait Forward<'a> {
     fn matmul(&mut self, a: &Self::Value, w: Self::Param) -> Self::Value;
     /// `S · b`; `b` is not read again.
     fn spmm(&mut self, s: Self::Sparse, b: Self::Value) -> Self::Value;
+    /// `acc + S · b`, with the bits of `spmm` then `add`; neither `b`
+    /// nor `acc` is read again.
+    fn spmm_add(&mut self, s: Self::Sparse, b: Self::Value, acc: Self::Value) -> Self::Value;
     /// `a + b`.
     fn add(&mut self, a: Self::Value, b: &Self::Value) -> Self::Value;
     /// `a + 1·rowᵀ`: broadcast a `1 × d` bias over the rows of `a`.
     fn add_row(&mut self, a: Self::Value, row: Self::Param) -> Self::Value;
-    /// `a − b`.
-    fn sub(&mut self, a: Self::Value, b: &Self::Value) -> Self::Value;
-    /// Hadamard product `a ⊙ b`.
-    fn mul_elem(&mut self, a: Self::Value, b: &Self::Value) -> Self::Value;
     /// `k · a`.
     fn scale(&mut self, a: Self::Value, k: f64) -> Self::Value;
-    /// Element-wise logistic sigmoid.
-    fn sigmoid(&mut self, a: Self::Value) -> Self::Value;
     /// Element-wise `tanh`.
     fn tanh(&mut self, a: Self::Value) -> Self::Value;
+    /// One GRU step (see [`GruCell`](crate::GruCell)): the next state
+    /// from message `x` and state `h`, with the bits of the op-by-op
+    /// gate composition; neither `x` nor `h` is read again.
+    fn gru_step(&mut self, leaves: &GruLeaves<Self::Param>, x: Self::Value, h: Self::Value)
+        -> Self::Value;
 }
 
 impl<'a> Forward<'a> for Tape {
@@ -115,6 +126,10 @@ impl<'a> Forward<'a> for Tape {
         Tape::spmm(self, s, b)
     }
 
+    fn spmm_add(&mut self, s: SparseId, b: NodeId, acc: NodeId) -> NodeId {
+        Tape::spmm_add(self, s, b, acc)
+    }
+
     fn add(&mut self, a: NodeId, b: &NodeId) -> NodeId {
         Tape::add(self, a, *b)
     }
@@ -123,24 +138,16 @@ impl<'a> Forward<'a> for Tape {
         Tape::add_row(self, a, row)
     }
 
-    fn sub(&mut self, a: NodeId, b: &NodeId) -> NodeId {
-        Tape::sub(self, a, *b)
-    }
-
-    fn mul_elem(&mut self, a: NodeId, b: &NodeId) -> NodeId {
-        Tape::mul_elem(self, a, *b)
-    }
-
     fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
         Tape::scale(self, a, k)
     }
 
-    fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        Tape::sigmoid(self, a)
-    }
-
     fn tanh(&mut self, a: NodeId) -> NodeId {
         Tape::tanh(self, a)
+    }
+
+    fn gru_step(&mut self, leaves: &GruLeaves<NodeId>, x: NodeId, h: NodeId) -> NodeId {
+        Tape::gru_step(self, leaves.ids(), x, h)
     }
 }
 
@@ -177,6 +184,16 @@ impl<'a> Forward<'a> for Eager {
         Cow::Owned(s.matmul_dense(&b))
     }
 
+    fn spmm_add(
+        &mut self,
+        s: &'a SparseMatrix,
+        b: Cow<'a, Matrix>,
+        mut acc: Cow<'a, Matrix>,
+    ) -> Cow<'a, Matrix> {
+        s.matmul_dense_add_assign(&b, acc.to_mut());
+        acc
+    }
+
     fn add(&mut self, mut a: Cow<'a, Matrix>, b: &Cow<'a, Matrix>) -> Cow<'a, Matrix> {
         a.to_mut().zip_assign(b, |x, y| x + y);
         a
@@ -187,28 +204,31 @@ impl<'a> Forward<'a> for Eager {
         a
     }
 
-    fn sub(&mut self, mut a: Cow<'a, Matrix>, b: &Cow<'a, Matrix>) -> Cow<'a, Matrix> {
-        a.to_mut().zip_assign(b, |x, y| x - y);
-        a
-    }
-
-    fn mul_elem(&mut self, mut a: Cow<'a, Matrix>, b: &Cow<'a, Matrix>) -> Cow<'a, Matrix> {
-        a.to_mut().zip_assign(b, |x, y| x * y);
-        a
-    }
-
     fn scale(&mut self, mut a: Cow<'a, Matrix>, k: f64) -> Cow<'a, Matrix> {
         a.to_mut().map_assign(|x| x * k);
-        a
-    }
-
-    fn sigmoid(&mut self, mut a: Cow<'a, Matrix>) -> Cow<'a, Matrix> {
-        a.to_mut().map_par_assign(tape::sigmoid);
         a
     }
 
     fn tanh(&mut self, mut a: Cow<'a, Matrix>) -> Cow<'a, Matrix> {
         a.to_mut().map_par_assign(f64::tanh);
         a
+    }
+
+    /// Writes the next state over the message's rows when the two are
+    /// the same width (the model's case), else into a new matrix.
+    fn gru_step(
+        &mut self,
+        leaves: &GruLeaves<&'a Matrix>,
+        mut x: Cow<'a, Matrix>,
+        h: Cow<'a, Matrix>,
+    ) -> Cow<'a, Matrix> {
+        let p = *leaves.ids();
+        if x.cols() == h.cols() {
+            gru::step(p, Message::InPlace, &h, x.to_mut(), None);
+            return x;
+        }
+        let mut next = Matrix::zeros(h.rows(), h.cols());
+        gru::step(p, Message::Rows(&x), &h, &mut next, None);
+        Cow::Owned(next)
     }
 }

@@ -1,12 +1,23 @@
 //! A gated recurrent unit cell, the combiner of Eq. 1:
 //! `h_v^{(k)} = GRU(h_v^{(k-1)}, m_v)` where `m_v` is the aggregated
 //! neighbour message.
+//!
+//! A step is one pass over the rows: [`Forward::gru_step`] runs the
+//! crate's fused gate kernel, which computes z, r, `r ⊙ h`, h̃ and h′
+//! for a row in registers from the nine parameter matrices, so no
+//! `n × d` intermediate is built. Each element is produced by the add
+//! and multiply sequence of the op-by-op composition (six matmuls,
+//! three bias adds, two sigmoids, a tanh and the element-wise blend),
+//! which survives only as the test-only oracle; on a
+//! [`Tape`](crate::Tape) the step is one recorded op whose backward
+//! reproduces that composition's reverse sweep.
 
 use rand::Rng;
 
 use crate::forward::Forward;
 use crate::init::xavier_uniform;
-use crate::matrix::Matrix;
+use crate::kernel::{self, GruParams};
+use crate::matrix::{min_rows_for, par_row_chunks_of, Matrix};
 
 /// Learnable parameters of a GRU cell.
 ///
@@ -16,7 +27,7 @@ use crate::matrix::Matrix;
 /// z = σ(x·Wz + h·Uz + bz)        update gate
 /// r = σ(x·Wr + h·Ur + br)        reset gate
 /// h̃ = tanh(x·Wh + (r ⊙ h)·Uh + bh)
-/// h' = (1 − z) ⊙ h + z ⊙ h̃
+/// h' = (1 − z) ⊙ h + z ⊙ h̃       computed as h + z ⊙ (h̃ − h)
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GruCell {
@@ -30,12 +41,12 @@ pub struct GruCell {
 /// leaves), in the same order as [`GruCell::matrices`].
 #[derive(Debug, Clone)]
 pub struct GruLeaves<P> {
-    ids: Vec<P>,
+    ids: [P; GruCell::PARAM_COUNT],
 }
 
 impl<P> GruLeaves<P> {
     /// The bound parameters, ordered as [`GruCell::matrices`].
-    pub fn ids(&self) -> &[P] {
+    pub fn ids(&self) -> &[P; GruCell::PARAM_COUNT] {
         &self.ids
     }
 }
@@ -83,7 +94,7 @@ impl GruCell {
     /// Bind the parameters for one pass of `f` (leaves, on a tape).
     pub fn leaves<'a, F: Forward<'a>>(&'a self, f: &mut F) -> GruLeaves<F::Param> {
         GruLeaves {
-            ids: self.params.iter().map(|m| f.param(m)).collect(),
+            ids: std::array::from_fn(|k| f.param(&self.params[k])),
         }
     }
 
@@ -92,45 +103,145 @@ impl GruCell {
     ///
     /// # Panics
     ///
-    /// Panics (inside the ops) on shape mismatches.
+    /// Panics (inside the op) on shape mismatches.
     pub fn forward<'a, F: Forward<'a>>(
         f: &mut F,
         leaves: &GruLeaves<F::Param>,
         x: F::Value,
         h: F::Value,
     ) -> F::Value {
-        let [wz, wr, wh, uz, ur, uh, bz, br, bh] = leaves.ids[..] else {
-            unreachable!("GruLeaves always holds {} ids", GruCell::PARAM_COUNT)
-        };
-        let gate = |f: &mut F, x: &F::Value, w, u_in, b, state: &F::Value| {
-            let xw = f.matmul(x, w);
-            let hu = f.matmul(state, u_in);
-            let s = f.add(xw, &hu);
-            f.add_row(s, b)
-        };
-        let z_pre = gate(f, &x, wz, uz, bz, &h);
-        let z = f.sigmoid(z_pre);
-        let r_pre = gate(f, &x, wr, ur, br, &h);
-        let r = f.sigmoid(r_pre);
-        let rh = f.mul_elem(r, &h);
-        let cand_pre = gate(f, &x, wh, uh, bh, &rh);
-        // Last uses: the eager pass frees these before allocating again
-        // (on a tape, dropping a node id does nothing).
-        drop((x, rh));
-        let cand = f.tanh(cand_pre);
-        // h' = h + z ⊙ (h̃ − h)
-        let delta = f.sub(cand, &h);
-        let zd = f.mul_elem(z, &delta);
-        drop(delta);
-        f.add(h, &zd)
+        f.gru_step(leaves, x, h)
     }
+}
+
+/// Mul-adds of the six row products per row of a step — its work unit
+/// for profiling and for sizing parallel chunks. The chunks split a
+/// step's `n × d` outputs the way the element-wise gate passes it
+/// replaces were split, so the transcendentals still fan out on graphs
+/// of fewer rows than the pool's item floor.
+fn work_per_row(input: usize, d: usize) -> usize {
+    3 * (input + d) * d
+}
+
+/// The parameters of one step as the kernel reads them.
+///
+/// # Panics
+///
+/// Panics unless `x` is `n × input` and `h` is `n × d` for a parameter
+/// set of `input × d` weights, `d × d` recurrent weights and `1 × d`
+/// biases.
+fn kernel_params<'m>(
+    p: [&'m Matrix; GruCell::PARAM_COUNT],
+    x: &Matrix,
+    h: &Matrix,
+) -> GruParams<'m> {
+    let (n, d) = h.shape();
+    let input = x.cols();
+    assert_eq!(x.rows(), n, "GRU step: message and state row counts differ");
+    for (k, m) in p.iter().enumerate() {
+        let want = [(input, d), (d, d), (1, d)][k / 3];
+        assert_eq!(m.shape(), want, "GRU step: parameter {k} has the wrong shape");
+    }
+    GruParams {
+        w: [p[0].as_slice(), p[1].as_slice(), p[2].as_slice()],
+        u: [p[3].as_slice(), p[4].as_slice(), p[5].as_slice()],
+        b: [p[6].as_slice(), p[7].as_slice(), p[8].as_slice()],
+        input,
+        d,
+    }
+}
+
+/// Where a step reads its message rows from.
+pub(crate) enum Message<'m> {
+    /// A separate matrix.
+    Rows(&'m Matrix),
+    /// The `next` buffer itself: each row is read and then overwritten
+    /// with the next state (message width = state width).
+    InPlace,
+}
+
+/// One GRU step over every row, in parallel across row chunks: the next
+/// state into `next` (`n × d`, contents ignored unless the message is
+/// [`Message::InPlace`]) and, when given, the gates z, r and h̃ into
+/// `gates` (`n × d` each, contents ignored).
+pub(crate) fn step(
+    p: [&Matrix; GruCell::PARAM_COUNT],
+    x: Message<'_>,
+    h: &Matrix,
+    next: &mut Matrix,
+    gates: Option<[&mut Matrix; 3]>,
+) {
+    let (n, d) = h.shape();
+    let (params, x) = match x {
+        Message::Rows(x) => (kernel_params(p, x, h), Some(x.as_slice())),
+        Message::InPlace => (kernel_params(p, next, h), None),
+    };
+    assert_eq!(next.shape(), (n, d), "GRU step: next-state buffer shape");
+    let work = work_per_row(params.input, d);
+    let _prof = ancstr_par::profile::time(ancstr_par::profile::Kernel::GruStep, (n * work) as u64);
+    let [z, r, c]: [&mut [f64]; 3] = match gates {
+        Some(g) => g.map(|m| {
+            assert_eq!(m.shape(), (n, d), "GRU step: gate buffer shape");
+            m.as_mut_slice()
+        }),
+        None => [&mut [], &mut [], &mut []],
+    };
+    par_row_chunks_of(n, d, [next.as_mut_slice(), z, r, c], min_rows_for(work), |rows, out| {
+        kernel::gru_rows(&params, x, h.as_slice(), rows, out);
+    });
+}
+/// A gradient slot a step's backward writes: the matrix, and whether it
+/// already held a gradient to add to (else its contents are ignored).
+pub(crate) type GradSlot<'m> = Option<(&'m mut Matrix, bool)>;
+
+/// A slot's buffer (empty when absent) and whether it held a gradient.
+fn slot_rows(slot: GradSlot<'_>, shape: (usize, usize)) -> (&mut [f64], bool) {
+    match slot {
+        Some((m, prior)) => {
+            assert_eq!(m.shape(), shape, "GRU step gradient: slot shape");
+            (m.as_mut_slice(), prior)
+        }
+        None => (&mut [], false),
+    }
+}
+
+/// The row part of one step's backward, in parallel across row chunks:
+/// from `rows = [g, z, r, h̃, h]` (the gradient of h′, the kept gates and
+/// the state) and the transposed weights (`wt = [Wzᵀ, Wrᵀ, Whᵀ]`,
+/// `ut = [Uzᵀ, Urᵀ, Uhᵀ]`), writes `out = [dZ, dR, dH̃, r ⊙ h]` (the
+/// gradients of the gates' activation arguments, and the recurrent
+/// product's left operand) and adds into the `dh` and `dx` slots given.
+/// The weight and bias gradients are then `xᵀ·dZ`, `hᵀ·dZ`, the column
+/// sums of `dZ`, and so on.
+pub(crate) fn step_grad_rows(
+    wt: [&Matrix; 3],
+    ut: [&Matrix; 3],
+    rows: [&Matrix; 5],
+    out: [&mut Matrix; 4],
+    dh: GradSlot<'_>,
+    dx: GradSlot<'_>,
+) {
+    let (n, d) = rows[4].shape();
+    let input = wt[0].cols();
+    for m in rows {
+        assert_eq!(m.shape(), (n, d), "GRU step gradient: row shape");
+    }
+    let work = work_per_row(input, d);
+    let _prof = ancstr_par::profile::time(ancstr_par::profile::Kernel::GruStep, (n * work) as u64);
+    let ((dh, dh_prior), (dx, dx_prior)) = (slot_rows(dh, (n, d)), slot_rows(dx, (n, input)));
+    let [gz, gr, gc, rh] = out.map(Matrix::as_mut_slice);
+    let ins = rows.map(Matrix::as_slice);
+    let (wt, ut) = (wt.map(Matrix::as_slice), ut.map(Matrix::as_slice));
+    par_row_chunks_of(n, d, [gz, gr, gc, rh, dh, dx], min_rows_for(work), |rows, out| {
+        kernel::gru_grad_rows(wt, ut, (input, d), ins, [dh_prior, dx_prior], rows, out);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forward::Eager;
-    use crate::tape::Tape;
+    use crate::tape::{NodeId, Tape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -165,21 +276,32 @@ mod tests {
         assert!(v.max_abs() <= 1.0 + 1e-12);
     }
 
+    /// The eager step matches the tape's, and both match the op-by-op
+    /// oracle, value and every gradient, with the message wider than the
+    /// state (so the eager step cannot work in place).
     #[test]
     fn eager_step_matches_the_tape_bitwise() {
         let c = cell();
         let xv = Matrix::from_fn(6, 4, |r, k| (r * 4 + k) as f64 * 0.07 - 0.8);
         let hv = Matrix::from_fn(6, 3, |r, k| (r + 2 * k) as f64 * -0.05 + 0.3);
-        let mut tape = Tape::new();
-        let leaves = c.leaves(&mut tape);
-        let (x, h) = (tape.leaf(xv.clone()), tape.leaf(hv.clone()));
-        let out = GruCell::forward(&mut tape, &leaves, x, h);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |step: fn(&mut Tape, &[NodeId; 9], NodeId, NodeId) -> NodeId| {
+            let mut tape = Tape::new();
+            let p: [NodeId; 9] = std::array::from_fn(|k| tape.leaf(c.matrices()[k].clone()));
+            let (x, h) = (tape.leaf(xv.clone()), tape.leaf(hv.clone()));
+            let out = step(&mut tape, &p, x, h);
+            let loss = tape.sum(out);
+            let grads = tape.backward(loss);
+            let mut all = vec![bits(tape.value(out))];
+            all.extend(p.iter().chain([&x, &h]).map(|&id| bits(grads.grad(id).unwrap())));
+            all
+        };
+        let want = run(crate::oracle::gru_step);
+        assert_eq!(run(|t, p, x, h| t.gru_step(p, x, h)), want);
         let mut eager = Eager;
         let leaves = c.leaves(&mut eager);
         let (x, h) = (eager.input(&xv), eager.input(&hv));
-        let eager_out = GruCell::forward(&mut eager, &leaves, x, h);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&eager_out), bits(tape.value(out)));
+        assert_eq!(bits(&GruCell::forward(&mut eager, &leaves, x, h)), want[0]);
     }
 
     #[test]

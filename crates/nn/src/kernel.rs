@@ -1,13 +1,15 @@
-//! The compute kernels every dense and sparse product in this crate
-//! runs on — one implementation, no runtime dispatch.
+//! The compute kernels every dense and sparse product in this crate,
+//! and Eq. 1's GRU step, run on — one implementation, no runtime
+//! dispatch.
 //!
 //! # Bit-identity argument
 //!
 //! Every kernel produces each output element by the same sequence of
-//! IEEE-754 operations as the plain scalar loop it replaces (kept as
-//! the test-only oracle in `oracle.rs`). The kernels win by keeping
-//! partial sums in registers and by removing per-element overhead,
-//! never by reassociating a sum:
+//! IEEE-754 operations as the plain scalar loop or op-by-op composition
+//! it replaces (kept as the test-only oracles in `oracle.rs`). The
+//! kernels win by keeping partial sums and intermediates in registers
+//! and by removing per-element overhead and whole-matrix passes, never
+//! by reassociating a sum:
 //!
 //! * **dense matmul** — each output element starts at `+0.0` and
 //!   receives its `a[i][k]·b[k][j]` contributions as separate adds in
@@ -27,13 +29,30 @@
 //!   into the output rows in place.
 //! * **CSR spmm** — each output row walks its `(src_row, value)`
 //!   entries in original triplet order and adds `value·dense[src_row]`
-//!   with no zero skip, exactly like a storage-order triplet walk.
+//!   with no zero skip, exactly like a storage-order triplet walk. The
+//!   accumulating form (`acc + S·b`) sums the row from `+0.0` the same
+//!   way and only then adds it into `acc`, so a row with no entries
+//!   still adds `0.0` (turning a `−0.0` into `+0.0`, as `add` would).
+//! * **GRU step** — one row at a time, the six products of Eq. 1's
+//!   gates (`x·Wz`, `h·Uz`, `x·Wr`, `h·Ur`, `x·Wh`, `(r⊙h)·Uh`) each run
+//!   the dense matmul's ascending-`k`, zero-skip sequence into a fresh
+//!   row accumulator, and the element-wise steps keep the composition's
+//!   operand order: `(x·W + h·U) + b`, `r·h`, `h + z·(h̃ − h)`. Only
+//!   z, r, h̃ and h′ leave registers, and only when a tape keeps them.
+//!   The backward row walks the composition's reverse sweep: its
+//!   gradient products (`·Uᵀ`, `·Wᵀ`) run on transposed copies with the
+//!   zero skip on the gradient element, and each gradient slot receives
+//!   its terms as separate adds in the sweep's order. Both take the
+//!   `[f64; 18]` row path when the message and the state are 18 wide,
+//!   and a `Vec` row of the same arithmetic otherwise.
 //!
 //! The loop-carried reductions (`dot`, `row_norm` in `matrix.rs`) stay
 //! sequential: splitting them across lanes would reassociate the sum.
 //! Callers win by hoisting norms instead.
 
 use std::ops::Range;
+
+use crate::tape::sigmoid;
 
 /// The model's feature width `D`: products whose output has exactly
 /// this many columns take the register-resident row path.
@@ -164,6 +183,311 @@ pub(crate) fn csr_rows(
             for (d, &x) in dst.iter_mut().zip(&dense[src..src + cols]) {
                 *d += v * x;
             }
+        }
+    }
+}
+
+/// Output rows `rows` of `acc + S·dense` over a CSR view, in place:
+/// row `r` sums `value · dense[src_row]` from `+0.0` in entry order,
+/// exactly as [`csr_rows`] builds it, and only then adds the sum into
+/// `out`'s row — so a row with no entries still adds `0.0`, and every
+/// element is `acc + (S·dense)` as a separate spmm and add give it.
+pub(crate) fn csr_rows_add(
+    starts: &[usize],
+    entries: &[(u32, f64)],
+    rows: Range<usize>,
+    dense: &[f64],
+    cols: usize,
+    out: &mut [f64],
+) {
+    if cols == NARROW {
+        csr_add_rows::<[f64; NARROW]>(starts, entries, rows, dense, cols, out);
+    } else if cols > 0 {
+        csr_add_rows::<Vec<f64>>(starts, entries, rows, dense, cols, out);
+    }
+}
+
+fn csr_add_rows<R: Lanes>(
+    starts: &[usize],
+    entries: &[(u32, f64)],
+    rows: Range<usize>,
+    dense: &[f64],
+    cols: usize,
+    out: &mut [f64],
+) {
+    let cols = R::width(cols);
+    let mut sum = R::zeroed(cols);
+    for (r, dst) in rows.zip(out.chunks_exact_mut(cols)) {
+        sum.as_mut().fill(0.0);
+        for &(src, v) in &entries[starts[r]..starts[r + 1]] {
+            let src = &dense[src as usize * cols..][..cols];
+            for (s, &x) in sum.as_mut().iter_mut().zip(src) {
+                *s += v * x;
+            }
+        }
+        for (d, &s) in dst.iter_mut().zip(sum.as_ref()) {
+            *d += s;
+        }
+    }
+}
+
+/// A row accumulator: a `[f64; N]` on the narrow path, so the row
+/// stays in registers and every row length is a constant, and a
+/// `Vec<f64>` on the generic-width path.
+trait Lanes: AsRef<[f64]> + AsMut<[f64]> {
+    /// The row length to use for a requested `len`: `N` for an array.
+    fn width(len: usize) -> usize;
+    /// A row of [`Lanes::width`]`(len)` zeros (`+0.0`).
+    fn zeroed(len: usize) -> Self;
+}
+
+impl<const N: usize> Lanes for [f64; N] {
+    #[inline(always)]
+    fn width(_: usize) -> usize {
+        N
+    }
+
+    #[inline(always)]
+    fn zeroed(_: usize) -> Self {
+        [0.0; N]
+    }
+}
+
+impl Lanes for Vec<f64> {
+    fn width(len: usize) -> usize {
+        len
+    }
+
+    fn zeroed(len: usize) -> Self {
+        vec![0.0; len]
+    }
+}
+
+/// `a · b` for one LHS row `a` and a row-major `b` with `n` columns:
+/// the matmul kernel's ascending-`k` add sequence from `+0.0`, skipping
+/// `k` where `a[k] == 0.0`.
+#[inline(always)]
+fn row_product<R: Lanes>(a: &[f64], b: &[f64], n: usize) -> R {
+    let mut acc = R::zeroed(n);
+    for (&av, brow) in a.iter().zip(b.chunks_exact(R::width(n))) {
+        if av == 0.0 {
+            continue;
+        }
+        for (o, &bv) in acc.as_mut().iter_mut().zip(brow) {
+            *o += av * bv;
+        }
+    }
+    acc
+}
+
+/// A copy of `src` (of the accumulator's width).
+#[inline(always)]
+fn copied<R: Lanes>(src: &[f64]) -> R {
+    let mut out = R::zeroed(src.len());
+    out.as_mut().copy_from_slice(src);
+    out
+}
+
+/// `f(a[j], b[j])` for every lane.
+#[inline(always)]
+fn zip<R: Lanes>(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> R {
+    let mut out = R::zeroed(a.len());
+    for ((o, &x), &y) in out.as_mut().iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+    out
+}
+
+/// `acc[j] = f(acc[j], b[j])` for every lane.
+#[inline(always)]
+fn update(acc: &mut [f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for (a, &x) in acc.iter_mut().zip(b) {
+        *a = f(*a, x);
+    }
+}
+
+/// The parameters of one GRU step as row-major slices, in
+/// [`GruCell::matrices`](crate::GruCell::matrices) order split by role:
+/// `w = [Wz, Wr, Wh]` (`input × d`), `u = [Uz, Ur, Uh]` (`d × d`) and
+/// `b = [bz, br, bh]` (`1 × d`).
+pub(crate) struct GruParams<'a> {
+    pub w: [&'a [f64]; 3],
+    pub u: [&'a [f64]; 3],
+    pub b: [&'a [f64]; 3],
+    pub input: usize,
+    pub d: usize,
+}
+
+impl GruParams<'_> {
+    /// Whether the step takes the narrow path: `D = 18` on both sides.
+    fn narrow(&self) -> bool {
+        self.input == NARROW && self.d == NARROW
+    }
+}
+
+/// One gate's activation argument, `(x·W + state·U) + b`, passed
+/// through `act`.
+#[inline(always)]
+fn gate<R: Lanes>(
+    p: &GruParams,
+    k: usize,
+    x: &[f64],
+    state: &[f64],
+    act: impl Fn(f64) -> f64,
+) -> R {
+    let xw: R = row_product(x, p.w[k], p.d);
+    let hu: R = row_product(state, p.u[k], p.d);
+    let mut s: R = zip(xw.as_ref(), hu.as_ref(), |a, b| a + b);
+    for (v, &b) in s.as_mut().iter_mut().zip(p.b[k]) {
+        *v = act(*v + b);
+    }
+    s
+}
+
+/// One row of Eq. 1's GRU: `[z, r, h̃, h′]` for message row `x` and
+/// state row `h`, each element by the add and multiply sequence of the
+/// op-by-op composition (`r ⊙ h`, then `h + z ⊙ (h̃ − h)`).
+#[inline(always)]
+fn gru_row<R: Lanes>(p: &GruParams, x: &[f64], h: &[f64]) -> [R; 4] {
+    let z: R = gate(p, 0, x, h, sigmoid);
+    let r: R = gate(p, 1, x, h, sigmoid);
+    let rh: R = zip(r.as_ref(), h, |r, h| r * h);
+    let c: R = gate(p, 2, x, rh.as_ref(), f64::tanh);
+    let mut next: R = zip(c.as_ref(), h, |c, h| c - h);
+    for ((o, &zv), &hv) in next.as_mut().iter_mut().zip(z.as_ref()).zip(h) {
+        *o = hv + zv * *o;
+    }
+    [z, r, c, next]
+}
+
+/// Rows `rows` of one GRU step. `out` holds those rows of
+/// `[h′, z, r, h̃]`; the gate buffers may be empty, and then nothing is
+/// kept. `x` holds every message row, `h` every state row; with
+/// `x == None` each message row is read from `h′`'s buffer, which the
+/// step then overwrites.
+pub(crate) fn gru_rows(
+    p: &GruParams,
+    x: Option<&[f64]>,
+    h: &[f64],
+    rows: Range<usize>,
+    out: [&mut [f64]; 4],
+) {
+    if p.narrow() {
+        gru_rows_as::<[f64; NARROW]>(p, x, h, rows, out);
+    } else if p.d > 0 {
+        gru_rows_as::<Vec<f64>>(p, x, h, rows, out);
+    }
+}
+
+fn gru_rows_as<R: Lanes>(
+    p: &GruParams,
+    x: Option<&[f64]>,
+    h: &[f64],
+    rows: Range<usize>,
+    [next, z, r, c]: [&mut [f64]; 4],
+) {
+    let (input, d) = (R::width(p.input), R::width(p.d));
+    let keep = !z.is_empty();
+    for (local, i) in rows.enumerate() {
+        let own: R;
+        let xr = match x {
+            Some(x) => &x[i * input..][..input],
+            None => {
+                own = copied(&next[local * d..][..d]);
+                own.as_ref()
+            }
+        };
+        let [zv, rv, cv, hv] = gru_row::<R>(p, xr, &h[i * d..][..d]);
+        next[local * d..][..d].copy_from_slice(hv.as_ref());
+        if keep {
+            z[local * d..][..d].copy_from_slice(zv.as_ref());
+            r[local * d..][..d].copy_from_slice(rv.as_ref());
+            c[local * d..][..d].copy_from_slice(cv.as_ref());
+        }
+    }
+}
+
+/// Rows `rows` of one GRU step's backward, given the gradient `g` of
+/// `h′` and the step's rows in `ins = [g, z, r, h̃, h]`. `wt` and `ut`
+/// are the transposed weights (`Wᵀ`: `d × input`, `Uᵀ`: `d × d`).
+///
+/// Writes those rows of `out = [dZ, dR, dH̃, r ⊙ h, dh, dx]`, where `dZ`,
+/// `dR` and `dH̃` are the gradients of the three gates' activation
+/// arguments, the rows the weight and bias gradients are built from.
+/// Every element follows the op-by-op composition's reverse sweep: each
+/// product starts from `+0.0` in ascending `k` and skips zero gradient
+/// elements, and the gradient slots receive their terms in the sweep's
+/// order — `dh` takes `g`, `(g ⊙ z)·(−1)`, `d(r⊙h) ⊙ r`, `dR·Urᵀ` and
+/// `dZ·Uzᵀ`, `dx` the `Wh`, `Wr` and `Wz` terms. `prior` says whether
+/// the `dh` and `dx` slots already hold a gradient to add to (else
+/// their rows are overwritten); an empty `dh` or `dx` is not computed.
+pub(crate) fn gru_grad_rows(
+    wt: [&[f64]; 3],
+    ut: [&[f64]; 3],
+    (input, d): (usize, usize),
+    ins: [&[f64]; 5],
+    prior: [bool; 2],
+    rows: Range<usize>,
+    out: [&mut [f64]; 6],
+) {
+    if input == NARROW && d == NARROW {
+        gru_grad_rows_as::<[f64; NARROW]>(wt, ut, (input, d), ins, prior, rows, out);
+    } else if d > 0 {
+        gru_grad_rows_as::<Vec<f64>>(wt, ut, (input, d), ins, prior, rows, out);
+    }
+}
+
+fn gru_grad_rows_as<R: Lanes>(
+    wt: [&[f64]; 3],
+    ut: [&[f64]; 3],
+    (input, d): (usize, usize),
+    [g, z, r, c, h]: [&[f64]; 5],
+    [dh_prior, dx_prior]: [bool; 2],
+    rows: Range<usize>,
+    [gz_out, gr_out, gc_out, rh_out, dh_out, dx_out]: [&mut [f64]; 6],
+) {
+    let (input, d) = (R::width(input), R::width(d));
+    let add = |a: f64, b: f64| a + b;
+    for (local, i) in rows.enumerate() {
+        let [g, z, r, c, h] = [g, z, r, c, h].map(|m| &m[i * d..][..d]);
+        // h′ = h + z ⊙ (h̃ − h): the gradients of z and of h̃ − h.
+        let delta: R = zip(c, h, |c, h| c - h);
+        let mut gz: R = zip(g, delta.as_ref(), |g, dl| g * dl);
+        let g_delta: R = zip(g, z, |g, z| g * z);
+        // Back through tanh, r ⊙ h and the two sigmoids.
+        let gc: R = zip(g_delta.as_ref(), c, |gd, c| gd * (1.0 - c * c));
+        let g_rh: R = row_product(gc.as_ref(), ut[2], d);
+        let mut gr: R = zip(g_rh.as_ref(), h, |grh, h| grh * h);
+        update(gr.as_mut(), r, |gr, r| gr * (r * (1.0 - r)));
+        update(gz.as_mut(), z, |gz, z| gz * (z * (1.0 - z)));
+        let at = local * d;
+        gz_out[at..][..d].copy_from_slice(gz.as_ref());
+        gr_out[at..][..d].copy_from_slice(gr.as_ref());
+        gc_out[at..][..d].copy_from_slice(gc.as_ref());
+        let rh: R = zip(r, h, |r, h| r * h);
+        rh_out[at..][..d].copy_from_slice(rh.as_ref());
+        if !dh_out.is_empty() {
+            let slot = &mut dh_out[at..][..d];
+            let mut acc: R = if dh_prior { zip(slot, g, add) } else { copied(g) };
+            // `(g ⊙ z)·(−1)` as the composition scales it: on a NaN,
+            // negation would flip the sign bit where the product does not.
+            #[allow(clippy::neg_multiply)]
+            update(acc.as_mut(), g_delta.as_ref(), |a, gd| a + gd * -1.0);
+            let via_rh: R = zip(g_rh.as_ref(), r, |grh, r| grh * r);
+            update(acc.as_mut(), via_rh.as_ref(), add);
+            update(acc.as_mut(), row_product::<R>(gr.as_ref(), ut[1], d).as_ref(), add);
+            update(acc.as_mut(), row_product::<R>(gz.as_ref(), ut[0], d).as_ref(), add);
+            slot.copy_from_slice(acc.as_ref());
+        }
+        if !dx_out.is_empty() {
+            let slot = &mut dx_out[local * input..][..input];
+            let mut acc: R = row_product(gc.as_ref(), wt[2], input);
+            if dx_prior {
+                acc = zip(slot, acc.as_ref(), add);
+            }
+            update(acc.as_mut(), row_product::<R>(gr.as_ref(), wt[1], input).as_ref(), add);
+            update(acc.as_mut(), row_product::<R>(gz.as_ref(), wt[0], input).as_ref(), add);
+            slot.copy_from_slice(acc.as_ref());
         }
     }
 }

@@ -17,7 +17,8 @@
 //!   [`Tape`] (recorded, for training) and by [`Eager`] (plain values
 //!   freed at their last use, for inference), so the model's forward
 //!   pass is written once and both evaluators give the same bits;
-//! * [`GruCell`] — the Eq. 1 combiner;
+//! * [`GruCell`] — the Eq. 1 combiner, one fused pass over the rows per
+//!   step on either evaluator;
 //! * [`Adam`] — the optimizer;
 //! * [`init`] — Xavier initialization;
 //! * [`linalg`] — a Jacobi symmetric eigensolver (used by the S³DET
@@ -29,11 +30,14 @@
 //! (the private `kernel` module) with no runtime dispatch: a
 //! register-resident row path at the model's width `D = 18`, a plain
 //! row-by-row loop for other widths, a transpose-free `Aᵀ·G` for weight
-//! gradients, and a flat CSR walk for spmm. Each produces every output
-//! element by the same sequence of IEEE-754 adds as the plain scalar
-//! loop, in the same order, so outputs are byte-identical to that loop
-//! and — because work splits only across output rows — at every
-//! thread count. The scalar loops survive as test-only oracles.
+//! gradients, a flat CSR walk for spmm (also summing straight into an
+//! accumulator), and the fused GRU gate kernel, forward and backward.
+//! Each produces every output element by the same sequence of IEEE-754
+//! operations as the plain scalar loop or op-by-op composition, in the
+//! same order, so outputs are byte-identical to it and — because work
+//! splits only across output rows — at every thread count. The scalar
+//! loops and the GRU's op-by-op composition survive as test-only
+//! oracles.
 //!
 //! # Example: one gradient step
 //!

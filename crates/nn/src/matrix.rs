@@ -646,14 +646,43 @@ pub(crate) fn par_row_chunks(
     f: impl Fn(Range<usize>, &mut [f64]) + Sync,
 ) {
     assert_eq!(data.len(), rows * cols, "row-chunk buffer shape mismatch");
-    let base = ancstr_par::SendPtr::new(data.as_mut_ptr());
-    ancstr_par::for_each_chunk(rows, min_rows, |range| {
+    par_row_chunks_of(rows, 1, [data], min_rows, |range, [chunk]| f(range, chunk));
+}
+
+/// [`par_row_chunks`] over several row-major buffers with `rows` rows
+/// each (of any width, an empty buffer included): every invocation gets
+/// each buffer's sub-slice covering exactly its rows.
+///
+/// The region is split as `rows × row_items` items, the way an
+/// element-wise pass over that many elements is, and each chunk takes
+/// the rows whose first item falls inside it. A kernel whose rows are
+/// heavy (`row_items > 1`) thus fans out over fewer rows than the
+/// pool's item floor. The split still depends only on the shape.
+pub(crate) fn par_row_chunks_of<const K: usize>(
+    rows: usize,
+    row_items: usize,
+    data: [&mut [f64]; K],
+    min_rows: usize,
+    f: impl Fn(Range<usize>, [&mut [f64]; K]) + Sync,
+) {
+    let widths = data.each_ref().map(|d| d.len() / rows.max(1));
+    for (d, &w) in data.iter().zip(&widths) {
+        assert_eq!(d.len(), rows * w, "row-chunk buffer shape mismatch");
+    }
+    let bases = data.map(|d| ancstr_par::SendPtr::new(d.as_mut_ptr()));
+    let unit = row_items.max(1);
+    ancstr_par::for_each_chunk(rows * unit, min_rows * unit, |items| {
+        let range = items.start.div_ceil(unit)..items.end.div_ceil(unit);
+        if range.is_empty() {
+            return;
+        }
         // Sound: row ranges are disjoint and each slice covers only
-        // this chunk's rows.
-        let chunk = unsafe {
-            std::slice::from_raw_parts_mut(base.get().add(range.start * cols), range.len() * cols)
-        };
-        f(range, chunk);
+        // this chunk's rows of its buffer.
+        let chunks = std::array::from_fn(|k| unsafe {
+            let w = widths[k];
+            std::slice::from_raw_parts_mut(bases[k].get().add(range.start * w), range.len() * w)
+        });
+        f(range, chunks);
     });
 }
 

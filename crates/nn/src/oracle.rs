@@ -1,10 +1,14 @@
-//! Test-only scalar oracles for the kernels in `kernel.rs`: the plain
-//! loops each kernel must reproduce bit for bit.
+//! Test-only oracles for the kernels in `kernel.rs`: the plain loops and
+//! op-by-op compositions each kernel must reproduce bit for bit.
 //!
 //! Compiled only into tests — as `crate::oracle` for this crate's unit
-//! tests and, through a `#[path]` module, into `tests/proptests.rs` —
-//! so it depends on nothing but `std` and works on raw row-major
-//! slices.
+//! tests and, through a `#[path]` module, into `tests/proptests.rs`.
+//! The scalar loops depend on nothing but `std` and work on raw
+//! row-major slices. The GRU composition records on the crate's own
+//! [`Tape`] ops, which it imports through `super`: the crate root here,
+//! the test crate's root (which imports them from `ancstr_nn`) there.
+
+use super::{NodeId, Tape};
 
 /// `a · b` by the naive ijk loop, skipping `a[i][k] == 0.0`: `a` is
 /// `m × inner`, `b` is `inner × n`.
@@ -125,4 +129,31 @@ pub fn pair_dots_grad(
 /// operand order, which the compiler may commute.
 pub fn same_bits(x: f64, y: f64) -> bool {
     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+/// Eq. 1's GRU step as the op-by-op composition the fused gate kernel
+/// replaces, recorded on `t` node by node from the parameter nodes
+/// `p = [Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh]`, message `x` and state `h`:
+/// per gate two matmuls, an add and a bias add, then the sigmoids, the
+/// reset product `r ⊙ h`, the candidate's tanh and the blend
+/// `h + z ⊙ (h̃ − h)`. The tape's reverse sweep over these nodes gives
+/// the gradients the fused op must reproduce, in the same order.
+pub fn gru_step(t: &mut Tape, p: &[NodeId; 9], x: NodeId, h: NodeId) -> NodeId {
+    let [wz, wr, wh, uz, ur, uh, bz, br, bh] = *p;
+    let gate = |t: &mut Tape, w, u, b, state| {
+        let xw = t.matmul(x, w);
+        let hu = t.matmul(state, u);
+        let s = t.add(xw, hu);
+        t.add_row(s, b)
+    };
+    let z_pre = gate(t, wz, uz, bz, h);
+    let z = t.sigmoid(z_pre);
+    let r_pre = gate(t, wr, ur, br, h);
+    let r = t.sigmoid(r_pre);
+    let rh = t.mul_elem(r, h);
+    let cand_pre = gate(t, wh, uh, bh, rh);
+    let cand = t.tanh(cand_pre);
+    let delta = t.sub(cand, h);
+    let zd = t.mul_elem(z, delta);
+    t.add(h, zd)
 }

@@ -144,10 +144,40 @@ impl SparseMatrix {
     /// [`SparseMatrix::matmul_dense`] built in `buf`'s allocation.
     pub(crate) fn matmul_dense_into(&self, dense: &Matrix, buf: Vec<f64>) -> Matrix {
         assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        let view = self.by_row.get_or_init(|| {
-            CsrView::build(self.rows, &self.triplets, |&(r, _, _)| r, |&(_, c, _)| c)
+        self.grouped_product(self.rows, dense, self.row_view(), buf)
+    }
+
+    /// `acc + self · dense`, written into `acc`: each row of the product
+    /// is summed from `+0.0` in triplet order, exactly as
+    /// [`SparseMatrix::matmul_dense`] builds it, and then added into
+    /// `acc`'s row — bit-identical to `acc.add(&self.matmul_dense(dense))`
+    /// without the product's `rows × cols` buffer. An operator with no
+    /// triplets still adds `0.0` to every element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != dense.rows()` or `acc` is not
+    /// `self.rows() × dense.cols()`.
+    pub(crate) fn matmul_dense_add_assign(&self, dense: &Matrix, acc: &mut Matrix) {
+        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
+        assert_eq!(acc.shape(), (self.rows, dense.cols()), "spmm accumulator shape mismatch");
+        let view = self.row_view();
+        let cols = dense.cols();
+        let _prof = ancstr_par::profile::time(
+            ancstr_par::profile::Kernel::Spmm,
+            (self.triplets.len() * cols) as u64,
+        );
+        let min_rows = min_rows_for((self.triplets.len() * cols.max(1)) / self.rows.max(1));
+        par_row_chunks(self.rows, cols, acc.as_mut_slice(), min_rows, |rows, chunk| {
+            kernel::csr_rows_add(&view.starts, &view.entries, rows, dense.as_slice(), cols, chunk);
         });
-        self.grouped_product(self.rows, dense, view, buf)
+    }
+
+    /// The cached CSR view grouped by triplet row.
+    fn row_view(&self) -> &CsrView {
+        self.by_row.get_or_init(|| {
+            CsrView::build(self.rows, &self.triplets, |&(r, _, _)| r, |&(_, c, _)| c)
+        })
     }
 
     /// Dense product with the transpose: `selfᵀ · dense` (the backward

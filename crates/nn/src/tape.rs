@@ -3,10 +3,13 @@
 //! A [`Tape`] records an eager forward computation as a DAG of matrix
 //! ops; [`Tape::backward`] then sweeps it once in reverse, accumulating
 //! gradients. The op set is exactly what the AncstrGNN model needs:
-//! (sparse-)matmul, broadcast bias, element-wise arithmetic, `σ`/`tanh`,
-//! numerically stable `log σ`, dot products of indexed row pairs, and a
-//! final sum — enough for Eq. 1's GRU aggregation and Eq. 2's
-//! negative-sampling loss.
+//! (sparse-)matmul, a sparse product summed into an accumulator,
+//! broadcast bias, element-wise arithmetic, `σ`/`tanh`, numerically
+//! stable `log σ`, a fused GRU step, dot products of indexed row pairs,
+//! and a final sum — enough for Eq. 1's aggregation and GRU combiner and
+//! Eq. 2's negative-sampling loss. The GRU step is one node that keeps
+//! its three gates; its backward reproduces the reverse sweep of the
+//! nineteen-node composition it stands for.
 //!
 //! # What the sweep computes
 //!
@@ -45,6 +48,7 @@
 
 use std::sync::Arc;
 
+use crate::gru::{self, GruCell, Message};
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
 
@@ -62,6 +66,8 @@ enum Op {
     Const,
     MatMul(NodeId, NodeId),
     SpMm(SparseId, NodeId),
+    /// `acc + S·b`, as `(S, b, acc)`.
+    SpMmAdd(SparseId, NodeId, NodeId),
     Add(NodeId, NodeId),
     AddRow(NodeId, NodeId),
     Sub(NodeId, NodeId),
@@ -74,26 +80,49 @@ enum Op {
     /// Dot products of `z`'s row pairs, stored as `[u0, v0, u1, v1, …]`.
     PairDots(NodeId, Vec<usize>),
     Sum(NodeId),
+    GruStep(Box<GruStep>),
+}
+
+/// A recorded GRU step: its operands, and the gates its backward reads.
+#[derive(Debug, Clone)]
+struct GruStep {
+    x: NodeId,
+    h: NodeId,
+    params: [NodeId; GruCell::PARAM_COUNT],
+    /// `[z, r, h̃]`.
+    gates: [Matrix; 3],
 }
 
 impl Op {
-    /// The node operands, as `(first, second)`.
-    fn operands(&self) -> (Option<NodeId>, Option<NodeId>) {
-        match *self {
-            Op::Leaf | Op::Const => (None, None),
-            Op::MatMul(a, b)
-            | Op::Add(a, b)
-            | Op::AddRow(a, b)
-            | Op::Sub(a, b)
-            | Op::MulElem(a, b) => (Some(a), Some(b)),
-            Op::SpMm(_, a)
-            | Op::Scale(a, _)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::LogSigmoid(a)
-            | Op::Neg(a)
-            | Op::PairDots(a, _)
-            | Op::Sum(a) => (Some(a), None),
+    /// The node operands.
+    fn operands(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let (pair, rest): ([Option<NodeId>; 2], &[NodeId]) = match self {
+            Op::Leaf | Op::Const => ([None, None], &[]),
+            &Op::MatMul(a, b)
+            | &Op::Add(a, b)
+            | &Op::AddRow(a, b)
+            | &Op::Sub(a, b)
+            | &Op::MulElem(a, b)
+            | &Op::SpMmAdd(_, a, b) => ([Some(a), Some(b)], &[]),
+            &Op::SpMm(_, a)
+            | &Op::Scale(a, _)
+            | &Op::Sigmoid(a)
+            | &Op::Tanh(a)
+            | &Op::LogSigmoid(a)
+            | &Op::Neg(a)
+            | &Op::PairDots(a, _)
+            | &Op::Sum(a) => ([Some(a), None], &[]),
+            Op::GruStep(step) => ([Some(step.x), Some(step.h)], &step.params),
+        };
+        pair.into_iter().flatten().chain(rest.iter().copied())
+    }
+
+    /// The buffers an op keeps besides its node's value.
+    fn into_kept(self) -> (Option<Vec<usize>>, Option<[Matrix; 3]>) {
+        match self {
+            Op::PairDots(_, indices) => (Some(indices), None),
+            Op::GruStep(step) => (None, Some(step.gates)),
+            _ => (None, None),
         }
     }
 }
@@ -243,8 +272,12 @@ impl Tape {
     pub fn clear(&mut self) {
         for node in self.nodes.drain(..) {
             self.buffers.put(node.value.into_vec());
-            if let Op::PairDots(_, indices) = node.op {
+            let (indices, gates) = node.op.into_kept();
+            if let Some(indices) = indices {
                 self.indices.put(indices);
+            }
+            for gate in gates.into_iter().flatten() {
+                self.buffers.put(gate.into_vec());
             }
         }
         self.buffers.trim();
@@ -267,11 +300,12 @@ impl Tape {
             .nodes
             .iter()
             .map(|node| {
-                let indices = match &node.op {
-                    Op::PairDots(_, indices) => indices.capacity(),
-                    _ => 0,
+                let (indices, gates) = match &node.op {
+                    Op::PairDots(_, indices) => (indices.capacity(), 0),
+                    Op::GruStep(step) => (0, step.gates.iter().map(Matrix::capacity).sum()),
+                    _ => (0, 0),
                 };
-                node.value.capacity() * size_of::<f64>() + indices * size_of::<usize>()
+                (node.value.capacity() + gates) * size_of::<f64>() + indices * size_of::<usize>()
             })
             .sum();
         recorded + self.buffers.held() * size_of::<f64>() + self.indices.held() * size_of::<usize>()
@@ -329,6 +363,43 @@ impl Tape {
         let buf = self.buffers.take(self.sparses[s.0].rows() * self.value(b).cols());
         let v = self.sparses[s.0].matmul_dense_into(self.value(b), buf);
         self.push(v, Op::SpMm(s, b))
+    }
+
+    /// `acc + S · b` in one pass, bit-identical to [`Tape::spmm`] then
+    /// [`Tape::add`] (see [`SparseMatrix`]'s in-place accumulation),
+    /// recorded as one node.
+    pub fn spmm_add(&mut self, s: SparseId, b: NodeId, acc: NodeId) -> NodeId {
+        let buf = self.buffers.take(self.value(acc).as_slice().len());
+        let mut v = self.value(acc).copy_into(buf);
+        self.sparses[s.0].matmul_dense_add_assign(self.value(b), &mut v);
+        self.push(v, Op::SpMmAdd(s, b, acc))
+    }
+
+    /// One GRU step of Eq. 1 (see [`GruCell`]) from the parameter nodes
+    /// `params = [Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh]`, message `x` and
+    /// state `h`, recorded as one node that keeps the gates z, r and h̃
+    /// for its backward. Its value and every gradient it passes back are
+    /// bit-identical to recording the op-by-op gate composition.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches and if `x == h`.
+    pub fn gru_step(
+        &mut self,
+        params: &[NodeId; GruCell::PARAM_COUNT],
+        x: NodeId,
+        h: NodeId,
+    ) -> NodeId {
+        assert_ne!(x, h, "GRU step: the message and the state must be distinct nodes");
+        let (n, d) = self.value(h).shape();
+        let mut bufs: [Matrix; 4] =
+            std::array::from_fn(|_| Matrix::zeros_in(n, d, self.buffers.take(n * d)));
+        let [next, z, r, c] = &mut bufs;
+        let p = params.map(|id| self.value(id));
+        gru::step(p, Message::Rows(self.value(x)), self.value(h), next, Some([z, r, c]));
+        let [next, z, r, c] = bufs;
+        let step = GruStep { x, h, params: *params, gates: [z, r, c] };
+        self.push(next, Op::GruStep(Box::new(step)))
     }
 
     /// `a + b` (same shape).
@@ -450,9 +521,8 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
-        let needs = |id: Option<NodeId>| id.is_some_and(|id| self.nodes[id.0].needs_grad);
-        let (a, b) = op.operands();
-        let needs_grad = matches!(op, Op::Leaf) || needs(a) || needs(b);
+        let needs_grad =
+            matches!(op, Op::Leaf) || op.operands().any(|id| self.nodes[id.0].needs_grad);
         self.nodes.push(Node { value, op, needs_grad });
         NodeId(self.nodes.len() - 1)
     }
@@ -526,6 +596,73 @@ impl Backward<'_> {
         self.add_to(id, delta);
     }
 
+    /// A GRU step's backward, `g` being the gradient of its next state:
+    /// the row kernel builds the gradients of the three gates'
+    /// activation arguments and adds into the `dh` and `dx` slots in the
+    /// op-by-op composition's order; the weight and bias gradients then
+    /// reach their slots in that composition's sweep order (`bh`, `Uh`,
+    /// `Wh`, then the reset gate's, then the update gate's).
+    fn gru_step(&mut self, step: &GruStep, g: &Matrix) {
+        let nodes = self.nodes;
+        let (x, h) = (&nodes[step.x.0].value, &nodes[step.h.0].value);
+        let p = step.params.map(|id| &nodes[id.0].value);
+        let mut transpose = |k: usize| p[k].transpose_into(self.buf_like(p[k]));
+        let (wt, ut) = ([0, 1, 2].map(&mut transpose), [3, 4, 5].map(&mut transpose));
+        let mut out: [Matrix; 4] = std::array::from_fn(|_| {
+            Matrix::zeros_in(g.rows(), g.cols(), self.buf_like(g))
+        });
+        // Each state slot is taken out while the kernel writes it.
+        let mut slot = |id: NodeId, like: &Matrix| -> Option<(Matrix, bool)> {
+            if !self.needs(id) {
+                return None;
+            }
+            Some(match self.grads[id.0].take() {
+                Some(prior) => (prior, true),
+                None => (Matrix::zeros_in(like.rows(), like.cols(), self.buf_like(like)), false),
+            })
+        };
+        let mut dh = slot(step.h, h);
+        let mut dx = slot(step.x, x);
+        let [gz, gr, gc, rh] = &mut out;
+        gru::step_grad_rows(
+            wt.each_ref(),
+            ut.each_ref(),
+            [g, &step.gates[0], &step.gates[1], &step.gates[2], h],
+            [gz, gr, gc, rh],
+            dh.as_mut().map(|(m, prior)| (m, *prior)),
+            dx.as_mut().map(|(m, prior)| (m, *prior)),
+        );
+        for (id, grad) in [(step.h, dh), (step.x, dx)] {
+            if let Some((m, _)) = grad {
+                self.grads[id.0] = Some(m);
+            }
+        }
+        let [gz, gr, gc, rh] = out;
+        for (k, (gate, state)) in [(&gz, h), (&gr, h), (&gc, &rh)].into_iter().enumerate().rev() {
+            let [w, u, b] = [step.params[k], step.params[3 + k], step.params[6 + k]];
+            if self.needs(b) {
+                let db = gate.column_sums_into(self.buffers.take(gate.cols()));
+                self.add_to(b, db);
+            }
+            if self.needs(u) {
+                let du = state.transpose_matmul_into(gate, self.buffers.take(state.cols() * gate.cols()));
+                self.add_to(u, du);
+            }
+            if self.needs(w) {
+                let dw = x.transpose_matmul_into(gate, self.buffers.take(x.cols() * gate.cols()));
+                self.add_to(w, dw);
+            }
+        }
+        self.recycle([gz, gr, gc, rh].into_iter().chain(wt).chain(ut));
+    }
+
+    /// Give temporaries back to the pool.
+    fn recycle(&mut self, matrices: impl IntoIterator<Item = Matrix>) {
+        for m in matrices {
+            self.buffers.put(m.into_vec());
+        }
+    }
+
     /// Pass `g`, the gradient of node `i`, on to each of its operands
     /// that needs one (a node reached here needs a gradient, so a
     /// single operand always does).
@@ -556,6 +693,16 @@ impl Backward<'_> {
                 let db = s.transpose_matmul_dense_into(g, buf);
                 self.add_to(*b, db);
             }
+            Op::SpMmAdd(s, b, acc) => {
+                // The sweep of `Add(acc, S·b)` then `SpMm(S, b)`.
+                self.pass_to(*acc, g);
+                if self.needs(*b) {
+                    let s = &self.sparses[s.0];
+                    let db = s.transpose_matmul_dense_into(g, self.buffers.take(s.cols() * g.cols()));
+                    self.add_to(*b, db);
+                }
+            }
+            Op::GruStep(step) => self.gru_step(step, g),
             Op::Add(a, b) => {
                 self.pass_to(*a, g);
                 self.pass_to(*b, g);

@@ -1,10 +1,14 @@
 //! Property tests for the NN substrate: linear-algebra identities,
 //! autograd linearity, eigen-solver invariants, and bitwise agreement
-//! of every kernel path with its scalar oracle.
+//! of every kernel path with its oracle.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use ancstr_nn::linalg::{normalized_laplacian, symmetric_eigenvalues};
-use ancstr_nn::{cosine_similarity, Matrix, SparseMatrix, Tape};
+use ancstr_nn::{cosine_similarity, Eager, Forward, GruCell, Matrix, NodeId, SparseMatrix, Tape};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 /// The crate's test-only scalar oracles, shared with its unit tests.
 #[path = "../src/oracle.rs"]
@@ -334,4 +338,253 @@ proptest! {
         let got = am.transpose_matmul(&Matrix::from_vec(rows, q, g.clone()));
         assert_bits(&got, &oracle::transpose_matmul(&a, rows, p, &g, q), "transpose_matmul at q = 18")?;
     }
+}
+
+/// A GRU cell with every parameter from the seeded fill: weights with
+/// zeros every `zero_every` elements, biases in [-2, 2). `bad` plants
+/// `[+inf, -inf, NaN][kind]` into row `kx` of `Wz`, `Wr`, `Wh` and row
+/// `kh` of `Uz`, `Ur`, `Uh`.
+fn gru_cell(input: usize, d: usize, seed: u64, bad: Option<(usize, usize, usize)>) -> GruCell {
+    let mut cell = GruCell::new(input, d, &mut rand::rngs::StdRng::seed_from_u64(seed));
+    for (k, m) in cell.matrices_mut().iter_mut().enumerate() {
+        let (rows, cols) = m.shape();
+        *m = Matrix::from_vec(rows, cols, lcg_fill(rows * cols, seed ^ (k as u64 * 0x9E37), 5));
+        if let Some((kx, kh, kind)) = bad {
+            let v = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][kind];
+            match k {
+                0..=2 => m.row_mut(kx).fill(v),
+                3..=5 => m.row_mut(kh).fill(v),
+                _ => {}
+            }
+        }
+    }
+    cell
+}
+
+/// What one recording of a GRU step gives: the next state, the nine
+/// parameter gradients, and the gradients of the message and (when it
+/// is a leaf) the state.
+struct StepRun {
+    value: Matrix,
+    params: Vec<Matrix>,
+    dx: Matrix,
+    dh: Option<Matrix>,
+}
+
+/// Record `step` on a fresh tape over leaf parameters and message, and a
+/// state bound as a leaf or (`h_const`) a constant. The loss is
+/// `Σ h′ ⊙ w`, so the step's upstream gradient is exactly `w`. With
+/// `prior`, `x` and `h` also feed `Σ 0.5·x + Σ 0.5·h`, recorded after
+/// the step and so swept before it: their slots hold gradients already
+/// when the step's backward adds into them.
+fn run_step(
+    cell: &GruCell,
+    x: &Matrix,
+    h: &Matrix,
+    w: &Matrix,
+    (h_const, prior): (bool, bool),
+    step: fn(&mut Tape, &[NodeId; 9], NodeId, NodeId) -> NodeId,
+) -> StepRun {
+    let mut t = Tape::new();
+    let p: [NodeId; 9] = std::array::from_fn(|k| t.leaf(cell.matrices()[k].clone()));
+    let xn = t.leaf(x.clone());
+    let hn = if h_const { t.input(h) } else { t.leaf(h.clone()) };
+    let wn = t.input(w);
+    let next = step(&mut t, &p, xn, hn);
+    let weighted = t.mul_elem(next, wn);
+    let mut loss = t.sum(weighted);
+    if prior {
+        for id in [xn, hn] {
+            let half = t.scale(id, 0.5);
+            let s = t.sum(half);
+            loss = t.add(loss, s);
+        }
+    }
+    let grads = t.backward(loss);
+    StepRun {
+        value: t.value(next).clone(),
+        params: p.iter().map(|&id| grads.grad(id).expect("every parameter reaches h′").clone()).collect(),
+        dx: grads.grad(xn).expect("x reaches h′").clone(),
+        dh: grads.grad(hn).cloned(),
+    }
+}
+
+fn fused(t: &mut Tape, p: &[NodeId; 9], x: NodeId, h: NodeId) -> NodeId {
+    t.gru_step(p, x, h)
+}
+
+/// The fused step on a tape and on the eager evaluator against the
+/// op-by-op composition: value, nine parameter gradients, `dx`, `dh`.
+fn check_step(
+    cell: &GruCell,
+    x: &Matrix,
+    h: &Matrix,
+    w: &Matrix,
+    flags: (bool, bool),
+) -> Result<Matrix, TestCaseError> {
+    let want = run_step(cell, x, h, w, flags, oracle::gru_step);
+    for threads in [1, 2] {
+        ancstr_par::set_threads(threads);
+        let got = run_step(cell, x, h, w, flags, fused);
+        assert_bits(&got.value, want.value.as_slice(), "tape value")?;
+        for (k, (g, wg)) in got.params.iter().zip(&want.params).enumerate() {
+            assert_bits(g, wg.as_slice(), &format!("parameter {k} gradient"))?;
+        }
+        assert_bits(&got.dx, want.dx.as_slice(), "dx")?;
+        prop_assert_eq!(got.dh.is_some(), want.dh.is_some());
+        if let (Some(g), Some(wg)) = (&got.dh, &want.dh) {
+            assert_bits(g, wg.as_slice(), "dh")?;
+        }
+        let mut eager = Eager;
+        let leaves = cell.leaves(&mut eager);
+        // An owned message: the in-place path when the widths agree.
+        let hv = eager.input(h);
+        let value = eager.gru_step(&leaves, Cow::Owned(x.clone()), hv);
+        assert_bits(&value, want.value.as_slice(), "eager value")?;
+    }
+    ancstr_par::set_threads(0);
+    Ok(want.value)
+}
+
+/// Row counts on both sides of the row-parallel split (which needs
+/// 2048 rows at least).
+const STEP_ROWS: [usize; 4] = [1, 7, 40, 2100];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `gru_step` reproduces the op-by-op gate composition bit for bit
+    /// on both evaluators, at the model's width `D = 18` (the narrow
+    /// path, and the generic path when the message is 19 wide) and at
+    /// D ∈ 2..8: its value, all nine parameter gradients, `dx` and `dh`,
+    /// with and without gradients already in the `dx`/`dh` slots, with
+    /// the state a leaf or a constant, at 1 and 2 threads. Zeros in the
+    /// upstream gradient skip their products; with `bad`, a zero column
+    /// of x and of h (so of `r ⊙ h`) sits next to ±inf/NaN weight rows,
+    /// and the zero skip keeps every value finite.
+    #[test]
+    fn gru_step_matches_the_op_by_op_composition_bitwise(
+        wide in any::<bool>(),
+        small_d in 2usize..8,
+        extra_input in 0usize..2,
+        rows in 0usize..STEP_ROWS.len(),
+        seed in any::<u64>(),
+        zero_every in 2usize..7,
+        flags in (any::<bool>(), any::<bool>()),
+        bad in (any::<bool>(), any::<usize>(), any::<usize>(), 0usize..3),
+    ) {
+        let d = if wide { 18 } else { small_d };
+        let (n, input) = (STEP_ROWS[rows], d + extra_input);
+        let bad = bad.0.then_some((bad.1 % input, bad.2 % d, bad.3));
+        let cell = gru_cell(input, d, seed, bad);
+        let mut x = Matrix::from_vec(n, input, lcg_fill(n * input, seed ^ 0x11, zero_every));
+        let mut h = Matrix::from_vec(n, d, lcg_fill(n * d, seed ^ 0x22, zero_every + 1));
+        let w = Matrix::from_vec(n, d, lcg_fill(n * d, seed ^ 0x33, zero_every));
+        if let Some((kx, kh, _)) = bad {
+            for r in 0..n {
+                x[(r, kx)] = 0.0;
+                h[(r, kh)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let value = check_step(&cell, &x, &h, &w, flags)?;
+        if bad.is_some() {
+            prop_assert!(value.is_finite(), "a zero operand multiplied a non-finite weight");
+        }
+    }
+
+    /// A NaN in one row of the message or the state stays in that row:
+    /// every other row of h′, `dx` and `dh` is finite, on both
+    /// evaluators, and every bit still matches the composition.
+    #[test]
+    fn gru_step_keeps_a_nan_row_in_its_row(
+        wide in any::<bool>(),
+        rows in 1usize..STEP_ROWS.len(),
+        at in any::<usize>(),
+        in_state in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (n, d) = (STEP_ROWS[rows], if wide { 18 } else { 5 });
+        let bad_row = at % n;
+        let cell = gru_cell(d, d, seed, None);
+        let mut x = Matrix::from_vec(n, d, lcg_fill(n * d, seed ^ 0x44, 4));
+        let mut h = Matrix::from_vec(n, d, lcg_fill(n * d, seed ^ 0x55, 0));
+        let w = Matrix::from_vec(n, d, lcg_fill(n * d, seed ^ 0x66, 0));
+        if in_state { h[(bad_row, 1)] = f64::NAN } else { x[(bad_row, 0)] = f64::NAN }
+        let value = check_step(&cell, &x, &h, &w, (false, false))?;
+        let run = run_step(&cell, &x, &h, &w, (false, false), fused);
+        for r in 0..n {
+            let finite = |m: &Matrix| m.row(r).iter().all(|v| v.is_finite());
+            prop_assert_eq!(finite(&value), r != bad_row, "h′ row {}", r);
+            prop_assert_eq!(finite(&run.dx), r != bad_row, "dx row {}", r);
+            prop_assert_eq!(finite(run.dh.as_ref().unwrap()), r != bad_row, "dh row {}", r);
+        }
+    }
+
+    /// `spmm_add` equals `spmm` then `add` bit for bit on both
+    /// evaluators, value and gradients: random operators with duplicate
+    /// and zero-weight entries, or none at all, over accumulators that
+    /// hold −0.0 (so a row the operator leaves empty must still add
+    /// `+0.0`), on both sides of the row-parallel split.
+    #[test]
+    fn spmm_add_matches_spmm_then_add_bitwise(
+        width in 0usize..WIDTHS.len(),
+        big in any::<bool>(),
+        raw in prop::collection::vec((any::<usize>(), any::<usize>(), -2.0f64..2.0, 0u8..4), 0..60),
+        seed in any::<u64>(),
+    ) {
+        let (cols, n) = (WIDTHS[width], if big { 2100 } else { 9 });
+        let triplets: Vec<(usize, usize, f64)> = raw
+            .into_iter()
+            .map(|(r, c, v, z)| (r % n, c % n, if z == 0 { 0.0 } else { v }))
+            .collect();
+        let s = Arc::new(SparseMatrix::from_triplets(n, n, triplets));
+        let b = Matrix::from_vec(n, cols, lcg_fill(n * cols, seed, 0));
+        let acc = Matrix::from_fn(n, cols, |r, c| if (r + c) % 3 == 0 { -0.0 } else { (r * cols + c) as f64 * 0.01 });
+        let want = acc.add(&s.matmul_dense(&b));
+        for threads in [1, 2] {
+            ancstr_par::set_threads(threads);
+            let mut eager = Eager;
+            let sp = eager.operator(&s);
+            let got = eager.spmm_add(sp, Cow::Borrowed(&b), Cow::Borrowed(&acc));
+            assert_bits(&got, want.as_slice(), "eager spmm_add")?;
+            // Tape: the fused node against spmm + add, gradients included.
+            let run = |fused: bool| {
+                let mut t = Tape::new();
+                let sid = t.sparse(Arc::clone(&s));
+                let (bn, an) = (t.leaf(b.clone()), t.leaf(acc.clone()));
+                let out = if fused {
+                    t.spmm_add(sid, bn, an)
+                } else {
+                    let m = t.spmm(sid, bn);
+                    t.add(an, m)
+                };
+                let wn = t.input(&b);
+                let weighted = t.mul_elem(out, wn);
+                let loss = t.sum(weighted);
+                let grads = t.backward(loss);
+                let grad = |id| grads.grad(id).cloned().unwrap_or_else(|| Matrix::zeros(0, 0));
+                (t.value(out).clone(), grad(bn), grad(an))
+            };
+            let (got, want_t) = (run(true), run(false));
+            assert_bits(&got.0, want.as_slice(), "tape spmm_add")?;
+            assert_bits(&got.1, want_t.1.as_slice(), "spmm_add db")?;
+            assert_bits(&got.2, want_t.2.as_slice(), "spmm_add dacc")?;
+        }
+        ancstr_par::set_threads(0);
+    }
+}
+
+/// An operator with no entries adds `+0.0`: `−0.0 + 0.0 = +0.0`, as a
+/// separate spmm and add give it.
+#[test]
+fn empty_operator_adds_positive_zero() {
+    let s = Arc::new(SparseMatrix::zeros(2, 2));
+    let acc = Matrix::filled(2, 18, -0.0);
+    let b = Matrix::filled(2, 18, 1.0);
+    let want = acc.add(&s.matmul_dense(&b));
+    assert!(want.as_slice().iter().all(|v| v.to_bits() == 0), "−0.0 + 0.0 is +0.0");
+    let mut eager = Eager;
+    let sp = eager.operator(&s);
+    let got = eager.spmm_add(sp, Cow::Borrowed(&b), Cow::Borrowed(&acc));
+    assert_eq!(got.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), vec![0; 36]);
 }

@@ -18,7 +18,8 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Kernel {
-    /// Dense blocked matmul (`Matrix::matmul` in `ancstr-nn`).
+    /// Dense matmul, row by row (`Matrix::matmul` and the transposed
+    /// products of the backward pass in `ancstr-nn`).
     Matmul = 0,
     /// Sparse × dense product (`SparseMatrix::grouped_product`).
     Spmm = 1,
@@ -30,10 +31,16 @@ pub enum Kernel {
     /// One parallel region dispatched through the worker pool
     /// (calls = batches, elements = chunks executed).
     ParRegion = 4,
+    /// One fused GRU step of Eq. 1, forward or backward
+    /// (`Forward::gru_step` in `ancstr-nn`; elements = the mul-adds of
+    /// its six row products). The products inside it are not counted as
+    /// matmul calls; the backward's weight gradients are.
+    GruStep = 5,
 }
 
 /// Exposition names, indexed by [`Kernel`] discriminant.
-pub const KERNEL_NAMES: [&str; 5] = ["matmul", "spmm", "axpy", "row_norms", "par_region"];
+pub const KERNEL_NAMES: [&str; 6] =
+    ["matmul", "spmm", "axpy", "row_norms", "par_region", "gru_step"];
 
 struct Slot {
     calls: AtomicU64,
@@ -51,7 +58,7 @@ const fn slot() -> Slot {
     }
 }
 
-static SLOTS: [Slot; 5] = [slot(), slot(), slot(), slot(), slot()];
+static SLOTS: [Slot; 6] = [slot(), slot(), slot(), slot(), slot(), slot()];
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turn profiling on or off process-wide.
@@ -115,7 +122,7 @@ pub struct KernelStats {
     /// Number of instrumented calls.
     pub calls: u64,
     /// Total elements processed (kernel-specific unit: mul-adds for
-    /// matmul/spmm, vector elements for row_norms, chunks for
+    /// matmul/spmm/gru_step, vector elements for row_norms, chunks for
     /// par_region).
     pub elems: u64,
     /// Total wall nanoseconds inside the kernel.

@@ -313,12 +313,20 @@ fn cli_trace_out_does_not_change_outputs_and_validates() {
             "stage `{stage}` missing from CLI trace"
         );
     }
+    // The CLI's output tail follows `detect` as two top-level spans.
+    let top: Vec<&str> = events
+        .iter()
+        .filter(|e| e.kind == "span_end" && e.parent == 0)
+        .map(|e| e.span.as_str())
+        .collect();
+    assert!(top.ends_with(&["detect", "export", "write"]), "{top:?}");
     // …and via the `obs-check` subcommand CI uses.
     let out = bin().arg("obs-check").arg("--trace").arg(&trace)
         .args(["--require-stages", "all", "--require-epoch-events"])
         .output().unwrap();
     let log = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{log}");
+    assert!(log.contains("top-level spans cover"), "{log}");
     if ancstr_obs::peak_rss_kb().is_some() {
         assert!(log.contains("first reached by the end of stage"), "{log}");
     }
