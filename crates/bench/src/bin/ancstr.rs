@@ -109,9 +109,9 @@ use std::time::Duration;
 use ancstr_core::groups::merged_groups_sorted;
 use ancstr_core::runstore::{RunOptions, RunSession, StageStatus};
 use ancstr_core::{
-    load_netlist, render_groups, render_metrics_table, write_constraints, ExtractError,
-    ExtractorConfig, FitOutcome, PipelineObs, RunCtx, SymmetryExtractor, MINOR_FAULTS_FIELD,
-    PEAK_RSS_FIELD, STAGES, TAPE_KB_FIELD,
+    level_confusions, load_netlist, render_confusions, render_groups, write_constraints,
+    ExtractError, ExtractorConfig, FitOutcome, PipelineObs, RunCtx, SymmetryExtractor,
+    MINOR_FAULTS_FIELD, PEAK_RSS_FIELD, STAGES, TAPE_KB_FIELD,
 };
 use ancstr_gnn::{HealthReport, TrainGraph};
 use ancstr_graph::BuildOptions;
@@ -629,14 +629,20 @@ fn emit_outputs(
     }
 
     // The metrics table and the Prometheus quality gauges share one
-    // source of truth (`ancstr_core::metrics::level_confusions`).
-    if ctx.run.obs.enabled() {
-        ctx.run.obs.record_quality(flat, constraints);
-    }
-    if let Some(path) = &args.metrics {
-        fs::write(path, render_metrics_table(flat, constraints))
-            .map_err(|e| CliError::Io { path: path.clone(), detail: e.to_string() })?;
-        ctx.log.info(format!("wrote {path}"));
+    // source of truth (`ancstr_core::metrics::level_confusions`), computed
+    // only when one of them is written: the gauges reach a file only
+    // through `<run-dir>/metrics.prom`.
+    let gauges = args.run_dir.is_some();
+    if gauges || args.metrics.is_some() {
+        let levels = level_confusions(flat, constraints);
+        if gauges {
+            ctx.run.obs.record_quality(&levels);
+        }
+        if let Some(path) = &args.metrics {
+            fs::write(path, render_confusions(&levels))
+                .map_err(|e| CliError::Io { path: path.clone(), detail: e.to_string() })?;
+            ctx.log.info(format!("wrote {path}"));
+        }
     }
     if let Some(dir) = &args.run_dir {
         write_prom_checkpoint(ctx, dir);

@@ -1,6 +1,8 @@
 //! Constraint file export/import in the MAGICAL/ALIGN convention:
 //! one `sym` line per pair (or `sym_group` per merged group), addressed
-//! by hierarchical path relative to the constraint's `T_c`.
+//! by hierarchical path relative to the constraint's `T_c`. Reading
+//! expands a group to all its pairs; the unmerged pair form
+//! ([`write_constraint_pairs`]) reads back as exactly the set written.
 //!
 //! ```text
 //! # hierarchy: adc1
@@ -8,12 +10,13 @@
 //! sym_group  device Ca0 Ca1 Cb0 Cb1
 //! ```
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use ancstr_netlist::flat::{FlatCircuit, HierNodeId};
 use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
 
-use crate::groups::{merged_groups_sorted, SymmetryGroup};
+use crate::groups::merged_groups_sorted;
 
 /// Error returned when parsing a constraint file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,28 +46,46 @@ pub fn write_constraints(flat: &FlatCircuit, constraints: &ConstraintSet) -> Str
             let _ = writeln!(out, "# hierarchy: {}", flat.node(g.hierarchy).path);
             current = Some(g.hierarchy);
         }
-        write_group(flat, g, &mut out);
+        write_group(flat, g.kind, &g.members, &mut out);
     }
     out
 }
 
-fn write_group(flat: &FlatCircuit, g: &SymmetryGroup, out: &mut String) {
-    let local = |m: HierNodeId| flat.node(m).name.clone();
-    if g.members.len() == 2 {
-        let _ = writeln!(
-            out,
-            "sym        {} {} {}",
-            g.kind,
-            local(g.members[0]),
-            local(g.members[1])
-        );
-    } else {
-        let _ = write!(out, "sym_group  {}", g.kind);
-        for &m in &g.members {
-            let _ = write!(out, " {}", local(m));
+/// Serialize every constraint as its own `sym` line, with no merging:
+/// [`read_constraints`] reads the text back as exactly this set. Lines
+/// follow the export order — hierarchy path, then member paths — so the
+/// text is canonical for the set.
+pub fn write_constraint_pairs(flat: &FlatCircuit, constraints: &ConstraintSet) -> String {
+    let rank = |id: HierNodeId| flat.path_rank(id);
+    let mut pairs: Vec<(HierNodeId, [HierNodeId; 2], SymmetryKind)> = constraints
+        .iter()
+        .map(|c| {
+            let (a, b) = (c.pair.lo(), c.pair.hi());
+            let members = if rank(a) < rank(b) { [a, b] } else { [b, a] };
+            (c.hierarchy, members, c.kind)
+        })
+        .collect();
+    pairs.sort_unstable_by_key(|&(h, [a, b], _)| (rank(h), rank(a), rank(b)));
+    let mut out = String::new();
+    let mut current: Option<HierNodeId> = None;
+    for (hierarchy, members, kind) in pairs {
+        if current != Some(hierarchy) {
+            let _ = writeln!(out, "# hierarchy: {}", flat.node(hierarchy).path);
+            current = Some(hierarchy);
         }
-        out.push('\n');
+        write_group(flat, kind, &members, &mut out);
     }
+    out
+}
+
+fn write_group(flat: &FlatCircuit, kind: SymmetryKind, members: &[HierNodeId], out: &mut String) {
+    out.push_str(if members.len() == 2 { "sym        " } else { "sym_group  " });
+    out.push_str(kind.as_str());
+    for &m in members {
+        out.push(' ');
+        out.push_str(&flat.node(m).name);
+    }
+    out.push('\n');
 }
 
 /// Parse a constraint file back against a circuit, resolving local
@@ -78,6 +99,12 @@ pub fn read_constraints(
     flat: &FlatCircuit,
     text: &str,
 ) -> Result<ConstraintSet, ParseConstraintError> {
+    // First node per full path, as a scan in id order would find it.
+    let mut by_path: HashMap<&str, HierNodeId> = HashMap::with_capacity(flat.nodes().len());
+    for n in flat.nodes() {
+        by_path.entry(n.path.as_str()).or_insert(n.id);
+    }
+    let mut path = String::new();
     let mut set = ConstraintSet::new();
     let mut hierarchy: Option<HierNodeId> = None;
     for (i, raw) in text.lines().enumerate() {
@@ -87,12 +114,12 @@ pub fn read_constraints(
             continue;
         }
         if let Some(rest) = line.strip_prefix("# hierarchy:") {
-            let path = rest.trim();
-            let node = flat.node_by_path(path).ok_or_else(|| ParseConstraintError {
+            let header = rest.trim();
+            let &node = by_path.get(header).ok_or_else(|| ParseConstraintError {
                 line: lineno,
-                reason: format!("unknown hierarchy `{path}`"),
+                reason: format!("unknown hierarchy `{header}`"),
             })?;
-            hierarchy = Some(node.id);
+            hierarchy = Some(node);
             continue;
         }
         if line.starts_with('#') {
@@ -125,12 +152,15 @@ pub fn read_constraints(
         let tc_path = &flat.node(tc).path;
         let mut members = Vec::new();
         for name in tok {
-            let path = format!("{tc_path}/{name}");
-            let node = flat.node_by_path(&path).ok_or_else(|| ParseConstraintError {
+            path.clear();
+            path.push_str(tc_path);
+            path.push('/');
+            path.push_str(name);
+            let &node = by_path.get(path.as_str()).ok_or_else(|| ParseConstraintError {
                 line: lineno,
                 reason: format!("unknown member `{name}` under `{tc_path}`"),
             })?;
-            members.push(node.id);
+            members.push(node);
         }
         if members.len() < 2 {
             return Err(ParseConstraintError {
@@ -207,6 +237,44 @@ C3 m vss 10f
         // The 3-cap group expands to all C(3,2) = 3 pairs.
         assert!(back.contains_pair(c1, c3));
         assert_eq!(back.len(), 4);
+    }
+
+    /// The pair form is not merged: {X1–X2, C1–C2, C2–C3} reads back as
+    /// those three pairs, where the group form yields C1–C3 as well.
+    #[test]
+    fn pair_form_reads_back_as_the_same_set() {
+        let flat = fixture();
+        let id = |p: &str| flat.node_by_path(p).unwrap().id;
+        let root = flat.root().id;
+        let set: ConstraintSet = [
+            SymmetryConstraint::new(root, id("top/C2"), id("top/C3"), SymmetryKind::System),
+            SymmetryConstraint::new(root, id("top/X1"), id("top/X2"), SymmetryKind::System),
+            SymmetryConstraint::new(root, id("top/C1"), id("top/C2"), SymmetryKind::System),
+            SymmetryConstraint::new(
+                id("top/X1"),
+                id("top/X1/Mp"),
+                id("top/X1/Mn"),
+                SymmetryKind::Device,
+            ),
+        ]
+        .into_iter()
+        .collect();
+        let text = write_constraint_pairs(&flat, &set);
+        assert_eq!(
+            text,
+            "# hierarchy: top\n\
+             sym        system C1 C2\n\
+             sym        system C2 C3\n\
+             sym        system X1 X2\n\
+             # hierarchy: top/X1\n\
+             sym        device Mn Mp\n"
+        );
+        let back = read_constraints(&flat, &text).unwrap();
+        assert_eq!(back.len(), set.len());
+        for c in set.iter() {
+            assert_eq!(back.get(c.pair.lo(), c.pair.hi()), Some(c));
+        }
+        assert!(!back.contains_pair(id("top/C1"), id("top/C3")));
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //! module merges the pairwise constraints of a detection into maximal
 //! groups per hierarchy, the form a downstream placer ingests.
 
-use std::collections::HashMap;
-
 use ancstr_netlist::flat::{FlatCircuit, HierNodeId};
-use ancstr_netlist::order::natural_cmp;
 use ancstr_netlist::{ConstraintSet, SymmetryKind};
 
 /// A maximal matched group under one hierarchy node.
@@ -18,7 +15,7 @@ pub struct SymmetryGroup {
     pub hierarchy: HierNodeId,
     /// Level of the group's constraints.
     pub kind: SymmetryKind,
-    /// The matched modules, sorted by node id.
+    /// The matched modules, in natural path order.
     pub members: Vec<HierNodeId>,
 }
 
@@ -34,101 +31,91 @@ impl SymmetryGroup {
     }
 }
 
-/// Merge pairwise constraints into maximal groups (connected components
-/// of the constraint relation, split by hierarchy and level).
+/// Merge pairwise constraints into maximal groups — the connected
+/// components of the constraint relation — ordered for export.
 ///
-/// Groups are returned sorted by hierarchy id, then first member, so the
-/// output is deterministic.
+/// A group takes the hierarchy and level of the first constraint (in
+/// set order) that mentions its union-find root. Members sort by their
+/// natural path order (digit runs by value, so `Cu2` precedes `Cu10`),
+/// and groups by hierarchy path, then first member path. Node ids are
+/// an artifact of elaboration order; paths are the stable,
+/// human-meaningful key, so every serializer (MAGICAL text, ALIGN JSON,
+/// group reports) funnels through this. Paths are compared through
+/// [`FlatCircuit::path_rank`], and the union-find runs over vectors
+/// indexed by node id.
 ///
 /// # Example
 ///
 /// ```
-/// use ancstr_core::groups::merge_groups;
-/// use ancstr_netlist::flat::HierNodeId;
-/// use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
+/// use ancstr_core::groups::merged_groups_sorted;
+/// use ancstr_netlist::{parse::parse_spice, ConstraintSet, FlatCircuit};
+/// use ancstr_netlist::{SymmetryConstraint, SymmetryKind};
 ///
-/// let h = HierNodeId(0);
-/// let n = |i| HierNodeId(i);
+/// let nl = parse_spice(
+///     ".subckt top a vss\nC10 a vss 1f\nC2 a vss 1f\nC1 a vss 1f\nC3 a vss 1f\n.ends\n",
+/// )?;
+/// let flat = FlatCircuit::elaborate(&nl)?;
+/// let id = |p: &str| flat.node_by_path(p).unwrap().id;
+/// let root = flat.root().id;
 /// let set: ConstraintSet = [
-///     SymmetryConstraint::new(h, n(1), n(2), SymmetryKind::Device),
-///     SymmetryConstraint::new(h, n(2), n(3), SymmetryKind::Device),
-///     SymmetryConstraint::new(h, n(5), n(6), SymmetryKind::Device),
+///     SymmetryConstraint::new(root, id("top/C10"), id("top/C2"), SymmetryKind::Device),
+///     SymmetryConstraint::new(root, id("top/C2"), id("top/C1"), SymmetryKind::Device),
 /// ]
 /// .into_iter()
 /// .collect();
-/// let groups = merge_groups(&set);
-/// assert_eq!(groups.len(), 2);
-/// assert_eq!(groups[0].members, vec![n(1), n(2), n(3)]);
+/// let groups = merged_groups_sorted(&flat, &set);
+/// assert_eq!(groups.len(), 1);
+/// assert_eq!(groups[0].members, vec![id("top/C1"), id("top/C2"), id("top/C10")]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn merge_groups(constraints: &ConstraintSet) -> Vec<SymmetryGroup> {
-    // Union-find over the node ids mentioned, keyed per (hierarchy, kind).
-    let mut parent: HashMap<HierNodeId, HierNodeId> = HashMap::new();
-    let mut meta: HashMap<HierNodeId, (HierNodeId, SymmetryKind)> = HashMap::new();
-
-    fn find(parent: &mut HashMap<HierNodeId, HierNodeId>, x: HierNodeId) -> HierNodeId {
-        let p = *parent.get(&x).unwrap_or(&x);
-        if p == x {
-            return x;
+pub fn merged_groups_sorted(flat: &FlatCircuit, constraints: &ConstraintSet) -> Vec<SymmetryGroup> {
+    const UNSEEN: usize = usize::MAX;
+    let n = flat.nodes().len();
+    // `parent[x] == UNSEEN` until a constraint mentions node `x`.
+    let mut parent = vec![UNSEEN; n];
+    let mut meta: Vec<Option<(HierNodeId, SymmetryKind)>> = vec![None; n];
+    let find = |parent: &mut [usize], mut x: usize| {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
         }
-        let root = find(parent, p);
-        parent.insert(x, root);
-        root
-    }
-
+        x
+    };
     for c in constraints.iter() {
-        let (a, b) = (c.pair.lo(), c.pair.hi());
-        for n in [a, b] {
-            parent.entry(n).or_insert(n);
-            meta.entry(n).or_insert((c.hierarchy, c.kind));
+        let (a, b) = (c.pair.lo().0, c.pair.hi().0);
+        for x in [a, b] {
+            if parent[x] == UNSEEN {
+                parent[x] = x;
+                meta[x] = Some((c.hierarchy, c.kind));
+            }
         }
         let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
         if ra != rb {
-            parent.insert(rb, ra);
+            parent[rb] = ra;
         }
     }
 
-    let mut members: HashMap<HierNodeId, Vec<HierNodeId>> = HashMap::new();
-    let keys: Vec<HierNodeId> = parent.keys().copied().collect();
-    for n in keys {
-        let root = find(&mut parent, n);
-        members.entry(root).or_default().push(n);
+    // Every component holds a pair of distinct nodes, so no group is
+    // degenerate. `slot` maps a root to its group.
+    let mut slot = vec![UNSEEN; n];
+    let mut groups: Vec<SymmetryGroup> = Vec::new();
+    for x in 0..n {
+        if parent[x] == UNSEEN {
+            continue;
+        }
+        let root = find(&mut parent, x);
+        if slot[root] == UNSEEN {
+            slot[root] = groups.len();
+            let (hierarchy, kind) = meta[root].expect("a root was mentioned");
+            groups.push(SymmetryGroup { hierarchy, kind, members: Vec::new() });
+        }
+        groups[slot[root]].members.push(HierNodeId(x));
     }
-
-    let mut groups: Vec<SymmetryGroup> = members
-        .into_iter()
-        .map(|(root, mut ms)| {
-            ms.sort();
-            let (hierarchy, kind) = meta[&root];
-            SymmetryGroup { hierarchy, kind, members: ms }
-        })
-        .filter(|g| !g.is_empty())
-        .collect();
-    groups.sort_by_key(|g| (g.hierarchy, g.members[0]));
-    groups
-}
-
-/// Re-order `groups` by hierarchical path: members within each group
-/// sort by their node's natural path order (digit runs by value, so
-/// `Cu2` precedes `Cu10`), and the groups themselves by their
-/// hierarchy path, then first member path. Node ids are an artifact of
-/// elaboration order; paths are the stable, human-meaningful key, so
-/// every exporter funnels through this before serializing.
-pub fn sort_groups_by_path(flat: &FlatCircuit, groups: &mut [SymmetryGroup]) {
-    let path = |id: HierNodeId| flat.node(id).path.as_str();
-    for g in groups.iter_mut() {
-        g.members.sort_by(|&a, &b| natural_cmp(path(a), path(b)));
+    let rank = |id: HierNodeId| flat.path_rank(id);
+    for g in &mut groups {
+        g.members.sort_unstable_by_key(|&m| rank(m));
     }
-    groups.sort_by(|a, b| {
-        natural_cmp(path(a.hierarchy), path(b.hierarchy))
-            .then_with(|| natural_cmp(path(a.members[0]), path(b.members[0])))
-    });
-}
-
-/// [`merge_groups`] followed by [`sort_groups_by_path`] — the form
-/// every serializer (MAGICAL text, ALIGN JSON, group reports) consumes.
-pub fn merged_groups_sorted(flat: &FlatCircuit, constraints: &ConstraintSet) -> Vec<SymmetryGroup> {
-    let mut groups = merge_groups(constraints);
-    sort_groups_by_path(flat, &mut groups);
+    groups.sort_unstable_by_key(|g| (rank(g.hierarchy), rank(g.members[0])));
     groups
 }
 
@@ -155,42 +142,73 @@ mod tests {
     use ancstr_netlist::parse::parse_spice;
     use ancstr_netlist::SymmetryConstraint;
 
-    fn n(i: usize) -> HierNodeId {
-        HierNodeId(i)
+    /// `top` holds caps `C1`–`C4` and two `cell` instances, each with
+    /// caps `C1` and `C2`.
+    fn fixture() -> FlatCircuit {
+        let nl = parse_spice(
+            "\
+.subckt cell a vss
+C1 a vss 1f
+C2 a vss 1f
+.ends
+.subckt top a vss
+C1 a vss 1f
+C2 a vss 1f
+C3 a vss 1f
+C4 a vss 1f
+X1 a vss cell
+X2 a vss cell
+.ends
+.top top
+",
+        )
+        .unwrap();
+        FlatCircuit::elaborate(&nl).unwrap()
+    }
+
+    fn id(flat: &FlatCircuit, path: &str) -> HierNodeId {
+        flat.node_by_path(path).unwrap().id
     }
 
     #[test]
     fn transitive_pairs_merge() {
+        let flat = fixture();
+        let (root, n) = (flat.root().id, |p: &str| id(&flat, &format!("top/{p}")));
         let set: ConstraintSet = [
-            SymmetryConstraint::new(n(0), n(1), n(2), SymmetryKind::Device),
-            SymmetryConstraint::new(n(0), n(3), n(2), SymmetryKind::Device),
-            SymmetryConstraint::new(n(0), n(4), n(1), SymmetryKind::Device),
+            SymmetryConstraint::new(root, n("C1"), n("C2"), SymmetryKind::Device),
+            SymmetryConstraint::new(root, n("C3"), n("C2"), SymmetryKind::Device),
+            SymmetryConstraint::new(root, n("C4"), n("C1"), SymmetryKind::Device),
         ]
         .into_iter()
         .collect();
-        let groups = merge_groups(&set);
+        let groups = merged_groups_sorted(&flat, &set);
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].members, vec![n(1), n(2), n(3), n(4)]);
+        assert_eq!(groups[0].members, vec![n("C1"), n("C2"), n("C3"), n("C4")]);
+        assert_eq!(groups, crate::oracle::merged_groups_sorted(&flat, &set));
     }
 
     #[test]
     fn disjoint_hierarchies_stay_apart() {
+        let flat = fixture();
+        let n = |p: &str| id(&flat, p);
+        let (x1, c1, c2) = (n("top/X1"), n("top/X1/C1"), n("top/X1/C2"));
         let set: ConstraintSet = [
-            SymmetryConstraint::new(n(0), n(1), n(2), SymmetryKind::Device),
-            SymmetryConstraint::new(n(9), n(11), n(12), SymmetryKind::System),
+            SymmetryConstraint::new(x1, c1, c2, SymmetryKind::System),
+            SymmetryConstraint::new(n("top"), n("top/C1"), n("top/C2"), SymmetryKind::Device),
         ]
         .into_iter()
         .collect();
-        let groups = merge_groups(&set);
+        let groups = merged_groups_sorted(&flat, &set);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].kind, SymmetryKind::Device);
         assert_eq!(groups[1].kind, SymmetryKind::System);
-        assert_eq!(groups[1].hierarchy, n(9));
+        assert_eq!(groups[1].hierarchy, n("top/X1"));
+        assert_eq!(groups, crate::oracle::merged_groups_sorted(&flat, &set));
     }
 
     #[test]
     fn empty_input_empty_output() {
-        assert!(merge_groups(&ConstraintSet::new()).is_empty());
+        assert!(merged_groups_sorted(&fixture(), &ConstraintSet::new()).is_empty());
     }
 
     /// Members are declared in an order whose node ids disagree with
@@ -228,16 +246,18 @@ C1 a vss 10f
 
     #[test]
     fn deterministic_ordering() {
+        let flat = fixture();
+        let n = |p: &str| id(&flat, p);
         let build = || -> Vec<SymmetryGroup> {
-            let set: ConstraintSet = [
-                SymmetryConstraint::new(n(2), n(20), n(21), SymmetryKind::Device),
-                SymmetryConstraint::new(n(1), n(10), n(11), SymmetryKind::Device),
-            ]
-            .into_iter()
-            .collect();
-            merge_groups(&set)
+            let pair = |block: &str, a: &str, b: &str| {
+                let (a, b) = (n(&format!("{block}/{a}")), n(&format!("{block}/{b}")));
+                SymmetryConstraint::new(n(block), a, b, SymmetryKind::Device)
+            };
+            let set: ConstraintSet =
+                [pair("top/X2", "C1", "C2"), pair("top/X1", "C2", "C1")].into_iter().collect();
+            merged_groups_sorted(&flat, &set)
         };
         assert_eq!(build(), build());
-        assert_eq!(build()[0].hierarchy, n(1));
+        assert_eq!(build()[0].hierarchy, n("top/X1"));
     }
 }

@@ -71,6 +71,8 @@ pub mod groups;
 pub mod inject;
 pub mod metrics;
 pub mod observe;
+#[cfg(test)]
+mod oracle;
 pub mod pairs;
 pub mod pipeline;
 pub mod recover;
@@ -82,11 +84,12 @@ pub use detect::{
     detect_constraints, DetectionResult, NumericWarning, ScoredPair, ThresholdConfig,
 };
 pub use embed::{embed_all_blocks, embed_circuit, BlockRanking, EmbedOptions};
-pub use export::{read_constraints, write_constraints, ParseConstraintError};
-pub use groups::{merge_groups, merged_groups_sorted, render_groups, sort_groups_by_path, SymmetryGroup};
+pub use export::{read_constraints, write_constraint_pairs, write_constraints, ParseConstraintError};
+pub use groups::{merged_groups_sorted, render_groups, SymmetryGroup};
 pub use features::{circuit_features, init_features, FeatureConfig, FEATURE_DIM};
 pub use metrics::{
-    confusion_from_decisions, level_confusions, pr_curve, render_metrics_table, roc_curve,
+    confusion_from_decisions, level_confusions, pr_curve, render_confusions, render_metrics_table,
+    roc_curve,
     Confusion, PrCurve, PrPoint, RocCurve, RocPoint,
 };
 pub use observe::{

@@ -215,42 +215,47 @@ pub fn pr_curve(samples: &[(f64, bool)]) -> PrCurve {
 ///
 /// This is the single source of truth behind both the CLI's
 /// `--metrics` table ([`render_metrics_table`]) and the Prometheus
-/// quality gauges, so the two can never drift apart.
+/// quality gauges, so the two can never drift apart. One walk over the
+/// valid pairs decides each pair once and records it in `overall` and
+/// in its level.
 pub fn level_confusions(
     flat: &ancstr_netlist::FlatCircuit,
     constraints: &ancstr_netlist::constraint::ConstraintSet,
 ) -> [(&'static str, Confusion); 3] {
     use ancstr_netlist::SymmetryKind;
     let gt = flat.ground_truth();
-    let pairs = crate::pairs::valid_pairs(flat);
-    let confusion = |kind: Option<SymmetryKind>| {
-        confusion_from_decisions(
-            pairs
-                .iter()
-                .filter(|p| kind.is_none_or(|k| p.kind == k))
-                .map(|p| {
-                    let (a, b) = (p.pair.lo(), p.pair.hi());
-                    (constraints.contains_pair(a, b), gt.contains_pair(a, b))
-                }),
-        )
-    };
-    [
-        ("overall", confusion(None)),
-        ("system", confusion(Some(SymmetryKind::System))),
-        ("device", confusion(Some(SymmetryKind::Device))),
-    ]
+    let (mut overall, mut system, mut device) =
+        (Confusion::default(), Confusion::default(), Confusion::default());
+    for p in crate::pairs::valid_pairs(flat) {
+        let (a, b) = (p.pair.lo(), p.pair.hi());
+        let (predicted, actual) = (constraints.contains_pair(a, b), gt.contains_pair(a, b));
+        overall.record(predicted, actual);
+        match p.kind {
+            SymmetryKind::System => system.record(predicted, actual),
+            SymmetryKind::Device => device.record(predicted, actual),
+        }
+    }
+    [("overall", overall), ("system", system), ("device", device)]
 }
 
 /// Render the Table V / Table VI metric columns (TPR, FPR, PPV, ACC,
 /// F₁) of the extracted constraints against the netlist's ground
 /// truth, overall and per symmetry level. Deterministic given the same
-/// constraints, so CI can diff it across crash/resume runs.
+/// constraints. CI diffs it across crash/resume runs and between a
+/// finished run and its resume, which reloads the sealed `detect`
+/// stage.
 pub fn render_metrics_table(
     flat: &ancstr_netlist::FlatCircuit,
     constraints: &ancstr_netlist::constraint::ConstraintSet,
 ) -> String {
+    render_confusions(&level_confusions(flat, constraints))
+}
+
+/// [`render_metrics_table`] of confusions already computed by
+/// [`level_confusions`].
+pub fn render_confusions(levels: &[(&'static str, Confusion); 3]) -> String {
     let mut out = String::from("# level tpr fpr ppv acc f1\n");
-    for (level, c) in level_confusions(flat, constraints) {
+    for (level, c) in levels {
         out.push_str(&format!(
             "{level} {:.6} {:.6} {:.6} {:.6} {:.6}\n",
             c.tpr(),

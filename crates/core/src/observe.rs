@@ -19,13 +19,12 @@ use std::path::Path;
 use std::time::Instant;
 
 use ancstr_gnn::{EpochTelemetry, HealthEvent, TrainerHooks};
-use ancstr_netlist::FlatCircuit;
 use ancstr_obs::{
     minor_faults, peak_rss_kb, Registry, Span, Tracer, Value, DURATION_BUCKETS_S, GRAD_NORM_BUCKETS,
 };
 
 use crate::detect::{DetectionResult, NumericWarning};
-use crate::metrics::level_confusions;
+use crate::metrics::Confusion;
 
 /// The seven pipeline stage names, in execution order. Shared by the
 /// instrumentation, the docs, and the trace-coverage tests.
@@ -182,14 +181,13 @@ impl PipelineObs {
         }
     }
 
-    /// Record the Table V/VI quality gauges for a finished detection —
-    /// same [`level_confusions`] source as the CLI's `--metrics` table.
-    pub fn record_quality(
-        &self,
-        flat: &FlatCircuit,
-        constraints: &ancstr_netlist::constraint::ConstraintSet,
-    ) {
-        for (level, c) in level_confusions(flat, constraints) {
+    /// Record the Table V/VI quality gauges for a finished detection
+    /// from its [`level_confusions`] — the source of the CLI's
+    /// `--metrics` table too.
+    ///
+    /// [`level_confusions`]: crate::metrics::level_confusions
+    pub fn record_quality(&self, levels: &[(&'static str, Confusion); 3]) {
+        for &(level, c) in levels {
             for (stat, value) in [
                 ("tpr", c.tpr()),
                 ("fpr", c.fpr()),

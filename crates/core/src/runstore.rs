@@ -43,13 +43,15 @@ use ancstr_gnn::{
 use ancstr_netlist::{ConstraintSet, FlatCircuit};
 use ancstr_nn::Matrix;
 
-use crate::export::{read_constraints, write_constraints};
+use crate::export::{read_constraints, write_constraint_pairs};
 use crate::observe::PipelineObs;
 use crate::pipeline::{ExtractorConfig, SymmetryExtractor};
 use crate::recover::ExtractError;
 
-/// Manifest schema version this build reads and writes.
-pub const MANIFEST_VERSION: u64 = 1;
+/// Manifest schema version this build reads and writes. Version 2 seals
+/// the `detect` stage as one `sym` line per detected pair; version 1
+/// sealed merged groups, which reload as their full pairwise closure.
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// Default training checkpoint cadence (epochs) when a run directory is
 /// active but `--checkpoint-every` was not given.
@@ -1244,7 +1246,9 @@ impl RunSession {
         }
     }
 
-    /// Seal the `detect` stage's artifact: the exported constraint set.
+    /// Seal the `detect` stage's artifact: the detected constraint set,
+    /// one pair per line, so a resumed run reloads exactly the pairs
+    /// the fresh run detected (not the closure of their groups).
     pub(crate) fn seal_constraints(
         &mut self,
         flat: &FlatCircuit,
@@ -1254,7 +1258,7 @@ impl RunSession {
             "detect",
             "constraints.txt",
             "constraints",
-            &write_constraints(flat, constraints),
+            &write_constraint_pairs(flat, constraints),
         )
     }
 }
@@ -1292,7 +1296,9 @@ mod tests {
     #[test]
     fn manifest_rejects_bad_versions_and_garbage() {
         let m = RunManifest::new("train", "x".into(), 1, &[], &["graph", "train"]);
-        let json = m.to_json().replace("\"version\": 1", "\"version\": 99");
+        let json = m
+            .to_json()
+            .replace(&format!("\"version\": {MANIFEST_VERSION}"), "\"version\": 99");
         assert_eq!(
             RunManifest::from_json(&json).unwrap_err(),
             RunError::UnsupportedVersion { found: 99 }
@@ -1508,6 +1514,39 @@ M5 tail en vss vss nch w=2u l=0.5u
         let (state, notes) = session.store().latest_valid_checkpoint();
         assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(state.unwrap().epoch_losses.len(), 0);
+    }
+
+    /// A sealed `detect` stage reloads as the detected pairs: {a–b, b–c}
+    /// stays two constraints, where a sealed group `a b c` would reload
+    /// as three.
+    #[test]
+    fn sealed_constraints_reload_as_the_detected_pairs() {
+        use ancstr_netlist::{SymmetryConstraint, SymmetryKind};
+        let flat = latch();
+        let id = |p: &str| flat.node_by_path(p).unwrap().id;
+        let root = flat.root().id;
+        let detected: ConstraintSet = [
+            SymmetryConstraint::new(root, id("latch/M1"), id("latch/M2"), SymmetryKind::Device),
+            SymmetryConstraint::new(root, id("latch/M2"), id("latch/M5"), SymmetryKind::Device),
+        ]
+        .into_iter()
+        .collect();
+        let config = quick_config();
+        let inputs = vec!["latch.sp".to_owned()];
+        let dir = tmp("seal-constraints");
+        let mut session =
+            RunSession::open(RunOptions::new(&dir), "extract", &config, &inputs).unwrap();
+        session.seal_constraints(&flat, &detected).unwrap();
+        let mut opts = RunOptions::new(&dir);
+        opts.resume = true;
+        let mut resumed = RunSession::open(opts, "extract", &config, &inputs).unwrap();
+        assert!(resumed.stage_done("detect"));
+        let back = resumed.reload_constraints(&flat, &PipelineObs::disabled()).unwrap();
+        assert_eq!(back.len(), 2);
+        for c in detected.iter() {
+            assert_eq!(back.get(c.pair.lo(), c.pair.hi()), Some(c));
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

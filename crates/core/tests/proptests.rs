@@ -14,6 +14,51 @@ use ancstr_netlist::{Device, DeviceType, Geometry, Netlist, Subckt};
 use ancstr_nn::Matrix;
 use proptest::prelude::*;
 
+use ancstr_core::groups::{merged_groups_sorted, SymmetryGroup};
+use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
+
+#[path = "../../netlist/tests/common/arb_tree.rs"]
+mod arb_tree;
+/// The crate's test-only group-merge oracle, shared with its unit tests.
+#[path = "../src/oracle.rs"]
+mod oracle;
+
+/// A constraint set over random sibling pairs of `flat`: not closed
+/// under transitivity, spread over every block with two children, with
+/// random levels — and, now and then, a hierarchy other than the pair's
+/// parent, so a node can meet two hierarchies or both levels.
+fn random_pairs(flat: &FlatCircuit, picks: &[(usize, usize, usize, u8)]) -> ConstraintSet {
+    let blocks: Vec<_> = flat.blocks().filter(|b| b.children.len() >= 2).collect();
+    let mut set = ConstraintSet::new();
+    if blocks.is_empty() {
+        return set;
+    }
+    for &(block, i, j, bits) in picks {
+        let b = blocks[block % blocks.len()];
+        let (i, j) = (i % b.children.len(), j % b.children.len());
+        if i == j {
+            continue;
+        }
+        let kind = if bits & 1 == 0 {
+            SymmetryKind::Device
+        } else {
+            SymmetryKind::System
+        };
+        let hierarchy = if bits & 6 == 0 {
+            blocks[(block + 1) % blocks.len()].id
+        } else {
+            b.id
+        };
+        set.insert(SymmetryConstraint::new(
+            hierarchy,
+            b.children[i],
+            b.children[j],
+            kind,
+        ));
+    }
+    set
+}
+
 fn arb_cell() -> impl Strategy<Value = FlatCircuit> {
     let dev = (0usize..5, 1u32..6, 0usize..3, 0usize..3, 0usize..3);
     prop::collection::vec(dev, 2..15).prop_map(|devs| {
@@ -214,5 +259,24 @@ proptest! {
         // Complement holds when there are no tied scores across classes;
         // allow tie slack.
         prop_assert!((roc.auc + roc_f.auc - 1.0).abs() < 0.35);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The dense, rank-ordered merge returns exactly what the `HashMap`
+    /// union-find followed by the path-string sort returns.
+    #[test]
+    fn dense_group_merge_matches_the_oracle(
+        nl in arb_tree::arb_hierarchy(),
+        picks in prop::collection::vec((0usize..64, 0usize..16, 0usize..16, any::<u8>()), 0..40),
+    ) {
+        let flat = FlatCircuit::elaborate(&nl).expect("valid by construction");
+        let set = random_pairs(&flat, &picks);
+        let dense: Vec<SymmetryGroup> = merged_groups_sorted(&flat, &set);
+        prop_assert_eq!(dense, oracle::merged_groups_sorted(&flat, &set));
+        let gt = flat.ground_truth();
+        prop_assert_eq!(merged_groups_sorted(&flat, gt), oracle::merged_groups_sorted(&flat, gt));
     }
 }

@@ -20,12 +20,19 @@ pub enum SymmetryKind {
     Device,
 }
 
+impl SymmetryKind {
+    /// The level's name in constraint files: `system` or `device`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SymmetryKind::System => "system",
+            SymmetryKind::Device => "device",
+        }
+    }
+}
+
 impl fmt::Display for SymmetryKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SymmetryKind::System => f.write_str("system"),
-            SymmetryKind::Device => f.write_str("device"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

@@ -10,10 +10,11 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::constraint::{ConstraintSet, SymmetryConstraint, SymmetryKind};
-use crate::device::{DeviceType, Geometry, PortType};
+use crate::device::{Device, DeviceType, Geometry, PortType};
 use crate::error::ElaborateError;
 use crate::netlist::Netlist;
-use crate::subckt::{CircuitClass, Element, Subckt};
+use crate::order::natural_cmp_suffixed;
+use crate::subckt::{CircuitClass, Element, Instance, Subckt};
 
 /// Identifier of a node in the elaborated hierarchy tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -146,6 +147,8 @@ pub struct FlatCircuit {
     nodes: Vec<HierNode>,
     root: HierNodeId,
     ground_truth: ConstraintSet,
+    /// Each node's position in natural path order, by node id.
+    path_rank: Vec<usize>,
 }
 
 impl FlatCircuit {
@@ -162,8 +165,8 @@ impl FlatCircuit {
             subckt: netlist.top().to_owned(),
         })?;
 
+        let templates = compile_templates(netlist, top);
         let mut b = Builder {
-            netlist,
             devices: Vec::new(),
             net_names: Vec::new(),
             nodes: Vec::new(),
@@ -178,20 +181,22 @@ impl FlatCircuit {
             None,
             0,
         );
-        // Top-level ports get fresh global nets named after themselves.
-        let mut port_map = HashMap::new();
-        for p in &top.ports {
-            let id = b.new_net(p.clone());
-            port_map.insert(p.clone(), id);
+        // Top-level ports get fresh global nets named after themselves; a
+        // repeated port name resolves to its last net.
+        let mut nets = vec![None; templates[0].nets.len()];
+        for (p, &local) in top.ports.iter().zip(&templates[0].port_local) {
+            nets[local] = Some(b.new_net(p.clone()));
         }
-        b.expand(top, root, &top.name.clone(), port_map, 0)?;
+        b.expand(&templates, 0, root, &top.name, nets, 0);
 
+        let path_rank = natural_path_ranks(&b.nodes, root);
         let mut flat = FlatCircuit {
             devices: b.devices,
             net_names: b.net_names,
             nodes: b.nodes,
             root,
             ground_truth: ConstraintSet::new(),
+            path_rank,
         };
         // Classify and register ground truth now that the tree exists.
         let gt: Vec<SymmetryConstraint> = b
@@ -294,6 +299,14 @@ impl FlatCircuit {
         }
     }
 
+    /// The node's position when every node is sorted by
+    /// [`natural_cmp`](crate::order::natural_cmp) of its full path:
+    /// comparing two ranks compares the two paths, with no string work.
+    /// Holds whenever sibling names are distinct and contain no `/`.
+    pub fn path_rank(&self, id: HierNodeId) -> usize {
+        self.path_rank[id.0]
+    }
+
     /// Look up a hierarchy node by full path.
     pub fn node_by_path(&self, path: &str) -> Option<&HierNode> {
         self.nodes.iter().find(|n| n.path == path)
@@ -311,9 +324,129 @@ impl FlatCircuit {
     }
 }
 
-/// Intermediate state while expanding the instance tree.
-struct Builder<'a> {
+/// Every node's rank in natural path order, from one walk of the tree.
+///
+/// A child's path extends its parent's by `/name`, so two paths under
+/// the same parent first differ inside the sibling names — or one
+/// sibling's path ends where the other's continues. Below each block
+/// the walk therefore visits two kinds of entry per child, sorted
+/// together: the child itself, keyed by its name, and the subtree below
+/// a block child, keyed by its name plus `/`. Mostly a child's subtree
+/// directly follows the child (plain pre-order), but a sibling such as
+/// `X-1` sorts between `X` and `X/...` (`-` precedes `/`), and the
+/// separate entries keep that.
+fn natural_path_ranks(nodes: &[HierNode], root: HierNodeId) -> Vec<usize> {
+    let mut rank = vec![0; nodes.len()];
+    let mut next = 0;
+    // (node, whether the entry is the subtree below it)
+    let mut stack = vec![(root, true), (root, false)];
+    let mut entries = Vec::new();
+    while let Some((id, below)) = stack.pop() {
+        if !below {
+            rank[id.0] = next;
+            next += 1;
+            continue;
+        }
+        entries.clear();
+        for &c in &nodes[id.0].children {
+            entries.push((c, false));
+            if !nodes[c.0].children.is_empty() {
+                entries.push((c, true));
+            }
+        }
+        entries.sort_by(|&(a, a_below), &(b, b_below)| {
+            natural_cmp_suffixed(&nodes[a.0].name, a_below, &nodes[b.0].name, b_below)
+        });
+        stack.extend(entries.iter().rev());
+    }
+    rank
+}
+
+/// A subcircuit template resolved to local indices once per
+/// elaboration, so expanding an instance touches no net or element
+/// names beyond the paths it creates.
+struct Template<'a> {
+    subckt: &'a Subckt,
+    /// Local net names: ports first, then every other net in first-use
+    /// order (the order of [`Subckt::nets`]).
+    nets: Vec<&'a str>,
+    /// Local net of each port, in port order.
+    port_local: Vec<usize>,
+    /// The body's elements with their connectivity, in order.
+    body: Vec<Body<'a>>,
+    /// `sym_pairs` as element indices (validation has rejected unknown
+    /// names).
+    sym_pairs: Vec<(usize, usize)>,
+}
+
+/// One element with its connectivity in local net indices.
+enum Body<'a> {
+    Device { device: &'a Device, pins: Vec<usize>, bulk: Option<usize> },
+    Instance { instance: &'a Instance, template: usize, connections: Vec<usize> },
+}
+
+/// Compile the templates reachable from the top cell, the top first.
+fn compile_templates<'a>(netlist: &'a Netlist, top: &'a Subckt) -> Vec<Template<'a>> {
+    let mut slots = Vec::new();
+    compile_template(netlist, top, &mut slots, &mut HashMap::new());
+    slots.into_iter().map(|t| t.expect("every slot compiled")).collect()
+}
+
+/// Compile `subckt` and every template beneath it not yet in `index`;
+/// returns its slot. Recursion ends because validation rejects cycles.
+fn compile_template<'a>(
     netlist: &'a Netlist,
+    subckt: &'a Subckt,
+    slots: &mut Vec<Option<Template<'a>>>,
+    index: &mut HashMap<&'a str, usize>,
+) -> usize {
+    if let Some(&slot) = index.get(subckt.name.as_str()) {
+        return slot;
+    }
+    let slot = slots.len();
+    slots.push(None);
+    index.insert(&subckt.name, slot);
+
+    let mut local: HashMap<&'a str, usize> = HashMap::new();
+    let mut nets = Vec::new();
+    let mut intern = |name: &'a str| {
+        *local.entry(name).or_insert_with(|| {
+            nets.push(name);
+            nets.len() - 1
+        })
+    };
+    let port_local = subckt.ports.iter().map(|p| intern(p)).collect();
+    let body = subckt
+        .elements
+        .iter()
+        .map(|element| match element {
+            Element::Device(device) => Body::Device {
+                device,
+                pins: device.pins.iter().map(|p| intern(p)).collect(),
+                bulk: device.bulk.as_deref().map(&mut intern),
+            },
+            Element::Instance(instance) => {
+                let connections = instance.connections.iter().map(|c| intern(c)).collect();
+                let child =
+                    netlist.subckt(&instance.subckt).expect("netlist validated before expansion");
+                let template = compile_template(netlist, child, slots, index);
+                Body::Instance { instance, template, connections }
+            }
+        })
+        .collect();
+
+    // A repeated element name resolves to its last element.
+    let element_of: HashMap<&str, usize> =
+        subckt.elements.iter().enumerate().map(|(i, e)| (e.name(), i)).collect();
+    let element = |name: &String| element_of[name.as_str()];
+    let sym_pairs = subckt.sym_pairs.iter().map(|(a, b)| (element(a), element(b))).collect();
+
+    slots[slot] = Some(Template { subckt, nets, port_local, body, sym_pairs });
+    slot
+}
+
+/// State while expanding the instance tree.
+struct Builder {
     devices: Vec<FlatDevice>,
     net_names: Vec<String>,
     nodes: Vec<HierNode>,
@@ -321,7 +454,7 @@ struct Builder<'a> {
     ground_truth: Vec<(HierNodeId, HierNodeId, HierNodeId)>,
 }
 
-impl<'a> Builder<'a> {
+impl Builder {
     fn new_net(&mut self, name: String) -> NetId {
         let id = NetId(self.net_names.len());
         self.net_names.push(name);
@@ -354,32 +487,29 @@ impl<'a> Builder<'a> {
         id
     }
 
-    /// Expand `subckt`'s body under tree node `node` at hierarchical
-    /// `path`, with `port_map` resolving local net names that are ports.
+    /// Expand template `t`'s body under tree node `node` at hierarchical
+    /// `path`. `nets` holds the global net of each local net bound
+    /// through a port; the others get fresh global nets here.
     fn expand(
         &mut self,
-        subckt: &Subckt,
+        templates: &[Template<'_>],
+        t: usize,
         node: HierNodeId,
         path: &str,
-        port_map: HashMap<String, NetId>,
+        mut nets: Vec<Option<NetId>>,
         depth: usize,
-    ) -> Result<(), ElaborateError> {
-        // Resolve every local net: ports via the map, internals fresh.
-        let mut net_of: HashMap<String, NetId> = port_map;
-        for local in subckt.nets() {
-            if let std::collections::hash_map::Entry::Vacant(slot) = net_of.entry(local) {
-                let name = format!("{path}/{}", slot.key());
-                let id = NetId(self.net_names.len());
-                self.net_names.push(name);
-                slot.insert(id);
+    ) {
+        let template = &templates[t];
+        for (slot, local) in nets.iter_mut().zip(&template.nets) {
+            if slot.is_none() {
+                *slot = Some(self.new_net(format!("{path}/{local}")));
             }
         }
+        let net = |local: usize| nets[local].expect("every local net resolved");
 
-        let mut child_of_element: HashMap<&str, HierNodeId> = HashMap::new();
-
-        for element in &subckt.elements {
-            match element {
-                Element::Device(d) => {
+        for body in &template.body {
+            match body {
+                Body::Device { device: d, pins, bulk } => {
                     let dev_path = format!("{path}/{}", d.name);
                     let dev_index = self.devices.len();
                     let child = self.new_node(
@@ -389,75 +519,54 @@ impl<'a> Builder<'a> {
                         Some(node),
                         depth + 1,
                     );
-                    let pins = d.pins.iter().map(|n| net_of[n.as_str()]).collect();
-                    let bulk = d.bulk.as_ref().map(|n| net_of[n.as_str()]);
                     self.devices.push(FlatDevice {
                         path: dev_path,
                         dtype: d.dtype,
                         geometry: d.geometry,
                         value: d.value,
                         multiplier: d.multiplier,
-                        pins,
-                        bulk,
+                        pins: pins.iter().map(|&l| net(l)).collect(),
+                        bulk: bulk.map(net),
                         node: child,
                     });
                     self.nodes[child.0].device_span = (dev_index, dev_index + 1);
-                    child_of_element.insert(d.name.as_str(), child);
                 }
-                Element::Instance(inst) => {
-                    let template = self
-                        .netlist
-                        .subckt(&inst.subckt)
-                        .expect("netlist validated before expansion");
+                Body::Instance { instance: inst, template: child_t, connections } => {
+                    let child_template = &templates[*child_t];
                     let inst_path = format!("{path}/{}", inst.name);
                     let child = self.new_node(
                         inst.name.clone(),
                         inst_path.clone(),
                         HierNodeKind::Block {
-                            subckt: template.name.clone(),
-                            class: template.class.clone(),
+                            subckt: child_template.subckt.name.clone(),
+                            class: child_template.subckt.class.clone(),
                         },
                         Some(node),
                         depth + 1,
                     );
-                    let child_ports: HashMap<String, NetId> = template
-                        .ports
-                        .iter()
-                        .zip(&inst.connections)
-                        .map(|(port, net)| (port.clone(), net_of[net.as_str()]))
-                        .collect();
-                    self.expand(template, child, &inst_path, child_ports, depth + 1)?;
+                    // A repeated port name binds its last connection.
+                    let mut child_nets = vec![None; child_template.nets.len()];
+                    for (&port, &conn) in child_template.port_local.iter().zip(connections) {
+                        child_nets[port] = Some(net(conn));
+                    }
+                    self.expand(templates, *child_t, child, &inst_path, child_nets, depth + 1);
                     let end = self.devices.len();
                     let start = self.nodes[child.0].device_span.0;
                     self.nodes[child.0].device_span = (start, end);
-                    child_of_element.insert(inst.name.as_str(), child);
                 }
             }
         }
 
-        // Expand designer annotations into per-instance ground truth.
-        for (a, b) in &subckt.sym_pairs {
-            let (Some(&na), Some(&nb)) = (
-                child_of_element.get(a.as_str()),
-                child_of_element.get(b.as_str()),
-            ) else {
-                return Err(ElaborateError::UnknownSymmetryElement {
-                    subckt: subckt.name.clone(),
-                    element: if child_of_element.contains_key(a.as_str()) {
-                        b.clone()
-                    } else {
-                        a.clone()
-                    },
-                });
-            };
-            self.ground_truth.push((node, na, nb));
-        }
+        // Expand designer annotations into per-instance ground truth:
+        // element `i` is this node's `i`-th child.
+        let children = &self.nodes[node.0].children;
+        let pairs = template.sym_pairs.iter().map(|&(a, b)| (node, children[a], children[b]));
+        self.ground_truth.extend(pairs);
 
         // Close this node's device span.
         let end = self.devices.len();
         let start = self.nodes[node.0].device_span.0;
         self.nodes[node.0].device_span = (start, end);
-        Ok(())
     }
 }
 
@@ -633,6 +742,113 @@ mod tests {
         let flat = FlatCircuit::elaborate(&fixture()).unwrap();
         let names: Vec<_> = flat.blocks().map(|n| n.name.as_str()).collect();
         assert_eq!(names, vec!["top", "X1", "X2"]);
+    }
+
+    #[test]
+    fn compiled_templates_match_the_name_keyed_oracle() {
+        let nl = fixture();
+        crate::oracle::assert_matches(
+            &FlatCircuit::elaborate(&nl).unwrap(),
+            &crate::oracle::elaborate(&nl).unwrap(),
+        );
+    }
+
+    /// A port name listed twice binds the instance's last connection for
+    /// it, as collecting `(port, net)` pairs into a map did; the top's
+    /// repeated port gets two nets and resolves to the second.
+    #[test]
+    fn repeated_port_names_bind_the_last_connection() {
+        let mut nl = Netlist::new("top");
+        let mut cell = Subckt::new("cell", ["a", "a", "b"]);
+        cell.push_device(
+            Device::new(
+                "R1",
+                DeviceType::Resistor,
+                vec!["a".into(), "b".into()],
+                Geometry::new(1.0, 1.0),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        nl.add_subckt(cell).unwrap();
+        let mut top = Subckt::new("top", ["p", "q", "p"]);
+        top.push_instance(Instance {
+            name: "X1".into(),
+            subckt: "cell".into(),
+            connections: vec!["p".into(), "q".into(), "r".into()],
+        })
+        .unwrap();
+        top.push_device(
+            Device::new(
+                "R2",
+                DeviceType::Resistor,
+                vec!["p".into(), "r".into()],
+                Geometry::new(1.0, 1.0),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        nl.add_subckt(top).unwrap();
+        let flat = FlatCircuit::elaborate(&nl).unwrap();
+        crate::oracle::assert_matches(&flat, &crate::oracle::elaborate(&nl).unwrap());
+        let r1 = &flat.devices()[0];
+        assert_eq!(flat.net_name(r1.pins[0]), "q", "second binding of `a` wins");
+        let r2 = &flat.devices()[1];
+        assert_eq!(r2.pins[0], NetId(2), "the top's second `p` net");
+    }
+
+    #[test]
+    fn unknown_symmetry_element_names_the_same_element() {
+        for (a, b, missing) in [("Mp", "Mz", "Mz"), ("Mz", "Mp", "Mz"), ("Mx", "My", "Mx")] {
+            let mut nl = fixture();
+            nl.subckt_mut("inv").unwrap().annotate_symmetry(a, b);
+            // Validation rejects the annotation before any expansion.
+            let err = FlatCircuit::elaborate(&nl).unwrap_err();
+            assert_eq!(err, crate::oracle::elaborate(&nl).unwrap_err());
+            assert_eq!(
+                err,
+                ElaborateError::UnknownSymmetryElement {
+                    subckt: "inv".into(),
+                    element: missing.into()
+                }
+            );
+        }
+    }
+
+    /// Ranks sort like full paths, including a sibling (`X-1`) that
+    /// falls between a block (`X`) and the paths beneath it.
+    #[test]
+    fn path_ranks_follow_natural_path_order() {
+        let mut nl = fixture();
+        let top = nl.subckt_mut("top").unwrap();
+        for name in ["X-1", "X1.5", "X10", "X02"] {
+            top.push_instance(Instance {
+                name: name.into(),
+                subckt: "inv".into(),
+                connections: vec!["a".into(), "y".into(), "vdd".into(), "vss".into()],
+            })
+            .unwrap();
+        }
+        top.push_device(
+            Device::new(
+                "X",
+                DeviceType::Capacitor,
+                vec!["y".into(), "vss".into()],
+                Geometry::new(5.0, 5.0),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let flat = FlatCircuit::elaborate(&nl).unwrap();
+        let mut by_path: Vec<&HierNode> = flat.nodes().iter().collect();
+        by_path.sort_by(|a, b| crate::order::natural_cmp(&a.path, &b.path));
+        let by_rank: Vec<usize> = by_path.iter().map(|n| flat.path_rank(n.id)).collect();
+        assert_eq!(by_rank, (0..flat.nodes().len()).collect::<Vec<_>>());
+        let x1 = flat.node_by_path("top/X1").unwrap().id;
+        let x1_5 = flat.node_by_path("top/X1.5").unwrap().id;
+        let x1_mp = flat.node_by_path("top/X1/Mp").unwrap().id;
+        assert!(flat.path_rank(x1) < flat.path_rank(x1_5));
+        assert!(flat.path_rank(x1_5) < flat.path_rank(x1_mp), "`.` sorts before `/`");
     }
 
     #[test]

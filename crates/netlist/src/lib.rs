@@ -45,6 +45,8 @@ pub mod device;
 pub mod error;
 pub mod flat;
 pub mod netlist;
+#[cfg(test)]
+mod oracle;
 pub mod order;
 pub mod parse;
 pub mod subckt;

@@ -11,10 +11,11 @@ use std::cmp::Ordering;
 
 /// Compare two strings with digit runs ordered numerically.
 ///
-/// Digit runs are compared as unsigned magnitudes (longer run of equal
-/// leading value wins only via its digits, so `07` and `7` compare by
-/// value first, then by length for total-order stability). Non-digit
-/// bytes compare as usual.
+/// Digit runs compare by value — significant length (leading zeros
+/// stripped), then digits — and runs of equal value by length, so `07`
+/// follows `7` and the order stays total at any run length: two strings
+/// compare equal only when they are equal. Non-digit bytes compare as
+/// usual.
 ///
 /// # Example
 ///
@@ -27,20 +28,60 @@ use std::cmp::Ordering;
 /// assert_eq!(natural_cmp("a", "b"), Ordering::Less);
 /// ```
 pub fn natural_cmp(a: &str, b: &str) -> Ordering {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
+    cmp_keys(
+        Key {
+            text: a.as_bytes(),
+            slash: false,
+        },
+        Key {
+            text: b.as_bytes(),
+            slash: false,
+        },
+    )
+}
+
+/// [`natural_cmp`] of `a` and `b`, each followed by one `/` where its
+/// flag is set, without building either string. A sibling name with the
+/// slash stands for the paths beneath that sibling.
+pub(crate) fn natural_cmp_suffixed(a: &str, a_slash: bool, b: &str, b_slash: bool) -> Ordering {
+    cmp_keys(
+        Key {
+            text: a.as_bytes(),
+            slash: a_slash,
+        },
+        Key {
+            text: b.as_bytes(),
+            slash: b_slash,
+        },
+    )
+}
+
+/// A string, optionally followed by one `/`. The slash is no digit, so
+/// every digit run lies inside `text`.
+#[derive(Clone, Copy)]
+struct Key<'a> {
+    text: &'a [u8],
+    slash: bool,
+}
+
+impl Key<'_> {
+    fn len(self) -> usize {
+        self.text.len() + usize::from(self.slash)
+    }
+
+    fn at(self, i: usize) -> u8 {
+        self.text.get(i).copied().unwrap_or(b'/')
+    }
+}
+
+fn cmp_keys(a: Key<'_>, b: Key<'_>) -> Ordering {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        let (ca, cb) = (a[i], b[j]);
+        let (ca, cb) = (a.at(i), b.at(j));
         if ca.is_ascii_digit() && cb.is_ascii_digit() {
-            let (ia, va) = digit_run(a, i);
-            let (jb, vb) = digit_run(b, j);
-            match va.cmp(&vb) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-            // Equal values, possibly different spellings (`07` vs `7`):
-            // fall back to run length so the order stays total.
-            match (ia - i).cmp(&(jb - j)) {
+            let ia = digit_run_end(a.text, i);
+            let jb = digit_run_end(b.text, j);
+            match cmp_digit_runs(&a.text[i..ia], &b.text[j..jb]) {
                 Ordering::Equal => {}
                 other => return other,
             }
@@ -58,18 +99,22 @@ pub fn natural_cmp(a: &str, b: &str) -> Ordering {
     (a.len() - i).cmp(&(b.len() - j))
 }
 
-/// Scan the digit run starting at `start`; returns (end index, value).
-/// Values saturate at `u64::MAX` — beyond any generated index.
-fn digit_run(s: &[u8], start: usize) -> (usize, u64) {
-    let mut end = start;
-    let mut value: u64 = 0;
-    while end < s.len() && s[end].is_ascii_digit() {
-        value = value
-            .saturating_mul(10)
-            .saturating_add(u64::from(s[end] - b'0'));
-        end += 1;
-    }
-    (end, value)
+/// End of the digit run starting at `start`.
+fn digit_run_end(s: &[u8], start: usize) -> usize {
+    start + s[start..].iter().take_while(|c| c.is_ascii_digit()).count()
+}
+
+/// Two digit runs by value (significant length, then digits), then by
+/// length: `07` and `7` are equal in value and differ in spelling.
+fn cmp_digit_runs(a: &[u8], b: &[u8]) -> Ordering {
+    let significant = |run: &[u8]| {
+        let zeros = run.iter().take_while(|&&c| c == b'0').count();
+        run.len() - zeros
+    };
+    let (sa, sb) = (significant(a), significant(b));
+    sa.cmp(&sb)
+        .then_with(|| a[a.len() - sa..].cmp(&b[b.len() - sb..]))
+        .then_with(|| a.len().cmp(&b.len()))
 }
 
 #[cfg(test)]
@@ -100,6 +145,49 @@ mod tests {
         assert_eq!(natural_cmp("a07", "a7"), Ordering::Greater);
         assert_eq!(natural_cmp("a7", "a07"), Ordering::Less);
         assert_eq!(natural_cmp("a07b", "a7c"), Ordering::Greater);
+    }
+
+    /// Runs past `u64::MAX` still compare by value: a saturating parse
+    /// read these two as equal.
+    #[test]
+    fn long_digit_runs_never_tie() {
+        assert_eq!(
+            natural_cmp("X99999999999999999999", "X99999999999999999998"),
+            Ordering::Greater
+        );
+        assert_eq!(
+            natural_cmp("X100000000000000000000", "X99999999999999999999"),
+            Ordering::Greater
+        );
+        assert_eq!(
+            natural_cmp("X0099999999999999999999", "X99999999999999999999"),
+            Ordering::Greater
+        );
+        assert_eq!(
+            natural_cmp("X99999999999999999999", "X99999999999999999999"),
+            Ordering::Equal
+        );
+    }
+
+    #[test]
+    fn suffixed_compare_appends_one_slash() {
+        let pairs = [
+            ("X", "X-1"),
+            ("M1", "M1.2"),
+            ("a7", "a07"),
+            ("Cu2", "Cu10"),
+            ("X1", "X1a"),
+        ];
+        let with = |s: &str, slash: bool| if slash { format!("{s}/") } else { s.to_owned() };
+        for (a, b) in pairs {
+            for (sa, sb) in [(false, false), (false, true), (true, false), (true, true)] {
+                assert_eq!(
+                    natural_cmp_suffixed(a, sa, b, sb),
+                    natural_cmp(&with(a, sa), &with(b, sb)),
+                    "{a:?}/{sa} vs {b:?}/{sb}"
+                );
+            }
+        }
     }
 
     #[test]

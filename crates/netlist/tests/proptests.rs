@@ -4,12 +4,22 @@
 //! must produce located errors, never panics.
 
 use ancstr_netlist::error::ParseNetlistError;
-use ancstr_netlist::flat::FlatCircuit;
+use ancstr_netlist::flat::{FlatCircuit, FlatDevice, HierNode, HierNodeId, HierNodeKind, NetId};
+use ancstr_netlist::order::natural_cmp;
 use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::units::{format_si_value, parse_si_value};
 use ancstr_netlist::write::write_spice;
-use ancstr_netlist::{Device, DeviceType, Geometry, Instance, Netlist, Subckt};
+use ancstr_netlist::{
+    ConstraintSet, Device, DeviceType, ElaborateError, Element, Geometry, Instance, Netlist,
+    Subckt, SymmetryConstraint,
+};
 use proptest::prelude::*;
+
+#[path = "common/arb_tree.rs"]
+mod arb_tree;
+/// The crate's test-only elaboration oracle, shared with its unit tests.
+#[path = "../src/oracle.rs"]
+mod oracle;
 
 proptest! {
     /// format → parse is the identity up to relative rounding error.
@@ -202,6 +212,33 @@ proptest! {
             if let Some(i) = n.device_index() {
                 prop_assert_eq!(flat.devices()[i].node, n.id);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Compiled templates elaborate to exactly what the name-keyed
+    /// expansion builds: nets, nodes, devices and ground truth.
+    #[test]
+    fn compiled_elaboration_matches_the_oracle(nl in arb_tree::arb_hierarchy()) {
+        match (FlatCircuit::elaborate(&nl), oracle::elaborate(&nl)) {
+            (Ok(flat), Ok(reference)) => oracle::assert_matches(&flat, &reference),
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "{:?} vs {:?}", a.err(), b.err()),
+        }
+    }
+
+    /// One tree walk ranks every node exactly as sorting the full paths
+    /// with `natural_cmp` does.
+    #[test]
+    fn path_rank_is_natural_path_order(nl in arb_tree::arb_hierarchy()) {
+        let flat = FlatCircuit::elaborate(&nl).expect("valid by construction");
+        let mut by_path: Vec<&HierNode> = flat.nodes().iter().collect();
+        by_path.sort_by(|a, b| natural_cmp(&a.path, &b.path));
+        for (i, n) in by_path.iter().enumerate() {
+            prop_assert_eq!(flat.path_rank(n.id), i, "{}", n.path);
         }
     }
 }

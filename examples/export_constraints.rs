@@ -8,7 +8,7 @@
 //! ```
 
 use ancstr_core::detect::detect_self_symmetric;
-use ancstr_core::groups::merge_groups;
+use ancstr_core::groups::merged_groups_sorted;
 use ancstr_core::{read_constraints, write_constraints, ExtractorConfig, SymmetryExtractor};
 use ancstr_netlist::flat::FlatCircuit;
 use ancstr_netlist::parse::parse_spice;
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Pairwise constraints merge into groups (the four caps form one
     //    matched array group, not six separate pairs).
-    let groups = merge_groups(&result.detection.constraints);
+    let groups = merged_groups_sorted(&flat, &result.detection.constraints);
     println!("{} pairwise constraints -> {} groups", result.detection.constraints.len(), groups.len());
     for g in &groups {
         let names: Vec<&str> = g.members.iter().map(|&m| flat.node(m).name.as_str()).collect();
