@@ -21,8 +21,7 @@
 //! ancstr serve   --model model.txt [--port N] [--workers N]
 //!                [--queue-depth N] [--cache-entries N]
 //!                [--default-deadline-ms N] [--chaos] [--metrics FILE]
-//!                [--peers host:port,..] [--batch-max N] [--model-slots N]
-//!                [--threads N] [--trace-out FILE]
+//!                [--batch-max N] [--threads N] [--trace-out FILE]
 //!                [--log-format text|json] [-v|--quiet]
 //! ```
 //!
@@ -48,11 +47,11 @@
 //! returns the constraint set as JSON (byte-identical `constraints_text`
 //! to one-shot `extract --model`), `GET /healthz` and `GET /metrics`
 //! report liveness and Prometheus metrics, `POST /v1/models` hot-swaps
-//! the model from a sealed artifact, and `POST /v1/shutdown` drains and
-//! exits. On startup the daemon prints `listening on <addr>` to stdout
-//! (use `--port 0` for an ephemeral port and parse that line). The
-//! companion `loadgen` binary drives a running daemon for smoke tests
-//! and throughput baselines.
+//! the one resident model from a sealed artifact, and
+//! `POST /v1/shutdown` drains and exits. On startup the daemon prints
+//! `listening on <addr>` to stdout (use `--port 0` for an ephemeral
+//! port and parse that line). The companion `loadgen` binary drives a
+//! running daemon for smoke tests and the chaos soak.
 //!
 //! With `--run-dir`, every pipeline stage writes CRC-sealed artifacts
 //! into a durable run directory and records its status in an atomic
@@ -88,10 +87,11 @@
 //! exposition line-by-line (used by CI), checks those counts, names
 //! the stage that set a trace's peak RSS, and logs how much of the
 //! trace's wall its top-level spans cover. `obs-report`
-//! merges one or more JSONL trace files by trace id and renders
-//! per-trace waterfalls plus aggregate per-stage latency quantiles —
-//! feed it the `--trace-out` files from several serve replicas to see
-//! a forwarded request as a single cross-replica timeline.
+//! groups the spans of one or more JSONL trace files by trace id and
+//! renders per-trace waterfalls plus aggregate per-stage latency
+//! quantiles — feed it the daemon's `--trace-out` file and a trace id
+//! from a reply's `x-ancstr-trace-id` header names one request's
+//! timeline.
 //!
 //! Exit codes are stable so scripts can dispatch on the failure stage:
 //! 0 success, 1 failed `obs-check` validation, 2 usage, 3 file I/O,
@@ -123,7 +123,7 @@ use ancstr_obs::{
 };
 
 fn usage() -> &'static str {
-    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--peers HOST:PORT,..] [--batch-max N] [--model-slots N] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]"
+    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--batch-max N] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]"
 }
 
 /// Everything that can go wrong, sorted by exit code: failed
@@ -282,9 +282,7 @@ struct Args {
     cache_entries: Option<usize>,
     default_deadline_ms: Option<u64>,
     chaos: bool,
-    peers: Option<String>,
     batch_max: Option<usize>,
-    model_slots: Option<usize>,
     // compute-layer thread cap (None = available parallelism)
     threads: Option<usize>,
 }
@@ -320,9 +318,7 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         cache_entries: None,
         default_deadline_ms: None,
         chaos: false,
-        peers: None,
         batch_max: None,
-        model_slots: None,
         threads: None,
     };
     let mut it = raw.iter();
@@ -438,7 +434,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                 args.default_deadline_ms = Some(n);
             }
             "--chaos" => args.chaos = true,
-            "--peers" => args.peers = Some(take("--peers")?),
             "--batch-max" => {
                 let n: usize = take("--batch-max")?
                     .parse()
@@ -447,15 +442,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     return Err("--batch-max must be at least 1".to_owned());
                 }
                 args.batch_max = Some(n);
-            }
-            "--model-slots" => {
-                let n: usize = take("--model-slots")?
-                    .parse()
-                    .map_err(|_| "bad --model-slots (want a positive integer)")?;
-                if n == 0 {
-                    return Err("--model-slots must be at least 1".to_owned());
-                }
-                args.model_slots = Some(n);
             }
             "--threads" => {
                 let n: usize = take("--threads")?
@@ -956,11 +942,8 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Merge one or more JSONL trace files — typically one per serve
-/// replica — into per-trace waterfalls plus aggregate per-stage
-/// latency quantiles. Spans sharing a trace id are stitched across
-/// files (a forwarded request shows up as one waterfall spanning both
-/// replicas); clock skew between files is warned about, not fatal.
+/// Group the spans of one or more JSONL trace files by trace id into
+/// per-trace waterfalls plus aggregate per-stage latency quantiles.
 /// Exit code 1 when a file fails trace validation, 3 when one cannot
 /// be read.
 fn cmd_obs_report(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
@@ -979,15 +962,7 @@ fn cmd_obs_report(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     }
     let report = analyze(&inputs).map_err(CliError::Validation)?;
     print!("{}", report.rendered);
-    for w in &report.warnings {
-        ctx.log.warn(w.clone());
-    }
-    ctx.log.info(format!(
-        "{} trace(s) across {} file(s), {} stitched from multiple replicas",
-        report.traces,
-        inputs.len(),
-        report.merged,
-    ));
+    ctx.log.info(format!("{} trace(s) across {} file(s)", report.traces, inputs.len()));
     Ok(())
 }
 
@@ -1015,11 +990,8 @@ fn cmd_serve(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
 
     let text = fs::read_to_string(model_path)
         .map_err(|e| CliError::Io { path: model_path.clone(), detail: e.to_string() })?;
-    let registry = match args.model_slots {
-        Some(n) => ancstr_serve::ModelRegistry::load_with_slots(&text, model_path, n),
-        None => ancstr_serve::ModelRegistry::load(&text, model_path),
-    }
-    .map_err(|err| CliError::Pipeline { path: model_path.clone(), err })?;
+    let registry = ancstr_serve::ModelRegistry::load(&text, model_path)
+        .map_err(|err| CliError::Pipeline { path: model_path.clone(), err })?;
     let fingerprint = registry.current().fingerprint_hex();
 
     let mut cfg = ancstr_serve::ServeConfig {
@@ -1037,16 +1009,6 @@ fn cmd_serve(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     }
     if let Some(ms) = args.default_deadline_ms {
         cfg.default_deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(p) = &args.peers {
-        cfg.peers =
-            p.split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty()).collect();
-        if !cfg.peers.is_empty() {
-            ctx.log.info(format!(
-                "fleet mode: {} peer(s), cache keys partitioned by rendezvous hash",
-                cfg.peers.len()
-            ));
-        }
     }
     if let Some(n) = args.batch_max {
         cfg.batch_max = n;

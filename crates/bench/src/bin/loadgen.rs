@@ -12,7 +12,7 @@
 //! Requests shed by the daemon (`503`/`429`) are retried on a seeded
 //! jittered exponential backoff that honors the server's `Retry-After`
 //! hint (`--retry-seed` pins the schedule, so runs are reproducible).
-//! Two invariants are checked on every run and fail the process
+//! Three invariants are checked on every run and fail the process
 //! (exit 1) when violated:
 //!
 //! 1. every request must succeed with `200`,
@@ -33,7 +33,7 @@
 //! `--chaos SEED` switches to the fault-injection soak: every serve
 //! fault operator from `ancstr_core::inject` (truncated bodies, torn
 //! writes, stalled reads, injected worker panics, corrupt model
-//! uploads) is compiled into a deterministic wire plan from the seed —
+//! uploads, poisoned batch-mates) is compiled into a deterministic wire plan from the seed —
 //! no wall-clock randomness — and replayed `--requests` rounds against
 //! the daemon (start it with `--chaos` so panic headers are honored).
 //! After every fault the harness asserts the resilience invariants: the
@@ -42,21 +42,6 @@
 //! never yields a `200` with wrong bytes, and the request counters in
 //! `/metrics` only ever move forward. Exit codes: 0 success, 1 failed
 //! invariant, 2 usage, 3 connection/file errors.
-//!
-//! `--ramp` switches to the stepped-RPS saturation probe: each step
-//! raises the offered rate (`--ramp-start-rps` + step ×
-//! `--ramp-step-rps`, `--ramp-steps` steps of `--ramp-step-secs` each)
-//! and drives a deterministic request mix — hot cache hits, cold
-//! variants (the netlist plus a unique comment line, so every cold body
-//! recomputes but yields the same constraint bytes), explicit
-//! `x-ancstr-model` routed requests, and malformed bodies that must be
-//! rejected with `400`. Shed replies are **not** retried: per-step
-//! per-status-code counts are the signal. The report — one row per
-//! step plus the saturation knee (the highest step that achieved ≥80%
-//! of its offered rate with <10% shed) — is written as JSON to `--out`
-//! (default `BENCH_PR7.json`). The run fails (exit 1) on any transport
-//! error, any `5xx`, a malformed body answered with anything but
-//! `400`, or two `200`s with different constraint bytes.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -69,7 +54,7 @@ use ancstr_obs::{is_trace_id, mint_trace_id};
 use ancstr_serve::client::{self, RetryPolicy};
 
 fn usage() -> &'static str {
-    "usage:\n  loadgen --addr HOST:PORT --netlist FILE [--requests N] [--concurrency N] [--expect-cached] [--retry-seed S] [--chaos SEED]\n  loadgen --addr HOST:PORT --netlist FILE --ramp [--ramp-steps N] [--ramp-start-rps N] [--ramp-step-rps N] [--ramp-step-secs N] [--concurrency N] [--out FILE]"
+    "usage:\n  loadgen --addr HOST:PORT --netlist FILE [--requests N] [--concurrency N] [--expect-cached] [--retry-seed S] [--chaos SEED]"
 }
 
 struct Options {
@@ -80,12 +65,6 @@ struct Options {
     expect_cached: bool,
     retry_seed: u64,
     chaos: Option<u64>,
-    ramp: bool,
-    ramp_steps: usize,
-    ramp_start_rps: u64,
-    ramp_step_rps: u64,
-    ramp_step_secs: u64,
-    out: String,
 }
 
 fn parse(raw: &[String]) -> Result<Options, String> {
@@ -96,12 +75,6 @@ fn parse(raw: &[String]) -> Result<Options, String> {
     let mut expect_cached = false;
     let mut retry_seed = 1u64;
     let mut chaos = None;
-    let mut ramp = false;
-    let mut ramp_steps = 4usize;
-    let mut ramp_start_rps = 4u64;
-    let mut ramp_step_rps = 4u64;
-    let mut ramp_step_secs = 2u64;
-    let mut out = "BENCH_PR7.json".to_owned();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
         let mut take = |name: &str| -> Result<String, String> {
@@ -132,37 +105,8 @@ fn parse(raw: &[String]) -> Result<Options, String> {
             "--chaos" => {
                 chaos = Some(take("--chaos")?.parse().map_err(|_| "bad --chaos (want a seed)")?);
             }
-            "--ramp" => ramp = true,
-            "--ramp-steps" => {
-                ramp_steps = take("--ramp-steps")?.parse().map_err(|_| "bad --ramp-steps")?;
-                if ramp_steps == 0 {
-                    return Err("--ramp-steps must be at least 1".to_owned());
-                }
-            }
-            "--ramp-start-rps" => {
-                ramp_start_rps =
-                    take("--ramp-start-rps")?.parse().map_err(|_| "bad --ramp-start-rps")?;
-                if ramp_start_rps == 0 {
-                    return Err("--ramp-start-rps must be at least 1".to_owned());
-                }
-            }
-            "--ramp-step-rps" => {
-                ramp_step_rps =
-                    take("--ramp-step-rps")?.parse().map_err(|_| "bad --ramp-step-rps")?;
-            }
-            "--ramp-step-secs" => {
-                ramp_step_secs =
-                    take("--ramp-step-secs")?.parse().map_err(|_| "bad --ramp-step-secs")?;
-                if ramp_step_secs == 0 {
-                    return Err("--ramp-step-secs must be at least 1".to_owned());
-                }
-            }
-            "--out" => out = take("--out")?,
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if ramp && chaos.is_some() {
-        return Err("--ramp and --chaos are mutually exclusive".to_owned());
     }
     Ok(Options {
         addr: addr.ok_or("--addr is required")?,
@@ -172,12 +116,6 @@ fn parse(raw: &[String]) -> Result<Options, String> {
         expect_cached,
         retry_seed,
         chaos,
-        ramp,
-        ramp_steps,
-        ramp_start_rps,
-        ramp_step_rps,
-        ramp_step_secs,
-        out,
     })
 }
 
@@ -480,255 +418,6 @@ fn run_chaos(opts: &Options, seed: u64) -> Result<bool, String> {
     Ok(healthy)
 }
 
-/// The deterministic request mix for the ramp probe, keyed by global
-/// request index: half hot cache hits, a quarter cold recomputes, an
-/// eighth explicitly model-routed, an eighth malformed.
-#[derive(Clone, Copy, PartialEq)]
-enum Mix {
-    /// The netlist verbatim — after the first compute, a cache hit.
-    Hot,
-    /// The netlist plus a unique comment line: new cache key, same
-    /// circuit, so a cold compute that must reproduce the hot bytes.
-    Cold,
-    /// The hot body routed explicitly via `x-ancstr-model`.
-    MultiModel,
-    /// A body that is not a netlist; the daemon must answer `400`.
-    Malformed,
-}
-
-fn mix_of(index: usize) -> Mix {
-    match index % 8 {
-        0..=3 => Mix::Hot,
-        4 | 5 => Mix::Cold,
-        6 => Mix::MultiModel,
-        _ => Mix::Malformed,
-    }
-}
-
-/// One ramp step's ledger.
-struct StepReport {
-    target_rps: u64,
-    achieved_rps: f64,
-    requests: usize,
-    statuses: std::collections::BTreeMap<u16, usize>,
-    cache_hits: usize,
-    p50_ms: f64,
-    p95_ms: f64,
-}
-
-/// The stepped-RPS saturation probe: offered load climbs step by step,
-/// nothing is retried, and the per-status-code ledger is the output.
-fn run_ramp(opts: &Options) -> Result<bool, String> {
-    const T: Duration = Duration::from_secs(30);
-    let netlist = std::fs::read(&opts.netlist)
-        .map_err(|e| format!("cannot read `{}`: {e}", opts.netlist))?;
-
-    // The routing fingerprint for the multi-model mix comes from the
-    // daemon itself, so the probe needs no model file.
-    let health = client::get(opts.addr, "/healthz", T)
-        .map_err(|e| format!("/healthz probe failed: {e}"))?;
-    let fingerprint = raw_field(&health.text(), "fingerprint")
-        .ok_or("/healthz reply carries no model fingerprint")?;
-
-    // Warm the hot key once so "hot" means "cache hit" from step 0, and
-    // pin the baseline constraint bytes every 200 must reproduce.
-    let baseline = client::post(opts.addr, "/v1/extract", &netlist, T)
-        .map_err(|e| format!("warmup request failed: {e}"))?;
-    if baseline.status != 200 {
-        return Err(format!("warmup request returned {}", baseline.status));
-    }
-    let baseline_constraints = raw_field(&baseline.text(), "constraints_text")
-        .ok_or("warmup reply has no constraints_text")?;
-
-    let mut healthy = true;
-    let mut fail = |msg: String| {
-        eprintln!("error: {msg}");
-        healthy = false;
-    };
-
-    let mut steps: Vec<StepReport> = Vec::new();
-    let mut cold_serial = 0usize;
-    for step in 0..opts.ramp_steps {
-        let target_rps = opts.ramp_start_rps + opts.ramp_step_rps * step as u64;
-        let total = (target_rps * opts.ramp_step_secs) as usize;
-        let samples: Arc<Mutex<Vec<Sample>>> = Arc::new(Mutex::new(Vec::new()));
-        let next = Arc::new(AtomicUsize::new(0));
-        let cold_base = cold_serial;
-        cold_serial += total;
-        let step_start = Instant::now();
-
-        std::thread::scope(|scope| {
-            for _ in 0..opts.concurrency {
-                let netlist = &netlist;
-                let fingerprint = &fingerprint;
-                let samples = Arc::clone(&samples);
-                let next = Arc::clone(&next);
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::SeqCst);
-                    if index >= total {
-                        break;
-                    }
-                    // Open-loop pacing: each request has an ideal send
-                    // time on the step's clock; sleep until it, then
-                    // fire regardless of how the last one fared.
-                    let due = Duration::from_secs_f64(index as f64 / target_rps as f64);
-                    if let Some(wait) = due.checked_sub(step_start.elapsed()) {
-                        std::thread::sleep(wait);
-                    }
-                    let mix = mix_of(index);
-                    let body: Vec<u8> = match mix {
-                        Mix::Hot | Mix::MultiModel => netlist.clone(),
-                        Mix::Cold => {
-                            let mut b = netlist.clone();
-                            b.extend_from_slice(
-                                format!("\n* cold variant {}\n", cold_base + index).as_bytes(),
-                            );
-                            b
-                        }
-                        Mix::Malformed => format!("definitely not spice {index}").into_bytes(),
-                    };
-                    let headers: &[(&str, &str)] = match mix {
-                        Mix::MultiModel => &[("x-ancstr-model", fingerprint.as_str())],
-                        _ => &[],
-                    };
-                    let t0 = Instant::now();
-                    let sample = match client::post_with(
-                        opts.addr,
-                        "/v1/extract",
-                        headers,
-                        &body,
-                        T,
-                    ) {
-                        Ok(reply) => {
-                            let text = reply.text();
-                            Sample {
-                                status: reply.status,
-                                cached: text.contains("\"cached\":true"),
-                                latency: t0.elapsed(),
-                                constraints: if mix == Mix::Malformed {
-                                    None
-                                } else {
-                                    raw_field(&text, "constraints_text")
-                                },
-                                // The ramp probe measures saturation,
-                                // not tracing; it sends no trace ids.
-                                trace: String::new(),
-                                echo: None,
-                            }
-                        }
-                        Err(_) => Sample {
-                            status: 0,
-                            cached: false,
-                            latency: t0.elapsed(),
-                            constraints: None,
-                            trace: String::new(),
-                            echo: None,
-                        },
-                    };
-                    samples.lock().unwrap().push(sample);
-                });
-            }
-        });
-
-        let elapsed = step_start.elapsed();
-        let samples = samples.lock().unwrap();
-        let mut statuses = std::collections::BTreeMap::new();
-        for s in samples.iter() {
-            *statuses.entry(s.status).or_insert(0usize) += 1;
-        }
-        for (index, s) in samples.iter().enumerate() {
-            if s.status == 0 {
-                fail(format!("step {step}: a request failed at the transport layer"));
-            }
-            if s.status >= 500 && s.status != 503 {
-                fail(format!("step {step} request {index}: unexpected {}", s.status));
-            }
-            if let Some(c) = &s.constraints {
-                if s.status == 200 && c != &baseline_constraints {
-                    fail(format!("step {step}: 200 reply with wrong constraint bytes"));
-                }
-            }
-        }
-        // Malformed bodies must be *rejected*, not shed or crashed on:
-        // at the lowest offered rate every one of them gets its 400.
-        if step == 0 {
-            let malformed = (0..total).filter(|&i| mix_of(i) == Mix::Malformed).count();
-            if statuses.get(&400).copied().unwrap_or(0) < malformed {
-                fail(format!(
-                    "step 0: {malformed} malformed request(s) sent but only {} answered 400",
-                    statuses.get(&400).copied().unwrap_or(0)
-                ));
-            }
-        }
-        let mut latencies: Vec<Duration> = samples.iter().map(|s| s.latency).collect();
-        latencies.sort();
-        let pct = |p: f64| -> f64 {
-            let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-            latencies[idx].as_secs_f64() * 1e3
-        };
-        let report = StepReport {
-            target_rps,
-            achieved_rps: samples.len() as f64 / elapsed.as_secs_f64(),
-            requests: samples.len(),
-            statuses,
-            cache_hits: samples.iter().filter(|s| s.cached).count(),
-            p50_ms: pct(0.50),
-            p95_ms: pct(0.95),
-        };
-        println!(
-            "step {step}: offered {target_rps} rps, achieved {:.1} rps, statuses {:?}",
-            report.achieved_rps,
-            report.statuses.iter().map(|(k, v)| format!("{k}:{v}")).collect::<Vec<_>>(),
-        );
-        steps.push(report);
-    }
-
-    // The saturation knee: the highest offered rate the daemon kept up
-    // with — ≥80% of the offered rate achieved and <10% shed (503).
-    let knee = steps
-        .iter()
-        .filter(|s| {
-            let shed = s.statuses.get(&503).copied().unwrap_or(0);
-            s.achieved_rps >= 0.8 * s.target_rps as f64
-                && (shed as f64) < 0.1 * s.requests as f64
-        })
-        .map(|s| s.target_rps)
-        .max();
-
-    let step_rows: Vec<String> = steps
-        .iter()
-        .map(|s| {
-            let statuses: Vec<String> =
-                s.statuses.iter().map(|(code, n)| format!("\"{code}\":{n}")).collect();
-            format!(
-                "{{\"target_rps\":{},\"achieved_rps\":{:.2},\"requests\":{},\"statuses\":{{{}}},\"cache_hits\":{},\"p50_ms\":{:.2},\"p95_ms\":{:.2}}}",
-                s.target_rps,
-                s.achieved_rps,
-                s.requests,
-                statuses.join(","),
-                s.cache_hits,
-                s.p50_ms,
-                s.p95_ms,
-            )
-        })
-        .collect();
-    let report = format!(
-        "{{\n  \"mode\": \"ramp\",\n  \"netlist\": {:?},\n  \"model\": {:?},\n  \"steps\": [\n    {}\n  ],\n  \"knee_rps\": {},\n  \"healthy\": {}\n}}\n",
-        opts.netlist,
-        fingerprint,
-        step_rows.join(",\n    "),
-        knee.map_or("null".to_owned(), |k| k.to_string()),
-        healthy,
-    );
-    std::fs::write(&opts.out, &report)
-        .map_err(|e| format!("cannot write `{}`: {e}", opts.out))?;
-    match knee {
-        Some(k) => println!("saturation knee at {k} rps; report written to {}", opts.out),
-        None => println!("no step met the knee criteria; report written to {}", opts.out),
-    }
-    Ok(healthy)
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse(&raw) {
@@ -738,13 +427,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let outcome = if opts.ramp {
-        run_ramp(&opts)
-    } else {
-        match opts.chaos {
-            Some(seed) => run_chaos(&opts, seed),
-            None => run(&opts),
-        }
+    let outcome = match opts.chaos {
+        Some(seed) => run_chaos(&opts, seed),
+        None => run(&opts),
     };
     match outcome {
         Ok(true) => ExitCode::SUCCESS,

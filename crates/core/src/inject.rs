@@ -430,20 +430,6 @@ pub enum ServeFault {
     /// CRC-32 seal (or the canary inference) must reject it and the old
     /// model must keep serving.
     CorruptModelUpload,
-    /// A well-formed request carrying `x-ancstr-chaos: peer-down`: a
-    /// chaos-enabled replica treats the owning peer for this key as
-    /// dead. The server must fail over to local compute and answer
-    /// `200` — failover is a cache miss, never a client-visible error.
-    PeerDown,
-    /// A well-formed request carrying `x-ancstr-chaos: slow-peer-ms:N`:
-    /// the forwarding hop stalls for (a bounded) `N` ms before being
-    /// declared dead. Same contract as [`ServeFault::PeerDown`]: the
-    /// per-hop deadline reclaims the worker and the reply is a local
-    /// `200`.
-    SlowPeer {
-        /// How long the simulated hop hangs before failing over.
-        hold_ms: u64,
-    },
     /// A well-formed request carrying `x-ancstr-chaos: poison`: the
     /// fused batch pass it rides in panics. Bisection must isolate it —
     /// this request alone answers `500` with stage `batch_poison`, and
@@ -452,14 +438,12 @@ pub enum ServeFault {
 }
 
 /// All serve-layer fault classes, for exhaustive sweeps.
-pub const ALL_SERVE_FAULTS: [ServeFault; 8] = [
+pub const ALL_SERVE_FAULTS: [ServeFault; 6] = [
     ServeFault::TruncateBody { keep_frac: 0.5 },
     ServeFault::TornWrite { fragments: 7 },
     ServeFault::StalledRead { hold_ms: 800 },
     ServeFault::WorkerPanic,
     ServeFault::CorruptModelUpload,
-    ServeFault::PeerDown,
-    ServeFault::SlowPeer { hold_ms: 200 },
     ServeFault::PoisonBatchMate,
 ];
 
@@ -579,24 +563,6 @@ pub fn plan_serve_fault(
                 expect_reply: true,
             }
         }
-        ServeFault::PeerDown => WirePlan {
-            steps: vec![WireStep::Send(raw_request(
-                method,
-                path,
-                &[("x-ancstr-chaos", "peer-down")],
-                body,
-            ))],
-            expect_reply: true,
-        },
-        ServeFault::SlowPeer { hold_ms } => WirePlan {
-            steps: vec![WireStep::Send(raw_request(
-                method,
-                path,
-                &[("x-ancstr-chaos", &format!("slow-peer-ms:{hold_ms}"))],
-                body,
-            ))],
-            expect_reply: true,
-        },
         ServeFault::PoisonBatchMate => WirePlan {
             steps: vec![WireStep::Send(raw_request(
                 method,

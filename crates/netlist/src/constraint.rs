@@ -6,6 +6,7 @@
 //! blocks or of passive devices sitting next to other subcircuits, and
 //! *device-level* otherwise.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -118,8 +119,10 @@ impl SymmetryConstraint {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConstraintSet {
-    by_pair: HashMap<PairKey, SymmetryConstraint>,
-    order: Vec<PairKey>,
+    /// The constraints in insertion order.
+    items: Vec<SymmetryConstraint>,
+    /// Pair → its position in `items`.
+    index: HashMap<PairKey, usize>,
 }
 
 impl ConstraintSet {
@@ -131,22 +134,24 @@ impl ConstraintSet {
     /// Insert a constraint; returns `false` if the pair was already
     /// present (the earlier entry wins).
     pub fn insert(&mut self, c: SymmetryConstraint) -> bool {
-        if self.by_pair.contains_key(&c.pair) {
-            return false;
+        match self.index.entry(c.pair) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(self.items.len());
+                self.items.push(c);
+                true
+            }
         }
-        self.by_pair.insert(c.pair, c);
-        self.order.push(c.pair);
-        true
     }
 
     /// Whether the unordered pair `{a, b}` is constrained.
     pub fn contains_pair(&self, a: HierNodeId, b: HierNodeId) -> bool {
-        a != b && self.by_pair.contains_key(&PairKey::new(a, b))
+        a != b && self.index.contains_key(&PairKey::new(a, b))
     }
 
     /// Whether the given key is constrained.
     pub fn contains_key(&self, key: PairKey) -> bool {
-        self.by_pair.contains_key(&key)
+        self.index.contains_key(&key)
     }
 
     /// The constraint for `{a, b}`, if any.
@@ -154,22 +159,22 @@ impl ConstraintSet {
         if a == b {
             return None;
         }
-        self.by_pair.get(&PairKey::new(a, b))
+        self.index.get(&PairKey::new(a, b)).map(|&i| &self.items[i])
     }
 
     /// Number of constraints.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.items.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.items.is_empty()
     }
 
     /// Iterator over constraints in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &SymmetryConstraint> {
-        self.order.iter().map(move |k| &self.by_pair[k])
+    pub fn iter(&self) -> std::slice::Iter<'_, SymmetryConstraint> {
+        self.items.iter()
     }
 
     /// A new set holding only the constraints of the given kind.
@@ -198,10 +203,10 @@ impl Extend<SymmetryConstraint> for ConstraintSet {
 
 impl<'a> IntoIterator for &'a ConstraintSet {
     type Item = &'a SymmetryConstraint;
-    type IntoIter = Box<dyn Iterator<Item = &'a SymmetryConstraint> + 'a>;
+    type IntoIter = std::slice::Iter<'a, SymmetryConstraint>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+        self.iter()
     }
 }
 

@@ -1,17 +1,11 @@
-//! Offline trace analysis: merge JSONL traces from one or more
-//! replicas, group spans by trace id, and render per-trace waterfalls
-//! plus aggregate per-span latency quantiles.
+//! Offline trace analysis: group the spans of one or more JSONL trace
+//! files by trace id, and render per-trace waterfalls plus aggregate
+//! per-span latency quantiles.
 //!
-//! Each replica's tracer stamps timestamps against its **own** process
-//! epoch (`std::time::Instant` at tracer creation), so raw `ts_ns`
-//! values from different files are incomparable. The merge therefore
-//! aligns a remote subtree by anchoring its root at the start of the
-//! `forward` hop span that produced it on the origin replica — the only
-//! causal ordering the traces themselves guarantee. When the remote
-//! subtree claims to have lasted *longer* than the hop that contains it
-//! the clocks (or the files) are inconsistent; that is reported as a
-//! clock-skew **warning**, never an error, because partial traces from
-//! a degraded fleet are exactly when the tool is most needed.
+//! Each tracer stamps timestamps against its **own** process epoch
+//! (`std::time::Instant` at tracer creation), so a waterfall's offsets
+//! are measured within one file: a root span is placed relative to the
+//! first root of the same trace in the same file.
 //!
 //! Trace identity rides in span `fields` under the `"trace"` key and is
 //! inherited down the parent chain within a file, so only the root
@@ -37,12 +31,8 @@ pub struct TraceFile {
 pub struct Report {
     /// Human-readable waterfalls + aggregate table.
     pub rendered: String,
-    /// Non-fatal inconsistencies (clock skew, unalignable subtrees).
-    pub warnings: Vec<String>,
     /// Number of distinct trace ids seen.
     pub traces: usize,
-    /// Number of traces whose spans appear in more than one file.
-    pub merged: usize,
 }
 
 /// A reconstructed span within one file.
@@ -125,71 +115,23 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-struct Walker<'a> {
-    files: &'a [FileSpans],
-    out: String,
-    warnings: Vec<String>,
-    /// Remote roots of the current trace still waiting to be anchored
-    /// under a `forward` hop span, as (file index, span id).
-    pending: Vec<(usize, u64)>,
-}
-
-impl Walker<'_> {
-    /// Render the subtree rooted at `id` in file `fi`. `shift` maps the
-    /// file's own clock onto the trace-root timeline; `base` is the
-    /// trace root's aligned start.
-    fn walk(&mut self, fi: usize, id: u64, depth: usize, shift: i128, base: i128) {
-        let (name, start_ts, dur_ns, children) = {
-            let rec = &self.files[fi].spans[&id];
-            (rec.name.clone(), rec.start_ts, rec.dur_ns, rec.children.clone())
-        };
-        let aligned = start_ts as i128 + shift;
-        let offset = (aligned - base).max(0) as u64;
-        let dur = dur_ns.map(fmt_ms).unwrap_or_else(|| "open".to_string());
-        let _ = writeln!(
-            self.out,
-            "  [{}] {:indent$}{:<24} +{:>12} {:>12}",
-            self.files[fi].label,
-            "",
-            name,
-            fmt_ms(offset),
-            dur,
-            indent = depth * 2,
-        );
-        for child in children {
-            self.walk(fi, child, depth + 1, shift, base);
-        }
-        // A forward hop anchors the next pending remote subtree: the
-        // remote work happened strictly inside this span, so its root
-        // is aligned to the hop's start.
-        if name == "forward" {
-            if let Some((rfi, rid)) = self.take_pending() {
-                let remote_start = self.files[rfi].spans[&rid].start_ts;
-                let remote_shift = aligned - remote_start as i128;
-                if let (Some(hop), Some(remote)) = (dur_ns, self.files[rfi].spans[&rid].dur_ns) {
-                    if remote > hop {
-                        self.warnings.push(format!(
-                            "clock skew: remote span `{}` in [{}] lasted {} but the \
-                             forward hop in [{}] lasted only {}",
-                            self.files[rfi].spans[&rid].name,
-                            self.files[rfi].label,
-                            fmt_ms(remote),
-                            self.files[fi].label,
-                            fmt_ms(hop),
-                        ));
-                    }
-                }
-                self.walk(rfi, rid, depth + 1, remote_shift, base);
-            }
-        }
-    }
-
-    fn take_pending(&mut self) -> Option<(usize, u64)> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.pending.remove(0))
-        }
+/// Render the subtree rooted at `id` in `file`, offsets measured from
+/// `base` on the file's own clock.
+fn walk(out: &mut String, file: &FileSpans, id: u64, depth: usize, base: u64) {
+    let rec = &file.spans[&id];
+    let dur = rec.dur_ns.map(fmt_ms).unwrap_or_else(|| "open".to_string());
+    let _ = writeln!(
+        out,
+        "  [{}] {:indent$}{:<24} +{:>12} {:>12}",
+        file.label,
+        "",
+        rec.name,
+        fmt_ms(rec.start_ts.saturating_sub(base)),
+        dur,
+        indent = depth * 2,
+    );
+    for &child in &rec.children {
+        walk(out, file, child, depth + 1, base);
     }
 }
 
@@ -197,8 +139,6 @@ impl Walker<'_> {
 ///
 /// Every file must pass [`validate_trace`]; a schema or nesting
 /// violation in any file is a hard error naming the offending file.
-/// Cross-file inconsistencies (clock skew, remote subtrees with no
-/// forward hop to anchor under) are collected as warnings.
 pub fn analyze(inputs: &[TraceFile]) -> Result<Report, String> {
     let mut files = Vec::with_capacity(inputs.len());
     for f in inputs {
@@ -207,7 +147,7 @@ pub fn analyze(inputs: &[TraceFile]) -> Result<Report, String> {
         files.push(build_file(&f.label, &events));
     }
 
-    // trace id -> per-file root span ids, in file order.
+    // trace id -> root span ids as (file index, span id), in file order.
     let mut roots: BTreeMap<String, Vec<(usize, u64)>> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
         for (id, rec) in &file.spans {
@@ -222,17 +162,9 @@ pub fn analyze(inputs: &[TraceFile]) -> Result<Report, String> {
     }
 
     let mut out = String::new();
-    let mut warnings = Vec::new();
-    let mut merged = 0usize;
     for (trace, trace_roots) in &roots {
-        let file_set: Vec<usize> = {
-            let mut v: Vec<usize> = trace_roots.iter().map(|&(fi, _)| fi).collect();
-            v.dedup();
-            v
-        };
-        if file_set.len() > 1 {
-            merged += 1;
-        }
+        let mut file_set: Vec<usize> = trace_roots.iter().map(|&(fi, _)| fi).collect();
+        file_set.dedup();
         let file_names: Vec<&str> =
             file_set.iter().map(|&fi| files[fi].label.as_str()).collect();
         let span_count: usize = files
@@ -245,52 +177,12 @@ pub fn analyze(inputs: &[TraceFile]) -> Result<Report, String> {
             file_set.len(),
             file_names.join(","),
         );
-        // The primary root is the one whose subtree contains a
-        // `forward` hop (the origin replica); remaining roots are
-        // remote subtrees queued for anchoring.
-        let has_forward = |fi: usize, root: u64| -> bool {
-            let mut stack = vec![root];
-            while let Some(id) = stack.pop() {
-                let rec = &files[fi].spans[&id];
-                if rec.name == "forward" {
-                    return true;
-                }
-                stack.extend(rec.children.iter().copied());
-            }
-            false
-        };
-        let primary_pos = trace_roots
-            .iter()
-            .position(|&(fi, id)| has_forward(fi, id))
-            .unwrap_or(0);
-        let (pfi, pid) = trace_roots[primary_pos];
-        let mut pending: Vec<(usize, u64)> = trace_roots
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != primary_pos)
-            .map(|(_, &r)| r)
-            .collect();
-        // Same-file secondary roots (e.g. a retry) render standalone.
-        pending.retain(|&(fi, _)| fi != pfi);
-        let base = files[pfi].spans[&pid].start_ts as i128;
-        let mut walker = Walker { files: &files, out, warnings, pending };
-        walker.walk(pfi, pid, 0, 0, base);
-        for (rfi, rid) in std::mem::take(&mut walker.pending) {
-            walker.warnings.push(format!(
-                "trace {trace}: root `{}` in [{}] has no forward hop to align under; \
-                 rendered at trace start",
-                walker.files[rfi].spans[&rid].name, walker.files[rfi].label,
-            ));
-            let shift = base - walker.files[rfi].spans[&rid].start_ts as i128;
-            walker.walk(rfi, rid, 1, shift, base);
+        for (i, &(fi, id)) in trace_roots.iter().enumerate() {
+            // Roots are grouped by file, so the first root of this file
+            // is the earliest one before `i` with the same index.
+            let first = trace_roots[..=i].iter().find(|&&(f, _)| f == fi).unwrap().1;
+            walk(&mut out, &files[fi], id, 0, files[fi].spans[&first].start_ts);
         }
-        for &(fi, id) in trace_roots.iter().filter(|&&(fi, _)| fi == pfi) {
-            if id != pid {
-                walker.walk(fi, id, 0, 0, base);
-            }
-        }
-        out = walker.out;
-        warnings = walker.warnings;
         out.push('\n');
     }
 
@@ -316,13 +208,7 @@ pub fn analyze(inputs: &[TraceFile]) -> Result<Report, String> {
             fmt_ms(percentile(durs, 95.0)),
         );
     }
-    if !warnings.is_empty() {
-        out.push('\n');
-        for w in &warnings {
-            let _ = writeln!(out, "warning: {w}");
-        }
-    }
-    Ok(Report { rendered: out, warnings, traces: roots.len(), merged })
+    Ok(Report { rendered: out, traces: roots.len() })
 }
 
 #[cfg(test)]
@@ -330,74 +216,30 @@ mod tests {
     use super::*;
     use crate::trace::{mint_trace_id, Tracer};
 
-    /// A fabricated origin-replica trace: serve → queue_wait + forward.
-    fn origin_trace(trace_id: &str) -> String {
-        let (tracer, buf) = Tracer::in_memory();
-        {
-            let serve = tracer.span("serve", "serve", &[("trace", trace_id.into())]);
-            let _ = serve.id();
-            tracer.span("serve", "queue_wait", &[]).close();
-            tracer.span("serve", "forward", &[("peer", "b".into())]).close();
-        }
-        tracer.flush();
-        buf.contents()
-    }
-
-    /// A fabricated owner-replica trace for the same request.
-    fn remote_trace(trace_id: &str) -> String {
+    /// A fabricated daemon trace: one request's serve span with its
+    /// lifecycle children.
+    fn serve_trace(trace_id: &str) -> String {
         let (tracer, buf) = Tracer::in_memory();
         {
             let _serve = tracer.span("serve", "serve", &[("trace", trace_id.into())]);
-            tracer.span("parse", "parse", &[]).close();
+            tracer.span("serve", "queue_wait", &[]).close();
+            tracer.span("serve", "batch", &[]).close();
         }
         tracer.flush();
         buf.contents()
     }
 
     #[test]
-    fn two_files_sharing_a_trace_id_merge_into_one_waterfall() {
+    fn a_trace_renders_as_one_waterfall_with_its_children_nested() {
         let id = mint_trace_id();
-        let files = [
-            TraceFile { label: "a".into(), text: origin_trace(&id) },
-            TraceFile { label: "b".into(), text: remote_trace(&id) },
-        ];
-        let report = analyze(&files).unwrap();
+        let report =
+            analyze(&[TraceFile { label: "a".into(), text: serve_trace(&id) }]).unwrap();
         assert_eq!(report.traces, 1, "{}", report.rendered);
-        assert_eq!(report.merged, 1, "{}", report.rendered);
-        assert!(report.rendered.contains("2 file(s): a,b"), "{}", report.rendered);
-        assert!(report.rendered.contains("forward"), "{}", report.rendered);
-        // The remote serve span renders nested under the forward hop.
-        let fwd = report.rendered.find("forward").unwrap();
-        let remote = report.rendered.rfind("[b] ").unwrap();
-        assert!(remote > fwd, "{}", report.rendered);
-    }
-
-    #[test]
-    fn clock_skew_is_warned_not_fatal() {
-        // Remote root lasts 10ms but the forward hop lasted ~0 —
-        // impossible causally, so it must warn.
-        let id = "00112233445566778899aabbccddeeff";
-        let origin = origin_trace(id);
-        let remote = format!(
-            concat!(
-                r#"{{"ts_ns":0,"kind":"span_start","span":"serve","stage":"serve","id":1,"parent":0,"fields":{{"trace":"{id}"}}}}"#,
-                "\n",
-                r#"{{"ts_ns":10000000,"kind":"span_end","span":"serve","stage":"serve","id":1,"parent":0,"dur_ns":10000000,"fields":{{}}}}"#,
-                "\n",
-            ),
-            id = id,
-        );
-        let files = [
-            TraceFile { label: "a".into(), text: origin },
-            TraceFile { label: "b".into(), text: remote },
-        ];
-        let report = analyze(&files).unwrap();
-        assert_eq!(report.merged, 1, "{}", report.rendered);
-        assert!(
-            report.warnings.iter().any(|w| w.contains("clock skew")),
-            "{:?}",
-            report.warnings
-        );
+        assert!(report.rendered.contains(&format!("trace {id} · 3 spans")), "{}", report.rendered);
+        let serve = report.rendered.find("[a] serve").unwrap();
+        let child = report.rendered.find("[a]   queue_wait").unwrap();
+        assert!(child > serve, "{}", report.rendered);
+        assert!(report.rendered.contains("[a]   batch"), "{}", report.rendered);
     }
 
     #[test]

@@ -263,16 +263,6 @@ impl Span {
     pub fn close_with(mut self, fields: &[(&str, Value)]) {
         self.end(fields);
     }
-
-    /// The span's unique id within its tracer's stream.
-    ///
-    /// Lets callers hand the id to a remote party (the
-    /// `x-ancstr-parent-span` forward header) so spans emitted by
-    /// another process can be linked back to this one when traces are
-    /// merged offline.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 impl Span {

@@ -11,15 +11,13 @@
 //! - [`pool`] — a fixed worker pool over a bounded queue; a full queue
 //!   is answered with `503` + `Retry-After` instead of unbounded
 //!   latency.
-//! - [`registry`] — the warm model registry: fingerprint-keyed resident
-//!   models with LRU eviction and per-model bulkhead breakers,
-//!   hot-swappable via `POST /v1/models`, routed via `x-ancstr-model`.
-//! - [`batch`] — poison-tolerant request batching: per-model fused
-//!   forward passes (byte-identical to solo runs) with bisection so one
-//!   poison request cannot take down its batch-mates.
-//! - [`peers`] — replica-aware cache partitioning: rendezvous hashing
-//!   over a static `--peers` list, with failover to local compute when
-//!   the owning replica is dead or slow.
+//! - [`registry`] — the warm model registry: one resident model,
+//!   hot-swappable via `POST /v1/models` behind a seal check, a canary
+//!   inference and a quarantining upload breaker; a client may pin it
+//!   with `x-ancstr-model`.
+//! - [`batch`] — poison-tolerant request batching: fused forward passes
+//!   (byte-identical to solo runs) with bisection so one poison request
+//!   cannot take down its batch-mates.
 //! - [`cache`] — a content-addressed LRU cache of extraction replies,
 //!   keyed by netlist bytes ⊕ configuration hash ⊕ model fingerprint.
 //! - [`server`] — accept loop, routing, per-request deadlines, metrics,
@@ -39,7 +37,6 @@ pub mod cache;
 pub mod client;
 pub mod flight;
 pub mod http;
-pub mod peers;
 pub mod pool;
 pub mod registry;
 pub mod server;
@@ -49,7 +46,6 @@ pub use cache::{CacheStats, ResultCache};
 pub use client::HttpReply;
 pub use flight::SingleFlight;
 pub use http::{Request, Response};
-pub use peers::PeerRing;
 pub use pool::{SubmitError, WorkerPool};
-pub use registry::{ModelEntry, ModelHealth, ModelRegistry, ModelSlot, ModelSummary};
+pub use registry::{ModelEntry, ModelRegistry};
 pub use server::{ServeConfig, Server, ShutdownHandle};

@@ -1,28 +1,26 @@
-//! The warm model registry: trained [`GnnModel`]s loaded once, shared
-//! by every worker, hot-swappable while requests are in flight.
+//! The warm model registry: the one trained [`GnnModel`] the daemon
+//! serves, loaded once, shared by every worker, hot-swappable while
+//! requests are in flight.
 //!
 //! AncstrGNN is inductive (paper Section IV-C): a model trained once on
 //! a corpus generalizes to unseen netlists, so the expensive part —
 //! loading and validating weights — should happen once per model, not
-//! once per request. A fleet node serves *several* models at once (one
-//! per PDK or circuit family), so the registry is keyed by model
-//! fingerprint with LRU eviction: requests route to a model via the
-//! `x-ancstr-model` header and fall back to the default entry. Each
-//! resident model carries its own [`ModelHealth`] bulkhead — a
-//! per-model circuit breaker that sheds *that model's* cold traffic
-//! after repeated pipeline failures while every other model keeps
-//! serving. Requests grab a cheap [`Arc`] snapshot and keep using it
-//! even if an operator swaps or evicts the model mid-flight, so a
-//! reload never corrupts an in-progress extraction. Reloads go through
-//! the checksummed envelope ([`GnnModel::from_text_checksummed`]) — an
-//! HTTP body is exactly the kind of transport where truncation and bit
-//! rot happen, and the seal turns both into clean `400`s instead of
-//! silently-wrong constraint sets.
+//! once per request. The registry holds exactly one resident model.
+//! Requests grab a cheap [`Arc`] snapshot and keep using it even if an
+//! operator swaps the model mid-flight, so a reload never corrupts an
+//! in-progress extraction. A client may pin the model it expects with
+//! the `x-ancstr-model` header ([`ModelRegistry::resolve`]); once that
+//! model is swapped out, the pinned request is refused instead of being
+//! answered by another model. Reloads go through the checksummed
+//! envelope ([`GnnModel::from_text_checksummed`]) — an HTTP body is
+//! exactly the kind of transport where truncation and bit rot happen,
+//! and the seal turns both into clean `400`s instead of silently-wrong
+//! constraint sets.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use ancstr_core::{ExtractError, ExtractorConfig, RunCtx, SymmetryExtractor};
 use ancstr_gnn::GnnModel;
@@ -42,17 +40,6 @@ M5 tail en vss vss nch w=2u l=0.5u
 .ends
 ";
 
-/// Consecutive pipeline failures that trip a model's bulkhead breaker.
-pub const BULKHEAD_TRIP_AFTER: u32 = 3;
-
-/// While tripped, every Nth shed cold request is admitted as a probe —
-/// a deterministic, clock-free half-open state: a healthy probe closes
-/// the breaker, a failing one re-arms the rejection window.
-pub const BULKHEAD_PROBE_EVERY: u64 = 8;
-
-/// Default number of resident model slots.
-pub const DEFAULT_MODEL_SLOTS: usize = 8;
-
 /// One loaded model and the extractor built around it.
 pub struct ModelEntry {
     /// The warm extractor (model + configuration), shared read-only.
@@ -60,7 +47,7 @@ pub struct ModelEntry {
     /// [`GnnModel::fingerprint`] of the loaded weights — part of every
     /// cache key, so a swap implicitly invalidates cached replies.
     pub fingerprint: u64,
-    /// Where the weights came from (file path or reload peer), for
+    /// Where the weights came from (file path or uploading client), for
     /// `/healthz` and logs.
     pub source: String,
     /// Monotonic reload counter: 1 for the boot model, +1 per swap.
@@ -69,111 +56,19 @@ pub struct ModelEntry {
 
 impl ModelEntry {
     /// The fingerprint as fixed-width hex (the form used in JSON
-    /// replies, the `x-ancstr-model` routing header, and metrics
-    /// labels).
+    /// replies, the `x-ancstr-model` header, and metrics labels).
     pub fn fingerprint_hex(&self) -> String {
         format!("{:016x}", self.fingerprint)
     }
 }
 
-/// Per-model failure bulkhead: a circuit breaker scoped to one resident
-/// model, so a poisoned model sheds *its own* cold traffic (`503`)
-/// while batch-mates behind other fingerprints keep serving. Cache hits
-/// bypass the bulkhead entirely — a tripped breaker guards pipeline
-/// execution, not already-computed bytes.
-#[derive(Debug, Default)]
-pub struct ModelHealth {
-    consecutive_failures: AtomicU32,
-    tripped: AtomicBool,
-    trips_total: AtomicU64,
-    shed_total: AtomicU64,
-    probe_ticket: AtomicU64,
-}
-
-impl ModelHealth {
-    /// Record a successful pipeline run: resets the failure streak and
-    /// closes the breaker (a probe that succeeds heals the model).
-    pub fn record_success(&self) {
-        self.consecutive_failures.store(0, Ordering::SeqCst);
-        self.tripped.store(false, Ordering::SeqCst);
-    }
-
-    /// Record a 500-class pipeline failure; trips the breaker after
-    /// [`BULKHEAD_TRIP_AFTER`] consecutive failures.
-    pub fn record_failure(&self) {
-        let n = self.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
-        if n >= BULKHEAD_TRIP_AFTER && !self.tripped.swap(true, Ordering::SeqCst) {
-            self.trips_total.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Admission decision for a *cold* (cache-missing) request against
-    /// this model. Open breaker → admit. Tripped breaker → shed, except
-    /// that every [`BULKHEAD_PROBE_EVERY`]th decision is admitted as a
-    /// half-open probe. Deterministic: the probe cadence is a counter,
-    /// not a clock.
-    pub fn admit_cold(&self) -> bool {
-        if !self.tripped.load(Ordering::SeqCst) {
-            return true;
-        }
-        let ticket = self.probe_ticket.fetch_add(1, Ordering::SeqCst);
-        if ticket % BULKHEAD_PROBE_EVERY == BULKHEAD_PROBE_EVERY - 1 {
-            return true;
-        }
-        self.shed_total.fetch_add(1, Ordering::SeqCst);
-        false
-    }
-
-    /// Whether the breaker is currently tripped.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped.load(Ordering::SeqCst)
-    }
-
-    /// Total trips (closed → open transitions).
-    pub fn trips_total(&self) -> u64 {
-        self.trips_total.load(Ordering::SeqCst)
-    }
-
-    /// Total cold requests shed by this bulkhead.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_total.load(Ordering::SeqCst)
-    }
-}
-
-/// One registry slot: the immutable entry plus its mutable health.
-#[derive(Clone)]
-pub struct ModelSlot {
-    /// The loaded model entry.
-    pub entry: Arc<ModelEntry>,
-    /// The per-model bulkhead breaker.
-    pub health: Arc<ModelHealth>,
-}
-
-/// Point-in-time health summary of one resident model, for
-/// `/healthz/ready` and `/metrics`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelSummary {
-    /// Fixed-width hex fingerprint.
-    pub fingerprint: String,
-    /// Reload generation.
-    pub generation: u64,
-    /// Whether this is the default (headerless) routing target.
-    pub is_default: bool,
-    /// Whether the bulkhead breaker is tripped.
-    pub tripped: bool,
-    /// Cold requests shed by this model's bulkhead.
-    pub shed_total: u64,
-    /// Breaker trips for this model.
-    pub trips_total: u64,
-}
-
-/// Why an `x-ancstr-model` routing header could not be honoured.
+/// Why an `x-ancstr-model` header could not be honoured.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResolveError {
     /// The header is not a 16-hex-digit fingerprint.
     BadFingerprint(String),
-    /// No resident model has that fingerprint (never loaded, or
-    /// LRU-evicted).
+    /// The resident model has another fingerprint (never loaded, or
+    /// swapped out).
     NotFound(String),
 }
 
@@ -183,13 +78,15 @@ impl fmt::Display for ResolveError {
             ResolveError::BadFingerprint(s) => {
                 write!(f, "x-ancstr-model must be a 16-digit hex fingerprint, got {s:?}")
             }
-            ResolveError::NotFound(s) => write!(f, "no resident model with fingerprint {s}"),
+            ResolveError::NotFound(s) => {
+                write!(f, "the resident model is not fingerprint {s}")
+            }
         }
     }
 }
 
-/// Why a guarded hot-swap was refused. Either way the previous models
-/// keep serving — a reload can never leave the daemon without a good
+/// Why a guarded hot-swap was refused. Either way the previous model
+/// keeps serving — a reload can never leave the daemon without a good
 /// model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReloadError {
@@ -236,35 +133,9 @@ pub struct BreakerState {
     pub rejected_total: u64,
 }
 
-/// Resident models keyed by fingerprint, with LRU recency tracking.
-struct Models {
-    /// fingerprint → slot.
-    map: HashMap<u64, ModelSlot>,
-    /// recency tick → fingerprint; the smallest tick is the LRU victim.
-    order: BTreeMap<u64, u64>,
-    /// fingerprint → its current recency tick.
-    ticks: HashMap<u64, u64>,
-    tick: u64,
-    /// Fingerprint the headerless route resolves to (the most recently
-    /// loaded model, matching the pre-fleet single-entry semantics).
-    default_fp: u64,
-}
-
-impl Models {
-    fn touch(&mut self, fp: u64) {
-        self.tick += 1;
-        if let Some(old) = self.ticks.insert(fp, self.tick) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.tick, fp);
-    }
-}
-
-/// Shared registry of the resident models.
+/// Shared registry of the resident model.
 pub struct ModelRegistry {
-    models: Mutex<Models>,
-    capacity: usize,
-    evictions: AtomicU64,
+    model: Mutex<Arc<ModelEntry>>,
     generation: AtomicU64,
     /// FNV-64 keys of upload bodies that already failed validation;
     /// identical re-uploads are refused without re-validating.
@@ -320,11 +191,10 @@ fn canary_check(extractor: &SymmetryExtractor) -> Result<(), String> {
 }
 
 impl ModelRegistry {
-    /// Load the boot model from serialized text with the default slot
-    /// capacity. Accepts both the plain [`GnnModel::to_text`] form
-    /// (what `ancstr train` writes) and the sealed
-    /// [`GnnModel::to_text_checksummed`] envelope; a present seal is
-    /// always verified.
+    /// Load the boot model from serialized text. Accepts both the plain
+    /// [`GnnModel::to_text`] form (what `ancstr train` writes) and the
+    /// sealed [`GnnModel::to_text_checksummed`] envelope; a present seal
+    /// is always verified.
     ///
     /// # Errors
     ///
@@ -332,166 +202,63 @@ impl ModelRegistry {
     /// [`ExtractError::ModelDim`] when the weights do not fit the
     /// Table II feature width.
     pub fn load(text: &str, source: &str) -> Result<ModelRegistry, ExtractError> {
-        ModelRegistry::load_with_slots(text, source, DEFAULT_MODEL_SLOTS)
-    }
-
-    /// [`ModelRegistry::load`] with an explicit resident-model capacity
-    /// (`--model-slots`). The boot model occupies one slot and, as the
-    /// default routing target, is never the LRU victim.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`ModelRegistry::load`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots == 0`.
-    pub fn load_with_slots(
-        text: &str,
-        source: &str,
-        slots: usize,
-    ) -> Result<ModelRegistry, ExtractError> {
-        assert!(slots > 0, "the registry needs at least one model slot");
         let model = if is_sealed(text) {
             GnnModel::from_text_checksummed(text)?
         } else {
             GnnModel::from_text(text)?
         };
-        let entry = Arc::new(entry_from_model(model, source, 1)?);
-        let fp = entry.fingerprint;
-        let mut models = Models {
-            map: HashMap::new(),
-            order: BTreeMap::new(),
-            ticks: HashMap::new(),
-            tick: 0,
-            default_fp: fp,
-        };
-        models.map.insert(fp, ModelSlot { entry, health: Arc::new(ModelHealth::default()) });
-        models.touch(fp);
         Ok(ModelRegistry {
-            models: Mutex::new(models),
-            capacity: slots,
-            evictions: AtomicU64::new(0),
+            model: Mutex::new(Arc::new(entry_from_model(model, source, 1)?)),
             generation: AtomicU64::new(1),
             quarantined: Mutex::new(HashSet::new()),
             rejected_total: AtomicU64::new(0),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, Models> {
-        self.models.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A snapshot of the default model (the headerless routing target).
-    /// The `Arc` keeps the snapshot alive across a concurrent swap or
-    /// eviction, so a request never observes a half-replaced model.
+    /// A snapshot of the resident model. The `Arc` keeps the snapshot
+    /// alive across a concurrent swap, so a request never observes a
+    /// half-replaced model.
     pub fn current(&self) -> Arc<ModelEntry> {
-        let models = self.lock();
-        Arc::clone(&models.map[&models.default_fp].entry)
+        Arc::clone(&self.model.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Look up a resident model by fingerprint, refreshing its LRU
-    /// recency on a hit.
-    pub fn get(&self, fingerprint: u64) -> Option<ModelSlot> {
-        let mut models = self.lock();
-        let slot = models.map.get(&fingerprint).cloned()?;
-        models.touch(fingerprint);
-        Some(slot)
-    }
-
-    /// Resolve an `x-ancstr-model` routing header to a resident model.
-    /// An absent header routes to the default entry; a present one must
-    /// be the 16-hex-digit fingerprint of a resident model.
+    /// Check an `x-ancstr-model` header against the resident model. An
+    /// absent header takes the resident model; a present one must be
+    /// its 16-hex-digit fingerprint.
     ///
     /// # Errors
     ///
     /// [`ResolveError::BadFingerprint`] for a malformed header,
-    /// [`ResolveError::NotFound`] for an unknown or evicted model.
-    pub fn resolve(&self, header: Option<&str>) -> Result<ModelSlot, ResolveError> {
+    /// [`ResolveError::NotFound`] for any other model's fingerprint.
+    pub fn resolve(&self, header: Option<&str>) -> Result<Arc<ModelEntry>, ResolveError> {
+        let entry = self.current();
         let Some(raw) = header else {
-            let mut models = self.lock();
-            let fp = models.default_fp;
-            let slot = models.map[&fp].clone();
-            models.touch(fp);
-            return Ok(slot);
+            return Ok(entry);
         };
         let trimmed = raw.trim();
         let fp = (trimmed.len() == 16)
             .then(|| u64::from_str_radix(trimmed, 16).ok())
             .flatten()
             .ok_or_else(|| ResolveError::BadFingerprint(trimmed.to_owned()))?;
-        self.get(fp).ok_or_else(|| ResolveError::NotFound(format!("{fp:016x}")))
+        if fp == entry.fingerprint {
+            Ok(entry)
+        } else {
+            Err(ResolveError::NotFound(format!("{fp:016x}")))
+        }
     }
 
-    /// Insert `entry` as a resident model and make it the new default,
-    /// LRU-evicting non-default entries beyond capacity. Re-inserting a
-    /// resident fingerprint refreshes its entry (new generation/source)
-    /// but keeps its health history — a re-upload does not launder a
-    /// tripped bulkhead.
+    /// Make `entry` the resident model. Snapshots taken before the swap
+    /// stay valid until their requests finish.
     fn install(&self, entry: Arc<ModelEntry>) {
-        let mut models = self.lock();
-        let fp = entry.fingerprint;
-        match models.map.get_mut(&fp) {
-            Some(slot) => slot.entry = entry,
-            None => {
-                models
-                    .map
-                    .insert(fp, ModelSlot { entry, health: Arc::new(ModelHealth::default()) });
-            }
-        }
-        models.default_fp = fp;
-        models.touch(fp);
-        while models.map.len() > self.capacity {
-            let victim = models
-                .order
-                .iter()
-                .map(|(_, &f)| f)
-                .find(|&f| f != models.default_fp);
-            let Some(victim) = victim else { break };
-            models.map.remove(&victim);
-            if let Some(tick) = models.ticks.remove(&victim) {
-                models.order.remove(&tick);
-            }
-            self.evictions.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Number of resident models.
-    pub fn resident(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// Total LRU evictions.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::SeqCst)
-    }
-
-    /// Health summaries of every resident model, sorted by fingerprint
-    /// for stable `/healthz` and `/metrics` output.
-    pub fn models(&self) -> Vec<ModelSummary> {
-        let models = self.lock();
-        let mut out: Vec<ModelSummary> = models
-            .map
-            .iter()
-            .map(|(&fp, slot)| ModelSummary {
-                fingerprint: format!("{fp:016x}"),
-                generation: slot.entry.generation,
-                is_default: fp == models.default_fp,
-                tripped: slot.health.is_tripped(),
-                shed_total: slot.health.shed_total(),
-                trips_total: slot.health.trips_total(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
-        out
+        *self.model.lock().unwrap_or_else(|e| e.into_inner()) = entry;
     }
 
     /// Hot-load a model from a **sealed** artifact
-    /// ([`GnnModel::to_text_checksummed`]) and make it the default.
+    /// ([`GnnModel::to_text_checksummed`]) and make it the resident one.
     /// The strictness is the point: reload bodies travel over the
     /// network, and the CRC-32 seal converts truncation, bit flips, and
-    /// version skew into typed rejections before any routing changes.
-    /// On any error the previous models keep serving.
+    /// version skew into typed rejections before the swap. On any error
+    /// the previous model keeps serving.
     ///
     /// # Errors
     ///
@@ -509,7 +276,7 @@ impl ModelRegistry {
     /// canary inference. Validation runs **before** the install:
     /// checksum seal → model build → first inference on the built-in
     /// canary circuit. Any failure quarantines the upload body (by byte
-    /// hash), leaves the resident models serving, and opens the breaker
+    /// hash), leaves the resident model serving, and opens the breaker
     /// for that exact body — an identical re-upload is refused
     /// immediately without re-running validation. This is the path
     /// `POST /v1/models` uses.
@@ -574,7 +341,6 @@ mod tests {
             assert_eq!(entry.fingerprint, m.fingerprint());
             assert_eq!(entry.generation, 1);
             assert_eq!(entry.source, "boot");
-            assert_eq!(reg.resident(), 1);
         }
     }
 
@@ -596,9 +362,6 @@ mod tests {
         assert_eq!(reg.current().fingerprint, swapped.fingerprint);
         // The pre-swap snapshot still works (no use-after-swap hazard).
         assert_eq!(before.generation, 1);
-        // Both models stay resident and routable.
-        assert_eq!(reg.resident(), 2);
-        assert!(reg.get(before.fingerprint).is_some());
     }
 
     /// `ModelEntry` holds a live extractor and has no `Debug`, so
@@ -710,12 +473,14 @@ mod tests {
         let boot_fp = reg.current().fingerprint;
         let other = reg.reload_sealed(&model(4).to_text_checksummed(), "peer").unwrap();
 
-        // Headerless → default (the most recent install).
-        assert_eq!(reg.resolve(None).unwrap().entry.fingerprint, other.fingerprint);
-        // Explicit fingerprint → that model, even though it is no
-        // longer the default.
+        // Headerless and the resident fingerprint both take the new model.
+        assert_eq!(reg.resolve(None).unwrap().fingerprint, other.fingerprint);
+        assert_eq!(reg.resolve(Some(&other.fingerprint_hex())).unwrap().generation, 2);
+        // The swapped-out model is gone: pinning it is an error, never
+        // another model's answer.
         let hex = format!("{boot_fp:016x}");
-        assert_eq!(reg.resolve(Some(&hex)).unwrap().entry.fingerprint, boot_fp);
+        let gone = reg.resolve(Some(&hex)).err().expect("swapped-out model rejected");
+        assert_eq!(gone, ResolveError::NotFound(hex));
         // Malformed and unknown fingerprints are typed errors.
         let bad = reg.resolve(Some("zz")).err().expect("malformed header rejected");
         assert!(matches!(bad, ResolveError::BadFingerprint(_)), "{bad}");
@@ -724,80 +489,5 @@ mod tests {
             .err()
             .expect("unknown fingerprint rejected");
         assert!(matches!(missing, ResolveError::NotFound(_)), "{missing}");
-    }
-
-    #[test]
-    fn lru_eviction_spares_the_default_model() {
-        let reg = ModelRegistry::load_with_slots(&model(3).to_text(), "boot", 2).unwrap();
-        let boot_fp = reg.current().fingerprint;
-        let second = reg.reload_sealed(&model(4).to_text_checksummed(), "p").unwrap();
-        assert_eq!(reg.resident(), 2);
-        // Touch the boot model so the *second* model is the LRU entry…
-        assert!(reg.get(boot_fp).is_some());
-        // …but the third install makes itself default, so the LRU
-        // victim among non-defaults is chosen: boot was touched last,
-        // second is evicted.
-        let third = reg.reload_sealed(&model(5).to_text_checksummed(), "p").unwrap();
-        assert_eq!(reg.resident(), 2);
-        assert_eq!(reg.evictions(), 1);
-        assert!(reg.get(second.fingerprint).is_none(), "LRU victim evicted");
-        assert!(reg.get(boot_fp).is_some());
-        assert_eq!(reg.current().fingerprint, third.fingerprint);
-    }
-
-    #[test]
-    fn bulkhead_trips_after_consecutive_failures_and_probes_deterministically() {
-        let health = ModelHealth::default();
-        assert!(health.admit_cold(), "fresh breakers admit");
-        health.record_failure();
-        health.record_failure();
-        assert!(!health.is_tripped(), "two failures stay below the trip threshold");
-        assert!(health.admit_cold());
-        health.record_failure();
-        assert!(health.is_tripped(), "third consecutive failure trips");
-        assert_eq!(health.trips_total(), 1);
-
-        // Tripped: exactly one admission per PROBE_EVERY decisions.
-        let admitted: Vec<bool> =
-            (0..BULKHEAD_PROBE_EVERY * 2).map(|_| health.admit_cold()).collect();
-        assert_eq!(admitted.iter().filter(|&&a| a).count(), 2, "{admitted:?}");
-        assert_eq!(health.shed_total(), BULKHEAD_PROBE_EVERY * 2 - 2);
-
-        // A successful probe closes the breaker and resets the streak.
-        health.record_success();
-        assert!(!health.is_tripped());
-        assert!(health.admit_cold());
-        health.record_failure();
-        health.record_failure();
-        assert!(!health.is_tripped(), "the streak restarted after success");
-    }
-
-    #[test]
-    fn bulkheads_are_per_model_and_survive_reinstall() {
-        let reg = ModelRegistry::load(&model(3).to_text(), "boot").unwrap();
-        let boot_fp = reg.current().fingerprint;
-        let other = reg.reload_sealed(&model(4).to_text_checksummed(), "p").unwrap();
-
-        // Trip the boot model's bulkhead only.
-        let boot = reg.get(boot_fp).unwrap();
-        for _ in 0..BULKHEAD_TRIP_AFTER {
-            boot.health.record_failure();
-        }
-        assert!(reg.get(boot_fp).unwrap().health.is_tripped());
-        assert!(
-            !reg.get(other.fingerprint).unwrap().health.is_tripped(),
-            "bulkheads are isolated per model"
-        );
-
-        // Re-installing the same weights must not launder the breaker.
-        let again = reg.reload_sealed(&model(3).to_text_checksummed(), "p2").unwrap();
-        assert_eq!(again.fingerprint, boot_fp);
-        assert!(reg.get(boot_fp).unwrap().health.is_tripped());
-        assert_eq!(reg.get(boot_fp).unwrap().entry.generation, 3, "entry was refreshed");
-
-        let summaries = reg.models();
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries.iter().filter(|s| s.is_default).count(), 1);
-        assert_eq!(summaries.iter().filter(|s| s.tripped).count(), 1);
     }
 }

@@ -49,10 +49,8 @@ use ancstr_obs::{is_trace_id, mint_trace_id, Json, Value};
 
 use crate::batch::{BatchJob, BatchOutcome, Batcher};
 use crate::cache::{CacheStats, ResultCache};
-use crate::client;
 use crate::flight::SingleFlight;
 use crate::http::{read_request, ReadError, ReadLimits, Request, Response};
-use crate::peers::PeerRing;
 use crate::pool::{SubmitError, Supervision, WorkerPool};
 use crate::registry::{ModelEntry, ModelRegistry, ReloadError, ResolveError};
 
@@ -88,9 +86,6 @@ pub struct ServeConfig {
     /// Honor `x-ancstr-chaos` fault-cooperation headers (test rigs
     /// only; never enable in production).
     pub chaos: bool,
-    /// Replica peers (`--peers host:port,host:port`) for consistent-hash
-    /// cache partitioning. Empty = standalone node, never forwards.
-    pub peers: Vec<String>,
     /// Largest number of queued extract requests fused into one batched
     /// forward pass (`--batch-max`).
     pub batch_max: usize,
@@ -112,7 +107,6 @@ impl Default for ServeConfig {
             brownout_high: 48,
             brownout_low: 16,
             chaos: false,
-            peers: Vec::new(),
             batch_max: 16,
             metrics_out: None,
         }
@@ -129,8 +123,6 @@ struct Ctx {
     /// Fuses queued same-model extract requests into one forward pass,
     /// bisecting failed batches to isolate poison requests.
     batcher: Batcher,
-    /// The replica set for consistent-hash cache partitioning.
-    ring: PeerRing,
     obs: PipelineObs,
     shutdown: Arc<AtomicBool>,
     /// Present iff a tracer is attached; holding it serializes traced
@@ -152,8 +144,8 @@ struct Ctx {
     /// Cache counters already published to the metrics registry, so
     /// `/metrics` can emit monotonic deltas.
     published: Mutex<CacheStats>,
-    /// Fleet counters (batching, peers, evictions) already published.
-    fleet_published: Mutex<FleetPublished>,
+    /// Batching counters already published.
+    batch_published: Mutex<BatchPublished>,
     /// Kernel profiling counters already published. Initialized to the
     /// process-wide counters at server start, so a daemon sharing its
     /// process with other instrumented work (tests, `bench`) exposes
@@ -236,16 +228,13 @@ impl ReqTelemetry {
     }
 }
 
-/// Snapshot of the fleet counters last folded into the metrics
+/// Snapshot of the batching counters last folded into the metrics
 /// registry, so publishes stay monotonic deltas.
 #[derive(Default, Clone, Copy)]
-struct FleetPublished {
+struct BatchPublished {
     batches: u64,
     batched_requests: u64,
     bisections: u64,
-    forwards_ok: u64,
-    failovers: u64,
-    evictions: u64,
 }
 
 /// A handle that asks a running [`Server`] to stop accepting and drain.
@@ -300,7 +289,6 @@ impl Server {
             cache: ResultCache::new(cfg.cache_entries),
             flight: SingleFlight::new(),
             batcher: Batcher::new(cfg.batch_max.max(1)),
-            ring: PeerRing::new(addr.to_string(), cfg.peers.clone()),
             trace_gate: obs.tracing().then(|| Mutex::new(())),
             obs,
             shutdown: Arc::clone(&shutdown),
@@ -315,7 +303,7 @@ impl Server {
             started: Instant::now(),
             local_addr: addr,
             published: Mutex::new(CacheStats::default()),
-            fleet_published: Mutex::new(FleetPublished::default()),
+            batch_published: Mutex::new(BatchPublished::default()),
             kernels_published: Mutex::new(kernel_baseline()),
         });
         let flag = Arc::clone(&shutdown);
@@ -485,11 +473,6 @@ fn register_help(obs: &PipelineObs) {
     m.help("ancstr_serve_batched_requests_total", "Extract requests that rode a fused pass of size >= 2.");
     m.help("ancstr_serve_batch_bisections_total", "Failed-batch splits performed to isolate poison requests.");
     m.help("ancstr_serve_batch_poisoned_total", "Requests isolated as batch poison and answered 500.");
-    m.help("ancstr_serve_bulkhead_sheds_total", "Cold extract requests shed by a tripped per-model bulkhead.");
-    m.help("ancstr_serve_models_resident", "Models currently resident in the registry.");
-    m.help("ancstr_serve_model_evictions_total", "Resident models evicted by the LRU slot bound.");
-    m.help("ancstr_serve_model_bulkhead_tripped", "1 while the model's bulkhead breaker is tripped, by model.");
-    m.help("ancstr_serve_peer_forwards_total", "Cold misses routed to their owning replica, by result.");
     m.help("ancstr_serve_request_duration_seconds", "End-to-end request time, by route, status code, cache temperature and model.");
     m.help("ancstr_kernel_calls_total", "Instrumented compute-kernel invocations, by kernel.");
     m.help("ancstr_kernel_elements_total", "Elements processed inside instrumented kernels (mul-adds for matmul/spmm), by kernel.");
@@ -582,20 +565,12 @@ fn handle_conn(ctx: &Ctx, mut stream: TcpStream, accepted: Instant, shed_cold: b
         .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()));
     let route = route_label(&req);
     let response = {
-        // The root request span. When tracing, it carries the trace id
-        // (inherited by every child span at merge time) and, on
-        // forwarded requests, the upstream span id that the offline
-        // merger links this subtree under.
+        // The root request span. When tracing, it carries the trace id,
+        // which `obs-report` inherits down to every child span.
         let mut span_fields: Vec<(&str, Value)> =
             vec![("route", route.into()), ("peer", peer.as_str().into())];
         if let Some(id) = &telemetry.trace_id {
             span_fields.push(("trace", id.as_str().into()));
-            if let Some(parent) = req
-                .header("x-ancstr-parent-span")
-                .and_then(|v| v.trim().parse::<u64>().ok())
-            {
-                span_fields.push(("remote_parent", parent.into()));
-            }
         }
         let _span = ctx.obs.stage_with("serve", &span_fields);
         // Queue wait ended before any span could open; back-date it as
@@ -802,12 +777,11 @@ fn extract_route(
         ctx.obs.metrics().counter_add("ancstr_serve_deadline_expired_total", &[], 1);
         return extract_error_response(408, &ExtractError::Cancelled);
     }
-    // Route to a resident model (x-ancstr-model header, default entry
-    // otherwise) and snapshot it once; the whole request is served by
-    // exactly this entry even if a hot-swap or eviction lands
-    // mid-flight.
-    let slot = match ctx.registry.resolve(req.header("x-ancstr-model")) {
-        Ok(slot) => slot,
+    // Snapshot the resident model once, checked against the client's
+    // x-ancstr-model pin if it sent one; the whole request is served by
+    // exactly this entry even if a hot-swap lands mid-flight.
+    let entry = match ctx.registry.resolve(req.header("x-ancstr-model")) {
+        Ok(entry) => entry,
         Err(err) => {
             let status = match err {
                 ResolveError::BadFingerprint(_) => 400,
@@ -819,8 +793,6 @@ fn extract_route(
             );
         }
     };
-    let entry = slot.entry;
-    let health = slot.health;
     telemetry.set_model(entry.fingerprint_hex());
     let key = cache_key(&req.body, entry.extractor.config(), entry.fingerprint);
     // Single-flight: at most one worker computes any given key. A
@@ -862,35 +834,7 @@ fn extract_route(
         )
         .header("Retry-After", "1");
     }
-    // Per-model bulkhead: a tripped model sheds its own cold traffic
-    // (cache hits were already served above) while every other resident
-    // model keeps serving. `admit_cold` lets deterministic probes
-    // through so a healed model closes its breaker.
-    if !health.admit_cold() {
-        ctx.obs.metrics().counter_add(
-            "ancstr_serve_bulkhead_sheds_total",
-            &[("model", &entry.fingerprint_hex())],
-            1,
-        );
-        return Response::json(
-            503,
-            &Json::obj()
-                .set(
-                    "error",
-                    "bulkhead open: this model is failing and its cold traffic is shed",
-                )
-                .set("stage", "bulkhead")
-                .set("model", entry.fingerprint_hex()),
-        )
-        .header("Retry-After", "1");
-    }
     let chaos = ctx.chaos.then(|| req.header("x-ancstr-chaos")).flatten();
-    // Replica-aware partitioning: if a peer owns this key, fetch from
-    // it under a per-hop deadline; any failure degrades to local
-    // compute (a miss, never an error).
-    if let Some(resp) = peer_fetch(ctx, req, &key, &entry, cancel, chaos, telemetry, format) {
-        return resp;
-    }
     // The origin label is diagnostic-only (it becomes the parse span's
     // `path` field), which makes it the safe channel for linking the
     // batch lane's pipeline spans back to this requester's trace.
@@ -917,7 +861,6 @@ fn extract_route(
     telemetry.time("batch", batch_started.elapsed());
     match outcome {
         BatchOutcome::Reply(reply) => {
-            health.record_success();
             let reply = Arc::new(*reply);
             ctx.cache.put(key, Arc::clone(&reply));
             reply_response(&reply, &entry, false, format)
@@ -925,25 +868,20 @@ fn extract_route(
         BatchOutcome::Error(err) => {
             // Parse/elaborate failures indict the client's netlist; an
             // expired deadline is the client's budget; everything
-            // downstream is the server's problem (and counts against
-            // the model's bulkhead).
+            // downstream is the server's problem.
             let status = match err.exit_code() {
                 4 | 5 => 400,
                 10 => {
                     ctx.obs.metrics().counter_add("ancstr_serve_deadline_expired_total", &[], 1);
                     408
                 }
-                _ => {
-                    health.record_failure();
-                    500
-                }
+                _ => 500,
             };
             extract_error_response(status, &err)
         }
         BatchOutcome::Poisoned => {
             ctx.poisoned.fetch_add(1, Ordering::SeqCst);
             ctx.obs.metrics().counter_add("ancstr_serve_batch_poisoned_total", &[], 1);
-            health.record_failure();
             Response::json(
                 500,
                 &Json::obj()
@@ -954,127 +892,12 @@ fn extract_route(
                     .set("stage", "batch_poison"),
             )
         }
-        BatchOutcome::Budget => {
-            health.record_failure();
-            Response::json(
-                500,
-                &Json::obj()
-                    .set("error", "batch retry budget exhausted before this request succeeded")
-                    .set("stage", "batch_budget"),
-            )
-        }
-    }
-}
-
-/// Try to serve a cold miss from the replica that owns its cache key.
-/// Returns `Some(response)` only when the owning peer answered `200` in
-/// time — the peer's reply bytes are relayed as-is, so a fleet answers
-/// byte-identically no matter which replica the client hit. Every other
-/// path (self-owned key, no peers, dead peer, slow peer, unhealthy
-/// reply, chaos-simulated hop failure) returns `None` and the caller
-/// computes locally: failover is a cache miss, never a client error.
-#[allow(clippy::too_many_arguments)]
-fn peer_fetch(
-    ctx: &Ctx,
-    req: &Request,
-    key: &str,
-    entry: &ModelEntry,
-    cancel: &CancelToken,
-    chaos: Option<&str>,
-    telemetry: &ReqTelemetry,
-    format: ReplyFormat,
-) -> Option<Response> {
-    // Forwarded requests carry x-ancstr-no-forward so a hop terminates
-    // at the owner even if ring views disagree mid-deploy.
-    if req.header("x-ancstr-no-forward").is_some() {
-        return None;
-    }
-    // Chaos-simulated hop failures (test rigs): exercise the failover
-    // path deterministically without needing a dead replica.
-    match chaos {
-        Some("peer-down") => {
-            ctx.ring.count_failover();
-            return None;
-        }
-        // A poison request must detonate *here*: forwarding would strip
-        // the chaos header and neutralize the simulation, which a real
-        // poison input (panicking wherever it is computed) never is.
-        Some("poison") => return None,
-        Some(v) => {
-            if let Some(ms) = v.strip_prefix("slow-peer-ms:").and_then(|n| n.parse::<u64>().ok())
-            {
-                thread::sleep(Duration::from_millis(ms.min(250)));
-                ctx.ring.count_failover();
-                return None;
-            }
-        }
-        None => {}
-    }
-    if !ctx.ring.has_peers() {
-        return None;
-    }
-    let owner = ctx.ring.owner(key)?;
-    let Ok(addr) = owner.parse::<SocketAddr>() else {
-        ctx.ring.count_failover();
-        return None;
-    };
-    // The hop budget is carved from what remains of the request budget:
-    // half the remainder, clamped, so a slow peer can never starve the
-    // local fallback.
-    let remaining = cancel
-        .deadline()
-        .map(|d| d.saturating_duration_since(Instant::now()))
-        .unwrap_or(Duration::from_secs(4));
-    if remaining < Duration::from_millis(20) {
-        return None; // let the local path answer the deadline honestly
-    }
-    let hop = (remaining / 2).clamp(Duration::from_millis(50), Duration::from_secs(2));
-    let hop_ms = hop.as_millis().to_string();
-    let model_hex = entry.fingerprint_hex();
-    let mut headers = vec![
-        ("x-ancstr-no-forward", "1"),
-        ("x-ancstr-model", model_hex.as_str()),
-        ("x-ancstr-deadline-ms", hop_ms.as_str()),
-    ];
-    // The negotiated format crosses the hop so the owner answers in the
-    // representation this client asked for; the relayed Content-Type
-    // below matches it.
-    if format == ReplyFormat::AlignJson {
-        headers.push(("accept", ALIGN_MEDIA_TYPE));
-    }
-    // Propagate trace context across the hop: the owner adopts our
-    // trace id, and the forward span's id becomes its remote parent so
-    // the offline merger can hang the remote subtree under this hop.
-    let span = ctx.obs.tracer().zip(telemetry.trace_id.as_deref()).map(|(t, id)| {
-        t.span("serve", "forward", &[("peer", owner.into()), ("trace", id.into())])
-    });
-    let span_id = span.as_ref().map(|s| s.id().to_string());
-    if let (Some(id), Some(span_id)) = (telemetry.trace_id.as_deref(), span_id.as_deref()) {
-        headers.push(("x-ancstr-trace-id", id));
-        headers.push(("x-ancstr-parent-span", span_id));
-    }
-    let hop_started = Instant::now();
-    let result = client::post_with(addr, "/v1/extract", &headers, &req.body, hop);
-    drop(span);
-    telemetry.time("forward", hop_started.elapsed());
-    match result {
-        Ok(reply) if reply.status == 200 => {
-            ctx.ring.count_forward_ok();
-            let content_type = match format {
-                ReplyFormat::Wrapper => "application/json",
-                ReplyFormat::AlignJson => ALIGN_MEDIA_TYPE,
-            };
-            Some(
-                Response::new(200)
-                    .header("Content-Type", content_type)
-                    .header("x-ancstr-served-by", owner)
-                    .with_body(reply.body),
-            )
-        }
-        _ => {
-            ctx.ring.count_failover();
-            None
-        }
+        BatchOutcome::Budget => Response::json(
+            500,
+            &Json::obj()
+                .set("error", "batch retry budget exhausted before this request succeeded")
+                .set("stage", "batch_budget"),
+        ),
     }
 }
 
@@ -1125,20 +948,6 @@ fn healthz_route(ctx: &Ctx) -> Response {
     let entry = ctx.registry.current();
     let stats = ctx.cache.stats();
     let breaker = ctx.registry.breaker();
-    let models: Vec<Json> = ctx
-        .registry
-        .models()
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .set("fingerprint", s.fingerprint.as_str())
-                .set("generation", s.generation)
-                .set("default", s.is_default)
-                .set("tripped", s.tripped)
-                .set("shed_total", s.shed_total)
-        })
-        .collect();
-    let peers: Vec<Json> = ctx.ring.peers().iter().map(|p| Json::from(p.as_str())).collect();
     Response::json(
         200,
         &Json::obj()
@@ -1153,7 +962,6 @@ fn healthz_route(ctx: &Ctx) -> Response {
                     .set("generation", entry.generation)
                     .set("source", entry.source.as_str()),
             )
-            .set("models", models)
             .set(
                 "breaker",
                 Json::obj()
@@ -1167,14 +975,6 @@ fn healthz_route(ctx: &Ctx) -> Response {
                     .set("batched_requests", ctx.batcher.batched_requests_total())
                     .set("bisections", ctx.batcher.bisections_total())
                     .set("poisoned", ctx.poisoned.load(Ordering::SeqCst)),
-            )
-            .set(
-                "peers",
-                Json::obj()
-                    .set("self", ctx.ring.self_addr())
-                    .set("configured", peers)
-                    .set("forwards_ok", ctx.ring.forwards_ok_total())
-                    .set("failovers", ctx.ring.failovers_total()),
             )
             .set(
                 "cache",
@@ -1199,20 +999,9 @@ fn readyz_route(ctx: &Ctx) -> Response {
         reasons.push("brownout".into());
     }
     let ready = reasons.is_empty();
-    // Tripped bulkheads are surfaced but do not fail readiness: the
-    // other resident models (and every cache hit) still serve, so
-    // pulling the whole replica would amplify a one-model failure.
-    let tripped: Vec<Json> = ctx
-        .registry
-        .models()
-        .iter()
-        .filter(|s| s.tripped)
-        .map(|s| Json::from(s.fingerprint.as_str()))
-        .collect();
     let body = Json::obj()
         .set("status", if ready { "ready" } else { "degraded" })
         .set("reasons", reasons)
-        .set("bulkheads_tripped", tripped)
         .set("quarantined_models", ctx.registry.breaker().quarantined as u64);
     let mut resp = Response::json(if ready { 200 } else { 503 }, &body);
     if !ready {
@@ -1228,7 +1017,7 @@ fn metrics_route(ctx: &Ctx) -> Response {
         .with_body(ctx.obs.metrics().render().into_bytes())
 }
 
-/// Everything a scrape publishes on demand: the cache/fleet deltas,
+/// Everything a scrape publishes on demand: the cache/batching deltas,
 /// the effective compute-layer thread count (the `--threads` flag, or
 /// the machine's available parallelism when unset), and kernel
 /// attribution. The drain path reuses this so the final snapshot is a
@@ -1271,21 +1060,18 @@ fn publish_cache_metrics(ctx: &Ctx) {
     m.counter_add("ancstr_serve_cache_evictions_total", &[], now.evictions - last.evictions);
     m.gauge_set("ancstr_serve_cache_entries", &[], now.entries as f64);
     *last = now;
-    publish_fleet_metrics(ctx);
+    publish_batch_metrics(ctx);
 }
 
-/// Fold the batching, peer, and registry counters into the Prometheus
-/// registry as monotonic deltas, plus the point-in-time gauges.
-fn publish_fleet_metrics(ctx: &Ctx) {
-    let now = FleetPublished {
+/// Fold the batching counters into the Prometheus registry as
+/// monotonic deltas.
+fn publish_batch_metrics(ctx: &Ctx) {
+    let now = BatchPublished {
         batches: ctx.batcher.batches_total(),
         batched_requests: ctx.batcher.batched_requests_total(),
         bisections: ctx.batcher.bisections_total(),
-        forwards_ok: ctx.ring.forwards_ok_total(),
-        failovers: ctx.ring.failovers_total(),
-        evictions: ctx.registry.evictions(),
     };
-    let mut last = ctx.fleet_published.lock().unwrap_or_else(|e| e.into_inner());
+    let mut last = ctx.batch_published.lock().unwrap_or_else(|e| e.into_inner());
     let m = ctx.obs.metrics();
     m.counter_add("ancstr_serve_batches_total", &[], now.batches - last.batches);
     m.counter_add(
@@ -1294,27 +1080,7 @@ fn publish_fleet_metrics(ctx: &Ctx) {
         now.batched_requests - last.batched_requests,
     );
     m.counter_add("ancstr_serve_batch_bisections_total", &[], now.bisections - last.bisections);
-    m.counter_add(
-        "ancstr_serve_peer_forwards_total",
-        &[("result", "ok")],
-        now.forwards_ok - last.forwards_ok,
-    );
-    m.counter_add(
-        "ancstr_serve_peer_forwards_total",
-        &[("result", "failover")],
-        now.failovers - last.failovers,
-    );
-    m.counter_add("ancstr_serve_model_evictions_total", &[], now.evictions - last.evictions);
     *last = now;
-    let summaries = ctx.registry.models();
-    m.gauge_set("ancstr_serve_models_resident", &[], summaries.len() as f64);
-    for s in &summaries {
-        m.gauge_set(
-            "ancstr_serve_model_bulkhead_tripped",
-            &[("model", &s.fingerprint)],
-            f64::from(u8::from(s.tripped)),
-        );
-    }
 }
 
 fn models_route(ctx: &Ctx, req: &Request, peer: &str) -> Response {
@@ -1710,67 +1476,40 @@ M5 t t vss vss nch w=1u l=0.1u
         stop(server);
     }
 
-    /// The `constraints_text` JSON fragment of an extract reply — the
-    /// bytes that must be identical no matter which replica (or batch)
-    /// computed them.
-    fn constraints_of(body: &str) -> String {
-        let start = body.find("\"constraints_text\":").expect(body) + "\"constraints_text\":".len();
-        body[start..].split("\",\"").next().unwrap().to_owned()
-    }
-
     #[test]
-    fn requests_route_to_resident_models_by_fingerprint() {
+    fn a_request_pinned_to_a_swapped_out_model_is_404() {
         let server = start_server(8);
         let addr = server.local_addr();
-        let boot_hex = {
-            let m = test_model(11);
-            format!("{:016x}", m.fingerprint())
+        let pinned = |hex: &str| {
+            client::post_with(addr, "/v1/extract", &[("x-ancstr-model", hex)], NETLIST.as_bytes(), T)
+                .unwrap()
         };
-        // Install a second model; it becomes the headerless default.
+        let boot_hex = format!("{:016x}", test_model(11).fingerprint());
+        let boot = pinned(&boot_hex);
+        assert_eq!(boot.status, 200, "{}", boot.text());
+        // Swap in a second model: it replaces the boot model.
         let next = test_model(12);
         let next_hex = format!("{:016x}", next.fingerprint());
         let up = client::post(addr, "/v1/models", next.to_text_checksummed().as_bytes(), T).unwrap();
         assert_eq!(up.status, 200, "{}", up.text());
+        // A client still pinned to the old model gets an error, not the
+        // new model's answer.
+        let gone = pinned(&boot_hex);
+        assert_eq!(gone.status, 404, "{}", gone.text());
+        assert!(gone.text().contains("\"stage\":\"model_routing\""), "{}", gone.text());
+        let served = pinned(&next_hex);
+        assert_eq!(served.status, 200, "{}", served.text());
+        assert!(served.text().contains(&next_hex), "{}", served.text());
         let headerless = client::post(addr, "/v1/extract", NETLIST.as_bytes(), T).unwrap();
         assert!(headerless.text().contains(&next_hex), "{}", headerless.text());
-        // Explicit routing reaches the older resident model.
-        let routed = client::post_with(
-            addr,
-            "/v1/extract",
-            &[("x-ancstr-model", boot_hex.as_str())],
-            NETLIST.as_bytes(),
-            T,
-        )
-        .unwrap();
-        assert_eq!(routed.status, 200, "{}", routed.text());
-        assert!(routed.text().contains(&boot_hex), "{}", routed.text());
-        // Same netlist, different models: distinct cache keys, and both
-        // models produce a well-formed reply.
-        assert!(routed.text().contains("\"cached\":false"), "{}", routed.text());
-        // Malformed and unknown fingerprints are typed routing errors.
-        let bad = client::post_with(
-            addr,
-            "/v1/extract",
-            &[("x-ancstr-model", "zz")],
-            NETLIST.as_bytes(),
-            T,
-        )
-        .unwrap();
+        // A malformed pin is a 400 with the same stage.
+        let bad = pinned("zz");
         assert_eq!(bad.status, 400, "{}", bad.text());
         assert!(bad.text().contains("\"stage\":\"model_routing\""), "{}", bad.text());
-        let gone = client::post_with(
-            addr,
-            "/v1/extract",
-            &[("x-ancstr-model", "00000000000000aa")],
-            NETLIST.as_bytes(),
-            T,
-        )
-        .unwrap();
-        assert_eq!(gone.status, 404, "{}", gone.text());
-        // Both residents show up in /healthz.
+        // /healthz names the resident model.
         let health = client::get(addr, "/healthz", T).unwrap().text();
-        assert!(health.contains("\"models\":["), "{health}");
-        assert!(health.contains(&boot_hex) && health.contains(&next_hex), "{health}");
+        assert!(health.contains(&format!("\"fingerprint\":\"{next_hex}\"")), "{health}");
+        assert!(!health.contains(&boot_hex), "{health}");
         stop(server);
     }
 
@@ -1793,155 +1532,13 @@ M5 t t vss vss nch w=1u l=0.1u
         .unwrap();
         assert_eq!(poisoned.status, 500, "{}", poisoned.text());
         assert!(poisoned.text().contains("\"stage\":\"batch_poison\""), "{}", poisoned.text());
-        // The same netlist without the poison flag serves fine (the
-        // failure was the request's, not the model's — yet).
+        // The same netlist without the poison flag serves fine: the
+        // failure was the request's, not the model's.
         let clean = client::post(addr, "/v1/extract", NETLIST.as_bytes(), T).unwrap();
         assert_eq!(clean.status, 200, "{}", clean.text());
         let metrics = client::get(addr, "/metrics", T).unwrap().text();
         assert!(metrics.contains("ancstr_serve_batch_poisoned_total 1"), "{metrics}");
         stop(server);
-    }
-
-    #[test]
-    fn a_tripped_bulkhead_sheds_cold_traffic_but_serves_cache_hits() {
-        let server = start_with(ServeConfig {
-            workers: 2,
-            cache_entries: 8,
-            chaos: true,
-            ..ServeConfig::default()
-        });
-        let addr = server.local_addr();
-        // Prime one cache entry while the model is healthy.
-        let warm = client::post(addr, "/v1/extract", NETLIST.as_bytes(), T).unwrap();
-        assert_eq!(warm.status, 200, "{}", warm.text());
-        // Three consecutive poison 500s trip the model's bulkhead.
-        let cold = NETLIST.replace("w=1u", "w=3u");
-        for _ in 0..crate::registry::BULKHEAD_TRIP_AFTER {
-            let r = client::post_with(
-                addr,
-                "/v1/extract",
-                &[("x-ancstr-chaos", "poison")],
-                cold.as_bytes(),
-                T,
-            )
-            .unwrap();
-            assert_eq!(r.status, 500, "{}", r.text());
-        }
-        // Cold traffic on this model is now shed…
-        let shed = client::post(addr, "/v1/extract", cold.as_bytes(), T).unwrap();
-        assert_eq!(shed.status, 503, "{}", shed.text());
-        assert!(shed.text().contains("\"stage\":\"bulkhead\""), "{}", shed.text());
-        assert_eq!(shed.header("retry-after"), Some("1"));
-        // …but cache hits keep serving.
-        let hit = client::post(addr, "/v1/extract", NETLIST.as_bytes(), T).unwrap();
-        assert_eq!(hit.status, 200, "{}", hit.text());
-        assert!(hit.text().contains("\"cached\":true"), "{}", hit.text());
-        // The tripped breaker is surfaced without failing readiness.
-        let ready = client::get(addr, "/healthz/ready", T).unwrap();
-        assert_eq!(ready.status, 200, "{}", ready.text());
-        assert!(ready.text().contains("\"bulkheads_tripped\":[\""), "{}", ready.text());
-        // Deterministic half-open: within one probe window a cold
-        // request is admitted, succeeds, and closes the breaker.
-        let mut healed = false;
-        for _ in 0..crate::registry::BULKHEAD_PROBE_EVERY {
-            let r = client::post(addr, "/v1/extract", cold.as_bytes(), T).unwrap();
-            if r.status == 200 {
-                healed = true;
-                break;
-            }
-            assert_eq!(r.status, 503, "{}", r.text());
-        }
-        assert!(healed, "a probe request must be admitted within one window");
-        let after = client::post(addr, "/v1/extract", cold.as_bytes(), T).unwrap();
-        assert_eq!(after.status, 200, "breaker closed after the probe: {}", after.text());
-        stop(server);
-    }
-
-    #[test]
-    fn chaos_peer_faults_degrade_to_local_compute() {
-        let server = start_with(ServeConfig {
-            workers: 2,
-            cache_entries: 8,
-            chaos: true,
-            ..ServeConfig::default()
-        });
-        let addr = server.local_addr();
-        for (i, chaos) in ["peer-down", "slow-peer-ms:40"].iter().enumerate() {
-            // Distinct bodies: a cache hit would short-circuit before
-            // the peer hop.
-            let cold = NETLIST.replace("w=1u", &format!("w={}u", i + 5));
-            let r = client::post_with(
-                addr,
-                "/v1/extract",
-                &[("x-ancstr-chaos", chaos)],
-                cold.as_bytes(),
-                T,
-            )
-            .unwrap();
-            assert_eq!(r.status, 200, "{chaos}: {}", r.text());
-        }
-        let metrics = client::get(addr, "/metrics", T).unwrap().text();
-        assert!(
-            metrics.contains("ancstr_serve_peer_forwards_total{result=\"failover\"} 2"),
-            "{metrics}"
-        );
-        stop(server);
-    }
-
-    #[test]
-    fn a_two_replica_fleet_forwards_to_owners_and_fails_over_when_one_dies() {
-        // Replica A is standalone; replica B partitions the key space
-        // with A. Keys B does not own are fetched from A; when A dies
-        // they degrade to local compute with identical bytes.
-        let model_text = test_model(11).to_text();
-        let reg_a = Arc::new(ModelRegistry::load(&model_text, "fleet-a").unwrap());
-        let a = Server::start(
-            ServeConfig { workers: 2, ..ServeConfig::default() },
-            reg_a,
-            PipelineObs::new(None),
-        )
-        .unwrap();
-        let reg_b = Arc::new(ModelRegistry::load(&model_text, "fleet-b").unwrap());
-        let b = Server::start(
-            ServeConfig {
-                workers: 2,
-                peers: vec![a.local_addr().to_string()],
-                ..ServeConfig::default()
-            },
-            reg_b,
-            PipelineObs::new(None),
-        )
-        .unwrap();
-        let addr_b = b.local_addr();
-        // Enough distinct keys that, overwhelmingly, at least one is
-        // owned by each replica.
-        let netlists: Vec<String> =
-            (1..=16).map(|i| NETLIST.replace("w=1u", &format!("w={i}u"))).collect();
-        let mut first_pass = Vec::new();
-        for nl in &netlists {
-            let r = client::post(addr_b, "/v1/extract", nl.as_bytes(), T).unwrap();
-            assert_eq!(r.status, 200, "{}", r.text());
-            first_pass.push(constraints_of(&r.text()));
-        }
-        let metrics = client::get(addr_b, "/metrics", T).unwrap().text();
-        assert!(
-            metrics.contains("ancstr_serve_peer_forwards_total{result=\"ok\"}"),
-            "with 16 keys at least one must be peer-owned: {metrics}"
-        );
-        // Kill A mid-fleet; B must keep serving the same bytes.
-        a.shutdown_handle().signal();
-        a.wait();
-        for (nl, before) in netlists.iter().zip(&first_pass) {
-            let r = client::post(addr_b, "/v1/extract", nl.as_bytes(), T).unwrap();
-            assert_eq!(r.status, 200, "after peer death: {}", r.text());
-            assert_eq!(&constraints_of(&r.text()), before, "failover changed reply bytes");
-        }
-        let metrics = client::get(addr_b, "/metrics", T).unwrap().text();
-        assert!(
-            metrics.contains("ancstr_serve_peer_forwards_total{result=\"failover\"}"),
-            "{metrics}"
-        );
-        stop(b);
     }
 
     #[test]
@@ -2069,55 +1666,5 @@ M5 t t vss vss nch w=1u l=0.1u
         assert_eq!(reply.header("x-ancstr-trace-id"), None);
         assert_eq!(reply.header("x-ancstr-timing"), None);
         stop(server);
-    }
-
-    #[test]
-    fn a_forwarded_miss_carries_one_trace_id_across_both_replicas() {
-        let model_text = test_model(11).to_text();
-        let (tracer_a, buf_a) = ancstr_obs::Tracer::in_memory();
-        let a = Server::start(
-            ServeConfig { workers: 2, ..ServeConfig::default() },
-            Arc::new(ModelRegistry::load(&model_text, "fleet-a").unwrap()),
-            PipelineObs::new(Some(tracer_a)),
-        )
-        .unwrap();
-        let (tracer_b, buf_b) = ancstr_obs::Tracer::in_memory();
-        let b = Server::start(
-            ServeConfig {
-                workers: 2,
-                peers: vec![a.local_addr().to_string()],
-                ..ServeConfig::default()
-            },
-            Arc::new(ModelRegistry::load(&model_text, "fleet-b").unwrap()),
-            PipelineObs::new(Some(tracer_b)),
-        )
-        .unwrap();
-        let addr_b = b.local_addr();
-        // Distinct cold keys until one is peer-owned and forwarded.
-        let mut forwarded_id = None;
-        for i in 1..=16 {
-            let nl = NETLIST.replace("w=1u", &format!("w={i}u"));
-            let r = client::post(addr_b, "/v1/extract", nl.as_bytes(), T).unwrap();
-            assert_eq!(r.status, 200, "{}", r.text());
-            if r.header("x-ancstr-served-by").is_some() {
-                forwarded_id =
-                    Some(r.header("x-ancstr-trace-id").expect("trace id echoed").to_owned());
-                break;
-            }
-        }
-        let id = forwarded_id.expect("with 16 distinct keys at least one must be peer-owned");
-        stop(b);
-        stop(a);
-        // One trace id landed in both replicas' streams, and the merger
-        // stitches them into a single waterfall around the forward hop.
-        let (text_a, text_b) = (buf_a.contents(), buf_b.contents());
-        assert!(text_a.contains(&id) && text_b.contains(&id), "{id}\n--- a:\n{text_a}");
-        let report = ancstr_obs::analyze(&[
-            ancstr_obs::TraceFile { label: "a".into(), text: text_a },
-            ancstr_obs::TraceFile { label: "b".into(), text: text_b },
-        ])
-        .unwrap();
-        assert_eq!(report.merged, 1, "one trace spans both replicas:\n{}", report.rendered);
-        assert!(report.rendered.contains("forward"), "{}", report.rendered);
     }
 }

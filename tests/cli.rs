@@ -118,6 +118,19 @@ fn bad_usage_fails_cleanly() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // The daemon serves one model on one node: the fleet flags are gone.
+    for flags in [["serve", "--peers", "x"], ["serve", "--model-slots", "2"]] {
+        let out = bin().args(flags).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{flags:?}: {stderr}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+        .arg("--ramp")
+        .output()
+        .expect("loadgen runs");
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// Exit codes are stable per failure stage: 2 usage, 3 I/O, 4 parse,

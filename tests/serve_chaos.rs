@@ -241,30 +241,8 @@ fn fault_operators_map_to_clean_statuses() {
     let health = client::get(addr, "/healthz", T).unwrap().text();
     assert!(health.contains("\"generation\":1"), "{health}");
 
-    // A dead owning replica degrades to *local compute*, not an error:
-    // a cold body (unique comment, same circuit) under the peer-down
-    // fault is a 200 with the baseline bytes, and the failover counter
-    // moves. Same contract for a slow peer.
+    // Cold bodies: the same circuit plus a unique comment line.
     let cold = |tag: &str| format!("{NETLIST}* chaos probe {tag}\n").into_bytes();
-    for (fault, seed, tag) in [
-        (ServeFault::PeerDown, 10u64, "down"),
-        (ServeFault::SlowPeer { hold_ms: 40 }, 11, "slow"),
-    ] {
-        let plan = plan_serve_fault(fault, "POST", "/v1/extract", &cold(tag), seed);
-        let outcome = client::send_plan(addr, &plan, T).expect("plan connects");
-        let reply = outcome.reply.unwrap_or_else(|| panic!("{fault:?} gets a reply"));
-        assert_eq!(reply.status, 200, "{fault:?} must fail over, not error: {}", reply.text());
-        assert_eq!(
-            constraints(&reply.text()).as_deref(),
-            Some(reference.as_str()),
-            "{fault:?} failover diverged from the baseline"
-        );
-    }
-    let metrics = client::get(addr, "/metrics", T).unwrap().text();
-    assert!(
-        metrics.contains("ancstr_serve_peer_forwards_total{result=\"failover\"} 2"),
-        "both peer faults count as failovers:\n{metrics}"
-    );
 
     // A poisoned batch request fails alone with the typed batch_poison
     // stage — and since its body is unique, no mate is implicated.
