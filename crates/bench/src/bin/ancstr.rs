@@ -21,7 +21,7 @@
 //! ancstr serve   --model model.txt [--port N] [--workers N]
 //!                [--queue-depth N] [--cache-entries N]
 //!                [--default-deadline-ms N] [--chaos] [--metrics FILE]
-//!                [--batch-max N] [--threads N] [--trace-out FILE]
+//!                [--threads N] [--trace-out FILE]
 //!                [--log-format text|json] [-v|--quiet]
 //! ```
 //!
@@ -123,7 +123,7 @@ use ancstr_obs::{
 };
 
 fn usage() -> &'static str {
-    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--batch-max N] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]"
+    "usage:\n  ancstr extract <netlist.sp> [-o FILE] [--model FILE] [--epochs N] [--seed S] [--threads N] [--groups] [--constraint-format magical|align-json] [--dot FILE] [--metrics FILE] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr train <netlist.sp>... --model-out FILE [--epochs N] [--seed S] [--threads N] [--run-dir DIR] [--resume] [--checkpoint-every N] [--time-budget SECS] [--trace-out FILE] [--log-format text|json] [-v|--quiet]\n  ancstr stats <netlist.sp>\n  ancstr corpus --devices N [--seed S] [-o FILE]\n  ancstr obs-check [--trace FILE] [--require-stages a,b,..] [--require-epoch-events] [--prom FILE] [--align FILE]\n  ancstr obs-report <trace.jsonl>...\n  ancstr serve --model FILE [--port N] [--workers N] [--queue-depth N] [--cache-entries N] [--default-deadline-ms N] [--chaos] [--metrics FILE] [--threads N] [--trace-out FILE] [--log-format text|json] [-v|--quiet]"
 }
 
 /// Everything that can go wrong, sorted by exit code: failed
@@ -282,7 +282,6 @@ struct Args {
     cache_entries: Option<usize>,
     default_deadline_ms: Option<u64>,
     chaos: bool,
-    batch_max: Option<usize>,
     // compute-layer thread cap (None = available parallelism)
     threads: Option<usize>,
 }
@@ -318,7 +317,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         cache_entries: None,
         default_deadline_ms: None,
         chaos: false,
-        batch_max: None,
         threads: None,
     };
     let mut it = raw.iter();
@@ -434,15 +432,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                 args.default_deadline_ms = Some(n);
             }
             "--chaos" => args.chaos = true,
-            "--batch-max" => {
-                let n: usize = take("--batch-max")?
-                    .parse()
-                    .map_err(|_| "bad --batch-max (want a positive integer)")?;
-                if n == 0 {
-                    return Err("--batch-max must be at least 1".to_owned());
-                }
-                args.batch_max = Some(n);
-            }
             "--threads" => {
                 let n: usize = take("--threads")?
                     .parse()
@@ -1009,9 +998,6 @@ fn cmd_serve(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
     }
     if let Some(ms) = args.default_deadline_ms {
         cfg.default_deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = args.batch_max {
-        cfg.batch_max = n;
     }
     cfg.chaos = args.chaos;
     if args.chaos {

@@ -33,13 +33,19 @@
 //! `--chaos SEED` switches to the fault-injection soak: every serve
 //! fault operator from `ancstr_core::inject` (truncated bodies, torn
 //! writes, stalled reads, injected worker panics, corrupt model
-//! uploads, poisoned batch-mates) is compiled into a deterministic wire plan from the seed —
-//! no wall-clock randomness — and replayed `--requests` rounds against
-//! the daemon (start it with `--chaos` so panic headers are honored).
-//! After every fault the harness asserts the resilience invariants: the
-//! daemon answers a clean follow-up request with the exact baseline
-//! bytes (no wedged workers, no silent corruption), a faulted exchange
-//! never yields a `200` with wrong bytes, and the request counters in
+//! uploads, panics inside the pipeline run) is compiled into a
+//! deterministic wire plan from the seed — no wall-clock randomness —
+//! and replayed `--requests` rounds against the daemon (start it with
+//! `--chaos` so panic headers are honored). The pipeline-panic plan
+//! sends a cold body each round (the netlist plus a `* chaos` comment
+//! line, which changes the cache key but not the constraints) and must
+//! be answered `500` with stage `worker_panic`; the same body without
+//! the header must then answer `200` with the baseline constraints, so
+//! the panicking request released its single-flight key. After every
+//! fault the harness asserts the resilience invariants: the daemon
+//! answers a clean follow-up request with the exact baseline bytes (no
+//! wedged workers, no silent corruption), a faulted exchange never
+//! yields a `200` with wrong bytes, and the request counters in
 //! `/metrics` only ever move forward. Exit codes: 0 success, 1 failed
 //! invariant, 2 usage, 3 connection/file errors.
 
@@ -49,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ancstr_core::{plan_serve_fault, ALL_SERVE_FAULTS};
+use ancstr_core::{plan_serve_fault, ServeFault, ALL_SERVE_FAULTS};
 use ancstr_obs::{is_trace_id, mint_trace_id};
 use ancstr_serve::client::{self, RetryPolicy};
 
@@ -324,16 +330,61 @@ fn run_chaos(opts: &Options, seed: u64) -> Result<bool, String> {
     let policy = RetryPolicy::new(seed);
 
     for round in 0..opts.requests {
+        // The pipeline panic fires only on a cache miss, so its plan
+        // gets a body no earlier request has sent.
+        let mut cold = body.clone();
+        if !cold.ends_with(b"\n") {
+            cold.push(b'\n');
+        }
+        cold.extend_from_slice(format!("* chaos {seed} {round}\n").as_bytes());
         for (i, fault) in ALL_SERVE_FAULTS.iter().enumerate() {
             // Seed per (round, operator): deterministic for a fixed
             // --chaos seed, different wire bytes across rounds.
             let plan_seed = seed
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add((round * ALL_SERVE_FAULTS.len() + i) as u64);
-            let plan = plan_serve_fault(*fault, "POST", "/v1/extract", &body, plan_seed);
+            let pipeline_panic = *fault == ServeFault::PipelinePanic;
+            let plan_body = if pipeline_panic { &cold } else { &body };
+            let plan = plan_serve_fault(*fault, "POST", "/v1/extract", plan_body, plan_seed);
             let outcome = client::send_plan(opts.addr, &plan, T)
                 .map_err(|e| format!("chaos plan {fault:?} could not connect: {e}"))?;
             faults_run += 1;
+
+            if pipeline_panic {
+                match &outcome.reply {
+                    Some(r) if r.status == 500 && r.text().contains("\"worker_panic\"") => {}
+                    Some(r) => fail(format!(
+                        "{fault:?}: expected 500 worker_panic on a cold body, got {}: {}",
+                        r.status,
+                        r.text()
+                    )),
+                    None => fail(format!("{fault:?}: the connection closed without a reply")),
+                }
+                // The panicking leader must have released the key: the
+                // same cold body without the header computes normally.
+                match client::request_with_retry(
+                    opts.addr,
+                    "POST",
+                    "/v1/extract",
+                    &[],
+                    &cold,
+                    T,
+                    &policy,
+                ) {
+                    Ok(r) if r.status == 200 => {
+                        if raw_field(&r.text(), "constraints_text").as_deref()
+                            != Some(baseline_constraints.as_str())
+                        {
+                            fail(format!("{fault:?}: the cold body's reply diverged"));
+                        }
+                    }
+                    Ok(r) => fail(format!(
+                        "{fault:?}: the cold body without the header returned {}",
+                        r.status
+                    )),
+                    Err(e) => fail(format!("{fault:?}: the headerless cold body failed: {e}")),
+                }
+            }
 
             // Invariant: a faulted exchange may fail any way it likes,
             // but a 200 with bytes that differ from the baseline is

@@ -430,11 +430,13 @@ pub enum ServeFault {
     /// CRC-32 seal (or the canary inference) must reject it and the old
     /// model must keep serving.
     CorruptModelUpload,
-    /// A well-formed request carrying `x-ancstr-chaos: poison`: the
-    /// fused batch pass it rides in panics. Bisection must isolate it —
-    /// this request alone answers `500` with stage `batch_poison`, and
-    /// every batch-mate still gets its correct bytes.
-    PoisonBatchMate,
+    /// A well-formed request carrying `x-ancstr-chaos: poison`: a
+    /// chaos-enabled server panics inside the cache-miss path, after
+    /// the request took its key's single-flight leadership. This
+    /// request alone answers `500` with stage `worker_panic`, and the
+    /// key is free again for the next request with the same body. Only
+    /// a body the daemon has not cached reaches the miss path.
+    PipelinePanic,
 }
 
 /// All serve-layer fault classes, for exhaustive sweeps.
@@ -444,7 +446,7 @@ pub const ALL_SERVE_FAULTS: [ServeFault; 6] = [
     ServeFault::StalledRead { hold_ms: 800 },
     ServeFault::WorkerPanic,
     ServeFault::CorruptModelUpload,
-    ServeFault::PoisonBatchMate,
+    ServeFault::PipelinePanic,
 ];
 
 /// One step of a [`WirePlan`].
@@ -563,7 +565,7 @@ pub fn plan_serve_fault(
                 expect_reply: true,
             }
         }
-        ServeFault::PoisonBatchMate => WirePlan {
+        ServeFault::PipelinePanic => WirePlan {
             steps: vec![WireStep::Send(raw_request(
                 method,
                 path,

@@ -20,8 +20,8 @@
 //!    ([`SymmetryExtractor::train_graph`]);
 //! 3. **train** — guarded unsupervised training, with checkpoints,
 //!    resume and the sealed model under a session;
-//! 4. **embed** — GNN inference over 1..n graphs, with the one
-//!    non-finite-features degrade policy ([`SymmetryExtractor::embed`]);
+//! 4. **embed** — GNN inference, with the one non-finite-features
+//!    degrade policy ([`SymmetryExtractor::embed`]);
 //! 5. **detect** — Algorithms 2–3 ([`SymmetryExtractor::detect`]).
 //!
 //! All stages take one [`RunCtx`]: the [`PipelineObs`] handle, the
@@ -30,7 +30,7 @@
 //! [`SymmetryExtractor::extract`] (panicking convenience),
 //! [`SymmetryExtractor::try_fit`] / [`SymmetryExtractor::try_extract`]
 //! (typed errors, optional [`RunSession`]), and the service's
-//! [`extract_batch`] with its batch of one, [`extract_source`].
+//! [`extract_request`] with its unformatted shorthand, [`extract_source`].
 //!
 //! # Example
 //!
@@ -107,7 +107,7 @@ pub use pipeline::{
     FitOutcome, RunCtx, SymmetryExtractor,
 };
 pub use recover::ExtractError;
-pub use service::{cache_key, extract_batch, extract_source, AltFormatter, ServiceReply};
+pub use service::{cache_key, extract_request, extract_source, AltFormatter, ServiceReply};
 pub use runstore::{
     config_hash, write_atomic, CancelToken, RunError, RunManifest, RunOptions,
     RunSession, RunStore, StageEntry, StageStatus, DEFAULT_CHECKPOINT_EVERY, MANIFEST_VERSION,

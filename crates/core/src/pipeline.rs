@@ -5,7 +5,7 @@
 //! | `load`   | parse → elaborate              | `parse`, `elaborate`          | —                  |
 //! | `graph`  | Alg. 1 multigraph → Table II   | `graph_build`, `feature_init` | `graph.meta`       |
 //! | `train`  | guarded training (Eqs. 1–2)    | `train`                       | `model.txt`, ckpts |
-//! | `embed`  | GNN inference over 1..n graphs | `embed`                       | `embeddings.txt`   |
+//! | `embed`  | GNN inference                  | `embed`                       | `embeddings.txt`   |
 //! | `detect` | Algorithms 2–3                 | `detect`                      | `constraints.txt`  |
 //!
 //! Each stage is written once, with its span, and runs under one
@@ -19,8 +19,9 @@
 //! The sequencing entry points are thin: [`SymmetryExtractor::fit`] and
 //! [`SymmetryExtractor::extract`] (the panicking convenience API),
 //! [`SymmetryExtractor::try_fit`] and [`SymmetryExtractor::try_extract`],
-//! and the service's [`extract_batch`](crate::service::extract_batch)
-//! with its batch-of-one [`extract_source`](crate::service::extract_source).
+//! and the service's [`extract_request`](crate::service::extract_request)
+//! with its unformatted shorthand
+//! [`extract_source`](crate::service::extract_source).
 
 use std::time::{Duration, Instant};
 
@@ -416,7 +417,7 @@ impl SymmetryExtractor {
                     }
                 };
                 let start = Instant::now();
-                let z = self.embed(&[&tg], &ctx.obs).pop().expect("one result per graph")?;
+                let z = self.embed(&tg, &ctx.obs)?;
                 runtime += start.elapsed();
                 if let Some(s) = session.as_deref_mut() {
                     s.seal_embeddings(&z)?;
@@ -534,54 +535,20 @@ impl SymmetryExtractor {
         }
     }
 
-    /// Stage `embed`: one GNN forward pass over every graph, under one
-    /// `embed` span. This is the pipeline's single copy of the degrade
-    /// policy: a graph with non-finite features is embedded anyway (a
+    /// Stage `embed`: one GNN forward pass over `tg`, under one `embed`
+    /// span. This is the pipeline's single copy of the degrade policy:
+    /// a graph with non-finite features is embedded anyway (a
     /// `degraded_embed` event; detection then quarantines its rows
-    /// behind warnings), while a non-finite model fails every other
-    /// graph with [`EmbedError::NonFiniteParameters`](ancstr_gnn::EmbedError).
-    ///
-    /// One graph is embedded directly; several share one pass over
-    /// their block-diagonal fusion, which is byte-identical per graph
-    /// ([`GnnModel::embed_batch`]), so one graph's NaNs cannot reach
-    /// another's rows.
-    pub fn embed(
-        &self,
-        graphs: &[&TrainGraph],
-        obs: &PipelineObs,
-    ) -> Vec<Result<Matrix, ExtractError>> {
+    /// behind warnings), while a non-finite model fails with
+    /// [`EmbedError::NonFiniteParameters`](ancstr_gnn::EmbedError).
+    pub fn embed(&self, tg: &TrainGraph, obs: &PipelineObs) -> Result<Matrix, ExtractError> {
         let _g = obs.stage("embed");
-        let model_finite = self.model.is_finite();
-        let verdicts: Vec<Result<(), ExtractError>> = graphs
-            .iter()
-            .map(|tg| {
-                if !tg.features.is_finite() {
-                    let cause = ("cause", "non-finite features".into());
-                    obs.event("embed", "degraded_embed", &[cause]);
-                    Ok(())
-                } else if model_finite {
-                    Ok(())
-                } else {
-                    Err(ExtractError::Embed(ancstr_gnn::EmbedError::NonFiniteParameters))
-                }
-            })
-            .collect();
-        let parts: Vec<(&GraphTensors, &Matrix)> = graphs
-            .iter()
-            .zip(&verdicts)
-            .filter(|(_, v)| v.is_ok())
-            .map(|(tg, _)| (&tg.tensors, &tg.features))
-            .collect();
-        let mut zs = match parts.as_slice() {
-            [] => Vec::new(),
-            [(tensors, features)] => vec![self.model.embed(tensors, features)],
-            _ => self.model.embed_batch(&parts),
+        if !tg.features.is_finite() {
+            obs.event("embed", "degraded_embed", &[("cause", "non-finite features".into())]);
+        } else if !self.model.is_finite() {
+            return Err(ExtractError::Embed(ancstr_gnn::EmbedError::NonFiniteParameters));
         }
-        .into_iter();
-        verdicts
-            .into_iter()
-            .map(|v| v.map(|()| zs.next().expect("one embedding per embedded graph")))
-            .collect()
+        Ok(self.model.embed(&tg.tensors, &tg.features))
     }
 
     /// Stage `detect`: exact Algorithm 2–3 detection under a `detect`

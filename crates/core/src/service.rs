@@ -5,10 +5,11 @@
 //! [`SymmetryExtractor`] warm and answers many independent requests
 //! against it — the inductive deployment mode of the paper's
 //! Section IV-C. This module is the boundary between "a netlist arrived
-//! as bytes" and the pipeline stages: [`extract_batch`] runs load →
-//! graph → embed → detect on in-memory SPICE text for one or many
-//! requests, [`extract_source`] is its batch of one, and [`cache_key`]
-//! derives the content address a result cache stores the reply under.
+//! as bytes" and the pipeline stages: [`extract_request`] runs load →
+//! graph → embed → detect on one request's in-memory SPICE text,
+//! [`extract_source`] is its shorthand without a deadline or an
+//! alternate format, and [`cache_key`] derives the content address a
+//! result cache stores the reply under.
 //!
 //! Everything here is deterministic: the same source text, extractor
 //! configuration, and model weights always produce the same
@@ -19,10 +20,8 @@
 
 use std::time::{Duration, Instant};
 
-use ancstr_gnn::TrainGraph;
 use ancstr_netlist::parse::parse_spice;
 use ancstr_netlist::{ConstraintSet, FlatCircuit};
-use ancstr_nn::Matrix;
 
 use crate::export::write_constraints;
 use crate::observe::PipelineObs;
@@ -46,9 +45,8 @@ pub struct ServiceReply {
     pub nets: usize,
     /// Accepted symmetry constraints.
     pub constraints: usize,
-    /// This request's graph build, the (possibly shared) embed pass and
-    /// this request's detection, wall-clock (parsing and training
-    /// excluded, matching the paper's reporting).
+    /// Graph build, embed and detection, wall-clock (parsing and
+    /// training excluded, matching the paper's reporting).
     pub runtime: Duration,
     /// The constraints rendered by the caller-supplied alternate
     /// formatter (the serving layer threads the ALIGN-JSON exporter
@@ -58,16 +56,16 @@ pub struct ServiceReply {
 }
 
 /// An alternate constraint serializer threaded through
-/// [`extract_batch`]. Core cannot depend on the hierarchical exporter (it
+/// [`extract_request`]. Core cannot depend on the hierarchical exporter (it
 /// layers *on* core), so services inject it as a function of the
 /// elaborated circuit and the detected constraints.
 pub type AltFormatter = dyn Fn(&FlatCircuit, &ConstraintSet) -> String + Sync;
 
 /// Run the full extraction pipeline on in-memory SPICE text with a
-/// warm, pre-trained extractor: [`extract_batch`] with a batch of one
-/// under `obs`. `origin` is a diagnostic label for the request (a peer
-/// address, a request id) that lands in the `parse` span where the file
-/// path would normally go.
+/// warm, pre-trained extractor: [`extract_request`] under `obs`, with
+/// no deadline and no alternate format. `origin` is a diagnostic label
+/// for the request (a peer address, a request id) that lands in the
+/// `parse` span where the file path would normally go.
 ///
 /// # Errors
 ///
@@ -81,97 +79,48 @@ pub fn extract_source(
     extractor: &SymmetryExtractor,
     obs: &PipelineObs,
 ) -> Result<ServiceReply, ExtractError> {
-    let ctx = RunCtx::observed(obs.clone());
-    extract_batch(&[(source, origin)], extractor, &ctx, None)?
-        .pop()
-        .expect("one reply per item")
+    extract_request(source, origin, extractor, &RunCtx::observed(obs.clone()), None)
 }
 
-/// Run many `(source, origin)` requests against one warm extractor
-/// through the pipeline stages: per item load → graph, one shared
-/// embed stage (a single graph is embedded directly; several share one
-/// forward pass over their block-diagonal fusion), then per item
-/// detect. `ctx.cancel` is polled before the first item, after every
-/// item's front half and after the shared embed.
-///
-/// Per-item semantics do not depend on the batch:
-///
-/// - load and graph failures stay with their item (the inner `Err`);
-///   healthy batch-mates are unaffected;
-/// - the embed stage's degrade policy applies per item, and an item's
-///   non-finite features cannot reach another item's rows;
-/// - a non-finite *model* fails every item that is not degraded;
-/// - replies are byte-identical whatever the batch size (pinned by
-///   `tests/serve_batch.rs` at sizes 1/4/16);
-/// - [`ServiceReply::runtime`] is the item's graph build, the shared
-///   embed and the item's detect.
-///
-/// When `alt` is `Some`, its rendering of each item's constraints lands
-/// in [`ServiceReply::align_json`].
+/// Run one request through the pipeline stages against a warm
+/// extractor: load → graph → embed → detect. `ctx.cancel` is polled
+/// before the load, after the graph build and after the embed; an
+/// expired token answers [`ExtractError::Cancelled`]. When `alt` is
+/// `Some`, its rendering of the constraints lands in
+/// [`ServiceReply::align_json`].
 ///
 /// # Errors
 ///
-/// The outer `Err` is always [`ExtractError::Cancelled`] and means the
-/// shared pass was abandoned at a stage boundary — no item completed.
-/// All other failures are per-item.
-pub fn extract_batch(
-    items: &[(&str, &str)],
+/// The staged [`ExtractError`]s of [`extract_source`], plus
+/// [`ExtractError::Cancelled`] at a stage boundary.
+pub fn extract_request(
+    source: &str,
+    origin: &str,
     extractor: &SymmetryExtractor,
     ctx: &RunCtx,
     alt: Option<&AltFormatter>,
-) -> Result<Vec<Result<ServiceReply, ExtractError>>, ExtractError> {
-    struct Front {
-        flat: FlatCircuit,
-        graph: TrainGraph,
-        graph_time: Duration,
-    }
-
+) -> Result<ServiceReply, ExtractError> {
     ctx.check()?;
-    let mut fronts = Vec::with_capacity(items.len());
-    for &(source, origin) in items {
-        fronts.push(load(origin, &ctx.obs, || parse_spice(source)).map(|flat| {
-            let start = Instant::now();
-            let graph = extractor.train_graph(&flat, &ctx.obs);
-            Front { flat, graph, graph_time: start.elapsed() }
-        }));
-        ctx.check()?;
-    }
-
+    let flat = load(origin, &ctx.obs, || parse_spice(source))?;
     let start = Instant::now();
-    let graphs: Vec<&TrainGraph> = fronts.iter().flatten().map(|f| &f.graph).collect();
-    let mut zs = extractor.embed(&graphs, &ctx.obs).into_iter();
-    let embed_time = start.elapsed();
-    // Each graph is dropped here, before detection.
-    let embedded: Vec<Result<(FlatCircuit, Duration, Matrix), ExtractError>> = fronts
-        .into_iter()
-        .map(|front| {
-            let front = front?;
-            let z = zs.next().expect("one embedding per graph")?;
-            Ok((front.flat, front.graph_time + embed_time, z))
-        })
-        .collect();
+    let graph = extractor.train_graph(&flat, &ctx.obs);
     ctx.check()?;
-
-    Ok(embedded
-        .into_iter()
-        .map(|item| {
-            let (flat, runtime, z) = item?;
-            let start = Instant::now();
-            let detection = extractor.detect(&flat, &z, &ctx.obs);
-            let mut warnings: Vec<String> =
-                detection.warnings.iter().map(|w| w.to_string()).collect();
-            warnings.sort();
-            Ok(ServiceReply {
-                constraints_text: write_constraints(&flat, &detection.constraints),
-                devices: flat.devices().len(),
-                nets: flat.net_count(),
-                constraints: detection.constraints.len(),
-                warnings,
-                runtime: runtime + start.elapsed(),
-                align_json: alt.map(|f| f(&flat, &detection.constraints)),
-            })
-        })
-        .collect())
+    let z = extractor.embed(&graph, &ctx.obs)?;
+    // The graph is dropped here, before detection.
+    drop(graph);
+    ctx.check()?;
+    let detection = extractor.detect(&flat, &z, &ctx.obs);
+    let mut warnings: Vec<String> = detection.warnings.iter().map(|w| w.to_string()).collect();
+    warnings.sort();
+    Ok(ServiceReply {
+        constraints_text: write_constraints(&flat, &detection.constraints),
+        devices: flat.devices().len(),
+        nets: flat.net_count(),
+        constraints: detection.constraints.len(),
+        warnings,
+        runtime: start.elapsed(),
+        align_json: alt.map(|f| f(&flat, &detection.constraints)),
+    })
 }
 
 /// The content address of a service reply: an FNV-1a 64-bit hash over
@@ -267,14 +216,13 @@ M7 tail clk vss vss nch w=12u l=0.1u
         assert_eq!(err.exit_code(), 4, "malformed SPICE is a parse error: {err}");
     }
 
-    /// A cancelled token abandons the whole batch (here, of one).
     #[test]
     fn cancelled_token_aborts_with_the_deadline_stage() {
         let ex = trained_extractor();
         let obs = PipelineObs::disabled();
         let ctx = RunCtx::observed(obs);
         ctx.cancel.cancel();
-        let err = extract_batch(&[(NETLIST, "t")], &ex, &ctx, None).unwrap_err();
+        let err = extract_request(NETLIST, "t", &ex, &ctx, None).unwrap_err();
         assert_eq!(err, ExtractError::Cancelled);
         assert_eq!(err.exit_code(), 10);
         assert_eq!(err.stage(), "deadline");
@@ -286,52 +234,8 @@ M7 tail clk vss vss nch w=12u l=0.1u
         let obs = PipelineObs::disabled();
         let cancel = CancelToken::expiring_in(Duration::ZERO);
         let ctx = RunCtx { cancel, ..RunCtx::observed(obs) };
-        let err = extract_batch(&[(NETLIST, "t")], &ex, &ctx, None).unwrap_err();
+        let err = extract_request(NETLIST, "t", &ex, &ctx, None).unwrap_err();
         assert_eq!(err, ExtractError::Cancelled);
-    }
-
-    const OTHER: &str = "\
-.subckt ota inp inn out ib vdd vss
-M1 n1 inp tail vss nch w=4u l=0.2u
-M2 out inn tail vss nch w=4u l=0.2u
-M3 n1 n1 vdd vdd pch w=8u l=0.2u
-M4 out n1 vdd vdd pch w=8u l=0.2u
-M5 tail ib vss vss nch w=2u l=0.5u
-.ends
-";
-
-    #[test]
-    fn batched_extraction_is_byte_identical_to_solo_extraction() {
-        let ex = trained_extractor();
-        let obs = PipelineObs::disabled();
-        let items = [(NETLIST, "a"), (OTHER, "b"), (NETLIST, "c")];
-        let batched = extract_batch(&items, &ex, &RunCtx::observed(obs.clone()), None).unwrap();
-        assert_eq!(batched.len(), 3);
-        for ((source, origin), got) in items.iter().zip(&batched) {
-            let got = got.as_ref().expect("well-formed items succeed");
-            let solo = extract_source(source, origin, &ex, &obs).unwrap();
-            assert_eq!(got.constraints_text, solo.constraints_text);
-            assert_eq!(got.warnings, solo.warnings);
-            assert_eq!(got.devices, solo.devices);
-            assert_eq!(got.nets, solo.nets);
-            assert_eq!(got.constraints, solo.constraints);
-        }
-    }
-
-    #[test]
-    fn batched_extraction_keeps_failures_with_their_item() {
-        let ex = trained_extractor();
-        let obs = PipelineObs::disabled();
-        let items = [(NETLIST, "good"), ("M1 a b\n", "bad"), (OTHER, "also-good")];
-        let batched = extract_batch(&items, &ex, &RunCtx::observed(obs.clone()), None).unwrap();
-        assert_eq!(batched[1].as_ref().unwrap_err().exit_code(), 4);
-        let solo = extract_source(NETLIST, "good", &ex, &obs).unwrap();
-        assert_eq!(
-            batched[0].as_ref().unwrap().constraints_text,
-            solo.constraints_text,
-            "a malformed batch-mate must not change a healthy reply"
-        );
-        assert!(batched[2].is_ok());
     }
 
     #[test]

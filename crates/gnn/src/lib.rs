@@ -19,7 +19,7 @@
 //! Eq. 1 is written once, over the [`ancstr_nn::Forward`] ops. Training
 //! records it on an autograd [`Tape`](ancstr_nn::Tape)
 //! ([`GnnModel::forward_on_tape`]); inference ([`GnnModel::embed`],
-//! [`GnnModel::try_embed`], [`GnnModel::embed_batch`]) runs it on
+//! [`GnnModel::try_embed`]) runs it on
 //! [`Eager`](ancstr_nn::Eager) values, which borrow the features and
 //! free each intermediate after its last use. Both call the same
 //! kernels in the same order, so the embeddings are bit-identical to

@@ -231,48 +231,6 @@ impl GnnModel {
         (h, params)
     }
 
-    /// Batched inference: embed several independent graphs in one
-    /// forward pass over their block-diagonal fusion
-    /// ([`GraphTensors::block_diagonal`] + [`Matrix::vstack`]), then
-    /// split the stacked hidden state back into per-graph matrices.
-    ///
-    /// Byte-identical to calling [`GnnModel::embed`] per part: every op
-    /// in the forward pass (dense matmul, block-diagonal spmm, the fused
-    /// GRU step, row-broadcast bias) computes each output row
-    /// from that row's inputs alone, so fusing only changes how rows are
-    /// grouped for dispatch. By the same argument a non-finite feature
-    /// row poisons only its own part's rows — batch-mates of a poisoned
-    /// request still get correct bytes. Both properties are pinned by
-    /// this crate's tests and re-asserted end-to-end in
-    /// `tests/serve_batch.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches (see [`GnnModel::forward_on_tape`])
-    /// and if `parts` is empty.
-    pub fn embed_batch(&self, parts: &[(&GraphTensors, &Matrix)]) -> Vec<Matrix> {
-        assert!(!parts.is_empty(), "embed_batch needs at least one part");
-        for (tensors, features) in parts {
-            assert_eq!(
-                features.cols(),
-                self.config.dim,
-                "feature dimension must match the model"
-            );
-            assert_eq!(
-                features.rows(),
-                tensors.vertex_count(),
-                "one feature row per vertex in every part"
-            );
-        }
-        let tensor_refs: Vec<&GraphTensors> = parts.iter().map(|(t, _)| *t).collect();
-        let feature_refs: Vec<&Matrix> = parts.iter().map(|(_, f)| *f).collect();
-        let fused = GraphTensors::block_diagonal(&tensor_refs);
-        let stacked = Matrix::vstack(&feature_refs);
-        let z = self.embed(&fused, &stacked);
-        let sizes: Vec<usize> = tensor_refs.iter().map(|t| t.vertex_count()).collect();
-        z.split_rows(&sizes)
-    }
-
     /// Checked [`GnnModel::embed`]: validates shapes and finiteness of
     /// both the features and the model parameters, returning a typed
     /// error instead of panicking or silently propagating NaN.
@@ -432,47 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn embed_batch_is_bit_identical_to_solo_embeds() {
-        let model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 21, ..GnnConfig::default() });
-        let graphs = [line_graph(5), line_graph(1), line_graph(9)];
-        let feats: Vec<Matrix> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                Matrix::from_fn(t.vertex_count(), 6, |r, c| {
-                    ((i + 1) * (r + 2) + c) as f64 * 0.017 - 0.3
-                })
-            })
-            .collect();
-        let parts: Vec<(&GraphTensors, &Matrix)> = graphs.iter().zip(&feats).collect();
-        let batched = model.embed_batch(&parts);
-        assert_eq!(batched.len(), 3);
-        for ((t, f), got) in parts.iter().zip(&batched) {
-            let solo = model.embed(t, f);
-            assert_eq!(got.shape(), solo.shape());
-            for (a, b) in got.as_slice().iter().zip(solo.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batched embed diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn embed_batch_contains_poison_to_its_own_part() {
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed: 8, ..GnnConfig::default() });
-        let clean_t = line_graph(4);
-        let clean_f = Matrix::filled(4, 4, 0.2);
-        let poison_t = line_graph(3);
-        let mut poison_f = Matrix::filled(3, 4, 0.1);
-        poison_f[(1, 2)] = f64::NAN;
-        let out = model.embed_batch(&[(&clean_t, &clean_f), (&poison_t, &poison_f)]);
-        let solo = model.embed(&clean_t, &clean_f);
-        for (a, b) in out[0].as_slice().iter().zip(solo.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "poison leaked across the batch");
-        }
-        assert!(!out[1].is_finite(), "the poisoned part keeps its NaN");
-    }
-
-    #[test]
     fn try_embed_reports_typed_errors() {
         use crate::error::EmbedError;
         let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5, ..GnnConfig::default() });
@@ -507,16 +424,6 @@ mod tests {
         let t = line_graph(3);
         let x = Matrix::zeros(3, 7);
         let _ = model.embed(&t, &x);
-    }
-
-    #[test]
-    #[should_panic(expected = "feature dimension must match the model")]
-    fn embed_batch_checks_each_part_feature_dim() {
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5, ..GnnConfig::default() });
-        let t = line_graph(3);
-        let good = Matrix::zeros(3, 4);
-        let bad = Matrix::zeros(3, 7);
-        let _ = model.embed_batch(&[(&t, &good), (&t, &bad)]);
     }
 
     #[test]

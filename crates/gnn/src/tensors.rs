@@ -107,39 +107,6 @@ impl GraphTensors {
         self.adjacency.iter().map(|a| a.nnz()).sum()
     }
 
-    /// Fuse independent graphs into one: part `k`'s vertices are
-    /// renumbered by the cumulative vertex count of the parts before
-    /// it, and each edge type's adjacency becomes the block-diagonal
-    /// assembly of the per-part operators.
-    ///
-    /// No edges cross part boundaries, so a forward pass over the fused
-    /// tensors with vertically stacked features computes each part's
-    /// rows exactly as a solo pass would — this is what makes batched
-    /// inference byte-identical to per-request inference (see
-    /// [`GnnModel::embed_batch`](crate::GnnModel::embed_batch)).
-    pub fn block_diagonal(parts: &[&GraphTensors]) -> GraphTensors {
-        let n = parts.iter().map(|p| p.n).sum();
-        let adjacency = (0..PortType::COUNT)
-            .map(|t| {
-                let blocks: Vec<&SparseMatrix> =
-                    parts.iter().map(|p| &*p.adjacency[t]).collect();
-                Arc::new(SparseMatrix::block_diagonal(&blocks))
-            })
-            .collect();
-        let mut in_neighbors = Vec::with_capacity(n);
-        let mut in_degree = Vec::with_capacity(n);
-        let mut off = 0;
-        for p in parts {
-            for v in 0..p.n {
-                in_neighbors
-                    .push(p.in_neighbors[v].iter().map(|&u| u + off).collect());
-                in_degree.push(p.in_degree[v]);
-            }
-            off += p.n;
-        }
-        GraphTensors { n, adjacency, in_neighbors, in_degree }
-    }
-
     /// A *sampled* view for one training pass: every vertex keeps at
     /// most `max_in` incoming edges (uniformly chosen across all edge
     /// types), GraphSAGE-style. The paper describes its aggregator as
@@ -233,29 +200,6 @@ mod tests {
         // Sampling below the cap is the identity.
         let id = t.sampled(100, &mut rng);
         assert_eq!(id.edge_count(), t.edge_count());
-    }
-
-    #[test]
-    fn block_diagonal_offsets_vertices_and_crosses_no_edges() {
-        let a = sample(); // 3 vertices, 4 edges
-        let mut g = HetMultigraph::with_vertices(0..2);
-        g.add_edge(VertexId(1), VertexId(0), PortType::Source);
-        let b = GraphTensors::from_multigraph(&g);
-        let fused = GraphTensors::block_diagonal(&[&a, &b]);
-        assert_eq!(fused.vertex_count(), 5);
-        assert_eq!(fused.edge_count(), a.edge_count() + b.edge_count());
-        // Part A's structure is untouched; part B's shifts by 3.
-        assert_eq!(fused.adjacency(PortType::Drain).to_dense()[(1, 0)], 2.0);
-        assert_eq!(fused.adjacency(PortType::Source).to_dense()[(3, 4)], 1.0);
-        assert_eq!(fused.in_neighbors(1), &[0, 2]);
-        assert_eq!(fused.in_neighbors(3), &[4]);
-        assert_eq!(fused.in_degree(1), 3);
-        // No adjacency entry crosses the 3/2 block boundary.
-        for p in PortType::ALL {
-            for &(dst, src, _) in fused.adjacency(p).triplets() {
-                assert_eq!(dst < 3, src < 3, "edge {src}->{dst} crosses parts");
-            }
-        }
     }
 
     #[test]

@@ -287,76 +287,6 @@ impl Matrix {
         out
     }
 
-    /// Stack matrices vertically (row-wise concatenation).
-    ///
-    /// The building block of batched execution: because every row-major
-    /// kernel in this crate computes each output row independently,
-    /// stacking `k` left-hand sides, running one kernel call, and
-    /// [`Matrix::split_rows`]-ing the result is bit-identical to `k`
-    /// separate calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or the column counts disagree.
-    pub fn vstack(parts: &[&Matrix]) -> Matrix {
-        let cols = parts.first().expect("vstack needs at least one part").cols;
-        let rows = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            assert_eq!(p.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&p.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
-    /// Split into row blocks of the given sizes — the inverse of
-    /// [`Matrix::vstack`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sizes` sums to exactly `self.rows()`.
-    pub fn split_rows(&self, sizes: &[usize]) -> Vec<Matrix> {
-        assert_eq!(
-            sizes.iter().sum::<usize>(),
-            self.rows,
-            "split_rows sizes must cover every row"
-        );
-        let mut out = Vec::with_capacity(sizes.len());
-        let mut start = 0;
-        for &n in sizes {
-            out.push(Matrix {
-                rows: n,
-                cols: self.cols,
-                data: self.data[start * self.cols..(start + n) * self.cols].to_vec(),
-            });
-            start += n;
-        }
-        out
-    }
-
-    /// Batched matrix product: each left-hand block times one shared
-    /// right-hand side, executed as a single stacked [`Matrix::matmul`]
-    /// call.
-    ///
-    /// Bit-identical to `blocks.iter().map(|a| a.matmul(rhs))` because
-    /// the matmul kernel computes every output row from exactly one
-    /// LHS row (accumulating over `k` in ascending order, with the
-    /// `a == 0.0` skip applied per LHS element) — stacking only changes
-    /// how rows are grouped for dispatch, never what any single row
-    /// computes. A NaN/Inf in one block therefore cannot leak into
-    /// another block's rows. This is the serving layer's batched-forward
-    /// entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is empty or any inner dimension mismatches.
-    pub fn matmul_batched(blocks: &[&Matrix], rhs: &Matrix) -> Vec<Matrix> {
-        let stacked = Matrix::vstack(blocks);
-        let product = stacked.matmul(rhs);
-        let sizes: Vec<usize> = blocks.iter().map(|b| b.rows).collect();
-        product.split_rows(&sizes)
-    }
-
     /// Element-wise sum `self + other`.
     ///
     /// # Panics
@@ -947,67 +877,6 @@ mod tests {
             let expect = m.row(r).iter().map(|x| x * x).sum::<f64>().sqrt();
             assert_eq!(norm.to_bits(), expect.to_bits());
         }
-    }
-
-    #[test]
-    fn vstack_and_split_rows_round_trip() {
-        let mut seed = 31;
-        let a = lcg_matrix(3, 5, &mut seed);
-        let b = lcg_matrix(1, 5, &mut seed);
-        let c = lcg_matrix(4, 5, &mut seed);
-        let stacked = Matrix::vstack(&[&a, &b, &c]);
-        assert_eq!(stacked.shape(), (8, 5));
-        let parts = stacked.split_rows(&[3, 1, 4]);
-        assert_same_bits(&parts[0], &a);
-        assert_same_bits(&parts[1], &b);
-        assert_same_bits(&parts[2], &c);
-    }
-
-    #[test]
-    #[should_panic(expected = "vstack column mismatch")]
-    fn vstack_checks_columns() {
-        let _ = Matrix::vstack(&[&Matrix::zeros(1, 2), &Matrix::zeros(1, 3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every row")]
-    fn split_rows_checks_sizes() {
-        let _ = Matrix::zeros(4, 2).split_rows(&[1, 2]);
-    }
-
-    #[test]
-    fn batched_matmul_is_bit_identical_to_per_block_calls() {
-        let mut seed = 17;
-        // Block heights straddle the parallel-dispatch threshold so the
-        // stacked run parallelizes even when solo runs would not.
-        let before = ancstr_par::threads();
-        for t in [1usize, 4] {
-            ancstr_par::set_threads(t);
-            let blocks: Vec<Matrix> = [3usize, 700, 1, 64]
-                .iter()
-                .map(|&r| lcg_matrix(r, 19, &mut seed))
-                .collect();
-            let rhs = lcg_matrix(19, 23, &mut seed);
-            let refs: Vec<&Matrix> = blocks.iter().collect();
-            let batched = Matrix::matmul_batched(&refs, &rhs);
-            assert_eq!(batched.len(), blocks.len());
-            for (got, solo) in batched.iter().zip(&blocks) {
-                assert_same_bits(got, &solo.matmul(&rhs));
-            }
-        }
-        ancstr_par::set_threads(before);
-    }
-
-    #[test]
-    fn batched_matmul_contains_nan_to_its_own_block() {
-        let mut seed = 41;
-        let mut poisoned = lcg_matrix(4, 6, &mut seed);
-        poisoned[(2, 3)] = f64::NAN;
-        let clean = lcg_matrix(5, 6, &mut seed);
-        let rhs = lcg_matrix(6, 7, &mut seed);
-        let out = Matrix::matmul_batched(&[&poisoned, &clean], &rhs);
-        assert!(!out[0].is_finite(), "the poisoned block carries its NaN");
-        assert_same_bits(&out[1], &clean.matmul(&rhs));
     }
 
     #[test]

@@ -237,31 +237,6 @@ impl SparseMatrix {
         out
     }
 
-    /// Assemble independent operators into one block-diagonal operator:
-    /// part `k`'s triplets are shifted by the cumulative row/column
-    /// offsets of the parts before it.
-    ///
-    /// Because the parts share no rows or columns, a dense product with
-    /// vertically stacked per-part operands touches each part's rows
-    /// using only that part's triplets — and since triplets concatenate
-    /// part-by-part in their original storage order, every output row
-    /// accumulates in exactly the order the solo product used. Batched
-    /// spmm is therefore bit-identical to per-part spmm (pinned by the
-    /// test below).
-    pub fn block_diagonal(parts: &[&SparseMatrix]) -> SparseMatrix {
-        let rows = parts.iter().map(|p| p.rows).sum();
-        let cols = parts.iter().map(|p| p.cols).sum();
-        let nnz = parts.iter().map(|p| p.triplets.len()).sum();
-        let mut triplets = Vec::with_capacity(nnz);
-        let (mut row_off, mut col_off) = (0, 0);
-        for p in parts {
-            triplets.extend(p.triplets.iter().map(|&(r, c, v)| (r + row_off, c + col_off, v)));
-            row_off += p.rows;
-            col_off += p.cols;
-        }
-        SparseMatrix { rows, cols, triplets, by_row: OnceLock::new(), by_col: OnceLock::new() }
-    }
-
     /// The stored triplets.
     pub fn triplets(&self) -> &[(usize, usize, f64)] {
         &self.triplets
@@ -329,45 +304,6 @@ mod tests {
         let s = SparseMatrix::from_triplets(3, 2, vec![(0, 1, 1.5), (2, 0, 2.0)]);
         assert_eq!(s.matmul_dense(&Matrix::zeros(2, 0)).shape(), (3, 0));
         assert_eq!(s.transpose_matmul_dense(&Matrix::zeros(3, 0)).shape(), (2, 0));
-    }
-
-    #[test]
-    fn block_diagonal_spmm_is_bit_identical_to_per_part_spmm() {
-        let mut seed = 9u64;
-        let mut rnd = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((seed >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        };
-        // Unsorted rows and duplicates inside each part, plus an empty
-        // part, so the order-preservation claim is actually exercised.
-        let a = SparseMatrix::from_triplets(
-            4,
-            3,
-            (0..40).map(|i| ((i * 7 + 2) % 4, (i * 5 + 1) % 3, rnd())).collect(),
-        );
-        let b = SparseMatrix::zeros(2, 2);
-        let c = SparseMatrix::from_triplets(
-            97,
-            11,
-            (0..3000).map(|i| ((i * 31 + 5) % 97, (i * 13 + 2) % 11, rnd())).collect(),
-        );
-        let big = SparseMatrix::block_diagonal(&[&a, &b, &c]);
-        assert_eq!((big.rows(), big.cols()), (103, 16));
-        assert_eq!(big.nnz(), a.nnz() + c.nnz());
-
-        let xa = Matrix::from_fn(3, 6, |_, _| rnd());
-        let xb = Matrix::from_fn(2, 6, |_, _| rnd());
-        let xc = Matrix::from_fn(11, 6, |_, _| rnd());
-        let stacked = Matrix::vstack(&[&xa, &xb, &xc]);
-        let batched = big.matmul_dense(&stacked).split_rows(&[4, 2, 97]);
-        for (got, (part, x)) in
-            batched.iter().zip([(&a, &xa), (&b, &xb), (&c, &xc)])
-        {
-            let solo = part.matmul_dense(x);
-            for (g, s) in got.as_slice().iter().zip(solo.as_slice()) {
-                assert_eq!(g.to_bits(), s.to_bits());
-            }
-        }
     }
 
     /// The storage-order triplet walk oracle.

@@ -15,9 +15,6 @@
 //!   hot-swappable via `POST /v1/models` behind a seal check, a canary
 //!   inference and a quarantining upload breaker; a client may pin it
 //!   with `x-ancstr-model`.
-//! - [`batch`] — poison-tolerant request batching: fused forward passes
-//!   (byte-identical to solo runs) with bisection so one poison request
-//!   cannot take down its batch-mates.
 //! - [`cache`] — a content-addressed LRU cache of extraction replies,
 //!   keyed by netlist bytes ⊕ configuration hash ⊕ model fingerprint.
 //! - [`server`] — accept loop, routing, per-request deadlines, metrics,
@@ -32,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod flight;
@@ -41,7 +37,6 @@ pub mod pool;
 pub mod registry;
 pub mod server;
 
-pub use batch::{BatchJob, BatchOutcome, Batcher};
 pub use cache::{CacheStats, ResultCache};
 pub use client::HttpReply;
 pub use flight::SingleFlight;

@@ -254,26 +254,12 @@ impl ModelRegistry {
     }
 
     /// Hot-load a model from a **sealed** artifact
-    /// ([`GnnModel::to_text_checksummed`]) and make it the resident one.
-    /// The strictness is the point: reload bodies travel over the
-    /// network, and the CRC-32 seal converts truncation, bit flips, and
-    /// version skew into typed rejections before the swap. On any error
-    /// the previous model keeps serving.
-    ///
-    /// # Errors
-    ///
-    /// [`ExtractError::Model`] when the envelope or payload is invalid,
-    /// [`ExtractError::ModelDim`] on a dimension mismatch.
-    pub fn reload_sealed(&self, text: &str, source: &str) -> Result<Arc<ModelEntry>, ExtractError> {
-        let model = GnnModel::from_text_checksummed(text)?;
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let entry = Arc::new(entry_from_model(model, source, generation)?);
-        self.install(Arc::clone(&entry));
-        Ok(entry)
-    }
-
-    /// [`ModelRegistry::reload_sealed`] behind a circuit breaker and a
-    /// canary inference. Validation runs **before** the install:
+    /// ([`GnnModel::to_text_checksummed`]) and make it the resident one,
+    /// behind a circuit breaker and a canary inference. The strictness
+    /// is the point: reload bodies travel over the network, and the
+    /// CRC-32 seal converts truncation, bit flips, and version skew into
+    /// typed rejections before the swap. Validation runs **before** the
+    /// install:
     /// checksum seal → model build → first inference on the built-in
     /// canary circuit. Any failure quarantines the upload body (by byte
     /// hash), leaves the resident model serving, and opens the breaker
@@ -356,7 +342,7 @@ mod tests {
     fn reload_swaps_atomically_and_keeps_old_snapshots_alive() {
         let reg = ModelRegistry::load(&model(3).to_text(), "boot").unwrap();
         let before = reg.current();
-        let swapped = reg.reload_sealed(&model(4).to_text_checksummed(), "peer").unwrap();
+        let swapped = reg.reload_guarded(&model(4).to_text_checksummed(), "peer").unwrap();
         assert_eq!(swapped.generation, 2);
         assert_ne!(swapped.fingerprint, before.fingerprint);
         assert_eq!(reg.current().fingerprint, swapped.fingerprint);
@@ -456,22 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn reload_requires_the_sealed_envelope() {
-        let reg = ModelRegistry::load(&model(3).to_text(), "boot").unwrap();
-        let err = reg
-            .reload_sealed(&model(4).to_text(), "peer")
-            .map(|e| e.generation)
-            .unwrap_err();
-        assert!(matches!(err, ExtractError::Model(_)), "{err}");
-        // The failed reload left the boot model serving.
-        assert_eq!(reg.current().generation, 1);
-    }
-
-    #[test]
     fn routing_header_resolves_fingerprints_and_rejects_garbage() {
         let reg = ModelRegistry::load(&model(3).to_text(), "boot").unwrap();
         let boot_fp = reg.current().fingerprint;
-        let other = reg.reload_sealed(&model(4).to_text_checksummed(), "peer").unwrap();
+        let other = reg.reload_guarded(&model(4).to_text_checksummed(), "peer").unwrap();
 
         // Headerless and the resident fingerprint both take the new model.
         assert_eq!(reg.resolve(None).unwrap().fingerprint, other.fingerprint);

@@ -43,11 +43,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ancstr_core::{cache_key, write_atomic, CancelToken, ExtractError, PipelineObs, ServiceReply};
+use ancstr_core::{
+    cache_key, extract_request, write_atomic, CancelToken, ExtractError, PipelineObs, RunCtx,
+    ServiceReply,
+};
 use ancstr_obs::metrics::DURATION_BUCKETS_S;
 use ancstr_obs::{is_trace_id, mint_trace_id, Json, Value};
 
-use crate::batch::{BatchJob, BatchOutcome, Batcher};
 use crate::cache::{CacheStats, ResultCache};
 use crate::flight::SingleFlight;
 use crate::http::{read_request, ReadError, ReadLimits, Request, Response};
@@ -86,9 +88,6 @@ pub struct ServeConfig {
     /// Honor `x-ancstr-chaos` fault-cooperation headers (test rigs
     /// only; never enable in production).
     pub chaos: bool,
-    /// Largest number of queued extract requests fused into one batched
-    /// forward pass (`--batch-max`).
-    pub batch_max: usize,
     /// When set, the drain path writes the final metrics snapshot here
     /// (Prometheus text format) before the daemon exits.
     pub metrics_out: Option<PathBuf>,
@@ -107,7 +106,6 @@ impl Default for ServeConfig {
             brownout_high: 48,
             brownout_low: 16,
             chaos: false,
-            batch_max: 16,
             metrics_out: None,
         }
     }
@@ -120,9 +118,6 @@ struct Ctx {
     /// Coalesces concurrent misses on one cache key onto one pipeline
     /// run (anti-thundering-herd).
     flight: SingleFlight,
-    /// Fuses queued same-model extract requests into one forward pass,
-    /// bisecting failed batches to isolate poison requests.
-    batcher: Batcher,
     obs: PipelineObs,
     shutdown: Arc<AtomicBool>,
     /// Present iff a tracer is attached; holding it serializes traced
@@ -135,8 +130,6 @@ struct Ctx {
     brownout: AtomicBool,
     /// Requests whose handler panicked (both catch layers).
     worker_panics: AtomicU64,
-    /// Requests isolated as batch poison by bisection.
-    poisoned: AtomicU64,
     chaos: bool,
     metrics_out: Option<PathBuf>,
     started: Instant,
@@ -144,8 +137,6 @@ struct Ctx {
     /// Cache counters already published to the metrics registry, so
     /// `/metrics` can emit monotonic deltas.
     published: Mutex<CacheStats>,
-    /// Batching counters already published.
-    batch_published: Mutex<BatchPublished>,
     /// Kernel profiling counters already published. Initialized to the
     /// process-wide counters at server start, so a daemon sharing its
     /// process with other instrumented work (tests, `bench`) exposes
@@ -216,7 +207,7 @@ impl ReqTelemetry {
     }
 
     /// The `x-ancstr-timing` value, Server-Timing style:
-    /// `queue_wait;dur=0.12, batch;dur=45.3, total;dur=45.8` (ms).
+    /// `queue_wait;dur=0.12, pipeline;dur=45.3, total;dur=45.8` (ms).
     fn timing_header(&self, total: Duration) -> String {
         let timings = self.timings.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = String::new();
@@ -226,15 +217,6 @@ impl ReqTelemetry {
         let _ = write!(out, "total;dur={:.3}", total.as_secs_f64() * 1e3);
         out
     }
-}
-
-/// Snapshot of the batching counters last folded into the metrics
-/// registry, so publishes stay monotonic deltas.
-#[derive(Default, Clone, Copy)]
-struct BatchPublished {
-    batches: u64,
-    batched_requests: u64,
-    bisections: u64,
 }
 
 /// A handle that asks a running [`Server`] to stop accepting and drain.
@@ -288,7 +270,6 @@ impl Server {
             registry,
             cache: ResultCache::new(cfg.cache_entries),
             flight: SingleFlight::new(),
-            batcher: Batcher::new(cfg.batch_max.max(1)),
             trace_gate: obs.tracing().then(|| Mutex::new(())),
             obs,
             shutdown: Arc::clone(&shutdown),
@@ -297,13 +278,11 @@ impl Server {
             default_deadline: cfg.default_deadline,
             brownout: AtomicBool::new(false),
             worker_panics: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
             chaos: cfg.chaos,
             metrics_out: cfg.metrics_out.clone(),
             started: Instant::now(),
             local_addr: addr,
             published: Mutex::new(CacheStats::default()),
-            batch_published: Mutex::new(BatchPublished::default()),
             kernels_published: Mutex::new(kernel_baseline()),
         });
         let flag = Arc::clone(&shutdown);
@@ -469,10 +448,6 @@ fn register_help(obs: &PipelineObs) {
     m.help("ancstr_serve_brownout_sheds_total", "Cold (cache-miss) extract requests shed during brownout.");
     m.help("ancstr_serve_brownout", "1 while admission control is shedding cold traffic.");
     m.help("ancstr_serve_accept_errors_total", "Errors returned by the listener's accept().");
-    m.help("ancstr_serve_batches_total", "Fused forward passes executed (including bisection retries).");
-    m.help("ancstr_serve_batched_requests_total", "Extract requests that rode a fused pass of size >= 2.");
-    m.help("ancstr_serve_batch_bisections_total", "Failed-batch splits performed to isolate poison requests.");
-    m.help("ancstr_serve_batch_poisoned_total", "Requests isolated as batch poison and answered 500.");
     m.help("ancstr_serve_request_duration_seconds", "End-to-end request time, by route, status code, cache temperature and model.");
     m.help("ancstr_kernel_calls_total", "Instrumented compute-kernel invocations, by kernel.");
     m.help("ancstr_kernel_elements_total", "Elements processed inside instrumented kernels (mul-adds for matmul/spmm), by kernel.");
@@ -834,38 +809,27 @@ fn extract_route(
         )
         .header("Retry-After", "1");
     }
-    let chaos = ctx.chaos.then(|| req.header("x-ancstr-chaos")).flatten();
-    // The origin label is diagnostic-only (it becomes the parse span's
-    // `path` field), which makes it the safe channel for linking the
-    // batch lane's pipeline spans back to this requester's trace.
-    let origin = match &telemetry.trace_id {
-        Some(id) => format!("{peer} trace={id}"),
-        None => peer.to_owned(),
-    };
-    let batch_started = Instant::now();
-    let batch_span = ctx.obs.tracer().map(|t| {
-        t.span("serve", "batch", &[("model", entry.fingerprint_hex().into())])
+    let pipeline_started = Instant::now();
+    let pipeline_span = ctx.obs.tracer().map(|t| {
+        t.span("serve", "pipeline", &[("model", entry.fingerprint_hex().into())])
     });
-    let outcome = ctx.batcher.submit(
-        entry.fingerprint,
-        &entry.extractor,
-        &ctx.obs,
-        BatchJob {
-            source: source.to_owned(),
-            origin,
-            cancel: cancel.clone(),
-            poison: chaos == Some("poison"),
-        },
-    );
-    drop(batch_span);
-    telemetry.time("batch", batch_started.elapsed());
-    match outcome {
-        BatchOutcome::Reply(reply) => {
-            let reply = Arc::new(*reply);
+    // Chaos hook for a panic inside the miss path, where this worker
+    // holds the key's single-flight leadership: the dispatch-level
+    // catch answers it, and the unwinding guard frees the key.
+    if ctx.chaos && req.header("x-ancstr-chaos") == Some("poison") {
+        panic!("chaos: injected pipeline panic");
+    }
+    let run = RunCtx { cancel: cancel.clone(), ..RunCtx::observed(ctx.obs.clone()) };
+    let result = extract_request(source, peer, &entry.extractor, &run, Some(&align_formatter));
+    drop(pipeline_span);
+    telemetry.time("pipeline", pipeline_started.elapsed());
+    match result {
+        Ok(reply) => {
+            let reply = Arc::new(reply);
             ctx.cache.put(key, Arc::clone(&reply));
             reply_response(&reply, &entry, false, format)
         }
-        BatchOutcome::Error(err) => {
+        Err(err) => {
             // Parse/elaborate failures indict the client's netlist; an
             // expired deadline is the client's budget; everything
             // downstream is the server's problem.
@@ -879,26 +843,17 @@ fn extract_route(
             };
             extract_error_response(status, &err)
         }
-        BatchOutcome::Poisoned => {
-            ctx.poisoned.fetch_add(1, Ordering::SeqCst);
-            ctx.obs.metrics().counter_add("ancstr_serve_batch_poisoned_total", &[], 1);
-            Response::json(
-                500,
-                &Json::obj()
-                    .set(
-                        "error",
-                        "this request crashed the pipeline; its batch-mates were unaffected",
-                    )
-                    .set("stage", "batch_poison"),
-            )
-        }
-        BatchOutcome::Budget => Response::json(
-            500,
-            &Json::obj()
-                .set("error", "batch retry budget exhausted before this request succeeded")
-                .set("stage", "batch_budget"),
-        ),
     }
+}
+
+/// Every miss renders the ALIGN-JSON view alongside the canonical text,
+/// so a cached [`ServiceReply`] can answer either `Accept` format
+/// without recomputing the pipeline.
+fn align_formatter(
+    flat: &ancstr_netlist::FlatCircuit,
+    constraints: &ancstr_netlist::ConstraintSet,
+) -> String {
+    ancstr_hier::align::export_align(flat, constraints)
 }
 
 fn extract_error_response(status: u16, err: &ExtractError) -> Response {
@@ -918,7 +873,7 @@ fn reply_response(
     format: ReplyFormat,
 ) -> Response {
     if format == ReplyFormat::AlignJson {
-        // The batcher renders the ALIGN view on every pass, so cached
+        // Every miss renders the ALIGN view, so cached
         // and fresh replies alike carry it; the defensive fallback only
         // guards replies minted by an older build sharing the cache.
         if let Some(doc) = &reply.align_json {
@@ -969,14 +924,6 @@ fn healthz_route(ctx: &Ctx) -> Response {
                     .set("rejected_total", breaker.rejected_total),
             )
             .set(
-                "batching",
-                Json::obj()
-                    .set("batches", ctx.batcher.batches_total())
-                    .set("batched_requests", ctx.batcher.batched_requests_total())
-                    .set("bisections", ctx.batcher.bisections_total())
-                    .set("poisoned", ctx.poisoned.load(Ordering::SeqCst)),
-            )
-            .set(
                 "cache",
                 Json::obj()
                     .set("hits", stats.hits)
@@ -1017,7 +964,7 @@ fn metrics_route(ctx: &Ctx) -> Response {
         .with_body(ctx.obs.metrics().render().into_bytes())
 }
 
-/// Everything a scrape publishes on demand: the cache/batching deltas,
+/// Everything a scrape publishes on demand: the cache deltas,
 /// the effective compute-layer thread count (the `--threads` flag, or
 /// the machine's available parallelism when unset), and kernel
 /// attribution. The drain path reuses this so the final snapshot is a
@@ -1059,27 +1006,6 @@ fn publish_cache_metrics(ctx: &Ctx) {
     m.counter_add("ancstr_serve_cache_misses_total", &[], now.misses - last.misses);
     m.counter_add("ancstr_serve_cache_evictions_total", &[], now.evictions - last.evictions);
     m.gauge_set("ancstr_serve_cache_entries", &[], now.entries as f64);
-    *last = now;
-    publish_batch_metrics(ctx);
-}
-
-/// Fold the batching counters into the Prometheus registry as
-/// monotonic deltas.
-fn publish_batch_metrics(ctx: &Ctx) {
-    let now = BatchPublished {
-        batches: ctx.batcher.batches_total(),
-        batched_requests: ctx.batcher.batched_requests_total(),
-        bisections: ctx.batcher.bisections_total(),
-    };
-    let mut last = ctx.batch_published.lock().unwrap_or_else(|e| e.into_inner());
-    let m = ctx.obs.metrics();
-    m.counter_add("ancstr_serve_batches_total", &[], now.batches - last.batches);
-    m.counter_add(
-        "ancstr_serve_batched_requests_total",
-        &[],
-        now.batched_requests - last.batched_requests,
-    );
-    m.counter_add("ancstr_serve_batch_bisections_total", &[], now.bisections - last.bisections);
     *last = now;
 }
 
@@ -1514,7 +1440,7 @@ M5 t t vss vss nch w=1u l=0.1u
     }
 
     #[test]
-    fn a_poison_request_fails_alone_with_batch_poison() {
+    fn a_poison_request_fails_alone_with_worker_panic() {
         let server = start_with(ServeConfig {
             workers: 2,
             cache_entries: 8,
@@ -1531,13 +1457,17 @@ M5 t t vss vss nch w=1u l=0.1u
         )
         .unwrap();
         assert_eq!(poisoned.status, 500, "{}", poisoned.text());
-        assert!(poisoned.text().contains("\"stage\":\"batch_poison\""), "{}", poisoned.text());
+        assert!(poisoned.text().contains("\"stage\":\"worker_panic\""), "{}", poisoned.text());
         // The same netlist without the poison flag serves fine: the
-        // failure was the request's, not the model's.
+        // failure was the request's, not the model's, and the panicking
+        // leader released the key's single-flight leadership.
         let clean = client::post(addr, "/v1/extract", NETLIST.as_bytes(), T).unwrap();
         assert_eq!(clean.status, 200, "{}", clean.text());
         let metrics = client::get(addr, "/metrics", T).unwrap().text();
-        assert!(metrics.contains("ancstr_serve_batch_poisoned_total 1"), "{metrics}");
+        assert!(
+            metrics.contains("ancstr_serve_worker_panics_total{layer=\"dispatch\"} 1"),
+            "{metrics}"
+        );
         stop(server);
     }
 
@@ -1605,7 +1535,7 @@ M5 t t vss vss nch w=1u l=0.1u
         assert!(is_trace_id(&id), "{id}");
         let timing = minted.header("x-ancstr-timing").expect("timing summary").to_owned();
         assert!(timing.contains("queue_wait;dur="), "{timing}");
-        assert!(timing.contains("batch;dur="), "{timing}");
+        assert!(timing.contains("pipeline;dur="), "{timing}");
         assert!(timing.contains("total;dur="), "{timing}");
         // A well-formed inbound id is adopted verbatim; a malformed one
         // is replaced, never parroted back.
@@ -1642,8 +1572,39 @@ M5 t t vss vss nch w=1u l=0.1u
             }),
             "{text}"
         );
-        for child in ["queue_wait", "single_flight", "batch"] {
+        for child in ["queue_wait", "single_flight", "pipeline"] {
             assert!(events.iter().any(|e| e.span == child), "missing {child} span:\n{text}");
+        }
+        // Only the minted request missed the cache, so every pipeline
+        // stage span lies inside its `pipeline` span, inside its `serve`
+        // span.
+        let by_id: std::collections::HashMap<u64, &ancstr_obs::TraceEvent> = events
+            .iter()
+            .filter(|e| e.kind == "span_start")
+            .map(|e| (e.id, e))
+            .collect();
+        let ancestors = |e: &ancstr_obs::TraceEvent| {
+            let mut chain = Vec::new();
+            let mut parent = e.parent;
+            while let Some(p) = by_id.get(&parent) {
+                chain.push(*p);
+                parent = p.parent;
+            }
+            chain
+        };
+        for stage in ["parse", "elaborate", "graph_build", "embed", "detect"] {
+            let starts: Vec<_> =
+                events.iter().filter(|e| e.kind == "span_start" && e.span == stage).collect();
+            assert_eq!(starts.len(), 1, "one {stage} span per miss:\n{text}");
+            let chain = ancestors(starts[0]);
+            let in_pipeline = chain.iter().any(|p| p.span == "pipeline");
+            assert!(in_pipeline, "{stage} outside pipeline:\n{text}");
+            let serve = chain.iter().find(|p| p.span == "serve").expect("inside a serve span");
+            assert_eq!(
+                serve.fields.get("trace").and_then(|v| v.as_str()),
+                Some(id.as_str()),
+                "{stage} span attributed to another request:\n{text}"
+            );
         }
     }
 

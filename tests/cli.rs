@@ -119,8 +119,13 @@ fn bad_usage_fails_cleanly() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The daemon serves one model on one node: the fleet flags are gone.
-    for flags in [["serve", "--peers", "x"], ["serve", "--model-slots", "2"]] {
+    // The daemon serves one model on one node and runs each request's
+    // pipeline alone: the fleet and batching flags are gone.
+    for flags in [
+        ["serve", "--peers", "x"],
+        ["serve", "--model-slots", "2"],
+        ["serve", "--batch-max", "2"],
+    ] {
         let out = bin().args(flags).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");

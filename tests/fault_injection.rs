@@ -7,7 +7,7 @@
 //! gradient, recovered via checkpoint restore).
 
 use ancstr_core::{
-    extract_batch, extract_source, inject_checkpoint, inject_model, inject_spice,
+    extract_source, inject_checkpoint, inject_model, inject_spice,
     write_constraints, CheckpointFault, ExtractError, ExtractorConfig, FitOutcome, ModelFault,
     PipelineObs, RunCtx, RunError, RunOptions, RunSession, SymmetryExtractor,
     ALL_CHECKPOINT_FAULTS, ALL_MODEL_FAULTS, ALL_SPICE_FAULTS,
@@ -120,16 +120,14 @@ fn spice_faults_never_panic_anywhere_in_the_pipeline() {
     assert!(survived + degraded > 0, "no mutated netlist ever reached inference");
 }
 
-/// The degrade policy is one policy on every face: each mutated netlist
-/// that reaches inference gives the same outcome class, constraint bytes
-/// and warnings through the flat-circuit path, the service's solo
-/// `extract_source`, and the daemon's batch function — where it rides
-/// next to a healthy batch-mate whose bytes must not move.
+/// The degrade policy is one policy on both faces: each mutated
+/// netlist that reaches inference gives the same outcome class,
+/// constraint bytes and warnings through the flat-circuit path and the
+/// service's `extract_source`.
 #[test]
-fn spice_faults_agree_across_flat_solo_and_batch_faces() {
+fn spice_faults_agree_across_flat_and_service_faces() {
     let ex = trained_extractor();
     let obs = PipelineObs::disabled();
-    let healthy = extract_source(GOOD_SRC, "healthy.sp", &ex, &obs).expect("fixture extracts");
     let mut compared = 0usize;
     let mut degraded = 0usize;
 
@@ -158,32 +156,13 @@ fn spice_faults_agree_across_flat_solo_and_batch_faces() {
             warnings.sort();
             (write_constraints(&flat, &out.detection.constraints), warnings)
         });
-        let solo = extract_source(mutated, "mutated.sp", &ex, &obs)
+        let service = extract_source(mutated, "mutated.sp", &ex, &obs)
             .map(|r| (r.constraints_text, r.warnings));
-        let batch = extract_batch(
-            &[(GOOD_SRC, "healthy.sp"), (mutated, "mutated.sp")],
-            &ex,
-            &RunCtx::observed(obs.clone()),
-            None,
-        )
-        .expect("an unarmed token never cancels");
-        let [mate, item] = <[_; 2]>::try_from(batch).expect("one reply per item");
-        let item = item.map(|r| (r.constraints_text, r.warnings));
-
-        for (face, got) in [("solo", &solo), ("batch", &item)] {
-            match (&flat_out, got) {
-                (Ok(want), Ok(got)) => assert_eq!(want, got, "{case}: {face}"),
-                (Err(want), Err(got)) => assert_eq!(
-                    want.exit_code(),
-                    got.exit_code(),
-                    "{case}: {face}"
-                ),
-                (want, got) => panic!("{case}: {face} {got:?} vs flat {want:?}"),
-            }
+        match (&flat_out, &service) {
+            (Ok(want), Ok(got)) => assert_eq!(want, got, "{case}"),
+            (Err(want), Err(got)) => assert_eq!(want.exit_code(), got.exit_code(), "{case}"),
+            (want, got) => panic!("{case}: service {got:?} vs flat {want:?}"),
         }
-        let mate = mate.expect("the healthy batch-mate extracts");
-        assert_eq!(mate.constraints_text, healthy.constraints_text, "{case}");
-        assert_eq!(mate.warnings, healthy.warnings, "{case}");
         compared += 1;
         if flat_out.as_ref().is_ok_and(|(_, w)| !w.is_empty()) {
             degraded += 1;

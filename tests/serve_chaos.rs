@@ -244,17 +244,66 @@ fn fault_operators_map_to_clean_statuses() {
     // Cold bodies: the same circuit plus a unique comment line.
     let cold = |tag: &str| format!("{NETLIST}* chaos probe {tag}\n").into_bytes();
 
-    // A poisoned batch request fails alone with the typed batch_poison
-    // stage — and since its body is unique, no mate is implicated.
+    // A panic inside the pipeline run is answered alone with the typed
+    // worker_panic stage; its body is unique, so it reaches the miss
+    // path instead of the cache.
     let plan =
-        plan_serve_fault(ServeFault::PoisonBatchMate, "POST", "/v1/extract", &cold("poison"), 12);
+        plan_serve_fault(ServeFault::PipelinePanic, "POST", "/v1/extract", &cold("poison"), 12);
     let outcome = client::send_plan(addr, &plan, T).expect("plan connects");
     let reply = outcome.reply.expect("poison gets a reply");
     assert_eq!(reply.status, 500, "{}", reply.text());
-    assert!(reply.text().contains("\"stage\":\"batch_poison\""), "{}", reply.text());
+    assert!(reply.text().contains("\"stage\":\"worker_panic\""), "{}", reply.text());
 
     // After the whole parade the baseline still reproduces.
     assert_eq!(baseline(addr), reference);
+    daemon.shutdown();
+}
+
+#[test]
+fn one_poison_in_sixteen_concurrent_requests_fails_alone() {
+    let dir = workdir("poison");
+    let (_sp, model) = trained_model(&dir);
+    let daemon = Daemon::spawn(&model, &["--chaos", "--workers", "16", "--queue-depth", "64"]);
+    let addr = daemon.addr;
+    let reference = baseline(addr);
+
+    // Sixteen distinct *bodies* of the same circuit (a unique comment
+    // line changes the cache key, not the constraints), fired at once;
+    // request 0 carries the poison header.
+    let replies: Vec<(usize, u16, String)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..16usize)
+            .map(|i| {
+                scope.spawn(move || {
+                    let body = format!("{NETLIST}* mate {i}\n");
+                    let headers: &[(&str, &str)] =
+                        if i == 0 { &[("x-ancstr-chaos", "poison")] } else { &[] };
+                    let reply =
+                        client::post_with(addr, "/v1/extract", headers, body.as_bytes(), T)
+                            .expect("request completes");
+                    (i, reply.status, reply.text())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("request thread")).collect()
+    });
+
+    let ok: Vec<_> = replies.iter().filter(|(_, status, _)| *status == 200).collect();
+    let poisoned: Vec<_> = replies.iter().filter(|(_, status, _)| *status == 500).collect();
+    assert_eq!(ok.len(), 15, "exactly the 15 healthy requests succeed: {replies:?}");
+    assert_eq!(poisoned.len(), 1, "exactly the poison request fails: {replies:?}");
+    assert_eq!(poisoned[0].0, 0, "the 500 lands on the poisoned request, not another");
+    assert!(
+        poisoned[0].2.contains("\"stage\":\"worker_panic\""),
+        "poison failure is typed: {}",
+        poisoned[0].2
+    );
+    for (i, _, text) in &ok {
+        assert_eq!(
+            constraints(text).as_deref(),
+            Some(reference.as_str()),
+            "request {i} returned wrong bytes"
+        );
+    }
     daemon.shutdown();
 }
 
