@@ -1,5 +1,5 @@
 //! Criterion benches for the computational kernels behind every table:
-//! multigraph construction (Alg. 1), PageRank (Eq. 3), GNN forward
+//! Alg. 1's operator build, PageRank (Eq. 3), GNN forward
 //! (Eq. 1), training step (Eq. 2), Jacobi eigensolve and K-S statistic
 //! (the S³DET inner loops).
 
@@ -11,7 +11,7 @@ use ancstr_circuits::comparator::comp1;
 use ancstr_core::circuit_features;
 use ancstr_core::{EmbedOptions, FeatureConfig};
 use ancstr_gnn::{GnnConfig, GnnModel, GraphTensors};
-use ancstr_graph::{pagerank, BuildOptions, HetMultigraph, PinStream, SimpleDigraph};
+use ancstr_graph::{pagerank, BuildOptions, PinStream, SimpleDigraph};
 use ancstr_netlist::flat::FlatCircuit;
 use ancstr_nn::linalg::{normalized_laplacian, symmetric_eigenvalues};
 use ancstr_nn::Matrix;
@@ -19,10 +19,10 @@ use ancstr_nn::Matrix;
 fn bench_graph_build(c: &mut Criterion) {
     let small = FlatCircuit::elaborate(&comp1(1)).expect("comp1");
     let large = FlatCircuit::elaborate(&adc1()).expect("adc1");
-    let mut g = c.benchmark_group("multigraph_build");
+    let mut g = c.benchmark_group("graph_build");
     for (name, flat) in [("comp1_47", &small), ("adc1_285", &large)] {
         g.bench_with_input(BenchmarkId::from_parameter(name), flat, |b, flat| {
-            b.iter(|| HetMultigraph::from_circuit(flat, &BuildOptions { max_net_degree: Some(64) }))
+            b.iter(|| GraphTensors::from_circuit(flat, &BuildOptions { max_net_degree: Some(64) }))
         });
     }
     g.finish();
@@ -43,8 +43,7 @@ fn bench_pagerank(c: &mut Criterion) {
 
 fn bench_gnn_forward(c: &mut Criterion) {
     let flat = FlatCircuit::elaborate(&adc1()).expect("adc1");
-    let g = HetMultigraph::from_circuit(&flat, &BuildOptions { max_net_degree: Some(64) });
-    let tensors = GraphTensors::from_multigraph(&g);
+    let tensors = GraphTensors::from_circuit(&flat, &BuildOptions { max_net_degree: Some(64) });
     let features = circuit_features(&flat, &FeatureConfig::default());
     let model = GnnModel::new(GnnConfig::default());
     c.bench_function("gnn_forward_adc1", |b| {

@@ -712,7 +712,13 @@ fn cmd_extract(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
         result.detection.constraints.len(),
         result.runtime.as_secs_f64() * 1e3
     ));
-    emit_outputs(ctx, &args, &extractor.config().build, &flat, &result.detection.constraints)
+    emit_outputs(ctx, &args, &extractor.config().build, &flat, &result.detection.constraints)?;
+    // The outputs are written and the process exits next, which returns
+    // the memory anyway: freeing the elaborated circuit's per-node
+    // strings and lists, the detection and the extractor one by one
+    // cost ~16 ms of a 100k-device extract on a 2-core Xeon.
+    std::mem::forget((flat, result, extractor));
+    Ok(())
 }
 
 fn cmd_train(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {

@@ -16,12 +16,13 @@
 //! boundary:
 //!
 //! 1. **load** — parse → elaborate ([`load_netlist`]);
-//! 2. **graph** — Algorithm 1 multigraph → Table II features
-//!    ([`SymmetryExtractor::train_graph`]);
+//! 2. **graph** — Algorithm 1's per-port adjacency operators, built
+//!    straight from the pin stream without a multigraph → Table II
+//!    features ([`SymmetryExtractor::train_graph`]);
 //! 3. **train** — guarded unsupervised training, with checkpoints,
 //!    resume and the sealed model under a session;
-//! 4. **embed** — GNN inference, with the one non-finite-features
-//!    degrade policy ([`SymmetryExtractor::embed`]);
+//! 4. **embed** — GNN inference, which consumes its graph, with the one
+//!    non-finite-features degrade policy ([`SymmetryExtractor::embed`]);
 //! 5. **detect** — Algorithms 2–3 ([`SymmetryExtractor::detect`]).
 //!
 //! All stages take one [`RunCtx`]: the [`PipelineObs`] handle, the

@@ -3,7 +3,7 @@
 //! | stage    | work                           | trace spans                   | run-dir artifact   |
 //! |----------|--------------------------------|-------------------------------|--------------------|
 //! | `load`   | parse → elaborate              | `parse`, `elaborate`          | —                  |
-//! | `graph`  | Alg. 1 multigraph → Table II   | `graph_build`, `feature_init` | `graph.meta`       |
+//! | `graph`  | Alg. 1 operators → Table II    | `graph_build`, `feature_init` | `graph.meta`       |
 //! | `train`  | guarded training (Eqs. 1–2)    | `train`                       | `model.txt`, ckpts |
 //! | `embed`  | GNN inference                  | `embed`                       | `embeddings.txt`   |
 //! | `detect` | Algorithms 2–3                 | `detect`                      | `constraints.txt`  |
@@ -29,7 +29,7 @@ use ancstr_gnn::{
     try_train_resumable, CheckpointSink, GnnConfig, GnnModel, GraphTensors, HealthConfig,
     HealthReport, ResumableHooks, TrainConfig, TrainGraph, TrainOutcome, TrainReport,
 };
-use ancstr_graph::{BuildOptions, HetMultigraph};
+use ancstr_graph::BuildOptions;
 use ancstr_netlist::error::ParseNetlistError;
 use ancstr_netlist::parse::parse_spice_file;
 use ancstr_netlist::{FlatCircuit, Netlist, SymmetryKind};
@@ -315,7 +315,7 @@ impl SymmetryExtractor {
     /// The trained per-vertex representations `Z` for a circuit.
     pub fn vertex_embeddings(&self, flat: &FlatCircuit) -> Matrix {
         let tg = self.train_graph(flat, &PipelineObs::disabled());
-        self.model.embed(&tg.tensors, &tg.features)
+        self.model.embed_owned(&tg.tensors, tg.features)
     }
 
     /// Train through the graph and train stages (Section IV-C). The
@@ -417,7 +417,7 @@ impl SymmetryExtractor {
                     }
                 };
                 let start = Instant::now();
-                let z = self.embed(&tg, &ctx.obs)?;
+                let z = self.embed(tg, &ctx.obs)?;
                 runtime += start.elapsed();
                 if let Some(s) = session.as_deref_mut() {
                     s.seal_embeddings(&z)?;
@@ -458,14 +458,20 @@ impl SymmetryExtractor {
         Ok(Extraction { detection, runtime })
     }
 
-    /// Stage `graph`: Algorithm 1's multigraph under a `graph_build`
-    /// span, then the Table II features under a `feature_init` span.
+    /// Stage `graph`: Algorithm 1's Eq. 1 operators, built straight
+    /// from the pin stream ([`GraphTensors::from_circuit`]) under a
+    /// `graph_build` span whose `graph_built` event carries the vertex
+    /// and typed-edge counts, then the Table II features under a
+    /// `feature_init` span.
     pub fn train_graph(&self, flat: &FlatCircuit, obs: &PipelineObs) -> TrainGraph {
         let tensors = {
             let _g = obs.stage("graph_build");
-            let g = HetMultigraph::from_circuit(flat, &self.config.build);
-            let t = GraphTensors::from_multigraph(&g);
-            obs.event("graph_build", "graph_built", &[("vertices", t.vertex_count().into())]);
+            let t = GraphTensors::from_circuit(flat, &self.config.build);
+            obs.event(
+                "graph_build",
+                "graph_built",
+                &[("vertices", t.vertex_count().into()), ("edges", t.edge_count().into())],
+            );
             t
         };
         let features = {
@@ -536,19 +542,23 @@ impl SymmetryExtractor {
     }
 
     /// Stage `embed`: one GNN forward pass over `tg`, under one `embed`
-    /// span. This is the pipeline's single copy of the degrade policy:
+    /// span. The stage consumes the graph: the pass frees the features
+    /// after the first layer and the operators when it ends, so nothing
+    /// of the graph outlives the stage. This is the pipeline's single
+    /// copy of the degrade policy:
     /// a graph with non-finite features is embedded anyway (a
     /// `degraded_embed` event; detection then quarantines its rows
     /// behind warnings), while a non-finite model fails with
     /// [`EmbedError::NonFiniteParameters`](ancstr_gnn::EmbedError).
-    pub fn embed(&self, tg: &TrainGraph, obs: &PipelineObs) -> Result<Matrix, ExtractError> {
+    pub fn embed(&self, tg: TrainGraph, obs: &PipelineObs) -> Result<Matrix, ExtractError> {
         let _g = obs.stage("embed");
-        if !tg.features.is_finite() {
+        let TrainGraph { tensors, features } = tg;
+        if !features.is_finite() {
             obs.event("embed", "degraded_embed", &[("cause", "non-finite features".into())]);
         } else if !self.model.is_finite() {
             return Err(ExtractError::Embed(ancstr_gnn::EmbedError::NonFiniteParameters));
         }
-        Ok(self.model.embed(&tg.tensors, &tg.features))
+        Ok(self.model.embed_owned(&tensors, features))
     }
 
     /// Stage `detect`: exact Algorithm 2–3 detection under a `detect`

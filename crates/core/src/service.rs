@@ -105,9 +105,9 @@ pub fn extract_request(
     let start = Instant::now();
     let graph = extractor.train_graph(&flat, &ctx.obs);
     ctx.check()?;
-    let z = extractor.embed(&graph, &ctx.obs)?;
-    // The graph is dropped here, before detection.
-    drop(graph);
+    // The embed stage consumes the graph, so none of it lives on into
+    // detection.
+    let z = extractor.embed(graph, &ctx.obs)?;
     ctx.check()?;
     let detection = extractor.detect(&flat, &z, &ctx.obs);
     let mut warnings: Vec<String> = detection.warnings.iter().map(|w| w.to_string()).collect();

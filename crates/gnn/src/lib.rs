@@ -5,8 +5,12 @@
 //! An unsupervised, inductive GNN over the heterogeneous circuit
 //! multigraph:
 //!
-//! * [`GraphTensors`] — the multigraph as per-edge-type sparse
-//!   adjacency operators;
+//! * [`GraphTensors`] — Algorithm 1's multigraph as per-edge-type
+//!   sparse adjacency operators, built straight from the circuit's pin
+//!   stream by [`GraphTensors::from_circuit`] (the Eq. 2 neighbour lists
+//!   follow on first use), or converted from a built
+//!   [`HetMultigraph`](ancstr_graph::HetMultigraph) by
+//!   [`GraphTensors::from_multigraph`], the reference;
 //! * [`GnnModel`] — K layers of Eq. 1
 //!   (`h_v' = GRU(h_v, Σ_{u∈N_in(v)} W_{e_uv} h_u)`, one `W` per port
 //!   type);
@@ -20,13 +24,14 @@
 //! records it on an autograd [`Tape`](ancstr_nn::Tape)
 //! ([`GnnModel::forward_on_tape`]); inference ([`GnnModel::embed`],
 //! [`GnnModel::try_embed`]) runs it on
-//! [`Eager`](ancstr_nn::Eager) values, which borrow the features and
-//! free each intermediate after its last use. Both call the same
-//! kernels in the same order, so the embeddings are bit-identical to
-//! the tape's. Each message term is summed straight into the message
-//! and the GRU step overwrites the message with the next state, so an
-//! inference layer holds at most three `n × D` buffers: the state, the
-//! message and one term.
+//! [`Eager`](ancstr_nn::Eager) values, which borrow the features (or,
+//! through [`GnnModel::embed_owned`], take them and free them after the
+//! first layer) and free each intermediate after its last use. Both
+//! call the same kernels in the same order, so the embeddings are
+//! bit-identical to the tape's. Each message term is summed straight
+//! into the message and the GRU step overwrites the message with the
+//! next state, so an inference layer holds at most three `n × D`
+//! buffers: the state, the message and one term.
 //!
 //! # Example
 //!
@@ -44,13 +49,17 @@
 //! .ends
 //! ")?;
 //! let flat = FlatCircuit::elaborate(&nl)?;
-//! let g = HetMultigraph::from_circuit(&flat, &BuildOptions::default());
-//! let tensors = GraphTensors::from_multigraph(&g);
+//! let options = BuildOptions::default();
+//! let tensors = GraphTensors::from_circuit(&flat, &options);
+//! // The same operators as converting the multigraph.
+//! let g = HetMultigraph::from_circuit(&flat, &options);
+//! assert_eq!(tensors, GraphTensors::from_multigraph(&g));
 //!
 //! let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed: 7, ..GnnConfig::default() });
 //! let features = Matrix::filled(2, 4, 0.1);
 //! let z = model.embed(&tensors, &features);
 //! assert_eq!(z.shape(), (2, 4));
+//! assert_eq!(model.embed_owned(&tensors, features), z);
 //! # Ok(())
 //! # }
 //! ```

@@ -7,6 +7,8 @@
 //!
 //! with one weight matrix per edge type (`|W| = 4`).
 
+use std::borrow::Cow;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -148,7 +150,9 @@ impl GnnModel {
         tensors: &GraphTensors,
         features: &Matrix,
     ) -> (NodeId, ModelLeaves) {
-        let (h, ids) = self.forward(tape, tensors, features);
+        self.check_features(tensors, features);
+        let h = tape.input(features);
+        let (h, ids) = self.forward(tape, tensors, h);
         (h, ModelLeaves { ids })
     }
 
@@ -161,17 +165,23 @@ impl GnnModel {
     ///
     /// Panics on shape mismatches (see [`GnnModel::forward_on_tape`]).
     pub fn embed(&self, tensors: &GraphTensors, features: &Matrix) -> Matrix {
-        self.forward(&mut Eager, tensors, features).0.into_owned()
+        self.check_features(tensors, features);
+        self.forward(&mut Eager, tensors, Cow::Borrowed(features)).0.into_owned()
     }
 
-    /// Eq. 1, K times, over either evaluator: the final hidden state and
-    /// every parameter as bound by `f`, in [`GnnModel::matrices`] order.
-    fn forward<'a, F: Forward<'a>>(
-        &'a self,
-        f: &mut F,
-        tensors: &'a GraphTensors,
-        features: &'a Matrix,
-    ) -> (F::Value, Vec<F::Param>) {
+    /// [`GnnModel::embed`] that takes the features by value, so the pass
+    /// frees them once the first layer's GRU step has read them: the
+    /// pipeline's embed stage, which has no further use for them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches (see [`GnnModel::forward_on_tape`]).
+    pub fn embed_owned(&self, tensors: &GraphTensors, features: Matrix) -> Matrix {
+        self.check_features(tensors, &features);
+        self.forward(&mut Eager, tensors, Cow::Owned(features)).0.into_owned()
+    }
+
+    fn check_features(&self, tensors: &GraphTensors, features: &Matrix) {
         assert_eq!(
             features.cols(),
             self.config.dim,
@@ -182,6 +192,17 @@ impl GnnModel {
             tensors.vertex_count(),
             "one feature row per vertex"
         );
+    }
+
+    /// Eq. 1, K times, over either evaluator from the bound features
+    /// `h`: the final hidden state and every parameter as bound by `f`,
+    /// in [`GnnModel::matrices`] order.
+    fn forward<'a, F: Forward<'a>>(
+        &'a self,
+        f: &mut F,
+        tensors: &'a GraphTensors,
+        mut h: F::Value,
+    ) -> (F::Value, Vec<F::Param>) {
         // Shared handles: every pass over this graph reuses the same
         // operators, so their cached CSR views are built exactly once
         // per graph instead of re-sorted per GRU step.
@@ -190,7 +211,6 @@ impl GnnModel {
             .map(|&p| f.operator(tensors.adjacency_shared(p)))
             .collect();
 
-        let mut h = f.input(features);
         let mut params = Vec::with_capacity(self.param_count());
         for layer in &self.layers {
             let edge_w: Vec<F::Param> = layer.edge_weights.iter().map(|w| f.param(w)).collect();

@@ -86,8 +86,9 @@ proptest! {
         prop_assert_eq!(z1, z2);
     }
 
-    /// Inference (`embed`, tape-free) reproduces the value of the
-    /// recorded training forward bit for bit, for both combiners and
+    /// Inference (`embed`, tape-free, with the features borrowed or
+    /// owned) reproduces the value of the recorded training forward bit
+    /// for bit, for both combiners and
     /// K ∈ {1, 2, 3}, at one and two threads. The 600-vertex graphs are
     /// large enough for the kernels to split work across threads. A NaN
     /// feature keeps identical bits on both paths, and stays in the rows
@@ -116,6 +117,7 @@ proptest! {
         let before = ancstr_par::threads();
         ancstr_par::set_threads(threads);
         let eager = model.embed(&t, &x);
+        let owned = model.embed_owned(&t, x.clone());
         let mut tape = Tape::new();
         let (z, _) = model.forward_on_tape(&mut tape, &t, &x);
         ancstr_par::set_threads(before);
@@ -123,6 +125,9 @@ proptest! {
         prop_assert_eq!(eager.shape(), recorded.shape());
         for (a, b) in eager.as_slice().iter().zip(recorded.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "eager forward diverged from the tape");
+        }
+        for (a, b) in owned.as_slice().iter().zip(eager.as_slice()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "owned features changed the bits");
         }
 
         if let Some(v) = nan_row {

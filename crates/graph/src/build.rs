@@ -91,8 +91,11 @@ impl PinStream {
     /// pins on a net that belong to two different devices (no self
     /// loops), `pair((u, τ_u), (v, τ_v))` is called with local vertex
     /// indices (`u` comes first in pin order). Algorithm 1 turns the
-    /// pair into the two typed edges `(u, v, τ_v)` and `(v, u, τ_u)`.
-    pub(crate) fn for_each_clique_pair(
+    /// pair into the two typed edges `(u, v, τ_v)` and `(v, u, τ_u)`;
+    /// [`HetMultigraph::from_device_range`] stores them, and
+    /// `ancstr_gnn::GraphTensors::from_circuit` streams them straight
+    /// into the Eq. 1 operators.
+    pub fn for_each_clique_pair(
         &self,
         options: &BuildOptions,
         mut pair: impl FnMut((usize, PortType), (usize, PortType)),

@@ -3,11 +3,17 @@
 //! Heterogeneous multigraph circuit representation (paper Section IV-A)
 //! and the graph algorithms the AncstrGNN pipeline relies on.
 //!
+//! * [`PinStream`] — a block's pins in Algorithm 1's order with the
+//!   global net ids erased. Its clique walk
+//!   ([`PinStream::for_each_clique_pair`]) is where Algorithm 1's rules
+//!   live; every graph below is built from it, and so are the GNN's
+//!   Eq. 1 operators (`ancstr_gnn::GraphTensors::from_circuit`), which
+//!   the pipeline builds without a multigraph;
 //! * [`HetMultigraph`] — the directed multigraph `G = (V, E)` whose
 //!   vertices are primitive devices and whose edges `(u, v, τ_v)` are
-//!   typed by the destination port (Algorithm 1's clique construction);
-//! * [`PinStream`] — a block's pins in Algorithm 1's order with the
-//!   global net ids erased, from which both graphs are built;
+//!   typed by the destination port, kept for the DOT export, the
+//!   baselines and as the reference the direct operator build is tested
+//!   against;
 //! * [`SimpleDigraph`] — the de-paralleled, untyped digraph `G'_t` used
 //!   by circuit feature embedding (Algorithm 2, lines 1–4);
 //! * [`pagerank()`] — Eq. 3's PageRank iteration;
@@ -19,7 +25,7 @@
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use ancstr_netlist::{parse::parse_spice, flat::FlatCircuit};
-//! use ancstr_graph::{HetMultigraph, BuildOptions};
+//! use ancstr_graph::{HetMultigraph, BuildOptions, PinStream};
 //!
 //! let nl = parse_spice("\
 //! .subckt amp in out vdd vss
@@ -29,8 +35,16 @@
 //! .ends
 //! ")?;
 //! let flat = FlatCircuit::elaborate(&nl)?;
-//! let g = HetMultigraph::from_circuit(&flat, &BuildOptions::default());
+//! let options = BuildOptions::default();
+//! let g = HetMultigraph::from_circuit(&flat, &options);
 //! assert_eq!(g.vertex_count(), 3);
+//!
+//! // The same clique walk, without storing a graph: each pair of pins
+//! // on a net is two typed edges.
+//! let stream = PinStream::from_device_range(&flat, 0..flat.devices().len());
+//! let mut edges = 0;
+//! stream.for_each_clique_pair(&options, |_, _| edges += 2);
+//! assert_eq!(edges, g.edge_count());
 //! # Ok(())
 //! # }
 //! ```

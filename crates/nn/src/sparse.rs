@@ -173,6 +173,13 @@ impl SparseMatrix {
         });
     }
 
+    /// Build the forward product's cached CSR view now (a no-op when it
+    /// exists), so the first [`SparseMatrix::matmul_dense`] does not: a
+    /// graph builder moves the view's time and memory into its own stage.
+    pub fn prepare_row_view(&self) {
+        self.row_view();
+    }
+
     /// The cached CSR view grouped by triplet row.
     fn row_view(&self) -> &CsrView {
         self.by_row.get_or_init(|| {

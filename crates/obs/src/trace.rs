@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -301,13 +302,17 @@ impl Drop for Span {
     }
 }
 
-/// The process's peak resident set so far, in KiB: `VmHWM` from
-/// `/proc/self/status`. `None` where that file does not exist (or has
-/// no such line), i.e. off Linux.
+/// The process's peak resident set so far, in KiB: the running maximum
+/// of the `VmHWM` reads from `/proc/self/status`, so a later call never
+/// reports less than an earlier one (the kernel's mark can read a few
+/// pages lower on a later read while other threads run). `None` where
+/// that file does not exist (or has no such line), i.e. off Linux.
 pub fn peak_rss_kb() -> Option<u64> {
+    static PEAK_KB: AtomicU64 = AtomicU64::new(0);
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.split_whitespace().next()?.parse().ok()
+    let kb: u64 = line.split_whitespace().next()?.parse().ok()?;
+    Some(PEAK_KB.fetch_max(kb, Ordering::Relaxed).max(kb))
 }
 
 /// Minor page faults the process has taken so far: field 10 (`minflt`)
@@ -576,6 +581,15 @@ mod tests {
     fn peak_rss_is_read_where_proc_exists() {
         let expected = std::path::Path::new("/proc/self/status").exists();
         assert_eq!(peak_rss_kb().is_some_and(|kb| kb > 0), expected);
+    }
+
+    #[test]
+    fn peak_rss_never_falls_from_one_read_to_the_next() {
+        let first = peak_rss_kb();
+        for _ in 0..100 {
+            let later = peak_rss_kb();
+            assert!(later >= first, "{later:?} < {first:?}");
+        }
     }
 
     #[test]
