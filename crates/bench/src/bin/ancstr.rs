@@ -77,10 +77,12 @@
 //! end carries the process's peak RSS so far (`vm_hwm_kb`, on Linux)
 //! and its minor page faults so far (`minflt`); each `epoch` event
 //! carries the faults taken since the previous epoch and the KiB the
-//! training step's tape held at its end (`tape_kb`). The `detect`
-//! span's end also carries `blocks_compared` and `block_digraphs`, how
-//! many blocks Algorithm 2 embedded and how many distinct digraphs it
-//! ranked for them.
+//! training step's tape held at its end (`tape_kb`). The `embed` span's
+//! end also carries `rows` and `rows_computed`, the vertices and the
+//! rows Eq. 1's GRU steps computed for them over the K layers (one per
+//! distinct message and state), and the `detect` span's end carries
+//! `blocks_compared` and `block_digraphs`, how many blocks Algorithm 2
+//! embedded and how many distinct digraphs it ranked for them.
 //! After `detect`, `extract` traces its output tail as an `export` span
 //! (the DOT dump, quality gauges and rendering) and a `write` span.
 //! `obs-check` re-validates a trace file and/or a `metrics.prom`
@@ -863,6 +865,11 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
                 if peak.is_none_or(|(best, _)| kb > best) {
                     peak = Some((kb, &e.stage));
                 }
+            }
+            if let (Some(rows), Some(computed)) = (count(e, "rows")?, count(e, "rows_computed")?) {
+                ctx.log.info(format!(
+                    "{path}: Eq. 1 computed {computed} GRU rows for {rows} vertices"
+                ));
             }
             let compared = count(e, "blocks_compared")?;
             let digraphs = count(e, "block_digraphs")?;

@@ -40,7 +40,7 @@ pub fn valid_pairs(flat: &FlatCircuit) -> Vec<CandidatePair> {
         if let HierNodeKind::Block { class: CircuitClass::Logic, .. } = &parent.kind {
             continue;
         }
-        // Group children by module type.
+        let has_sub_blocks = flat.has_sub_blocks(parent.id);
         let children = &parent.children;
         for i in 0..children.len() {
             let ti = flat.module_type(children[i]);
@@ -53,7 +53,7 @@ pub fn valid_pairs(flat: &FlatCircuit) -> Vec<CandidatePair> {
                 out.push(CandidatePair {
                     hierarchy: parent.id,
                     pair: PairKey::new(a, b),
-                    kind: flat.classify_pair(parent.id, a, b),
+                    kind: flat.classify_pair_under(has_sub_blocks, a, b),
                     module_type: ti.clone(),
                 });
             }
@@ -213,5 +213,31 @@ C2 y vss 10f
         let dev = valid_pairs_of_kind(&f, SymmetryKind::Device).len();
         assert_eq!(all, sys + dev);
         assert!(sys > 0 && dev > 0);
+    }
+
+    /// `valid_pairs` scans each parent's children for a sub-block once;
+    /// every candidate's kind is still `classify_pair`'s, which scans
+    /// them per pair.
+    #[test]
+    fn candidate_kinds_match_classify_pair() {
+        use ancstr_circuits::{adc::adc_benchmarks, block_benchmark_names, block_benchmarks};
+        let mut designs: Vec<(String, ancstr_netlist::Netlist)> = adc_benchmarks()
+            .into_iter()
+            .enumerate()
+            .map(|(i, nl)| (format!("ADC{}", i + 1), nl))
+            .collect();
+        let blocks = block_benchmarks(7).into_iter().zip(block_benchmark_names());
+        designs.extend(blocks.map(|(nl, name)| (name.to_string(), nl)));
+        designs.push(("2k corpus".into(), ancstr_circuits::stress::stress_system(2000, 7)));
+        let mut seen = [0usize; 2];
+        for (name, nl) in &designs {
+            let f = FlatCircuit::elaborate(nl).unwrap();
+            for c in valid_pairs(&f) {
+                let want = f.classify_pair(c.hierarchy, c.pair.lo(), c.pair.hi());
+                assert_eq!(c.kind, want, "{name}: {:?}", c.pair);
+                seen[usize::from(c.kind == SymmetryKind::System)] += 1;
+            }
+        }
+        assert!(seen[0] > 0 && seen[1] > 0, "both kinds occur: {seen:?}");
     }
 }

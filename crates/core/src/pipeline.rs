@@ -315,7 +315,7 @@ impl SymmetryExtractor {
     /// The trained per-vertex representations `Z` for a circuit.
     pub fn vertex_embeddings(&self, flat: &FlatCircuit) -> Matrix {
         let tg = self.train_graph(flat, &PipelineObs::disabled());
-        self.model.embed_owned(&tg.tensors, tg.features)
+        self.model.embed_owned(&tg.tensors, tg.features).0
     }
 
     /// Train through the graph and train stages (Section IV-C). The
@@ -542,23 +542,27 @@ impl SymmetryExtractor {
     }
 
     /// Stage `embed`: one GNN forward pass over `tg`, under one `embed`
-    /// span. The stage consumes the graph: the pass frees the features
-    /// after the first layer and the operators when it ends, so nothing
-    /// of the graph outlives the stage. This is the pipeline's single
-    /// copy of the degrade policy:
+    /// span whose end carries `rows` (the vertices) and `rows_computed`
+    /// (the rows Eq. 1's K combiner steps computed, summed: one per
+    /// distinct message and state). The stage consumes the graph: the
+    /// pass frees the features once it has classed their rows and the
+    /// operators when it ends, so nothing of the graph outlives the
+    /// stage. This is the pipeline's single copy of the degrade policy:
     /// a graph with non-finite features is embedded anyway (a
     /// `degraded_embed` event; detection then quarantines its rows
     /// behind warnings), while a non-finite model fails with
     /// [`EmbedError::NonFiniteParameters`](ancstr_gnn::EmbedError).
     pub fn embed(&self, tg: TrainGraph, obs: &PipelineObs) -> Result<Matrix, ExtractError> {
-        let _g = obs.stage("embed");
+        let g = obs.stage("embed");
         let TrainGraph { tensors, features } = tg;
         if !features.is_finite() {
             obs.event("embed", "degraded_embed", &[("cause", "non-finite features".into())]);
         } else if !self.model.is_finite() {
             return Err(ExtractError::Embed(ancstr_gnn::EmbedError::NonFiniteParameters));
         }
-        Ok(self.model.embed_owned(&tensors, features))
+        let (z, computed) = self.model.embed_owned(&tensors, features);
+        g.close_with(&[("rows", z.rows().into()), ("rows_computed", computed.into())]);
+        Ok(z)
     }
 
     /// Stage `detect`: exact Algorithm 2–3 detection under a `detect`

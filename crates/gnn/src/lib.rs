@@ -24,14 +24,14 @@
 //! records it on an autograd [`Tape`](ancstr_nn::Tape)
 //! ([`GnnModel::forward_on_tape`]); inference ([`GnnModel::embed`],
 //! [`GnnModel::try_embed`]) runs it on
-//! [`Eager`](ancstr_nn::Eager) values, which borrow the features (or,
-//! through [`GnnModel::embed_owned`], take them and free them after the
-//! first layer) and free each intermediate after its last use. Both
-//! call the same kernels in the same order, so the embeddings are
-//! bit-identical to the tape's. Each message term is summed straight
-//! into the message and the GRU step overwrites the message with the
-//! next state, so an inference layer holds at most three `n × D`
-//! buffers: the state, the message and one term.
+//! [`Eager`](ancstr_nn::Eager) values, which hold each activation as its
+//! distinct rows and one class per vertex: the `H·W_τ` products and the
+//! GRU step run once per distinct row, and only the message and the
+//! final `Z` have a row per vertex. The pass classes the features once
+//! (through [`GnnModel::embed_owned`] it then frees them) and frees each
+//! intermediate after its last use. Every kernel builds an output row
+//! from its own input rows alone, in a fixed order, so the embeddings
+//! are bit-identical to the tape's.
 //!
 //! # Example
 //!
@@ -59,7 +59,7 @@
 //! let features = Matrix::filled(2, 4, 0.1);
 //! let z = model.embed(&tensors, &features);
 //! assert_eq!(z.shape(), (2, 4));
-//! assert_eq!(model.embed_owned(&tensors, features), z);
+//! assert_eq!(model.embed_owned(&tensors, features).0, z);
 //! # Ok(())
 //! # }
 //! ```

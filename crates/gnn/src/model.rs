@@ -7,14 +7,12 @@
 //!
 //! with one weight matrix per edge type (`|W| = 4`).
 
-use std::borrow::Cow;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ancstr_netlist::PortType;
 use ancstr_nn::init::xavier_uniform;
-use ancstr_nn::{Eager, Forward, GruCell, Matrix, NodeId, Tape};
+use ancstr_nn::{ClassedRows, Eager, Forward, GruCell, Matrix, NodeId, Tape};
 
 use crate::tensors::GraphTensors;
 
@@ -152,33 +150,46 @@ impl GnnModel {
     ) -> (NodeId, ModelLeaves) {
         self.check_features(tensors, features);
         let h = tape.input(features);
-        let (h, ids) = self.forward(tape, tensors, h);
+        let (h, ids) = self.forward(tape, tensors, h, |_| {});
         (h, ModelLeaves { ids })
     }
 
     /// Inference: the final feature representation `Z = H^{(K)}` for
     /// every vertex. Runs the same forward pass as
     /// [`GnnModel::forward_on_tape`], bit for bit, without recording it:
-    /// each intermediate is freed after its last use.
+    /// each op runs once per distinct input row, and each intermediate
+    /// is freed after its last use.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches (see [`GnnModel::forward_on_tape`]).
     pub fn embed(&self, tensors: &GraphTensors, features: &Matrix) -> Matrix {
         self.check_features(tensors, features);
-        self.forward(&mut Eager, tensors, Cow::Borrowed(features)).0.into_owned()
+        self.embed_classed(tensors, ClassedRows::classify(features)).0
     }
 
-    /// [`GnnModel::embed`] that takes the features by value, so the pass
-    /// frees them once the first layer's GRU step has read them: the
-    /// pipeline's embed stage, which has no further use for them.
+    /// [`GnnModel::embed`] that takes the features by value and frees
+    /// them once their distinct rows are classed: the pipeline's embed
+    /// stage, which has no further use for them. Also returns the rows
+    /// the K combiner steps computed, summed over the layers (at most
+    /// `K × n`; far fewer when vertices share their neighbourhoods).
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches (see [`GnnModel::forward_on_tape`]).
-    pub fn embed_owned(&self, tensors: &GraphTensors, features: Matrix) -> Matrix {
+    pub fn embed_owned(&self, tensors: &GraphTensors, features: Matrix) -> (Matrix, usize) {
         self.check_features(tensors, &features);
-        self.forward(&mut Eager, tensors, Cow::Owned(features)).0.into_owned()
+        let h = ClassedRows::classify(&features);
+        drop(features);
+        self.embed_classed(tensors, h)
+    }
+
+    /// The eager pass from classed features: `Z`, and the rows each
+    /// layer's combiner computed, summed.
+    fn embed_classed(&self, tensors: &GraphTensors, h: ClassedRows) -> (Matrix, usize) {
+        let mut computed = 0;
+        let (z, _) = self.forward(&mut Eager, tensors, h, |h| computed += h.distinct_rows());
+        (z.into_matrix(), computed)
     }
 
     fn check_features(&self, tensors: &GraphTensors, features: &Matrix) {
@@ -196,12 +207,14 @@ impl GnnModel {
 
     /// Eq. 1, K times, over either evaluator from the bound features
     /// `h`: the final hidden state and every parameter as bound by `f`,
-    /// in [`GnnModel::matrices`] order.
+    /// in [`GnnModel::matrices`] order. `layer_done` sees each layer's
+    /// new state.
     fn forward<'a, F: Forward<'a>>(
         &'a self,
         f: &mut F,
         tensors: &'a GraphTensors,
         mut h: F::Value,
+        mut layer_done: impl FnMut(&F::Value),
     ) -> (F::Value, Vec<F::Param>) {
         // Shared handles: every pass over this graph reuses the same
         // operators, so their cached CSR views are built exactly once
@@ -247,6 +260,7 @@ impl GnnModel {
                     f.tanh(biased)
                 }
             };
+            layer_done(&h);
         }
         (h, params)
     }

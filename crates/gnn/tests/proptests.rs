@@ -117,7 +117,7 @@ proptest! {
         let before = ancstr_par::threads();
         ancstr_par::set_threads(threads);
         let eager = model.embed(&t, &x);
-        let owned = model.embed_owned(&t, x.clone());
+        let (owned, _) = model.embed_owned(&t, x.clone());
         let mut tape = Tape::new();
         let (z, _) = model.forward_on_tape(&mut tape, &t, &x);
         ancstr_par::set_threads(before);

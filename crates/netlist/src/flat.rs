@@ -279,20 +279,30 @@ impl FlatCircuit {
     /// or are passive devices while other subcircuits exist under `T_c`;
     /// device-level otherwise.
     pub fn classify_pair(&self, tc: HierNodeId, a: HierNodeId, b: HierNodeId) -> SymmetryKind {
+        self.classify_pair_under(self.has_sub_blocks(tc), a, b)
+    }
+
+    /// Whether some child of `tc` is a building block.
+    pub fn has_sub_blocks(&self, tc: HierNodeId) -> bool {
+        self.node(tc).children.iter().any(|&c| self.node(c).is_block())
+    }
+
+    /// [`FlatCircuit::classify_pair`] under a parent whose
+    /// [`FlatCircuit::has_sub_blocks`] is `parent_has_blocks`, so a
+    /// caller that classifies many pairs of one parent scans its
+    /// children once.
+    pub fn classify_pair_under(
+        &self,
+        parent_has_blocks: bool,
+        a: HierNodeId,
+        b: HierNodeId,
+    ) -> SymmetryKind {
         let both_blocks = self.node(a).is_block() && self.node(b).is_block();
-        if both_blocks {
-            return SymmetryKind::System;
-        }
-        let has_sub_blocks = self
-            .node(tc)
-            .children
-            .iter()
-            .any(|&c| self.node(c).is_block());
-        let both_passive = [a, b].iter().all(|&n| match self.module_type(n) {
-            ModuleType::Device(t) => t.is_passive(),
-            ModuleType::Block(_) => false,
+        let both_passive = [a, b].iter().all(|&n| match &self.node(n).kind {
+            HierNodeKind::Device(i) => self.devices[*i].dtype.is_passive(),
+            HierNodeKind::Block { .. } => false,
         });
-        if has_sub_blocks && both_passive {
+        if both_blocks || (parent_has_blocks && both_passive) {
             SymmetryKind::System
         } else {
             SymmetryKind::Device

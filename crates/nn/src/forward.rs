@@ -7,23 +7,27 @@
 //!
 //! * [`Tape`] records every op and returns a [`NodeId`], so a reverse
 //!   sweep can follow — the training path;
-//! * [`Eager`] returns owned [`Matrix`] values, so each intermediate is
-//!   freed at its last use — the inference path, whose peak memory is a
-//!   handful of activations instead of the whole recorded pass.
+//! * [`Eager`] returns owned [`ClassedRows`] values, computes each op
+//!   once per distinct input row and frees each intermediate at its
+//!   last use — the inference path, whose peak memory is a handful of
+//!   activations instead of the whole recorded pass.
 //!
 //! Both call the same [`Matrix`]/[`SparseMatrix`] kernel for every op,
-//! in the same order, so an eager pass reproduces the tape's values bit
-//! for bit. Where [`Eager`] reuses a consumed operand's buffer, each
-//! element is still computed by the same expression with its operands
-//! in the same order.
+//! so an eager pass reproduces the tape's values bit for bit: every
+//! kernel builds an output row from that row's own inputs and the
+//! shared weights in a fixed order, so a row the eager pass computes
+//! once for several vertices has the bits the tape computes for each.
+//! Where [`Eager`] reuses a consumed operand's buffer, each element is
+//! still computed by the same expression with its operands in the same
+//! order.
 //!
 //! Two ops are composites, one pass over the rows each:
 //! [`Forward::spmm_add`] sums a message term into its accumulator
 //! without building the term, and [`Forward::gru_step`] runs Eq. 1's
 //! whole GRU combiner in the fused gate kernel. Each gives the bits of
 //! the op-by-op composition it replaces. [`Eager`] runs both in place,
-//! so a layer holds at most three `n × d` buffers: the state, the
-//! message accumulator and one message term.
+//! and its message terms hold only distinct rows, so a layer holds one
+//! `n × d` buffer, the message, beside tables of distinct rows.
 //!
 //! Ownership is part of each signature: an operand passed by value is
 //! the caller's last use of it (the eager pass may overwrite or free
@@ -47,12 +51,12 @@
 //! let mut tape = Tape::new();
 //! let recorded = layer(&mut tape, &x, &wb);
 //! let eager = layer(&mut Eager, &x, &wb);
-//! assert_eq!(tape.value(recorded), &*eager);
+//! assert_eq!(tape.value(recorded), &eager.into_matrix());
 //! ```
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::classed::{self, ClassedRows};
 use crate::gru::{self, GruLeaves, Message};
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
@@ -64,7 +68,8 @@ use crate::tape::{NodeId, SparseId, Tape};
 /// parameters (weights and biases, bound once per pass) and constant
 /// sparse operators (the per-edge-type adjacencies).
 pub trait Forward<'a> {
-    /// An activation: a tape node, or an owned-or-borrowed matrix.
+    /// An activation: a tape node, or a matrix held as its distinct
+    /// rows.
     type Value;
     /// A bound parameter matrix.
     type Param: Copy;
@@ -151,21 +156,32 @@ impl<'a> Forward<'a> for Tape {
     }
 }
 
-/// The tape-free evaluator: every op returns its value, and each value
-/// is freed when the pass drops it after its last use.
+/// The tape-free evaluator: every op returns its value, computed once
+/// per distinct input row, and each value is freed when the pass drops
+/// it after its last use.
 ///
-/// Inputs are borrowed, not copied; an input is copied only if an op
-/// consumes it, and then into the buffer the op's result needs anyway.
+/// Values are [`ClassedRows`]: a table of distinct rows and a class per
+/// vertex. [`Forward::input`] classes a matrix's rows in one hash pass;
+/// a dense product multiplies only the table and keeps the classes; a
+/// sparse product walks every vertex's CSR row and reads each source
+/// through its class, giving one row per vertex; a GRU step keys each
+/// vertex by (message row bits, state class), runs the row kernel once
+/// per distinct key and numbers its output rows by those keys, so the
+/// next layer hashes nothing of the state. Every kernel builds an output
+/// row from that row's inputs alone, so a shared row has the bits each
+/// of its vertices would compute. The element-wise ops of the
+/// `MeanLinear` combiner work on the table, or on every row when they
+/// combine two values.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Eager;
 
 impl<'a> Forward<'a> for Eager {
-    type Value = Cow<'a, Matrix>;
+    type Value = ClassedRows;
     type Param = &'a Matrix;
     type Sparse = &'a SparseMatrix;
 
-    fn input(&mut self, m: &'a Matrix) -> Cow<'a, Matrix> {
-        Cow::Borrowed(m)
+    fn input(&mut self, m: &'a Matrix) -> ClassedRows {
+        ClassedRows::classify(m)
     }
 
     fn param(&mut self, m: &'a Matrix) -> &'a Matrix {
@@ -176,59 +192,67 @@ impl<'a> Forward<'a> for Eager {
         s
     }
 
-    fn matmul(&mut self, a: &Cow<'a, Matrix>, w: &'a Matrix) -> Cow<'a, Matrix> {
-        Cow::Owned(a.matmul(w))
+    fn matmul(&mut self, a: &ClassedRows, w: &'a Matrix) -> ClassedRows {
+        a.map_table(|t| t.matmul(w))
     }
 
-    fn spmm(&mut self, s: &'a SparseMatrix, b: Cow<'a, Matrix>) -> Cow<'a, Matrix> {
-        Cow::Owned(s.matmul_dense(&b))
+    fn spmm(&mut self, s: &'a SparseMatrix, b: ClassedRows) -> ClassedRows {
+        ClassedRows::new(s.matmul_classed_into(b.table(), b.class(), Vec::new()), None)
     }
 
-    fn spmm_add(
-        &mut self,
-        s: &'a SparseMatrix,
-        b: Cow<'a, Matrix>,
-        mut acc: Cow<'a, Matrix>,
-    ) -> Cow<'a, Matrix> {
-        s.matmul_dense_add_assign(&b, acc.to_mut());
-        acc
+    fn spmm_add(&mut self, s: &'a SparseMatrix, b: ClassedRows, acc: ClassedRows) -> ClassedRows {
+        acc.expanded().update_table(|acc| s.matmul_dense_add_assign(b.table(), b.class(), acc))
     }
 
-    fn add(&mut self, mut a: Cow<'a, Matrix>, b: &Cow<'a, Matrix>) -> Cow<'a, Matrix> {
-        a.to_mut().zip_assign(b, |x, y| x + y);
-        a
+    fn add(&mut self, a: ClassedRows, b: &ClassedRows) -> ClassedRows {
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "add shape mismatch");
+        a.expanded().update_table(|sum| {
+            for v in 0..sum.rows() {
+                let row = b.table().row(b.slot(v));
+                for (x, &y) in sum.row_mut(v).iter_mut().zip(row) {
+                    *x += y;
+                }
+            }
+        })
     }
 
-    fn add_row(&mut self, mut a: Cow<'a, Matrix>, row: &'a Matrix) -> Cow<'a, Matrix> {
-        a.to_mut().add_row_assign(row);
-        a
+    fn add_row(&mut self, a: ClassedRows, row: &'a Matrix) -> ClassedRows {
+        a.update_table(|t| t.add_row_assign(row))
     }
 
-    fn scale(&mut self, mut a: Cow<'a, Matrix>, k: f64) -> Cow<'a, Matrix> {
-        a.to_mut().map_assign(|x| x * k);
-        a
+    fn scale(&mut self, a: ClassedRows, k: f64) -> ClassedRows {
+        a.update_table(|t| t.map_assign(|x| x * k))
     }
 
-    fn tanh(&mut self, mut a: Cow<'a, Matrix>) -> Cow<'a, Matrix> {
-        a.to_mut().map_par_assign(f64::tanh);
-        a
+    fn tanh(&mut self, a: ClassedRows) -> ClassedRows {
+        a.update_table(|t| t.map_par_assign(f64::tanh))
     }
 
-    /// Writes the next state over the message's rows when the two are
-    /// the same width (the model's case), else into a new matrix.
+    /// Runs the step once per distinct (message row bits, state class)
+    /// key, writing each key's next state over its gathered message row
+    /// when the two are the same width (the model's case).
     fn gru_step(
         &mut self,
         leaves: &GruLeaves<&'a Matrix>,
-        mut x: Cow<'a, Matrix>,
-        h: Cow<'a, Matrix>,
-    ) -> Cow<'a, Matrix> {
+        x: ClassedRows,
+        h: ClassedRows,
+    ) -> ClassedRows {
+        let n = h.rows();
+        assert_eq!(x.rows(), n, "GRU step: message and state row counts differ");
+        let (class, first) = classed::classify(
+            n,
+            |v| classed::mix(x.key_hash(v), h.key_hash(v)),
+            |v, w| x.same_key(v, w) && h.same_key(v, w),
+        );
         let p = *leaves.ids();
-        if x.cols() == h.cols() {
-            gru::step(p, Message::InPlace, &h, x.to_mut(), None);
-            return x;
+        let state = h.gather(&first);
+        let mut next = x.gather(&first);
+        if next.cols() != state.cols() {
+            let message = std::mem::replace(&mut next, Matrix::zeros(state.rows(), state.cols()));
+            gru::step(p, Message::Rows(&message), &state, &mut next, None);
+        } else {
+            gru::step(p, Message::InPlace, &state, &mut next, None);
         }
-        let mut next = Matrix::zeros(h.rows(), h.cols());
-        gru::step(p, Message::Rows(&x), &h, &mut next, None);
-        Cow::Owned(next)
+        ClassedRows::new(next, Some(class))
     }
 }

@@ -301,7 +301,7 @@ mod tests {
         let mut eager = Eager;
         let leaves = c.leaves(&mut eager);
         let (x, h) = (eager.input(&xv), eager.input(&hv));
-        assert_eq!(bits(&GruCell::forward(&mut eager, &leaves, x, h)), want[0]);
+        assert_eq!(bits(&GruCell::forward(&mut eager, &leaves, x, h).into_matrix()), want[0]);
     }
 
     #[test]

@@ -46,6 +46,17 @@
 //!   `[f64; 18]` row path when the message and the state are 18 wide,
 //!   and a `Vec` row of the same arithmetic otherwise.
 //!
+//! * **row sharing** — every kernel above builds an output row only from
+//!   its own input rows and the shared weights, in a fixed order. So
+//!   the eager evaluator (`classed.rs`) runs the dense products and the
+//!   GRU step once per distinct input row and hands the result to every
+//!   row with those inputs, and a CSR row reads each source through its
+//!   class from a table of distinct rows, in the same entry order. Keys
+//!   compare exact bits (`−0.0` and `+0.0`, and NaN payloads, stay
+//!   apart), so a shared row is computed from the operands each of its
+//!   rows holds; the profiler's `matmul` and `gru_step` elements count
+//!   the rows computed.
+//!
 //! The loop-carried reductions (`dot`, `row_norm` in `matrix.rs`) stay
 //! sequential: splitting them across lanes would reassociate the sum.
 //! Callers win by hoisting norms instead.
@@ -165,21 +176,39 @@ fn narrow_transpose_rows<const N: usize>(a: &[f64], p: usize, g: &[f64], out: &m
 
 /// Output rows `rows` of a CSR product: row `r` sums
 /// `value · dense[src_row]` over `entries[starts[r]..starts[r + 1]]`
-/// in entry order. `out` must be zeroed and cover exactly `rows`.
+/// in entry order. `out` must be zeroed and cover exactly `rows`. With
+/// `class`, entry `src` reads row `class[src]` of `dense`, a table of
+/// distinct rows.
 pub(crate) fn csr_rows(
     starts: &[usize],
     entries: &[(u32, f64)],
     rows: Range<usize>,
     dense: &[f64],
+    class: Option<&[u32]>,
     cols: usize,
     out: &mut [f64],
 ) {
     if cols == 0 {
         return;
     }
+    match class {
+        None => csr_rows_via(starts, entries, rows, dense, |s| s as usize, cols, out),
+        Some(c) => csr_rows_via(starts, entries, rows, dense, |s| c[s as usize] as usize, cols, out),
+    }
+}
+
+fn csr_rows_via(
+    starts: &[usize],
+    entries: &[(u32, f64)],
+    rows: Range<usize>,
+    dense: &[f64],
+    src_row: impl Fn(u32) -> usize,
+    cols: usize,
+    out: &mut [f64],
+) {
     for (r, dst) in rows.zip(out.chunks_exact_mut(cols)) {
         for &(src, v) in &entries[starts[r]..starts[r + 1]] {
-            let src = src as usize * cols;
+            let src = src_row(src) * cols;
             for (d, &x) in dst.iter_mut().zip(&dense[src..src + cols]) {
                 *d += v * x;
             }
@@ -192,18 +221,37 @@ pub(crate) fn csr_rows(
 /// exactly as [`csr_rows`] builds it, and only then adds the sum into
 /// `out`'s row — so a row with no entries still adds `0.0`, and every
 /// element is `acc + (S·dense)` as a separate spmm and add give it.
+/// `class` reads a table of distinct rows as in [`csr_rows`].
 pub(crate) fn csr_rows_add(
     starts: &[usize],
     entries: &[(u32, f64)],
     rows: Range<usize>,
     dense: &[f64],
+    class: Option<&[u32]>,
+    cols: usize,
+    out: &mut [f64],
+) {
+    match class {
+        None => csr_rows_add_via(starts, entries, rows, dense, |s| s as usize, cols, out),
+        Some(c) => {
+            csr_rows_add_via(starts, entries, rows, dense, |s| c[s as usize] as usize, cols, out)
+        }
+    }
+}
+
+fn csr_rows_add_via(
+    starts: &[usize],
+    entries: &[(u32, f64)],
+    rows: Range<usize>,
+    dense: &[f64],
+    src_row: impl Fn(u32) -> usize,
     cols: usize,
     out: &mut [f64],
 ) {
     if cols == NARROW {
-        csr_add_rows::<[f64; NARROW]>(starts, entries, rows, dense, cols, out);
+        csr_add_rows::<[f64; NARROW]>(starts, entries, rows, dense, src_row, cols, out);
     } else if cols > 0 {
-        csr_add_rows::<Vec<f64>>(starts, entries, rows, dense, cols, out);
+        csr_add_rows::<Vec<f64>>(starts, entries, rows, dense, src_row, cols, out);
     }
 }
 
@@ -212,6 +260,7 @@ fn csr_add_rows<R: Lanes>(
     entries: &[(u32, f64)],
     rows: Range<usize>,
     dense: &[f64],
+    src_row: impl Fn(u32) -> usize,
     cols: usize,
     out: &mut [f64],
 ) {
@@ -220,7 +269,7 @@ fn csr_add_rows<R: Lanes>(
     for (r, dst) in rows.zip(out.chunks_exact_mut(cols)) {
         sum.as_mut().fill(0.0);
         for &(src, v) in &entries[starts[r]..starts[r + 1]] {
-            let src = &dense[src as usize * cols..][..cols];
+            let src = &dense[src_row(src) * cols..][..cols];
             for (s, &x) in sum.as_mut().iter_mut().zip(src) {
                 *s += v * x;
             }

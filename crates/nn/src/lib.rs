@@ -14,9 +14,12 @@
 //!   (verified against finite differences in the test suite), which
 //!   builds each recording in the buffers the previous one freed;
 //! * [`Forward`] — the forward ops of Eq. 1 and the GRU, implemented by
-//!   [`Tape`] (recorded, for training) and by [`Eager`] (plain values
-//!   freed at their last use, for inference), so the model's forward
-//!   pass is written once and both evaluators give the same bits;
+//!   [`Tape`] (recorded, for training) and by [`Eager`] (values freed at
+//!   their last use and computed once per distinct row, for inference),
+//!   so the model's forward pass is written once and both evaluators
+//!   give the same bits;
+//! * [`ClassedRows`] — a matrix held as its distinct rows and one class
+//!   per row, the eager evaluator's value;
 //! * [`GruCell`] — the Eq. 1 combiner, one fused pass over the rows per
 //!   step on either evaluator;
 //! * [`Adam`] — the optimizer;
@@ -60,6 +63,7 @@
 //! assert!(w.max_abs() < 1e-2);
 //! ```
 
+pub mod classed;
 pub mod error;
 pub mod forward;
 pub mod gru;
@@ -73,6 +77,7 @@ mod oracle;
 pub mod sparse;
 pub mod tape;
 
+pub use classed::ClassedRows;
 pub use error::NnError;
 pub use forward::{Eager, Forward};
 pub use gru::{GruCell, GruLeaves};

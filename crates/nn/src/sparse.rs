@@ -143,33 +143,59 @@ impl SparseMatrix {
 
     /// [`SparseMatrix::matmul_dense`] built in `buf`'s allocation.
     pub(crate) fn matmul_dense_into(&self, dense: &Matrix, buf: Vec<f64>) -> Matrix {
-        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        self.grouped_product(self.rows, dense, self.row_view(), buf)
+        self.matmul_classed_into(dense, None, buf)
     }
 
-    /// `acc + self · dense`, written into `acc`: each row of the product
-    /// is summed from `+0.0` in triplet order, exactly as
+    /// `self · D` built in `buf`'s allocation, where `D` is `table` or,
+    /// with `class`, the matrix whose row `j` is `table`'s row
+    /// `class[j]`: each output row reads its sources from the table in
+    /// triplet order, so its bits are those of the product with `D`
+    /// written out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `D` does not have `self.cols()` rows, or a class names
+    /// no table row.
+    pub(crate) fn matmul_classed_into(
+        &self,
+        table: &Matrix,
+        class: Option<&[u32]>,
+        buf: Vec<f64>,
+    ) -> Matrix {
+        assert_eq!(self.cols, class.map_or(table.rows(), <[u32]>::len), "spmm shape mismatch");
+        self.grouped_product(self.rows, table, class, self.row_view(), buf)
+    }
+
+    /// `acc + self · D`, written into `acc`, with `D` read from `table`
+    /// and `class` as in [`SparseMatrix::matmul_classed_into`]: each row
+    /// of the product is summed from `+0.0` in triplet order, exactly as
     /// [`SparseMatrix::matmul_dense`] builds it, and then added into
-    /// `acc`'s row — bit-identical to `acc.add(&self.matmul_dense(dense))`
+    /// `acc`'s row — bit-identical to `acc.add(&self.matmul_dense(D))`
     /// without the product's `rows × cols` buffer. An operator with no
     /// triplets still adds `0.0` to every element.
     ///
     /// # Panics
     ///
-    /// Panics if `self.cols() != dense.rows()` or `acc` is not
-    /// `self.rows() × dense.cols()`.
-    pub(crate) fn matmul_dense_add_assign(&self, dense: &Matrix, acc: &mut Matrix) {
-        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        assert_eq!(acc.shape(), (self.rows, dense.cols()), "spmm accumulator shape mismatch");
+    /// Panics if `D` does not have `self.cols()` rows or `acc` is not
+    /// `self.rows() × table.cols()`.
+    pub(crate) fn matmul_dense_add_assign(
+        &self,
+        table: &Matrix,
+        class: Option<&[u32]>,
+        acc: &mut Matrix,
+    ) {
+        assert_eq!(self.cols, class.map_or(table.rows(), <[u32]>::len), "spmm shape mismatch");
+        assert_eq!(acc.shape(), (self.rows, table.cols()), "spmm accumulator shape mismatch");
         let view = self.row_view();
-        let cols = dense.cols();
+        let cols = table.cols();
         let _prof = ancstr_par::profile::time(
             ancstr_par::profile::Kernel::Spmm,
             (self.triplets.len() * cols) as u64,
         );
         let min_rows = min_rows_for((self.triplets.len() * cols.max(1)) / self.rows.max(1));
+        let dense = table.as_slice();
         par_row_chunks(self.rows, cols, acc.as_mut_slice(), min_rows, |rows, chunk| {
-            kernel::csr_rows_add(&view.starts, &view.entries, rows, dense.as_slice(), cols, chunk);
+            kernel::csr_rows_add(&view.starts, &view.entries, rows, dense, class, cols, chunk);
         });
     }
 
@@ -204,11 +230,12 @@ impl SparseMatrix {
         let view = self.by_col.get_or_init(|| {
             CsrView::build(self.cols, &self.triplets, |&(_, c, _)| c, |&(r, _, _)| r)
         });
-        self.grouped_product(self.cols, dense, view, buf)
+        self.grouped_product(self.cols, dense, None, view, buf)
     }
 
     /// Shared body of both dense products over a cached CSR view,
-    /// timed as one spmm call.
+    /// timed as one spmm call; `class` maps each source row to its row
+    /// of `dense` (see [`SparseMatrix::matmul_classed_into`]).
     ///
     /// Walking output rows through the stable CSR grouping accumulates
     /// each output element in original triplet order — bit-identical to
@@ -219,6 +246,7 @@ impl SparseMatrix {
         &self,
         out_rows: usize,
         dense: &Matrix,
+        class: Option<&[u32]>,
         view: &CsrView,
         buf: Vec<f64>,
     ) -> Matrix {
@@ -234,7 +262,7 @@ impl SparseMatrix {
         let avg_work = (self.triplets.len() * cols.max(1)) / out_rows.max(1);
         let min_rows = min_rows_for(avg_work);
         let walk = |rows: std::ops::Range<usize>, chunk: &mut [f64]| {
-            kernel::csr_rows(&view.starts, &view.entries, rows, dense.as_slice(), cols, chunk);
+            kernel::csr_rows(&view.starts, &view.entries, rows, dense.as_slice(), class, cols, chunk);
         };
         if !ancstr_par::would_parallelize(out_rows, min_rows) {
             walk(0..out_rows, out.as_mut_slice());

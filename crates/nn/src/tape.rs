@@ -371,7 +371,7 @@ impl Tape {
     pub fn spmm_add(&mut self, s: SparseId, b: NodeId, acc: NodeId) -> NodeId {
         let buf = self.buffers.take(self.value(acc).as_slice().len());
         let mut v = self.value(acc).copy_into(buf);
-        self.sparses[s.0].matmul_dense_add_assign(self.value(b), &mut v);
+        self.sparses[s.0].matmul_dense_add_assign(self.value(b), None, &mut v);
         self.push(v, Op::SpMmAdd(s, b, acc))
     }
 

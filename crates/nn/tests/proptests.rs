@@ -2,7 +2,6 @@
 //! autograd linearity, eigen-solver invariants, and bitwise agreement
 //! of every kernel path with its oracle.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use ancstr_nn::linalg::{normalized_laplacian, symmetric_eigenvalues};
@@ -437,10 +436,10 @@ fn check_step(
         }
         let mut eager = Eager;
         let leaves = cell.leaves(&mut eager);
-        // An owned message: the in-place path when the widths agree.
-        let hv = eager.input(h);
-        let value = eager.gru_step(&leaves, Cow::Owned(x.clone()), hv);
-        assert_bits(&value, want.value.as_slice(), "eager value")?;
+        // The in-place path when the widths agree.
+        let (xv, hv) = (eager.input(x), eager.input(h));
+        let value = eager.gru_step(&leaves, xv, hv);
+        assert_bits(&value.into_matrix(), want.value.as_slice(), "eager value")?;
     }
     ancstr_par::set_threads(0);
     Ok(want.value)
@@ -545,8 +544,9 @@ proptest! {
             ancstr_par::set_threads(threads);
             let mut eager = Eager;
             let sp = eager.operator(&s);
-            let got = eager.spmm_add(sp, Cow::Borrowed(&b), Cow::Borrowed(&acc));
-            assert_bits(&got, want.as_slice(), "eager spmm_add")?;
+            let (bv, accv) = (eager.input(&b), eager.input(&acc));
+            let got = eager.spmm_add(sp, bv, accv);
+            assert_bits(&got.into_matrix(), want.as_slice(), "eager spmm_add")?;
             // Tape: the fused node against spmm + add, gradients included.
             let run = |fused: bool| {
                 let mut t = Tape::new();
@@ -585,6 +585,104 @@ fn empty_operator_adds_positive_zero() {
     assert!(want.as_slice().iter().all(|v| v.to_bits() == 0), "−0.0 + 0.0 is +0.0");
     let mut eager = Eager;
     let sp = eager.operator(&s);
-    let got = eager.spmm_add(sp, Cow::Borrowed(&b), Cow::Borrowed(&acc));
+    let (bv, accv) = (eager.input(&b), eager.input(&acc));
+    let got = eager.spmm_add(sp, bv, accv).into_matrix();
     assert_eq!(got.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), vec![0; 36]);
+}
+
+/// Two layers of Eq. 1 over either evaluator: per layer, the state
+/// times two weights, each product through its operator (the second
+/// summed into the first), then a GRU step.
+fn two_layers<'a, F: Forward<'a>>(
+    f: &mut F,
+    x: &'a Matrix,
+    ops: &'a [Arc<SparseMatrix>; 2],
+    weights: &'a [Matrix; 4],
+    cells: &'a [GruCell; 2],
+) -> F::Value {
+    let ops = [f.operator(&ops[0]), f.operator(&ops[1])];
+    let mut h = f.input(x);
+    for (layer, cell) in cells.iter().enumerate() {
+        let leaves = cell.leaves(f);
+        let (w0, w1) = (f.param(&weights[2 * layer]), f.param(&weights[2 * layer + 1]));
+        let term = f.matmul(&h, w0);
+        let message = f.spmm(ops[0], term);
+        let term = f.matmul(&h, w1);
+        let message = f.spmm_add(ops[1], term, message);
+        h = f.gru_step(&leaves, message, h);
+    }
+    h
+}
+
+/// Row counts for the shared-row pass: none, one, and both sides of the
+/// row-parallel split.
+const SHARED_ROWS: [usize; 5] = [0, 1, 7, 40, 2100];
+
+/// `n × d` features of one row pattern: 0 repeats of a few distinct
+/// rows, 1 the same with `−0.0` in place of `+0.0` in every other row,
+/// 2 repeats with NaN rows of two payloads, 3 one row everywhere, 4
+/// every row distinct.
+fn patterned_rows(n: usize, d: usize, pattern: usize, seed: u64) -> Matrix {
+    let pool = Matrix::from_vec(4, d, lcg_fill(4 * d, seed, 3));
+    let quiet = f64::from_bits(f64::NAN.to_bits() | 1);
+    Matrix::from_fn(n, d, |r, c| {
+        let pick = (r * 7 + (seed as usize) % 5) % 3;
+        match pattern {
+            0 => pool[(pick, c)],
+            1 => {
+                let v = pool[(pick, c)];
+                if v == 0.0 && r % 2 == 1 { -0.0 } else { v }
+            }
+            2 if r % 5 == 1 && c == 0 => if r % 10 == 1 { f64::NAN } else { quiet },
+            2 => pool[(pick, c)],
+            3 => pool[(0, c)],
+            _ => lcg_fill(1, seed ^ (r * d + c) as u64, 0)[0],
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The eager pass computes each op once per distinct row and still
+    /// gives the tape's value bit for bit, at 1 and 2 threads: two
+    /// layers of `matmul → spmm / spmm_add → gru_step` over features
+    /// with repeated rows, rows apart only in the sign of a zero, NaN
+    /// rows, one row everywhere, or every row distinct, at the model's
+    /// width and at a generic one.
+    #[test]
+    fn shared_rows_give_the_tape_bits(
+        rows in 0usize..SHARED_ROWS.len(),
+        pattern in 0usize..5,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (n, d) = (SHARED_ROWS[rows], if wide { 18 } else { 5 });
+        let x = patterned_rows(n, d, pattern, seed);
+        let op = |salt: u64| {
+            let raw = lcg_fill(9 * n, seed ^ salt, 4);
+            let triplets = (0..3 * n)
+                .map(|k| ((k * 5 + 1) % n, (k * 11 + (raw[3 * k].to_bits() as usize)) % n, raw[3 * k + 2]))
+                .collect();
+            Arc::new(SparseMatrix::from_triplets(n, n, triplets))
+        };
+        let ops = [op(0xA1), op(0xB2)];
+        let weights: [Matrix; 4] = std::array::from_fn(|k| {
+            Matrix::from_vec(d, d, lcg_fill(d * d, seed ^ ((k as u64 + 1) * 0x77), 4))
+        });
+        let cells = [gru_cell(d, d, seed ^ 0x5, None), gru_cell(d, d, seed ^ 0x6, None)];
+        let mut tape = Tape::new();
+        let recorded = two_layers(&mut tape, &x, &ops, &weights, &cells);
+        let want: Vec<u64> = tape.value(recorded).as_slice().iter().map(|v| v.to_bits()).collect();
+        for threads in [1, 2] {
+            ancstr_par::set_threads(threads);
+            let eager = two_layers(&mut Eager, &x, &ops, &weights, &cells);
+            prop_assert!(eager.distinct_rows() <= n);
+            let got = eager.into_matrix();
+            prop_assert_eq!(got.shape(), (n, d));
+            let got: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "eager diverged from the tape at {} threads", threads);
+        }
+        ancstr_par::set_threads(0);
+    }
 }

@@ -19,7 +19,9 @@ use std::time::Instant;
 #[repr(usize)]
 pub enum Kernel {
     /// Dense matmul, row by row (`Matrix::matmul` and the transposed
-    /// products of the backward pass in `ancstr-nn`).
+    /// products of the backward pass in `ancstr-nn`). Elements are the
+    /// mul-adds of the rows actually computed: inference multiplies
+    /// only the distinct rows of `H` (`ClassedRows` in `ancstr-nn`).
     Matmul = 0,
     /// Sparse × dense product (`SparseMatrix::grouped_product`).
     Spmm = 1,
@@ -33,7 +35,9 @@ pub enum Kernel {
     ParRegion = 4,
     /// One fused GRU step of Eq. 1, forward or backward
     /// (`Forward::gru_step` in `ancstr-nn`; elements = the mul-adds of
-    /// its six row products). The products inside it are not counted as
+    /// its six row products over the rows actually computed: on the
+    /// inference path one row per distinct (message, state) key, not
+    /// one per vertex). The products inside it are not counted as
     /// matmul calls; the backward's weight gradients are.
     GruStep = 5,
 }

@@ -510,6 +510,36 @@ fn detect_span_ends(trace: &std::path::Path) -> Vec<ancstr_obs::TraceEvent> {
     events.into_iter().filter(|e| e.kind == "span_end" && e.span == "detect").collect()
 }
 
+/// The `embed` span end reports the vertices and the rows Eq. 1's GRU
+/// steps computed for them: X1 and X3 see the same neighbourhood, so
+/// each of the two layers computes at most the six rows of X1 and X2,
+/// and `obs-check` logs the counts.
+#[test]
+fn embed_span_reports_rows_computed_once_per_distinct_row() {
+    let dir = workdir("cli-rows-computed");
+    let sp = dir.join("tied.sp");
+    fs::write(&sp, TIED_INSTANCES).unwrap();
+    let trace = dir.join("trace.jsonl");
+    let out = bin()
+        .arg("extract").arg(&sp).args(["--epochs", "12", "--seed", "3"])
+        .arg("-o").arg(dir.join("out.sym"))
+        .arg("--trace-out").arg(&trace)
+        .output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let events = validate_trace(&fs::read_to_string(&trace).unwrap()).expect("valid trace");
+    let ends: Vec<_> = events.iter().filter(|e| e.kind == "span_end" && e.span == "embed").collect();
+    assert_eq!(ends.len(), 1);
+    let field = |name: &str| ends[0].fields.get(name).and_then(|v| v.as_num());
+    assert_eq!(field("rows"), Some(9.0));
+    let computed = field("rows_computed").expect("rows_computed on the embed span end");
+    assert!((2.0..=12.0).contains(&computed), "{computed} rows computed");
+    let out = bin().arg("obs-check").arg("--trace").arg(&trace).output().unwrap();
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{log}");
+    assert!(log.contains(&format!("Eq. 1 computed {computed} GRU rows for 9 vertices")), "{log}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The `detect` span end and the gauges report how many blocks
 /// Algorithm 2 embedded and how many distinct digraphs it ranked for
 /// them; a resumed run that reloads the detect stage reports neither,
