@@ -156,6 +156,7 @@ pub fn ged_extract(flat: &FlatCircuit, config: &GedConfig) -> Extraction {
             constraints,
             system_threshold: config.threshold,
             warnings: Vec::new(),
+            skipped: 0,
             block_ranking: None,
         },
         runtime: start.elapsed(),

@@ -127,6 +127,7 @@ pub fn s3det_extract(flat: &FlatCircuit, config: &S3detConfig) -> Extraction {
             constraints,
             system_threshold: config.threshold,
             warnings: Vec::new(),
+            skipped: 0,
             block_ranking: None,
         },
         runtime: start.elapsed(),

@@ -118,6 +118,7 @@ pub fn sfa_extract(flat: &FlatCircuit, config: &SfaConfig) -> Extraction {
             constraints,
             system_threshold: 0.5,
             warnings: Vec::new(),
+            skipped: 0,
             block_ranking: None,
         },
         runtime: start.elapsed(),

@@ -82,7 +82,9 @@
 //! rows Eq. 1's GRU steps computed for them over the K layers (one per
 //! distinct message and state), and the `detect` span's end carries
 //! `blocks_compared` and `block_digraphs`, how many blocks Algorithm 2
-//! embedded and how many distinct digraphs it ranked for them.
+//! embedded and how many distinct digraphs it ranked for them, and
+//! `candidates` and `constraints`, how many valid pairs Algorithm 3
+//! considered and how many it accepted.
 //! After `detect`, `extract` traces its output tail as an `export` span
 //! (the DOT dump, quality gauges and rendering) and a `write` span.
 //! `obs-check` re-validates a trace file and/or a `metrics.prom`
@@ -884,6 +886,21 @@ fn cmd_obs_check(ctx: &ObsCtx, args: Args) -> Result<(), CliError> {
                 ctx.log.info(format!(
                     "{path}: Algorithm 2 ranked {digraphs} distinct block digraphs for \
                      {compared} compared blocks"
+                ));
+            }
+            let candidates = count(e, "candidates")?;
+            let constraints = count(e, "constraints")?;
+            if let (Some(candidates), Some(constraints)) = (candidates, constraints) {
+                if constraints > candidates {
+                    return Err(CliError::Validation(format!(
+                        "`{path}`: span {} accepted {constraints} constraints from only \
+                         {candidates} candidate pairs",
+                        e.id
+                    )));
+                }
+                ctx.log.info(format!(
+                    "{path}: Algorithm 3 accepted {constraints} constraints from \
+                     {candidates} candidate pairs"
                 ));
             }
         }

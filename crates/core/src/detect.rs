@@ -1,13 +1,15 @@
 //! Symmetry constraint detection (paper Section IV-E, Algorithm 3,
 //! Eqs. 4–5).
 
+use std::collections::HashMap;
+
 use ancstr_graph::{BuildOptions, HetMultigraph};
-use ancstr_netlist::flat::{FlatCircuit, HierNodeKind};
-use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
+use ancstr_netlist::flat::{FlatCircuit, HierNode, HierNodeId, HierNodeKind};
+use ancstr_netlist::{ConstraintSet, PairKey, SymmetryConstraint, SymmetryKind};
 use ancstr_nn::{dot, row_norm, Matrix};
 
 use crate::embed::{embed_blocks, BlockRanking, EmbedOptions};
-use crate::pairs::{compared_nodes, valid_pairs, CandidatePair};
+use crate::pairs::{compared_nodes, pair_parents, CandidatePair, SiblingGroups};
 
 /// Threshold parameters (Eq. 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +94,9 @@ pub struct DetectionResult {
     /// Nodes whose features were non-finite; pairs touching them were
     /// skipped rather than scored (empty on a healthy run).
     pub warnings: Vec<NumericWarning>,
+    /// How many valid pairs were skipped behind `warnings` instead of
+    /// being scored.
+    pub skipped: usize,
     /// How many blocks Algorithm 2 embedded and how many distinct
     /// digraphs it ranked for them. `None` when this detection did not
     /// run Algorithm 2: a reloaded detect stage, or a baseline detector.
@@ -103,6 +108,12 @@ impl DetectionResult {
     pub fn scored_of_kind(&self, kind: SymmetryKind) -> impl Iterator<Item = &ScoredPair> {
         self.scored.iter().filter(move |s| s.candidate.kind == kind)
     }
+
+    /// How many valid pairs the detection considered: every scored
+    /// pair and every skipped one.
+    pub fn candidates(&self) -> usize {
+        self.scored.len() + self.skipped
+    }
 }
 
 /// Per-node facts hoisted out of the O(pairs) scoring loop: each node's
@@ -113,6 +124,156 @@ struct NodeStat {
     norm: f64,
 }
 
+/// The features Algorithm 3 compares: device rows of `z`, and the
+/// Algorithm 2 embedding of every compared block, with their hoisted
+/// [`NodeStat`]s.
+struct Features<'a> {
+    flat: &'a FlatCircuit,
+    z: &'a Matrix,
+    blocks: &'a [Option<Vec<f64>>],
+    stats: Vec<Option<NodeStat>>,
+}
+
+impl<'a> Features<'a> {
+    /// Device norms come from the row-norm kernel via
+    /// `Matrix::row_norms`; block-embedding norms go through the same
+    /// free `row_norm`, one source of truth for the denominator
+    /// arithmetic. Stats are taken for the `compared` nodes only.
+    fn new(
+        flat: &'a FlatCircuit,
+        z: &'a Matrix,
+        blocks: &'a [Option<Vec<f64>>],
+        compared: &[bool],
+    ) -> Features<'a> {
+        let mut features = Features { flat, z, blocks, stats: Vec::new() };
+        let device_norms = z.row_norms();
+        features.stats = (0..compared.len())
+            .map(|raw| {
+                if !compared[raw] {
+                    return None;
+                }
+                let id = HierNodeId(raw);
+                let feature = features.of(id);
+                let norm = match &flat.node(id).kind {
+                    HierNodeKind::Device(i) => device_norms[*i],
+                    HierNodeKind::Block { .. } => row_norm(feature),
+                };
+                Some(NodeStat { finite: feature.iter().all(|x| x.is_finite()), norm })
+            })
+            .collect();
+        features
+    }
+
+    fn of(&self, id: HierNodeId) -> &'a [f64] {
+        match &self.flat.node(id).kind {
+            HierNodeKind::Device(i) => self.z.row(*i),
+            HierNodeKind::Block { .. } => {
+                self.blocks[id.0].as_deref().expect("every compared block has an embedding")
+            }
+        }
+    }
+
+    /// The pair's cosine similarity, or which of its two nodes
+    /// (`lo`, `hi`) has a non-finite feature. A NaN anywhere would turn
+    /// the score into NaN, which compares false against every threshold
+    /// and silently becomes a rejection; it is surfaced as a counted
+    /// warning instead.
+    fn score(&self, pair: PairKey) -> Result<f64, (bool, bool)> {
+        let stat = |id: HierNodeId| {
+            self.stats[id.0].as_ref().expect("every candidate node is compared")
+        };
+        let (sa, sb) = (stat(pair.lo()), stat(pair.hi()));
+        if !sa.finite || !sb.finite {
+            return Err((!sa.finite, !sb.finite));
+        }
+        Ok(if sa.norm == 0.0 || sb.norm == 0.0 {
+            0.0
+        } else {
+            dot(self.of(pair.lo()), self.of(pair.hi())) / (sa.norm * sb.norm)
+        })
+    }
+}
+
+/// Algorithm 3 line 7 for one scored candidate: the level's threshold
+/// and the decision.
+fn decide(
+    candidate: CandidatePair,
+    score: f64,
+    lambda_sys: f64,
+    thresholds: &ThresholdConfig,
+) -> ScoredPair {
+    let threshold = match candidate.kind {
+        SymmetryKind::System => lambda_sys,
+        SymmetryKind::Device => thresholds.device,
+    };
+    ScoredPair { candidate, score, accepted: score > threshold, threshold }
+}
+
+/// The accepted constraints and the counted warnings, folded from the
+/// scored and the skipped candidates in candidate order.
+#[derive(Default)]
+struct Fold {
+    constraints: ConstraintSet,
+    warnings: Vec<NumericWarning>,
+    warned: HashMap<HierNodeId, usize>,
+    skipped: usize,
+}
+
+impl Fold {
+    fn scored(&mut self, s: &ScoredPair) {
+        if s.accepted {
+            self.constraints.insert(SymmetryConstraint {
+                hierarchy: s.candidate.hierarchy,
+                pair: s.candidate.pair,
+                kind: s.candidate.kind,
+            });
+        }
+    }
+
+    fn skipped(&mut self, flat: &FlatCircuit, pair: PairKey, (lo_bad, hi_bad): (bool, bool)) {
+        self.skipped += 1;
+        for (id, bad) in [(pair.lo(), lo_bad), (pair.hi(), hi_bad)] {
+            if !bad {
+                continue;
+            }
+            let warnings = &mut self.warnings;
+            let slot = *self.warned.entry(id).or_insert_with(|| {
+                warnings.push(NumericWarning {
+                    node: id,
+                    path: flat.node(id).path.clone(),
+                    skipped_pairs: 0,
+                });
+                warnings.len() - 1
+            });
+            warnings[slot].skipped_pairs += 1;
+        }
+    }
+
+    fn finish(self, scored: Vec<ScoredPair>, lambda_sys: f64) -> DetectionResult {
+        DetectionResult {
+            scored,
+            constraints: self.constraints,
+            system_threshold: lambda_sys,
+            warnings: self.warnings,
+            skipped: self.skipped,
+            block_ranking: None,
+        }
+    }
+}
+
+/// What one chunk of parents found, in candidate order.
+#[derive(Default)]
+struct Part {
+    scored: Vec<ScoredPair>,
+    /// Candidates skipped for a non-finite feature, with which of the
+    /// two nodes is at fault.
+    skipped: Vec<(PairKey, (bool, bool))>,
+}
+
+/// Parents per chunk of the scoring pass, at least. Below
+/// [`ancstr_par::PAR_ITEM_FLOOR`] parents the pass runs inline anyway.
+const PARENTS_PER_CHUNK: usize = 16;
+
 /// Algorithm 3: score every valid pair with cosine similarity and keep
 /// those above the level-appropriate threshold.
 ///
@@ -122,6 +283,13 @@ struct NodeStat {
 /// * system-level pairs between passive devices compare device vectors
 ///   against the system threshold (they are primitives living among
 ///   blocks).
+///
+/// Valid pairs never cross a hierarchy level, so one pass over the
+/// non-`Logic` parents, split into chunks, enumerates, scores and
+/// decides each parent's sibling pairs in place; no candidate list is
+/// built. The chunks are concatenated in parent order and the
+/// constraints and warnings are folded from them in candidate order,
+/// so the result is identical at any thread count.
 ///
 /// Per-node norms and finiteness flags are hoisted out of the pair loop
 /// (computed once per node, not once per pair); the resulting quotient
@@ -142,20 +310,48 @@ pub fn detect_constraints(
         z.rows() >= flat.devices().len(),
         "need one trained feature row per device"
     );
-    // Algorithm 2 runs only where Algorithm 3 looks: the blocks of some
-    // candidate pair.
-    let candidates = valid_pairs(flat);
-    let compared = compared_nodes(flat, &candidates);
+    // Algorithm 2 runs only where Algorithm 3 looks: the blocks with a
+    // same-class sibling.
+    let compared = compared_nodes(flat);
     let (block_embeddings, ranking) = embed_blocks(flat, z, embed, &compared);
-    DetectionResult {
-        block_ranking: Some(ranking),
-        ..score_candidates(flat, z, thresholds, candidates, &compared, &block_embeddings)
+    let features = Features::new(flat, z, &block_embeddings, &compared);
+    let lambda_sys = thresholds.system_threshold(flat.max_subcircuit_size());
+
+    let parents: Vec<&HierNode> = pair_parents(flat).collect();
+    let parts = ancstr_par::map_chunks(parents.len(), PARENTS_PER_CHUNK, |range| {
+        let mut part = Part::default();
+        let mut groups = SiblingGroups::default();
+        for parent in &parents[range] {
+            groups.group(flat, parent);
+            groups.for_each_pair(flat, parent, |candidate| {
+                match features.score(candidate.pair) {
+                    Ok(score) => {
+                        part.scored.push(decide(candidate, score, lambda_sys, thresholds))
+                    }
+                    Err(bad) => part.skipped.push((candidate.pair, bad)),
+                }
+            });
+        }
+        part
+    });
+
+    let mut scored = Vec::with_capacity(parts.iter().map(|p| p.scored.len()).sum());
+    let mut fold = Fold::default();
+    for part in parts {
+        part.scored.iter().for_each(|s| fold.scored(s));
+        for (pair, bad) in part.skipped {
+            fold.skipped(flat, pair, bad);
+        }
+        scored.extend(part.scored);
     }
+    DetectionResult { block_ranking: Some(ranking), ..fold.finish(scored, lambda_sys) }
 }
 
-/// Algorithm 3's scoring of `candidates` over the per-node features:
-/// device rows of `z`, and the `block_embeddings` of every `compared`
-/// block.
+/// The candidate-list scorer Algorithm 3 was first written as: score
+/// `candidates` in order over the per-node features (device rows of `z`,
+/// and the `block_embeddings` of every `compared` block). The oracle of
+/// the one-pass scorer.
+#[cfg(test)]
 fn score_candidates(
     flat: &FlatCircuit,
     z: &Matrix,
@@ -165,117 +361,20 @@ fn score_candidates(
     block_embeddings: &[Option<Vec<f64>>],
 ) -> DetectionResult {
     let lambda_sys = thresholds.system_threshold(flat.max_subcircuit_size());
-
-    fn feature_of<'a>(
-        flat: &FlatCircuit,
-        z: &'a Matrix,
-        block_embeddings: &'a [Option<Vec<f64>>],
-        id: ancstr_netlist::HierNodeId,
-    ) -> &'a [f64] {
-        match &flat.node(id).kind {
-            HierNodeKind::Device(i) => z.row(*i),
-            HierNodeKind::Block { .. } => block_embeddings[id.0]
-                .as_deref()
-                .expect("every compared block has an embedding"),
-        }
-    }
-
-    // Hoisted per-node stats, for the compared nodes only. Device norms
-    // come from the row-norm kernel via `Matrix::row_norms`;
-    // block-embedding norms go through the same free `row_norm` — one
-    // source of truth for the denominator arithmetic.
-    let device_norms = z.row_norms();
-    let stats: Vec<Option<NodeStat>> = (0..compared.len())
-        .map(|raw| {
-            if !compared[raw] {
-                return None;
-            }
-            let id = ancstr_netlist::HierNodeId(raw);
-            let feature = feature_of(flat, z, block_embeddings, id);
-            let norm = match &flat.node(id).kind {
-                HierNodeKind::Device(i) => device_norms[*i],
-                HierNodeKind::Block { .. } => row_norm(feature),
-            };
-            Some(NodeStat { finite: feature.iter().all(|x| x.is_finite()), norm })
-        })
-        .collect();
-    let stat = |id: ancstr_netlist::HierNodeId| {
-        stats[id.0].as_ref().expect("every candidate node is compared")
-    };
-
-    /// What the parallel scoring pass found for one candidate, in
-    /// candidate order; folded serially below so warning/constraint
-    /// encounter order is identical to the historical sequential loop.
-    enum PairOutcome {
-        Scored(f64),
-        Skipped { lo_bad: bool, hi_bad: bool },
-    }
-
-    let outcomes = ancstr_par::map_items(&candidates, 64, |candidate| {
-        let (sa, sb) = (stat(candidate.pair.lo()), stat(candidate.pair.hi()));
-        // A NaN anywhere would turn the cosine score into NaN, which
-        // compares false against every threshold and silently becomes a
-        // rejection. Surface it as a counted warning record instead.
-        if !sa.finite || !sb.finite {
-            return PairOutcome::Skipped { lo_bad: !sa.finite, hi_bad: !sb.finite };
-        }
-        let za = feature_of(flat, z, block_embeddings, candidate.pair.lo());
-        let zb = feature_of(flat, z, block_embeddings, candidate.pair.hi());
-        PairOutcome::Scored(if sa.norm == 0.0 || sb.norm == 0.0 {
-            0.0
-        } else {
-            dot(za, zb) / (sa.norm * sb.norm)
-        })
-    });
-
+    let features = Features::new(flat, z, block_embeddings, compared);
     let mut scored = Vec::new();
-    let mut constraints = ConstraintSet::new();
-    let mut warnings: Vec<NumericWarning> = Vec::new();
-    let mut warned = std::collections::HashMap::new();
-    for (candidate, outcome) in candidates.into_iter().zip(outcomes) {
-        let score = match outcome {
-            PairOutcome::Skipped { lo_bad, hi_bad } => {
-                for (id, bad) in
-                    [(candidate.pair.lo(), lo_bad), (candidate.pair.hi(), hi_bad)]
-                {
-                    if !bad {
-                        continue;
-                    }
-                    let slot = *warned.entry(id).or_insert_with(|| {
-                        warnings.push(NumericWarning {
-                            node: id,
-                            path: flat.node(id).path.clone(),
-                            skipped_pairs: 0,
-                        });
-                        warnings.len() - 1
-                    });
-                    warnings[slot].skipped_pairs += 1;
-                }
-                continue;
+    let mut fold = Fold::default();
+    for candidate in candidates {
+        match features.score(candidate.pair) {
+            Ok(score) => {
+                let s = decide(candidate, score, lambda_sys, thresholds);
+                fold.scored(&s);
+                scored.push(s);
             }
-            PairOutcome::Scored(score) => score,
-        };
-        let threshold = match candidate.kind {
-            SymmetryKind::System => lambda_sys,
-            SymmetryKind::Device => thresholds.device,
-        };
-        let accepted = score > threshold;
-        if accepted {
-            constraints.insert(SymmetryConstraint {
-                hierarchy: candidate.hierarchy,
-                pair: candidate.pair,
-                kind: candidate.kind,
-            });
+            Err(bad) => fold.skipped(flat, candidate.pair, bad),
         }
-        scored.push(ScoredPair { candidate, score, accepted, threshold });
     }
-    DetectionResult {
-        scored,
-        constraints,
-        system_threshold: lambda_sys,
-        warnings,
-        block_ranking: None,
-    }
+    fold.finish(scored, lambda_sys)
 }
 
 /// Detect *self-symmetric* devices: modules placed on the symmetry axis
@@ -348,6 +447,7 @@ pub fn detect_self_symmetric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairs::valid_pairs;
     use ancstr_netlist::parse::parse_spice;
     use ancstr_nn::cosine_similarity;
 
@@ -601,7 +701,7 @@ C2 y vss 10f
         let z = Matrix::from_fn(n, 3, |r, c| ((r * 7 + c * 3) % 5) as f64 - 1.5);
         let (cfg, opts) = (ThresholdConfig::default(), EmbedOptions::default());
 
-        let compared = compared_nodes(&flat, &valid_pairs(&flat));
+        let compared = compared_nodes(&flat);
         let compared_blocks: Vec<&str> =
             flat.blocks().filter(|b| compared[b.id.0]).map(|b| b.path.as_str()).collect();
         assert_eq!(compared_blocks, ["top/XB1", "top/XB2"]);
@@ -621,6 +721,48 @@ C2 y vss 10f
         assert_eq!(ranking.blocks_compared, 2);
         let got = DetectionResult { block_ranking: None, ..got };
         assert_eq!(got, reference);
+    }
+
+    /// The one pass over sibling groups equals the candidate-list
+    /// oracle, score bits and warnings included, on every benchmark
+    /// design with a few non-finite rows.
+    #[test]
+    fn one_pass_scoring_matches_the_candidate_list_oracle() {
+        let mut designs = ancstr_circuits::adc::adc_benchmarks();
+        designs.extend(ancstr_circuits::block_benchmarks(7));
+        designs.push(ancstr_circuits::stress::stress_system(2000, 7));
+        let (cfg, opts) = (ThresholdConfig::default(), EmbedOptions::default());
+        let (mut accepted, mut skipped) = (0, 0);
+        for nl in &designs {
+            let flat = FlatCircuit::elaborate(nl).unwrap();
+            let n = flat.devices().len();
+            let z = Matrix::from_fn(n, 3, |r, c| {
+                if r % 151 == 40 && c == 1 {
+                    f64::NAN
+                } else {
+                    ((r * 7 + c * 3) % 5) as f64 - 1.5
+                }
+            });
+            let compared = compared_nodes(&flat);
+            let want = score_candidates(
+                &flat,
+                &z,
+                &cfg,
+                valid_pairs(&flat),
+                &compared,
+                &embed_blocks(&flat, &z, &opts, &compared).0,
+            );
+            let got = detect_constraints(&flat, &z, &cfg, &opts);
+            let got = DetectionResult { block_ranking: None, ..got };
+            let bits = |d: &DetectionResult| -> Vec<u64> {
+                d.scored.iter().map(|s| s.score.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{}", nl.top());
+            assert_eq!(got, want, "{}", nl.top());
+            accepted += got.constraints.len();
+            skipped += got.skipped;
+        }
+        assert!(accepted > 0 && skipped > 0, "{accepted} accepted, {skipped} skipped");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use ancstr_graph::{
 use ancstr_netlist::flat::{FlatCircuit, HierNodeId};
 use ancstr_nn::Matrix;
 
-use crate::pairs::{compared_nodes, valid_pairs};
+use crate::pairs::compared_nodes;
 
 /// Options of Algorithm 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,18 +119,19 @@ pub fn embed_circuit(
 }
 
 /// Embeddings of the blocks Algorithm 3 compares, keyed by node id
-/// order: `Some` exactly for the blocks that appear in a [`valid_pairs`]
-/// candidate. Every other node is `None`: leaves, the root, blocks with
-/// no same-class sibling and the children of
-/// [`Logic`](ancstr_netlist::CircuitClass::Logic) blocks, whose
-/// embeddings no pair reads. Each distinct block pin stream is ranked
-/// once (see the module docs).
+/// order: `Some` exactly for the blocks that appear in a
+/// [`valid_pairs`](crate::pairs::valid_pairs) candidate, found from each
+/// parent's child types without enumerating a pair. Every other node is
+/// `None`: leaves, the root, blocks with no same-class sibling and the
+/// children of [`Logic`](ancstr_netlist::CircuitClass::Logic) blocks,
+/// whose embeddings no pair reads. Each distinct block pin stream is
+/// ranked once (see the module docs).
 pub fn embed_all_blocks(
     flat: &FlatCircuit,
     z: &Matrix,
     options: &EmbedOptions,
 ) -> Vec<Option<Vec<f64>>> {
-    let compared = compared_nodes(flat, &valid_pairs(flat));
+    let compared = compared_nodes(flat);
     embed_blocks(flat, z, options, &compared).0
 }
 
@@ -411,7 +412,7 @@ X3 d e vdd vss cell
         assert_ne!(stream(x1), stream(x2), "a port tie must change the key");
         assert_eq!(stream(x1), stream(x3), "net ids must not leak into the key");
 
-        let compared = compared_nodes(&f, &valid_pairs(&f));
+        let compared = compared_nodes(&f);
         let (got, ranking) = embed_blocks(&f, &z, &opts, &compared);
         assert_eq!(ranking, BlockRanking { blocks_compared: 3, block_digraphs: 2 });
         for x in [x1, x2, x3] {

@@ -6,8 +6,8 @@
 //! building blocks. Pairs across hierarchies or with nonidentical types
 //! are invalid and never considered.
 
-use ancstr_netlist::flat::{FlatCircuit, HierNodeId, HierNodeKind, ModuleType};
-use ancstr_netlist::{CircuitClass, PairKey, SymmetryKind};
+use ancstr_netlist::flat::{FlatCircuit, HierNode, HierNodeId, HierNodeKind};
+use ancstr_netlist::{CircuitClass, DeviceType, PairKey, SymmetryKind};
 
 /// A valid candidate pair, the unit the detectors score.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,8 +18,6 @@ pub struct CandidatePair {
     pub pair: PairKey,
     /// System- or device-level, per the Section III-A classification.
     pub kind: SymmetryKind,
-    /// The shared module type.
-    pub module_type: ModuleType,
 }
 
 /// Enumerate every valid pair of the design.
@@ -36,41 +34,117 @@ pub struct CandidatePair {
 /// case.
 pub fn valid_pairs(flat: &FlatCircuit) -> Vec<CandidatePair> {
     let mut out = Vec::new();
-    for parent in flat.blocks() {
-        if let HierNodeKind::Block { class: CircuitClass::Logic, .. } = &parent.kind {
-            continue;
-        }
-        let has_sub_blocks = flat.has_sub_blocks(parent.id);
-        let children = &parent.children;
-        for i in 0..children.len() {
-            let ti = flat.module_type(children[i]);
-            for j in (i + 1)..children.len() {
-                let tj = flat.module_type(children[j]);
-                if ti != tj {
-                    continue;
-                }
-                let (a, b) = (children[i], children[j]);
-                out.push(CandidatePair {
-                    hierarchy: parent.id,
-                    pair: PairKey::new(a, b),
-                    kind: flat.classify_pair_under(has_sub_blocks, a, b),
-                    module_type: ti.clone(),
-                });
-            }
-        }
+    let mut groups = SiblingGroups::default();
+    for parent in pair_parents(flat) {
+        groups.group(flat, parent);
+        groups.for_each_pair(flat, parent, |c| out.push(c));
     }
     out
 }
 
-/// Which hierarchy nodes appear in some candidate, indexed by node id:
-/// the nodes whose features Algorithm 3 reads.
-pub(crate) fn compared_nodes(flat: &FlatCircuit, candidates: &[CandidatePair]) -> Vec<bool> {
+/// The hierarchies whose children can pair: every block but the
+/// [`CircuitClass::Logic`] ones, in node order.
+pub(crate) fn pair_parents(flat: &FlatCircuit) -> impl Iterator<Item = &HierNode> {
+    flat.blocks()
+        .filter(|p| !matches!(&p.kind, HierNodeKind::Block { class: CircuitClass::Logic, .. }))
+}
+
+/// Which hierarchy nodes appear in some valid pair, indexed by node id:
+/// the nodes whose features Algorithm 3 reads. A child is compared iff
+/// a sibling shares its module type, so no pair is enumerated.
+pub(crate) fn compared_nodes(flat: &FlatCircuit) -> Vec<bool> {
     let mut compared = vec![false; flat.nodes().len()];
-    for c in candidates {
-        compared[c.pair.lo().0] = true;
-        compared[c.pair.hi().0] = true;
+    let mut groups = SiblingGroups::default();
+    for parent in pair_parents(flat) {
+        groups.group(flat, parent);
+        for (i, &c) in parent.children.iter().enumerate() {
+            compared[c.0] |= groups.has_twin(i);
+        }
     }
     compared
+}
+
+/// A module type, borrowed from the circuit: the key siblings are
+/// grouped by (equal exactly when [`FlatCircuit::module_type`]s are).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TypeKey<'a> {
+    Device(DeviceType),
+    Block(&'a CircuitClass),
+}
+
+fn type_key(flat: &FlatCircuit, id: HierNodeId) -> TypeKey<'_> {
+    match &flat.node(id).kind {
+        HierNodeKind::Device(i) => TypeKey::Device(flat.devices()[*i].dtype),
+        HierNodeKind::Block { class, .. } => TypeKey::Block(class),
+    }
+}
+
+/// One parent's children grouped by module type: each child's group,
+/// numbered by first occurrence, and each group's size. Each child's
+/// type is read once per parent, and the buffers are reused from one
+/// parent to the next.
+#[derive(Default)]
+pub(crate) struct SiblingGroups<'a> {
+    types: Vec<TypeKey<'a>>,
+    sizes: Vec<usize>,
+    group_of: Vec<usize>,
+}
+
+impl<'a> SiblingGroups<'a> {
+    /// Group the children of `parent`.
+    pub(crate) fn group(&mut self, flat: &'a FlatCircuit, parent: &HierNode) {
+        self.types.clear();
+        self.sizes.clear();
+        self.group_of.clear();
+        for &c in &parent.children {
+            let t = type_key(flat, c);
+            let g = match self.types.iter().position(|&u| u == t) {
+                Some(g) => g,
+                None => {
+                    self.types.push(t);
+                    self.sizes.push(0);
+                    self.types.len() - 1
+                }
+            };
+            self.sizes[g] += 1;
+            self.group_of.push(g);
+        }
+    }
+
+    /// Whether child `i` shares its type with a sibling.
+    pub(crate) fn has_twin(&self, i: usize) -> bool {
+        self.sizes[self.group_of[i]] > 1
+    }
+
+    /// Call `f` on every valid pair under `parent` (the parent last
+    /// passed to [`SiblingGroups::group`]), in child order: `(i, j)`
+    /// with `i < j`, ascending `i` then `j`.
+    pub(crate) fn for_each_pair(
+        &self,
+        flat: &FlatCircuit,
+        parent: &HierNode,
+        mut f: impl FnMut(CandidatePair),
+    ) {
+        let has_sub_blocks = flat.has_sub_blocks(parent.id);
+        let children = &parent.children;
+        for i in 0..children.len() {
+            if !self.has_twin(i) {
+                continue;
+            }
+            let g = self.group_of[i];
+            for j in (i + 1)..children.len() {
+                if self.group_of[j] != g {
+                    continue;
+                }
+                let (a, b) = (children[i], children[j]);
+                f(CandidatePair {
+                    hierarchy: parent.id,
+                    pair: PairKey::new(a, b),
+                    kind: flat.classify_pair_under(has_sub_blocks, a, b),
+                });
+            }
+        }
+    }
 }
 
 /// Only the pairs of one level.
@@ -124,6 +198,7 @@ pub fn pair_stats(flat: &FlatCircuit) -> PairStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ancstr_netlist::flat::ModuleType;
     use ancstr_netlist::parse::parse_spice;
 
     fn flat(src: &str) -> FlatCircuit {
@@ -189,7 +264,7 @@ C2 y vss 10f
         let pairs = valid_pairs(&f);
         let cap_pair = pairs
             .iter()
-            .find(|p| matches!(p.module_type, ModuleType::Device(t) if t.is_passive()))
+            .find(|p| matches!(f.module_type(p.pair.lo()), ModuleType::Device(t) if t.is_passive()))
             .unwrap();
         assert_eq!(cap_pair.kind, SymmetryKind::System);
     }
@@ -215,11 +290,8 @@ C2 y vss 10f
         assert!(sys > 0 && dev > 0);
     }
 
-    /// `valid_pairs` scans each parent's children for a sub-block once;
-    /// every candidate's kind is still `classify_pair`'s, which scans
-    /// them per pair.
-    #[test]
-    fn candidate_kinds_match_classify_pair() {
+    /// ADC1–5, the Table IV blocks and a 2k stress corpus, by name.
+    fn designs() -> Vec<(String, FlatCircuit)> {
         use ancstr_circuits::{adc::adc_benchmarks, block_benchmark_names, block_benchmarks};
         let mut designs: Vec<(String, ancstr_netlist::Netlist)> = adc_benchmarks()
             .into_iter()
@@ -229,15 +301,75 @@ C2 y vss 10f
         let blocks = block_benchmarks(7).into_iter().zip(block_benchmark_names());
         designs.extend(blocks.map(|(nl, name)| (name.to_string(), nl)));
         designs.push(("2k corpus".into(), ancstr_circuits::stress::stress_system(2000, 7)));
+        designs
+            .into_iter()
+            .map(|(name, nl)| (name, FlatCircuit::elaborate(&nl).unwrap()))
+            .collect()
+    }
+
+    /// `valid_pairs` scans each parent's children for a sub-block once;
+    /// every candidate's kind is still `classify_pair`'s, which scans
+    /// them per pair.
+    #[test]
+    fn candidate_kinds_match_classify_pair() {
         let mut seen = [0usize; 2];
-        for (name, nl) in &designs {
-            let f = FlatCircuit::elaborate(nl).unwrap();
-            for c in valid_pairs(&f) {
+        for (name, f) in &designs() {
+            for c in valid_pairs(f) {
                 let want = f.classify_pair(c.hierarchy, c.pair.lo(), c.pair.hi());
                 assert_eq!(c.kind, want, "{name}: {:?}", c.pair);
                 seen[usize::from(c.kind == SymmetryKind::System)] += 1;
             }
         }
         assert!(seen[0] > 0 && seen[1] > 0, "both kinds occur: {seen:?}");
+    }
+
+    /// The compared set read off the per-parent type counts is exactly
+    /// the set of nodes that appear in some enumerated candidate.
+    #[test]
+    fn compared_nodes_are_the_nodes_of_some_candidate() {
+        let designs = designs();
+        assert_eq!(designs.len(), 5 + 15 + 1);
+        for (name, f) in &designs {
+            let mut want = vec![false; f.nodes().len()];
+            for c in valid_pairs(f) {
+                want[c.pair.lo().0] = true;
+                want[c.pair.hi().0] = true;
+            }
+            assert_eq!(compared_nodes(f), want, "{name}");
+        }
+    }
+
+    /// A sibling group is keyed by the full module type: blocks of one
+    /// class pair, devices of one type pair, and a device never pairs
+    /// with a block.
+    #[test]
+    fn groups_follow_module_types() {
+        let f = flat(
+            "\
+.subckt inv in out vdd vss
+*.class inverter
+Mp out in vdd vdd pch w=2u l=0.1u
+Mn out in vss vss nch w=1u l=0.1u
+.ends
+.subckt top a y vdd vss
+M1 a y vss vss nch w=1u l=0.1u
+X1 a m vdd vss inv
+M2 y a vss vss nch w=1u l=0.1u
+X2 m y vdd vss inv
+M3 a a vdd vdd pch w=1u l=0.1u
+.ends
+",
+        );
+        let path = |id: HierNodeId| f.node(id).path.clone();
+        let got: Vec<(String, String)> =
+            valid_pairs(&f).iter().map(|c| (path(c.pair.lo()), path(c.pair.hi()))).collect();
+        assert_eq!(
+            got,
+            [("top/M1".into(), "top/M2".into()), ("top/X1".into(), "top/X2".into())]
+        );
+        let compared = compared_nodes(&f);
+        let compared: Vec<&str> =
+            f.nodes().iter().filter(|n| compared[n.id.0]).map(|n| n.path.as_str()).collect();
+        assert_eq!(compared, ["top/M1", "top/X1", "top/M2", "top/X2"]);
     }
 }

@@ -440,6 +440,7 @@ impl SymmetryExtractor {
                 constraints,
                 system_threshold: f64::NAN,
                 warnings: Vec::new(),
+                skipped: 0,
                 block_ranking: None,
             },
             None => {
@@ -567,8 +568,9 @@ impl SymmetryExtractor {
 
     /// Stage `detect`: exact Algorithm 2–3 detection under a `detect`
     /// span whose end carries `blocks_compared` and `block_digraphs`
-    /// (how much Algorithm 2 work the blocks shared), then the
-    /// detection's gauges and `numeric_warning` events.
+    /// (how much Algorithm 2 work the blocks shared), `candidates` (the
+    /// valid pairs considered) and `constraints` (those accepted), then
+    /// the detection's gauges and `numeric_warning` events.
     pub fn detect(&self, flat: &FlatCircuit, z: &Matrix, obs: &PipelineObs) -> DetectionResult {
         let g = obs.stage("detect");
         let detection = detect_constraints(flat, z, &self.config.thresholds, &self.config.embed);
@@ -576,6 +578,8 @@ impl SymmetryExtractor {
         g.close_with(&[
             ("blocks_compared", r.blocks_compared.into()),
             ("block_digraphs", r.block_digraphs.into()),
+            ("candidates", detection.candidates().into()),
+            ("constraints", detection.constraints.len().into()),
         ]);
         obs.record_detection(&detection);
         detection

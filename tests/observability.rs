@@ -510,6 +510,57 @@ fn detect_span_ends(trace: &std::path::Path) -> Vec<ancstr_obs::TraceEvent> {
     events.into_iter().filter(|e| e.kind == "span_end" && e.span == "detect").collect()
 }
 
+/// The `detect` span end reports how many valid pairs Algorithm 3
+/// considered and how many it accepted: the comparator has 7 candidates
+/// (six among the four `nch_lvt` devices, one `pch_lvt` pair) and the
+/// seeded run accepts the three matched pairs. `obs-check` logs both and
+/// rejects counts that are not non-negative integers or accept more
+/// constraints than there were candidates.
+#[test]
+fn detect_span_reports_candidates_and_constraints() {
+    let dir = workdir("cli-candidates");
+    let sp = dir.join("sa.sp");
+    fs::write(&sp, NETLIST).unwrap();
+    let trace = dir.join("trace.jsonl");
+    let out = bin()
+        .arg("extract").arg(&sp).args(["--epochs", "15", "--seed", "3"])
+        .arg("-o").arg(dir.join("out.sym"))
+        .arg("--trace-out").arg(&trace)
+        .output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let ends = detect_span_ends(&trace);
+    assert_eq!(ends.len(), 1);
+    let field = |name: &str| ends[0].fields.get(name).and_then(|v| v.as_num());
+    assert_eq!(field("candidates"), Some(7.0));
+    assert_eq!(field("constraints"), Some(3.0));
+    let written = fs::read_to_string(dir.join("out.sym")).unwrap();
+    assert_eq!(written.lines().filter(|l| l.starts_with("sym ")).count(), 3, "{written}");
+    let out = bin().arg("obs-check").arg("--trace").arg(&trace).output().unwrap();
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{log}");
+    assert!(log.contains("Algorithm 3 accepted 3 constraints from 7 candidate pairs"), "{log}");
+
+    let broken = dir.join("broken.jsonl");
+    for fields in [
+        "\"candidates\":3,\"constraints\":4",
+        "\"candidates\":3,\"constraints\":1.5",
+        "\"candidates\":-1,\"constraints\":0",
+        "\"candidates\":\"7\",\"constraints\":3",
+    ] {
+        fs::write(
+            &broken,
+            format!(
+                "{{\"ts_ns\":1,\"kind\":\"span_start\",\"span\":\"detect\",\"stage\":\"detect\",\"id\":1,\"parent\":0,\"fields\":{{}}}}\n\
+                 {{\"ts_ns\":2,\"kind\":\"span_end\",\"span\":\"detect\",\"stage\":\"detect\",\"id\":1,\"parent\":0,\"dur_ns\":1,\"fields\":{{{fields}}}}}\n"
+            ),
+        )
+        .unwrap();
+        let out = bin().arg("obs-check").arg("--trace").arg(&broken).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{fields}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The `embed` span end reports the vertices and the rows Eq. 1's GRU
 /// steps computed for them: X1 and X3 see the same neighbourhood, so
 /// each of the two layers computes at most the six rows of X1 and X2,
