@@ -599,7 +599,7 @@ fn emit_outputs(
         let dot = to_dot(
             &g,
             &DotOptions::default(),
-            |v| flat.devices()[g.device_index(v)].path.clone(),
+            |v| flat.node(flat.devices()[g.device_index(v)].node).path.clone(),
             |v| constrained.contains(&flat.devices()[g.device_index(v)].node),
         );
         fs::write(dot_path, dot)

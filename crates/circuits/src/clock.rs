@@ -69,12 +69,12 @@ mod tests {
         let x8 = flat
             .devices()
             .iter()
-            .find(|d| d.path.contains("Xc8"))
+            .find(|d| flat.node(d.node).path.contains("Xc8"))
             .unwrap();
         let x1 = flat
             .devices()
             .iter()
-            .find(|d| d.path.contains("Xp1"))
+            .find(|d| flat.node(d.node).path.contains("Xp1"))
             .unwrap();
         assert!(x8.geometry.width > x1.geometry.width * 4.0);
     }

@@ -363,7 +363,8 @@ mod tests {
                 let a = flat.node(c.pair.lo()).device_index().unwrap();
                 let b = flat.node(c.pair.hi()).device_index().unwrap();
                 let (da, db) = (&flat.devices()[a], &flat.devices()[b]);
-                assert_eq!(da.dtype, db.dtype, "{} vs {}", da.path, db.path);
+                let (pa, pb) = (&flat.node(c.pair.lo()).path, &flat.node(c.pair.hi()).path);
+                assert_eq!(da.dtype, db.dtype, "{pa} vs {pb}");
                 assert!((da.geometry.width - db.geometry.width).abs() < 1e-12);
             }
         }

@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn bandgap_bjt_ratio_is_a_decoy() {
         let flat = FlatCircuit::elaborate(&bandgap(1)).unwrap();
-        let q1 = flat.devices().iter().find(|d| d.path.ends_with("Q1")).unwrap();
-        let q2 = flat.devices().iter().find(|d| d.path.ends_with("Q2")).unwrap();
+        let q1 = flat.devices().iter().find(|d| flat.node(d.node).path.ends_with("Q1")).unwrap();
+        let q2 = flat.devices().iter().find(|d| flat.node(d.node).path.ends_with("Q2")).unwrap();
         assert_eq!(q1.dtype, DeviceType::Pnp);
         assert_eq!(q2.multiplier, 8);
         // Not ground truth despite same type.

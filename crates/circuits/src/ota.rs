@@ -389,7 +389,7 @@ mod tests {
         let w = |name: &str| {
             flat.devices()
                 .iter()
-                .find(|d| d.path.ends_with(name))
+                .find(|d| flat.node(d.node).path.ends_with(name))
                 .unwrap()
                 .geometry
                 .width

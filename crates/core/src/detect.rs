@@ -2,6 +2,7 @@
 //! Eqs. 4–5).
 
 use std::collections::HashMap;
+use std::mem::MaybeUninit;
 
 use ancstr_graph::{BuildOptions, HetMultigraph};
 use ancstr_netlist::flat::{FlatCircuit, HierNode, HierNodeId, HierNodeKind};
@@ -9,7 +10,7 @@ use ancstr_netlist::{ConstraintSet, PairKey, SymmetryConstraint, SymmetryKind};
 use ancstr_nn::{dot, row_norm, Matrix};
 
 use crate::embed::{embed_blocks, BlockRanking, EmbedOptions};
-use crate::pairs::{compared_nodes, pair_parents, CandidatePair, SiblingGroups};
+use crate::pairs::{pair_layout, pair_parents, CandidatePair, SiblingGroups};
 
 /// Threshold parameters (Eq. 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -261,10 +262,14 @@ impl Fold {
     }
 }
 
-/// What one chunk of parents found, in candidate order.
-#[derive(Default)]
+/// What one chunk of parents found. Its scored pairs are already in
+/// the output, packed from the start of its parents' region.
 struct Part {
-    scored: Vec<ScoredPair>,
+    /// Where the chunk's parents' pairs start in candidate order.
+    start: usize,
+    /// How many of them were scored, and how many of those accepted.
+    scored: usize,
+    accepted: usize,
     /// Candidates skipped for a non-finite feature, with which of the
     /// two nodes is at fault.
     skipped: Vec<(PairKey, (bool, bool))>,
@@ -284,12 +289,15 @@ const PARENTS_PER_CHUNK: usize = 16;
 ///   against the system threshold (they are primitives living among
 ///   blocks).
 ///
-/// Valid pairs never cross a hierarchy level, so one pass over the
-/// non-`Logic` parents, split into chunks, enumerates, scores and
-/// decides each parent's sibling pairs in place; no candidate list is
-/// built. The chunks are concatenated in parent order and the
-/// constraints and warnings are folded from them in candidate order,
-/// so the result is identical at any thread count.
+/// Valid pairs never cross a hierarchy level, so each parent's pair
+/// count, and with it where its pairs fall in candidate order, is known
+/// from its sibling-group sizes before any pair is scored. `scored` is
+/// allocated once at that size, and one pass over the non-`Logic`
+/// parents, split into chunks, enumerates, scores and decides each
+/// parent's sibling pairs straight into it; no candidate list is built.
+/// Skipped candidates leave gaps, which one in-order pass closes. The
+/// constraints and warnings are folded in candidate order, so the
+/// result is identical at any thread count.
 ///
 /// Per-node norms and finiteness flags are hoisted out of the pair loop
 /// (computed once per node, not once per pair); the resulting quotient
@@ -312,37 +320,66 @@ pub fn detect_constraints(
     );
     // Algorithm 2 runs only where Algorithm 3 looks: the blocks with a
     // same-class sibling.
-    let compared = compared_nodes(flat);
-    let (block_embeddings, ranking) = embed_blocks(flat, z, embed, &compared);
-    let features = Features::new(flat, z, &block_embeddings, &compared);
+    let layout = pair_layout(flat);
+    let (block_embeddings, ranking) = embed_blocks(flat, z, embed, &layout.compared);
+    let features = Features::new(flat, z, &block_embeddings, &layout.compared);
     let lambda_sys = thresholds.system_threshold(flat.max_subcircuit_size());
 
     let parents: Vec<&HierNode> = pair_parents(flat).collect();
+    let offsets = &layout.offsets;
+    let mut scored: Vec<ScoredPair> = Vec::with_capacity(offsets[parents.len()]);
+    let base = ancstr_par::SendPtr::new(scored.as_mut_ptr().cast::<MaybeUninit<ScoredPair>>());
     let parts = ancstr_par::map_chunks(parents.len(), PARENTS_PER_CHUNK, |range| {
-        let mut part = Part::default();
+        let start = offsets[range.start];
+        // SAFETY: `offsets` is a prefix sum ending at the capacity, and
+        // chunk ranges are disjoint, so each chunk's region lies inside
+        // the allocation and no other chunk touches it. Writes index the
+        // region, so a miscounted parent panics instead of overrunning.
+        let region = unsafe {
+            std::slice::from_raw_parts_mut(base.get().add(start), offsets[range.end] - start)
+        };
+        let mut part = Part { start, scored: 0, accepted: 0, skipped: Vec::new() };
         let mut groups = SiblingGroups::default();
         for parent in &parents[range] {
             groups.group(flat, parent);
             groups.for_each_pair(flat, parent, |candidate| {
                 match features.score(candidate.pair) {
                     Ok(score) => {
-                        part.scored.push(decide(candidate, score, lambda_sys, thresholds))
+                        let s = decide(candidate, score, lambda_sys, thresholds);
+                        part.accepted += usize::from(s.accepted);
+                        region[part.scored].write(s);
+                        part.scored += 1;
                     }
                     Err(bad) => part.skipped.push((candidate.pair, bad)),
                 }
             });
         }
+        assert_eq!(part.scored + part.skipped.len(), region.len(), "pair count off");
         part
     });
 
-    let mut scored = Vec::with_capacity(parts.iter().map(|p| p.scored.len()).sum());
-    let mut fold = Fold::default();
-    for part in parts {
-        part.scored.iter().for_each(|s| fold.scored(s));
-        for (pair, bad) in part.skipped {
-            fold.skipped(flat, pair, bad);
+    // Close the gaps skipped candidates left, in candidate order.
+    let mut len = 0;
+    for part in &parts {
+        if part.start != len {
+            // SAFETY: `len <= part.start`, both ranges lie in the
+            // allocation, and the part's chunk wrote its first
+            // `part.scored` slots; `copy` allows the ranges to overlap.
+            unsafe {
+                let from = scored.as_ptr().add(part.start);
+                std::ptr::copy(from, scored.as_mut_ptr().add(len), part.scored);
+            }
         }
-        scored.extend(part.scored);
+        len += part.scored;
+    }
+    // SAFETY: the first `len` slots now hold the scored pairs, in order.
+    unsafe { scored.set_len(len) };
+
+    let accepted = parts.iter().map(|p| p.accepted).sum();
+    let mut fold = Fold { constraints: ConstraintSet::with_capacity(accepted), ..Fold::default() };
+    scored.iter().for_each(|s| fold.scored(s));
+    for (pair, bad) in parts.into_iter().flat_map(|p| p.skipped) {
+        fold.skipped(flat, pair, bad);
     }
     DetectionResult { block_ranking: Some(ranking), ..fold.finish(scored, lambda_sys) }
 }
@@ -701,7 +738,7 @@ C2 y vss 10f
         let z = Matrix::from_fn(n, 3, |r, c| ((r * 7 + c * 3) % 5) as f64 - 1.5);
         let (cfg, opts) = (ThresholdConfig::default(), EmbedOptions::default());
 
-        let compared = compared_nodes(&flat);
+        let compared = pair_layout(&flat).compared;
         let compared_blocks: Vec<&str> =
             flat.blocks().filter(|b| compared[b.id.0]).map(|b| b.path.as_str()).collect();
         assert_eq!(compared_blocks, ["top/XB1", "top/XB2"]);
@@ -743,7 +780,7 @@ C2 y vss 10f
                     ((r * 7 + c * 3) % 5) as f64 - 1.5
                 }
             });
-            let compared = compared_nodes(&flat);
+            let compared = pair_layout(&flat).compared;
             let want = score_candidates(
                 &flat,
                 &z,

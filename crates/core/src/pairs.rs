@@ -49,19 +49,33 @@ pub(crate) fn pair_parents(flat: &FlatCircuit) -> impl Iterator<Item = &HierNode
         .filter(|p| !matches!(&p.kind, HierNodeKind::Block { class: CircuitClass::Logic, .. }))
 }
 
-/// Which hierarchy nodes appear in some valid pair, indexed by node id:
-/// the nodes whose features Algorithm 3 reads. A child is compared iff
-/// a sibling shares its module type, so no pair is enumerated.
-pub(crate) fn compared_nodes(flat: &FlatCircuit) -> Vec<bool> {
+/// What Algorithm 3 needs to know of the valid pairs before scoring
+/// any, read off each parent's sibling-group sizes in one grouping walk:
+/// no pair is enumerated.
+pub(crate) struct PairLayout {
+    /// Which hierarchy nodes appear in some valid pair, indexed by node
+    /// id: the nodes whose features Algorithm 3 reads. A child is
+    /// compared iff a sibling shares its module type.
+    pub(crate) compared: Vec<bool>,
+    /// The pairs of the `p`-th [`pair_parents`] parent are candidates
+    /// `offsets[p]..offsets[p + 1]` of [`valid_pairs`]; the last entry
+    /// is the number of valid pairs.
+    pub(crate) offsets: Vec<usize>,
+}
+
+/// The [`PairLayout`] of a design.
+pub(crate) fn pair_layout(flat: &FlatCircuit) -> PairLayout {
     let mut compared = vec![false; flat.nodes().len()];
+    let mut offsets = vec![0];
     let mut groups = SiblingGroups::default();
     for parent in pair_parents(flat) {
         groups.group(flat, parent);
         for (i, &c) in parent.children.iter().enumerate() {
             compared[c.0] |= groups.has_twin(i);
         }
+        offsets.push(offsets[offsets.len() - 1] + groups.pair_count());
     }
-    compared
+    PairLayout { compared, offsets }
 }
 
 /// A module type, borrowed from the circuit: the key siblings are
@@ -114,6 +128,12 @@ impl<'a> SiblingGroups<'a> {
     /// Whether child `i` shares its type with a sibling.
     pub(crate) fn has_twin(&self, i: usize) -> bool {
         self.sizes[self.group_of[i]] > 1
+    }
+
+    /// How many pairs [`SiblingGroups::for_each_pair`] visits: Σ k(k−1)/2
+    /// over the group sizes `k`.
+    pub(crate) fn pair_count(&self) -> usize {
+        self.sizes.iter().map(|&k| k * (k - 1) / 2).sum()
     }
 
     /// Call `f` on every valid pair under `parent` (the parent last
@@ -335,7 +355,27 @@ C2 y vss 10f
                 want[c.pair.lo().0] = true;
                 want[c.pair.hi().0] = true;
             }
-            assert_eq!(compared_nodes(f), want, "{name}");
+            assert_eq!(pair_layout(f).compared, want, "{name}");
+        }
+    }
+
+    /// Each parent's pair count, read off its group sizes, is the
+    /// number of candidates `valid_pairs` enumerates under it, and the
+    /// offsets place them where they fall in candidate order.
+    #[test]
+    fn per_parent_counts_place_every_candidate() {
+        for (name, f) in &designs() {
+            let parents: Vec<HierNodeId> = pair_parents(f).map(|p| p.id).collect();
+            let offsets = pair_layout(f).offsets;
+            assert_eq!(offsets.len(), parents.len() + 1, "{name}");
+            let pairs = valid_pairs(f);
+            assert_eq!(offsets[parents.len()], pairs.len(), "{name}");
+            for (p, &parent) in parents.iter().enumerate() {
+                let under = &pairs[offsets[p]..offsets[p + 1]];
+                assert!(under.iter().all(|c| c.hierarchy == parent), "{name}: parent {p}");
+                let want = pairs.iter().filter(|c| c.hierarchy == parent).count();
+                assert_eq!(under.len(), want, "{name}: parent {p}");
+            }
         }
     }
 
@@ -367,7 +407,7 @@ M3 a a vdd vdd pch w=1u l=0.1u
             got,
             [("top/M1".into(), "top/M2".into()), ("top/X1".into(), "top/X2".into())]
         );
-        let compared = compared_nodes(&f);
+        let compared = pair_layout(&f).compared;
         let compared: Vec<&str> =
             f.nodes().iter().filter(|n| compared[n.id.0]).map(|n| n.path.as_str()).collect();
         assert_eq!(compared, ["top/M1", "top/X1", "top/M2", "top/X2"]);

@@ -53,26 +53,32 @@ impl PinStream {
     /// The pin stream of the devices in `range` (flat-device indices; a
     /// subtree's devices are one range).
     pub fn from_device_range(flat: &FlatCircuit, range: Range<usize>) -> PinStream {
-        // In-scope pins as (net, vertex, pin index, port), sorted by
-        // net, then vertex, then pin index. The keys are unique, so an
-        // in-place unstable sort gives that order; on a 100k-device
-        // circuit a stable sort's scratch buffer over wider entries
-        // raised `extract`'s peak RSS by ~15 MB. (Net counts fit `u32`,
-        // and vertex counts 30 bits, in any circuit that fits in memory.)
+        // In-scope pins packed as `net << 32 | vertex << 4 | pin index
+        // << 2 | port`, so sorting the words sorts by net, then vertex,
+        // then pin index: the port rides along, never orders (a MOS
+        // stores its pins D, G, S but their port indices order G, D, S).
+        // The keys are unique, so an in-place unstable sort gives that
+        // order; on a 100k-device circuit a stable sort's scratch buffer
+        // over wider entries raised `extract`'s peak RSS by ~15 MB. (Net
+        // counts fit `u32` in any circuit that fits in memory, and a
+        // device has at most three typed pins.)
         let devices = &flat.devices()[range];
-        let mut sorted: Vec<(u32, u32, u8, PortType)> =
+        assert!(devices.len() < 1 << 28, "a pin stream packs vertices into 28 bits");
+        let mut sorted: Vec<u64> =
             Vec::with_capacity(devices.iter().map(|d| d.typed_pins().count()).sum());
         for (v, d) in devices.iter().enumerate() {
             for (k, (net, port)) in d.typed_pins().enumerate() {
-                sorted.push((net.0 as u32, v as u32, k as u8, port));
+                let key = (net.0 as u64) << 32 | (v as u64) << 4 | (k as u64) << 2;
+                sorted.push(key | port.index() as u64);
             }
         }
-        sorted.sort_unstable_by_key(|&(net, v, k, _)| (net, v, k));
+        sorted.sort_unstable();
 
         let mut ends = Vec::new();
         let mut pins = Vec::with_capacity(sorted.len());
-        for net in sorted.chunk_by(|a, b| a.0 == b.0) {
-            pins.extend(net.iter().map(|&(_, v, _, port)| v << 2 | port.index() as u32));
+        for net in sorted.chunk_by(|a, b| a >> 32 == b >> 32) {
+            // Drop the pin index: `vertex << 2 | port`.
+            pins.extend(net.iter().map(|&p| (p as u32 >> 4) << 2 | (p as u32 & 3)));
             ends.push(pins.len() as u32);
         }
         PinStream { vertices: devices.len(), ends, pins }
@@ -189,7 +195,7 @@ CL out vss 100f
         let di = flat
             .devices()
             .iter()
-            .position(|d| d.path.ends_with(name))
+            .position(|d| flat.node(d.node).path.ends_with(name))
             .unwrap();
         g.vertex_for_device(di).unwrap()
     }
@@ -218,6 +224,45 @@ CL out vss 100f
             .edges()
             .iter()
             .any(|e| e.src == cl && e.dst == m1 && e.port == PortType::Drain));
+    }
+
+    /// The stream orders a net's pins by vertex, then pin index, never
+    /// by port: diode-connected M2 stores its drain, then its gate, on
+    /// `out`, while the port indices put the gate first.
+    #[test]
+    fn pin_stream_orders_a_devices_pins_by_pin_index() {
+        let flat = fig5();
+        let stream = PinStream::from_device_range(&flat, 0..flat.devices().len());
+        let mut got = Vec::new();
+        stream.for_each_clique_pair(&BuildOptions::default(), |u, v| got.push((u, v)));
+
+        // Every pin as (net, vertex, pin index, port), sorted by the
+        // first three, and the clique pairs of each net in that order.
+        let mut pins = Vec::new();
+        for (v, d) in flat.devices().iter().enumerate() {
+            for (k, (net, port)) in d.typed_pins().enumerate() {
+                pins.push((net.0, v, k, port));
+            }
+        }
+        pins.sort_by_key(|&(net, v, k, _)| (net, v, k));
+        let mut want = Vec::new();
+        for net in pins.chunk_by(|a, b| a.0 == b.0) {
+            for (i, a) in net.iter().enumerate() {
+                for b in net[i + 1..].iter().filter(|b| b.1 != a.1) {
+                    want.push(((a.1, a.3), (b.1, b.3)));
+                }
+            }
+        }
+        assert_eq!(got, want);
+
+        // On `out`, M1's drain meets M2's drain before M2's gate.
+        let (m1, m2) = (1, 2);
+        let m2_ports: Vec<PortType> = got
+            .iter()
+            .filter(|&&(u, v)| u == (m1, PortType::Drain) && v.0 == m2)
+            .map(|&(_, v)| v.1)
+            .collect();
+        assert_eq!(m2_ports, [PortType::Drain, PortType::Gate]);
     }
 
     #[test]

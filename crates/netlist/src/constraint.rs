@@ -131,6 +131,12 @@ impl ConstraintSet {
         ConstraintSet::default()
     }
 
+    /// An empty set with room for `n` constraints, so filling it with
+    /// up to `n` never regrows its storage.
+    pub fn with_capacity(n: usize) -> ConstraintSet {
+        ConstraintSet { items: Vec::with_capacity(n), index: HashMap::with_capacity(n) }
+    }
+
     /// Insert a constraint; returns `false` if the pair was already
     /// present (the earlier entry wins).
     pub fn insert(&mut self, c: SymmetryConstraint) -> bool {
@@ -237,6 +243,23 @@ mod tests {
         assert!(s.insert(SymmetryConstraint::new(id(0), id(1), id(2), SymmetryKind::Device)));
         assert!(!s.insert(SymmetryConstraint::new(id(0), id(2), id(1), SymmetryKind::Device)));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn with_capacity_holds_n_without_regrowing_and_equals_a_grown_set() {
+        let items: Vec<_> = (1..=50)
+            .map(|i| SymmetryConstraint::new(id(0), id(2 * i), id(2 * i + 1), SymmetryKind::Device))
+            .collect();
+        let mut s = ConstraintSet::with_capacity(items.len());
+        assert!(s.is_empty());
+        let (items_cap, index_cap) = (s.items.capacity(), s.index.capacity());
+        assert!(items_cap >= 50 && index_cap >= 50);
+        for &c in &items {
+            assert!(s.insert(c));
+        }
+        assert!(!s.insert(items[7]));
+        assert_eq!((s.items.capacity(), s.index.capacity()), (items_cap, index_cap));
+        assert_eq!(s, items.into_iter().collect::<ConstraintSet>());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::constraint::{ConstraintSet, SymmetryConstraint, SymmetryKind};
 use crate::device::{Device, DeviceType, Geometry, PortType};
@@ -110,8 +111,6 @@ impl HierNode {
 /// A fully elaborated (flattened) device with globally resolved nets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatDevice {
-    /// Full hierarchical path (`top/X1/M2`).
-    pub path: String,
     /// Device type.
     pub dtype: DeviceType,
     /// Shape parameters.
@@ -124,7 +123,8 @@ pub struct FlatDevice {
     pub pins: Vec<NetId>,
     /// Globally resolved bulk net, if any.
     pub bulk: Option<NetId>,
-    /// The hierarchy leaf representing this device.
+    /// The hierarchy leaf representing this device; its path is the
+    /// device's path.
     pub node: HierNodeId,
 }
 
@@ -140,15 +140,32 @@ impl FlatDevice {
 
 /// The elaborated design: flat devices, global nets, the hierarchy tree,
 /// and the expanded ground-truth constraints.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FlatCircuit {
     devices: Vec<FlatDevice>,
     net_names: Vec<String>,
     nodes: Vec<HierNode>,
     root: HierNodeId,
-    ground_truth: ConstraintSet,
+    /// The expanded `(T_c, a, b)` annotations, in expansion order.
+    annotated: Vec<(HierNodeId, HierNodeId, HierNodeId)>,
+    /// `annotated` classified, built by the first
+    /// [`FlatCircuit::ground_truth`] call: extraction never reads it.
+    ground_truth: OnceLock<ConstraintSet>,
     /// Each node's position in natural path order, by node id.
     path_rank: Vec<usize>,
+}
+
+/// Equal designs have equal annotations; whether either has classified
+/// them yet does not matter.
+impl PartialEq for FlatCircuit {
+    fn eq(&self, other: &FlatCircuit) -> bool {
+        self.devices == other.devices
+            && self.net_names == other.net_names
+            && self.nodes == other.nodes
+            && self.root == other.root
+            && self.annotated == other.annotated
+            && self.path_rank == other.path_rank
+    }
 }
 
 impl FlatCircuit {
@@ -170,7 +187,7 @@ impl FlatCircuit {
             devices: Vec::new(),
             net_names: Vec::new(),
             nodes: Vec::new(),
-            ground_truth: Vec::new(),
+            annotated: Vec::new(),
         };
 
         // Root node for the top cell.
@@ -190,25 +207,15 @@ impl FlatCircuit {
         b.expand(&templates, 0, root, &top.name, nets, 0);
 
         let path_rank = natural_path_ranks(&b.nodes, root);
-        let mut flat = FlatCircuit {
+        Ok(FlatCircuit {
             devices: b.devices,
             net_names: b.net_names,
             nodes: b.nodes,
             root,
-            ground_truth: ConstraintSet::new(),
+            annotated: b.annotated,
+            ground_truth: OnceLock::new(),
             path_rank,
-        };
-        // Classify and register ground truth now that the tree exists.
-        let gt: Vec<SymmetryConstraint> = b
-            .ground_truth
-            .iter()
-            .map(|&(tc, a, bnode)| {
-                let kind = flat.classify_pair(tc, a, bnode);
-                SymmetryConstraint::new(tc, a, bnode, kind)
-            })
-            .collect();
-        flat.ground_truth = gt.into_iter().collect();
-        Ok(flat)
+        })
     }
 
     /// The flattened devices in DFS order.
@@ -250,8 +257,14 @@ impl FlatCircuit {
     }
 
     /// The designer ground-truth constraints, expanded per instance.
+    /// Classified on the first call.
     pub fn ground_truth(&self) -> &ConstraintSet {
-        &self.ground_truth
+        self.ground_truth.get_or_init(|| {
+            self.annotated
+                .iter()
+                .map(|&(tc, a, b)| SymmetryConstraint::new(tc, a, b, self.classify_pair(tc, a, b)))
+                .collect()
+        })
     }
 
     /// Indices of the flat devices beneath `node` (contiguous DFS range).
@@ -460,8 +473,8 @@ struct Builder {
     devices: Vec<FlatDevice>,
     net_names: Vec<String>,
     nodes: Vec<HierNode>,
-    /// (T_c, a, b) triples collected before kinds can be classified.
-    ground_truth: Vec<(HierNodeId, HierNodeId, HierNodeId)>,
+    /// (T_c, a, b) triples, classified only by their first reader.
+    annotated: Vec<(HierNodeId, HierNodeId, HierNodeId)>,
 }
 
 impl Builder {
@@ -524,13 +537,12 @@ impl Builder {
                     let dev_index = self.devices.len();
                     let child = self.new_node(
                         d.name.clone(),
-                        dev_path.clone(),
+                        dev_path,
                         HierNodeKind::Device(dev_index),
                         Some(node),
                         depth + 1,
                     );
                     self.devices.push(FlatDevice {
-                        path: dev_path,
                         dtype: d.dtype,
                         geometry: d.geometry,
                         value: d.value,
@@ -571,7 +583,7 @@ impl Builder {
         // element `i` is this node's `i`-th child.
         let children = &self.nodes[node.0].children;
         let pairs = template.sym_pairs.iter().map(|&(a, b)| (node, children[a], children[b]));
-        self.ground_truth.extend(pairs);
+        self.annotated.extend(pairs);
 
         // Close this node's device span.
         let end = self.devices.len();
@@ -697,6 +709,26 @@ mod tests {
         let mp = flat.node_by_path("top/X1/Mp").unwrap().id;
         let mn = flat.node_by_path("top/X1/Mn").unwrap().id;
         assert_eq!(flat.ground_truth().get(mp, mn).unwrap().kind, SymmetryKind::Device);
+    }
+
+    /// Ground truth is classified by its first reader. A clone taken
+    /// before that compares equal to one taken after, and both yield
+    /// the oracle's classified set.
+    #[test]
+    fn ground_truth_is_classified_on_first_use() {
+        let nl = fixture();
+        let flat = FlatCircuit::elaborate(&nl).unwrap();
+        let before = flat.clone();
+        assert!(flat.ground_truth.get().is_none(), "elaboration classified ground truth");
+        let first: *const ConstraintSet = flat.ground_truth();
+        assert!(std::ptr::eq(first, flat.ground_truth()), "classified twice");
+        let after = flat.clone();
+        assert!(before.ground_truth.get().is_none() && after.ground_truth.get().is_some());
+        assert_eq!(before, after);
+        let reference = crate::oracle::elaborate(&nl).unwrap();
+        crate::oracle::assert_matches(&before, &reference);
+        crate::oracle::assert_matches(&after, &reference);
+        assert_eq!(before.ground_truth(), after.ground_truth());
     }
 
     #[test]

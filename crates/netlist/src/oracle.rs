@@ -149,7 +149,7 @@ impl Builder<'_> {
                     let dev_index = self.reference.devices.len();
                     let child = self.new_node(
                         d.name.clone(),
-                        dev_path.clone(),
+                        dev_path,
                         HierNodeKind::Device(dev_index),
                         Some(node),
                         depth + 1,
@@ -157,7 +157,6 @@ impl Builder<'_> {
                     let pins = d.pins.iter().map(|n| net_of[n.as_str()]).collect();
                     let bulk = d.bulk.as_ref().map(|n| net_of[n.as_str()]);
                     self.reference.devices.push(FlatDevice {
-                        path: dev_path,
                         dtype: d.dtype,
                         geometry: d.geometry,
                         value: d.value,

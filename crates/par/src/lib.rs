@@ -223,11 +223,19 @@ pub fn map_items<T: Sync, R: Send>(
 /// through a `SendPtr` are race-free **iff** each chunk body only
 /// touches indices inside its own range. That invariant is the
 /// caller's to uphold.
-#[derive(Clone, Copy)]
 pub struct SendPtr<T>(*mut T);
 
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
+
+// A pointer copies whatever it points to (`derive` would ask `T: Copy`).
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> SendPtr<T> {
+        *self
+    }
+}
+
+impl<T> Copy for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Wrap a raw pointer for cross-thread disjoint writes.

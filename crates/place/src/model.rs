@@ -45,7 +45,7 @@ impl PlacementProblem {
             .devices()
             .iter()
             .map(|d| Cell {
-                name: d.path.clone(),
+                name: flat.node(d.node).path.clone(),
                 width: d.geometry.width.max(0.1),
                 height: d.geometry.length.max(0.1),
             })
