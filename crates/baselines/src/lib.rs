@@ -34,12 +34,10 @@
 //! # }
 //! ```
 
-pub mod ged;
 pub mod s3det;
 pub mod sfa;
 pub mod stats;
 
-pub use ged::{ged_extract, ged_similarity, GedConfig};
 pub use s3det::{s3det_extract, S3detConfig};
 pub use sfa::{sfa_extract, SfaConfig};
 pub use stats::ks_statistic;

@@ -86,17 +86,6 @@ fn bench_ks(c: &mut Criterion) {
     });
 }
 
-fn bench_placer(c: &mut Criterion) {
-    use ancstr_place::{place, AnnealConfig, PlacementProblem};
-    let flat = FlatCircuit::elaborate(&comp1(1)).expect("comp1");
-    let problem = PlacementProblem::from_circuit(&flat, flat.ground_truth());
-    let cfg = AnnealConfig { steps: 40, moves_per_step: 60, ..AnnealConfig::default() };
-    let mut g = c.benchmark_group("placer_anneal");
-    g.sample_size(10);
-    g.bench_function("comp1_47_cells", |b| b.iter(|| place(&problem, &cfg)));
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_graph_build,
@@ -104,7 +93,6 @@ criterion_group!(
     bench_gnn_forward,
     bench_extraction,
     bench_eigensolve,
-    bench_ks,
-    bench_placer
+    bench_ks
 );
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 
 //! Experiment harness: shared plumbing for the binaries that regenerate
-//! every table and figure of the paper, the Criterion benches, and the
-//! workspace examples/integration tests.
+//! the paper's Tables III–VI and Figs. 6–7 (and the extension
+//! experiments), the Criterion benches, and the workspace
+//! examples/integration tests.
 
 use std::time::Duration;
 

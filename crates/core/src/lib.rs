@@ -63,7 +63,6 @@
 //! # }
 //! ```
 
-pub mod consistency;
 pub mod detect;
 pub mod embed;
 pub mod export;
@@ -80,7 +79,6 @@ pub mod recover;
 pub mod runstore;
 pub mod service;
 
-pub use consistency::{vote_template_consistency, ConsistencyOptions, ConsistencyReport};
 pub use detect::{
     detect_constraints, DetectionResult, NumericWarning, ScoredPair, ThresholdConfig,
 };

@@ -585,33 +585,6 @@ impl SymmetryExtractor {
         detection
     }
 
-    /// [`SymmetryExtractor::extract`] followed by the template-consistency
-    /// voting post-pass (an extension beyond the paper's Algorithm 3):
-    /// device pairs detected in a quorum of a template's instances are
-    /// propagated to every instance. Scored decisions are updated so
-    /// evaluation reflects the augmented set.
-    pub fn extract_with_consistency(
-        &self,
-        flat: &FlatCircuit,
-        options: &crate::consistency::ConsistencyOptions,
-    ) -> Extraction {
-        let start = Instant::now();
-        let mut extraction = self.extract(flat);
-        let report = crate::consistency::vote_template_consistency(
-            flat,
-            &extraction.detection.constraints,
-            options,
-        );
-        for s in &mut extraction.detection.scored {
-            if !s.accepted && report.constraints.contains_key(s.candidate.pair) {
-                s.accepted = true;
-            }
-        }
-        extraction.detection.constraints = report.constraints;
-        extraction.runtime = start.elapsed();
-        extraction
-    }
-
     /// Extract and score against the circuit's ground truth.
     pub fn evaluate(&self, flat: &FlatCircuit) -> Evaluation {
         let extraction = self.extract(flat);

@@ -16,9 +16,7 @@
 //!   against;
 //! * [`SimpleDigraph`] — the de-paralleled, untyped digraph `G'_t` used
 //!   by circuit feature embedding (Algorithm 2, lines 1–4);
-//! * [`pagerank()`] — Eq. 3's PageRank iteration;
-//! * [`algo`] — connected components, BFS, and degree utilities used by
-//!   the baselines and the test-suite invariants.
+//! * [`pagerank()`] — Eq. 3's PageRank iteration.
 //!
 //! # Example
 //!
@@ -49,7 +47,6 @@
 //! # }
 //! ```
 
-pub mod algo;
 pub mod build;
 pub mod dot;
 pub mod multigraph;
