@@ -115,24 +115,6 @@ fn bench_s3det_caching(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_neighbor_sampling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_neighbor_sampling");
-    group.sample_size(10);
-    for (name, k) in [("full", None), ("sample8", Some(8usize)), ("sample3", Some(3))] {
-        let mut cfg = quick_config();
-        cfg.train.neighbor_samples = k;
-        let f1 = device_f1(cfg.clone());
-        println!("[ablation] neighbor sampling {name}: device-level mean F1 = {f1:.3}");
-        let dataset = block_dataset();
-        group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-            let mut train_cfg = cfg.clone();
-            train_cfg.train.epochs = 3;
-            b.iter(|| train_extractor(&dataset, train_cfg.clone()))
-        });
-    }
-    group.finish();
-}
-
 fn bench_combiner(c: &mut Criterion) {
     use ancstr_gnn::model::Combiner;
     let mut group = c.benchmark_group("ablation_combiner");
@@ -158,7 +140,6 @@ criterion_group!(
     bench_top_m,
     bench_net_pruning,
     bench_s3det_caching,
-    bench_neighbor_sampling,
     bench_combiner
 );
 criterion_main!(benches);

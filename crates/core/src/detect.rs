@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
 
-use ancstr_graph::{BuildOptions, HetMultigraph};
 use ancstr_netlist::flat::{FlatCircuit, HierNode, HierNodeId, HierNodeKind};
 use ancstr_netlist::{ConstraintSet, PairKey, SymmetryConstraint, SymmetryKind};
 use ancstr_nn::{dot, row_norm, Matrix};
@@ -105,11 +104,6 @@ pub struct DetectionResult {
 }
 
 impl DetectionResult {
-    /// Scored pairs of one level.
-    pub fn scored_of_kind(&self, kind: SymmetryKind) -> impl Iterator<Item = &ScoredPair> {
-        self.scored.iter().filter(move |s| s.candidate.kind == kind)
-    }
-
     /// How many valid pairs the detection considered: every scored
     /// pair and every skipped one.
     pub fn candidates(&self) -> usize {
@@ -414,73 +408,6 @@ fn score_candidates(
     fold.finish(scored, lambda_sys)
 }
 
-/// Detect *self-symmetric* devices: modules placed on the symmetry axis
-/// (tail current sources, clock tails, equalizer switches).
-///
-/// A device is flagged when (a) it participates in no accepted pairwise
-/// constraint, and (b) its in-neighbours pair up among themselves — for
-/// every neighbour `u` there is a distinct neighbour `u'` with
-/// `cos(z_u, z_u') > pair_threshold` — i.e. the device bridges two
-/// matched halves. This extends the paper's pairwise output with the
-/// axis annotations analog placers additionally need (the benchmark
-/// generators record them as `*.selfsym`). Neighbours come from the
-/// circuit's multigraph built with `build` — pass the extractor's
-/// `ExtractorConfig::build`, so the axis check sees the graph the model
-/// was trained on.
-///
-/// Returns hierarchy node ids of the flagged devices, sorted.
-pub fn detect_self_symmetric(
-    flat: &FlatCircuit,
-    z: &Matrix,
-    detection: &DetectionResult,
-    pair_threshold: f64,
-    build: &BuildOptions,
-) -> Vec<ancstr_netlist::HierNodeId> {
-    let g = HetMultigraph::from_circuit(flat, build);
-    let mut paired = std::collections::HashSet::new();
-    for c in detection.constraints.iter() {
-        paired.insert(c.pair.lo());
-        paired.insert(c.pair.hi());
-    }
-
-    // Hoisted per-device row norms: the nested neighbour check below
-    // compares O(pairs) combinations, and recomputing both norms inside
-    // `cosine_similarity` per comparison re-normalized each row once
-    // per *pair* instead of once per *device*. `row_norms` uses the
-    // exact arithmetic of `cosine_similarity`'s denominators, so the
-    // quotient below is bit-identical to the old nested call.
-    let norms = z.row_norms();
-    let cosine = |iu: usize, iw: usize| -> f64 {
-        if norms[iu] == 0.0 || norms[iw] == 0.0 {
-            return 0.0;
-        }
-        dot(z.row(iu), z.row(iw)) / (norms[iu] * norms[iw])
-    };
-
-    let mut out = Vec::new();
-    for (i, d) in flat.devices().iter().enumerate() {
-        if paired.contains(&d.node) {
-            continue;
-        }
-        let Some(v) = g.vertex_for_device(i) else { continue };
-        let neighbors = g.in_neighbors(v);
-        if neighbors.len() < 2 {
-            continue;
-        }
-        // Every neighbour must have a distinct matching partner.
-        let all_paired = neighbors.iter().all(|&u| {
-            neighbors.iter().any(|&w| {
-                u != w && cosine(g.device_index(u), g.device_index(w)) > pair_threshold
-            })
-        });
-        if all_paired {
-            out.push(d.node);
-        }
-    }
-    out.sort();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,62 +520,6 @@ M2 b a t vss nch w=1u l=0.1u
         assert_eq!(result.scored.len(), 1);
         assert_eq!(result.scored[0].threshold, 0.99);
         assert!(result.scored[0].accepted);
-    }
-
-    #[test]
-    fn self_symmetric_tail_is_flagged() {
-        // A differential pair M1/M2 over a tail M5: the tail's
-        // neighbours (M1, M2) are matched, so M5 sits on the axis.
-        let nl = parse_spice(
-            "\
-.subckt dp inp inn o1 o2 ib vdd vss
-M1 o1 inp tail vss nch w=4u l=0.2u
-M2 o2 inn tail vss nch w=4u l=0.2u
-M5 tail ib vss vss nch w=2u l=0.5u
-.ends
-",
-        )
-        .unwrap();
-        let flat = FlatCircuit::elaborate(&nl).unwrap();
-        // Matched features for M1/M2, distinct for M5.
-        let z = Matrix::from_rows(&[&[1.0, 0.2], &[1.0, 0.2], &[0.1, 1.0]]);
-        let detection = detect_constraints(
-            &flat,
-            &z,
-            &ThresholdConfig::default(),
-            &EmbedOptions::default(),
-        );
-        let selfsym = detect_self_symmetric(&flat, &z, &detection, 0.95, &BuildOptions::default());
-        let m5 = flat.node_by_path("dp/M5").unwrap().id;
-        assert!(selfsym.contains(&m5), "tail flagged: {selfsym:?}");
-        // The paired devices themselves are not flagged.
-        let m1 = flat.node_by_path("dp/M1").unwrap().id;
-        assert!(!selfsym.contains(&m1));
-    }
-
-    #[test]
-    fn asymmetric_devices_are_not_self_symmetric() {
-        let nl = parse_spice(
-            "\
-.subckt c a b vdd vss
-M1 x a y vss nch w=1u l=0.1u
-M2 y b vss vss nch w=3u l=0.3u
-M3 x x vdd vdd pch w=2u l=0.1u
-.ends
-",
-        )
-        .unwrap();
-        let flat = FlatCircuit::elaborate(&nl).unwrap();
-        // All-distinct features: nothing pairs, nothing is on an axis.
-        let z = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[-1.0, 0.5]]);
-        let detection = detect_constraints(
-            &flat,
-            &z,
-            &ThresholdConfig::default(),
-            &EmbedOptions::default(),
-        );
-        let selfsym = detect_self_symmetric(&flat, &z, &detection, 0.95, &BuildOptions::default());
-        assert!(selfsym.is_empty(), "{selfsym:?}");
     }
 
     #[test]

@@ -217,8 +217,7 @@ impl GnnModel {
         mut layer_done: impl FnMut(&F::Value),
     ) -> (F::Value, Vec<F::Param>) {
         // Shared handles: every pass over this graph reuses the same
-        // operators, so their cached CSR views are built exactly once
-        // per graph instead of re-sorted per GRU step.
+        // operators instead of copying them per pass.
         let adj: Vec<F::Sparse> = PortType::ALL
             .iter()
             .map(|&p| f.operator(tensors.adjacency_shared(p)))

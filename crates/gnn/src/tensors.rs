@@ -15,15 +15,15 @@ use ancstr_nn::SparseMatrix;
 /// neighbour connects through several nets.
 ///
 /// Operators are held behind `Arc` so every tape recorded over this
-/// graph shares the same [`SparseMatrix`] instances — and therefore the
-/// same lazily built CSR views, constructed once per graph instead of
-/// once per forward pass.
+/// graph shares the same [`SparseMatrix`] instances, built once per
+/// graph instead of once per forward pass.
 ///
 /// [`GraphTensors::from_circuit`] builds the operators straight from the
 /// circuit's pin stream; [`GraphTensors::from_multigraph`] converts a
 /// built [`HetMultigraph`] and is the reference the direct build is
-/// tested against. Equality compares the vertex count, the operators'
-/// triplets in order, the in-degrees and the neighbour lists.
+/// tested against. Equality compares the vertex count, the operators
+/// (both views, so the edge order), the in-degrees and the neighbour
+/// lists.
 #[derive(Debug, Clone)]
 pub struct GraphTensors {
     n: usize,
@@ -127,34 +127,28 @@ impl PartialEq for GraphTensors {
 impl GraphTensors {
     /// Algorithm 1 over every device of `flat`, straight into the
     /// operators: one clique walk over the circuit's [`PinStream`]
-    /// pushes each pair's two typed edges into the per-port triplet
-    /// lists, in the order [`HetMultigraph::from_circuit`] would store
-    /// them, and counts in-degrees; each operator's forward CSR view is
-    /// built here too. No multigraph exists at any point. The stream is
-    /// kept, so the neighbour lists are built by a second walk the first
-    /// time [`GraphTensors::in_neighbors`] is asked, which inference
-    /// never does. Equal to
+    /// pushes each pair's two typed edges into the per-port edge lists,
+    /// in the order [`HetMultigraph::from_circuit`] would store them, and
+    /// counts in-degrees; each list becomes its operator and is dropped.
+    /// No multigraph exists at any point. The stream is kept, so the
+    /// neighbour lists are built by a second walk the first time
+    /// [`GraphTensors::in_neighbors`] is asked, which inference never
+    /// does. Equal to
     /// `from_multigraph(&HetMultigraph::from_circuit(flat, options))`.
     pub fn from_circuit(flat: &FlatCircuit, options: &BuildOptions) -> GraphTensors {
         let stream = PinStream::from_device_range(flat, 0..flat.devices().len());
         let n = stream.vertex_count();
-        let mut triplets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); PortType::COUNT];
+        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); PortType::COUNT];
         let mut in_degree = vec![0; n];
         stream.for_each_clique_pair(options, |(u, tu), (v, tv)| {
-            // The edges (u, v, τ_v) and (v, u, τ_u), in that order.
-            triplets[tv.index()].push((v, u, 1.0));
-            triplets[tu.index()].push((u, v, 1.0));
+            // The edges (u, v, τ_v) and (v, u, τ_u), in that order, each
+            // stored as (dst, src).
+            edges[tv.index()].push((v as u32, u as u32));
+            edges[tu.index()].push((u as u32, v as u32));
             in_degree[v] += 1;
             in_degree[u] += 1;
         });
-        let adjacency = triplets
-            .into_iter()
-            .map(|t| {
-                let a = SparseMatrix::from_triplets(n, n, t);
-                a.prepare_row_view();
-                Arc::new(a)
-            })
-            .collect();
+        let adjacency = operators(n, edges);
         let in_neighbors = InNeighbors {
             source: Some((stream, options.clone())),
             lists: OnceLock::new(),
@@ -166,14 +160,11 @@ impl GraphTensors {
     /// reference [`GraphTensors::from_circuit`] is tested against.
     pub fn from_multigraph(g: &HetMultigraph) -> GraphTensors {
         let n = g.vertex_count();
-        let mut triplets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); PortType::COUNT];
+        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); PortType::COUNT];
         for e in g.edges() {
-            triplets[e.port.index()].push((e.dst.0, e.src.0, 1.0));
+            edges[e.port.index()].push((e.dst.0 as u32, e.src.0 as u32));
         }
-        let adjacency = triplets
-            .into_iter()
-            .map(|t| Arc::new(SparseMatrix::from_triplets(n, n, t)))
-            .collect();
+        let adjacency = operators(n, edges);
         let in_degree: Vec<usize> =
             (0..n).map(|v| g.in_degree(ancstr_graph::VertexId(v))).collect();
         let mut starts = Vec::with_capacity(n + 1);
@@ -206,8 +197,8 @@ impl GraphTensors {
 
     /// The adjacency operator as a shared handle — what
     /// [`Forward::operator`](ancstr_nn::Forward::operator) binds, so
-    /// repeated forward passes reuse one operator (and its cached CSR
-    /// views) instead of cloning the triplets per pass.
+    /// repeated forward passes reuse one operator instead of cloning it
+    /// per pass.
     pub fn adjacency_shared(&self, port: PortType) -> &Arc<SparseMatrix> {
         &self.adjacency[port.index()]
     }
@@ -238,47 +229,14 @@ impl GraphTensors {
     pub fn edge_count(&self) -> usize {
         self.adjacency.iter().map(|a| a.nnz()).sum()
     }
+}
 
-    /// A *sampled* view for one training pass: every vertex keeps at
-    /// most `max_in` incoming edges (uniformly chosen across all edge
-    /// types), GraphSAGE-style. The paper describes its aggregator as
-    /// "sample and aggregate the neighboring features"; full
-    /// aggregation is the `max_in = ∞` limit, and the trainer exposes
-    /// this knob for the sampling ablation.
-    ///
-    /// Neighbour lists and degrees (used by the loss) are kept from the
-    /// full graph so positive pairs are unaffected; only the message
-    /// operator is sparsified.
-    pub fn sampled(&self, max_in: usize, rng: &mut impl rand::Rng) -> GraphTensors {
-        use rand::seq::SliceRandom;
-        // Collect each vertex's incoming triplets across types.
-        let mut incoming: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); self.n];
-        for (t, adj) in self.adjacency.iter().enumerate() {
-            for &(dst, src, w) in adj.triplets() {
-                incoming[dst].push((t, src, w));
-            }
-        }
-        let mut triplets: Vec<Vec<(usize, usize, f64)>> =
-            vec![Vec::new(); self.adjacency.len()];
-        for (v, mut edges) in incoming.into_iter().enumerate() {
-            if edges.len() > max_in {
-                edges.shuffle(rng);
-                edges.truncate(max_in);
-            }
-            for (t, u, w) in edges {
-                triplets[t].push((v, u, w));
-            }
-        }
-        GraphTensors {
-            n: self.n,
-            adjacency: triplets
-                .into_iter()
-                .map(|t| Arc::new(SparseMatrix::from_triplets(self.n, self.n, t)))
-                .collect(),
-            in_degree: self.in_degree.clone(),
-            in_neighbors: Arc::clone(&self.in_neighbors),
-        }
-    }
+/// One `n × n` operator per port from its `(dst, src)` edge list,
+/// each list dropped once its operator is built. The lists hold vertex
+/// ids cast to `u32`, which is lossless only when `n` fits.
+fn operators(n: usize, edges: Vec<Vec<(u32, u32)>>) -> Vec<Arc<SparseMatrix>> {
+    u32::try_from(n).expect("vertex ids fit in u32");
+    edges.into_iter().map(|e| Arc::new(SparseMatrix::from_edges(n, n, &e))).collect()
 }
 
 #[cfg(test)]
@@ -305,33 +263,6 @@ mod tests {
         assert_eq!(gate[(0, 1)], 1.0);
         assert_eq!(t.adjacency(PortType::Source).nnz(), 0);
         assert_eq!(t.edge_count(), 4);
-    }
-
-    #[test]
-    fn sampling_caps_in_edges_but_keeps_loss_structure() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut g = HetMultigraph::with_vertices(0..5);
-        for u in 1..5 {
-            g.add_edge(VertexId(u), VertexId(0), PortType::Drain);
-            g.add_edge(VertexId(u), VertexId(0), PortType::Gate);
-        }
-        let t = GraphTensors::from_multigraph(&g);
-        assert_eq!(t.edge_count(), 8);
-        let mut rng = StdRng::seed_from_u64(4);
-        let s = t.sampled(3, &mut rng);
-        // Vertex 0 keeps at most 3 incoming messages.
-        let kept: usize = PortType::ALL
-            .iter()
-            .map(|&p| s.adjacency(p).triplets().iter().filter(|t| t.0 == 0).count())
-            .sum();
-        assert_eq!(kept, 3);
-        // Positive pairs / degrees come from the full graph.
-        assert_eq!(s.in_neighbors(0), t.in_neighbors(0));
-        assert_eq!(s.in_degree(0), t.in_degree(0));
-        // Sampling below the cap is the identity.
-        let id = t.sampled(100, &mut rng);
-        assert_eq!(id.edge_count(), t.edge_count());
     }
 
     #[test]
@@ -367,15 +298,9 @@ CL out vss 100f
         let reference =
             GraphTensors::from_multigraph(&HetMultigraph::from_circuit(&flat, &options));
         let direct = GraphTensors::from_circuit(&flat, &options);
-        // The operators, their forward views and the degrees exist; the
-        // lists do not.
+        // The operators and the degrees exist; the lists do not.
         assert_eq!(direct.adjacency, reference.adjacency);
         assert_eq!(direct.in_degree, reference.in_degree);
-        assert!(direct.in_neighbors.lists.get().is_none());
-        // A sampled view shares the unbuilt lists rather than building them.
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let sampled = direct.sampled(1, &mut rng);
-        assert!(Arc::ptr_eq(&sampled.in_neighbors, &direct.in_neighbors));
         assert!(direct.in_neighbors.lists.get().is_none());
         // The first call builds every list, exactly the reference's.
         let _ = direct.in_neighbors(0);

@@ -50,11 +50,6 @@ pub struct TrainConfig {
     /// Redraw negative samples every epoch (`true`, the stochastic
     /// regime) or fix them once (`false`, useful for convergence tests).
     pub resample_negatives: bool,
-    /// GraphSAGE-style neighbour sampling: cap each vertex's incoming
-    /// message edges at this many per pass, redrawn every epoch. `None`
-    /// aggregates every neighbour (the deterministic full-sum reading of
-    /// Eq. 1, and the default).
-    pub neighbor_samples: Option<usize>,
 }
 
 impl Default for TrainConfig {
@@ -65,7 +60,6 @@ impl Default for TrainConfig {
             loss: LossConfig::default(),
             seed: 0x5EED,
             resample_negatives: true,
-            neighbor_samples: None,
         }
     }
 }
@@ -309,17 +303,9 @@ fn epoch_pass(
         if batch.is_empty() {
             continue;
         }
-        let sampled;
-        let tensors = match config.neighbor_samples {
-            Some(k) => {
-                sampled = graph.tensors.sampled(k, rng);
-                &sampled
-            }
-            None => &graph.tensors,
-        };
         let tape = &mut step.tape;
         tape.clear();
-        let (z, leaves) = model.forward_on_tape(tape, tensors, &graph.features);
+        let (z, leaves) = model.forward_on_tape(tape, &graph.tensors, &graph.features);
         let loss = context_loss(tape, z, batch, &config.loss);
         let loss_value = tape.value(loss)[(0, 0)];
         let mut grads = tape.backward(loss);

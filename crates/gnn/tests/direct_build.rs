@@ -1,8 +1,8 @@
 //! `GraphTensors::from_circuit` builds Eq. 1's operators straight from
 //! the pin stream; `GraphTensors::from_multigraph` over
 //! `HetMultigraph::from_circuit` is its reference. The two must agree
-//! exactly: every operator's triplets in order, every in-degree, and
-//! every neighbour list, order included.
+//! exactly: every operator's edges in order, every in-degree, and every
+//! neighbour list, order included.
 
 use ancstr_circuits::stress::stress_system;
 use ancstr_circuits::{adc::adc_benchmarks, block_benchmark_names, block_benchmarks};
@@ -24,8 +24,8 @@ fn assert_direct_equals_reference(flat: &FlatCircuit, options: &BuildOptions, wh
     );
     for port in PortType::ALL {
         assert!(
-            direct.adjacency(port).triplets() == reference.adjacency(port).triplets(),
-            "{what}: {port:?} operator triplets differ"
+            direct.adjacency(port) == reference.adjacency(port),
+            "{what}: {port:?} operator row or column views differ"
         );
     }
     for v in 0..direct.vertex_count() {

@@ -9,9 +9,8 @@
 //! `ancstr-nn`; every kernel must keep reproducing it. A second
 //! constant pins the inference bits: the embedding that trained model
 //! produces for the same features. A third constant pins a run whose
-//! steps alternate between two graph sizes with per-step sampled
-//! operators, so buffers reused across steps must never leak into a
-//! value.
+//! steps alternate between two graph sizes, so buffers reused across
+//! steps must never leak into a value.
 
 use ancstr_gnn::{train, GnnConfig, GnnModel, GraphTensors, TrainConfig, TrainGraph};
 use ancstr_graph::{BuildOptions, HetMultigraph};
@@ -30,12 +29,12 @@ const GOLDEN_MODEL_HASH: u64 = 0x8e21_3034_322e_ff60;
 const GOLDEN_EMBED_HASH: u64 = 0xef90_94df_04b9_975e;
 
 /// FNV-1a over `GnnModel::to_text` after five epochs over COMP1 and
-/// OTA2 (47 and 20 vertices) with resampled negatives and three
-/// sampled in-edges per vertex. Computed at commit be2cde1, when every
-/// training step still recorded on a fresh tape, so reusing one tape's
-/// buffers across steps of different shapes is pinned to the
-/// historical bits.
-const GOLDEN_TWO_SHAPE_MODEL_HASH: u64 = 0x1336_b3ca_11c4_85ba;
+/// OTA2 (47 and 20 vertices) with resampled negatives and full
+/// aggregation. Computed at commit a12d3e0, when the adjacency
+/// operators still held `f64` weights and triplets (with its
+/// neighbour-sampling option off), so the edge-pattern operators are
+/// pinned to the weighted ones' bits.
+const GOLDEN_TWO_SHAPE_MODEL_HASH: u64 = 0x7b16_b07c_4397_1fde;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -84,7 +83,7 @@ fn five_epoch_comparator_embedding_reproduces_the_golden_bits() {
 }
 
 #[test]
-fn two_shape_sampled_epochs_reproduce_the_golden_model_bits() {
+fn two_shape_epochs_reproduce_the_golden_model_bits() {
     let dataset = [
         comparator_graph(),
         graph_of(&ancstr_circuits::ota::ota2(1)),
@@ -92,12 +91,7 @@ fn two_shape_sampled_epochs_reproduce_the_golden_model_bits() {
     let sizes = dataset.each_ref().map(|g| g.tensors.vertex_count());
     assert_eq!(sizes, [47, 20], "the two graphs must differ in size");
     let mut model = GnnModel::new(GnnConfig::default());
-    let cfg = TrainConfig {
-        epochs: 5,
-        resample_negatives: true,
-        neighbor_samples: Some(3),
-        ..TrainConfig::default()
-    };
+    let cfg = TrainConfig { epochs: 5, resample_negatives: true, ..TrainConfig::default() };
     train(&mut model, &dataset, &cfg);
     let hash = fnv1a(model.to_text().as_bytes());
     assert_eq!(hash, GOLDEN_TWO_SHAPE_MODEL_HASH, "trained model bits moved: {hash:#018x}");

@@ -226,18 +226,4 @@ proptest! {
         let truncated: String = sealed.chars().take(keep).collect();
         prop_assert!(open_sealed("model", &truncated).is_err());
     }
-
-    /// Neighbour sampling never *adds* edges and is the identity above
-    /// the max in-degree.
-    #[test]
-    fn sampling_is_contractive(t in arb_graph(), k in 1usize..6, seed in 0u64..50) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = t.sampled(k, &mut rng);
-        prop_assert!(s.edge_count() <= t.edge_count());
-        let mut rng2 = StdRng::seed_from_u64(seed);
-        let id = t.sampled(10_000, &mut rng2);
-        prop_assert_eq!(id.edge_count(), t.edge_count());
-    }
 }

@@ -89,11 +89,6 @@ impl HierNode {
         matches!(self.kind, HierNodeKind::Block { .. })
     }
 
-    /// Whether this node is a primitive device (leaf).
-    pub fn is_device(&self) -> bool {
-        matches!(self.kind, HierNodeKind::Device(_))
-    }
-
     /// The flat-device index, if this node is a device.
     pub fn device_index(&self) -> Option<usize> {
         match self.kind {

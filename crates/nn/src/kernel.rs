@@ -27,9 +27,9 @@
 //!   `[f64; 18]` that walks column `i` of A down the rows and is
 //!   stored once; other widths walk A's rows and add each `G[r]` row
 //!   into the output rows in place.
-//! * **CSR spmm** — each output row walks its `(src_row, value)`
-//!   entries in original triplet order and adds `value·dense[src_row]`
-//!   with no zero skip, exactly like a storage-order triplet walk. The
+//! * **CSR spmm** — each output row walks its source rows in original
+//!   edge order and adds each `dense[src_row]` in turn, exactly like a
+//!   storage-order edge walk. The
 //!   accumulating form (`acc + S·b`) sums the row from `+0.0` the same
 //!   way and only then adds it into `acc`, so a row with no entries
 //!   still adds `0.0` (turning a `−0.0` into `+0.0`, as `add` would).
@@ -174,14 +174,13 @@ fn narrow_transpose_rows<const N: usize>(a: &[f64], p: usize, g: &[f64], out: &m
     }
 }
 
-/// Output rows `rows` of a CSR product: row `r` sums
-/// `value · dense[src_row]` over `entries[starts[r]..starts[r + 1]]`
-/// in entry order. `out` must be zeroed and cover exactly `rows`. With
-/// `class`, entry `src` reads row `class[src]` of `dense`, a table of
-/// distinct rows.
+/// Output rows `rows` of a CSR product: row `r` sums `dense[src]`
+/// over `srcs[starts[r]..starts[r + 1]]` in entry order. `out` must be
+/// zeroed and cover exactly `rows`. With `class`, entry `src` reads row
+/// `class[src]` of `dense`, a table of distinct rows.
 pub(crate) fn csr_rows(
     starts: &[usize],
-    entries: &[(u32, f64)],
+    srcs: &[u32],
     rows: Range<usize>,
     dense: &[f64],
     class: Option<&[u32]>,
@@ -192,14 +191,14 @@ pub(crate) fn csr_rows(
         return;
     }
     match class {
-        None => csr_rows_via(starts, entries, rows, dense, |s| s as usize, cols, out),
-        Some(c) => csr_rows_via(starts, entries, rows, dense, |s| c[s as usize] as usize, cols, out),
+        None => csr_rows_via(starts, srcs, rows, dense, |s| s as usize, cols, out),
+        Some(c) => csr_rows_via(starts, srcs, rows, dense, |s| c[s as usize] as usize, cols, out),
     }
 }
 
 fn csr_rows_via(
     starts: &[usize],
-    entries: &[(u32, f64)],
+    srcs: &[u32],
     rows: Range<usize>,
     dense: &[f64],
     src_row: impl Fn(u32) -> usize,
@@ -207,24 +206,24 @@ fn csr_rows_via(
     out: &mut [f64],
 ) {
     for (r, dst) in rows.zip(out.chunks_exact_mut(cols)) {
-        for &(src, v) in &entries[starts[r]..starts[r + 1]] {
+        for &src in &srcs[starts[r]..starts[r + 1]] {
             let src = src_row(src) * cols;
             for (d, &x) in dst.iter_mut().zip(&dense[src..src + cols]) {
-                *d += v * x;
+                *d += x;
             }
         }
     }
 }
 
 /// Output rows `rows` of `acc + S·dense` over a CSR view, in place:
-/// row `r` sums `value · dense[src_row]` from `+0.0` in entry order,
+/// row `r` sums `dense[src]` from `+0.0` in entry order,
 /// exactly as [`csr_rows`] builds it, and only then adds the sum into
 /// `out`'s row — so a row with no entries still adds `0.0`, and every
 /// element is `acc + (S·dense)` as a separate spmm and add give it.
 /// `class` reads a table of distinct rows as in [`csr_rows`].
 pub(crate) fn csr_rows_add(
     starts: &[usize],
-    entries: &[(u32, f64)],
+    srcs: &[u32],
     rows: Range<usize>,
     dense: &[f64],
     class: Option<&[u32]>,
@@ -232,16 +231,16 @@ pub(crate) fn csr_rows_add(
     out: &mut [f64],
 ) {
     match class {
-        None => csr_rows_add_via(starts, entries, rows, dense, |s| s as usize, cols, out),
+        None => csr_rows_add_via(starts, srcs, rows, dense, |s| s as usize, cols, out),
         Some(c) => {
-            csr_rows_add_via(starts, entries, rows, dense, |s| c[s as usize] as usize, cols, out)
+            csr_rows_add_via(starts, srcs, rows, dense, |s| c[s as usize] as usize, cols, out)
         }
     }
 }
 
 fn csr_rows_add_via(
     starts: &[usize],
-    entries: &[(u32, f64)],
+    srcs: &[u32],
     rows: Range<usize>,
     dense: &[f64],
     src_row: impl Fn(u32) -> usize,
@@ -249,15 +248,15 @@ fn csr_rows_add_via(
     out: &mut [f64],
 ) {
     if cols == NARROW {
-        csr_add_rows::<[f64; NARROW]>(starts, entries, rows, dense, src_row, cols, out);
+        csr_add_rows::<[f64; NARROW]>(starts, srcs, rows, dense, src_row, cols, out);
     } else if cols > 0 {
-        csr_add_rows::<Vec<f64>>(starts, entries, rows, dense, src_row, cols, out);
+        csr_add_rows::<Vec<f64>>(starts, srcs, rows, dense, src_row, cols, out);
     }
 }
 
 fn csr_add_rows<R: Lanes>(
     starts: &[usize],
-    entries: &[(u32, f64)],
+    srcs: &[u32],
     rows: Range<usize>,
     dense: &[f64],
     src_row: impl Fn(u32) -> usize,
@@ -268,10 +267,10 @@ fn csr_add_rows<R: Lanes>(
     let mut sum = R::zeroed(cols);
     for (r, dst) in rows.zip(out.chunks_exact_mut(cols)) {
         sum.as_mut().fill(0.0);
-        for &(src, v) in &entries[starts[r]..starts[r + 1]] {
+        for &src in &srcs[starts[r]..starts[r + 1]] {
             let src = &dense[src_row(src) * cols..][..cols];
             for (s, &x) in sum.as_mut().iter_mut().zip(src) {
-                *s += v * x;
+                *s += x;
             }
         }
         for (d, &s) in dst.iter_mut().zip(sum.as_ref()) {

@@ -8,8 +8,9 @@
 //! in one pass):
 //!
 //! * [`Matrix`] — dense row-major `f64` linear algebra;
-//! * [`SparseMatrix`] — triplet sparse matrices for the per-edge-type
-//!   adjacency operators, multiplied through cached CSR views;
+//! * [`SparseMatrix`] — the per-edge-type adjacency operators, held as
+//!   their edge pattern in two CSR views (by row for the forward
+//!   product, by column for its transpose);
 //! * [`Tape`] — reverse-mode autograd over the op set the model needs
 //!   (verified against finite differences in the test suite), which
 //!   builds each recording in the buffers the previous one freed;

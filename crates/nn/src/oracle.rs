@@ -40,21 +40,22 @@ pub fn transpose_matmul(a: &[f64], rows: usize, p: usize, g: &[f64], q: usize) -
     matmul(&at, p, rows, g, q)
 }
 
-/// A sparse product by walking `(row, col, value)` triplets in storage
-/// order: `S · dense` (`out_rows = rows of S`), or `Sᵀ · dense` when
-/// `transpose` is set (`out_rows = cols of S`). No zero skip.
+/// A sparse product by walking `(row, col)` edges in storage order,
+/// each adding its source row: `S · dense` (`out_rows = rows of S`), or
+/// `Sᵀ · dense` when `transpose` is set (`out_rows = cols of S`).
 pub fn spmm(
-    triplets: &[(usize, usize, f64)],
+    edges: &[(u32, u32)],
     out_rows: usize,
     dense: &[f64],
     cols: usize,
     transpose: bool,
 ) -> Vec<f64> {
     let mut out = vec![0.0; out_rows * cols];
-    for &(r, c, v) in triplets {
+    for &(r, c) in edges {
         let (dst, src) = if transpose { (c, r) } else { (r, c) };
+        let (dst, src) = (dst as usize, src as usize);
         for j in 0..cols {
-            out[dst * cols + j] += v * dense[src * cols + j];
+            out[dst * cols + j] += dense[src * cols + j];
         }
     }
     out

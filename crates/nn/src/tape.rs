@@ -343,9 +343,8 @@ impl Tape {
     ///
     /// Accepts an owned [`SparseMatrix`] or an `Arc<SparseMatrix>`.
     /// Callers that record many tapes over the same operator (the
-    /// trainer re-records every epoch) should pass a shared `Arc` so
-    /// the operator's cached CSR views are built once per graph and
-    /// reused across every GRU step of every epoch.
+    /// trainer re-records every epoch) should pass a shared `Arc`, so
+    /// one operator serves every GRU step of every epoch uncopied.
     pub fn sparse(&mut self, s: impl Into<Arc<SparseMatrix>>) -> SparseId {
         self.sparses.push(s.into());
         SparseId(self.sparses.len() - 1)
@@ -843,7 +842,7 @@ mod tests {
 
     #[test]
     fn spmm_gradient_matches_dense() {
-        let s = SparseMatrix::from_triplets(2, 3, vec![(0, 1, 2.0), (1, 2, -1.0), (0, 0, 0.5)]);
+        let s = SparseMatrix::from_edges(2, 3, &[(0, 1), (1, 2), (0, 0), (0, 1)]);
         let xval = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
 
         let mut t = Tape::new();
@@ -890,8 +889,9 @@ mod tests {
     fn record_every_op(t: &mut Tape, n: usize, const_input: bool) -> (Vec<NodeId>, NodeId) {
         let x = Matrix::from_fn(n, 3, |r, c| ((r * 5 + c * 3) % 7) as f64 * 0.2 - 0.6);
         let p = Matrix::from_fn(3, 3, |r, c| ((r + 2 * c) % 5) as f64 * 0.3 - 0.5);
-        let edges = (0..2 * n).map(|k| (k % n, (k * 7 + 1) % n, 1.0 + (k % 3) as f64)).collect();
-        let sid = t.sparse(SparseMatrix::from_triplets(n, n, edges));
+        let edges: Vec<(u32, u32)> =
+            (0..2 * n).map(|k| ((k % n) as u32, ((k * 7 + 1) % n) as u32)).collect();
+        let sid = t.sparse(SparseMatrix::from_edges(n, n, &edges));
         let x = if const_input { t.const_copy(&x) } else { t.leaf_copy(&x) };
         let pn = t.leaf_copy(&p);
         let bn = t.leaf_copy(&Matrix::from_rows(&[&[0.05, -0.1, 0.2]]));
@@ -1031,11 +1031,7 @@ mod tests {
             &[0.5, 0.3, -0.2],
             &[-0.1, 0.8, 0.6],
         ]);
-        let s = SparseMatrix::from_triplets(
-            3,
-            3,
-            vec![(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 2, 0.5)],
-        );
+        let s = SparseMatrix::from_edges(3, 3, &[(0, 1), (1, 2), (2, 0), (0, 2), (0, 1)]);
 
         let f = |p: &Matrix, b: &Matrix| -> (f64, Matrix, Matrix) {
             let mut t = Tape::new();

@@ -72,10 +72,10 @@ proptest! {
     /// Sparse products agree with their dense materialization.
     #[test]
     fn sparse_matches_dense(
-        triplets in prop::collection::vec((0usize..4, 0usize..4, -2.0f64..2.0), 0..12),
+        edges in prop::collection::vec((0u32..4, 0u32..4), 0..12),
         x in arb_matrix(4, 3),
     ) {
-        let s = SparseMatrix::from_triplets(4, 4, triplets);
+        let s = SparseMatrix::from_edges(4, 4, &edges);
         let via_sparse = s.matmul_dense(&x);
         let via_dense = s.to_dense().matmul(&x);
         prop_assert!(via_sparse.sub(&via_dense).max_abs() < 1e-12);
@@ -188,35 +188,26 @@ proptest! {
     }
 
     /// Flat-CSR spmm in both orientations matches the storage-order
-    /// triplet walk bitwise, cold (building the cached view) and warm
-    /// (reusing it), with unsorted rows, duplicates and exact-zero
-    /// weights.
+    /// edge walk bitwise, with unsorted rows and columns and duplicates.
     #[test]
     fn csr_spmm_matches_triplet_reference_bitwise(
-        raw in prop::collection::vec((0usize..7, 0usize..5, -2.0f64..2.0, 0u8..4), 0..60),
+        edges in prop::collection::vec((0u32..7, 0u32..5), 0..60),
         width in 0usize..WIDTHS.len(),
         seed in any::<u64>(),
     ) {
         let cols = WIDTHS[width];
-        // A quarter of the weights are exact zeros: spmm never skips.
-        let triplets: Vec<(usize, usize, f64)> = raw
-            .into_iter()
-            .map(|(r, c, w, z)| (r, c, if z == 0 { 0.0 } else { w }))
-            .collect();
-        let s = SparseMatrix::from_triplets(7, 5, triplets.clone());
+        let s = SparseMatrix::from_edges(7, 5, &edges);
         let x = Matrix::from_vec(5, cols, lcg_fill(5 * cols, seed, 0));
         let y = Matrix::from_vec(7, cols, lcg_fill(7 * cols, seed ^ 0xC0DE, 0));
-        let want = oracle::spmm(&triplets, 7, x.as_slice(), cols, false);
-        let want_t = oracle::spmm(&triplets, 5, y.as_slice(), cols, true);
-        for _pass in 0..2 {
-            assert_bits(&s.matmul_dense(&x), &want, "spmm")?;
-            assert_bits(&s.transpose_matmul_dense(&y), &want_t, "spmm transpose")?;
-        }
+        let want = oracle::spmm(&edges, 7, x.as_slice(), cols, false);
+        let want_t = oracle::spmm(&edges, 5, y.as_slice(), cols, true);
+        assert_bits(&s.matmul_dense(&x), &want, "spmm")?;
+        assert_bits(&s.transpose_matmul_dense(&y), &want_t, "spmm transpose")?;
     }
 
     /// A zero LHS element next to an inf/NaN RHS row: the dense paths
-    /// skip it (the output stays finite), spmm multiplies through it
-    /// (the output is NaN) — and every path agrees with its oracle.
+    /// skip it (the output stays finite), spmm adds every source row it
+    /// names (the output is not) — and every path agrees with its oracle.
     #[test]
     fn zero_next_to_non_finite_row_agrees_with_oracle_in_every_path(
         inner in 2usize..12,
@@ -248,20 +239,18 @@ proptest! {
         assert_bits(&got_t, &want_t, "transpose_matmul")?;
         prop_assert!(got_t.row(0).iter().all(|v| v.is_finite()), "transpose_matmul row 0");
 
-        // spmm: a zero weight on the bad source row is multiplied, not
-        // skipped, in both orientations.
-        let triplets = vec![(0, k, 0.0), (0, (k + 1) % inner, 1.5), (1, k, 2.0)];
-        let s = SparseMatrix::from_triplets(2, inner, triplets.clone());
+        // spmm: an edge to the bad source row adds it, in both
+        // orientations.
+        let k = k as u32;
+        let edges = [(0, k), (0, (k + 1) % inner as u32), (1, k)];
+        let s = SparseMatrix::from_edges(2, inner, &edges);
         let got_s = s.matmul_dense(&bm);
-        assert_bits(&got_s, &oracle::spmm(&triplets, 2, &b, n, false), "spmm")?;
-        prop_assert!(got_s.row(0).iter().all(|v| v.is_nan()), "spmm row 0 must be NaN");
-        let st = SparseMatrix::from_triplets(
-            inner,
-            2,
-            triplets.iter().map(|&(r, c, v)| (c, r, v)).collect(),
-        );
+        assert_bits(&got_s, &oracle::spmm(&edges, 2, &b, n, false), "spmm")?;
+        prop_assert!(got_s.row(0).iter().all(|v| !v.is_finite()), "spmm row 0 must be non-finite");
+        let flipped = edges.map(|(r, c)| (c, r));
+        let st = SparseMatrix::from_edges(inner, 2, &flipped);
         let got_st = st.transpose_matmul_dense(&bm);
-        let want_st = oracle::spmm(st.triplets(), 2, &b, n, true);
+        let want_st = oracle::spmm(&flipped, 2, &b, n, true);
         assert_bits(&got_st, &want_st, "spmm transpose")?;
     }
 }
@@ -521,22 +510,20 @@ proptest! {
 
     /// `spmm_add` equals `spmm` then `add` bit for bit on both
     /// evaluators, value and gradients: random operators with duplicate
-    /// and zero-weight entries, or none at all, over accumulators that
+    /// edges, or none at all, over accumulators that
     /// hold −0.0 (so a row the operator leaves empty must still add
     /// `+0.0`), on both sides of the row-parallel split.
     #[test]
     fn spmm_add_matches_spmm_then_add_bitwise(
         width in 0usize..WIDTHS.len(),
         big in any::<bool>(),
-        raw in prop::collection::vec((any::<usize>(), any::<usize>(), -2.0f64..2.0, 0u8..4), 0..60),
+        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..60),
         seed in any::<u64>(),
     ) {
         let (cols, n) = (WIDTHS[width], if big { 2100 } else { 9 });
-        let triplets: Vec<(usize, usize, f64)> = raw
-            .into_iter()
-            .map(|(r, c, v, z)| (r % n, c % n, if z == 0 { 0.0 } else { v }))
-            .collect();
-        let s = Arc::new(SparseMatrix::from_triplets(n, n, triplets));
+        let edges: Vec<(u32, u32)> =
+            raw.into_iter().map(|(r, c)| (r % n as u32, c % n as u32)).collect();
+        let s = Arc::new(SparseMatrix::from_edges(n, n, &edges));
         let b = Matrix::from_vec(n, cols, lcg_fill(n * cols, seed, 0));
         let acc = Matrix::from_fn(n, cols, |r, c| if (r + c) % 3 == 0 { -0.0 } else { (r * cols + c) as f64 * 0.01 });
         let want = acc.add(&s.matmul_dense(&b));
@@ -578,7 +565,7 @@ proptest! {
 /// separate spmm and add give it.
 #[test]
 fn empty_operator_adds_positive_zero() {
-    let s = Arc::new(SparseMatrix::zeros(2, 2));
+    let s = Arc::new(SparseMatrix::from_edges(2, 2, &[]));
     let acc = Matrix::filled(2, 18, -0.0);
     let b = Matrix::filled(2, 18, 1.0);
     let want = acc.add(&s.matmul_dense(&b));
@@ -660,11 +647,12 @@ proptest! {
         let (n, d) = (SHARED_ROWS[rows], if wide { 18 } else { 5 });
         let x = patterned_rows(n, d, pattern, seed);
         let op = |salt: u64| {
-            let raw = lcg_fill(9 * n, seed ^ salt, 4);
-            let triplets = (0..3 * n)
-                .map(|k| ((k * 5 + 1) % n, (k * 11 + (raw[3 * k].to_bits() as usize)) % n, raw[3 * k + 2]))
+            let raw = lcg_fill(3 * n, seed ^ salt, 4);
+            let edges: Vec<(u32, u32)> = (0..3 * n)
+                .map(|k| ((k * 5 + 1) % n, (k * 11 + (raw[k].to_bits() as usize)) % n))
+                .map(|(r, c)| (r as u32, c as u32))
                 .collect();
-            Arc::new(SparseMatrix::from_triplets(n, n, triplets))
+            Arc::new(SparseMatrix::from_edges(n, n, &edges))
         };
         let ops = [op(0xA1), op(0xB2)];
         let weights: [Matrix; 4] = std::array::from_fn(|k| {

@@ -1,13 +1,11 @@
 //! Downstream hand-off: extract constraints, merge them into symmetry
-//! groups, detect self-symmetric (axis) devices, and round-trip the
-//! result through the MAGICAL-style constraint file format a placer
-//! would consume.
+//! groups, and round-trip the result through the MAGICAL-style
+//! constraint file format a placer would consume.
 //!
 //! ```text
 //! cargo run -p ancstr-bench --example export_constraints
 //! ```
 
-use ancstr_core::detect::detect_self_symmetric;
 use ancstr_core::groups::merged_groups_sorted;
 use ancstr_core::{read_constraints, write_constraints, ExtractorConfig, SymmetryExtractor};
 use ancstr_netlist::flat::FlatCircuit;
@@ -31,8 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nl = parse_spice(NETLIST)?;
     let flat = FlatCircuit::elaborate(&nl)?;
 
-    let config = ExtractorConfig::default();
-    let mut extractor = SymmetryExtractor::new(config.clone());
+    let mut extractor = SymmetryExtractor::new(ExtractorConfig::default());
     extractor.fit(&[&flat]);
     let result = extractor.extract(&flat);
 
@@ -47,14 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cap_group = groups.iter().find(|g| g.len() == 4);
     assert!(cap_group.is_some(), "the 4 matched caps merge into one group");
 
-    // 2. The tail device M5 bridges the matched halves: self-symmetric.
-    let z = extractor.vertex_embeddings(&flat);
-    let axis = detect_self_symmetric(&flat, &z, &result.detection, 0.99, &config.build);
-    let axis_names: Vec<&str> = axis.iter().map(|&m| flat.node(m).name.as_str()).collect();
-    println!("\nself-symmetric (axis) devices: {axis_names:?}");
-    assert!(axis_names.contains(&"M5"), "tail flagged on the axis");
-
-    // 3. File round trip.
+    // 2. File round trip.
     let text = write_constraints(&flat, &result.detection.constraints);
     println!("\nconstraint file:\n{text}");
     let back = read_constraints(&flat, &text)?;
