@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Reimplementations of the prior symmetry-constraint detectors the
 //! paper compares against:

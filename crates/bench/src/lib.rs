@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Experiment harness: shared plumbing for the binaries that regenerate
 //! the paper's Tables III–VI and Figs. 6–7 (and the extension

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Synthetic AMS benchmark circuits with designer ground-truth symmetry
 //! constraints.

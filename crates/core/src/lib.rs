@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! AncstrGNN: universal symmetry-constraint extraction for AMS circuits
 //! with graph neural networks — the paper's primary contribution.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! The AncstrGNN graph neural network (paper Section IV-C).
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Heterogeneous multigraph circuit representation (paper Section IV-A)
 //! and the graph algorithms the AncstrGNN pipeline relies on.

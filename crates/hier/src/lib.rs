@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Hierarchical symmetry constraints, layered on the pairwise detector.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Circuit netlist data model for the AncstrGNN symmetry-extraction
 //! framework.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Minimal neural-network substrate for the AncstrGNN reproduction.
 //!
@@ -31,17 +32,25 @@
 //! # One kernel module
 //!
 //! Every dense and sparse product runs on a single set of kernels
-//! (the private `kernel` module) with no runtime dispatch: a
-//! register-resident row path at the model's width `D = 18`, a plain
-//! row-by-row loop for other widths, a transpose-free `Aᵀ·G` for weight
-//! gradients, a flat CSR walk for spmm (also summing straight into an
-//! accumulator), and the fused GRU gate kernel, forward and backward.
-//! Each produces every output element by the same sequence of IEEE-754
-//! operations as the plain scalar loop or op-by-op composition, in the
-//! same order, so outputs are byte-identical to it and — because work
-//! splits only across output rows — at every thread count. The scalar
-//! loops and the GRU's op-by-op composition survive as test-only
-//! oracles.
+//! (the private `kernel` module): a register-resident row path at the
+//! model's width `D = 18`, a plain row-by-row loop for other widths, a
+//! transpose-free `Aᵀ·G` for weight gradients, a CSR walk for spmm
+//! (also summing straight into an accumulator), and the fused GRU gate
+//! kernel, forward and backward. Each produces every output element by
+//! the same sequence of IEEE-754 operations as the plain scalar loop or
+//! op-by-op composition, in the same order, so outputs are
+//! byte-identical to it and — because work splits only across output
+//! rows — at every thread count. The scalar loops and the GRU's
+//! op-by-op composition survive as test-only oracles.
+//!
+//! The module's one source is compiled twice: for the baseline target,
+//! and on x86-64 a second time with AVX2 and FMA enabled. Each kernel
+//! call picks the AVX2 build when the host has both features (one
+//! cached load). The two builds give the same bits: vector lanes hold
+//! independent output columns, so every element keeps its add sequence
+//! and zero skips, and rustc never contracts a multiply and an add into
+//! an FMA. Only the sign and payload of a NaN computed from NaN
+//! operands may differ, as they may between any two compilations.
 //!
 //! # Example: one gradient step
 //!

@@ -358,8 +358,8 @@ impl Matrix {
         let mut out = Matrix::zeros_in(self.rows, self.cols, buf);
         let base = ancstr_par::SendPtr::new(out.data.as_mut_ptr());
         ancstr_par::for_each_chunk(self.data.len(), MAP_PAR_MIN_CHUNK, |range| {
-            // Sound: chunk ranges are disjoint, so each element is
-            // written by exactly one thread.
+            // SAFETY: chunk ranges are disjoint and lie inside `out`'s
+            // buffer, so each element is written by exactly one thread.
             let dst = unsafe {
                 std::slice::from_raw_parts_mut(base.get().add(range.start), range.len())
             };
@@ -606,8 +606,8 @@ pub(crate) fn par_row_chunks_of<const K: usize>(
         if range.is_empty() {
             return;
         }
-        // Sound: row ranges are disjoint and each slice covers only
-        // this chunk's rows of its buffer.
+        // SAFETY: row ranges are disjoint and each slice covers only
+        // this chunk's rows of its buffer, whose length is asserted above.
         let chunks = std::array::from_fn(|k| unsafe {
             let w = widths[k];
             std::slice::from_raw_parts_mut(bases[k].get().add(range.start * w), range.len() * w)

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Zero-dependency observability for the AncstrGNN pipeline.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Deterministic data-parallel compute layer.
 //!
@@ -225,7 +226,10 @@ pub fn map_items<T: Sync, R: Send>(
 /// caller's to uphold.
 pub struct SendPtr<T>(*mut T);
 
+// SAFETY: the one field is a pointer that this type never dereferences;
+// the caller upholds the contract above for every write through it.
 unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: sharing the pointer is sharing its address.
 unsafe impl<T> Sync for SendPtr<T> {}
 
 // A pointer copies whatever it points to (`derive` would ask `T: Copy`).
@@ -408,9 +412,9 @@ mod pool {
             .saturating_sub(1);
         ensure_workers(p, helpers);
 
-        // Lifetime erasure: sound because we block below until
-        // `done == chunks`, so no worker can touch `runner` after we
-        // return.
+        // SAFETY: erasing `runner`'s lifetime is sound because we block
+        // below until `done == chunks`, so no worker can touch `runner`
+        // after we return.
         let func = JobFn(unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(runner)
         });

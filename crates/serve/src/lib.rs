@@ -28,6 +28,7 @@
 //! not exist.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod cache;
 pub mod client;
