@@ -19,7 +19,7 @@
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use ancstr_baselines::sfa::{sfa_extract, SfaConfig};
+//! use ancstr_baselines::sfa::sfa_extract;
 //! use ancstr_netlist::{parse::parse_spice, flat::FlatCircuit};
 //!
 //! let nl = parse_spice("\
@@ -29,7 +29,7 @@
 //! .ends
 //! ")?;
 //! let flat = FlatCircuit::elaborate(&nl)?;
-//! let result = sfa_extract(&flat, &SfaConfig::default());
+//! let result = sfa_extract(&flat);
 //! assert_eq!(result.detection.constraints.len(), 1); // the diff pair
 //! # Ok(())
 //! # }
@@ -40,5 +40,5 @@ pub mod sfa;
 pub mod stats;
 
 pub use s3det::{s3det_extract, S3detConfig};
-pub use sfa::{sfa_extract, SfaConfig};
+pub use sfa::sfa_extract;
 pub use stats::ks_statistic;

@@ -20,7 +20,7 @@ use std::time::Instant;
 use ancstr_core::detect::{DetectionResult, ScoredPair};
 use ancstr_core::pairs::valid_pairs_of_kind;
 use ancstr_core::pipeline::Extraction;
-use ancstr_graph::{BuildOptions, HetMultigraph};
+use ancstr_graph::{BuildOptions, PinStream};
 use ancstr_netlist::flat::{FlatCircuit, HierNodeId, HierNodeKind};
 use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
 use ancstr_nn::linalg::{normalized_laplacian, symmetric_eigenvalues};
@@ -65,12 +65,15 @@ fn module_spectrum(
     let node = flat.node(id);
     match node.kind {
         HierNodeKind::Block { .. } => {
-            let g = HetMultigraph::from_subtree(flat, id, build);
-            let n = g.vertex_count();
+            // Algorithm 1's edge counts: each clique pair is one edge
+            // each way.
+            let stream = PinStream::from_device_range(flat, flat.subtree_device_indices(id));
+            let n = stream.vertex_count();
             let mut adj = Matrix::zeros(n, n);
-            for e in g.edges() {
-                adj[(e.src.0, e.dst.0)] += 1.0;
-            }
+            stream.for_each_clique_pair(build, |(u, _), (v, _)| {
+                adj[(u, v)] += 1.0;
+                adj[(v, u)] += 1.0;
+            });
             symmetric_eigenvalues(&normalized_laplacian(&adj))
         }
         HierNodeKind::Device(i) => {

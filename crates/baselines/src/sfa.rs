@@ -18,21 +18,6 @@ use ancstr_core::pipeline::Extraction;
 use ancstr_netlist::flat::{FlatCircuit, FlatDevice, HierNodeKind, NetId};
 use ancstr_netlist::{ConstraintSet, SymmetryConstraint, SymmetryKind};
 
-/// SFA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SfaConfig {
-    /// Also mark same-type passive pairs that share a net even when
-    /// their values differ (the aggressive published behaviour). Turning
-    /// this off is the "conservative SFA" ablation.
-    pub aggressive_passives: bool,
-}
-
-impl Default for SfaConfig {
-    fn default() -> SfaConfig {
-        SfaConfig { aggressive_passives: true }
-    }
-}
-
 /// MOS pin view used by the patterns.
 struct MosPins {
     d: NetId,
@@ -49,7 +34,7 @@ fn mos_pins(dev: &FlatDevice) -> Option<MosPins> {
 }
 
 /// Decide whether SFA's patterns match a device pair.
-fn matches_pattern(a: &FlatDevice, b: &FlatDevice, config: &SfaConfig) -> bool {
+fn matches_pattern(a: &FlatDevice, b: &FlatDevice) -> bool {
     if a.dtype != b.dtype {
         return false;
     }
@@ -64,28 +49,14 @@ fn matches_pattern(a: &FlatDevice, b: &FlatDevice, config: &SfaConfig) -> bool {
         let pass_pair = pa.g == pb.g && (pa.d == pb.d || pa.s == pb.s);
         return diff_pair || mirror || cross || pass_pair;
     }
-    if a.dtype.is_passive() {
-        if !config.aggressive_passives {
-            // Conservative: require matching values too.
-            let values_match = match (a.value, b.value) {
-                (Some(x), Some(y)) => (x - y).abs() <= 1e-12 * x.abs().max(y.abs()),
-                (None, None) => true,
-                _ => false,
-            };
-            if !values_match {
-                return false;
-            }
-        }
-        // Same-type passives sharing a net are marked.
-        return a.pins.iter().any(|n| b.pins.contains(n));
-    }
-    // Diodes: shared net on either terminal.
+    // Passives (whatever their values, the published aggressive
+    // behaviour) and diodes: marked when they share a net.
     a.pins.iter().any(|n| b.pins.contains(n))
 }
 
 /// Run SFA on one circuit: binary decisions over the *device-level*
 /// valid pairs (SFA does not produce system-level constraints).
-pub fn sfa_extract(flat: &FlatCircuit, config: &SfaConfig) -> Extraction {
+pub fn sfa_extract(flat: &FlatCircuit) -> Extraction {
     let start = Instant::now();
     let candidates = valid_pairs_of_kind(flat, SymmetryKind::Device);
     let mut scored = Vec::with_capacity(candidates.len());
@@ -97,7 +68,7 @@ pub fn sfa_extract(flat: &FlatCircuit, config: &SfaConfig) -> Extraction {
         else {
             continue; // device-level pairs are always leaves
         };
-        let accepted = matches_pattern(&flat.devices()[*ia], &flat.devices()[*ib], config);
+        let accepted = matches_pattern(&flat.devices()[*ia], &flat.devices()[*ib]);
         if accepted {
             constraints.insert(SymmetryConstraint {
                 hierarchy: candidate.hierarchy,
@@ -136,7 +107,7 @@ mod tests {
     #[test]
     fn finds_classic_patterns() {
         let flat = FlatCircuit::elaborate(&comp2(1)).unwrap();
-        let ex = sfa_extract(&flat, &SfaConfig::default());
+        let ex = sfa_extract(&flat);
         let eval = evaluate_detection(&flat, ex);
         // comp2 is all classic motifs: diff pair, cross-coupled ×2.
         assert_eq!(eval.device.fn_, 0, "{:?}", eval.device);
@@ -149,13 +120,13 @@ mod tests {
         // source (vss) → the mirror pattern fires although their sizes
         // differ (ground-truth negatives).
         let flat = FlatCircuit::elaborate(&ota1(3)).unwrap();
-        let ex = sfa_extract(&flat, &SfaConfig::default());
+        let ex = sfa_extract(&flat);
         let eval = evaluate_detection(&flat, ex);
         assert!(eval.device.fp > 0, "expected false alarms: {:?}", eval.device);
     }
 
     #[test]
-    fn conservative_passives_reduce_false_alarms() {
+    fn passives_sharing_a_net_match_whatever_their_values() {
         let nl = parse_spice(
             "\
 .subckt c a b vss
@@ -167,20 +138,17 @@ C3 a vss 99f
         )
         .unwrap();
         let flat = FlatCircuit::elaborate(&nl).unwrap();
-        let aggressive = sfa_extract(&flat, &SfaConfig { aggressive_passives: true });
-        let conservative = sfa_extract(&flat, &SfaConfig { aggressive_passives: false });
-        // Aggressive marks C1-C3 (share net a... they share vss too);
-        // conservative rejects the value mismatch.
-        let accepted = |e: &Extraction| {
-            e.detection.scored.iter().filter(|s| s.accepted).count()
-        };
-        assert!(accepted(&aggressive) > accepted(&conservative));
+        // Every pair shares vss, so every pair is marked, C3's 99f
+        // against the others' 10f included.
+        let ex = sfa_extract(&flat);
+        assert_eq!(ex.detection.scored.len(), 3);
+        assert!(ex.detection.scored.iter().all(|s| s.accepted));
     }
 
     #[test]
     fn produces_binary_scores_only() {
         let flat = FlatCircuit::elaborate(&ota1(1)).unwrap();
-        let ex = sfa_extract(&flat, &SfaConfig::default());
+        let ex = sfa_extract(&flat);
         assert!(!ex.detection.scored.is_empty());
         for s in &ex.detection.scored {
             assert!(s.score == 0.0 || s.score == 1.0);
@@ -200,7 +168,7 @@ M2 qb q vss vss nch w=1u l=0.1u
         )
         .unwrap();
         let flat = FlatCircuit::elaborate(&nl).unwrap();
-        let ex = sfa_extract(&flat, &SfaConfig::default());
+        let ex = sfa_extract(&flat);
         assert_eq!(ex.detection.constraints.len(), 1);
     }
 }

@@ -115,31 +115,12 @@ fn bench_s3det_caching(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_combiner(c: &mut Criterion) {
-    use ancstr_gnn::model::Combiner;
-    let mut group = c.benchmark_group("ablation_combiner");
-    group.sample_size(10);
-    for (name, combiner) in [("gru", Combiner::Gru), ("mean_linear", Combiner::MeanLinear)] {
-        let mut cfg = quick_config();
-        cfg.gnn.combiner = combiner;
-        let f1 = device_f1(cfg.clone());
-        println!("[ablation] combiner {name}: device-level mean F1 = {f1:.3}");
-        let dataset = block_dataset();
-        let ex = train_extractor(&dataset, cfg);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &dataset[6], |b, bench| {
-            b.iter(|| ex.extract(&bench.flat))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_layers_k,
     bench_sizing_features,
     bench_top_m,
     bench_net_pruning,
-    bench_s3det_caching,
-    bench_combiner
+    bench_s3det_caching
 );
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use ancstr_baselines::{s3det_extract, sfa_extract, S3detConfig, SfaConfig};
+use ancstr_baselines::{s3det_extract, sfa_extract, S3detConfig};
 use ancstr_bench::{block_dataset, quick_config, train_extractor, Benchmark};
 use ancstr_circuits::adc::{adc1, adc4};
 use ancstr_netlist::flat::FlatCircuit;
@@ -47,7 +47,7 @@ fn bench_table6_designs(c: &mut Criterion) {
             bn.iter(|| extractor.extract(flat))
         });
         group.bench_with_input(BenchmarkId::new("sfa", b.name), &b.flat, |bn, flat| {
-            bn.iter(|| sfa_extract(flat, &SfaConfig::default()))
+            bn.iter(|| sfa_extract(flat))
         });
     }
     group.finish();

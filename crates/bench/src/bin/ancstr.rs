@@ -589,18 +589,16 @@ fn emit_outputs(
     // CLI spans, not pipeline stages: the daemon has no output tail.
     let export = ctx.run.obs.stage("export");
     if let Some(dot_path) = &args.dot {
-        use ancstr_graph::dot::{to_dot, DotOptions};
-        use ancstr_graph::HetMultigraph;
-        let g = HetMultigraph::from_circuit(flat, build);
+        let stream = ancstr_graph::PinStream::from_device_range(flat, 0..flat.devices().len());
         let constrained: std::collections::HashSet<_> = constraints
             .iter()
             .flat_map(|c| [c.pair.lo(), c.pair.hi()])
             .collect();
-        let dot = to_dot(
-            &g,
-            &DotOptions::default(),
-            |v| flat.node(flat.devices()[g.device_index(v)].node).path.clone(),
-            |v| constrained.contains(&flat.devices()[g.device_index(v)].node),
+        let dot = ancstr_graph::dot::to_dot(
+            &stream,
+            build,
+            |v| flat.node(flat.devices()[v].node).path.clone(),
+            |v| constrained.contains(&flat.devices()[v].node),
         );
         fs::write(dot_path, dot)
             .map_err(|e| CliError::Io { path: dot_path.clone(), detail: e.to_string() })?;

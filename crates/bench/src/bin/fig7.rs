@@ -11,7 +11,7 @@
 
 use std::fs;
 
-use ancstr_baselines::{sfa_extract, SfaConfig};
+use ancstr_baselines::sfa_extract;
 use ancstr_bench::{block_dataset, experiment_config, train_extractor};
 use ancstr_core::pipeline::evaluate_detection;
 use ancstr_core::{roc_curve, Confusion};
@@ -24,7 +24,7 @@ fn main() {
     println!("[1/2] SFA operating point ...");
     let mut sfa_confusion = Confusion::default();
     for b in &dataset {
-        let ex = sfa_extract(&b.flat, &SfaConfig::default());
+        let ex = sfa_extract(&b.flat);
         let eval = evaluate_detection(&b.flat, ex);
         sfa_confusion.merge(&eval.device);
     }

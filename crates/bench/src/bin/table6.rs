@@ -5,7 +5,7 @@
 //! cargo run -p ancstr-bench --bin table6 --release
 //! ```
 
-use ancstr_baselines::{sfa_extract, SfaConfig};
+use ancstr_baselines::sfa_extract;
 use ancstr_bench::{
     block_dataset, experiment_config, metric_header, render_average, train_extractor, MetricRow,
 };
@@ -70,7 +70,7 @@ fn main() {
     println!("[1/2] running SFA (signal-flow patterns) ...");
     let mut sfa_rows = Vec::new();
     for b in &dataset {
-        let extraction = sfa_extract(&b.flat, &SfaConfig::default());
+        let extraction = sfa_extract(&b.flat);
         let eval = evaluate_detection(&b.flat, extraction);
         sfa_rows.push(MetricRow::from_evaluation(b.name, &eval, |e| e.device));
     }

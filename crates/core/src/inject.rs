@@ -621,8 +621,7 @@ X1 a b o1 o2 ibb vdd vss dp
 
     #[test]
     fn model_faults_mutate_the_text() {
-        let model =
-            GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 9, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 9 });
         let text = model.to_text();
         for fault in ALL_MODEL_FAULTS {
             let mutated = inject_model(&text, fault, 5);
@@ -719,8 +718,7 @@ X1 a b o1 o2 ibb vdd vss dp
 
     #[test]
     fn corrupt_model_upload_flips_exactly_one_bit() {
-        let model =
-            GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 9, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 9 });
         let sealed = model.to_text_checksummed();
         let plan = plan_serve_fault(
             ServeFault::CorruptModelUpload,

@@ -63,7 +63,7 @@ pub struct ExtractorConfig {
 impl Default for ExtractorConfig {
     fn default() -> ExtractorConfig {
         ExtractorConfig {
-            gnn: GnnConfig { dim: FEATURE_DIM, layers: 2, seed: 0xA5C7, ..GnnConfig::default() },
+            gnn: GnnConfig { dim: FEATURE_DIM, layers: 2, seed: 0xA5C7 },
             train: TrainConfig::default(),
             features: FeatureConfig::default(),
             thresholds: ThresholdConfig::default(),
@@ -642,7 +642,6 @@ mod tests {
                 learning_rate: 0.02,
                 loss: LossConfig::default(),
                 seed: 7,
-                ..TrainConfig::default()
             },
             ..ExtractorConfig::default()
         }
@@ -691,7 +690,7 @@ mod tests {
     #[should_panic(expected = "feature width")]
     fn wrong_dim_is_rejected() {
         let cfg = ExtractorConfig {
-            gnn: GnnConfig { dim: 4, layers: 2, seed: 1, ..GnnConfig::default() },
+            gnn: GnnConfig { dim: 4, layers: 2, seed: 1 },
             ..ExtractorConfig::default()
         };
         let _ = SymmetryExtractor::new(cfg);

@@ -234,7 +234,7 @@ M5 tail en vss vss nch w=2u l=0.5u
     #[test]
     fn try_new_rejects_bad_dim_with_typed_error() {
         let cfg = ExtractorConfig {
-            gnn: GnnConfig { dim: 4, layers: 2, seed: 1, ..GnnConfig::default() },
+            gnn: GnnConfig { dim: 4, layers: 2, seed: 1 },
             ..ExtractorConfig::default()
         };
         let err = SymmetryExtractor::try_new(cfg).unwrap_err();
@@ -305,7 +305,7 @@ M5 tail en vss vss nch w=2u l=0.5u
         assert_eq!(err.exit_code(), 6);
 
         // A valid model of the wrong dimension maps to ModelDim.
-        let small = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 1, ..GnnConfig::default() });
+        let small = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 1 });
         let err = SymmetryExtractor::try_new(quick_config())
             .unwrap()
             .with_model_text(&small.to_text())

@@ -56,7 +56,7 @@
 //! let g = HetMultigraph::from_circuit(&flat, &options);
 //! assert_eq!(tensors, GraphTensors::from_multigraph(&g));
 //!
-//! let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed: 7, ..GnnConfig::default() });
+//! let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed: 7 });
 //! let features = Matrix::filled(2, 4, 0.1);
 //! let z = model.embed(&tensors, &features);
 //! assert_eq!(z.shape(), (2, 4));

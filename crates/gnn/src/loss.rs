@@ -21,15 +21,11 @@ use crate::tensors::GraphTensors;
 pub struct LossConfig {
     /// Negative samples per vertex (`B`; paper: 5).
     pub negative_samples: usize,
-    /// Divide the summed loss by the number of terms so the gradient
-    /// scale is independent of graph size. The paper optimizes the plain
-    /// sum `L_tot`; normalization only rescales the learning rate.
-    pub normalize: bool,
 }
 
 impl Default for LossConfig {
     fn default() -> LossConfig {
-        LossConfig { negative_samples: 5, normalize: true }
+        LossConfig { negative_samples: 5 }
     }
 }
 
@@ -137,17 +133,15 @@ impl ContextBatch {
 }
 
 /// Record the Eq. 2 loss on `tape` given the final embeddings node `z`
-/// (shape `n × D`). Returns a `1 × 1` loss node.
+/// (shape `n × D`). Returns a `1 × 1` loss node: the summed terms
+/// divided by their count, so the gradient scale does not grow with
+/// the graph (the paper optimizes the plain sum `L_tot`; the division
+/// only rescales the learning rate).
 ///
 /// # Panics
 ///
 /// Panics if the batch is empty (there is nothing to optimize).
-pub fn context_loss(
-    tape: &mut Tape,
-    z: NodeId,
-    batch: &ContextBatch,
-    config: &LossConfig,
-) -> NodeId {
+pub fn context_loss(tape: &mut Tape, z: NodeId, batch: &ContextBatch) -> NodeId {
     assert!(!batch.is_empty(), "cannot build a loss from an empty batch");
     let mut terms: Vec<NodeId> = Vec::new();
 
@@ -170,10 +164,7 @@ pub fn context_loss(
     for &t in &terms[1..] {
         loss = tape.add(loss, t);
     }
-    if config.normalize {
-        loss = tape.scale(loss, 1.0 / batch.len() as f64);
-    }
-    loss
+    tape.scale(loss, 1.0 / batch.len() as f64)
 }
 
 #[cfg(test)]
@@ -235,7 +226,7 @@ mod tests {
     #[test]
     fn negatives_mostly_avoid_self_and_neighbors() {
         let t = tensors();
-        let cfg = LossConfig { negative_samples: 20, normalize: true };
+        let cfg = LossConfig { negative_samples: 20 };
         let batch = ContextBatch::sample(&t, &cfg, &mut StdRng::seed_from_u64(3));
         let bad = batch
             .negatives
@@ -256,7 +247,7 @@ mod tests {
         let eval = |z: Matrix| -> f64 {
             let mut tape = Tape::new();
             let zn = tape.leaf(z);
-            let loss = context_loss(&mut tape, zn, &batch, &cfg);
+            let loss = context_loss(&mut tape, zn, &batch);
             tape.value(loss)[(0, 0)]
         };
         let random = eval(Matrix::from_fn(6, 4, |r, c| ((r * 7 + c * 3) % 5) as f64 * 0.1 - 0.2));
@@ -277,7 +268,7 @@ mod tests {
         let batch = ContextBatch::sample(&t, &cfg, &mut StdRng::seed_from_u64(4));
         let mut tape = Tape::new();
         let z = tape.leaf(Matrix::filled(6, 4, 0.1));
-        let loss = context_loss(&mut tape, z, &batch, &cfg);
+        let loss = context_loss(&mut tape, z, &batch);
         let grads = tape.backward(loss);
         let g = grads.grad(z).expect("embeddings influence the loss");
         assert!(g.is_finite());
@@ -290,7 +281,7 @@ mod tests {
         let mut tape = Tape::new();
         let z = tape.leaf(Matrix::zeros(2, 2));
         let batch = ContextBatch { positives: vec![], negatives: vec![] };
-        let _ = context_loss(&mut tape, z, &batch, &LossConfig::default());
+        let _ = context_loss(&mut tape, z, &batch);
     }
 
     #[test]

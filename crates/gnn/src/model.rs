@@ -16,17 +16,6 @@ use ancstr_nn::{ClassedRows, Eager, Forward, GruCell, Matrix, NodeId, Tape};
 
 use crate::tensors::GraphTensors;
 
-/// How a layer combines the aggregated message with the previous state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Combiner {
-    /// The paper's choice (Eq. 1, following GGNN \[22\]): a gated
-    /// recurrent unit.
-    Gru,
-    /// GraphSAGE-style \[12\] ablation: `h' = tanh((h + m)/2 · W + b)` —
-    /// an ungated mean of state and message through one linear layer.
-    MeanLinear,
-}
-
 /// Hyper-parameters of the GNN.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GnnConfig {
@@ -38,13 +27,11 @@ pub struct GnnConfig {
     pub layers: usize,
     /// RNG seed for weight initialization.
     pub seed: u64,
-    /// State/message combiner (the paper's GRU by default).
-    pub combiner: Combiner,
 }
 
 impl Default for GnnConfig {
     fn default() -> GnnConfig {
-        GnnConfig { dim: 18, layers: 2, seed: 0xA5C7, combiner: Combiner::Gru }
+        GnnConfig { dim: 18, layers: 2, seed: 0xA5C7 }
     }
 }
 
@@ -242,23 +229,7 @@ impl GnnModel {
                 });
             }
             let message = message.expect("PortType::COUNT > 0");
-            h = match self.config.combiner {
-                Combiner::Gru => GruCell::forward(f, &gru, message, h),
-                Combiner::MeanLinear => {
-                    // h' = tanh(((h + m)/2) · W + b), reusing the GRU's
-                    // candidate weights (unused parameters simply get
-                    // zero gradients).
-                    let w = gru.ids()[2]; // Wh
-                    let b = gru.ids()[8]; // bh
-                    let sum = f.add(h, &message);
-                    drop(message);
-                    let half = f.scale(sum, 0.5);
-                    let lin = f.matmul(&half, w);
-                    drop(half);
-                    let biased = f.add_row(lin, b);
-                    f.tanh(biased)
-                }
-            };
+            h = GruCell::forward(f, &gru, message, h);
             layer_done(&h);
         }
         (h, params)
@@ -315,7 +286,7 @@ mod tests {
 
     #[test]
     fn embed_shapes_and_determinism() {
-        let cfg = GnnConfig { dim: 6, layers: 2, seed: 3, ..GnnConfig::default() };
+        let cfg = GnnConfig { dim: 6, layers: 2, seed: 3 };
         let model = GnnModel::new(cfg.clone());
         let t = line_graph(5);
         let x = Matrix::filled(5, 6, 0.1);
@@ -330,7 +301,7 @@ mod tests {
 
     #[test]
     fn param_count_and_ordering() {
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 3, seed: 1, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 3, seed: 1 });
         assert_eq!(model.param_count(), 3 * 13);
         assert_eq!(model.matrices().len(), 39);
         let mut m = model.clone();
@@ -348,7 +319,7 @@ mod tests {
             g.add_edge(VertexId(j), VertexId(i), PortType::Drain);
         }
         let t = GraphTensors::from_multigraph(&g);
-        let model = GnnModel::new(GnnConfig { dim: 5, layers: 2, seed: 11, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 5, layers: 2, seed: 11 });
         let x = Matrix::filled(4, 5, 0.25);
         let z = model.embed(&t, &x);
         for v in 1..4 {
@@ -369,7 +340,7 @@ mod tests {
         g.add_edge(VertexId(0), VertexId(1), PortType::Gate);
         g.add_edge(VertexId(0), VertexId(2), PortType::Drain);
         let t = GraphTensors::from_multigraph(&g);
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5 });
         let x = Matrix::filled(3, 4, 0.5);
         let z = model.embed(&t, &x);
         let row1: Vec<f64> = z.row(1).to_vec();
@@ -381,51 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_linear_combiner_works_and_differs() {
-        let t = line_graph(4);
-        let x = Matrix::filled(4, 5, 0.2);
-        let gru = GnnModel::new(GnnConfig { dim: 5, layers: 2, seed: 9, combiner: Combiner::Gru });
-        let mean = GnnModel::new(GnnConfig {
-            dim: 5,
-            layers: 2,
-            seed: 9,
-            combiner: Combiner::MeanLinear,
-        });
-        let zg = gru.embed(&t, &x);
-        let zm = mean.embed(&t, &x);
-        assert_eq!(zm.shape(), (4, 5));
-        assert!(zm.is_finite());
-        assert_ne!(zg, zm, "combiners produce different embeddings");
-        // tanh keeps MeanLinear outputs bounded.
-        assert!(zm.max_abs() <= 1.0);
-    }
-
-    #[test]
-    fn mean_linear_gradients_flow() {
-        let t = line_graph(3);
-        let x = Matrix::filled(3, 4, 0.3);
-        let model = GnnModel::new(GnnConfig {
-            dim: 4,
-            layers: 1,
-            seed: 2,
-            combiner: Combiner::MeanLinear,
-        });
-        let mut tape = ancstr_nn::Tape::new();
-        let (z, leaves) = model.forward_on_tape(&mut tape, &t, &x);
-        let loss = tape.sum(z);
-        let grads = tape.backward(loss);
-        // Wh (index 2 within the layer's GRU block, offset by the 4 edge
-        // weights) and bh receive gradients; the unused gates do not.
-        let ids = leaves.ids();
-        assert!(grads.grad(ids[4 + 2]).is_some(), "Wh gets a gradient");
-        assert!(grads.grad(ids[4 + 8]).is_some(), "bh gets a gradient");
-        assert!(grads.grad(ids[4]).is_none(), "Wz is unused in MeanLinear");
-    }
-
-    #[test]
     fn try_embed_reports_typed_errors() {
         use crate::error::EmbedError;
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5 });
         let t = line_graph(3);
         // Wrong column count.
         let err = model.try_embed(&t, &Matrix::zeros(3, 7)).unwrap_err();
@@ -453,7 +382,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "feature dimension")]
     fn wrong_feature_dim_panics() {
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 1, seed: 5 });
         let t = line_graph(3);
         let x = Matrix::zeros(3, 7);
         let _ = model.embed(&t, &x);
@@ -474,7 +403,7 @@ mod tests {
         perturbed[(0, 0)] = 1.0;
 
         for k in 1..=3 {
-            let model = GnnModel::new(GnnConfig { dim: 3, layers: k, seed: 2, ..GnnConfig::default() });
+            let model = GnnModel::new(GnnConfig { dim: 3, layers: k, seed: 2 });
             let zb = model.embed(&t, &base);
             let zp = model.embed(&t, &perturbed);
             for v in 0..n {

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! ancstr-gnn v1
-//! dim 18 layers 2 seed 42
+//! dim 18 layers 2 seed 42 combiner gru
 //! matrix 18 18
 //! 0.123 -0.456 …           (one line per row)
 //! …
@@ -39,7 +39,7 @@ use std::fmt;
 use ancstr_nn::Matrix;
 
 use crate::error::AnomalyCause;
-use crate::model::{Combiner, GnnConfig, GnnModel};
+use crate::model::{GnnConfig, GnnModel};
 use crate::trainer::{HealthEvent, TrainerState};
 
 /// Error returned by [`GnnModel::from_text`].
@@ -296,22 +296,9 @@ impl GnnModel {
     /// text. The inverse of [`GnnModel::from_text`].
     pub fn to_text(&self) -> String {
         let mut out = String::from("ancstr-gnn v1\n");
-        let c = self.config();
-        let combiner = match c.combiner {
-            Combiner::Gru => "gru",
-            Combiner::MeanLinear => "mean",
-        };
-        out.push_str(&format!(
-            "dim {} layers {} seed {} combiner {}\n",
-            c.dim, c.layers, c.seed, combiner
-        ));
+        out.push_str(&config_line(self.config()));
         for m in self.matrices() {
-            out.push_str(&format!("matrix {} {}\n", m.rows(), m.cols()));
-            for r in 0..m.rows() {
-                let row: Vec<String> = m.row(r).iter().map(|v| format!("{v:?}")).collect();
-                out.push_str(&row.join(" "));
-                out.push('\n');
-            }
+            write_matrix(&mut out, m);
         }
         out
     }
@@ -329,20 +316,16 @@ impl GnnModel {
         }
         let config_line = lines.next().ok_or_else(|| err("missing config line"))?;
         let tokens: Vec<&str> = config_line.split_whitespace().collect();
-        let (head, combiner) = match tokens.as_slice() {
-            [a, b, c, d, e, f] => ([*a, *b, *c, *d, *e, *f], Combiner::Gru),
+        let head = match tokens.as_slice() {
+            [a, b, c, d, e, f] => [*a, *b, *c, *d, *e, *f],
             [a, b, c, d, e, f, k_comb, comb] => {
                 if *k_comb != "combiner" {
                     return Err(err("expected `combiner` keyword"));
                 }
-                let combiner = match *comb {
-                    "gru" => Combiner::Gru,
-                    "mean" => Combiner::MeanLinear,
-                    other => return Err(err(format!("unknown combiner `{other}`"))),
-                };
-                ([*a, *b, *c, *d, *e, *f], combiner)
+                check_combiner(comb)?;
+                [*a, *b, *c, *d, *e, *f]
             }
-            _ => return Err(err("config line needs `dim N layers K seed S [combiner C]`")),
+            _ => return Err(err("config line needs `dim N layers K seed S [combiner gru]`")),
         };
         let [k_dim, dim, k_layers, layers, k_seed, seed] = head;
         if k_dim != "dim" || k_layers != "layers" || k_seed != "seed" {
@@ -352,7 +335,6 @@ impl GnnModel {
             dim: dim.parse().map_err(|_| err("bad dim"))?,
             layers: layers.parse().map_err(|_| err("bad layers"))?,
             seed: seed.parse().map_err(|_| err("bad seed"))?,
-            combiner,
         };
 
         let mut model = GnnModel::new(config);
@@ -441,6 +423,21 @@ fn parse_kv<'a>(
     }
 }
 
+/// The config line of a model or checkpoint. The combiner is always
+/// Eq. 1's GRU but is still written: every model fingerprint and golden
+/// hash covers this line.
+fn config_line(c: &GnnConfig) -> String {
+    format!("dim {} layers {} seed {} combiner gru\n", c.dim, c.layers, c.seed)
+}
+
+/// The config line's `combiner` value: Eq. 1's GRU is the only one.
+fn check_combiner(value: &str) -> Result<(), ParseModelError> {
+    match value {
+        "gru" => Ok(()),
+        other => Err(err(format!("unknown combiner `{other}`"))),
+    }
+}
+
 fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, ParseModelError> {
     v.parse().map_err(|_| err(format!("bad {what} `{v}`")))
 }
@@ -464,16 +461,8 @@ impl TrainerState {
     /// [`TrainerState::from_text`]; round trips are bit-exact, which is
     /// what makes crash/resume reproduce an uninterrupted run.
     pub fn to_text(&self) -> String {
-        let c = &self.gnn;
-        let combiner = match c.combiner {
-            Combiner::Gru => "gru",
-            Combiner::MeanLinear => "mean",
-        };
         let mut out = String::from("ancstr-ckpt v1\n");
-        out.push_str(&format!(
-            "dim {} layers {} seed {} combiner {}\n",
-            c.dim, c.layers, c.seed, combiner
-        ));
+        out.push_str(&config_line(&self.gnn));
         out.push_str(&format!(
             "epoch {} attempt {} train-seed {} clipped {} adam-steps {}\n",
             self.epoch_losses.len(),
@@ -539,12 +528,8 @@ impl TrainerState {
         let dim: usize = parse_num(parse_kv(&mut t, "dim")?, "dim")?;
         let layers: usize = parse_num(parse_kv(&mut t, "layers")?, "layers")?;
         let model_seed: u64 = parse_num(parse_kv(&mut t, "seed")?, "seed")?;
-        let combiner = match parse_kv(&mut t, "combiner")? {
-            "gru" => Combiner::Gru,
-            "mean" => Combiner::MeanLinear,
-            other => return Err(err(format!("unknown combiner `{other}`"))),
-        };
-        let gnn = GnnConfig { dim, layers, seed: model_seed, combiner };
+        check_combiner(parse_kv(&mut t, "combiner")?)?;
+        let gnn = GnnConfig { dim, layers, seed: model_seed };
 
         let progress = lines.next().ok_or_else(|| err("missing progress line"))?;
         let mut t = progress.split_whitespace();
@@ -683,7 +668,7 @@ mod tests {
     use ancstr_netlist::PortType;
 
     fn sample_model() -> GnnModel {
-        GnnModel::new(GnnConfig { dim: 5, layers: 2, seed: 77, ..GnnConfig::default() })
+        GnnModel::new(GnnConfig { dim: 5, layers: 2, seed: 77 })
     }
 
     #[test]
@@ -891,7 +876,7 @@ mod tests {
         let back = GnnModel::from_text(&a.to_text()).unwrap();
         assert_eq!(back.fingerprint(), a.fingerprint());
         // Different seed → different weights → different fingerprint.
-        let b = GnnModel::new(GnnConfig { dim: 5, layers: 2, seed: 78, ..GnnConfig::default() });
+        let b = GnnModel::new(GnnConfig { dim: 5, layers: 2, seed: 78 });
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
@@ -979,5 +964,30 @@ mod tests {
         let tampered = text.replacen("epoch 3", "epoch 4", 1);
         assert_ne!(tampered, text);
         assert!(TrainerState::from_text(&tampered).is_err());
+    }
+
+    /// The mean combiner is gone: a model or checkpoint naming it is a
+    /// typed parse error, a config line without a combiner still loads
+    /// as the GRU, and models keep writing `combiner gru`.
+    #[test]
+    fn removed_combiner_is_rejected_cleanly() {
+        let model = sample_model();
+        let text = model.to_text();
+        assert_eq!(text.lines().nth(1), Some("dim 5 layers 2 seed 77 combiner gru"));
+
+        let mean = text.replacen("combiner gru", "combiner mean", 1);
+        let err = GnnModel::from_text(&mean).unwrap_err();
+        assert!(err.reason.contains("unknown combiner `mean`"), "{err}");
+
+        let legacy = text.replacen(" combiner gru", "", 1);
+        assert_eq!(legacy.lines().nth(1), Some("dim 5 layers 2 seed 77"));
+        assert_eq!(GnnModel::from_text(&legacy).unwrap(), model);
+
+        let ckpt = sample_state().to_text();
+        let payload = open_sealed(TrainerState::ARTIFACT_KIND, &ckpt).unwrap();
+        let mean = payload.replacen("combiner gru", "combiner mean", 1);
+        let mean = seal(TrainerState::ARTIFACT_KIND, &mean);
+        let err = TrainerState::from_text(&mean).unwrap_err();
+        assert!(err.reason.contains("unknown combiner `mean`"), "{err}");
     }
 }

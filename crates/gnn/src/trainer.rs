@@ -47,9 +47,6 @@ pub struct TrainConfig {
     pub loss: LossConfig,
     /// Seed for negative sampling and graph-order shuffling.
     pub seed: u64,
-    /// Redraw negative samples every epoch (`true`, the stochastic
-    /// regime) or fix them once (`false`, useful for convergence tests).
-    pub resample_negatives: bool,
 }
 
 impl Default for TrainConfig {
@@ -59,7 +56,6 @@ impl Default for TrainConfig {
             learning_rate: 0.01,
             loss: LossConfig::default(),
             seed: 0x5EED,
-            resample_negatives: true,
         }
     }
 }
@@ -253,23 +249,20 @@ impl StepBuffers {
         }
     }
 
-    /// One [`ContextBatch::sample`] draw per graph, in dataset order:
-    /// the batches of a run that does not resample.
-    fn fixed_batches(
-        &self,
+    /// One [`ContextBatch::sample`] draw per graph, in dataset order,
+    /// each overwriting the reused batch. A run makes these draws before
+    /// its first epoch and never reads them: they only advance `rng`,
+    /// and every trained model and golden hash comes from the stream
+    /// that starts after them.
+    fn skip_initial_draws(
+        &mut self,
         dataset: &[TrainGraph],
         config: &LossConfig,
         rng: &mut StdRng,
-    ) -> Vec<ContextBatch> {
-        dataset
-            .iter()
-            .zip(&self.tables)
-            .map(|(g, table)| {
-                let mut batch = ContextBatch::default();
-                batch.resample(&g.tensors, table, config, rng);
-                batch
-            })
-            .collect()
+    ) {
+        for (g, table) in dataset.iter().zip(&self.tables) {
+            self.batch.resample(&g.tensors, table, config, rng);
+        }
     }
 }
 
@@ -285,7 +278,6 @@ fn epoch_pass(
     rng: &mut StdRng,
     opt: &mut Adam,
     order: &mut [usize],
-    fixed_batches: &[ContextBatch],
     step: &mut StepBuffers,
     mut guard: Option<EpochGuard<'_>>,
 ) -> Result<f64, AnomalyCause> {
@@ -294,19 +286,15 @@ fn epoch_pass(
     let mut counted = 0usize;
     for &gi in order.iter() {
         let graph = &dataset[gi];
-        let batch = if config.resample_negatives {
-            step.batch.resample(&graph.tensors, &step.tables[gi], &config.loss, rng);
-            &step.batch
-        } else {
-            &fixed_batches[gi]
-        };
+        let batch = &mut step.batch;
+        batch.resample(&graph.tensors, &step.tables[gi], &config.loss, rng);
         if batch.is_empty() {
             continue;
         }
         let tape = &mut step.tape;
         tape.clear();
         let (z, leaves) = model.forward_on_tape(tape, &graph.tensors, &graph.features);
-        let loss = context_loss(tape, z, batch, &config.loss);
+        let loss = context_loss(tape, z, batch);
         let loss_value = tape.value(loss)[(0, 0)];
         let mut grads = tape.backward(loss);
 
@@ -387,9 +375,8 @@ pub fn train(model: &mut GnnModel, dataset: &[TrainGraph], config: &TrainConfig)
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut opt = Adam::new(config.learning_rate);
 
-    // Pre-sample fixed batches when not resampling.
     let mut step = StepBuffers::new(dataset);
-    let fixed_batches = step.fixed_batches(dataset, &config.loss, &mut rng);
+    step.skip_initial_draws(dataset, &config.loss, &mut rng);
 
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     let mut order: Vec<usize> = (0..dataset.len()).collect();
@@ -402,7 +389,6 @@ pub fn train(model: &mut GnnModel, dataset: &[TrainGraph], config: &TrainConfig)
             &mut rng,
             &mut opt,
             &mut order,
-            &fixed_batches,
             &mut step,
             None,
         )
@@ -707,13 +693,12 @@ pub fn try_train_resumable(
     }
 
     'attempts: loop {
-        // Every attempt replays its setup from the attempt seed: the
-        // fixed batches are a deterministic function of the seed, so on
-        // resume we re-derive them and only then install the saved
-        // mid-stream RNG state, shuffle order, and optimizer moments.
+        // Every attempt replays its setup from the attempt seed; on
+        // resume the saved mid-stream RNG state, shuffle order, and
+        // optimizer moments then replace what the setup drew.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut opt = Adam::new(config.learning_rate);
-        let fixed_batches = step.fixed_batches(dataset, &config.loss, &mut rng);
+        step.skip_initial_draws(dataset, &config.loss, &mut rng);
         let mut order: Vec<usize> = (0..dataset.len()).collect();
         if let Some(state) = resume.take() {
             rng = StdRng::from_state(state.rng);
@@ -771,7 +756,6 @@ pub fn try_train_resumable(
                 &mut rng,
                 &mut opt,
                 &mut order,
-                &fixed_batches,
                 &mut step,
                 Some(guard),
             );
@@ -905,13 +889,12 @@ mod tests {
     }
 
     #[test]
-    fn loss_decreases_with_fixed_batches() {
-        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 21, ..GnnConfig::default() });
+    fn loss_decreases() {
+        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 21 });
         let dataset = vec![sample_graph()];
         let cfg = TrainConfig {
             epochs: 40,
             learning_rate: 0.02,
-            resample_negatives: false,
             ..TrainConfig::default()
         };
         let report = train(&mut model, &dataset, &cfg);
@@ -929,9 +912,9 @@ mod tests {
     fn training_is_seed_deterministic() {
         let dataset = vec![sample_graph()];
         let cfg = TrainConfig { epochs: 5, ..TrainConfig::default() };
-        let mut m1 = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() });
+        let mut m1 = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8 });
         let r1 = train(&mut m1, &dataset, &cfg);
-        let mut m2 = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() });
+        let mut m2 = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8 });
         let r2 = train(&mut m2, &dataset, &cfg);
         assert_eq!(r1, r2);
         assert_eq!(m1, m2);
@@ -948,7 +931,7 @@ mod tests {
         let train_at = |t: usize| {
             ancstr_par::set_threads(t);
             let mut m =
-                GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() });
+                GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8 });
             let r = train(&mut m, &dataset, &cfg);
             (m, r)
         };
@@ -963,7 +946,7 @@ mod tests {
 
     #[test]
     fn trained_embeddings_align_symmetric_pairs() {
-        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 33, ..GnnConfig::default() });
+        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 33 });
         let graph = sample_graph();
         let cfg = TrainConfig {
             epochs: 80,
@@ -992,7 +975,7 @@ mod tests {
 
     #[test]
     fn multi_graph_training_runs() {
-        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 1, ..GnnConfig::default() });
+        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 1 });
         let dataset = vec![sample_graph(), sample_graph()];
         let cfg = TrainConfig { epochs: 3, ..TrainConfig::default() };
         let report = train(&mut model, &dataset, &cfg);
@@ -1004,7 +987,7 @@ mod tests {
     fn guarded_clean_run_matches_unguarded_exactly() {
         let dataset = vec![sample_graph(), sample_graph()];
         let cfg = TrainConfig { epochs: 8, ..TrainConfig::default() };
-        let gc = GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() };
+        let gc = GnnConfig { dim: 6, layers: 2, seed: 8 };
         let mut plain = GnnModel::new(gc.clone());
         let plain_report = train(&mut plain, &dataset, &cfg);
         let mut guarded = GnnModel::new(gc);
@@ -1045,7 +1028,7 @@ mod tests {
     fn attached_observer_never_changes_training_results() {
         let dataset = vec![sample_graph(), sample_graph()];
         let cfg = TrainConfig { epochs: 8, ..TrainConfig::default() };
-        let gc = GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() };
+        let gc = GnnConfig { dim: 6, layers: 2, seed: 8 };
 
         let mut bare = GnnModel::new(gc.clone());
         let bare_out = try_train(&mut bare, &dataset, &cfg, &HealthConfig::default()).unwrap();
@@ -1086,7 +1069,7 @@ mod tests {
         let cfg = TrainConfig { epochs: 6, ..TrainConfig::default() };
         let health = HealthConfig { inject_nan_grad_at: Some(2), ..HealthConfig::default() };
         let mut model =
-            GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 5, ..GnnConfig::default() });
+            GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 5 });
         let mut hooks = RecordingHooks::default();
         let mut stored = Vec::new();
         let mut sink = |state: &TrainerState| {
@@ -1120,7 +1103,7 @@ mod tests {
     fn injected_nan_gradient_recovers_via_checkpoint_restore() {
         let dataset = vec![sample_graph()];
         let cfg = TrainConfig { epochs: 10, ..TrainConfig::default() };
-        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() });
+        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8 });
         let health = HealthConfig { inject_nan_grad_at: Some(4), ..HealthConfig::default() };
         let (report, hr) = try_train(&mut model, &dataset, &cfg, &health)
             .expect("transient fault must be recovered");
@@ -1140,7 +1123,7 @@ mod tests {
         let cfg = TrainConfig { epochs: 6, ..TrainConfig::default() };
         let health = HealthConfig { inject_nan_grad_at: Some(2), ..HealthConfig::default() };
         let run = || {
-            let mut m = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 5, ..GnnConfig::default() });
+            let mut m = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 5 });
             let out = try_train(&mut m, &dataset, &cfg, &health).unwrap();
             (m, out)
         };
@@ -1155,7 +1138,7 @@ mod tests {
         // NaN, so a tight divergence factor is what detects it), and
         // recovery cannot succeed because the cause is the config.
         let cfg = TrainConfig { epochs: 30, learning_rate: 1e12, ..TrainConfig::default() };
-        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() });
+        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8 });
         let health = HealthConfig {
             max_retries: 2,
             max_grad_norm: None,
@@ -1172,7 +1155,7 @@ mod tests {
 
     #[test]
     fn try_train_validates_inputs() {
-        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 1, ..GnnConfig::default() });
+        let mut model = GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 1 });
         let health = HealthConfig::default();
         assert_eq!(
             try_train(&mut model, &[], &TrainConfig::default(), &health).unwrap_err(),
@@ -1201,7 +1184,7 @@ mod tests {
     fn resumable_with_no_hooks_matches_try_train() {
         let cfg = TrainConfig { epochs: 10, seed: 5, ..TrainConfig::default() };
         let dataset = vec![sample_graph()];
-        let gnn = GnnConfig { dim: 6, layers: 2, seed: 3, ..GnnConfig::default() };
+        let gnn = GnnConfig { dim: 6, layers: 2, seed: 3 };
         let mut a = GnnModel::new(gnn.clone());
         let mut b = GnnModel::new(gnn);
         let (ra, ha) = try_train(&mut a, &dataset, &cfg, &HealthConfig::default()).unwrap();
@@ -1223,7 +1206,7 @@ mod tests {
     fn resume_from_any_checkpoint_is_bit_identical() {
         let cfg = TrainConfig { epochs: 8, seed: 11, ..TrainConfig::default() };
         let dataset = vec![sample_graph()];
-        let gnn = GnnConfig { dim: 6, layers: 2, seed: 9, ..GnnConfig::default() };
+        let gnn = GnnConfig { dim: 6, layers: 2, seed: 9 };
 
         // Reference: one uninterrupted run, collecting every-epoch
         // checkpoints along the way.
@@ -1272,7 +1255,7 @@ mod tests {
     fn checkpoint_survives_serialization_round_trip() {
         let cfg = TrainConfig { epochs: 6, seed: 2, ..TrainConfig::default() };
         let dataset = vec![sample_graph()];
-        let gnn = GnnConfig { dim: 6, layers: 2, seed: 1, ..GnnConfig::default() };
+        let gnn = GnnConfig { dim: 6, layers: 2, seed: 1 };
         let mut reference = GnnModel::new(gnn.clone());
         let captured = std::cell::RefCell::new(None);
         let mut sink = |s: &TrainerState| {
@@ -1312,7 +1295,7 @@ mod tests {
         let cfg = TrainConfig { epochs: 10, seed: 4, ..TrainConfig::default() };
         let dataset = vec![sample_graph()];
         let mut model =
-            GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8, ..GnnConfig::default() });
+            GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 8 });
         let flag = std::sync::atomic::AtomicBool::new(false);
         let states = std::cell::RefCell::new(Vec::new());
         let mut sink = |s: &TrainerState| {
@@ -1350,7 +1333,7 @@ mod tests {
     fn invalid_resume_checkpoints_are_rejected_with_typed_errors() {
         let cfg = TrainConfig { epochs: 6, seed: 2, ..TrainConfig::default() };
         let dataset = vec![sample_graph()];
-        let gnn = GnnConfig { dim: 6, layers: 2, seed: 1, ..GnnConfig::default() };
+        let gnn = GnnConfig { dim: 6, layers: 2, seed: 1 };
 
         // Capture a genuine checkpoint to corrupt.
         let mut model = GnnModel::new(gnn.clone());
@@ -1409,7 +1392,7 @@ mod tests {
         let cfg = TrainConfig { epochs: 6, seed: 2, ..TrainConfig::default() };
         let dataset = vec![sample_graph()];
         let mut model =
-            GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 1, ..GnnConfig::default() });
+            GnnModel::new(GnnConfig { dim: 6, layers: 2, seed: 1 });
         let mut sink = |_: &TrainerState| Err("disk full".to_owned());
         let err = try_train_resumable(
             &mut model,

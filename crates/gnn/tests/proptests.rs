@@ -2,7 +2,6 @@
 //! graphs and configurations, the inference pass's bit identity with
 //! the recorded tape, and serialization round trips.
 
-use ancstr_gnn::model::Combiner;
 use ancstr_gnn::{open_sealed, seal, GnnConfig, GnnModel, GraphTensors};
 use ancstr_graph::{HetMultigraph, VertexId};
 use ancstr_netlist::PortType;
@@ -68,16 +67,14 @@ proptest! {
     }
 
     /// Embeddings are finite, shaped n × D, and deterministic for any
-    /// graph, seed, layer count, and combiner.
+    /// graph, seed, and layer count.
     #[test]
     fn forward_invariants(
         t in arb_graph(),
         seed in 0u64..100,
         layers in 1usize..4,
-        mean in any::<bool>(),
     ) {
-        let combiner = if mean { Combiner::MeanLinear } else { Combiner::Gru };
-        let model = GnnModel::new(GnnConfig { dim: 6, layers, seed, combiner });
+        let model = GnnModel::new(GnnConfig { dim: 6, layers, seed });
         let x = Matrix::from_fn(8, 6, |r, c| ((r * 5 + c) % 7) as f64 * 0.1 - 0.3);
         let z1 = model.embed(&t, &x);
         let z2 = model.embed(&t, &x);
@@ -88,8 +85,7 @@ proptest! {
 
     /// Inference (`embed`, tape-free, with the features borrowed or
     /// owned) reproduces the value of the recorded training forward bit
-    /// for bit, for both combiners and
-    /// K ∈ {1, 2, 3}, at one and two threads. The 600-vertex graphs are
+    /// for bit, for K ∈ {1, 2, 3}, at one and two threads. The 600-vertex graphs are
     /// large enough for the kernels to split work across threads. A NaN
     /// feature keeps identical bits on both paths, and stays in the rows
     /// it can reach in K hops along the edges.
@@ -98,13 +94,11 @@ proptest! {
         t in any::<bool>().prop_flat_map(|big| arb_graph_on(if big { 600 } else { 8 })),
         seed in 0u64..100,
         layers in 1usize..4,
-        mean in any::<bool>(),
         poison in any::<bool>(),
         nan_row in 0usize..8,
         threads in 1usize..3,
     ) {
-        let combiner = if mean { Combiner::MeanLinear } else { Combiner::Gru };
-        let model = GnnModel::new(GnnConfig { dim: 18, layers, seed, combiner });
+        let model = GnnModel::new(GnnConfig { dim: 18, layers, seed });
         let n = t.vertex_count();
         let mut x = Matrix::from_fn(n, 18, |r, c| {
             ((r * 5 + c * 3) as u64 + seed) as f64 % 13.0 * 0.1 - 0.6
@@ -152,10 +146,8 @@ proptest! {
         seed in 0u64..100,
         layers in 1usize..4,
         dim in 2usize..8,
-        mean in any::<bool>(),
     ) {
-        let combiner = if mean { Combiner::MeanLinear } else { Combiner::Gru };
-        let model = GnnModel::new(GnnConfig { dim, layers, seed, combiner });
+        let model = GnnModel::new(GnnConfig { dim, layers, seed });
         let back = GnnModel::from_text(&model.to_text()).expect("round trip parses");
         prop_assert_eq!(back, model);
     }
@@ -166,7 +158,7 @@ proptest! {
     fn isolated_vertices_are_exchangeable(seed in 0u64..100) {
         let g = HetMultigraph::with_vertices(0..5);
         let t = GraphTensors::from_multigraph(&g);
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed });
         let x = Matrix::filled(5, 4, 0.2);
         let z = model.embed(&t, &x);
         for v in 1..5 {
@@ -183,10 +175,8 @@ proptest! {
         seed in 0u64..100,
         layers in 1usize..4,
         dim in 2usize..8,
-        mean in any::<bool>(),
     ) {
-        let combiner = if mean { Combiner::MeanLinear } else { Combiner::Gru };
-        let model = GnnModel::new(GnnConfig { dim, layers, seed, combiner });
+        let model = GnnModel::new(GnnConfig { dim, layers, seed });
         let payload = model.to_text();
         let sealed = seal("model", &payload);
         let opened = open_sealed("model", &sealed).expect("clean seal opens");
@@ -205,7 +195,7 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         xor in 1u8..=255,
     ) {
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed });
         let sealed = seal("model", &model.to_text());
         let mut bytes = sealed.clone().into_bytes();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
@@ -220,7 +210,7 @@ proptest! {
     /// the footer is written last, so losing the tail loses the seal.
     #[test]
     fn any_truncation_is_detected(seed in 0u64..50, keep_frac in 0.0f64..1.0) {
-        let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed, ..GnnConfig::default() });
+        let model = GnnModel::new(GnnConfig { dim: 4, layers: 2, seed });
         let sealed = seal("model", &model.to_text());
         let keep = ((sealed.len() - 1) as f64 * keep_frac) as usize;
         let truncated: String = sealed.chars().take(keep).collect();

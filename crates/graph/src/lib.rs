@@ -8,13 +8,13 @@
 //!   global net ids erased. Its clique walk
 //!   ([`PinStream::for_each_clique_pair`]) is where Algorithm 1's rules
 //!   live; every graph below is built from it, and so are the GNN's
-//!   Eq. 1 operators (`ancstr_gnn::GraphTensors::from_circuit`), which
-//!   the pipeline builds without a multigraph;
+//!   Eq. 1 operators (`ancstr_gnn::GraphTensors::from_circuit`), the
+//!   DOT export ([`dot::to_dot`]) and the S³DET baseline's adjacency,
+//!   none of which stores a multigraph;
 //! * [`HetMultigraph`] — the directed multigraph `G = (V, E)` whose
 //!   vertices are primitive devices and whose edges `(u, v, τ_v)` are
-//!   typed by the destination port, kept for the DOT export, the
-//!   baselines and as the reference the direct operator build is tested
-//!   against;
+//!   typed by the destination port. No library or CLI path builds one:
+//!   it is the reference the direct builds are tested against;
 //! * [`SimpleDigraph`] — the de-paralleled, untyped digraph `G'_t` used
 //!   by circuit feature embedding (Algorithm 2, lines 1–4);
 //! * [`pagerank()`] — Eq. 3's PageRank iteration.

@@ -2,8 +2,10 @@
 //! evaluators.
 //!
 //! [`Forward`] is the op set the model's layer loop and
-//! [`GruCell::forward`](crate::GruCell::forward) are generic over. It has
-//! two implementations:
+//! [`GruCell::forward`](crate::GruCell::forward) are generic over, and
+//! no more than Eq. 1 needs: three bindings (`input`, `param`,
+//! `operator`), the message products (`matmul`, `spmm`, `spmm_add`) and
+//! the GRU step (`gru_step`). It has two implementations:
 //!
 //! * [`Tape`] records every op and returns a [`NodeId`], so a reverse
 //!   sweep can follow — the training path;
@@ -36,21 +38,27 @@
 //! # Example
 //!
 //! ```
-//! use ancstr_nn::{Eager, Forward, Matrix, Tape};
+//! use std::sync::Arc;
+//! use ancstr_nn::{Eager, Forward, Matrix, SparseMatrix, Tape};
 //!
-//! // y = tanh(x·w + b), written once.
-//! fn layer<'a, F: Forward<'a>>(f: &mut F, x: &'a Matrix, wb: &'a [Matrix; 2]) -> F::Value {
-//!     let (x, w, b) = (f.input(x), f.param(&wb[0]), f.param(&wb[1]));
+//! // y = S · (x·w), written once: one message term of Eq. 1.
+//! fn term<'a, F: Forward<'a>>(
+//!     f: &mut F,
+//!     x: &'a Matrix,
+//!     w: &'a Matrix,
+//!     s: &'a Arc<SparseMatrix>,
+//! ) -> F::Value {
+//!     let (x, w, s) = (f.input(x), f.param(w), f.operator(s));
 //!     let xw = f.matmul(&x, w);
-//!     let pre = f.add_row(xw, b);
-//!     f.tanh(pre)
+//!     f.spmm(s, xw)
 //! }
 //!
-//! let x = Matrix::from_rows(&[&[0.5, -1.0]]);
-//! let wb = [Matrix::from_rows(&[&[1.0], &[2.0]]), Matrix::from_rows(&[&[0.25]])];
+//! let x = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]);
+//! let w = Matrix::from_rows(&[&[1.0], &[2.0]]);
+//! let s = Arc::new(SparseMatrix::from_edges(2, 2, &[(0, 1), (1, 0), (1, 1)]));
 //! let mut tape = Tape::new();
-//! let recorded = layer(&mut tape, &x, &wb);
-//! let eager = layer(&mut Eager, &x, &wb);
+//! let recorded = term(&mut tape, &x, &w, &s);
+//! let eager = term(&mut Eager, &x, &w, &s);
 //! assert_eq!(tape.value(recorded), &eager.into_matrix());
 //! ```
 
@@ -62,7 +70,7 @@ use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
 use crate::tape::{NodeId, SparseId, Tape};
 
-/// The ops a forward pass of Eq. 1 and its combiners is made of.
+/// The ops a forward pass of Eq. 1 is made of.
 ///
 /// Three kinds of operand flow through a pass: values (activations),
 /// parameters (weights and biases, bound once per pass) and constant
@@ -91,14 +99,6 @@ pub trait Forward<'a> {
     /// `acc + S · b`, with the bits of `spmm` then `add`; neither `b`
     /// nor `acc` is read again.
     fn spmm_add(&mut self, s: Self::Sparse, b: Self::Value, acc: Self::Value) -> Self::Value;
-    /// `a + b`.
-    fn add(&mut self, a: Self::Value, b: &Self::Value) -> Self::Value;
-    /// `a + 1·rowᵀ`: broadcast a `1 × d` bias over the rows of `a`.
-    fn add_row(&mut self, a: Self::Value, row: Self::Param) -> Self::Value;
-    /// `k · a`.
-    fn scale(&mut self, a: Self::Value, k: f64) -> Self::Value;
-    /// Element-wise `tanh`.
-    fn tanh(&mut self, a: Self::Value) -> Self::Value;
     /// One GRU step (see [`GruCell`](crate::GruCell)): the next state
     /// from message `x` and state `h`, with the bits of the op-by-op
     /// gate composition; neither `x` nor `h` is read again.
@@ -135,22 +135,6 @@ impl<'a> Forward<'a> for Tape {
         Tape::spmm_add(self, s, b, acc)
     }
 
-    fn add(&mut self, a: NodeId, b: &NodeId) -> NodeId {
-        Tape::add(self, a, *b)
-    }
-
-    fn add_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        Tape::add_row(self, a, row)
-    }
-
-    fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
-        Tape::scale(self, a, k)
-    }
-
-    fn tanh(&mut self, a: NodeId) -> NodeId {
-        Tape::tanh(self, a)
-    }
-
     fn gru_step(&mut self, leaves: &GruLeaves<NodeId>, x: NodeId, h: NodeId) -> NodeId {
         Tape::gru_step(self, leaves.ids(), x, h)
     }
@@ -169,9 +153,7 @@ impl<'a> Forward<'a> for Tape {
 /// per distinct key and numbers its output rows by those keys, so the
 /// next layer hashes nothing of the state. Every kernel builds an output
 /// row from that row's inputs alone, so a shared row has the bits each
-/// of its vertices would compute. The element-wise ops of the
-/// `MeanLinear` combiner work on the table, or on every row when they
-/// combine two values.
+/// of its vertices would compute.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Eager;
 
@@ -202,30 +184,6 @@ impl<'a> Forward<'a> for Eager {
 
     fn spmm_add(&mut self, s: &'a SparseMatrix, b: ClassedRows, acc: ClassedRows) -> ClassedRows {
         acc.expanded().update_table(|acc| s.matmul_dense_add_assign(b.table(), b.class(), acc))
-    }
-
-    fn add(&mut self, a: ClassedRows, b: &ClassedRows) -> ClassedRows {
-        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "add shape mismatch");
-        a.expanded().update_table(|sum| {
-            for v in 0..sum.rows() {
-                let row = b.table().row(b.slot(v));
-                for (x, &y) in sum.row_mut(v).iter_mut().zip(row) {
-                    *x += y;
-                }
-            }
-        })
-    }
-
-    fn add_row(&mut self, a: ClassedRows, row: &'a Matrix) -> ClassedRows {
-        a.update_table(|t| t.add_row_assign(row))
-    }
-
-    fn scale(&mut self, a: ClassedRows, k: f64) -> ClassedRows {
-        a.update_table(|t| t.map_assign(|x| x * k))
-    }
-
-    fn tanh(&mut self, a: ClassedRows) -> ClassedRows {
-        a.update_table(|t| t.map_par_assign(f64::tanh))
     }
 
     /// Runs the step once per distinct (message row bits, state class)

@@ -370,24 +370,6 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::map`] writing into `self`'s buffer.
-    pub(crate) fn map_assign(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// [`Matrix::map_par`] writing into `self`'s buffer, split into the
-    /// same element chunks.
-    pub(crate) fn map_par_assign(&mut self, f: impl Fn(f64) -> f64 + Sync) {
-        let len = self.data.len();
-        par_row_chunks(len, 1, &mut self.data, MAP_PAR_MIN_CHUNK, |_, chunk| {
-            for x in chunk {
-                *x = f(*x);
-            }
-        });
-    }
-
     /// The L2 norm of every row, computed exactly as
     /// [`cosine_similarity`] computes its per-vector norms (sum of
     /// squares in index order, then square root).

@@ -314,7 +314,6 @@ mod tests {
             dim: ancstr_core::FEATURE_DIM,
             layers: 2,
             seed,
-            ..GnnConfig::default()
         })
     }
 

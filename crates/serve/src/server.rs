@@ -1070,7 +1070,6 @@ M5 t t vss vss nch w=1u l=0.1u
             dim: ancstr_core::FEATURE_DIM,
             layers: 2,
             seed,
-            ..GnnConfig::default()
         })
     }
 

@@ -5,7 +5,7 @@
 //! cargo run -p ancstr-bench --example ota_device_level --release
 //! ```
 
-use ancstr_baselines::{sfa_extract, SfaConfig};
+use ancstr_baselines::sfa_extract;
 use ancstr_bench::quick_config;
 use ancstr_circuits::ota::ota_suite;
 use ancstr_core::pipeline::evaluate_detection;
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (i, flat) in circuits.iter().enumerate() {
         let ours = extractor.evaluate(flat);
-        let sfa = evaluate_detection(flat, sfa_extract(flat, &SfaConfig::default()));
+        let sfa = evaluate_detection(flat, sfa_extract(flat));
         println!(
             "OTA{:<3} | {:>6.3} {:>6.3} {:>6.3} | {:>6.3} {:>6.3} {:>6.3}",
             i + 1,
@@ -56,11 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         / circuits.len() as f64;
     let sfa_fpr: f64 = circuits
         .iter()
-        .map(|f| {
-            evaluate_detection(f, sfa_extract(f, &SfaConfig::default()))
-                .device
-                .fpr()
-        })
+        .map(|f| evaluate_detection(f, sfa_extract(f)).device.fpr())
         .sum::<f64>()
         / circuits.len() as f64;
     println!("\nmean FPR: GNN {gnn_fpr:.3} vs SFA {sfa_fpr:.3}");

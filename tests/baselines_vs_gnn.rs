@@ -1,7 +1,7 @@
 //! Cross-crate comparisons: the headline claims of Tables V–VI must
 //! hold on the synthetic benchmarks — who wins, and in which metric.
 
-use ancstr_baselines::{s3det_extract, sfa_extract, S3detConfig, SfaConfig};
+use ancstr_baselines::{s3det_extract, sfa_extract, S3detConfig};
 use ancstr_bench::{block_dataset, quick_config, train_extractor, AverageRow, MetricRow};
 use ancstr_circuits::adc::adc1;
 use ancstr_core::pipeline::evaluate_detection;
@@ -20,7 +20,7 @@ fn device_level_shape_holds() {
     for b in &dataset {
         let g = extractor.evaluate(&b.flat);
         gnn_rows.push(MetricRow::from_evaluation(b.name, &g, |e| e.device));
-        let s = evaluate_detection(&b.flat, sfa_extract(&b.flat, &SfaConfig::default()));
+        let s = evaluate_detection(&b.flat, sfa_extract(&b.flat));
         sfa_rows.push(MetricRow::from_evaluation(b.name, &s, |e| e.device));
     }
     let gnn = AverageRow::of(&gnn_rows);

@@ -11,7 +11,7 @@
 //! ADC4/5 dominates the Table V runtime; CI runs them with
 //! `--include-ignored`.
 
-use ancstr_baselines::{s3det_extract, sfa_extract, S3detConfig, SfaConfig};
+use ancstr_baselines::{s3det_extract, sfa_extract, S3detConfig};
 use ancstr_bench::{adc_dataset, block_dataset, experiment_config, train_extractor, Benchmark};
 use ancstr_core::pipeline::evaluate_detection;
 use ancstr_core::Confusion;
@@ -106,6 +106,6 @@ fn table6_this_work_counts_are_pinned() {
 fn table6_sfa_counts_are_pinned() {
     let dataset = block_dataset();
     assert_pins("Table VI SFA", &dataset, &TABLE6, BASELINE, |b| {
-        evaluate_detection(&b.flat, sfa_extract(&b.flat, &SfaConfig::default())).device
+        evaluate_detection(&b.flat, sfa_extract(&b.flat)).device
     });
 }
